@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fhg_core::analysis::{
-    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, DeriveScratch, GraphChecker,
+    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, GraphChecker,
 };
 use fhg_core::prelude::*;
 use fhg_graph::generators;
@@ -68,10 +68,8 @@ fn bench_cycle_profile(c: &mut Criterion) {
         let view = s.residue_schedule().expect("perfectly periodic");
         let profile = pool
             .install(|| CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker));
-        let mut scratch = DeriveScratch::new();
         b.iter(|| {
-            let analysis =
-                profile.derive_with(s.name(), &graph, LONG_HORIZON, &mut scratch).unwrap();
+            let analysis = profile.derive(s.name(), &graph, LONG_HORIZON).unwrap();
             assert!(analysis.all_happy_sets_independent);
             black_box(analysis)
         })
@@ -82,9 +80,8 @@ fn bench_cycle_profile(c: &mut Criterion) {
         let view = s.residue_schedule().expect("perfectly periodic");
         let profile = pool
             .install(|| CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker));
-        let mut scratch = DeriveScratch::new();
         b.iter(|| {
-            let totals = profile.derive_totals_with(LONG_HORIZON, &mut scratch).unwrap();
+            let totals = profile.derive_totals(LONG_HORIZON).unwrap();
             assert!(totals.all_happy_sets_independent);
             black_box(totals)
         })

@@ -189,7 +189,7 @@ pub fn run_experiment_collecting(
         "e11" => e11_analysis_engine_with(cfg),
         "e12" => e12_closed_form_engine_with(cfg),
         "e13" => e13_fused_kernel_emission_with(cfg),
-        "e14" => e14_soa_derive_and_parallel_build_with(cfg),
+        "e14" => e14_derive_and_parallel_build_with(cfg),
         "e15" => e15_verification_throughput_with(cfg),
         "e16" => e16_windowed_serving_with(cfg),
         "e17" => e17_incremental_repair_with(cfg),
@@ -781,219 +781,13 @@ pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<B
     (vec![table], entries)
 }
 
-/// The PR 3/4 array-of-structs derivation shape, reimplemented from the
-/// profile's public accessors — the differential baseline `e12` and `e14`
-/// time the struct-of-arrays derive against (and cross-check bitwise).
-/// One cache-line struct per node, branchy scalar replicate/merge/finalise:
-/// exactly the per-node plane PR 5 moved onto the column kernels.
-pub mod aos_baseline {
-    use fhg_core::analysis::{CycleProfile, NodeAnalysis, ScheduleAnalysis};
-    use fhg_graph::Graph;
-
-    const NONE: u64 = u64::MAX;
-
-    /// One node's accumulator — the PR 2 `NodeAccum` layout.
-    #[derive(Clone)]
-    pub struct Accum {
-        first: u64,
-        last: u64,
-        happy: u64,
-        gap_sum: u64,
-        gap_count: u64,
-        first_gap: u64,
-        max_streak: u64,
-        uniform: bool,
-    }
-
-    impl Accum {
-        fn empty() -> Self {
-            Accum {
-                first: NONE,
-                last: NONE,
-                happy: 0,
-                gap_sum: 0,
-                gap_count: 0,
-                first_gap: NONE,
-                max_streak: 0,
-                uniform: true,
-            }
-        }
-
-        fn record(&mut self, offset: u64) {
-            self.happy += 1;
-            if self.last == NONE {
-                self.first = offset;
-            } else {
-                let gap = offset - self.last;
-                self.max_streak = self.max_streak.max(gap - 1);
-                self.gap_sum += gap;
-                self.gap_count += 1;
-                self.candidate(gap);
-            }
-            self.last = offset;
-        }
-
-        fn candidate(&mut self, gap: u64) {
-            if self.first_gap == NONE {
-                self.first_gap = gap;
-            } else if self.first_gap != gap {
-                self.uniform = false;
-            }
-        }
-
-        fn merge(&mut self, s: &Accum) {
-            if s.happy == 0 {
-                return;
-            }
-            if self.last == NONE {
-                self.first = s.first;
-                self.max_streak = self.max_streak.max(s.first);
-            } else {
-                let gap = s.first - self.last;
-                self.max_streak = self.max_streak.max(gap - 1);
-                self.gap_sum += gap;
-                self.gap_count += 1;
-                self.candidate(gap);
-            }
-            self.max_streak = self.max_streak.max(s.max_streak);
-            self.gap_sum += s.gap_sum;
-            self.gap_count += s.gap_count;
-            if s.gap_count > 0 {
-                self.candidate(s.first_gap);
-                if !s.uniform {
-                    self.uniform = false;
-                }
-            }
-            self.happy += s.happy;
-            self.last = s.last;
-        }
-
-        fn replicate(&self, reps: u64, cycle: u64) -> Accum {
-            if self.happy == 0 || reps == 0 {
-                return Accum::empty();
-            }
-            let wrap = cycle - self.last + self.first;
-            Accum {
-                first: self.first,
-                last: (reps - 1) * cycle + self.last,
-                happy: reps * self.happy,
-                gap_sum: reps * self.gap_sum + (reps - 1) * wrap,
-                gap_count: reps * self.gap_count + (reps - 1),
-                first_gap: if self.gap_count > 0 {
-                    self.first_gap
-                } else if reps > 1 {
-                    wrap
-                } else {
-                    NONE
-                },
-                max_streak: if reps > 1 { self.max_streak.max(wrap - 1) } else { self.max_streak },
-                uniform: self.uniform
-                    && (reps == 1 || self.gap_count == 0 || self.first_gap == wrap),
-            }
-        }
-    }
-
-    /// The untimed setup: one-cycle accumulators replayed from the
-    /// profile's stored attendance offsets (what the profile builder used
-    /// to keep inline as `Vec<NodeAccum>`).
-    pub fn one_cycle_accums(profile: &CycleProfile) -> Vec<Accum> {
-        (0..profile.node_count())
-            .map(|p| {
-                let mut a = Accum::empty();
-                for &o in profile.attendance_offsets(p) {
-                    a.record(o);
-                }
-                a
-            })
-            .collect()
-    }
-
-    /// The timed baseline: the PR 3 derive shape, faithfully — the merged
-    /// global accumulator bank is **materialised** as one `Vec<Accum>`
-    /// (per-node scalar replicate + segment merges + tail replay), then a
-    /// separate finalisation pass assembles the per-node analysis structs,
-    /// exactly as `derive_accums` + `finalize` did before the
-    /// struct-of-arrays rework.
-    pub fn derive(
-        profile: &CycleProfile,
-        per_cycle: &[Accum],
-        scheduler: &str,
-        graph: &Graph,
-        horizon: u64,
-    ) -> Option<ScheduleAnalysis> {
-        let cycle = profile.cycle();
-        if horizon < cycle {
-            return None;
-        }
-        let reps = horizon / cycle;
-        let tail = horizon % cycle;
-        let base = reps * cycle;
-        let mut global = Vec::with_capacity(per_cycle.len());
-        for (p, a) in per_cycle.iter().enumerate() {
-            let mut g = Accum::empty();
-            g.merge(&a.replicate(reps, cycle));
-            if tail > 0 {
-                let mut t = Accum::empty();
-                for &o in profile.attendance_offsets(p) {
-                    if o >= tail {
-                        break;
-                    }
-                    t.record(base + o);
-                }
-                g.merge(&t);
-            }
-            global.push(g);
-        }
-        let per_node: Vec<NodeAnalysis> = global
-            .iter()
-            .enumerate()
-            .map(|(p, g)| {
-                let trailing = if g.last == NONE { horizon } else { horizon - 1 - g.last };
-                NodeAnalysis {
-                    node: p,
-                    degree: graph.degree(p),
-                    happy_count: g.happy,
-                    max_unhappiness: g.max_streak.max(trailing),
-                    observed_period: (g.uniform && g.first_gap != NONE).then_some(g.first_gap),
-                    first_happy: (g.first != NONE).then_some(g.first),
-                    mean_gap: if g.gap_count > 0 {
-                        g.gap_sum as f64 / g.gap_count as f64
-                    } else {
-                        f64::NAN
-                    },
-                }
-            })
-            .collect();
-        let never_happy = per_node.iter().filter(|n| n.happy_count == 0).map(|n| n.node).collect();
-        let total_happiness = reps
-            .saturating_mul(profile.happiness_per_cycle())
-            .saturating_add(profile.happiness_prefix(tail));
-        Some(ScheduleAnalysis {
-            scheduler: scheduler.to_string(),
-            horizon,
-            mean_happy_set_size: if horizon == 0 {
-                0.0
-            } else {
-                total_happiness as f64 / horizon as f64
-            },
-            per_node,
-            all_happy_sets_independent: profile.all_classes_independent(),
-            never_happy,
-            total_happiness,
-        })
-    }
-}
-
 /// E12 — closed-form horizon scaling: the cost of an analysis must depend on
 /// the cycle, not the horizon.  Baseline is the PR 2 sharded sweep (forced)
 /// at the short horizon; the closed form must beat it by at least 3x, and a
 /// long-horizon (1M-holiday) closed-form analysis must land within 2x of the
 /// short one — the two acceptance criteria, witnessed by the `criterion`
-/// column.  The final rows reuse one prebuilt `CycleProfile` and only
-/// derive, isolating the horizon-free part — once through the
-/// [`aos_baseline`] array-of-structs shape (the PR 3/4 derive) and once
-/// through the production struct-of-arrays column kernels, so the layout
-/// change's trajectory stays comparable run over run.  Parity witnesses are
+/// column.  The final row reuses one prebuilt `CycleProfile` and only
+/// derives, isolating the horizon-free part.  Parity witnesses are
 /// genuinely independent engines: the short-horizon rows compare against
 /// the sequential reference, the long-horizon rows against one (untimed)
 /// sharded sweep of the full long horizon.
@@ -1044,27 +838,16 @@ pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
     });
 
     // Horizon-free derivation: build the profile once, derive the long
-    // horizon from it on every repetition — once through the PR 3/4
-    // array-of-structs shape (the trajectory baseline) and once through
-    // the production struct-of-arrays column kernels.
+    // horizon from it on every repetition.
     let scheduler = PeriodicDegreeBound::new(&graph);
     let view = scheduler.residue_schedule().expect("perfectly periodic");
     let profile =
         CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker);
-    let per_cycle = aos_baseline::one_cycle_accums(&profile);
-    let mut derived_aos =
-        aos_baseline::derive(&profile, &per_cycle, scheduler.name(), &graph, cfg.long_horizon)
-            .unwrap();
-    let derive_aos_ms = median_ms(cfg.reps, || {
-        derived_aos =
-            aos_baseline::derive(&profile, &per_cycle, scheduler.name(), &graph, cfg.long_horizon)
-                .unwrap();
-    });
     let mut derived = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
     let derive_ms = median_ms(cfg.reps, || {
         derived = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
     });
-    let rows: [(&str, u64, f64, String, String, String); 5] = [
+    let rows: [(&str, u64, f64, String, String, String); 4] = [
         (
             "sharded sweep (PR 2 baseline)",
             cfg.horizon,
@@ -1090,15 +873,7 @@ pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
             format!("<=2x of short horizon: {}", long_ms <= 2.0 * closed_ms),
         ),
         (
-            "derive only (AoS baseline)",
-            cfg.long_horizon,
-            derive_aos_ms,
-            format!("{:.2}x", sweep_ms / derive_aos_ms),
-            matches_reference(&derived_aos, &long_witness).to_string(),
-            "horizon-free".to_string(),
-        ),
-        (
-            "derive only (SoA kernels)",
+            "derive only (lane fold)",
             cfg.long_horizon,
             derive_ms,
             format!("{:.2}x", sweep_ms / derive_ms),
@@ -1316,32 +1091,28 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
     (vec![table, parity], entries)
 }
 
-/// E14 — the SoA accumulation plane and the sharded parallel profile
+/// E14 — the prebuilt-profile derivation and the sharded parallel profile
 /// build.  Two tables:
 ///
-/// * **E14a** (the E12 configuration): the prebuilt-profile derivation
-///   head-to-head — the PR 3/4 array-of-structs shape ([`aos_baseline`]),
-///   the production struct-of-arrays column-kernel derive (acceptance:
-///   ≥ 1.8x over AoS), the totals-only fast path with reused scratch
-///   (skips per-node assembly and float work), and the closed-form
-///   end-to-end analysis at the short horizon (acceptance on the full
-///   config: ≤ 1.0 ms).  All derivations are cross-checked structurally.
+/// * **E14a** (the E12 configuration): the totals-only fast path (skips
+///   per-node assembly and float work) and the closed-form end-to-end
+///   analysis at the short horizon (acceptance on the full config:
+///   ≤ 1.0 ms).  The totals are cross-checked against the reduced full
+///   derive.
 ///
 /// * **E14b** (`cycle ≈ 10⁵`, two interleaved moduli whose lcm is the
 ///   cycle, an edgeless conflict graph so verification does full-row
 ///   AND scans with no early exit): `CycleProfile::build` at 1/2/8
 ///   worker threads — the class walk shards across the persistent pool
-///   and the per-shard banks merge through the exact column kernels, so
-///   the build is bitwise-identical at every thread count (asserted),
-///   with wall-clock scaling wherever the host actually has cores
-///   (acceptance: ≥ 2x at 8 threads on a multi-core host; a 1-core
-///   container reports the measured factor honestly).  Derive-only and
-///   totals-only rows on the same long-cycle profile round out the
-///   table.
-pub fn e14_soa_derive_and_parallel_build_with(
+///   and the per-shard events concatenate in class order, so the build is
+///   bitwise-identical at every thread count (asserted), with wall-clock
+///   scaling wherever the host actually has cores (acceptance: ≥ 2x at 8
+///   threads on a multi-core host; a 1-core container reports the
+///   measured factor honestly).  Derive-only and totals-only rows on the
+///   same long-cycle profile round out the table.
+pub fn e14_derive_and_parallel_build_with(
     cfg: &AnalysisBenchConfig,
 ) -> (Vec<Table>, Vec<BenchEntry>) {
-    use fhg_core::analysis::DeriveScratch;
     use fhg_core::schedulers::residue::ResidueSchedule;
 
     let mut entries = Vec::new();
@@ -1350,7 +1121,7 @@ pub fn e14_soa_derive_and_parallel_build_with(
     // multi-ms experiments, or the median is container noise.
     let derive_reps = cfg.reps * 7;
 
-    // --- E14a: the derivation plane on the E12 configuration. ---
+    // --- E14a: the derivation on the E12 configuration. ---
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let mut scheduler = PeriodicDegreeBound::new(&graph);
     let checker = GraphChecker::new(&graph);
@@ -1359,7 +1130,6 @@ pub fn e14_soa_derive_and_parallel_build_with(
     let profile = pool.install(|| {
         CycleProfile::build(&view, scheduler.first_holiday(), graph.node_count(), &checker)
     });
-    let per_cycle = aos_baseline::one_cycle_accums(&profile);
 
     let mut derive_table = Table::new(
         format!(
@@ -1367,32 +1137,16 @@ pub fn e14_soa_derive_and_parallel_build_with(
              {}, single-threaded)",
             cfg.nodes, cfg.edge_prob, cfg.long_horizon, derive_reps
         ),
-        &["path", "horizon", "median ms", "speedup vs AoS", "criterion"],
+        &["path", "horizon", "median ms", "criterion"],
     );
 
-    let mut derived_aos =
-        aos_baseline::derive(&profile, &per_cycle, scheduler.name(), &graph, cfg.long_horizon)
-            .unwrap();
-    let aos_ms = median_ms(derive_reps, || {
-        derived_aos =
-            aos_baseline::derive(&profile, &per_cycle, scheduler.name(), &graph, cfg.long_horizon)
-                .unwrap();
-    });
-    let mut scratch = DeriveScratch::new();
-    let mut derived_soa =
-        profile.derive_with(scheduler.name(), &graph, cfg.long_horizon, &mut scratch).unwrap();
-    let soa_ms = median_ms(derive_reps, || {
-        derived_soa =
-            profile.derive_with(scheduler.name(), &graph, cfg.long_horizon, &mut scratch).unwrap();
-    });
-    let mut totals = profile.derive_totals_with(cfg.long_horizon, &mut scratch).unwrap();
+    let mut totals = profile.derive_totals(cfg.long_horizon).unwrap();
     let totals_ms = median_ms(derive_reps, || {
-        totals = profile.derive_totals_with(cfg.long_horizon, &mut scratch).unwrap();
+        totals = profile.derive_totals(cfg.long_horizon).unwrap();
     });
-    // Parity: the SoA derive must match the AoS baseline structurally, and
-    // the totals-only fast path must equal the reduced full derive exactly.
-    assert!(matches_reference(&derived_soa, &derived_aos), "SoA derive diverged from AoS");
-    assert_eq!(totals, derived_soa.totals(), "totals fast path diverged from the full derive");
+    // Parity: the totals-only fast path must equal the reduced full derive.
+    let derived = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
+    assert_eq!(totals, derived.totals(), "totals fast path diverged from the full derive");
     // End-to-end closed form at the short horizon (build + derive).
     let e2e_ms = median_ms(derive_reps, || {
         let analysis = pool.install(|| {
@@ -1407,25 +1161,8 @@ pub fn e14_soa_derive_and_parallel_build_with(
         assert!(analysis.all_happy_sets_independent);
     });
 
-    // The full derive is floored by the per-node f64 divisions both layouts
-    // pay (mean_gap is in the output), so its >=1.8x criterion is reported
-    // honestly (typically unmet); the totals-only path skips the float
-    // finalisation entirely, which is where the speedup actually lands —
-    // both criteria are printed so neither can masquerade as the other.
-    let derive_rows: [(&str, u64, f64, String); 4] = [
-        ("derive (AoS baseline)", cfg.long_horizon, aos_ms, "-".to_string()),
-        (
-            "derive (SoA fused)",
-            cfg.long_horizon,
-            soa_ms,
-            format!(">=1.8x vs AoS: {}", aos_ms / soa_ms >= 1.8),
-        ),
-        (
-            "derive totals-only (SoA, no float finalise)",
-            cfg.long_horizon,
-            totals_ms,
-            format!(">=1.8x vs AoS: {}", aos_ms / totals_ms >= 1.8),
-        ),
+    let derive_rows: [(&str, u64, f64, String); 2] = [
+        ("derive totals-only (SoA, no float finalise)", cfg.long_horizon, totals_ms, "-".into()),
         (
             "closed-form end-to-end (build + derive)",
             cfg.horizon,
@@ -1434,20 +1171,15 @@ pub fn e14_soa_derive_and_parallel_build_with(
         ),
     ];
     for (path, horizon, ms, criterion) in derive_rows {
-        derive_table.push(&[
-            path.to_string(),
-            horizon.to_string(),
-            format!("{ms:.3}"),
-            format!("{:.2}x", aos_ms / ms),
-            criterion,
-        ]);
+        derive_table.push(&[path.to_string(), horizon.to_string(), format!("{ms:.3}"), criterion]);
         entries.push(BenchEntry {
             experiment: "e14",
             engine: path.replace(' ', "-"),
             threads: 1,
             horizon,
             median_ms: ms,
-            speedup: aos_ms / ms,
+            // No baseline row left in E14a: each row is its own baseline.
+            speedup: 1.0,
         });
     }
 
@@ -1534,18 +1266,17 @@ pub fn e14_soa_derive_and_parallel_build_with(
     // ~cycle-sized per node pair, so derivation is events-bound.
     let long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
     let horizon = 4 * cycle + 3;
-    let mut scratch = DeriveScratch::new();
-    let mut full = long_profile.derive_with("e14b", &build_graph, horizon, &mut scratch).unwrap();
+    let mut full = long_profile.derive("e14b", &build_graph, horizon).unwrap();
     let derive_ms = median_ms(derive_reps, || {
-        full = long_profile.derive_with("e14b", &build_graph, horizon, &mut scratch).unwrap();
+        full = long_profile.derive("e14b", &build_graph, horizon).unwrap();
     });
-    let mut totals = long_profile.derive_totals_with(horizon, &mut scratch).unwrap();
+    let mut totals = long_profile.derive_totals(horizon).unwrap();
     let totals_ms = median_ms(derive_reps, || {
-        totals = long_profile.derive_totals_with(horizon, &mut scratch).unwrap();
+        totals = long_profile.derive_totals(horizon).unwrap();
     });
     assert_eq!(totals, full.totals(), "long-cycle totals fast path diverged");
     for (path, ms) in
-        [("derive only (SoA kernels)", derive_ms), ("derive totals-only (SoA)", totals_ms)]
+        [("derive only (lane fold)", derive_ms), ("derive totals-only (SoA)", totals_ms)]
     {
         build_table.push(&[
             path.to_string(),
@@ -1583,8 +1314,8 @@ pub fn e14_soa_derive_and_parallel_build_with(
 ///   criterion tightened by batching).
 ///
 /// * **E15b**: the `intersects_many` row-broadcast kernel itself, per
-///   dispatch arm (`portable` always, `wide` under AVX2, `wide512` where
-///   AVX-512 is detected), checksum-pinned across arms.
+///   dispatch arm (`portable` always, `wide512` where AVX-512 is detected;
+///   `wide` runs the portable loop), checksum-pinned across arms.
 ///
 /// * **E15c**: a conflict graph **above** `DENSE_ADJACENCY_LIMIT` — the
 ///   seed fell back to CSR probes there; the blocked 256×256-bit tile
@@ -1728,10 +1459,9 @@ pub fn e15_verification_throughput_with(
     mt.fill(n, classes.iter().take(64).map(|(_, s)| s));
     let mut members = Vec::new();
     kernels::for_each_set_bit(mt.union(), |u| members.push(u));
+    // `wide` runs the portable loop for this kernel (its AVX2 arm measured
+    // slower), so only the arms with their own code are timed.
     let mut arms = vec![KernelMode::Portable];
-    if KernelMode::wide_supported() {
-        arms.push(KernelMode::Wide);
-    }
     if KernelMode::wide512_supported() {
         arms.push(KernelMode::Wide512);
     }
@@ -2898,31 +2628,30 @@ mod tests {
 
         let (tables, entries) = run_experiment_collecting("e12", &cfg);
         assert_eq!(tables.len(), 1);
-        assert_eq!(entries.len(), 5, "sweep, 2x closed form, AoS + SoA derive rows");
+        assert_eq!(entries.len(), 4, "sweep, 2x closed form, derive-only rows");
         let md = tables[0].to_markdown();
         assert!(md.contains("closed-form cycle profile"));
-        assert!(md.contains("derive only (AoS baseline)"));
-        assert!(md.contains("derive only (SoA kernels)"));
+        assert!(md.contains("derive only (lane fold)"));
         assert!(!md.contains("| false |"), "every engine must match the reference: {md}");
 
         let json = bench_entries_to_json(true, &entries);
         assert!(json.contains("\"schema\": \"fhg-bench-analysis/1\""));
         assert!(json.contains("\"smoke\": true"));
-        assert_eq!(json.matches("\"experiment\": \"e12\"").count(), 5);
+        assert_eq!(json.matches("\"experiment\": \"e12\"").count(), 4);
         assert!(!json.contains(",\n  ]"), "no trailing comma before the array close");
     }
 
     #[test]
     fn e14_reports_derive_and_build_rows_with_parity() {
         let cfg = tiny_cfg();
-        // The parity cross-checks (SoA vs AoS derive, totals vs reduced
-        // full derive, thread-count build parity) assert inside e14.
+        // The parity cross-checks (totals vs reduced full derive,
+        // thread-count build parity) assert inside e14.
         let (tables, entries) = run_experiment_collecting("e14", &cfg);
         assert_eq!(tables.len(), 2, "derivation table plus the parallel-build table");
         let derive_md = tables[0].to_markdown();
-        assert!(derive_md.contains("derive (AoS baseline)"));
-        assert!(derive_md.contains("derive (SoA fused)"));
         assert!(derive_md.contains("totals-only"));
+        assert!(derive_md.contains("closed-form end-to-end"));
+        assert!(!derive_md.contains("AoS"), "the AoS baseline rows are gone: {derive_md}");
         let build_md = tables[1].to_markdown();
         assert!(build_md.contains("profile build (sharded classes)"));
         assert_eq!(

@@ -54,12 +54,11 @@
 //! verifies a whole batch per adjacency-row pass without changing the
 //! once-per-class probe contract.
 //!
-//! The production accumulation plane is the struct-of-arrays column bank of
-//! the [`sweep`] module (the Sequential engine deliberately stays on the
-//! scalar array-of-structs reference), which also powers the totals-only
-//! fast path: [`analyze_schedule_totals`] returns the whole-schedule
-//! aggregates ([`AnalysisTotals`]) without per-node assembly or float
-//! finalisation whenever the closed form applies, and always equals
+//! Every engine accumulates on the one per-node plane of the [`sweep`]
+//! module, which also powers the totals-only fast path:
+//! [`analyze_schedule_totals`] returns the whole-schedule aggregates
+//! ([`AnalysisTotals`]) without per-node assembly or float finalisation
+//! whenever the closed form applies, and always equals
 //! `analyze_schedule(..).totals()`.
 
 mod checker;
@@ -70,7 +69,7 @@ pub use checker::{
     dense_limit, GraphChecker, HolidayChecker, ScanChecker, BLOCKED_ADJACENCY_LIMIT,
     DENSE_ADJACENCY_LIMIT,
 };
-pub use profile::{CycleProfile, DeriveScratch, PatchRefused, PatchScratch, PatchStats};
+pub use profile::{CycleProfile, PatchRefused, PatchScratch, PatchStats};
 
 use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
@@ -324,43 +323,44 @@ where
         AnalysisEngine::ShardedSweep if scheduler.residue_schedule().is_some() => {
             let view = scheduler.residue_schedule().expect("checked in the match guard");
             // Pure function of t: shard the horizon across worker threads and
-            // verify each residue class exactly once.  The per-shard column
-            // banks merge through the exact column-kernel rule.
+            // verify each residue class exactly once.  The per-shard tallies
+            // merge through the exact segment rule.
             let verify_below = view.cycle().min(horizon);
             let threads = rayon::current_num_threads().max(1);
-            let mut shards: Vec<sweep::BankSweep> = sweep::split_offsets(horizon, threads)
+            let mut shards: Vec<sweep::ShardSweep> = sweep::split_offsets(horizon, threads)
                 .into_iter()
                 .map(|offsets| {
-                    sweep::BankSweep::new(n, scheduler.node_count(), offsets, verify_below)
+                    sweep::ShardSweep::new(n, scheduler.node_count(), offsets, verify_below)
                 })
                 .collect();
             shards
                 .par_iter_mut()
-                .for_each(|shard| shard.sweep(start, n, checker, |t, out| view.fill(t, out)));
-            let mut cols = sweep::ColumnScratch::new();
-            let (mut bank, all_independent, total_happiness) =
-                sweep::merge_bank_shards(n, &shards, &mut cols);
-            sweep::finalize_bank(
+                .for_each(|shard| shard.sweep(start, checker, |t, out| view.fill(t, out)));
+            let global = sweep::merge_shards(n, shards.iter().map(|shard| &shard.tally));
+            sweep::finalize(
                 scheduler.name().to_string(),
                 horizon,
                 graph,
-                &mut bank,
-                all_independent,
-                total_happiness,
-                &mut cols,
+                global.accum,
+                global.all_independent,
+                global.total_happiness,
             )
         }
         _ => {
             // Stateful scheduler (or a residue-view arm whose guard failed):
-            // single sequential sweep, every holiday verified — on the
-            // deliberately independent array-of-structs reference plane
-            // (see the sweep module docs).
+            // single sequential sweep, every holiday verified.
             let name = scheduler.name().to_string();
-            let mut shard =
-                sweep::ReferenceSweep::new(n, scheduler.node_count(), 0..horizon, horizon);
-            shard.sweep(start, n, checker, |t, out| scheduler.fill_happy_set(t, out));
-            let (global, all_independent, total_happiness) = sweep::merge_shards(n, vec![shard]);
-            sweep::finalize(name, horizon, graph, global, all_independent, total_happiness)
+            let mut shard = sweep::ReferenceSweep::new(n, scheduler.node_count(), horizon);
+            shard.sweep(start, checker, |t, out| scheduler.fill_happy_set(t, out));
+            let global = sweep::merge_shards(n, [&shard.tally]);
+            sweep::finalize(
+                name,
+                horizon,
+                graph,
+                global.accum,
+                global.all_independent,
+                global.total_happiness,
+            )
         }
     }
 }

@@ -1,18 +1,16 @@
-//! Closed-form cycle analytics: profile each residue class once, derive the
-//! whole horizon — with a sharded parallel build and a struct-of-arrays
-//! derivation plane.
+//! Closed-form cycle analytics: profile each residue class once, then
+//! derive any window of the schedule with one fold per node.
 //!
 //! A perfectly periodic schedule repeats with period `C =`
 //! [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
 //! `t mod C`, so every statistic of an arbitrarily long horizon is already
 //! determined by **one cycle** of happy sets.  A [`CycleProfile`] walks that
-//! single cycle and records, per node, its attendance pattern: count per
-//! cycle, first/last offsets, internal gap structure (as one
-//! [`AccumBank`](super::sweep) column bank), and the explicit
-//! attendance-offset list (the gap multiset in CSR form).  Each residue
-//! class is independence-verified exactly once during that walk, the same
-//! promise the sharded engine's residue cache makes (locked down by
-//! `tests/residue_cache.rs`).
+//! single cycle and records, per node, its attendance pattern: the explicit
+//! attendance-offset list (the gap multiset in CSR form) and its one-cycle
+//! summary (count, first/last offsets, internal gap structure) as a
+//! [`NodeAccum`](super::sweep).  Each residue class is independence-verified
+//! exactly once during that walk, the same promise the sharded engine's
+//! residue cache makes (locked down by `tests/residue_cache.rs`).
 //!
 //! # Sharded parallel build
 //!
@@ -20,88 +18,65 @@
 //! and is verification-bound) the cycle walk shards: the residue classes
 //! split into one contiguous range per worker of the persistent
 //! `compat/rayon` pool, each shard emitting, verifying and collecting
-//! `(node, offset)` events with private scratch, exactly as the PR 2 sweep
+//! `(node, offset)` events with private scratch, exactly as the sweep
 //! shards the horizon.  The per-class sizes and events concatenate in
 //! class order — the combined event sequence is offset-major, exactly what
 //! a sequential walk would have pushed — so the counting sort builds an
-//! identical attendance CSR at any thread count, and the one-cycle column
-//! bank is then replayed **node-major from that CSR** (streaming column
-//! access instead of per-class scatter): the built profile, and everything
-//! derived from it, is **bitwise-identical at any thread count** (pinned
-//! by the build-parity test below and `tests/analysis_parity.rs`).  Each
-//! class is still verified exactly once, by the one shard that owns it.
+//! identical attendance CSR at any thread count, and the one-cycle
+//! summaries are then replayed **node-major from that CSR**: the built
+//! profile, and everything derived from it, is **bitwise-identical at any
+//! thread count** (pinned by the build-parity test below and
+//! `tests/analysis_parity.rs`).  Each class is still verified exactly once,
+//! by the one shard that owns it.
 //!
-//! # Closed-form derivation
+//! # Closed-form derivation: the lane fold
 //!
-//! [`CycleProfile::derive`] then produces the [`ScheduleAnalysis`] of any
-//! horizon `h ≥ C` without touching the schedule again:
+//! Every derivation — [`CycleProfile::derive`] / [`CycleProfile::derive_totals`]
+//! over `[0, h)` and [`CycleProfile::derive_window`] /
+//! [`CycleProfile::derive_window_totals`] over any `[t0, t1)` — is **one
+//! pass over the nodes**.  A node's statistics over a window depend only on
+//! its own progression, so each lane folds on its own, in registers.  With
+//! phase `a = t0 mod C` the window is
 //!
-//! * the `h / C` full repetitions are folded **analytically** — counts scale
-//!   by the repetition count, the per-cycle internal gaps replicate, and the
-//!   wrap-around gap between consecutive cycles (`C - last + first`)
-//!   contributes `h/C - 1` boundary gaps to the sums, streaks and the
-//!   period-uniformity check — by the shared lane fold ([`fold_lane`], the
-//!   scalar rule `merge_node(empty, replicate(a))` applied while the
-//!   columns stream);
-//! * **whole-cycle horizons** (`h mod C = 0`, the common serving shape)
-//!   fuse that fold straight into finalisation: one read-only pass over
-//!   the profile columns, no intermediate bank at all;
-//! * **ragged horizons** materialise the replicated bank
-//!   ([`replicate_global_into`]) and replay the `h mod C` tail from the
-//!   stored attendance offsets (no emission, no verification — those
-//!   classes were already profiled), merged through the exact column-kernel
-//!   rule ([`AccumBank::merge_from`](super::sweep)).
+//! 1. a ragged **head** — the rest of the phase cycle, replayed from the
+//!    stored offsets rebased by `-a`;
+//! 2. a run of phase-shifted **whole cycles**, replicated analytically from
+//!    the one-cycle summary ([`replicate`]: the internal gaps repeat and each
+//!    cycle boundary contributes the wrap-around gap `C - last + first`),
+//!    then rebased behind the head;
+//! 3. a ragged **tail** of the first cycle offsets, replayed like the head,
 //!
-//! Because replication and tail replay compose through the same integer
-//! arithmetic as the sequential sweep, the derived analysis is
-//! **bitwise-identical** to [`super::analyze_schedule_reference`] at every
-//! horizon — the parity property `tests/analysis_parity.rs` locks down.
-//! The cost is `O(C)` emissions plus `O(n + attendance)` derivation,
-//! independent of the horizon.
+//! each summarised as a segment and merged in window order by
+//! [`merge_node`], the rule the sharded sweep merges its shards with.  The
+//! merged lane reduces straight to a [`NodeAnalysis`](super::NodeAnalysis)
+//! or into the running totals.  Because replication and replay compose
+//! through the same integer arithmetic as the sequential sweep, every
+//! derived analysis is **bitwise-identical** to
+//! [`super::analyze_schedule_reference`] over the same window (locked down
+//! by `tests/analysis_parity.rs` and `tests/window_parity.rs`).  The cost is
+//! `O(C)` emissions for the build, then `O(n)` plus the head and tail
+//! attendances per derivation — independent of the window length.
 //!
-//! # Windowed derivation: the start-offset fold
-//!
-//! A serving tier doesn't always want the whole horizon from holiday one:
-//! [`CycleProfile::derive_window`] answers any window `[t0, t1)` of the
-//! schedule in closed form.  With phase `a = t0 mod C` the window is a
-//! ragged **head** (the rest of the phase cycle, replayed from the stored
-//! offsets rebased by `-a`), a run of phase-shifted **whole cycles**
-//! (replicated analytically as a pure segment by
-//! [`replicate_segment_into`] — no take-first fold, endpoints rebased
-//! behind the head) and a ragged **tail** — all merged in window order
-//! through the same exact column rule as the sharded sweep.  Unlike
-//! `derive`, the windowed entry points are **total**: zero-width and
-//! sub-cycle windows take the defined head-segment path (`derive_window(t,
-//! t)` is the empty analysis, `derive_window(0, h)` for `h < C` equals the
-//! sweep of `h` holidays), so no request shape can panic a long-lived
+//! The windowed entry points are **total**: zero-width, inverted and
+//! sub-cycle windows are windows without whole cycles (`derive_window(t, t)`
+//! is the empty analysis), so no request shape can panic a long-lived
 //! server.  The whole-cycle verdict caveat: the window's independence flag
 //! is the *cycle's* verdict, not the window restriction (see the method
-//! docs).
-//!
-//! # The totals-only fast path and the serving-tier scratch
-//!
-//! Callers that only want whole-schedule aggregates (`mul`, fairness
-//! totals, the independence verdict) skip the per-node assembly entirely:
-//! [`CycleProfile::derive_totals`] folds the replicated bank straight to an
-//! [`AnalysisTotals`] — no `NodeAnalysis` structs, no float work per node.
-//! Both derivation paths also exist as `_with` variants taking a reusable
-//! [`DeriveScratch`], which makes repeated derivations from one cached
-//! profile **allocation-free after warm-up** (proved by
-//! `tests/zero_alloc.rs`) — the shape a batch/streaming serving tier wants:
-//! build once per schedule, derive per request.
+//! docs).  The totals paths skip the per-node assembly and float work and
+//! allocate nothing at all; the full paths allocate only their output
+//! (both proved by `tests/zero_alloc.rs`).
 
 use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
 
 use super::checker::{ClassBatch, HolidayChecker};
-use super::sweep::{self, AccumBank, ColumnScratch, NONE};
+use super::sweep::{self, merge_node, NodeAccum};
 use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
 
-/// A word-wise profile of one full residue cycle: per-node attendance
-/// patterns (a struct-of-arrays column bank) plus the per-class
-/// verification verdict, sufficient to derive the analysis of any horizon
-/// of at least one cycle in closed form.
+/// A profile of one full residue cycle: per-node attendance patterns
+/// (offset rows plus one-cycle summaries) and the per-class verification
+/// verdict, sufficient to derive the analysis of any window in closed form.
 ///
 /// The profile is also **patchable**: after a dynamic edge event moves a
 /// handful of nodes to new residue rows, [`CycleProfile::patch`] repairs
@@ -118,9 +93,9 @@ pub struct CycleProfile {
     /// Number of graph nodes tracked (attendance of out-of-range nodes is
     /// flagged as non-independent and excluded, like the sweep engines do).
     node_count: usize,
-    /// Per-node accumulator columns over the one profiled cycle (offsets
-    /// relative to the cycle start).
-    bank: AccumBank,
+    /// Per-node summaries of the one profiled cycle (offsets relative to the
+    /// cycle start).
+    accums: Vec<NodeAccum>,
     /// Per-node `(start, len)` rows into `offsets`.  A fresh build lays
     /// the rows out dense and node-major (a plain CSR); a patch that grows
     /// a row retires it to the arena tail instead, leaving `garbage`
@@ -209,39 +184,6 @@ impl PatchScratch {
             arena: Vec::new(),
         }
     }
-}
-
-/// Reusable buffers for the closed-form derivation: the global column bank,
-/// a tail-segment bank and the mask/temporary columns.  Allocate once, hand
-/// to [`CycleProfile::derive_with`] / [`CycleProfile::derive_totals_with`]
-/// per request — after the first call (which sizes the buffers) derivation
-/// performs zero heap allocations on the totals path.
-#[derive(Debug, Default)]
-pub struct DeriveScratch {
-    bank: AccumBank,
-    tail: AccumBank,
-    cols: ColumnScratch,
-}
-
-impl DeriveScratch {
-    /// Empty scratch; the first derivation sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Runs `f` with this thread's shared [`DeriveScratch`] — the buffer behind
-/// the scratch-less [`CycleProfile::derive`] / [`CycleProfile::derive_totals`]
-/// conveniences, so repeated one-shot derivations (every closed-form
-/// `analyze_schedule` call) reuse warm columns instead of faulting in a
-/// megabyte of fresh allocations per call.  Same pattern as
-/// `fhg_graph::happy_set::with_thread_scratch`; `f` must not re-enter.
-fn with_derive_scratch<R>(f: impl FnOnce(&mut DeriveScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<DeriveScratch> =
-            std::cell::RefCell::new(DeriveScratch::new());
-    }
-    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 /// One worker's contiguous range of residue classes during the parallel
@@ -388,23 +330,17 @@ impl CycleProfile {
         let rows: Vec<(usize, usize)> =
             (0..n).map(|p| (starts[p], starts[p + 1] - starts[p])).collect();
 
-        // The one-cycle column bank, replayed node-major from the rows: each
+        // The one-cycle summaries, replayed node-major from the rows: each
         // lane's offsets are contiguous and ascending, so this is the exact
-        // record sequence of a sequential walk with streaming (not
-        // scattered) column access — and, built from the merged rows, it is
-        // trivially identical at every thread count.
-        let mut bank = AccumBank::new(n);
-        for (p, &(s, l)) in rows.iter().enumerate() {
-            for &o in &offsets[s..s + l] {
-                bank.record(p, o);
-            }
-        }
+        // record sequence of a sequential walk — and, built from the merged
+        // rows, it is trivially identical at every thread count.
+        let accums = rows.iter().map(|&(s, l)| lane_summary(&offsets[s..s + l])).collect();
 
         CycleProfile {
             start,
             cycle,
             node_count: n,
-            bank,
+            accums,
             rows,
             offsets,
             garbage: 0,
@@ -420,7 +356,7 @@ impl CycleProfile {
     /// Everything a [`CycleProfile::build`] computes except the verdict is a
     /// pure function of the residue view: node `p` attends exactly the
     /// offsets `o ≡ slot_p − start (mod m_p)` within the cycle, so the
-    /// per-class sizes, the offset CSR and the column bank can all be
+    /// per-class sizes, the offset CSR and the one-cycle summaries can all be
     /// replayed arithmetically in `O(cycle + attendance)`.  This is the
     /// serving tier's recovery path: a snapshot persists only the compact
     /// view plus the one verdict bit, and rehydration restores a profile
@@ -497,18 +433,13 @@ impl CycleProfile {
         let rows: Vec<(usize, usize)> =
             (0..n).map(|p| (starts[p], starts[p + 1] - starts[p])).collect();
 
-        let mut bank = AccumBank::new(n);
-        for (p, &(s, l)) in rows.iter().enumerate() {
-            for &o in &offsets[s..s + l] {
-                bank.record(p, o);
-            }
-        }
+        let accums = rows.iter().map(|&(s, l)| lane_summary(&offsets[s..s + l])).collect();
 
         CycleProfile {
             start,
             cycle,
             node_count: n,
-            bank,
+            accums,
             rows,
             offsets,
             garbage: 0,
@@ -539,7 +470,7 @@ impl CycleProfile {
 
     /// How many holidays per cycle node `p` attends.
     pub fn count_per_cycle(&self, p: NodeId) -> u64 {
-        self.bank.count[p]
+        self.accums[p].happy
     }
 
     /// The offsets (within the cycle, ascending) at which node `p` attends.
@@ -585,8 +516,8 @@ impl CycleProfile {
     ///   by its new arithmetic progression (`cycle / modulus` offsets; in
     ///   place when the length is unchanged, retired to the arena tail
     ///   otherwise, with compaction once retired entries outweigh live
-    ///   ones) and its column-bank lane is cleared and replayed, a single
-    ///   ascending record pass;
+    ///   ones) and its one-cycle summary is replayed, a single ascending
+    ///   record pass;
     /// * **per-class sizes** — one `O(cycle)` delta walk over the size
     ///   prefix subtracts the old progressions and adds the new ones;
     /// * **re-verification** — only the residue classes whose membership
@@ -732,13 +663,10 @@ impl CycleProfile {
                 self.rows[p] = (ns, new_len);
             }
 
-            // Lane replay: clear and re-record, ascending — the same
-            // sequence a fresh build replays for this node.
-            self.bank.clear_lane(p);
+            // Lane replay: the same ascending record pass a fresh build
+            // runs for this node.
             let (s, l) = self.rows[p];
-            for i in 0..l as u64 {
-                self.bank.record(p, self.offsets[s + i as usize]);
-            }
+            self.accums[p] = lane_summary(&self.offsets[s..s + l]);
         }
         crate::fail_point!("profile.patch.commit");
         if self.garbage > self.offsets.len() / 2 {
@@ -767,8 +695,8 @@ impl CycleProfile {
     }
 
     /// Whether two profiles describe the same schedule content: every
-    /// derived quantity (start, cycle, verdict, per-class sizes, column
-    /// bank, per-node attendance offsets) is equal — ignoring the arena
+    /// derived quantity (start, cycle, verdict, per-class sizes, one-cycle
+    /// summaries, per-node attendance offsets) is equal — ignoring the arena
     /// layout, which patching is free to permute.  This is the equality the
     /// patch-parity suite pins against the rebuild oracle: `content_eq`
     /// implies every `derive*` output is bitwise-identical.
@@ -778,7 +706,7 @@ impl CycleProfile {
             && self.node_count == other.node_count
             && self.all_independent == other.all_independent
             && self.size_prefix == other.size_prefix
-            && self.bank == other.bank
+            && self.accums == other.accums
             && (0..self.node_count)
                 .all(|p| self.attendance_offsets(p) == other.attendance_offsets(p))
     }
@@ -788,79 +716,29 @@ impl CycleProfile {
     /// fold — callers fall back to a sweep engine); `derive(0)` is therefore
     /// always `None` (every cycle is at least 1 long).
     pub fn derive(&self, scheduler: &str, graph: &Graph, horizon: u64) -> Option<ScheduleAnalysis> {
-        with_derive_scratch(|scratch| self.derive_with(scheduler, graph, horizon, scratch))
-    }
-
-    /// [`CycleProfile::derive`] with caller-owned scratch, for repeated
-    /// derivations from one cached profile.
-    pub fn derive_with(
-        &self,
-        scheduler: &str,
-        graph: &Graph,
-        horizon: u64,
-        scratch: &mut DeriveScratch,
-    ) -> Option<ScheduleAnalysis> {
-        if horizon < self.cycle {
-            return None;
-        }
-        if horizon.is_multiple_of(self.cycle) {
-            // Whole-cycle horizons (the common serving shape): replicate
-            // and finalise in one fused pass, no bank materialisation.
-            return Some(self.finalize_fused(scheduler, graph, horizon));
-        }
-        let (all_independent, total_happiness) = self.window_accums(0, horizon, scratch);
-        Some(sweep::finalize_bank(
-            scheduler.to_string(),
-            horizon,
-            graph,
-            &mut scratch.bank,
-            all_independent,
-            total_happiness,
-            &mut scratch.cols,
-        ))
+        (horizon >= self.cycle).then(|| self.derive_window(scheduler, graph, 0, horizon))
     }
 
     /// The totals-only fast path: whole-schedule aggregates of `horizon`
     /// holidays, skipping the per-node assembly and float finalisation
     /// entirely.  Equal to [`CycleProfile::derive`]`(..).totals()` by
-    /// construction, at a fraction of the cost.  Returns `None` exactly
-    /// when [`CycleProfile::derive`] would.
+    /// construction, and `None` exactly when [`CycleProfile::derive`] is.
     pub fn derive_totals(&self, horizon: u64) -> Option<AnalysisTotals> {
-        with_derive_scratch(|scratch| self.derive_totals_with(horizon, scratch))
-    }
-
-    /// [`CycleProfile::derive_totals`] with caller-owned scratch — zero
-    /// heap allocations per call after the first (the serving-tier shape;
-    /// proved by `tests/zero_alloc.rs`).
-    pub fn derive_totals_with(
-        &self,
-        horizon: u64,
-        scratch: &mut DeriveScratch,
-    ) -> Option<AnalysisTotals> {
-        if horizon < self.cycle {
-            return None;
-        }
-        if horizon.is_multiple_of(self.cycle) {
-            // Whole-cycle horizons: replicate and reduce in one fused
-            // read-only pass — no bank, no writes, no allocations at all.
-            return Some(self.totals_fused(horizon));
-        }
-        let (all_independent, total_happiness) = self.window_accums(0, horizon, scratch);
-        Some(sweep::totals_from_bank(horizon, &scratch.bank, all_independent, total_happiness))
+        (horizon >= self.cycle).then(|| self.derive_window_totals(0, horizon))
     }
 
     /// Derives the full [`ScheduleAnalysis`] of the window `[t0, t1)` —
     /// holidays `start + t0` up to (excluding) `start + t1`, offsets
-    /// reported relative to the window start — in closed form via the
-    /// start-offset fold (see the module docs).  **Total over all windows**:
-    /// zero-width (`t1 <= t0`) and sub-cycle windows take the defined
-    /// head-segment path instead of returning `None` or panicking, so this
-    /// is the serving tier's entry point.  Bitwise-identical to
-    /// [`super::analyze_schedule_reference`] run over the same window
+    /// reported relative to the window start — in closed form via the lane
+    /// fold (see the module docs).  **Total over all windows**: zero-width
+    /// (`t1 <= t0`) and sub-cycle windows are defined, never `None` or a
+    /// panic, so this is the serving tier's entry point.  Bitwise-identical
+    /// to [`super::analyze_schedule_reference`] run over the same window
     /// (pinned by `tests/window_parity.rs`), except that the independence
     /// verdict is always the profiled cycle's whole-cycle verdict — a
     /// serving tier answers "is this schedule valid", not "did the bad
-    /// class happen to fall inside the window".
+    /// class happen to fall inside the window".  Allocates only the output,
+    /// independently of the window length.
     pub fn derive_window(
         &self,
         scheduler: &str,
@@ -868,334 +746,130 @@ impl CycleProfile {
         t0: u64,
         t1: u64,
     ) -> ScheduleAnalysis {
-        with_derive_scratch(|scratch| self.derive_window_with(scheduler, graph, t0, t1, scratch))
-    }
-
-    /// [`CycleProfile::derive_window`] with caller-owned scratch, for
-    /// repeated windowed queries from one cached profile (the output
-    /// allocation is window-size-independent; the accumulation itself is
-    /// allocation-free after warm-up).
-    pub fn derive_window_with(
-        &self,
-        scheduler: &str,
-        graph: &Graph,
-        t0: u64,
-        t1: u64,
-        scratch: &mut DeriveScratch,
-    ) -> ScheduleAnalysis {
-        let horizon = t1.saturating_sub(t0);
-        if t0.is_multiple_of(self.cycle) && horizon >= self.cycle {
-            if let Some(analysis) = self.derive_with(scheduler, graph, horizon, scratch) {
-                return analysis;
-            }
-        }
-        let (all_independent, total_happiness) = self.window_accums(t0, t1, scratch);
-        sweep::finalize_bank(
+        let w = self.window(t0, t1);
+        sweep::finalize(
             scheduler.to_string(),
-            horizon,
+            w.len,
             graph,
-            &mut scratch.bank,
-            all_independent,
-            total_happiness,
-            &mut scratch.cols,
+            (0..self.node_count).map(|p| self.fold_node(p, &w)),
+            self.all_independent,
+            self.window_happiness(&w),
         )
     }
 
     /// The totals-only windowed fast path: whole-window aggregates of
     /// `[t0, t1)`, skipping the per-node assembly entirely.  Total over all
-    /// windows and **zero heap allocations per call** after the first (the
-    /// steady-state serving shape; proved by `tests/zero_alloc.rs`).  Equal
-    /// to [`CycleProfile::derive_window`]`(..).totals()` by construction.
+    /// windows and **allocation-free** (the steady-state serving shape;
+    /// proved by `tests/zero_alloc.rs`).  Equal to
+    /// [`CycleProfile::derive_window`]`(..).totals()` by construction.
     pub fn derive_window_totals(&self, t0: u64, t1: u64) -> AnalysisTotals {
-        with_derive_scratch(|scratch| self.derive_window_totals_with(t0, t1, scratch))
+        let w = self.window(t0, t1);
+        sweep::totals(
+            w.len,
+            (0..self.node_count).map(|p| self.fold_node(p, &w)),
+            self.all_independent,
+            self.window_happiness(&w),
+        )
     }
 
-    /// [`CycleProfile::derive_window_totals`] with caller-owned scratch.
-    pub fn derive_window_totals_with(
-        &self,
-        t0: u64,
-        t1: u64,
-        scratch: &mut DeriveScratch,
-    ) -> AnalysisTotals {
-        let horizon = t1.saturating_sub(t0);
-        if t0.is_multiple_of(self.cycle) && horizon >= self.cycle {
-            if let Some(totals) = self.derive_totals_with(horizon, scratch) {
-                return totals;
-            }
-        }
-        let (all_independent, total_happiness) = self.window_accums(t0, t1, scratch);
-        sweep::totals_from_bank(horizon, &scratch.bank, all_independent, total_happiness)
-    }
-
-    /// The start-offset fold — the windowed (and ragged-horizon) core:
-    /// fills `scratch.bank` with the merged global accumulator columns of
-    /// the window `[t0, t1)` and returns the scalar verdicts.
-    ///
-    /// With phase `a = t0 mod cycle` and length `L = t1 - t0`, the window
-    /// decomposes into at most three contiguous pieces, each expressed as a
-    /// segment bank and folded in window order through the exact column
-    /// merge ([`AccumBank::merge_from`]):
-    ///
-    /// 1. a ragged **head** `[a, a + head_len)` of the phase cycle
-    ///    (`head_len = min(cycle - a, L)` when `a > 0`), replayed from the
-    ///    stored attendance offsets rebased to window offset `o - a`;
-    /// 2. `(L - head_len) / cycle` phase-shifted **whole cycles**, folded
-    ///    analytically by [`replicate_segment_into`] (or, when the head is
-    ///    empty, [`replicate_global_into`] straight into place);
-    /// 3. a ragged **tail** of the remaining `(L - head_len) mod cycle`
-    ///    offsets, replayed like the head.
-    ///
-    /// Each piece is bitwise the summary a sequential record pass over its
-    /// offsets would produce, and the column merge is exact at any cut, so
-    /// the merged bank — and everything finalised from it — is
-    /// bitwise-identical to a sequential sweep restricted to the window.
-    /// The whole-window happiness folds exactly through the per-class size
-    /// prefix (saturating only near the `u64` boundary, like
-    /// [`CycleProfile::derive`]).
-    fn window_accums(&self, t0: u64, t1: u64, scratch: &mut DeriveScratch) -> (bool, u64) {
-        let n = self.node_count;
+    /// Splits the window `[t0, t1)` into its ragged head, whole cycles and
+    /// ragged tail.
+    fn window(&self, t0: u64, t1: u64) -> Window {
         let cycle = self.cycle;
         let len = t1.saturating_sub(t0);
         let phase = t0 % cycle;
-        let head_len = if phase == 0 { 0 } else { (cycle - phase).min(len) };
-        let rem = len - head_len;
-        let reps = rem / cycle;
-        let tail = rem % cycle;
-
-        if head_len == 0 && reps > 0 {
-            // Cycle-aligned window start: fold the replicated cycles
-            // straight into place, exactly the classic derive prefix.
-            replicate_global_into(&mut scratch.bank, &self.bank, reps, cycle);
-        } else {
-            scratch.bank.reset(n);
-            if head_len > 0 {
-                // Ragged head: each node's attendances at cycle offsets in
-                // `[phase, phase + head_len)`, rebased to the window.  The
-                // merge into the empty global takes the take-first branch,
-                // accounting each lane's leading unhappy stretch.
-                let seg = &mut scratch.tail;
-                seg.reset(n);
-                for p in 0..n {
-                    let offs = self.attendance_offsets(p);
-                    let from = offs.partition_point(|&o| o < phase);
-                    for &o in &offs[from..] {
-                        if o >= phase + head_len {
-                            break;
-                        }
-                        seg.record(p, o - phase);
-                    }
-                }
-                scratch.bank.merge_from(seg, &mut scratch.cols);
-            }
-            if reps > 0 {
-                // Phase-shifted whole cycles behind the head, as one
-                // analytically replicated segment.
-                let seg = &mut scratch.tail;
-                replicate_segment_into(seg, &self.bank, reps, cycle, head_len);
-                scratch.bank.merge_from(seg, &mut scratch.cols);
-            }
-        }
-        if tail > 0 {
-            // Ragged tail: cycle offsets `< tail`, replayed at absolute
-            // window offsets starting behind the last whole cycle.
-            let base = head_len + reps * cycle;
-            let seg = &mut scratch.tail;
-            seg.reset(n);
-            for p in 0..n {
-                for &o in self.attendance_offsets(p) {
-                    if o >= tail {
-                        break;
-                    }
-                    seg.record(p, base + o);
-                }
-            }
-            scratch.bank.merge_from(seg, &mut scratch.cols);
-        }
-
-        // Per-node fields cannot overflow (each is bounded by the window
-        // length), but the whole-window total is `n`-fold larger; saturate
-        // rather than wrap on windows beyond ~10^16 (the sweep engines
-        // could never reach them to compare against anyway).
-        let head_happiness =
-            self.size_prefix[(phase + head_len) as usize] - self.size_prefix[phase as usize];
-        let total_happiness = reps
-            .saturating_mul(self.happiness_per_cycle())
-            .saturating_add(head_happiness)
-            .saturating_add(self.size_prefix[tail as usize]);
-        (self.all_independent, total_happiness)
+        let head = if phase == 0 { 0 } else { (cycle - phase).min(len) };
+        let rest = len - head;
+        Window { len, phase, head, reps: rest / cycle, tail: rest % cycle }
     }
 
-    /// The whole-cycle full derivation: one fused pass reading the profile
-    /// columns, folding each lane through [`fold_lane`] and assembling its
-    /// [`NodeAnalysis`](super::NodeAnalysis) directly — no global bank is
-    /// materialised (`horizon = reps · cycle`, so there is no tail to
-    /// merge).  Bitwise-identical to the bank path by construction: both
-    /// run the same lane fold and the same finalisation arithmetic.
-    fn finalize_fused(&self, scheduler: &str, graph: &Graph, horizon: u64) -> ScheduleAnalysis {
-        let n = self.node_count;
-        let reps = horizon / self.cycle;
-        let src = LaneColumns::of(&self.bank, n);
-        let per_node: Vec<super::NodeAnalysis> = (0..n)
-            .map(|p| {
-                let lane = fold_lane(src.read(p), reps, self.cycle);
-                let trailing = if lane.last == NONE { horizon } else { horizon - 1 - lane.last };
-                super::NodeAnalysis {
-                    node: p,
-                    degree: graph.degree(p),
-                    happy_count: lane.count,
-                    max_unhappiness: lane.max_streak.max(trailing),
-                    observed_period: (lane.uniform && lane.first_gap != NONE)
-                        .then_some(lane.first_gap),
-                    first_happy: (lane.first != NONE).then_some(lane.first),
-                    mean_gap: if lane.gap_count > 0 {
-                        lane.gap_sum as f64 / lane.gap_count as f64
-                    } else {
-                        f64::NAN
-                    },
-                }
-            })
-            .collect();
-        let never_happy =
-            src.count.iter().enumerate().filter(|(_, &c)| c == 0).map(|(p, _)| p).collect();
-        let total_happiness = reps.saturating_mul(self.happiness_per_cycle());
-        ScheduleAnalysis {
-            scheduler: scheduler.to_string(),
-            horizon,
-            mean_happy_set_size: if horizon == 0 {
-                0.0
-            } else {
-                total_happiness as f64 / horizon as f64
-            },
-            per_node,
-            all_happy_sets_independent: self.all_independent,
-            never_happy,
-            total_happiness,
-        }
-    }
-
-    /// The whole-cycle totals derivation: one fused **read-only** pass —
-    /// fold each lane, reduce to the aggregates, allocate nothing.
-    fn totals_fused(&self, horizon: u64) -> AnalysisTotals {
-        let n = self.node_count;
-        let reps = horizon / self.cycle;
-        let src = LaneColumns::of(&self.bank, n);
-        let mut max_unhappiness = 0u64;
-        let mut all_periodic = true;
-        let mut never_happy = 0u64;
-        for p in 0..n {
-            let lane = fold_lane(src.read(p), reps, self.cycle);
-            let trailing = if lane.last == NONE { horizon } else { horizon - 1 - lane.last };
-            max_unhappiness = max_unhappiness.max(lane.max_streak.max(trailing));
-            all_periodic &= lane.uniform && lane.first_gap != NONE;
-            never_happy += u64::from(lane.count == 0);
-        }
-        let total_happiness = reps.saturating_mul(self.happiness_per_cycle());
-        AnalysisTotals {
-            horizon,
-            total_happiness,
-            mean_happy_set_size: if horizon == 0 {
-                0.0
-            } else {
-                total_happiness as f64 / horizon as f64
-            },
-            max_unhappiness,
-            all_periodic,
-            never_happy,
-            all_happy_sets_independent: self.all_independent,
-        }
-    }
-}
-
-/// Borrowed column views of one bank, re-sliced to a common length so every
-/// per-lane read below indexes without bounds checks.
-struct LaneColumns<'a> {
-    count: &'a [u64],
-    first: &'a [u64],
-    last: &'a [u64],
-    gap_sum: &'a [u64],
-    gap_count: &'a [u64],
-    first_gap: &'a [u64],
-    max_streak: &'a [u64],
-    uniform: &'a [u64],
-}
-
-impl<'a> LaneColumns<'a> {
-    fn of(bank: &'a AccumBank, n: usize) -> Self {
-        LaneColumns {
-            count: &bank.count[..n],
-            first: &bank.first[..n],
-            last: &bank.last[..n],
-            gap_sum: &bank.gap_sum[..n],
-            gap_count: &bank.gap_count[..n],
-            first_gap: &bank.first_gap[..n],
-            max_streak: &bank.max_streak[..n],
-            uniform: &bank.uniform[..n],
-        }
-    }
-
+    /// The lane fold of node `p`: its global accumulator over window `w`.  The
+    /// head, the replicated cycles and the tail are each exactly the segment
+    /// summary a sequential record pass over their offsets would produce,
+    /// and [`merge_node`] is exact at any cut, so the folded lane equals a
+    /// sequential sweep of the window merged into the empty accumulator.
     #[inline]
-    fn read(&self, p: usize) -> FoldedLane {
-        FoldedLane {
-            count: self.count[p],
-            first: self.first[p],
-            last: self.last[p],
-            gap_sum: self.gap_sum[p],
-            gap_count: self.gap_count[p],
-            first_gap: self.first_gap[p],
-            max_streak: self.max_streak[p],
-            uniform: self.uniform[p] != 0,
+    fn fold_node(&self, p: NodeId, w: &Window) -> NodeAccum {
+        let offsets = self.attendance_offsets(p);
+        let mut lane = NodeAccum::empty();
+        if w.head > 0 {
+            let from = offsets.partition_point(|&o| o < w.phase);
+            let mut head = NodeAccum::empty();
+            for &o in offsets[from..].iter().take_while(|&&o| o < w.phase + w.head) {
+                head.record(o - w.phase);
+            }
+            merge_node(&mut lane, &head);
         }
+        if w.reps > 0 {
+            // Shifting a segment moves only its endpoints: every gap field
+            // is a difference of offsets.
+            let mut cycles = replicate(&self.accums[p], w.reps, self.cycle);
+            if cycles.happy > 0 {
+                cycles.first += w.head;
+                cycles.last += w.head;
+            }
+            merge_node(&mut lane, &cycles);
+        }
+        if w.tail > 0 {
+            let base = w.head + w.reps * self.cycle;
+            let mut tail = NodeAccum::empty();
+            for &o in offsets.iter().take_while(|&&o| o < w.tail) {
+                tail.record(base + o);
+            }
+            merge_node(&mut lane, &tail);
+        }
+        lane
+    }
+
+    /// Total happy appearances over window `w`, through the per-class size
+    /// prefix.  Per-node fields cannot overflow (each is bounded by the
+    /// window length), but the whole-window total is `n`-fold larger, so it
+    /// saturates rather than wraps on windows beyond ~10^16 (the sweep
+    /// engines could never reach them to compare against anyway).
+    fn window_happiness(&self, w: &Window) -> u64 {
+        let head =
+            self.size_prefix[(w.phase + w.head) as usize] - self.size_prefix[w.phase as usize];
+        w.reps
+            .saturating_mul(self.happiness_per_cycle())
+            .saturating_add(head)
+            .saturating_add(self.size_prefix[w.tail as usize])
     }
 }
 
-/// One lane's accumulator values, in scalar form — the unit the fused fold
-/// reads, transforms and writes.
-#[derive(Clone, Copy)]
-struct FoldedLane {
-    count: u64,
-    first: u64,
-    last: u64,
-    gap_sum: u64,
-    gap_count: u64,
-    first_gap: u64,
-    max_streak: u64,
-    uniform: bool,
+/// A window decomposed for the lane fold: `head` holidays from cycle offset
+/// `phase`, then `reps` whole cycles, then `tail` holidays from cycle
+/// offset 0 — `len` holidays in all.
+struct Window {
+    len: u64,
+    phase: u64,
+    head: u64,
+    reps: u64,
+    tail: u64,
 }
 
-impl FoldedLane {
-    fn empty() -> Self {
-        FoldedLane {
-            count: 0,
-            first: NONE,
-            last: NONE,
-            gap_sum: 0,
-            gap_count: 0,
-            first_gap: NONE,
-            max_streak: 0,
-            uniform: true,
-        }
-    }
+/// The one-cycle summary of one attendance row (ascending offsets).
+fn lane_summary(offsets: &[u64]) -> NodeAccum {
+    let mut a = NodeAccum::empty();
+    offsets.iter().for_each(|&o| a.record(o));
+    a
 }
 
-/// The closed-form **segment** replicate: `replicate(a, reps, cycle)` as
-/// straight-line scalar arithmetic over one lane ([`replicate`] stays the
-/// executable specification the property tests compare against) — internal
-/// gaps repeat `reps` times and the `reps - 1` cycle boundaries each
-/// contribute the wrap-around gap `cycle - last + first`.  The result is
-/// exactly the segment summary a sequential record pass over all
-/// `reps · count` attendance offsets would produce, so it composes through
-/// [`AccumBank::merge_from`] at any position of a longer horizon — the
-/// building block of the windowed derivation.
+/// Analytically replicates a one-cycle accumulator over `reps`
+/// consecutive cycles of length `cycle`, producing exactly the segment
+/// accumulator a sequential [`NodeAccum::record`] pass over all
+/// `reps · count` attendance offsets would: internal gaps repeat `reps`
+/// times, and the `reps - 1` cycle boundaries each contribute the
+/// wrap-around gap `cycle - last + first`.
 #[inline]
-fn replicate_lane(a: FoldedLane, reps: u64, cycle: u64) -> FoldedLane {
-    if a.count == 0 {
-        return FoldedLane::empty();
+fn replicate(a: &NodeAccum, reps: u64, cycle: u64) -> NodeAccum {
+    if a.happy == 0 || reps == 0 {
+        return NodeAccum::empty();
     }
     let wrap = cycle - a.last + a.first;
-    FoldedLane {
-        count: reps * a.count,
+    NodeAccum {
         first: a.first,
         last: (reps - 1) * cycle + a.last,
+        happy: reps * a.happy,
         gap_sum: reps * a.gap_sum + (reps - 1) * wrap,
         gap_count: reps * a.gap_count + (reps - 1),
         first_gap: if a.gap_count > 0 {
@@ -1203,103 +877,10 @@ fn replicate_lane(a: FoldedLane, reps: u64, cycle: u64) -> FoldedLane {
         } else if reps > 1 {
             wrap
         } else {
-            NONE
+            sweep::NONE
         },
         max_streak: if reps > 1 { a.max_streak.max(wrap - 1) } else { a.max_streak },
         uniform: a.uniform && (reps == 1 || a.gap_count == 0 || a.first_gap == wrap),
-    }
-}
-
-/// The closed-form **global** lane fold: `merge_node(empty, replicate(a))` —
-/// [`replicate_lane`] plus the empty-global merge's take-first rule (the
-/// leading unhappy stretch before the first attendance folds into the
-/// streak).  Shared by the bank-materialising [`replicate_global_into`] and
-/// the fused whole-cycle derivations, so the two paths cannot drift.
-#[inline]
-fn fold_lane(a: FoldedLane, reps: u64, cycle: u64) -> FoldedLane {
-    let mut lane = replicate_lane(a, reps, cycle);
-    if lane.count > 0 {
-        lane.max_streak = lane.max_streak.max(lane.first);
-    }
-    lane
-}
-
-/// Writes one scalar lane back to a bank's columns (the `uniform` bool
-/// re-encoded as the word mask).
-#[inline]
-fn store_lane(dst: &mut AccumBank, p: usize, lane: FoldedLane) {
-    dst.count[p] = lane.count;
-    dst.first[p] = lane.first;
-    dst.last[p] = lane.last;
-    dst.gap_sum[p] = lane.gap_sum;
-    dst.gap_count[p] = lane.gap_count;
-    dst.first_gap[p] = lane.first_gap;
-    dst.max_streak[p] = lane.max_streak;
-    dst.uniform[p] = if lane.uniform { sweep::UNIFORM } else { 0 };
-}
-
-/// Analytically replicates the one-cycle bank `src` over `reps ≥ 1`
-/// consecutive cycles and rebases the result `base` offsets later — a pure
-/// **segment** bank (no take-first fold), positioned at `[base,
-/// base + reps · cycle)` of a longer horizon.  Shifting a segment summary
-/// moves only its endpoints (`first`/`last`); every gap field is a
-/// difference of offsets and is translation-invariant, so the stored lane
-/// is exactly what recording `base + o` for every replicated offset `o`
-/// would produce.  The windowed derivation merges this behind the ragged
-/// head segment through the exact column rule.
-fn replicate_segment_into(dst: &mut AccumBank, src: &AccumBank, reps: u64, cycle: u64, base: u64) {
-    debug_assert!(reps >= 1);
-    let n = src.len();
-    dst.resize_lanes(n);
-    let cols = LaneColumns::of(src, n);
-    for p in 0..n {
-        let mut lane = replicate_lane(cols.read(p), reps, cycle);
-        if lane.count > 0 {
-            lane.first += base;
-            lane.last += base;
-        }
-        store_lane(dst, p, lane);
-    }
-}
-
-/// Analytically replicates the one-cycle bank `src` over `reps ≥ 1`
-/// consecutive cycles of length `cycle` and folds the result into an empty
-/// global — out of place, into `dst` — in **one fused streaming pass** over
-/// the columns: the scalar rule `merge_node(empty, replicate(a))`
-/// ([`replicate`] remains the executable specification the property tests
-/// compare against), applied lane by lane while the eight source and eight
-/// destination columns stream sequentially.  Internal gaps repeat `reps`
-/// times, the `reps - 1` cycle boundaries each contribute the wrap-around
-/// gap `cycle - last + first`, and the leading unhappy stretch before each
-/// node's first attendance is folded into the streak (the empty-global
-/// merge's take-first rule).
-///
-/// A composition of the generic column kernels computes the same fold in
-/// ~20 separate passes (mask, blend, scale, restore); measured on the e14
-/// configuration that moves ~3.5x the memory of this single fused pass, so
-/// — exactly like the fused gather of PR 4 replaced per-row OR passes —
-/// the replicate fold gets its own fused loop, while the masked column
-/// kernels keep powering the segment merge (where the algebra genuinely
-/// needs per-lane conditionals across two banks).
-fn replicate_global_into(dst: &mut AccumBank, src: &AccumBank, reps: u64, cycle: u64) {
-    debug_assert!(reps >= 1);
-    let n = src.len();
-    dst.resize_lanes(n);
-    let cols = LaneColumns::of(src, n);
-    let (d_count, d_first, d_last) = (&mut dst.count[..n], &mut dst.first[..n], &mut dst.last[..n]);
-    let (d_gsum, d_gcnt) = (&mut dst.gap_sum[..n], &mut dst.gap_count[..n]);
-    let (d_fgap, d_streak, d_uni) =
-        (&mut dst.first_gap[..n], &mut dst.max_streak[..n], &mut dst.uniform[..n]);
-    for p in 0..n {
-        let lane = fold_lane(cols.read(p), reps, cycle);
-        d_count[p] = lane.count;
-        d_first[p] = lane.first;
-        d_last[p] = lane.last;
-        d_gsum[p] = lane.gap_sum;
-        d_gcnt[p] = lane.gap_count;
-        d_fgap[p] = lane.first_gap;
-        d_streak[p] = lane.max_streak;
-        d_uni[p] = if lane.uniform { sweep::UNIFORM } else { 0 };
     }
 }
 
@@ -1352,41 +933,9 @@ fn crt_class(s1: u64, m1: u64, s2: u64, m2: u64) -> Option<(u64, u64)> {
     Some((t0 as u64, lcm as u64))
 }
 
-/// Analytically replicates a one-cycle accumulator over `reps` consecutive
-/// cycles of length `cycle` — the scalar specification of
-/// [`replicate_global_into`], producing exactly the segment accumulator a
-/// sequential [`sweep::NodeAccum::record`] pass over all `reps · count`
-/// attendance offsets would: internal gaps repeat `reps` times, and the
-/// `reps - 1` cycle boundaries each contribute the wrap-around gap
-/// `cycle - last + first`.
-#[cfg(test)]
-fn replicate(a: &sweep::NodeAccum, reps: u64, cycle: u64) -> sweep::NodeAccum {
-    if a.happy == 0 || reps == 0 {
-        return sweep::NodeAccum::empty();
-    }
-    let wrap = cycle - a.last + a.first;
-    sweep::NodeAccum {
-        first: a.first,
-        last: (reps - 1) * cycle + a.last,
-        happy: reps * a.happy,
-        gap_sum: reps * a.gap_sum + (reps - 1) * wrap,
-        gap_count: reps * a.gap_count + (reps - 1),
-        first_gap: if a.gap_count > 0 {
-            a.first_gap
-        } else if reps > 1 {
-            wrap
-        } else {
-            NONE
-        },
-        max_streak: if reps > 1 { a.max_streak.max(wrap - 1) } else { a.max_streak },
-        uniform: a.uniform && (reps == 1 || a.gap_count == 0 || a.first_gap == wrap),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sweep::NodeAccum;
 
     /// Reference: record every attendance offset of `reps` cycles one by one.
     fn replicate_by_record(offsets: &[u64], reps: u64, cycle: u64) -> NodeAccum {
@@ -1424,32 +973,87 @@ mod tests {
         }
     }
 
+    /// A profile over arbitrary (not just arithmetic) attendance rows, one
+    /// lane per script — the lane fold reads each row on its own, so any
+    /// ascending script within the cycle is a valid lane.
+    fn scripted_profile(cycle: u64, scripts: &[&[u64]]) -> CycleProfile {
+        let mut rows = Vec::new();
+        let mut offsets = Vec::new();
+        let mut size_prefix = vec![0u64; cycle as usize + 1];
+        for script in scripts {
+            rows.push((offsets.len(), script.len()));
+            offsets.extend_from_slice(script);
+            script.iter().for_each(|&o| size_prefix[o as usize + 1] += 1);
+        }
+        for k in 1..size_prefix.len() {
+            size_prefix[k] += size_prefix[k - 1];
+        }
+        CycleProfile {
+            start: 0,
+            cycle,
+            node_count: scripts.len(),
+            accums: scripts.iter().map(|s| lane_summary(s)).collect(),
+            rows,
+            offsets,
+            garbage: 0,
+            size_prefix,
+            all_independent: true,
+        }
+    }
+
     #[test]
-    fn replicate_global_into_matches_the_scalar_rule_per_lane() {
-        // All case lanes side by side in one bank, so the masked passes
-        // must keep every lane independent (empty lanes included).  The
-        // scalar specification is `merge_node(empty, replicate(a))`: the
-        // replicated segment folded into an empty global, which also
-        // accounts the leading unhappy stretch.
-        for reps in [1u64, 2, 3, 7] {
-            let cycle = 16u64; // one shared cycle so lanes can coexist
-            let mut bank = AccumBank::new(CASES.len());
-            let mut expected = Vec::new();
-            for (p, &(offsets, _)) in CASES.iter().enumerate() {
-                let mut one = NodeAccum::empty();
-                for &o in offsets {
-                    one.record(o);
-                    bank.record(p, o);
+    fn lane_fold_equals_recording_every_offset_in_the_window() {
+        const CYCLE: u64 = 16;
+        let every: Vec<u64> = (0..CYCLE).collect();
+        let scripts: [&[u64]; 9] = [
+            &[],
+            &[0],
+            &[5],
+            &[15],
+            &[0, 2, 4, 6, 8, 10, 12, 14],
+            &[1, 4, 5, 9],
+            &every,
+            &[3, 15],
+            &[0, 7, 8],
+        ];
+        let profile = scripted_profile(CYCLE, &scripts);
+        // Anchors on, just past and just before cycle boundaries (one far
+        // out), and lengths from zero width through head-only,
+        // cycles-only, tail-only and all three pieces.
+        let anchors = [0u64, 1, 5, 15, 16, 33, (1 << 20) + 5];
+        let lengths = [0u64, 1, 3, 10, 11, 15, 16, 17, 32, 43, 5 * CYCLE + 7];
+        let mut shapes = std::collections::BTreeSet::new();
+        for t0 in anchors {
+            for len in lengths {
+                let t1 = t0 + len;
+                let w = profile.window(t0, t1);
+                shapes.insert((w.head > 0, w.reps > 0, w.tail > 0));
+                let mut happiness = 0u64;
+                for (p, script) in scripts.iter().enumerate() {
+                    let mut seg = NodeAccum::empty();
+                    for t in t0..t1 {
+                        if script.contains(&(t % CYCLE)) {
+                            seg.record(t - t0);
+                        }
+                    }
+                    happiness += seg.happy;
+                    // The global accumulator of the window: the recorded
+                    // segment merged into the empty one (leading stretch).
+                    let mut expected = NodeAccum::empty();
+                    merge_node(&mut expected, &seg);
+                    assert_eq!(profile.fold_node(p, &w), expected, "lane {p}, [{t0}, {t1})");
                 }
-                let mut g = NodeAccum::empty();
-                sweep::merge_node(&mut g, &replicate(&one, reps, cycle));
-                expected.push(g);
+                assert_eq!(profile.window_happiness(&w), happiness, "[{t0}, {t1})");
             }
-            let mut dst = AccumBank::default();
-            replicate_global_into(&mut dst, &bank, reps, cycle);
-            for (p, e) in expected.iter().enumerate() {
-                assert_eq!(&dst.node(p), e, "reps {reps}, lane {p}");
-            }
+        }
+        for shape in [
+            (false, false, false),
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+            (true, true, true),
+        ] {
+            assert!(shapes.contains(&shape), "grid misses (head, cycles, tail) = {shape:?}");
         }
     }
 
@@ -1545,34 +1149,6 @@ mod tests {
         assert!(profile.derive_totals(cycle - 1).is_none(), "derive_totals(cycle - 1)");
         assert!(profile.derive("x", &g, cycle).is_some(), "derive(cycle)");
         assert!(profile.derive_totals(cycle).is_some(), "derive_totals(cycle)");
-    }
-
-    #[test]
-    fn replicate_segment_into_matches_recording_every_rebased_offset() {
-        // The rebased replicate must equal recording `base + o` for every
-        // replicated offset — per lane, empty lanes included.
-        for reps in [1u64, 2, 3, 7] {
-            for base in [0u64, 1, 5, 64] {
-                let cycle = 16u64;
-                let mut bank = AccumBank::new(CASES.len());
-                let mut expected = Vec::new();
-                for (p, &(offsets, _)) in CASES.iter().enumerate() {
-                    offsets.iter().for_each(|&o| bank.record(p, o));
-                    let mut seq = NodeAccum::empty();
-                    for rep in 0..reps {
-                        for &o in offsets {
-                            seq.record(base + rep * cycle + o);
-                        }
-                    }
-                    expected.push(seq);
-                }
-                let mut dst = AccumBank::default();
-                replicate_segment_into(&mut dst, &bank, reps, cycle, base);
-                for (p, e) in expected.iter().enumerate() {
-                    assert_eq!(&dst.node(p), e, "reps {reps}, base {base}, lane {p}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1679,7 +1255,7 @@ mod tests {
             assert_eq!(got.rows, reference.rows, "{threads} threads: attendance rows");
             assert_eq!(got.offsets, reference.offsets, "{threads} threads: attendance offsets");
             assert_eq!(got.size_prefix, reference.size_prefix, "{threads} threads: size prefix");
-            assert_eq!(got.bank, reference.bank, "{threads} threads: column bank");
+            assert_eq!(got.accums, reference.accums, "{threads} threads: one-cycle summaries");
             assert!(got.content_eq(&reference), "{threads} threads: content equality");
         }
     }

@@ -42,8 +42,8 @@ pub mod serving;
 pub use analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals,
     analyze_schedule_with_checker, analyze_schedule_with_engine, AnalysisEngine, AnalysisTotals,
-    CycleProfile, DeriveScratch, GraphChecker, HolidayChecker, NodeAnalysis, PatchRefused,
-    PatchScratch, PatchStats, ScanChecker, ScheduleAnalysis,
+    CycleProfile, GraphChecker, HolidayChecker, NodeAnalysis, PatchRefused, PatchScratch,
+    PatchStats, ScanChecker, ScheduleAnalysis,
 };
 pub use gathering::{orientation_from_happy_set, Gathering};
 pub use scheduler::Scheduler;

@@ -31,7 +31,7 @@
 //! * `SLOT_PROFILE` — `key:64 | state:3` where state is 0 Building,
 //!   1 Warm (followed by `all_independent:1`), 2–5 Quarantined
 //!   (PatchPanic, BuildPanic, AuditMismatch, RecoveryMismatch).  A warm
-//!   profile stores **no lanes, sizes or bank**: everything except the
+//!   profile stores **no offset rows, sizes or summaries**: everything but the
 //!   verdict bit is a pure function of `(view, start, node_count)` and is
 //!   reconstructed by [`CycleProfile::rehydrate`] in `O(cycle+attendance)`
 //!   — recovery never cold-builds an uncorrupted slot.

@@ -35,46 +35,6 @@
 //!   attendance recording and the word-raw member walks of both
 //!   independence checkers.
 //!
-//! # The arithmetic (column) family
-//!
-//! PR 5 moved the analysis accumulator bank from an array-of-structs to a
-//! struct-of-arrays layout (`fhg-core`'s `AccumBank`): per-node statistics
-//! live in contiguous `u64` columns, and the replicate/merge/finalise
-//! algebra becomes a sequence of element-wise column passes.  Those passes
-//! run on this second kernel family, which operates on equal-length `u64`
-//! columns instead of bit rows:
-//!
-//! * [`wrapping_scale_offset`] / [`saturating_add_scaled`] — the scaled
-//!   accumulator folds `dst[i] = dst[i]·k + c` and `dst[i] += src[i]·k`
-//!   (the closed-form repetition fold: counts and gap totals scale by the
-//!   repetition count; the saturating variant protects the totals that can
-//!   genuinely overflow at astronomical horizons).
-//! * [`max_assign`] — element-wise unsigned max (streak folding).
-//! * [`wrapping_sub_into`] — element-wise difference (boundary gaps,
-//!   trailing-stretch computation).
-//! * [`mask_eq_scalar`] / [`mask_ne_scalar`] / [`mask_eq_into`] /
-//!   [`mask_ne_into`] — comparisons producing **word masks** (`u64::MAX`
-//!   where the predicate holds, `0` elsewhere), the branchless encoding of
-//!   the merge algebra's per-node conditionals.
-//! * [`and_assign`] / [`or_assign`] / [`andnot_assign`] — mask algebra.
-//! * [`blend_assign`] / [`blend_scalar_assign`] — **masked select/merge**:
-//!   `dst[i] = mask[i] ? src[i] : dst[i]` with word masks, the conditional
-//!   assignment every masked merge step compiles to.
-//! * [`ratio_to_f64`] — the u64→f64 finalise `num[i] / den[i]` with an
-//!   explicit [`f64::NAN`] (never a hardware `0/0`, whose sign bit differs)
-//!   where the denominator is zero — the `mean_gap` statistic.
-//!
-//! The arithmetic family follows the same dispatch contract: masks,
-//! comparisons, max, blends and subtraction have AVX2 wide paths (plus
-//! `name_in` explicit-mode twins).  The multiply-based folds and the
-//! u64→f64 conversion have no profitable 256-bit form (no packed 64-bit
-//! multiply, no packed u64→f64 convert in AVX2), so under `portable` and
-//! `wide` they run the portable loop — but under [`KernelMode::Wide512`]
-//! they get their **first real wide forms**: `vpmullq` for the scaled
-//! folds and `vcvtuqq2pd` for the ratio finalise.  Every member is
-//! property-tested against its naive [`scalar`] specification at
-//! adversarial lengths under every available mode.
-//!
 //! # Dispatch contract
 //!
 //! Every data-plane kernel exists in up to three implementations:
@@ -83,21 +43,20 @@
 //!   target,
 //! * **wide** — 256-bit AVX2 loops, compiled only for `x86_64` and executed
 //!   only after a successful runtime `avx2` detection, and
-//! * **wide512** — 512-bit AVX-512 loops (`avx512f` + `avx512dq`), again
-//!   `x86_64`-only behind a runtime detection.
+//! * **wide512** — 512-bit AVX-512 loops (`avx512f`), again `x86_64`-only
+//!   behind a runtime detection.
 //!
-//! Not every kernel has all three: a kernel adds an arm only where the
-//! wider ISA genuinely buys something.  The per-kernel dispatch table:
+//! Not every kernel has all three: a kernel keeps an arm only where the
+//! wider ISA measurably buys something on its own bench row.  The
+//! per-kernel dispatch table:
 //!
 //! | kernel | portable | wide (AVX2) | wide512 (AVX-512) |
 //! |---|---|---|---|
 //! | [`set_rows_count`], [`set_rows`], [`or_rows_count`], [`or_rows`] | ✓ | ✓ | runs the AVX2 arm |
-//! | [`intersects`], [`intersects_many`] | ✓ | ✓ | runs the AVX2 arm |
+//! | [`intersects`] | ✓ | ✓ | runs the AVX2 arm |
+//! | [`intersects_many`] | ✓ | slower than portable (e15b): portable | ✓ |
 //! | [`intersects_many_indexed`] | ✓ | gather-bound: portable | gather-bound: portable |
 //! | [`count`], [`for_each_set_bit`], [`all_set_bits`] | ✓ | scalar popcount unit: portable | portable |
-//! | masks, compares, [`max_assign`], blends, [`wrapping_sub_into`] | ✓ | ✓ | runs the AVX2 arm |
-//! | [`wrapping_scale_offset`]`(_into)`, [`saturating_add_scaled`] | ✓ | no packed 64-bit multiply: portable | ✓ (`vpmullq`) |
-//! | [`ratio_to_f64`] | ✓ | no packed u64→f64: portable | ✓ (`vcvtuqq2pd`) |
 //!
 //! [`KernelMode::active`] decides the mode **once per process** and caches
 //! the decision in a `OnceLock` (so the hot path never re-detects and
@@ -135,7 +94,7 @@
 //!
 //! This is the single module in the crate allowed to use `unsafe` (the
 //! crate is otherwise `deny(unsafe_code)`); the only unsafe operations are
-//! the AVX2 intrinsics behind the runtime feature check.
+//! the AVX2 and AVX-512 intrinsics behind the runtime feature checks.
 
 #![allow(unsafe_code)]
 
@@ -148,8 +107,8 @@ pub enum KernelMode {
     Portable,
     /// 256-bit AVX2 loops; `x86_64` with runtime `avx2` support only.
     Wide,
-    /// 512-bit AVX-512 loops (`avx512f` + `avx512dq`); kernels without a
-    /// 512-bit form run their AVX2 arm under this mode.
+    /// 512-bit AVX-512 loops (`avx512f`); kernels without a 512-bit form
+    /// run their AVX2 arm under this mode.
     Wide512,
 }
 
@@ -167,13 +126,11 @@ impl KernelMode {
     }
 
     /// Whether the [`KernelMode::Wide512`] path can execute on this machine
-    /// (`avx512f` for the 512-bit integer core, `avx512dq` for the 64-bit
-    /// multiply and u64→f64 conversion the arithmetic family needs).
+    /// (`avx512f`, the 512-bit integer core).
     pub fn wide512_supported() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
             std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -388,15 +345,12 @@ pub fn intersects_many_in(mode: KernelMode, row: &[u64], table: &[u64]) -> u64 {
     match mode {
         #[cfg(target_arch = "x86_64")]
         KernelMode::Wide512 if KernelMode::wide512_supported() => {
-            // SAFETY: the avx512f/dq features were verified at runtime on
-            // this line.
+            // SAFETY: the avx512f feature was verified at runtime on this
+            // line.
             unsafe { wide512::intersects_many(row, table) }
         }
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::intersects_many(row, table) }
-        }
+        // The AVX2 arm measured slower than portable (e15b), so `Wide`
+        // runs the portable loop.
         _ => portable::intersects_many(row, table),
     }
 }
@@ -447,340 +401,6 @@ pub fn all_set_bits(words: &[u64], mut pred: impl FnMut(usize) -> bool) -> bool 
         }
     }
     true
-}
-
-/// Asserts two columns have equal length, so the implementations below may
-/// trust their indices.
-fn check_columns(a: usize, b: usize) {
-    assert_eq!(a, b, "kernel column length mismatch");
-}
-
-/// `dst[i] = dst[i] · k + c`, wrapping — the scalar-coefficient fold of the
-/// closed-form repetition arithmetic (counts and gap counts scale by the
-/// repetition count, endpoints shift by whole cycles).  Per-node statistics
-/// are bounded by the horizon, so wrapping never fires on live lanes; lanes
-/// that can hold garbage (empty nodes) are restored by a masked blend
-/// afterwards, which is why this fold wraps rather than saturates.
-///
-/// No packed 64-bit multiply exists in AVX2, so `portable` and `wide` run
-/// the portable loop; [`KernelMode::Wide512`] runs `vpmullq`.
-pub fn wrapping_scale_offset(dst: &mut [u64], k: u64, c: u64) {
-    wrapping_scale_offset_in(KernelMode::active(), dst, k, c);
-}
-
-/// [`wrapping_scale_offset`] under an explicit [`KernelMode`].
-pub fn wrapping_scale_offset_in(mode: KernelMode, dst: &mut [u64], k: u64, c: u64) {
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide512 if KernelMode::wide512_supported() => {
-            // SAFETY: the avx512f/dq features were verified at runtime on
-            // this line.
-            unsafe { wide512::wrapping_scale_offset(dst, k, c) }
-        }
-        _ => portable::wrapping_scale_offset(dst, k, c),
-    }
-}
-
-/// `out[i] = src[i] · k + c`, wrapping — the out-of-place twin of
-/// [`wrapping_scale_offset`], so a fold can read one bank and write
-/// another without a separate copy pass.
-///
-/// No packed 64-bit multiply exists in AVX2, so `portable` and `wide` run
-/// the portable loop; [`KernelMode::Wide512`] runs `vpmullq`.
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn wrapping_scale_offset_into(out: &mut [u64], src: &[u64], k: u64, c: u64) {
-    wrapping_scale_offset_into_in(KernelMode::active(), out, src, k, c);
-}
-
-/// [`wrapping_scale_offset_into`] under an explicit [`KernelMode`].
-pub fn wrapping_scale_offset_into_in(
-    mode: KernelMode,
-    out: &mut [u64],
-    src: &[u64],
-    k: u64,
-    c: u64,
-) {
-    check_columns(out.len(), src.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide512 if KernelMode::wide512_supported() => {
-            // SAFETY: the avx512f/dq features were verified at runtime on
-            // this line.
-            unsafe { wide512::wrapping_scale_offset_into(out, src, k, c) }
-        }
-        _ => portable::wrapping_scale_offset_into(out, src, k, c),
-    }
-}
-
-/// `dst[i] = dst[i].saturating_add(src[i].saturating_mul(k))` — the
-/// saturating scaled accumulate behind the gap-sum repetition fold and any
-/// total that can genuinely overflow at astronomical horizons (the
-/// whole-schedule happiness total saturates rather than wraps).
-///
-/// No packed 64-bit multiply exists in AVX2, so `portable` and `wide` run
-/// the portable loop; [`KernelMode::Wide512`] runs `vpmullq` with the
-/// saturation masks derived from native unsigned 64-bit compares.
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn saturating_add_scaled(dst: &mut [u64], src: &[u64], k: u64) {
-    saturating_add_scaled_in(KernelMode::active(), dst, src, k);
-}
-
-/// [`saturating_add_scaled`] under an explicit [`KernelMode`].
-pub fn saturating_add_scaled_in(mode: KernelMode, dst: &mut [u64], src: &[u64], k: u64) {
-    check_columns(dst.len(), src.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide512 if KernelMode::wide512_supported() => {
-            // SAFETY: the avx512f/dq features were verified at runtime on
-            // this line.
-            unsafe { wide512::saturating_add_scaled(dst, src, k) }
-        }
-        _ => portable::saturating_add_scaled(dst, src, k),
-    }
-}
-
-/// `dst[i] = max(dst[i], src[i])` (unsigned) — streak folding.
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn max_assign(dst: &mut [u64], src: &[u64]) {
-    max_assign_in(KernelMode::active(), dst, src);
-}
-
-/// [`max_assign`] under an explicit [`KernelMode`].
-pub fn max_assign_in(mode: KernelMode, dst: &mut [u64], src: &[u64]) {
-    check_columns(dst.len(), src.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::max_assign(dst, src) }
-        }
-        _ => portable::max_assign(dst, src),
-    }
-}
-
-/// `out[i] = a[i].wrapping_sub(b[i])` — element-wise difference (boundary
-/// gaps between segment endpoints; garbage on masked-out lanes is fine by
-/// construction, hence wrapping).
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn wrapping_sub_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-    wrapping_sub_into_in(KernelMode::active(), out, a, b);
-}
-
-/// [`wrapping_sub_into`] under an explicit [`KernelMode`].
-pub fn wrapping_sub_into_in(mode: KernelMode, out: &mut [u64], a: &[u64], b: &[u64]) {
-    check_columns(out.len(), a.len());
-    check_columns(out.len(), b.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::wrapping_sub_into(out, a, b) }
-        }
-        _ => portable::wrapping_sub_into(out, a, b),
-    }
-}
-
-/// `out[i] = if src[i] == c { u64::MAX } else { 0 }` — scalar comparison
-/// producing a word mask (the branchless encoding of the merge algebra's
-/// per-node conditionals).
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn mask_eq_scalar(out: &mut [u64], src: &[u64], c: u64) {
-    mask_cmp_scalar_in(KernelMode::active(), out, src, c, false);
-}
-
-/// `out[i] = if src[i] != c { u64::MAX } else { 0 }` — the complement of
-/// [`mask_eq_scalar`].
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn mask_ne_scalar(out: &mut [u64], src: &[u64], c: u64) {
-    mask_cmp_scalar_in(KernelMode::active(), out, src, c, true);
-}
-
-/// [`mask_eq_scalar`] / [`mask_ne_scalar`] under an explicit
-/// [`KernelMode`] (`negate` selects the `!=` polarity).
-pub fn mask_cmp_scalar_in(mode: KernelMode, out: &mut [u64], src: &[u64], c: u64, negate: bool) {
-    check_columns(out.len(), src.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::mask_cmp_scalar(out, src, c, negate) }
-        }
-        _ => portable::mask_cmp_scalar(out, src, c, negate),
-    }
-}
-
-/// `out[i] = if a[i] == b[i] { u64::MAX } else { 0 }` — element-wise
-/// comparison producing a word mask.
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn mask_eq_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-    mask_cmp_into_in(KernelMode::active(), out, a, b, false);
-}
-
-/// `out[i] = if a[i] != b[i] { u64::MAX } else { 0 }` — the complement of
-/// [`mask_eq_into`].
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn mask_ne_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-    mask_cmp_into_in(KernelMode::active(), out, a, b, true);
-}
-
-/// [`mask_eq_into`] / [`mask_ne_into`] under an explicit [`KernelMode`]
-/// (`negate` selects the `!=` polarity).
-pub fn mask_cmp_into_in(mode: KernelMode, out: &mut [u64], a: &[u64], b: &[u64], negate: bool) {
-    check_columns(out.len(), a.len());
-    check_columns(out.len(), b.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::mask_cmp_into(out, a, b, negate) }
-        }
-        _ => portable::mask_cmp_into(out, a, b, negate),
-    }
-}
-
-/// `dst[i] &= src[i]` — mask conjunction.
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-    bitop_assign_in(KernelMode::active(), dst, src, BitOp::And);
-}
-
-/// `dst[i] |= src[i]` — mask disjunction.
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-    bitop_assign_in(KernelMode::active(), dst, src, BitOp::Or);
-}
-
-/// `dst[i] &= !src[i]` — mask subtraction (clears `dst` lanes where `src`
-/// holds, the "uniformity broken" update of the merge algebra).
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
-    bitop_assign_in(KernelMode::active(), dst, src, BitOp::AndNot);
-}
-
-/// The element-wise bit operation applied by [`bitop_assign_in`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitOp {
-    /// `dst &= src`
-    And,
-    /// `dst |= src`
-    Or,
-    /// `dst &= !src`
-    AndNot,
-}
-
-/// [`and_assign`] / [`or_assign`] / [`andnot_assign`] under an explicit
-/// [`KernelMode`].
-pub fn bitop_assign_in(mode: KernelMode, dst: &mut [u64], src: &[u64], op: BitOp) {
-    check_columns(dst.len(), src.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::bitop_assign(dst, src, op) }
-        }
-        _ => portable::bitop_assign(dst, src, op),
-    }
-}
-
-/// `dst[i] = if mask[i] != 0 { src[i] } else { dst[i] }` — the masked
-/// select/merge.  Masks are word masks (`0` or `u64::MAX`); the blend is
-/// pure bit arithmetic `(src & mask) | (dst & !mask)`, so a partial mask
-/// word blends bitwise (callers produce masks through the comparison
-/// kernels, which only emit `0`/`MAX`).
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn blend_assign(dst: &mut [u64], mask: &[u64], src: &[u64]) {
-    blend_assign_in(KernelMode::active(), dst, mask, src);
-}
-
-/// [`blend_assign`] under an explicit [`KernelMode`].
-pub fn blend_assign_in(mode: KernelMode, dst: &mut [u64], mask: &[u64], src: &[u64]) {
-    check_columns(dst.len(), mask.len());
-    check_columns(dst.len(), src.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::blend_assign(dst, mask, src) }
-        }
-        _ => portable::blend_assign(dst, mask, src),
-    }
-}
-
-/// `dst[i] = if mask[i] != 0 { c } else { dst[i] }` — [`blend_assign`] with
-/// a broadcast scalar source (restoring sentinel values on masked lanes).
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn blend_scalar_assign(dst: &mut [u64], mask: &[u64], c: u64) {
-    blend_scalar_assign_in(KernelMode::active(), dst, mask, c);
-}
-
-/// [`blend_scalar_assign`] under an explicit [`KernelMode`].
-pub fn blend_scalar_assign_in(mode: KernelMode, dst: &mut [u64], mask: &[u64], c: u64) {
-    check_columns(dst.len(), mask.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::blend_scalar_assign(dst, mask, c) }
-        }
-        _ => portable::blend_scalar_assign(dst, mask, c),
-    }
-}
-
-/// `out[i] = num[i] as f64 / den[i] as f64`, with an explicit [`f64::NAN`]
-/// where `den[i] == 0` — the u64→f64 finalise behind the `mean_gap`
-/// statistic.  The NaN is the *constant* `f64::NAN`, never a hardware
-/// `0.0/0.0` (whose sign bit differs on x86), so `to_bits` parity across
-/// engines holds.
-///
-/// No packed u64→f64 conversion exists in AVX2, so `portable` and `wide`
-/// run the portable loop; [`KernelMode::Wide512`] runs `vcvtuqq2pd` with
-/// the NaN constant blended in by mask (bit pattern pinned by test).
-///
-/// # Panics
-/// Panics if the column lengths differ.
-pub fn ratio_to_f64(out: &mut [f64], num: &[u64], den: &[u64]) {
-    ratio_to_f64_in(KernelMode::active(), out, num, den);
-}
-
-/// [`ratio_to_f64`] under an explicit [`KernelMode`].
-pub fn ratio_to_f64_in(mode: KernelMode, out: &mut [f64], num: &[u64], den: &[u64]) {
-    check_columns(out.len(), num.len());
-    check_columns(out.len(), den.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide512 if KernelMode::wide512_supported() => {
-            // SAFETY: the avx512f/dq features were verified at runtime on
-            // this line.
-            unsafe { wide512::ratio_to_f64(out, num, den) }
-        }
-        _ => portable::ratio_to_f64(out, num, den),
-    }
 }
 
 /// The deliberately naive reference implementations: one full `dst` pass per
@@ -842,91 +462,6 @@ pub mod scalar {
     /// Panics if some index is out of the table's bounds.
     pub fn intersects_many_indexed(indices: &[usize], table: &[u64]) -> u64 {
         indices.iter().fold(0u64, |acc, &i| acc | table[i])
-    }
-
-    /// One-by-one `dst[i]·k + c`, wrapping.
-    pub fn wrapping_scale_offset(dst: &mut [u64], k: u64, c: u64) {
-        for d in dst {
-            *d = d.wrapping_mul(k).wrapping_add(c);
-        }
-    }
-
-    /// One-by-one `out[i] = src[i]·k + c`, wrapping.
-    pub fn wrapping_scale_offset_into(out: &mut [u64], src: &[u64], k: u64, c: u64) {
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = s.wrapping_mul(k).wrapping_add(c);
-        }
-    }
-
-    /// One-by-one saturating `dst[i] += src[i]·k`.
-    pub fn saturating_add_scaled(dst: &mut [u64], src: &[u64], k: u64) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.saturating_add(s.saturating_mul(k));
-        }
-    }
-
-    /// One-by-one branchy unsigned max.
-    pub fn max_assign(dst: &mut [u64], src: &[u64]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            if *s > *d {
-                *d = *s;
-            }
-        }
-    }
-
-    /// One-by-one wrapping difference.
-    pub fn wrapping_sub_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-        for (o, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-            *o = x.wrapping_sub(*y);
-        }
-    }
-
-    /// One-by-one branchy scalar comparison mask.
-    pub fn mask_cmp_scalar(out: &mut [u64], src: &[u64], c: u64, negate: bool) {
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = if (*s == c) != negate { u64::MAX } else { 0 };
-        }
-    }
-
-    /// One-by-one branchy element-wise comparison mask.
-    pub fn mask_cmp_into(out: &mut [u64], a: &[u64], b: &[u64], negate: bool) {
-        for (o, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-            *o = if (*x == *y) != negate { u64::MAX } else { 0 };
-        }
-    }
-
-    /// One-by-one mask algebra.
-    pub fn bitop_assign(dst: &mut [u64], src: &[u64], op: super::BitOp) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = match op {
-                super::BitOp::And => *d & *s,
-                super::BitOp::Or => *d | *s,
-                super::BitOp::AndNot => *d & !*s,
-            };
-        }
-    }
-
-    /// One-by-one bitwise blend `(src & mask) | (dst & !mask)` — bitwise
-    /// (not branchy) by specification, so partial mask words blend bitwise
-    /// in every implementation.
-    pub fn blend_assign(dst: &mut [u64], mask: &[u64], src: &[u64]) {
-        for (d, (m, s)) in dst.iter_mut().zip(mask.iter().zip(src)) {
-            *d = (*s & *m) | (*d & !*m);
-        }
-    }
-
-    /// One-by-one bitwise blend with a broadcast scalar source.
-    pub fn blend_scalar_assign(dst: &mut [u64], mask: &[u64], c: u64) {
-        for (d, m) in dst.iter_mut().zip(mask) {
-            *d = (c & *m) | (*d & !*m);
-        }
-    }
-
-    /// One-by-one branchy ratio with the explicit NaN constant.
-    pub fn ratio_to_f64(out: &mut [f64], num: &[u64], den: &[u64]) {
-        for (o, (n, d)) in out.iter_mut().zip(num.iter().zip(den)) {
-            *o = if *d > 0 { *n as f64 / *d as f64 } else { f64::NAN };
-        }
     }
 }
 
@@ -1109,96 +644,6 @@ mod portable {
             i += 1;
         }
         total
-    }
-
-    // The arithmetic (column) family: straight-line element-wise loops over
-    // `iter_mut().zip(..)` pairs — branchless bodies LLVM unrolls and
-    // autovectorises to the width the target supports.
-
-    pub(super) fn wrapping_scale_offset(dst: &mut [u64], k: u64, c: u64) {
-        for d in dst {
-            *d = d.wrapping_mul(k).wrapping_add(c);
-        }
-    }
-
-    pub(super) fn wrapping_scale_offset_into(out: &mut [u64], src: &[u64], k: u64, c: u64) {
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = s.wrapping_mul(k).wrapping_add(c);
-        }
-    }
-
-    pub(super) fn saturating_add_scaled(dst: &mut [u64], src: &[u64], k: u64) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.saturating_add(s.saturating_mul(k));
-        }
-    }
-
-    pub(super) fn max_assign(dst: &mut [u64], src: &[u64]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = (*d).max(*s);
-        }
-    }
-
-    pub(super) fn wrapping_sub_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-        for (o, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-            *o = x.wrapping_sub(*y);
-        }
-    }
-
-    pub(super) fn mask_cmp_scalar(out: &mut [u64], src: &[u64], c: u64, negate: bool) {
-        // `negate` hoisted to an XOR constant so the loop body stays
-        // branchless and vectorisable.
-        let flip = if negate { u64::MAX } else { 0 };
-        for (o, s) in out.iter_mut().zip(src) {
-            let eq = if *s == c { u64::MAX } else { 0 };
-            *o = eq ^ flip;
-        }
-    }
-
-    pub(super) fn mask_cmp_into(out: &mut [u64], a: &[u64], b: &[u64], negate: bool) {
-        let flip = if negate { u64::MAX } else { 0 };
-        for (o, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-            let eq = if *x == *y { u64::MAX } else { 0 };
-            *o = eq ^ flip;
-        }
-    }
-
-    pub(super) fn bitop_assign(dst: &mut [u64], src: &[u64], op: super::BitOp) {
-        match op {
-            super::BitOp::And => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d &= *s;
-                }
-            }
-            super::BitOp::Or => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d |= *s;
-                }
-            }
-            super::BitOp::AndNot => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d &= !*s;
-                }
-            }
-        }
-    }
-
-    pub(super) fn blend_assign(dst: &mut [u64], mask: &[u64], src: &[u64]) {
-        for (d, (m, s)) in dst.iter_mut().zip(mask.iter().zip(src)) {
-            *d = (*s & *m) | (*d & !*m);
-        }
-    }
-
-    pub(super) fn blend_scalar_assign(dst: &mut [u64], mask: &[u64], c: u64) {
-        for (d, m) in dst.iter_mut().zip(mask) {
-            *d = (c & *m) | (*d & !*m);
-        }
-    }
-
-    pub(super) fn ratio_to_f64(out: &mut [f64], num: &[u64], den: &[u64]) {
-        for (o, (n, d)) in out.iter_mut().zip(num.iter().zip(den)) {
-            *o = if *d > 0 { *n as f64 / *d as f64 } else { f64::NAN };
-        }
     }
 }
 
@@ -1429,211 +874,6 @@ mod wide {
         }
     }
 
-    use std::arch::x86_64::{
-        _mm256_andnot_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_set1_epi64x,
-        _mm256_sub_epi64, _mm256_xor_si256,
-    };
-
-    /// Loads 4 words from `s[i..]`.
-    ///
-    /// # Safety
-    /// Requires runtime `avx2` support and `i + 4 <= s.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(s: &[u64], i: usize) -> __m256i {
-        // SAFETY: caller guarantees i + 4 <= s.len().
-        unsafe { _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i) }
-    }
-
-    /// Stores 4 words to `d[i..]`.
-    ///
-    /// # Safety
-    /// Requires runtime `avx2` support and `i + 4 <= d.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn store(d: &mut [u64], i: usize, v: __m256i) {
-        // SAFETY: caller guarantees i + 4 <= d.len().
-        unsafe { _mm256_storeu_si256(d.as_mut_ptr().add(i) as *mut __m256i, v) }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn max_assign(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len();
-        let mut i = 0usize;
-        // SAFETY (whole block): the loop guard keeps every 4-word access in
-        // bounds and the wrapper validated equal lengths; avx2 is
-        // guaranteed by the caller contract.
-        unsafe {
-            // Unsigned 64-bit max via the sign-bias trick: a >u b  iff
-            // (a ^ SIGN) >s (b ^ SIGN); the all-ones compare lanes then
-            // drive a bitwise blend.
-            let sign = _mm256_set1_epi64x(i64::MIN);
-            while i + 4 <= n {
-                let d = load(dst, i);
-                let s = load(src, i);
-                let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(s, sign), _mm256_xor_si256(d, sign));
-                store(dst, i, blend(d, s, gt));
-                i += 4;
-            }
-        }
-        while i < n {
-            dst[i] = dst[i].max(src[i]);
-            i += 1;
-        }
-    }
-
-    /// `(s & m) | (d & !m)` in registers.
-    ///
-    /// # Safety
-    /// Requires runtime `avx2` support.
-    #[target_feature(enable = "avx2")]
-    unsafe fn blend(d: __m256i, s: __m256i, m: __m256i) -> __m256i {
-        // Register-only intrinsics: safe once the avx2 target feature is in
-        // effect (the caller contract).
-        _mm256_or_si256(_mm256_and_si256(s, m), _mm256_andnot_si256(m, d))
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn wrapping_sub_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-        let n = out.len();
-        let mut i = 0usize;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 4-word
-        // accesses in bounds; avx2 guaranteed by the caller contract.
-        unsafe {
-            while i + 4 <= n {
-                store(out, i, _mm256_sub_epi64(load(a, i), load(b, i)));
-                i += 4;
-            }
-        }
-        while i < n {
-            out[i] = a[i].wrapping_sub(b[i]);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mask_cmp_scalar(out: &mut [u64], src: &[u64], c: u64, negate: bool) {
-        let n = out.len();
-        let mut i = 0usize;
-        let flip_word = if negate { u64::MAX } else { 0 };
-        // SAFETY: loop guard + wrapper-validated lengths keep the 4-word
-        // accesses in bounds; avx2 guaranteed by the caller contract.
-        unsafe {
-            let needle = _mm256_set1_epi64x(c as i64);
-            let flip = _mm256_set1_epi64x(flip_word as i64);
-            while i + 4 <= n {
-                let eq = _mm256_cmpeq_epi64(load(src, i), needle);
-                store(out, i, _mm256_xor_si256(eq, flip));
-                i += 4;
-            }
-        }
-        while i < n {
-            let eq = if src[i] == c { u64::MAX } else { 0 };
-            out[i] = eq ^ flip_word;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mask_cmp_into(out: &mut [u64], a: &[u64], b: &[u64], negate: bool) {
-        let n = out.len();
-        let mut i = 0usize;
-        let flip_word = if negate { u64::MAX } else { 0 };
-        // SAFETY: loop guard + wrapper-validated lengths keep the 4-word
-        // accesses in bounds; avx2 guaranteed by the caller contract.
-        unsafe {
-            let flip = _mm256_set1_epi64x(flip_word as i64);
-            while i + 4 <= n {
-                let eq = _mm256_cmpeq_epi64(load(a, i), load(b, i));
-                store(out, i, _mm256_xor_si256(eq, flip));
-                i += 4;
-            }
-        }
-        while i < n {
-            let eq = if a[i] == b[i] { u64::MAX } else { 0 };
-            out[i] = eq ^ flip_word;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bitop_assign(dst: &mut [u64], src: &[u64], op: super::BitOp) {
-        let n = dst.len();
-        let mut i = 0usize;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 4-word
-        // accesses in bounds; avx2 guaranteed by the caller contract.
-        unsafe {
-            while i + 4 <= n {
-                let d = load(dst, i);
-                let s = load(src, i);
-                let r = match op {
-                    super::BitOp::And => _mm256_and_si256(d, s),
-                    super::BitOp::Or => _mm256_or_si256(d, s),
-                    super::BitOp::AndNot => _mm256_andnot_si256(s, d),
-                };
-                store(dst, i, r);
-                i += 4;
-            }
-        }
-        while i < n {
-            dst[i] = match op {
-                super::BitOp::And => dst[i] & src[i],
-                super::BitOp::Or => dst[i] | src[i],
-                super::BitOp::AndNot => dst[i] & !src[i],
-            };
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn blend_assign(dst: &mut [u64], mask: &[u64], src: &[u64]) {
-        let n = dst.len();
-        let mut i = 0usize;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 4-word
-        // accesses in bounds; avx2 guaranteed by the caller contract.
-        unsafe {
-            while i + 4 <= n {
-                store(dst, i, blend(load(dst, i), load(src, i), load(mask, i)));
-                i += 4;
-            }
-        }
-        while i < n {
-            dst[i] = (src[i] & mask[i]) | (dst[i] & !mask[i]);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and equal column lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn blend_scalar_assign(dst: &mut [u64], mask: &[u64], c: u64) {
-        let n = dst.len();
-        let mut i = 0usize;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 4-word
-        // accesses in bounds; avx2 guaranteed by the caller contract.
-        unsafe {
-            let broadcast = _mm256_set1_epi64x(c as i64);
-            while i + 4 <= n {
-                store(dst, i, blend(load(dst, i), broadcast, load(mask, i)));
-                i += 4;
-            }
-        }
-        while i < n {
-            dst[i] = (c & mask[i]) | (dst[i] & !mask[i]);
-            i += 1;
-        }
-    }
-
     /// # Safety
     /// Requires runtime `avx2` support.
     #[target_feature(enable = "avx2")]
@@ -1661,67 +901,16 @@ mod wide {
         }
         false
     }
-
-    /// # Safety
-    /// Requires runtime `avx2` support and `table.len() >= row.len() * 64`
-    /// (wrapper invariant).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn intersects_many(row: &[u64], table: &[u64]) -> u64 {
-        let n = row.len();
-        let mut acc = 0u64;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n, so the four-word unaligned load is in
-            // bounds; avx2 is guaranteed by the caller contract.
-            let empty = unsafe {
-                let v = _mm256_loadu_si256(row.as_ptr().add(i) as *const __m256i);
-                _mm256_testz_si256(v, v)
-            };
-            // One vector test rejects 256 empty row bits — the common case
-            // on sparse adjacency rows; non-empty chunks fall back to the
-            // scalar set-bit walk (the table loads are a data-dependent
-            // gather either way).
-            if empty == 0 {
-                for (wi, &word) in row.iter().enumerate().take(i + 4).skip(i) {
-                    let mut w = word;
-                    let base = wi * 64;
-                    while w != 0 {
-                        acc |= table[base + w.trailing_zeros() as usize];
-                        w &= w - 1;
-                    }
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            let mut w = row[i];
-            let base = i * 64;
-            while w != 0 {
-                acc |= table[base + w.trailing_zeros() as usize];
-                w &= w - 1;
-            }
-            i += 1;
-        }
-        acc
-    }
 }
 
-/// 512-bit AVX-512 loops (`avx512f` + `avx512dq`): the arithmetic family's
-/// first real wide forms — `vpmullq` gives the 64-bit multiply folds a
-/// packed implementation and `vcvtuqq2pd` the u64→f64 finalise — plus the
-/// wider empty-chunk rejection for the row-broadcast gather.  Every
-/// function carries the matching `#[target_feature]` and must only be
-/// called after a successful runtime detection (the dispatch wrappers
-/// guarantee it); slice lengths were validated by the wrapper, so the raw
-/// pointer arithmetic stays in bounds.
+/// 512-bit AVX-512 loops (`avx512f`): the wider empty-chunk rejection for
+/// the row-broadcast gather.  Every function carries the matching
+/// `#[target_feature]` and must only be called after a successful runtime
+/// detection (the dispatch wrappers guarantee it); slice lengths were
+/// validated by the wrapper, so the raw pointer arithmetic stays in bounds.
 #[cfg(target_arch = "x86_64")]
 mod wide512 {
-    use std::arch::x86_64::{
-        __m512d, __m512i, _mm512_add_epi64, _mm512_castsi512_pd, _mm512_cmpeq_epu64_mask,
-        _mm512_cmplt_epu64_mask, _mm512_cvtepu64_pd, _mm512_div_pd, _mm512_loadu_si512,
-        _mm512_mask_mov_epi64, _mm512_mask_mov_pd, _mm512_mullo_epi64, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_storeu_pd, _mm512_storeu_si512, _mm512_test_epi64_mask,
-    };
+    use std::arch::x86_64::{__m512i, _mm512_loadu_si512, _mm512_test_epi64_mask};
 
     /// Loads 8 words from `s[i..]`.
     ///
@@ -1733,136 +922,10 @@ mod wide512 {
         unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const __m512i) }
     }
 
-    /// Stores 8 words to `d[i..]`.
-    ///
-    /// # Safety
-    /// Requires runtime `avx512f` support and `i + 8 <= d.len()`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn store(d: &mut [u64], i: usize, v: __m512i) {
-        // SAFETY: caller guarantees i + 8 <= d.len().
-        unsafe { _mm512_storeu_si512(d.as_mut_ptr().add(i) as *mut __m512i, v) }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx512f` + `avx512dq` support.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn wrapping_scale_offset(dst: &mut [u64], k: u64, c: u64) {
-        let n = dst.len();
-        let mut i = 0usize;
-        // SAFETY: the loop guard keeps every 8-word access in bounds;
-        // avx512f/dq are guaranteed by the caller contract.
-        unsafe {
-            let vk = _mm512_set1_epi64(k as i64);
-            let vc = _mm512_set1_epi64(c as i64);
-            while i + 8 <= n {
-                let d = load(dst, i);
-                store(dst, i, _mm512_add_epi64(_mm512_mullo_epi64(d, vk), vc));
-                i += 8;
-            }
-        }
-        while i < n {
-            dst[i] = dst[i].wrapping_mul(k).wrapping_add(c);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx512f` + `avx512dq` support and equal column
-    /// lengths.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn wrapping_scale_offset_into(out: &mut [u64], src: &[u64], k: u64, c: u64) {
-        let n = out.len();
-        let mut i = 0usize;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 8-word
-        // accesses in bounds; avx512f/dq guaranteed by the caller contract.
-        unsafe {
-            let vk = _mm512_set1_epi64(k as i64);
-            let vc = _mm512_set1_epi64(c as i64);
-            while i + 8 <= n {
-                let s = load(src, i);
-                store(out, i, _mm512_add_epi64(_mm512_mullo_epi64(s, vk), vc));
-                i += 8;
-            }
-        }
-        while i < n {
-            out[i] = src[i].wrapping_mul(k).wrapping_add(c);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx512f` + `avx512dq` support and equal column
-    /// lengths.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn saturating_add_scaled(dst: &mut [u64], src: &[u64], k: u64) {
-        if k == 0 {
-            // src[i]·0 saturates to 0; dst is unchanged.
-            return;
-        }
-        let n = dst.len();
-        let mut i = 0usize;
-        // The product s·k (k > 0) overflows exactly when s > u64::MAX / k,
-        // so one scalar division turns saturating_mul into an unsigned
-        // compare; the saturating add overflows exactly when the wrapped
-        // sum is less than either addend.
-        let threshold = u64::MAX / k;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 8-word
-        // accesses in bounds; avx512f/dq guaranteed by the caller contract.
-        unsafe {
-            let vk = _mm512_set1_epi64(k as i64);
-            let vmax = _mm512_set1_epi64(u64::MAX as i64);
-            let vthreshold = _mm512_set1_epi64(threshold as i64);
-            while i + 8 <= n {
-                let d = load(dst, i);
-                let s = load(src, i);
-                let mul_sat = _mm512_cmplt_epu64_mask(vthreshold, s);
-                let m = _mm512_mask_mov_epi64(_mm512_mullo_epi64(s, vk), mul_sat, vmax);
-                let sum = _mm512_add_epi64(d, m);
-                let add_sat = _mm512_cmplt_epu64_mask(sum, d);
-                store(dst, i, _mm512_mask_mov_epi64(sum, add_sat, vmax));
-                i += 8;
-            }
-        }
-        while i < n {
-            dst[i] = dst[i].saturating_add(src[i].saturating_mul(k));
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx512f` + `avx512dq` support and equal column
-    /// lengths.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn ratio_to_f64(out: &mut [f64], num: &[u64], den: &[u64]) {
-        let n = out.len();
-        let mut i = 0usize;
-        // SAFETY: loop guard + wrapper-validated lengths keep the 8-lane
-        // accesses in bounds; avx512f/dq guaranteed by the caller contract.
-        unsafe {
-            // The NaN is built from the constant's exact bit pattern (a
-            // broadcast move, never an arithmetic 0/0), preserving the
-            // to_bits contract of the scalar specification.
-            let nan: __m512d = _mm512_castsi512_pd(_mm512_set1_epi64(f64::NAN.to_bits() as i64));
-            let zero = _mm512_setzero_si512();
-            while i + 8 <= n {
-                let vn = load(num, i);
-                let vd = load(den, i);
-                let q = _mm512_div_pd(_mm512_cvtepu64_pd(vn), _mm512_cvtepu64_pd(vd));
-                let den_zero = _mm512_cmpeq_epu64_mask(vd, zero);
-                _mm512_storeu_pd(out.as_mut_ptr().add(i), _mm512_mask_mov_pd(q, den_zero, nan));
-                i += 8;
-            }
-        }
-        while i < n {
-            out[i] = if den[i] > 0 { num[i] as f64 / den[i] as f64 } else { f64::NAN };
-            i += 1;
-        }
-    }
-
     /// # Safety
     /// Requires runtime `avx512f` support and `table.len() >= row.len() * 64`
     /// (wrapper invariant).
-    #[target_feature(enable = "avx512f,avx512dq")]
+    #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn intersects_many(row: &[u64], table: &[u64]) -> u64 {
         let n = row.len();
         let mut acc = 0u64;
@@ -2109,12 +1172,8 @@ mod tests {
         or_rows_count(&mut dst, &[&row]);
     }
 
-    /// Column lengths exercising the 4-word unroll boundaries of the
-    /// arithmetic family (and zero / single-element edges).
-    const COLUMN_LENS: [usize; 7] = [0, 1, 3, 4, 5, 129, 1000];
-
-    /// A word soup with sentinel-heavy content: ordinary values, zeros and
-    /// `u64::MAX` (the `NONE` sentinel of the accumulator bank) mixed in.
+    /// A membership-table soup with extreme lanes: ordinary values, zeros
+    /// and `u64::MAX` mixed in.
     fn column_for(len: usize, seed: u64) -> Vec<u64> {
         let raw = words_for(len.max(1) * 64, seed);
         (0..len)
@@ -2125,193 +1184,6 @@ mod tests {
                 _ => raw[i],
             })
             .collect()
-    }
-
-    /// A word-mask column (`0` / `u64::MAX` lanes only).
-    fn mask_for(len: usize, seed: u64) -> Vec<u64> {
-        column_for(len, seed).iter().map(|&w| if w % 2 == 0 { 0 } else { u64::MAX }).collect()
-    }
-
-    #[test]
-    fn arithmetic_family_agrees_with_scalar_at_unroll_boundaries() {
-        for &len in &COLUMN_LENS {
-            for seed in 0..3u64 {
-                let a = column_for(len, seed * 7 + 1);
-                let b = column_for(len, seed * 7 + 2);
-                let m = mask_for(len, seed * 7 + 3);
-                for (k, c) in [(0u64, 0u64), (1, 0), (3, 17), (u64::MAX, 1), (1 << 40, u64::MAX)] {
-                    let mut expected = a.clone();
-                    scalar::wrapping_scale_offset(&mut expected, k, c);
-                    let mut expected_sat = a.clone();
-                    scalar::saturating_add_scaled(&mut expected_sat, &b, k);
-                    for mode in modes() {
-                        let mut got = a.clone();
-                        wrapping_scale_offset_in(mode, &mut got, k, c);
-                        assert_eq!(got, expected, "scale_offset len {len} k {k} c {c} {mode:?}");
-                        let mut got_into = vec![0u64; len];
-                        wrapping_scale_offset_into_in(mode, &mut got_into, &a, k, c);
-                        assert_eq!(
-                            got_into, expected,
-                            "scale_offset_into len {len} k {k} c {c} {mode:?}"
-                        );
-
-                        let mut got = a.clone();
-                        saturating_add_scaled_in(mode, &mut got, &b, k);
-                        assert_eq!(got, expected_sat, "add_scaled len {len} k {k} {mode:?}");
-                    }
-                }
-                let mut expected_f = vec![0.0f64; len];
-                scalar::ratio_to_f64(&mut expected_f, &a, &b);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                for mode in modes() {
-                    let mut got_f = vec![0.0f64; len];
-                    ratio_to_f64_in(mode, &mut got_f, &a, &b);
-                    assert_eq!(
-                        bits(&got_f),
-                        bits(&expected_f),
-                        "ratio len {len} {mode:?} (NaN-aware)"
-                    );
-                }
-
-                for mode in modes() {
-                    let mut expected = a.clone();
-                    scalar::max_assign(&mut expected, &b);
-                    let mut got = a.clone();
-                    max_assign_in(mode, &mut got, &b);
-                    assert_eq!(got, expected, "max len {len} {mode:?}");
-
-                    let mut expected = vec![0u64; len];
-                    scalar::wrapping_sub_into(&mut expected, &a, &b);
-                    let mut got = vec![0u64; len];
-                    wrapping_sub_into_in(mode, &mut got, &a, &b);
-                    assert_eq!(got, expected, "sub len {len} {mode:?}");
-
-                    for negate in [false, true] {
-                        for needle in [0u64, u64::MAX, a.first().copied().unwrap_or(7)] {
-                            let mut expected = vec![0u64; len];
-                            scalar::mask_cmp_scalar(&mut expected, &a, needle, negate);
-                            let mut got = vec![0u64; len];
-                            mask_cmp_scalar_in(mode, &mut got, &a, needle, negate);
-                            assert_eq!(got, expected, "cmp_scalar len {len} {mode:?} {negate}");
-                        }
-                        let mut expected = vec![0u64; len];
-                        scalar::mask_cmp_into(&mut expected, &a, &b, negate);
-                        let mut got = vec![0u64; len];
-                        mask_cmp_into_in(mode, &mut got, &a, &b, negate);
-                        assert_eq!(got, expected, "cmp_into len {len} {mode:?} {negate}");
-                    }
-
-                    for op in [BitOp::And, BitOp::Or, BitOp::AndNot] {
-                        let mut expected = a.clone();
-                        scalar::bitop_assign(&mut expected, &b, op);
-                        let mut got = a.clone();
-                        bitop_assign_in(mode, &mut got, &b, op);
-                        assert_eq!(got, expected, "bitop {op:?} len {len} {mode:?}");
-                    }
-
-                    let mut expected = a.clone();
-                    scalar::blend_assign(&mut expected, &m, &b);
-                    let mut got = a.clone();
-                    blend_assign_in(mode, &mut got, &m, &b);
-                    assert_eq!(got, expected, "blend len {len} {mode:?}");
-
-                    let mut expected = a.clone();
-                    scalar::blend_scalar_assign(&mut expected, &m, 0xABCD_EF01);
-                    let mut got = a.clone();
-                    blend_scalar_assign_in(mode, &mut got, &m, 0xABCD_EF01);
-                    assert_eq!(got, expected, "blend_scalar len {len} {mode:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ratio_nan_uses_the_constant_bit_pattern() {
-        // The spec demands the *constant* f64::NAN where the denominator is
-        // zero — a hardware 0.0/0.0 has its sign bit set on x86 and would
-        // break to_bits parity with the scalar finalise.  Nine lanes force
-        // the 8-lane wide512 body (not just its scalar tail) through the
-        // masked NaN blend.
-        let num = [5u64, 7, 1, 2, 3, 4, 5, 6, 9];
-        let den = [0u64, 2, 0, 1, 0, 2, 0, 3, 0];
-        for mode in modes() {
-            let mut out = [0.0f64; 9];
-            ratio_to_f64_in(mode, &mut out, &num, &den);
-            for i in 0..9 {
-                if den[i] == 0 {
-                    assert_eq!(out[i].to_bits(), f64::NAN.to_bits(), "lane {i} {mode:?}");
-                } else {
-                    assert_eq!(out[i].to_bits(), (num[i] as f64 / den[i] as f64).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "column length mismatch")]
-    fn mismatched_columns_are_rejected() {
-        let mut dst = vec![0u64; 4];
-        let src = vec![0u64; 3];
-        max_assign(&mut dst, &src);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// The arithmetic family, fuzzed: both modes match the scalar
-        /// specification on arbitrary columns (sentinel-heavy content,
-        /// arbitrary masks including partial words).
-        #[test]
-        fn arithmetic_kernels_are_bitwise_equal_to_scalar(
-            len_index in 0usize..COLUMN_LENS.len(),
-            seed in 0u64..1_000_000,
-            k in prop::sample::select(vec![0u64, 1, 2, 31, u64::MAX, 1 << 33]),
-        ) {
-            let len = COLUMN_LENS[len_index];
-            let a = column_for(len, seed);
-            let b = column_for(len, seed ^ 0x5555_5555);
-            // Raw (non-canonical) masks: the blend spec is bitwise, so any
-            // word is a valid mask.
-            let m = column_for(len, seed ^ 0xAAAA_AAAA);
-
-            for mode in modes() {
-                let mut expected = a.clone();
-                scalar::wrapping_scale_offset(&mut expected, k, seed);
-                let mut got = a.clone();
-                wrapping_scale_offset_in(mode, &mut got, k, seed);
-                prop_assert_eq!(&got, &expected);
-
-                let mut expected = a.clone();
-                scalar::saturating_add_scaled(&mut expected, &b, k);
-                let mut got = a.clone();
-                saturating_add_scaled_in(mode, &mut got, &b, k);
-                prop_assert_eq!(&got, &expected);
-
-                let mut expected = a.clone();
-                scalar::max_assign(&mut expected, &b);
-                let mut got = a.clone();
-                max_assign_in(mode, &mut got, &b);
-                prop_assert_eq!(&got, &expected);
-
-                let mut expected = vec![0u64; len];
-                scalar::mask_cmp_scalar(&mut expected, &a, k, true);
-                let mut got = vec![0u64; len];
-                mask_cmp_scalar_in(mode, &mut got, &a, k, true);
-                prop_assert_eq!(&got, &expected);
-
-                let mut expected = a.clone();
-                scalar::blend_assign(&mut expected, &m, &b);
-                let mut got = a.clone();
-                blend_assign_in(mode, &mut got, &m, &b);
-                prop_assert_eq!(&got, &expected);
-
-                let mut expected = a.clone();
-                scalar::bitop_assign(&mut expected, &m, BitOp::AndNot);
-                let mut got = a.clone();
-                bitop_assign_in(mode, &mut got, &m, BitOp::AndNot);
-                prop_assert_eq!(&got, &expected);
-            }
-        }
     }
 
     proptest! {

@@ -173,16 +173,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// PR 5 lockdown for the struct-of-arrays derivation planes: for every
-    /// periodic scheduler in the suite, the **parallel profile build**
-    /// (classes sharded across 1/2/8 worker threads), the **fused
-    /// whole-cycle derive** (`horizon = k·cycle`), the **ragged bank
-    /// derive** (`k·cycle ± 1`, replicate + column-merge of the tail) and
+    /// Lockdown for the closed-form derivation: for every periodic
+    /// scheduler in the suite, the **parallel profile build** (classes
+    /// sharded across 1/2/8 worker threads), the **whole-cycle derive**
+    /// (`horizon = k·cycle`, replicated cycles only), the **ragged derive**
+    /// (`k·cycle ± 1`, replicated cycles merged with a replayed tail) and
     /// the **totals-only fast path** all agree bitwise with the sequential
-    /// array-of-structs reference.  The kernel modes behind the column
-    /// passes are covered by the CI matrix (`FHG_KERNEL=portable` runs
-    /// this whole suite) plus the explicit-mode proptests in
-    /// `fhg-graph/src/kernels.rs`.
+    /// reference sweep.
     #[test]
     fn soa_derivation_planes_match_the_reference(
         family in prop::sample::select(Family::ALL.to_vec()),

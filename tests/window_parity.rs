@@ -1,22 +1,22 @@
-//! Parity lockdown for the windowed derivation (the start-offset fold) and
-//! the serving tier built on it.
+//! Parity lockdown for the windowed derivation (the lane fold) and the
+//! serving tier built on it.
 //!
 //! `CycleProfile::derive_window(t0, t1)` folds an arbitrary `[t0, t1)`
-//! window — a ragged head of the phase cycle, phase-shifted whole cycles
-//! replicated analytically, and a ragged tail — through the exact
-//! segment-merge algebra.  This suite asserts the result is
+//! window node by node — a ragged head of the phase cycle, phase-shifted
+//! whole cycles replicated analytically, and a ragged tail, merged through
+//! the exact segment-merge rule.  This suite asserts the result is
 //! **bitwise-identical** to a sequential reference sweep restricted to the
 //! same window (`analyze_schedule_reference` run on a start-shifted view of
 //! the schedule), for every periodic scheduler in the standard suite,
 //! across graph families, random seeds, profile builds pinned at 1/2/8
 //! worker threads, and window shapes chosen adversarially: zero-width,
-//! sub-cycle, straddling `cycle ± 1`, whole-cycle aligned, multi-cycle, and
-//! ragged at both ends.
+//! sub-cycle, straddling `cycle ± 1`, whole-cycle aligned, multi-cycle,
+//! ragged at both ends, and anchored far out (`2^20`, the serving shape).
 //!
 //! Like `tests/analysis_parity.rs`, float fields compare through
 //! `to_bits`, and CI runs this suite under the `FHG_THREADS` ×
-//! `FHG_KERNEL` matrix, so a drift in any kernel arm of the column merge
-//! shows up here as a window-parity failure.
+//! `FHG_KERNEL` matrix, so a drift in the build sharding or the batched
+//! verification kernels shows up here as a window-parity failure.
 
 use proptest::prelude::*;
 
@@ -98,7 +98,8 @@ fn assert_bitwise_identical(windowed: &ScheduleAnalysis, reference: &ScheduleAna
 
 /// The adversarial window shapes for a schedule of cycle `C`: zero-width at
 /// several anchors, sub-cycle from 0 and from a ragged phase, straddling
-/// `C ± 1`, whole-cycle aligned, multi-cycle, and ragged at both ends.
+/// `C ± 1`, whole-cycle aligned, multi-cycle, ragged at both ends, and a
+/// `2^16`-holiday window anchored past `2^20` (the serving read shape).
 fn window_shapes(cycle: u64, k: u64, jitter: u64) -> Vec<(u64, u64)> {
     let c = cycle;
     let a = 1 + jitter % c.max(1); // a ragged anchor in (0, c]
@@ -123,6 +124,7 @@ fn window_shapes(cycle: u64, k: u64, jitter: u64) -> Vec<(u64, u64)> {
         (a, k * c + (a + 1) % c),
         (k * c - 1, (k + 2) * c + 1),
         (c / 3, k * c + 2 * c / 3),
+        ((1 << 20) + a, (1 << 20) + a + (1 << 16)),
     ]
 }
 

@@ -22,9 +22,14 @@
 //! The counter is global, so it also sees foreign one-shot initialisations
 //! from other live threads — concretely, the libtest harness main thread
 //! lazily creates its mpsc receive context (two allocations) at a
-//! scheduling-dependent moment while it waits for this test.  Every
-//! measurement therefore retries a few times and asserts on the **minimum**
-//! delta.  Note the honest trade this makes: the guarantee narrows from
+//! scheduling-dependent moment while it waits for this test, and a pool
+//! worker that sat out every warm-up run sizes its per-thread scratch (the
+//! batched checker's membership table) the first time it takes a job.
+//! Which worker takes a job is up to the scheduler, so under CPU contention
+//! such first uses can land in several consecutive attempts.  Every
+//! measurement therefore retries up to [`ATTEMPTS`] times — more attempts
+//! than there are one-shot sources (the harness plus the pool's workers) —
+//! and asserts on the **minimum** delta.  Note the honest trade this makes: the guarantee narrows from
 //! "zero allocations in one exact window" to "no allocation that recurs
 //! across attempts" — a per-holiday (or per-run) allocation fires on every
 //! attempt and keeps the minimum nonzero, but a regression that allocates
@@ -39,7 +44,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fhg::core::analysis::{
-    analyze_schedule, AnalysisEngine, CycleProfile, DeriveScratch, GraphChecker, HolidayChecker,
+    analyze_schedule, AnalysisEngine, CycleProfile, GraphChecker, HolidayChecker,
 };
 use fhg::core::schedulers::{standard_suite, PeriodicDegreeBound};
 use fhg::core::{HappySet, Scheduler};
@@ -69,14 +74,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Runs `f` up to three times and returns the smallest allocation delta
-/// observed (stopping early at zero).  See the module docs for the exact
-/// guarantee this trades: allocations recurring on every attempt stay
+/// Attempts per measurement: more than the one-shot allocation sources a
+/// measurement can meet (the harness thread, and the up to three workers
+/// the 4-thread pools below spawn).
+const ATTEMPTS: usize = 8;
+
+/// Runs `f` up to [`ATTEMPTS`] times and returns the smallest allocation
+/// delta observed (stopping early at zero).  See the module docs for the
+/// exact guarantee this trades: allocations recurring on every attempt stay
 /// visible; any one-shot — harness noise or a stays-warm-after-first-hit
 /// allocation in the code under test — is filtered.
 fn min_alloc_delta(mut f: impl FnMut()) -> u64 {
     let mut best = u64::MAX;
-    for _ in 0..3 {
+    for _ in 0..ATTEMPTS {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         f();
         let after = ALLOCATIONS.load(Ordering::Relaxed);
@@ -232,13 +242,14 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         );
     }
 
-    // The serving-tier derivation paths (PR 5): repeated derivations from
-    // one cached profile with caller-owned scratch.  The totals-only fast
-    // path must be entirely allocation-free after warm-up — fused
-    // whole-cycle folds are read-only, and ragged tails reuse the scratch
-    // bank and mask columns.  The full derive allocates only its output
-    // (the per-node vector), so its allocation count must not depend on
-    // the horizon.
+    // The serving-tier derivation paths: repeated derivations from one
+    // cached profile, with no scratch at all.  The lane fold reads the
+    // profile and keeps each lane in registers, so the totals paths must be
+    // allocation-free after warm-up across aligned, ragged-head,
+    // ragged-tail, sub-cycle, zero-width and far-anchored windows (the
+    // whole-horizon `derive_totals` included), and the full derive
+    // allocates only its output, so its allocation count must not depend
+    // on the window size.
     {
         let scheduler = PeriodicDegreeBound::new(&graph);
         let view = scheduler.residue_schedule().expect("perfectly periodic");
@@ -248,68 +259,46 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker)
         });
         let cycle = profile.cycle();
-        let mut scratch = DeriveScratch::new();
-        // Warm-up: one whole-cycle fold and one ragged fold size the
-        // scratch bank, tail bank and mask columns.
-        assert!(profile.derive_totals_with(8 * cycle, &mut scratch).is_some());
-        assert!(profile.derive_totals_with(8 * cycle + 3, &mut scratch).is_some());
-        let delta = min_alloc_delta(|| {
-            for horizon in [cycle, 4 * cycle, 64 * cycle, 64 * cycle + 1, 8 * cycle + 5] {
-                let totals = profile.derive_totals_with(horizon, &mut scratch).unwrap();
-                assert!(totals.all_happy_sets_independent);
-            }
-        });
-        assert_eq!(
-            delta, 0,
-            "totals-only derivation allocated {delta} times after warm-up \
-             (the serving path must reuse the caller's scratch)"
-        );
-
-        let mut derive_deltas = Vec::new();
-        for horizon in [4 * cycle, 64 * cycle, 1024 * cycle] {
-            let _ = profile.derive_with("warm", &graph, horizon, &mut scratch).unwrap();
-            derive_deltas.push(min_alloc_delta(|| {
-                let analysis =
-                    profile.derive_with("derive", &graph, horizon, &mut scratch).unwrap();
-                assert!(analysis.all_happy_sets_independent);
-            }));
-        }
-        assert!(
-            derive_deltas.windows(2).all(|w| w[0] == w[1]),
-            "full derive allocations grew with the horizon ({derive_deltas:?})"
-        );
-
-        // The windowed fold (PR 7): steady-state cached queries over
-        // arbitrary `[t0, t1)` windows — ragged head, phase-shifted whole
-        // cycles, ragged tail — must also be allocation-free in the
-        // totals-only path, and the full windowed derive must allocate
-        // independently of both window width and phase.
+        let far = 1u64 << 20;
         let windows = [
+            (0, cycle),
             (0, 64 * cycle),
+            (2 * cycle, 66 * cycle),
             (1, 64 * cycle),
+            (0, 64 * cycle + 1),
             (cycle - 1, 64 * cycle + 1),
-            (3, 3 + cycle / 2),
             (2 * cycle + 5, 66 * cycle + 7),
+            (3, 3 + cycle / 2),
             (7, 7),
+            (far + 5, far + 5 + (1 << 16)),
         ];
-        // Warm-up: one ragged windowed fold sizes the segment bank.
-        let _ = profile.derive_window_totals_with(1, 8 * cycle + 3, &mut scratch);
+        // Warm-up: one ragged window settles any first-use lazy state.
+        let _ = profile.derive_window_totals(1, 8 * cycle + 3);
         let delta = min_alloc_delta(|| {
             for &(t0, t1) in &windows {
-                let _ = profile.derive_window_totals_with(t0, t1, &mut scratch);
+                assert!(profile.derive_window_totals(t0, t1).all_happy_sets_independent);
+            }
+            for horizon in [cycle, 64 * cycle, 8 * cycle + 5] {
+                assert!(profile.derive_totals(horizon).is_some());
             }
         });
         assert_eq!(
             delta, 0,
             "windowed totals derivation allocated {delta} times after warm-up \
-             (the serving tier's steady state must reuse the caller's scratch)"
+             (the lane fold needs no scratch)"
         );
 
         let mut window_deltas = Vec::new();
-        for &(t0, t1) in &[(1, 4 * cycle), (cycle + 3, 64 * cycle + 1), (5, 1024 * cycle + 2)] {
-            let _ = profile.derive_window_with("warm", &graph, t0, t1, &mut scratch);
+        for &(t0, t1) in &[
+            (0, 4 * cycle),
+            (1, 4 * cycle),
+            (cycle + 3, 64 * cycle + 1),
+            (5, 1024 * cycle + 2),
+            (far + 5, far + 5 + (1 << 16)),
+        ] {
+            let _ = profile.derive_window("warm", &graph, t0, t1);
             window_deltas.push(min_alloc_delta(|| {
-                let analysis = profile.derive_window_with("window", &graph, t0, t1, &mut scratch);
+                let analysis = profile.derive_window("window", &graph, t0, t1);
                 assert!(analysis.total_happiness > 0);
             }));
         }
