@@ -1,9 +1,9 @@
 //! Criterion benchmark for the `analyze_schedule` pipeline: the sequential
 //! per-holiday-verified reference (the PR 1 engine, ~100 ms on this
-//! configuration) against the sharded, residue-cached sweep (forced — the
-//! PR 2 engine, at one thread and at the ambient `FHG_THREADS` count) and
-//! the production path (which now selects the closed-form cycle profile for
-//! this horizon; see `benches/profile.rs` for its detailed breakdown).
+//! configuration) against the production path, which runs a periodic
+//! scheduler on the progression engine (one formula per node, one
+//! congruence test per edge, no happy set emitted; see `benches/profile.rs`
+//! for the serving tier's cycle-profile breakdown).
 //!
 //! Configuration matches the `happy-set-engine` bench and the acceptance
 //! criteria: `erdos_renyi(10_000, 0.001)`, 4096 holidays,
@@ -14,18 +14,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fhg_core::analysis::{
-    analyze_schedule, analyze_schedule_reference, analyze_schedule_with_engine, AnalysisEngine,
-    GraphChecker,
-};
+use fhg_core::analysis::{analyze_schedule, analyze_schedule_reference, AnalysisEngine};
 use fhg_core::prelude::*;
 use fhg_graph::generators;
-use rayon::ThreadPoolBuilder;
 
 fn bench_analysis_engine(c: &mut Criterion) {
     let graph = generators::erdos_renyi(10_000, 0.001, 42);
     const HORIZON: u64 = 4096;
-    let checker = GraphChecker::new(&graph);
     let mut group = c.benchmark_group("analysis-engine-10k-4096");
     group.sample_size(10);
 
@@ -33,39 +28,6 @@ fn bench_analysis_engine(c: &mut Criterion) {
         let mut s = PeriodicDegreeBound::new(&graph);
         b.iter(|| {
             let analysis = analyze_schedule_reference(&graph, &mut s, HORIZON);
-            assert!(analysis.all_happy_sets_independent);
-            black_box(analysis)
-        })
-    });
-
-    group.bench_function("sharded-sweep-forced/1-thread", |b| {
-        let mut s = PeriodicDegreeBound::new(&graph);
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        b.iter(|| {
-            let analysis = pool.install(|| {
-                analyze_schedule_with_engine(
-                    &graph,
-                    &mut s,
-                    HORIZON,
-                    &checker,
-                    AnalysisEngine::ShardedSweep,
-                )
-            });
-            assert!(analysis.all_happy_sets_independent);
-            black_box(analysis)
-        })
-    });
-
-    group.bench_function("sharded-sweep-forced/ambient-threads", |b| {
-        let mut s = PeriodicDegreeBound::new(&graph);
-        b.iter(|| {
-            let analysis = analyze_schedule_with_engine(
-                &graph,
-                &mut s,
-                HORIZON,
-                &checker,
-                AnalysisEngine::ShardedSweep,
-            );
             assert!(analysis.all_happy_sets_independent);
             black_box(analysis)
         })

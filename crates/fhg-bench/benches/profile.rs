@@ -1,29 +1,22 @@
-//! Criterion benchmark for the closed-form `CycleProfile` engine: profile
-//! construction (single-threaded and on the sharded parallel build),
-//! horizon-free derivation (full, and the totals-only fast path), and the
-//! end-to-end closed-form analysis at the E11 configuration and at a
-//! 1M-holiday horizon, against the forced PR 2 sharded sweep.
+//! Criterion benchmark for the serving tier's `CycleProfile`: profile
+//! construction (single-threaded and on the sharded parallel build) and
+//! horizon-free derivation (full, and the totals-only fast path), next to
+//! the one-shot end-to-end analysis (the progression engine, which builds
+//! no profile) at the E11 configuration and at a 1M-holiday horizon.
 //!
 //! Configuration matches the `analysis` bench and the acceptance criteria:
 //! `erdos_renyi(10_000, 0.001)`, `PeriodicDegreeBound` (cycle 32), horizons
-//! 4096 and 2^20.  The headline numbers: the closed form must be at least 3x
-//! faster than the sweep at 4096 holidays, and the 1M-holiday analysis must
-//! land within 2x of the 4096-holiday one — the profile emits `cycle` happy
-//! sets regardless of the horizon, so `derive` is the only part that sees
-//! the horizon, and it is `O(n)`.
+//! 4096 and 2^20.  The headline number: the 1M-holiday analysis must land
+//! within 2x of the 4096-holiday one — neither the profile's `derive` nor
+//! the progression engine does work that grows with the horizon.
 //!
-//! Every engine-driven row forces its engine explicitly through
-//! `analyze_schedule_with_engine`, and every `CycleProfile::build` row pins
-//! its thread pool — auto-selection (and, since PR 5, the ambient-pool
-//! parallel build) must never silently shift what a named row measures
-//! (the PR 3 review caught exactly such a shift in the analysis bench).
+//! Every `CycleProfile::build` row pins its thread pool, so the ambient
+//! pool width never silently shifts what a named row measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fhg_core::analysis::{
-    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, GraphChecker,
-};
+use fhg_core::analysis::{analyze_schedule, AnalysisEngine, CycleProfile, GraphChecker};
 use fhg_core::prelude::*;
 use fhg_graph::generators;
 use rayon::ThreadPoolBuilder;
@@ -87,56 +80,17 @@ fn bench_cycle_profile(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("sweep-4096/forced-1-thread", |b| {
-        let mut s = PeriodicDegreeBound::new(&graph);
-        b.iter(|| {
-            let analysis = pool.install(|| {
-                analyze_schedule_with_engine(
-                    &graph,
-                    &mut s,
-                    HORIZON,
-                    &checker,
-                    AnalysisEngine::ShardedSweep,
-                )
-            });
-            assert!(analysis.all_happy_sets_independent);
-            black_box(analysis)
-        })
-    });
-
-    group.bench_function("closed-form-4096", |b| {
-        let mut s = PeriodicDegreeBound::new(&graph);
-        b.iter(|| {
-            let analysis = pool.install(|| {
-                analyze_schedule_with_engine(
-                    &graph,
-                    &mut s,
-                    HORIZON,
-                    &checker,
-                    AnalysisEngine::ClosedForm,
-                )
-            });
-            assert!(analysis.all_happy_sets_independent);
-            black_box(analysis)
-        })
-    });
-
-    group.bench_function("closed-form-1M", |b| {
-        let mut s = PeriodicDegreeBound::new(&graph);
-        b.iter(|| {
-            let analysis = pool.install(|| {
-                analyze_schedule_with_engine(
-                    &graph,
-                    &mut s,
-                    LONG_HORIZON,
-                    &checker,
-                    AnalysisEngine::ClosedForm,
-                )
-            });
-            assert!(analysis.all_happy_sets_independent);
-            black_box(analysis)
-        })
-    });
+    for (name, horizon) in [("closed-form-4096", HORIZON), ("closed-form-1M", LONG_HORIZON)] {
+        group.bench_function(name, |b| {
+            let mut s = PeriodicDegreeBound::new(&graph);
+            assert_eq!(AnalysisEngine::select(&s, horizon), AnalysisEngine::ClosedForm);
+            b.iter(|| {
+                let analysis = analyze_schedule(&graph, &mut s, horizon);
+                assert!(analysis.all_happy_sets_independent);
+                black_box(analysis)
+            })
+        });
+    }
 
     group.finish();
 }

@@ -15,9 +15,7 @@ use std::time::Instant;
 
 use fhg_codes::{log_star, phi, rho_omega, EliasCode, UnaryCode};
 use fhg_coloring::{greedy_coloring, GreedyOrder};
-use fhg_core::analysis::{
-    analyze_schedule, analyze_schedule_with_engine, AnalysisEngine, CycleProfile, GraphChecker,
-};
+use fhg_core::analysis::{analyze_schedule, CycleProfile, GraphChecker};
 use fhg_core::dynamic::DynamicColorBound;
 use fhg_core::lower_bound::lower_bound_table;
 use fhg_core::prelude::*;
@@ -693,86 +691,57 @@ fn matches_reference(analysis: &ScheduleAnalysis, reference: &ScheduleAnalysis) 
         })
 }
 
-/// E11 — the analysis engines head-to-head at the PR 2 acceptance
-/// configuration: the sequential per-holiday-verified reference, the PR 2
-/// sharded + residue-cached sweep (forced), and the closed-form cycle
-/// profile that `analyze_schedule` now selects (`horizon >= cycle`).  A
-/// perfectly periodic schedule has only `cycle` distinct happy sets, so the
-/// sweep verifies `cycle` holidays instead of `horizon`, and the closed form
-/// goes further: it *emits* only `cycle` holidays and derives the rest
-/// analytically.  Timings are medians over the config's repetitions; the
-/// structural columns (holidays verified, parity) are deterministic.
+/// E11 — the two analysis engines head-to-head on the configuration's
+/// Erdős–Rényi graph and short horizon: the sequential reference (every
+/// holiday emitted and verified) against the production path
+/// `analyze_schedule` takes for a periodic scheduler, the progression
+/// engine, which emits no happy set at all (one formula per node, one
+/// congruence test per edge).  Timings are medians over the config's
+/// repetitions; the structural columns (happy sets emitted, parity) are
+/// deterministic.
 pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let horizon = cfg.horizon;
     let mut table = Table::new(
         format!(
             "E11 — analysis engines on erdos_renyi({}, {}), {} holidays, periodic-degree-bound \
-             (medians of {})",
+             (medians of {}, single-threaded)",
             cfg.nodes, cfg.edge_prob, horizon, cfg.reps
         ),
-        &["engine", "threads", "holidays verified", "median ms", "speedup", "matches reference"],
+        &["engine", "threads", "happy sets emitted", "median ms", "speedup", "matches reference"],
     );
     let mut entries = Vec::new();
 
     let mut scheduler = PeriodicDegreeBound::new(&graph);
-    let cycle = scheduler.schedule_cycle().expect("perfectly periodic");
-    let checker = GraphChecker::new(&graph);
-
     let mut reference = analyze_schedule_reference(&graph, &mut scheduler, horizon);
     let reference_ms = median_ms(cfg.reps, || {
         reference = analyze_schedule_reference(&graph, &mut scheduler, horizon)
     });
-    table.push(&[
-        "sequential reference".to_string(),
-        "1".to_string(),
-        horizon.to_string(),
-        format!("{reference_ms:.2}"),
-        "1.00x".to_string(),
-        "-".to_string(),
-    ]);
-    entries.push(BenchEntry {
-        experiment: "e11",
-        engine: "sequential-reference".to_string(),
-        threads: 1,
-        horizon,
-        median_ms: reference_ms,
-        speedup: 1.0,
-    });
-
-    let ambient = rayon::current_num_threads();
-    let mut runs: Vec<(&str, AnalysisEngine, usize, u64)> = vec![
-        ("sharded + residue cache", AnalysisEngine::ShardedSweep, 1, cycle.min(horizon)),
-        ("closed-form cycle profile", AnalysisEngine::ClosedForm, 1, cycle),
+    let mut analysis = analyze_schedule(&graph, &mut scheduler, horizon);
+    let production_ms =
+        median_ms(cfg.reps, || analysis = analyze_schedule(&graph, &mut scheduler, horizon));
+    let rows = [
+        ("sequential reference", horizon, reference_ms, "-".to_string()),
+        (
+            "closed-form progression",
+            0,
+            production_ms,
+            matches_reference(&analysis, &reference).to_string(),
+        ),
     ];
-    if ambient > 1 {
-        runs.insert(
-            1,
-            ("sharded + residue cache", AnalysisEngine::ShardedSweep, ambient, cycle.min(horizon)),
-        );
-    }
-    for (label, engine, threads, verified) in runs {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let mut analysis = pool.install(|| {
-            analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, engine)
-        });
-        let ms = median_ms(cfg.reps, || {
-            analysis = pool.install(|| {
-                analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, engine)
-            });
-        });
+    for (label, emitted, ms, parity) in rows {
         table.push(&[
             label.to_string(),
-            threads.to_string(),
-            verified.to_string(),
-            format!("{ms:.2}"),
+            "1".to_string(),
+            emitted.to_string(),
+            format!("{ms:.3}"),
             format!("{:.2}x", reference_ms / ms),
-            matches_reference(&analysis, &reference).to_string(),
+            parity,
         ]);
         entries.push(BenchEntry {
             experiment: "e11",
             engine: label.replace(' ', "-"),
-            threads,
+            threads: 1,
             horizon,
             median_ms: ms,
             speedup: reference_ms / ms,
@@ -781,112 +750,82 @@ pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<B
     (vec![table], entries)
 }
 
-/// E12 — closed-form horizon scaling: the cost of an analysis must depend on
-/// the cycle, not the horizon.  Baseline is the PR 2 sharded sweep (forced)
-/// at the short horizon; the closed form must beat it by at least 3x, and a
-/// long-horizon (1M-holiday) closed-form analysis must land within 2x of the
-/// short one — the two acceptance criteria, witnessed by the `criterion`
-/// column.  The final row reuses one prebuilt `CycleProfile` and only
-/// derives, isolating the horizon-free part.  Parity witnesses are
-/// genuinely independent engines: the short-horizon rows compare against
-/// the sequential reference, the long-horizon rows against one (untimed)
-/// sharded sweep of the full long horizon.
+/// E12 — horizon scaling: the cost of an analysis must not depend on the
+/// horizon.  Baseline is the production analysis (the progression engine)
+/// at the short horizon; the same analysis at the long (1M-holiday) horizon
+/// must land within 2x of it — the acceptance criterion, witnessed by the
+/// `criterion` column.  The final row reuses one prebuilt `CycleProfile`
+/// and only derives, the serving tier's horizon-free path.  Parity
+/// witnesses are genuinely independent derivations: the short-horizon row
+/// compares against the sequential reference, the long-horizon row against
+/// the profile's derivation (which walks one cycle of residue classes and
+/// replicates it), and the derive-only row against the long-horizon
+/// production analysis.
 pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let mut table = Table::new(
         format!(
-            "E12 — closed-form horizon scaling on erdos_renyi({}, {}), periodic-degree-bound \
-             (medians of {}, single-threaded)",
+            "E12 — horizon scaling on erdos_renyi({}, {}), periodic-degree-bound (medians of {}, \
+             single-threaded)",
             cfg.nodes, cfg.edge_prob, cfg.reps
         ),
-        &["engine", "horizon", "median ms", "vs sweep", "matches reference", "criterion"],
+        &["engine", "horizon", "median ms", "vs short horizon", "matches reference", "criterion"],
     );
     let mut entries = Vec::new();
 
     let mut scheduler = PeriodicDegreeBound::new(&graph);
-    let checker = GraphChecker::new(&graph);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let reference = analyze_schedule_reference(&graph, &mut scheduler, cfg.horizon);
-
-    let mut time_engine = |engine: AnalysisEngine, horizon: u64| {
-        let mut analysis = pool.install(|| {
-            analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, engine)
-        });
-        let ms = median_ms(cfg.reps, || {
-            analysis = pool.install(|| {
-                analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, engine)
-            });
-        });
+    let mut time_analysis = |horizon: u64| {
+        let mut analysis = analyze_schedule(&graph, &mut scheduler, horizon);
+        let ms =
+            median_ms(cfg.reps, || analysis = analyze_schedule(&graph, &mut scheduler, horizon));
         (ms, analysis)
     };
+    let (short_ms, short_analysis) = time_analysis(cfg.horizon);
+    let (long_ms, long_analysis) = time_analysis(cfg.long_horizon);
 
-    let (sweep_ms, sweep_analysis) = time_engine(AnalysisEngine::ShardedSweep, cfg.horizon);
-    let (closed_ms, closed_analysis) = time_engine(AnalysisEngine::ClosedForm, cfg.horizon);
-    let (long_ms, long_analysis) = time_engine(AnalysisEngine::ClosedForm, cfg.long_horizon);
-
-    // Independent witness for the long-horizon rows: one (untimed) sharded
-    // sweep of the full long horizon — a genuinely different engine, so a
-    // bug confined to the analytic fold cannot corrupt both sides.
-    let long_witness = pool.install(|| {
-        analyze_schedule_with_engine(
-            &graph,
-            &mut scheduler,
-            cfg.long_horizon,
-            &checker,
-            AnalysisEngine::ShardedSweep,
-        )
-    });
-
-    // Horizon-free derivation: build the profile once, derive the long
-    // horizon from it on every repetition.
+    // The serving tier's horizon-free derivation: build the profile once,
+    // derive the long horizon from it on every repetition.  Its first
+    // derivation is the long-horizon row's witness.
     let scheduler = PeriodicDegreeBound::new(&graph);
     let view = scheduler.residue_schedule().expect("perfectly periodic");
+    let checker = GraphChecker::new(&graph);
     let profile =
         CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker);
-    let mut derived = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
+    let long_witness = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
+    let mut derived = long_witness.clone();
     let derive_ms = median_ms(cfg.reps, || {
         derived = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
     });
-    let rows: [(&str, u64, f64, String, String, String); 4] = [
+    let rows: [(&str, u64, f64, String, String); 3] = [
         (
-            "sharded sweep (PR 2 baseline)",
+            "closed-form progression",
             cfg.horizon,
-            sweep_ms,
-            "1.00x".to_string(),
-            matches_reference(&sweep_analysis, &reference).to_string(),
+            short_ms,
+            matches_reference(&short_analysis, &reference).to_string(),
             "-".to_string(),
         ),
         (
-            "closed-form cycle profile",
-            cfg.horizon,
-            closed_ms,
-            format!("{:.2}x", sweep_ms / closed_ms),
-            matches_reference(&closed_analysis, &reference).to_string(),
-            format!(">=3x vs sweep: {}", sweep_ms / closed_ms >= 3.0),
-        ),
-        (
-            "closed-form cycle profile",
+            "closed-form progression",
             cfg.long_horizon,
             long_ms,
-            format!("{:.2}x", sweep_ms / long_ms),
             matches_reference(&long_analysis, &long_witness).to_string(),
-            format!("<=2x of short horizon: {}", long_ms <= 2.0 * closed_ms),
+            format!("<=2x of short horizon: {}", long_ms <= 2.0 * short_ms),
         ),
         (
             "derive only (lane fold)",
             cfg.long_horizon,
             derive_ms,
-            format!("{:.2}x", sweep_ms / derive_ms),
-            matches_reference(&derived, &long_witness).to_string(),
+            matches_reference(&derived, &long_analysis).to_string(),
             "horizon-free".to_string(),
         ),
     ];
-    for (label, horizon, ms, vs, parity, criterion) in rows {
+    for (label, horizon, ms, parity, criterion) in rows {
         table.push(&[
             label.to_string(),
             horizon.to_string(),
-            format!("{ms:.2}"),
-            vs,
+            format!("{ms:.3}"),
+            format!("{:.2}x", short_ms / ms),
             parity,
             criterion,
         ]);
@@ -896,7 +835,7 @@ pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
             threads: 1,
             horizon,
             median_ms: ms,
-            speedup: sweep_ms / ms,
+            speedup: short_ms / ms,
         });
     }
     (vec![table], entries)
@@ -1065,22 +1004,25 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
         });
     }
 
-    // Parity witness: the production engines, forced per engine, still
-    // match the sequential reference bitwise after the kernel refactor.
+    // Parity witness: the production engine and the kernel-driven profile
+    // build (emission through the fused gathers, verification through the
+    // batched kernels) still match the sequential reference bitwise.
     let mut parity = Table::new(
         "E13b — engine parity after the kernel refactor (same graph, short horizon)",
         &["engine", "horizon", "matches reference"],
     );
-    let checker = GraphChecker::new(&graph);
     let reference = analyze_schedule_reference(&graph, &mut scheduler, horizon);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    for (label, engine) in [
-        ("closed-form cycle profile", AnalysisEngine::ClosedForm),
-        ("sharded + residue cache", AnalysisEngine::ShardedSweep),
-    ] {
-        let analysis = pool.install(|| {
-            analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, engine)
-        });
+    let production = analyze_schedule(&graph, &mut scheduler, horizon);
+    let profile = CycleProfile::build(
+        &view,
+        scheduler.first_holiday(),
+        graph.node_count(),
+        &GraphChecker::new(&graph),
+    );
+    let derived = profile.derive_window(scheduler.name(), &graph, 0, horizon);
+    for (label, analysis) in
+        [("closed-form progression", production), ("cycle profile window fold", derived)]
+    {
         parity.push(&[
             label.to_string(),
             horizon.to_string(),
@@ -1094,11 +1036,11 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
 /// E14 — the prebuilt-profile derivation and the sharded parallel profile
 /// build.  Two tables:
 ///
-/// * **E14a** (the E12 configuration): the totals-only fast path (skips
-///   per-node assembly and float work) and the closed-form end-to-end
-///   analysis at the short horizon (acceptance on the full config:
-///   ≤ 1.0 ms).  The totals are cross-checked against the reduced full
-///   derive.
+/// * **E14a** (the E12 configuration): the profile's totals-only fast path
+///   (skips per-node assembly and float work), cross-checked against the
+///   reduced full derive, and the production end-to-end analysis
+///   (`analyze_schedule`, the progression engine) at the short horizon
+///   (acceptance on the full config: ≤ 1.0 ms).
 ///
 /// * **E14b** (`cycle ≈ 10⁵`, two interleaved moduli whose lcm is the
 ///   cycle, an edgeless conflict graph so verification does full-row
@@ -1147,24 +1089,21 @@ pub fn e14_derive_and_parallel_build_with(
     // Parity: the totals-only fast path must equal the reduced full derive.
     let derived = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
     assert_eq!(totals, derived.totals(), "totals fast path diverged from the full derive");
-    // End-to-end closed form at the short horizon (build + derive).
+    // The production end-to-end analysis at the short horizon.
     let e2e_ms = median_ms(derive_reps, || {
-        let analysis = pool.install(|| {
-            analyze_schedule_with_engine(
-                &graph,
-                &mut scheduler,
-                cfg.horizon,
-                &checker,
-                AnalysisEngine::ClosedForm,
-            )
-        });
+        let analysis = analyze_schedule(&graph, &mut scheduler, cfg.horizon);
         assert!(analysis.all_happy_sets_independent);
     });
 
     let derive_rows: [(&str, u64, f64, String); 2] = [
-        ("derive totals-only (SoA, no float finalise)", cfg.long_horizon, totals_ms, "-".into()),
         (
-            "closed-form end-to-end (build + derive)",
+            "derive totals-only (lane fold, no float finalise)",
+            cfg.long_horizon,
+            totals_ms,
+            "-".into(),
+        ),
+        (
+            "closed-form end-to-end (progression)",
             cfg.horizon,
             e2e_ms,
             format!("<=1.0ms: {}", e2e_ms <= 1.0),
@@ -1276,7 +1215,7 @@ pub fn e14_derive_and_parallel_build_with(
     });
     assert_eq!(totals, full.totals(), "long-cycle totals fast path diverged");
     for (path, ms) in
-        [("derive only (lane fold)", derive_ms), ("derive totals-only (SoA)", totals_ms)]
+        [("derive only (lane fold)", derive_ms), ("derive totals-only (lane fold)", totals_ms)]
     {
         build_table.push(&[
             path.to_string(),
@@ -1309,9 +1248,9 @@ pub fn e14_derive_and_parallel_build_with(
 ///   `check_batch` over the same materialised residue classes, on the flat
 ///   and blocked adjacency layouts plus the default layout pick
 ///   (acceptance: batched ≥ 2x over the per-class baseline), and the
-///   closed-form end-to-end analysis at the short horizon riding the
-///   batched build (acceptance on the full config: ≤ 0.8 ms — the e14
-///   criterion tightened by batching).
+///   production end-to-end analysis at the short horizon, which verifies by
+///   one congruence test per edge instead of any class check (acceptance on
+///   the full config: ≤ 0.8 ms).
 ///
 /// * **E15b**: the `intersects_many` row-broadcast kernel itself, per
 ///   dispatch arm (`portable` always, `wide512` where AVX-512 is detected;
@@ -1413,32 +1352,23 @@ pub fn e15_verification_throughput_with(
             });
         }
     }
-    // Closed-form end-to-end at the short horizon, now riding the batched
-    // build (the e14 criterion was <= 1.0 ms; batching tightens it).
-    let checker = GraphChecker::new(&graph);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    // The production end-to-end analysis at the short horizon: no class is
+    // verified at all, so no adjacency layout is involved (the e14
+    // criterion was <= 1.0 ms; this one is tighter).
     let e2e_ms = median_ms(cfg.reps * 7, || {
-        let analysis = pool.install(|| {
-            analyze_schedule_with_engine(
-                &graph,
-                &mut scheduler,
-                cfg.horizon,
-                &checker,
-                AnalysisEngine::ClosedForm,
-            )
-        });
+        let analysis = analyze_schedule(&graph, &mut scheduler, cfg.horizon);
         assert!(analysis.all_happy_sets_independent);
     });
     table.push(&[
-        "closed-form end-to-end (batched build + derive)".to_string(),
-        default_layout.to_string(),
+        "closed-form end-to-end (progression)".to_string(),
+        "-".to_string(),
         format!("{e2e_ms:.3}"),
         "-".to_string(),
         format!("<=0.8ms: {}", e2e_ms <= 0.8),
     ]);
     entries.push(BenchEntry {
         experiment: "e15",
-        engine: format!("closed-form-end-to-end-batched-{default_layout}"),
+        engine: "closed-form-end-to-end-progression".to_string(),
         threads: 1,
         horizon: cfg.horizon,
         median_ms: e2e_ms,
@@ -2622,22 +2552,23 @@ mod tests {
         let cfg = tiny_cfg();
         let (tables, entries) = run_experiment_collecting("e11", &cfg);
         assert_eq!(tables.len(), 1);
-        assert!(entries.len() >= 3, "reference, sweep and closed-form rows");
-        assert!(entries.iter().any(|e| e.engine.contains("closed-form")));
+        assert_eq!(entries.len(), 2, "reference and production rows");
+        assert!(entries.iter().any(|e| e.engine == "closed-form-progression"));
         assert!((entries[0].speedup - 1.0).abs() < 1e-9, "baseline speedup is 1");
+        assert!(!tables[0].to_markdown().contains("| false |"));
 
         let (tables, entries) = run_experiment_collecting("e12", &cfg);
         assert_eq!(tables.len(), 1);
-        assert_eq!(entries.len(), 4, "sweep, 2x closed form, derive-only rows");
+        assert_eq!(entries.len(), 3, "2x closed form, derive-only rows");
         let md = tables[0].to_markdown();
-        assert!(md.contains("closed-form cycle profile"));
+        assert!(md.contains("closed-form progression"));
         assert!(md.contains("derive only (lane fold)"));
         assert!(!md.contains("| false |"), "every engine must match the reference: {md}");
 
         let json = bench_entries_to_json(true, &entries);
         assert!(json.contains("\"schema\": \"fhg-bench-analysis/1\""));
         assert!(json.contains("\"smoke\": true"));
-        assert_eq!(json.matches("\"experiment\": \"e12\"").count(), 4);
+        assert_eq!(json.matches("\"experiment\": \"e12\"").count(), 3);
         assert!(!json.contains(",\n  ]"), "no trailing comma before the array close");
     }
 
@@ -2679,7 +2610,7 @@ mod tests {
         assert!(entries.iter().any(|e| e.engine.contains("flat")));
         assert!(entries.iter().any(|e| e.engine.contains("blocked")));
         assert!(entries.iter().any(|e| e.engine.contains("intersects-many-portable")));
-        assert!(entries.iter().any(|e| e.engine.contains("closed-form-end-to-end-batched")));
+        assert!(entries.iter().any(|e| e.engine == "closed-form-end-to-end-progression"));
         let json = bench_entries_to_json(true, &entries);
         assert_eq!(json.matches("\"experiment\": \"e15\"").count(), entries.len());
     }

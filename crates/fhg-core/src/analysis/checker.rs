@@ -1,8 +1,12 @@
-//! Independence checking: the per-holiday verdict source of the analysis.
+//! Independence checking: the per-holiday verdict source of the sequential
+//! engine and the serving tier's cycle profiles.
 //!
-//! Every engine in [`crate::analysis`] must decide, for each happy set it
-//! sees, whether the set is an independent set of the conflict graph
-//! (Definition 2.1).  That decision is factored behind the
+//! Every path that emits happy sets must decide, for each one, whether the
+//! set is an independent set of the conflict graph (Definition 2.1): the
+//! sequential sweep on every holiday, a `CycleProfile` build once per
+//! residue class, and a profile patch on the classes an edge event touched.
+//! (The one-shot analysis of a residue view emits no sets: it tests one
+//! congruence per edge instead.)  That decision is factored behind the
 //! [`HolidayChecker`] trait, which serves two granularities:
 //!
 //! * [`HolidayChecker::check`] — one class at a time, the reference shape
@@ -16,9 +20,9 @@
 //!   transposed into a [`properties::MembershipTable`] and each adjacency
 //!   row is loaded **once**, answering the AND-any question for the whole
 //!   batch through the `intersects_many` kernel family.  The `CycleProfile`
-//!   build and the sharded sweep hand each shard's classes over in batches,
-//!   which turns the memory-bound per-class row walk into a compute-dense
-//!   multi-bitmap kernel.
+//!   build hands each shard's classes over in batches, which turns the
+//!   memory-bound per-class row walk into a compute-dense multi-bitmap
+//!   kernel.
 //!
 //! [`GraphChecker`] picks among three adjacency layouts by node count:
 //!
@@ -38,15 +42,14 @@
 //!
 //! The holiday number is passed alongside each set so the verdict source
 //! can be audited: the verdict must not depend on it, but instrumentation
-//! wants to see it — the closed-form and sharded engines both promise
-//! exactly one probe per residue class, batched or not.
+//! wants to see it — the profile build promises exactly one probe per
+//! residue class, batched or not.
 //!
-//! Checkers must be `Sync` because both sharded paths probe from worker
-//! threads: the sweep verifies each shard's residue classes in place, and
-//! the parallel `CycleProfile` build verifies each class from the one
-//! shard that owns its range — so the once-per-class promise holds at
-//! every thread count, and verification (the closed form's dominant cost
-//! on large cycles) scales with the pool.
+//! Checkers must be `Sync` because the parallel `CycleProfile` build probes
+//! from worker threads, each class from the one shard that owns its range —
+//! so the once-per-class promise holds at every thread count, and
+//! verification (the build's dominant cost on large cycles) scales with the
+//! pool.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -103,9 +106,8 @@ fn parse_dense_limit(raw: Option<&str>) -> usize {
 ///
 /// The holiday number is passed alongside the set so instrumented checkers
 /// (e.g. the counting checker in `tests/residue_cache.rs`) can observe
-/// *which* holidays the analysis actually verifies — both the closed-form
-/// profile and the residue cache promise each residue class is probed
-/// exactly once.
+/// *which* holidays a sweep or a profile build actually verifies — the
+/// build promises each residue class is probed exactly once.
 pub trait HolidayChecker: Sync {
     /// Whether the happy set emitted at holiday `t` is an independent set.
     fn check(&self, t: u64, happy: &FixedBitSet) -> bool;
@@ -126,7 +128,7 @@ pub trait HolidayChecker: Sync {
 
 /// A fixed-width buffer of residue classes awaiting batched verification:
 /// up to [`properties::BATCH_WIDTH`] `(holiday, happy set)` slots that the
-/// sweep and profile engines fill round-robin, flushing through
+/// profile build and patch fill round-robin, flushing through
 /// [`HolidayChecker::check_batch`] when full.  The slots are plain
 /// [`HappySet`]s reused across flushes (each `fill` resets its slot) and
 /// the flush builds its borrow array on the stack, so steady-state
@@ -205,9 +207,9 @@ pub struct GraphChecker {
 
 thread_local! {
     /// Per-thread transpose scratch for batched checks: grows once to the
-    /// graph's size, then every fill re-uses it — the sharded paths batch
-    /// from worker threads, so the scratch follows the thread, not the
-    /// checker.
+    /// graph's size, then every fill re-uses it — the parallel profile
+    /// build batches from worker threads, so the scratch follows the
+    /// thread, not the checker.
     static BATCH_SCRATCH: RefCell<properties::MembershipTable> =
         RefCell::new(properties::MembershipTable::new());
 }

@@ -16,53 +16,42 @@
 //! independent set of the conflict graph — the correctness requirement of
 //! Definition 2.1.
 //!
-//! # Execution engines
+//! # Two engines
 //!
-//! The pipeline is split into three engines, selected per call by
-//! [`AnalysisEngine::select`] from the scheduler's
-//! [`residue_schedule`](crate::scheduler::Scheduler::residue_schedule) view
-//! and the horizon:
+//! [`AnalysisEngine::select`] names the engine a scheduler runs on, from its
+//! [`residue_schedule`](crate::scheduler::Scheduler::residue_schedule) view:
 //!
-//! * [`AnalysisEngine::ClosedForm`] ([`profile`]) — for perfectly periodic
-//!   schedulers whenever the horizon spans at least one full cycle: each
-//!   residue class `t mod cycle` is emitted, verified and profiled **once**,
-//!   and the whole horizon is derived analytically from the per-node
-//!   attendance patterns (`horizon / cycle` repetitions folded in closed
-//!   form, the ragged `horizon % cycle` tail replayed from the profile).
-//!   Cost: `O(cycle)` emissions + `O(n)` derivation — independent of the
-//!   horizon.
-//! * [`AnalysisEngine::ShardedSweep`] ([`sweep`]) — for periodic schedulers
-//!   whose horizon is shorter than one cycle (or whose cycle exceeds the
-//!   profile budget): the horizon is split into one contiguous shard per
-//!   worker thread ([`rayon::current_num_threads`], the `FHG_THREADS` knob),
-//!   each shard sweeps with private scratch, independence is verified once
-//!   per residue class, and segment summaries merge exactly.
-//! * [`AnalysisEngine::Sequential`] — for stateful schedulers (no residue
-//!   view): a single fully-verified sweep through
-//!   [`Scheduler::fill_happy_set`], also exposed as
-//!   [`analyze_schedule_reference`] for differential testing.
+//! * [`AnalysisEngine::ClosedForm`] (`progression.rs`) — for every scheduler
+//!   exposing a residue view, at every horizon.  Each node hosts on one
+//!   arithmetic progression `(slot, modulus)`, so its statistics follow from
+//!   one formula per node and the independence verdict from one congruence
+//!   test per edge (with the CRT first co-attendance compared against
+//!   horizons shorter than the cycle).  Cost: `O(n + m)`, with no happy set
+//!   emitted, no checker built, and no cycle or attendance budget.
+//! * [`AnalysisEngine::Sequential`] (`sweep.rs`) — for stateful schedulers
+//!   (no residue view): a single sweep through
+//!   [`Scheduler::fill_happy_set`], every holiday verified by a
+//!   [`GraphChecker`].  It is also [`analyze_schedule_reference`], the
+//!   oracle the parity suites compare against.
 //!
-//! All three engines produce **bitwise-identical** [`ScheduleAnalysis`]
-//! values — gap sums, streaks, period candidates and float statistics
-//! compose with pure integer arithmetic regardless of how the horizon was
-//! partitioned (locked down by `tests/analysis_parity.rs` across thread
-//! counts and ragged horizons).  Independence checking itself is behind the
-//! [`checker`] module's [`HolidayChecker`] trait so tests can observe which
-//! holidays each engine probes (`tests/residue_cache.rs`); the closed-form
-//! build and the sharded sweep hand their classes to the checker in batches
-//! of up to 64 ([`HolidayChecker::check_batch`]), so a [`GraphChecker`]
-//! verifies a whole batch per adjacency-row pass without changing the
-//! once-per-class probe contract.
-//!
-//! Every engine accumulates on the one per-node plane of the [`sweep`]
-//! module, which also powers the totals-only fast path:
-//! [`analyze_schedule_totals`] returns the whole-schedule aggregates
-//! ([`AnalysisTotals`]) without per-node assembly or float finalisation
-//! whenever the closed form applies, and always equals
+//! Both engines produce **bitwise-identical** [`ScheduleAnalysis`] values:
+//! the progression engine writes each node's merged accumulator in closed
+//! form and reduces it through the same per-node arithmetic as the sweep
+//! (locked down by `tests/analysis_parity.rs`, conflicting and mis-sized
+//! views included).  [`analyze_schedule_totals`] returns the whole-schedule
+//! aggregates ([`AnalysisTotals`]) without per-node assembly or float
+//! finalisation on the progression engine, and always equals
 //! `analyze_schedule(..).totals()`.
+//!
+//! The serving tier keeps one more derivation of the same quantities: a
+//! [`CycleProfile`] (`profile.rs`) walks one cycle of residue classes,
+//! verifying each exactly once through a [`HolidayChecker`] (in batches of
+//! up to 64, [`HolidayChecker::check_batch`]), and then derives any window
+//! in closed form.
 
 mod checker;
 mod profile;
+mod progression;
 mod sweep;
 
 pub use checker::{
@@ -72,10 +61,8 @@ pub use checker::{
 pub use profile::{CycleProfile, PatchRefused, PatchScratch, PatchStats};
 
 use fhg_graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 use crate::scheduler::Scheduler;
-use crate::schedulers::residue::ResidueSchedule;
 
 /// Per-node measurements over the analysed horizon.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,217 +188,83 @@ impl ScheduleAnalysis {
     }
 }
 
-/// The execution strategy the analysis pipeline runs a horizon on.
-///
-/// [`AnalysisEngine::select`] picks the cheapest sound strategy for a
-/// scheduler/horizon pair; [`analyze_schedule_with_engine`] lets benchmarks
-/// and differential tests force a specific one (downgrading when the request
-/// is unsound for the scheduler at hand).
+/// The engine [`analyze_schedule`] runs a scheduler on (see the module
+/// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalysisEngine {
-    /// Profile each residue class once, derive the horizon in closed form
-    /// (periodic schedulers, `horizon >= cycle`,
-    /// `cycle <=` [`CycleProfile::MAX_CYCLE`]).
+    /// The progression engine: one formula per node and one congruence per
+    /// edge, for every scheduler with a residue view.
     ClosedForm,
-    /// Shard the horizon across worker threads, verify once per residue
-    /// class (periodic schedulers).
-    ShardedSweep,
     /// Single fully-verified sequential sweep (stateful schedulers).
     Sequential,
 }
 
 impl AnalysisEngine {
-    /// The strategy [`analyze_schedule`] will use for `scheduler` over
-    /// `horizon`.
-    pub fn select<S: Scheduler + ?Sized>(scheduler: &S, horizon: u64) -> Self {
-        match scheduler.residue_schedule() {
-            Some(view) if Self::closed_form_applies(view, horizon) => AnalysisEngine::ClosedForm,
-            Some(_) => AnalysisEngine::ShardedSweep,
-            None => AnalysisEngine::Sequential,
-        }
-    }
-
-    /// Whether the closed-form engine is sound and within budget for `view`
-    /// over `horizon`: at least one full cycle to fold, a cycle the profile
-    /// may walk, and a per-cycle attendance volume (the stored offset CSR —
-    /// the quantity that actually dominates profile memory) the profile may
-    /// materialise.  Hub-and-spoke degree distributions can pack
-    /// `n · cycle / 2` attendances into a short cycle; those stay on the
-    /// `O(n)`-memory sharded sweep.
-    fn closed_form_applies(view: &ResidueSchedule, horizon: u64) -> bool {
-        let cycle = view.cycle();
-        horizon >= cycle
-            && cycle <= CycleProfile::MAX_CYCLE
-            && view.attendance_per_cycle() <= CycleProfile::MAX_EVENTS
-    }
-
-    /// Downgrades `self` to the nearest strategy that is sound for
-    /// `scheduler` over `horizon` (`ClosedForm -> ShardedSweep ->
-    /// Sequential`).
-    fn clamp<S: Scheduler + ?Sized>(self, scheduler: &S, horizon: u64) -> Self {
-        match self {
-            AnalysisEngine::ClosedForm => Self::select(scheduler, horizon),
-            AnalysisEngine::ShardedSweep if scheduler.residue_schedule().is_some() => {
-                AnalysisEngine::ShardedSweep
-            }
-            _ => AnalysisEngine::Sequential,
+    /// The engine [`analyze_schedule`] uses for `scheduler`.  Only the
+    /// residue view decides: the progression engine's cost does not depend
+    /// on the horizon, so the horizon never changes the answer (it stays in
+    /// the signature for callers that select per job).
+    pub fn select<S: Scheduler + ?Sized>(scheduler: &S, _horizon: u64) -> Self {
+        if scheduler.residue_schedule().is_some() {
+            AnalysisEngine::ClosedForm
+        } else {
+            AnalysisEngine::Sequential
         }
     }
 }
 
 /// Runs `scheduler` for `horizon` holidays (starting at its
 /// [`Scheduler::first_holiday`]) and measures every quantity above, on the
-/// engine [`AnalysisEngine::select`] picks (see the module docs).
+/// engine [`AnalysisEngine::select`] names (see the module docs).
 pub fn analyze_schedule<S: Scheduler + ?Sized>(
     graph: &Graph,
     scheduler: &mut S,
     horizon: u64,
 ) -> ScheduleAnalysis {
-    analyze_schedule_with_checker(graph, scheduler, horizon, &GraphChecker::new(graph))
-}
-
-/// Like [`analyze_schedule`], but verifying independence through a custom
-/// [`HolidayChecker`] — the instrumentation point the residue-cache tests use
-/// to prove each residue class is checked exactly once.
-pub fn analyze_schedule_with_checker<S, C>(
-    graph: &Graph,
-    scheduler: &mut S,
-    horizon: u64,
-    checker: &C,
-) -> ScheduleAnalysis
-where
-    S: Scheduler + ?Sized,
-    C: HolidayChecker + ?Sized,
-{
-    let engine = AnalysisEngine::select(scheduler, horizon);
-    analyze_schedule_with_engine(graph, scheduler, horizon, checker, engine)
-}
-
-/// Like [`analyze_schedule_with_checker`], but forcing a specific
-/// [`AnalysisEngine`] — the entry point benchmarks (experiment `e12`) and
-/// differential tests use to compare strategies on the same scheduler.  The
-/// request is downgraded (`ClosedForm -> ShardedSweep -> Sequential`) when
-/// it is unsound for the scheduler/horizon at hand, so the result is always
-/// well-defined and bitwise-identical across engines.
-pub fn analyze_schedule_with_engine<S, C>(
-    graph: &Graph,
-    scheduler: &mut S,
-    horizon: u64,
-    checker: &C,
-    engine: AnalysisEngine,
-) -> ScheduleAnalysis
-where
-    S: Scheduler + ?Sized,
-    C: HolidayChecker + ?Sized,
-{
-    let n = graph.node_count();
-    let start = scheduler.first_holiday();
-    match engine.clamp(scheduler, horizon) {
-        // The residue-view arms re-check the view instead of unwrapping:
-        // `clamp` guarantees it exists, but a scheduler that mis-reports
-        // its periodicity must degrade to the sequential sweep, not crash
-        // the process (the serving tier additionally rejects such
-        // schedulers up front with a typed `RegisterError`).
-        AnalysisEngine::ClosedForm if scheduler.residue_schedule().is_some() => {
-            let view = scheduler.residue_schedule().expect("checked in the match guard");
-            let profile = CycleProfile::build(view, start, n, checker);
-            // The windowed fold anchored at 0: identical to `derive` for
-            // every clamped horizon (>= cycle), and total — no horizon can
-            // panic it.
-            profile.derive_window(scheduler.name(), graph, 0, horizon)
+    match scheduler.residue_schedule() {
+        Some(view) => {
+            progression::analyze(scheduler.name(), graph, view, scheduler.first_holiday(), horizon)
         }
-        AnalysisEngine::ShardedSweep if scheduler.residue_schedule().is_some() => {
-            let view = scheduler.residue_schedule().expect("checked in the match guard");
-            // Pure function of t: shard the horizon across worker threads and
-            // verify each residue class exactly once.  The per-shard tallies
-            // merge through the exact segment rule.
-            let verify_below = view.cycle().min(horizon);
-            let threads = rayon::current_num_threads().max(1);
-            let mut shards: Vec<sweep::ShardSweep> = sweep::split_offsets(horizon, threads)
-                .into_iter()
-                .map(|offsets| {
-                    sweep::ShardSweep::new(n, scheduler.node_count(), offsets, verify_below)
-                })
-                .collect();
-            shards
-                .par_iter_mut()
-                .for_each(|shard| shard.sweep(start, checker, |t, out| view.fill(t, out)));
-            let global = sweep::merge_shards(n, shards.iter().map(|shard| &shard.tally));
-            sweep::finalize(
-                scheduler.name().to_string(),
-                horizon,
-                graph,
-                global.accum,
-                global.all_independent,
-                global.total_happiness,
-            )
-        }
-        _ => {
-            // Stateful scheduler (or a residue-view arm whose guard failed):
-            // single sequential sweep, every holiday verified.
-            let name = scheduler.name().to_string();
-            let mut shard = sweep::ReferenceSweep::new(n, scheduler.node_count(), horizon);
-            shard.sweep(start, checker, |t, out| scheduler.fill_happy_set(t, out));
-            let global = sweep::merge_shards(n, [&shard.tally]);
-            sweep::finalize(
-                name,
-                horizon,
-                graph,
-                global.accum,
-                global.all_independent,
-                global.total_happiness,
-            )
-        }
+        None => analyze_schedule_reference(graph, scheduler, horizon),
     }
 }
 
 /// The totals-only entry point: whole-schedule aggregates of `horizon`
-/// holidays, on the cheapest sound path.  When the closed-form engine
-/// applies, the per-node assembly and float finalisation are skipped
-/// entirely ([`CycleProfile::derive_totals`]); otherwise the full analysis
-/// runs and is reduced — so the result always equals
-/// `analyze_schedule(..).totals()` (pinned by the parity suite).
+/// holidays.  On the progression engine the per-node assembly and float
+/// finalisation are skipped entirely and nothing is allocated; stateful
+/// schedulers run the full sequential analysis and reduce it — so the
+/// result always equals `analyze_schedule(..).totals()` (pinned by the
+/// parity suite).
 pub fn analyze_schedule_totals<S: Scheduler + ?Sized>(
     graph: &Graph,
     scheduler: &mut S,
     horizon: u64,
 ) -> AnalysisTotals {
-    let checker = GraphChecker::new(graph);
-    match AnalysisEngine::select(scheduler, horizon) {
-        // Re-checked (not unwrapped) for the same reason as the full
-        // analysis dispatch: a mis-reporting scheduler degrades, never
-        // crashes.
-        AnalysisEngine::ClosedForm if scheduler.residue_schedule().is_some() => {
-            let n = graph.node_count();
-            let start = scheduler.first_holiday();
-            let view = scheduler.residue_schedule().expect("checked in the match guard");
-            let profile = CycleProfile::build(view, start, n, &checker);
-            // Total windowed fold anchored at 0 — equal to `derive_totals`
-            // for every selected horizon (>= cycle).
-            profile.derive_window_totals(0, horizon)
-        }
-        engine => {
-            analyze_schedule_with_engine(graph, scheduler, horizon, &checker, engine).totals()
-        }
+    match scheduler.residue_schedule() {
+        Some(view) => progression::totals(graph, view, scheduler.first_holiday(), horizon),
+        None => analyze_schedule_reference(graph, scheduler, horizon).totals(),
     }
 }
 
-/// The sequential reference analysis: single-threaded, no residue cache, no
-/// closed form, every holiday's independence verified, emission through
-/// [`Scheduler::fill_happy_set`].  Exists so the property suite can assert
-/// the production engines are bitwise-identical to it, and so benchmarks can
-/// measure the engines against the unsharded, uncached baseline.
+/// The sequential reference analysis: single-threaded, no residue view, no
+/// closed form, every holiday's independence verified by a [`GraphChecker`],
+/// emission through [`Scheduler::fill_happy_set`].  It is the Sequential
+/// engine, and the oracle the property suites assert the progression engine
+/// and the serving tier's windows are bitwise-identical to.
 pub fn analyze_schedule_reference<S: Scheduler + ?Sized>(
     graph: &Graph,
     scheduler: &mut S,
     horizon: u64,
 ) -> ScheduleAnalysis {
-    analyze_schedule_with_engine(
+    let name = scheduler.name().to_string();
+    sweep::sequential(
+        name,
         graph,
-        scheduler,
+        scheduler.node_count(),
         horizon,
+        scheduler.first_holiday(),
         &GraphChecker::new(graph),
-        AnalysisEngine::Sequential,
+        |t, out| scheduler.fill_happy_set(t, out),
     )
 }
 
@@ -419,6 +272,7 @@ pub fn analyze_schedule_reference<S: Scheduler + ?Sized>(
 mod tests {
     use super::*;
     use crate::scheduler::Scheduler;
+    use crate::schedulers::residue::ResidueSchedule;
     use crate::schedulers::PeriodicDegreeBound;
     use fhg_graph::generators::erdos_renyi;
     use fhg_graph::generators::structured::{cycle, path};
@@ -569,12 +423,7 @@ mod tests {
     fn zero_horizon_on_the_periodic_path() {
         let g = cycle(5);
         let mut s = PeriodicDegreeBound::new(&g);
-        assert!(s.residue_schedule().is_some());
-        assert_eq!(
-            AnalysisEngine::select(&s, 0),
-            AnalysisEngine::ShardedSweep,
-            "no full cycle to fold at horizon 0"
-        );
+        assert_eq!(AnalysisEngine::select(&s, 0), AnalysisEngine::ClosedForm);
         let a = analyze_schedule(&g, &mut s, 0);
         assert_eq!(a.horizon, 0);
         assert_eq!(a.never_happy, vec![0, 1, 2, 3, 4]);
@@ -583,113 +432,124 @@ mod tests {
     }
 
     #[test]
-    fn engine_selection_follows_cycle_and_statefulness() {
+    fn engine_selection_follows_statefulness_only() {
         let g = erdos_renyi(30, 0.12, 5);
         let s = PeriodicDegreeBound::new(&g);
         let cycle = s.residue_schedule().unwrap().cycle();
-        assert_eq!(AnalysisEngine::select(&s, cycle - 1), AnalysisEngine::ShardedSweep);
-        assert_eq!(AnalysisEngine::select(&s, cycle), AnalysisEngine::ClosedForm);
-        assert_eq!(AnalysisEngine::select(&s, 10 * cycle + 3), AnalysisEngine::ClosedForm);
-
+        for horizon in [0, 1, cycle - 1, cycle, 10 * cycle + 3, u64::MAX] {
+            assert_eq!(AnalysisEngine::select(&s, horizon), AnalysisEngine::ClosedForm);
+        }
         let stateful = Scripted { sets: vec![] };
         assert_eq!(AnalysisEngine::select(&stateful, 100), AnalysisEngine::Sequential);
-        // Forcing a better engine than the scheduler supports downgrades.
-        assert_eq!(AnalysisEngine::ClosedForm.clamp(&stateful, 100), AnalysisEngine::Sequential);
-        assert_eq!(AnalysisEngine::ShardedSweep.clamp(&s, 7), AnalysisEngine::ShardedSweep);
-        assert_eq!(AnalysisEngine::ClosedForm.clamp(&s, cycle - 1), AnalysisEngine::ShardedSweep);
+    }
+
+    /// A scheduler that is nothing but a residue view.
+    struct ViewOnly {
+        schedule: ResidueSchedule,
+    }
+
+    impl Scheduler for ViewOnly {
+        fn node_count(&self) -> usize {
+            self.schedule.node_count()
+        }
+        fn fill_happy_set(&mut self, t: u64, out: &mut fhg_graph::HappySet) {
+            self.schedule.fill(t, out);
+        }
+        fn first_holiday(&self) -> u64 {
+            0
+        }
+        fn name(&self) -> &'static str {
+            "view-only"
+        }
+        fn is_periodic(&self) -> bool {
+            true
+        }
+        fn period(&self, p: NodeId) -> Option<u64> {
+            Some(self.schedule.modulus(p))
+        }
+        fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
+            None
+        }
+        fn residue_schedule(&self) -> Option<&ResidueSchedule> {
+            Some(&self.schedule)
+        }
     }
 
     #[test]
-    fn attendance_heavy_schedules_stay_on_the_sweep() {
-        // Hub-and-spoke shape: 64 spokes hosting every other holiday plus
-        // one slow hub stretching the cycle to MAX_CYCLE.  The cycle is
-        // within budget but the per-cycle attendance volume (64 · 2^21)
-        // exceeds MAX_EVENTS, so the closed form must not be selected — its
-        // profile memory is O(attendance), the sweep's is O(n).
-        struct ViewOnly {
-            schedule: ResidueSchedule,
-        }
-        impl Scheduler for ViewOnly {
-            fn node_count(&self) -> usize {
-                self.schedule.node_count()
-            }
-            fn fill_happy_set(&mut self, t: u64, out: &mut fhg_graph::HappySet) {
-                self.schedule.fill(t, out);
-            }
-            fn first_holiday(&self) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "view-only"
-            }
-            fn is_periodic(&self) -> bool {
-                true
-            }
-            fn period(&self, p: NodeId) -> Option<u64> {
-                Some(self.schedule.modulus(p))
-            }
-            fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
-                None
-            }
-            fn residue_schedule(&self) -> Option<&ResidueSchedule> {
-                Some(&self.schedule)
-            }
-        }
-
-        let mut slots = vec![0u64; 64];
-        let mut moduli = vec![2u64; 64];
+    fn attendance_heavy_views_analyse_by_their_progressions() {
+        // Hub-and-spoke shape: 64 spokes hosting every even holiday and one
+        // hub on the odd residue of a 2^22 modulus, adjacent to every spoke.
+        // Its attendance per cycle (64 · 2^21 + 1) is far beyond the profile
+        // budget; the analysis only reads the 65 rows.
+        let hub = 64;
+        let cycle = CycleProfile::MAX_CYCLE;
+        let g = Graph::from_edges(hub + 1, (0..hub).map(|p| (p, hub))).unwrap();
+        let mut slots = vec![0u64; hub];
+        let mut moduli = vec![2u64; hub];
         slots.push(1);
-        moduli.push(CycleProfile::MAX_CYCLE);
-        let s = ViewOnly { schedule: ResidueSchedule::scan_only(slots, moduli) };
-        let cycle = s.schedule_cycle().unwrap();
-        assert_eq!(cycle, CycleProfile::MAX_CYCLE, "cycle itself is within budget");
-        assert!(s.residue_schedule().unwrap().attendance_per_cycle() > CycleProfile::MAX_EVENTS);
+        moduli.push(cycle);
+        let mut s = ViewOnly { schedule: ResidueSchedule::scan_only(slots, moduli) };
+        assert!(s.schedule.attendance_per_cycle() > CycleProfile::MAX_EVENTS);
+
+        // Two hub cycles: each spoke hosts at offsets 0, 2, …, 2^23 − 2; the
+        // hub at offsets 1 and 2^22 + 1.
+        let horizon = 2 * cycle;
+        let spoke_count = horizon / 2;
+        let hub_streak = cycle - 1;
+        let expected = AnalysisTotals {
+            horizon,
+            total_happiness: hub as u64 * spoke_count + 2,
+            mean_happy_set_size: (hub as u64 * spoke_count + 2) as f64 / horizon as f64,
+            max_unhappiness: hub_streak,
+            all_periodic: true,
+            never_happy: 0,
+            all_happy_sets_independent: true,
+        };
+        assert_eq!(analyze_schedule_totals(&g, &mut s, horizon), expected);
+        let a = analyze_schedule(&g, &mut s, horizon);
+        assert_eq!(a.totals(), expected);
+        let spoke = &a.per_node[0];
         assert_eq!(
-            AnalysisEngine::select(&s, 2 * cycle),
-            AnalysisEngine::ShardedSweep,
-            "attendance budget must override the cycle-length check"
+            (spoke.happy_count, spoke.max_unhappiness, spoke.observed_period),
+            (spoke_count, 1, Some(2))
         );
+        let hub = &a.per_node[hub];
+        assert_eq!(hub.happy_count, 2);
+        assert_eq!(hub.first_happy, Some(1));
+        assert_eq!(hub.max_unhappiness, hub_streak);
+        assert_eq!(hub.observed_period, Some(cycle));
+        assert_eq!(hub.degree, 64);
     }
 
     #[test]
-    fn every_engine_matches_the_reference_across_thread_counts() {
+    fn closed_form_matches_the_reference() {
         // Smoke version of tests/analysis_parity.rs, at unit-test scope.
         let g = erdos_renyi(40, 0.12, 5);
-        for horizon in [1u64, 7, 64, 129] {
+        let cycle = PeriodicDegreeBound::new(&g).schedule_cycle().unwrap();
+        for horizon in [0u64, 1, 7, cycle - 1, cycle, 64, 129] {
             let reference = {
                 let mut s = PeriodicDegreeBound::new(&g);
                 analyze_schedule_reference(&g, &mut s, horizon)
             };
-            for threads in [1usize, 2, 8] {
-                for engine in [AnalysisEngine::ClosedForm, AnalysisEngine::ShardedSweep] {
-                    let mut s = PeriodicDegreeBound::new(&g);
-                    let pool =
-                        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                    let checker = GraphChecker::new(&g);
-                    let got = pool.install(|| {
-                        analyze_schedule_with_engine(&g, &mut s, horizon, &checker, engine)
-                    });
-                    assert_eq!(got.scheduler, reference.scheduler);
-                    assert_eq!(got.total_happiness, reference.total_happiness);
-                    assert_eq!(got.never_happy, reference.never_happy);
-                    assert_eq!(
-                        got.all_happy_sets_independent,
-                        reference.all_happy_sets_independent
-                    );
-                    for (a, b) in got.per_node.iter().zip(&reference.per_node) {
-                        assert_eq!(a.happy_count, b.happy_count, "node {}", a.node);
-                        assert_eq!(a.max_unhappiness, b.max_unhappiness, "node {}", a.node);
-                        assert_eq!(a.observed_period, b.observed_period, "node {}", a.node);
-                        assert_eq!(a.first_happy, b.first_happy, "node {}", a.node);
-                        assert_eq!(
-                            a.mean_gap.to_bits(),
-                            b.mean_gap.to_bits(),
-                            "node {} (NaN-aware)",
-                            a.node
-                        );
-                    }
-                }
+            let mut s = PeriodicDegreeBound::new(&g);
+            let got = analyze_schedule(&g, &mut s, horizon);
+            assert_eq!(got.scheduler, reference.scheduler);
+            assert_eq!(got.total_happiness, reference.total_happiness);
+            assert_eq!(got.never_happy, reference.never_happy);
+            assert_eq!(got.all_happy_sets_independent, reference.all_happy_sets_independent);
+            for (a, b) in got.per_node.iter().zip(&reference.per_node) {
+                assert_eq!(a.happy_count, b.happy_count, "node {}", a.node);
+                assert_eq!(a.max_unhappiness, b.max_unhappiness, "node {}", a.node);
+                assert_eq!(a.observed_period, b.observed_period, "node {}", a.node);
+                assert_eq!(a.first_happy, b.first_happy, "node {}", a.node);
+                assert_eq!(
+                    a.mean_gap.to_bits(),
+                    b.mean_gap.to_bits(),
+                    "node {} (NaN-aware)",
+                    a.node
+                );
             }
+            assert_eq!(analyze_schedule_totals(&g, &mut s, horizon), reference.totals());
         }
     }
 

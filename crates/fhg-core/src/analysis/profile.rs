@@ -1,5 +1,6 @@
-//! Closed-form cycle analytics: profile each residue class once, then
-//! derive any window of the schedule with one fold per node.
+//! Cycle profiles: the serving tier's cached form of a residue schedule —
+//! profile each residue class once, then derive any window of the schedule
+//! with one fold per node.
 //!
 //! A perfectly periodic schedule repeats with period `C =`
 //! [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
@@ -9,17 +10,18 @@
 //! attendance-offset list (the gap multiset in CSR form) and its one-cycle
 //! summary (count, first/last offsets, internal gap structure) as a
 //! [`NodeAccum`](super::sweep).  Each residue class is independence-verified
-//! exactly once during that walk, the same promise the sharded engine's
-//! residue cache makes (locked down by `tests/residue_cache.rs`).
+//! exactly once during that walk (locked down by `tests/residue_cache.rs`).
+//! One-shot analyses do not walk the cycle: [`super::analyze_schedule`] runs
+//! the progression engine ([`super::progression`]), and the parity suite
+//! uses this walk as an independent witness for it.
 //!
 //! # Sharded parallel build
 //!
-//! For large cycles (`cycle ~ horizon`, where the build itself dominates
-//! and is verification-bound) the cycle walk shards: the residue classes
-//! split into one contiguous range per worker of the persistent
-//! `compat/rayon` pool, each shard emitting, verifying and collecting
-//! `(node, offset)` events with private scratch, exactly as the sweep
-//! shards the horizon.  The per-class sizes and events concatenate in
+//! For large cycles (where the build is verification-bound) the cycle walk
+//! shards: the residue classes split into one contiguous range per worker
+//! of the persistent `compat/rayon` pool, each shard emitting, verifying
+//! and collecting `(node, offset)` events with private scratch.  The
+//! per-class sizes and events concatenate in
 //! class order — the combined event sequence is offset-major, exactly what
 //! a sequential walk would have pushed — so the counting sort builds an
 //! identical attendance CSR at any thread count, and the one-cycle
@@ -47,7 +49,7 @@
 //! 3. a ragged **tail** of the first cycle offsets, replayed like the head,
 //!
 //! each summarised as a segment and merged in window order by
-//! [`merge_node`], the rule the sharded sweep merges its shards with.  The
+//! [`merge_node`], the exact segment merge of the sweep module.  The
 //! merged lane reduces straight to a [`NodeAnalysis`](super::NodeAnalysis)
 //! or into the running totals.  Because replication and replay compose
 //! through the same integer arithmetic as the sequential sweep, every
@@ -70,6 +72,7 @@ use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
 
 use super::checker::{ClassBatch, HolidayChecker};
+use super::progression::{crt_class, first_offset, offset_from};
 use super::sweep::{self, merge_node, NodeAccum};
 use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
@@ -91,7 +94,7 @@ pub struct CycleProfile {
     /// The schedule's cycle length `C`.
     cycle: u64,
     /// Number of graph nodes tracked (attendance of out-of-range nodes is
-    /// flagged as non-independent and excluded, like the sweep engines do).
+    /// flagged as non-independent and excluded, like the other engines do).
     node_count: usize,
     /// Per-node summaries of the one profiled cycle (offsets relative to the
     /// cycle start).
@@ -199,19 +202,20 @@ struct BuildShard {
 
 impl CycleProfile {
     /// Largest cycle the profile will materialise: the per-class size
-    /// prefix and the cycle walk itself are `O(cycle)`.
-    /// [`super::AnalysisEngine::select`] enforces this bound (astronomical
-    /// cycles — saturated lcms — stay on the sharded sweep).
+    /// prefix and the cycle walk itself are `O(cycle)`.  A serving-tier
+    /// budget: `ProfileService` refuses to register (or patch a tenant
+    /// into) a longer cycle with a typed error, and [`CycleProfile::build`]
+    /// panics beyond it.  One-shot analysis has no cycle budget.
     pub const MAX_CYCLE: u64 = 1 << 22;
 
     /// Largest total attendance (`Σ_p cycle / modulus_p`, the stored
     /// offset-CSR entries) the profile will materialise — the quantity that
-    /// actually dominates profile memory.  A hub-and-spoke degree
+    /// actually dominates profile memory, since a hub-and-spoke degree
     /// distribution can pack `n · cycle / 2` attendances into a short
-    /// cycle, which must fall back to the `O(n)`-memory sharded sweep;
-    /// [`super::AnalysisEngine::select`] budgets on
-    /// [`ResidueSchedule::attendance_per_cycle`] before picking the closed
-    /// form.
+    /// cycle.  A serving-tier budget, checked by `ProfileService` on
+    /// [`ResidueSchedule::attendance_per_cycle`] alongside
+    /// [`CycleProfile::MAX_CYCLE`]; one-shot analysis has no attendance
+    /// budget.
     pub const MAX_EVENTS: u64 = 1 << 24;
 
     /// Profiles one full cycle of `view` starting at holiday `start`,
@@ -222,7 +226,7 @@ impl CycleProfile {
     ///
     /// `node_count` is the conflict graph's node count: attendance of nodes
     /// at or beyond it marks the schedule non-independent (mirroring the
-    /// sweep engines) and is excluded from the per-node patterns.
+    /// other engines) and is excluded from the per-node patterns.
     ///
     /// # Panics
     /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
@@ -243,7 +247,7 @@ impl CycleProfile {
         // Exact-capacity event lists: the per-cycle attendance volume is
         // precomputed on the view, so the class walk never regrows them.
         let attendance = view.attendance_per_cycle().min(Self::MAX_EVENTS) as usize;
-        let mut shards: Vec<BuildShard> = sweep::split_offsets(cycle, threads)
+        let mut shards: Vec<BuildShard> = split_offsets(cycle, threads)
             .into_iter()
             .map(|range| BuildShard {
                 sizes: Vec::with_capacity((range.end - range.start) as usize),
@@ -391,8 +395,7 @@ impl CycleProfile {
         let mut counts = vec![0u64; n];
         for p in 0..view.node_count() {
             let m = view.modulus(p);
-            let first = (view.slot(p) % m + m - start % m) % m;
-            let mut o = first;
+            let mut o = first_offset(start, view.slot(p), m);
             let mut hits = 0u64;
             while o < cycle {
                 class_sizes[o as usize] += 1;
@@ -421,9 +424,8 @@ impl CycleProfile {
         let mut offsets = vec![0u64; starts[n]];
         for (p, &row_start) in starts.iter().enumerate().take(n.min(view.node_count())) {
             let m = view.modulus(p);
-            let first = (view.slot(p) % m + m - start % m) % m;
             let mut idx = row_start;
-            let mut o = first;
+            let mut o = first_offset(start, view.slot(p), m);
             while o < cycle {
                 offsets[idx] = o;
                 idx += 1;
@@ -590,10 +592,13 @@ impl CycleProfile {
             );
         }
         if let Some((u, v)) = inserted_edge {
-            if let Some((t0, l)) =
+            if let Some(class) =
                 crt_class(view.slot(u), view.modulus(u), view.slot(v), view.modulus(v))
             {
-                push_progression(&mut scratch.classes, first_offset(self.start, t0, l), l, cycle);
+                // Both moduli divide the unchanged cycle, so the class fits
+                // in a u64.
+                let (first, step) = (offset_from(self.start, class) as u64, class.1 as u64);
+                push_progression(&mut scratch.classes, first, step, cycle);
             }
         }
         scratch.classes.sort_unstable();
@@ -713,8 +718,9 @@ impl CycleProfile {
 
     /// Derives the full [`ScheduleAnalysis`] of `horizon` holidays in closed
     /// form.  Returns `None` when `horizon < cycle` (no full repetition to
-    /// fold — callers fall back to a sweep engine); `derive(0)` is therefore
-    /// always `None` (every cycle is at least 1 long).
+    /// fold; [`CycleProfile::derive_window`] covers those horizons);
+    /// `derive(0)` is therefore always `None` (every cycle is at least 1
+    /// long).
     pub fn derive(&self, scheduler: &str, graph: &Graph, horizon: u64) -> Option<ScheduleAnalysis> {
         (horizon >= self.cycle).then(|| self.derive_window(scheduler, graph, 0, horizon))
     }
@@ -884,14 +890,6 @@ fn replicate(a: &NodeAccum, reps: u64, cycle: u64) -> NodeAccum {
     }
 }
 
-/// The first cycle offset at which a residue row `t ≡ slot (mod m)` fires,
-/// for a cycle anchored at holiday `start`: the least `o` with
-/// `start + o ≡ slot (mod m)`.  `slot < m` and `m ≤ cycle ≤ MAX_CYCLE`, so
-/// the arithmetic stays far from overflow.
-fn first_offset(start: u64, slot: u64, m: u64) -> u64 {
-    (slot + m - start % m) % m
-}
-
 /// Appends the arithmetic progression `first, first + step, …` below
 /// `cycle` to `out` — the cycle offsets of one residue row.
 fn push_progression(out: &mut Vec<u64>, first: u64, step: u64, cycle: u64) {
@@ -902,35 +900,23 @@ fn push_progression(out: &mut Vec<u64>, first: u64, step: u64, cycle: u64) {
     }
 }
 
-/// The holidays where two residue rows co-fire, by the Chinese remainder
-/// theorem: solves `t ≡ s1 (mod m1)`, `t ≡ s2 (mod m2)`, returning the
-/// progression `(t0, lcm(m1, m2))` of common holidays, or `None` when the
-/// congruences are incompatible (`s1 ≢ s2 (mod gcd)`) — the rows never
-/// co-fire.  Moduli are cycle divisors (≤ 2^22), so the intermediate
-/// products fit comfortably in `i128`.
-fn crt_class(s1: u64, m1: u64, s2: u64, m2: u64) -> Option<(u64, u64)> {
-    fn egcd(a: i128, b: i128) -> (i128, i128) {
-        // Returns (g, x) with a·x ≡ g (mod b).
-        let (mut r0, mut r1) = (a, b);
-        let (mut x0, mut x1) = (1i128, 0i128);
-        while r1 != 0 {
-            let q = r0 / r1;
-            (r0, r1) = (r1, r0 - q * r1);
-            (x0, x1) = (x1, x0 - q * x1);
-        }
-        (r0, x0)
+/// Splits `total` classes into at most `parts` contiguous, non-empty
+/// ranges (earlier ranges get the remainder, matching an even split).
+fn split_offsets(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
+    if total == 0 || parts == 0 {
+        return Vec::new();
     }
-    let (g, x) = egcd(m1 as i128, m2 as i128);
-    let diff = s2 as i128 - s1 as i128;
-    if diff % g != 0 {
-        return None;
+    let parts = (parts as u64).min(total);
+    let base = total / parts;
+    let remainder = total % parts;
+    let mut ranges = Vec::with_capacity(parts as usize);
+    let mut lo = 0u64;
+    for i in 0..parts {
+        let len = base + u64::from(i < remainder);
+        ranges.push(lo..lo + len);
+        lo += len;
     }
-    let lcm = (m1 as i128 / g) * m2 as i128;
-    let period2 = m2 as i128 / g;
-    // t = s1 + m1·k with (m1/g)·k ≡ diff/g (mod m2/g); x inverts m1/g there.
-    let k = (diff / g % period2) * (x % period2) % period2;
-    let t0 = (s1 as i128 + m1 as i128 * k).rem_euclid(lcm);
-    Some((t0 as u64, lcm as u64))
+    ranges
 }
 
 #[cfg(test)]
@@ -1261,41 +1247,20 @@ mod tests {
     }
 
     #[test]
-    fn crt_class_matches_brute_force() {
-        for m1 in 1u64..=12 {
-            for m2 in 1u64..=12 {
-                for s1 in 0..m1 {
-                    for s2 in 0..m2 {
-                        let got = crt_class(s1, m1, s2, m2);
-                        let lcm = m1 / gcd(m1, m2) * m2;
-                        let brute: Vec<u64> =
-                            (0..2 * lcm).filter(|t| t % m1 == s1 && t % m2 == s2).collect();
-                        match got {
-                            None => assert!(
-                                brute.is_empty(),
-                                "({s1} mod {m1}, {s2} mod {m2}): CRT says never, brute {brute:?}"
-                            ),
-                            Some((t0, l)) => {
-                                assert_eq!(l, lcm);
-                                assert!(t0 < l, "first solution must be canonical");
-                                assert_eq!(
-                                    brute,
-                                    vec![t0, t0 + l],
-                                    "({s1} mod {m1}, {s2} mod {m2})"
-                                );
-                            }
-                        }
-                    }
-                }
+    fn split_offsets_covers_the_classes_exactly() {
+        for (total, parts) in [(10u64, 3usize), (7, 8), (1, 1), (64, 4), (5, 5)] {
+            let ranges = split_offsets(total, parts);
+            assert!(ranges.len() <= parts);
+            assert!(ranges.iter().all(|r| !r.is_empty()), "no empty shards");
+            let mut expected = 0u64;
+            for r in &ranges {
+                assert_eq!(r.start, expected, "contiguous coverage");
+                expected = r.end;
             }
+            assert_eq!(expected, total);
         }
-        fn gcd(a: u64, b: u64) -> u64 {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
-            }
-        }
+        assert!(split_offsets(0, 4).is_empty());
+        assert!(split_offsets(9, 0).is_empty());
     }
 
     #[test]

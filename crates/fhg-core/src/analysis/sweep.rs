@@ -1,16 +1,19 @@
-//! The sweeping engines: per-holiday accumulation, horizon sharding, and the
-//! exact segment merge.
+//! The accumulator plane and the sequential engine: per-holiday
+//! accumulation, the exact segment merge, and the reductions to the public
+//! results.
 //!
 //! # One accumulator plane
 //!
-//! Every engine accumulates into [`NodeAccum`], one small struct per node:
+//! Every engine ends in [`NodeAccum`], one small struct per node:
 //! [`NodeAccum::record`] absorbs one happy appearance, [`merge_node`] folds
-//! a segment summary into a running accumulator, and [`finalize`] /
-//! [`totals`] reduce the merged accumulators to the public
-//! [`ScheduleAnalysis`] / [`AnalysisTotals`].  A node's statistics depend
-//! only on its own happy appearances, so nothing here ever looks across
-//! nodes: the sharded sweep, the sequential reference and the closed-form
-//! window fold of [`super::profile`] all run this same per-node arithmetic.
+//! a segment summary into a running accumulator, and
+//! [`NodeAccum::analysis`] / [`TotalsFold`] reduce the merged accumulators
+//! to the public [`ScheduleAnalysis`] / [`AnalysisTotals`].  A node's
+//! statistics depend only on its own happy appearances, so nothing here
+//! ever looks across nodes: the sequential reference, the progression
+//! engine of [`super::progression`] (which writes each merged accumulator
+//! in closed form) and the window fold of [`super::profile`] all reduce
+//! through this same per-node arithmetic.
 //!
 //! # The merge algebra
 //!
@@ -20,30 +23,23 @@
 //! `g` is still empty, the leading unhappy stretch before `s`'s first
 //! appearance), then `s`'s internal gaps are absorbed in order.  Because
 //! that reproduces the sequential rule bit for bit, any partition of the
-//! horizon into contiguous segments — one shard per worker thread here, or
-//! a ragged head, replicated whole cycles and a ragged tail in the window
-//! fold — merges back to a result bitwise-identical to the sequential sweep
-//! (locked down end-to-end by `tests/analysis_parity.rs`).
+//! horizon into contiguous segments — a ragged head, replicated whole
+//! cycles and a ragged tail in the window fold — merges back to a result
+//! bitwise-identical to the sequential sweep (locked down end-to-end by
+//! `tests/analysis_parity.rs` and `tests/window_parity.rs`).
 //!
-//! Two drivers feed the plane, each filling a [`Tally`] with zero heap
-//! allocations per holiday.  [`ShardSweep`] is the sharded engine's
-//! per-worker driver: a contiguous offset range, private scratch, and
-//! batched verification (through the [`super::checker::ClassBatch`]) of the
-//! offsets below the residue-cache bound.  [`ReferenceSweep`] is the
-//! Sequential engine's — and so [`super::analyze_schedule_reference`]'s —
-//! driver: every holiday verified on its own through
-//! [`HolidayChecker::check`].  [`merge_shards`] combines the tallies in
-//! horizon order.
+//! [`sequential`] is the Sequential engine — and so
+//! [`super::analyze_schedule_reference`]: every holiday emitted, verified
+//! on its own through [`HolidayChecker::check`] and recorded, with zero
+//! heap allocations per holiday.
 
-use std::ops::Range;
+use fhg_graph::{Graph, HappySet, NodeId};
 
-use fhg_graph::{Graph, HappySet};
-
-use super::checker::{ClassBatch, HolidayChecker};
+use super::checker::HolidayChecker;
 use super::{AnalysisTotals, NodeAnalysis, ScheduleAnalysis};
 
-/// Sentinel for "no offset/gap recorded yet" in the accumulators (horizons
-/// never reach `u64::MAX`).
+/// Sentinel for "no offset/gap recorded yet" in the accumulators (every
+/// offset and gap is below the horizon, so never `u64::MAX`).
 pub(super) const NONE: u64 = u64::MAX;
 
 /// Per-node accumulator of one horizon segment (see the module docs).
@@ -113,6 +109,25 @@ impl NodeAccum {
     fn observed_period(&self) -> Option<u64> {
         (self.uniform && self.first_gap != NONE).then_some(self.first_gap)
     }
+
+    /// The public per-node result of a merged global accumulator over a
+    /// horizon of `horizon` holidays.
+    #[inline]
+    pub(super) fn analysis(&self, node: NodeId, degree: usize, horizon: u64) -> NodeAnalysis {
+        NodeAnalysis {
+            node,
+            degree,
+            happy_count: self.happy,
+            max_unhappiness: self.max_unhappiness(horizon),
+            observed_period: self.observed_period(),
+            first_happy: (self.first != NONE).then_some(self.first),
+            mean_gap: if self.gap_count > 0 {
+                self.gap_sum as f64 / self.gap_count as f64
+            } else {
+                f64::NAN
+            },
+        }
+    }
 }
 
 /// Folds segment `s` (the next contiguous stretch of the horizon) into the
@@ -160,19 +175,14 @@ fn apply_gap_candidate(g: &mut NodeAccum, gap: u64) {
     }
 }
 
-/// Per-node accumulators plus the scalar verdicts of one stretch of the
-/// horizon — what each sweep driver fills and [`merge_shards`] combines.
-pub(super) struct Tally {
-    pub(super) accum: Vec<NodeAccum>,
-    pub(super) all_independent: bool,
-    pub(super) total_happiness: u64,
+/// Per-node accumulators plus the scalar verdicts of the sequential sweep.
+struct Tally {
+    accum: Vec<NodeAccum>,
+    all_independent: bool,
+    total_happiness: u64,
 }
 
 impl Tally {
-    fn new(n: usize) -> Self {
-        Tally { accum: vec![NodeAccum::empty(); n], all_independent: true, total_happiness: 0 }
-    }
-
     /// Counts the happy set emitted at `offset`.  Members at or beyond the
     /// graph's node count mark the schedule non-independent and get no
     /// accumulator.
@@ -190,131 +200,40 @@ impl Tally {
     }
 }
 
-/// One worker's slice of the horizon in the sharded engine: a contiguous
-/// offset range, private scratch, and the shard's [`Tally`].
-pub(super) struct ShardSweep {
-    /// Offsets (from the start of the horizon) this shard covers.
-    offsets: Range<u64>,
-    /// Offsets below this bound get an independence check; at or above it the
-    /// cached per-residue verdict is replayed (equal to the horizon when no
-    /// cache applies).
-    verify_below: u64,
-    pub(super) tally: Tally,
-    happy: HappySet,
-    /// Buffered classes awaiting batched verification — only offsets below
-    /// `verify_below` pass through it; replayed offsets keep using `happy`.
-    batch: ClassBatch,
-}
-
-impl ShardSweep {
-    pub(super) fn new(n: usize, capacity: usize, offsets: Range<u64>, verify_below: u64) -> Self {
-        ShardSweep {
-            offsets,
-            verify_below,
-            tally: Tally::new(n),
-            happy: HappySet::new(capacity),
-            batch: ClassBatch::new(capacity),
-        }
-    }
-
-    /// Sweeps the shard's offsets: emit, verify (below `verify_below`,
-    /// buffered through the [`ClassBatch`] and flushed via
-    /// [`HolidayChecker::check_batch`] up to 64 classes at a time), and
-    /// count.  Zero heap allocations per holiday: `fill` reuses the shard's
-    /// scratch buffers and the tally was sized up front.
-    pub(super) fn sweep<C: HolidayChecker + ?Sized>(
-        &mut self,
-        start: u64,
-        checker: &C,
-        mut fill: impl FnMut(u64, &mut HappySet),
-    ) {
-        for offset in self.offsets.clone() {
-            let t = start + offset;
-            if offset < self.verify_below {
-                // Verified offsets emit straight into a batch slot so the
-                // set survives until the flush.
-                let happy = self.batch.slot(t);
-                fill(t, happy);
-                self.tally.absorb(happy, offset);
-                if self.batch.commit() {
-                    let ok = self.batch.flush(self.tally.all_independent, checker);
-                    self.tally.all_independent &= ok;
-                }
-            } else {
-                // Replayed offsets (the residue cache already holds their
-                // verdict) bypass verification entirely.
-                fill(t, &mut self.happy);
-                self.tally.absorb(&self.happy, offset);
-            }
-        }
-        let ok = self.batch.flush(self.tally.all_independent, checker);
-        self.tally.all_independent &= ok;
-    }
-}
-
-/// The Sequential engine's driver: holidays `0..horizon`, each verified on
-/// its own.
-pub(super) struct ReferenceSweep {
+/// The Sequential engine: emits holidays `start..start + horizon` through
+/// `fill` into one buffer of `capacity` nodes, verifies each on its own
+/// through [`HolidayChecker::check`] (until the first failure) and records
+/// it for every graph node, with zero heap allocations per holiday.  Each
+/// lane is then merged into the empty accumulator, which adds its leading
+/// unhappy stretch, and the lanes are finalized.
+pub(super) fn sequential<C: HolidayChecker + ?Sized>(
+    scheduler: String,
+    graph: &Graph,
+    capacity: usize,
     horizon: u64,
-    pub(super) tally: Tally,
-    happy: HappySet,
-}
-
-impl ReferenceSweep {
-    pub(super) fn new(n: usize, capacity: usize, horizon: u64) -> Self {
-        ReferenceSweep { horizon, tally: Tally::new(n), happy: HappySet::new(capacity) }
-    }
-
-    /// Sweeps the horizon: emit, verify every holiday (until the first
-    /// failure), and count, with zero heap allocations per holiday.
-    pub(super) fn sweep<C: HolidayChecker + ?Sized>(
-        &mut self,
-        start: u64,
-        checker: &C,
-        mut fill: impl FnMut(u64, &mut HappySet),
-    ) {
-        for offset in 0..self.horizon {
-            let t = start + offset;
-            fill(t, &mut self.happy);
-            if self.tally.all_independent && !checker.check(t, self.happy.as_bitset()) {
-                self.tally.all_independent = false;
-            }
-            self.tally.absorb(&self.happy, offset);
+    start: u64,
+    checker: &C,
+    mut fill: impl FnMut(u64, &mut HappySet),
+) -> ScheduleAnalysis {
+    let mut tally = Tally {
+        accum: vec![NodeAccum::empty(); graph.node_count()],
+        all_independent: true,
+        total_happiness: 0,
+    };
+    let mut happy = HappySet::new(capacity);
+    for offset in 0..horizon {
+        let t = start + offset;
+        fill(t, &mut happy);
+        if tally.all_independent && !checker.check(t, happy.as_bitset()) {
+            tally.all_independent = false;
         }
+        tally.absorb(&happy, offset);
     }
-}
-
-/// Splits `horizon` offsets into at most `parts` contiguous, non-empty
-/// ranges (earlier ranges get the remainder, matching an even split).
-pub(super) fn split_offsets(horizon: u64, parts: usize) -> Vec<Range<u64>> {
-    if horizon == 0 || parts == 0 {
-        return Vec::new();
+    for lane in &mut tally.accum {
+        let segment = std::mem::replace(lane, NodeAccum::empty());
+        merge_node(lane, &segment);
     }
-    let parts = (parts as u64).min(horizon);
-    let base = horizon / parts;
-    let remainder = horizon % parts;
-    let mut ranges = Vec::with_capacity(parts as usize);
-    let mut lo = 0u64;
-    for i in 0..parts {
-        let len = base + u64::from(i < remainder);
-        ranges.push(lo..lo + len);
-        lo += len;
-    }
-    ranges
-}
-
-/// Merges shard tallies (in horizon order) into one global tally through
-/// [`merge_node`].
-pub(super) fn merge_shards<'a>(n: usize, shards: impl IntoIterator<Item = &'a Tally>) -> Tally {
-    let mut global = Tally::new(n);
-    for shard in shards {
-        global.all_independent &= shard.all_independent;
-        global.total_happiness += shard.total_happiness;
-        for (g, s) in global.accum.iter_mut().zip(&shard.accum) {
-            merge_node(g, s);
-        }
-    }
-    global
+    finalize(scheduler, horizon, graph, tally.accum, tally.all_independent, tally.total_happiness)
 }
 
 fn mean_happy_set_size(total_happiness: u64, horizon: u64) -> f64 {
@@ -326,8 +245,7 @@ fn mean_happy_set_size(total_happiness: u64, horizon: u64) -> f64 {
 }
 
 /// Assembles merged global accumulators (node `p` is the `p`-th item) into
-/// the final [`ScheduleAnalysis`]: the trailing unhappy stretch, the
-/// observed period and the float statistics.
+/// the final [`ScheduleAnalysis`].
 pub(super) fn finalize(
     scheduler: String,
     horizon: u64,
@@ -336,25 +254,27 @@ pub(super) fn finalize(
     all_independent: bool,
     total_happiness: u64,
 ) -> ScheduleAnalysis {
-    let per_node: Vec<NodeAnalysis> = global
+    let per_node = global
         .into_iter()
         .enumerate()
-        .map(|(p, a)| NodeAnalysis {
-            node: p,
-            degree: graph.degree(p),
-            happy_count: a.happy,
-            max_unhappiness: a.max_unhappiness(horizon),
-            observed_period: a.observed_period(),
-            first_happy: (a.first != NONE).then_some(a.first),
-            mean_gap: if a.gap_count > 0 {
-                a.gap_sum as f64 / a.gap_count as f64
-            } else {
-                f64::NAN
-            },
-        })
+        .map(|(p, a)| a.analysis(p, graph.degree(p), horizon))
         .collect();
+    assemble(scheduler, horizon, per_node, all_independent, total_happiness)
+}
 
-    let never_happy = per_node.iter().filter(|n| n.happy_count == 0).map(|n| n.node).collect();
+/// Wraps finished per-node results into the [`ScheduleAnalysis`].  The
+/// never-happy list gets its exact capacity, so it allocates only when some
+/// node never hosts.
+pub(super) fn assemble(
+    scheduler: String,
+    horizon: u64,
+    per_node: Vec<NodeAnalysis>,
+    all_independent: bool,
+    total_happiness: u64,
+) -> ScheduleAnalysis {
+    let never = |n: &&NodeAnalysis| n.happy_count == 0;
+    let mut never_happy = Vec::with_capacity(per_node.iter().filter(never).count());
+    never_happy.extend(per_node.iter().filter(never).map(|n| n.node));
     ScheduleAnalysis {
         scheduler,
         horizon,
@@ -366,54 +286,63 @@ pub(super) fn finalize(
     }
 }
 
-/// The totals-only reduction of merged global accumulators: the aggregate
-/// view of [`finalize`]'s output, with no per-node assembly, no float work
-/// per node and no allocation.
+/// The totals-only reduction of merged global accumulators, one lane at a
+/// time: the aggregate view of [`finalize`]'s output, with no per-node
+/// assembly, no float work per node and no allocation.
+pub(super) struct TotalsFold {
+    max_unhappiness: u64,
+    all_periodic: bool,
+    never_happy: u64,
+}
+
+impl TotalsFold {
+    pub(super) fn new() -> Self {
+        TotalsFold { max_unhappiness: 0, all_periodic: true, never_happy: 0 }
+    }
+
+    /// Folds in one node's merged accumulator over `horizon` holidays.
+    #[inline]
+    pub(super) fn absorb(&mut self, a: &NodeAccum, horizon: u64) {
+        self.max_unhappiness = self.max_unhappiness.max(a.max_unhappiness(horizon));
+        self.all_periodic &= a.observed_period().is_some();
+        self.never_happy += u64::from(a.happy == 0);
+    }
+
+    pub(super) fn finish(
+        self,
+        horizon: u64,
+        all_independent: bool,
+        total_happiness: u64,
+    ) -> AnalysisTotals {
+        AnalysisTotals {
+            horizon,
+            total_happiness,
+            mean_happy_set_size: mean_happy_set_size(total_happiness, horizon),
+            max_unhappiness: self.max_unhappiness,
+            all_periodic: self.all_periodic,
+            never_happy: self.never_happy,
+            all_happy_sets_independent: all_independent,
+        }
+    }
+}
+
+/// [`TotalsFold`] over every lane of `global`.
 pub(super) fn totals(
     horizon: u64,
     global: impl IntoIterator<Item = NodeAccum>,
     all_independent: bool,
     total_happiness: u64,
 ) -> AnalysisTotals {
-    let mut max_unhappiness = 0u64;
-    let mut all_periodic = true;
-    let mut never_happy = 0u64;
+    let mut fold = TotalsFold::new();
     for a in global {
-        max_unhappiness = max_unhappiness.max(a.max_unhappiness(horizon));
-        all_periodic &= a.observed_period().is_some();
-        never_happy += u64::from(a.happy == 0);
+        fold.absorb(&a, horizon);
     }
-    AnalysisTotals {
-        horizon,
-        total_happiness,
-        mean_happy_set_size: mean_happy_set_size(total_happiness, horizon),
-        max_unhappiness,
-        all_periodic,
-        never_happy,
-        all_happy_sets_independent: all_independent,
-    }
+    fold.finish(horizon, all_independent, total_happiness)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_offsets_covers_the_horizon_exactly() {
-        for (horizon, parts) in [(10u64, 3usize), (7, 8), (1, 1), (64, 4), (5, 5)] {
-            let ranges = split_offsets(horizon, parts);
-            assert!(ranges.len() <= parts);
-            assert!(ranges.iter().all(|r| !r.is_empty()), "no empty shards");
-            let mut expected = 0u64;
-            for r in &ranges {
-                assert_eq!(r.start, expected, "contiguous coverage");
-                expected = r.end;
-            }
-            assert_eq!(expected, horizon);
-        }
-        assert!(split_offsets(0, 4).is_empty());
-        assert!(split_offsets(9, 0).is_empty());
-    }
 
     #[test]
     fn record_matches_a_hand_computed_sequence() {

@@ -19,8 +19,8 @@
 //! maintains a [`ResidueSchedule`] view *incrementally*: every recolouring
 //! is one [`ResidueSchedule::set_row`] call, and
 //! [`Scheduler::residue_schedule`] exposes the view, which moves dynamic
-//! schedules off the sequential analysis path and onto the closed-form /
-//! sharded engines like every other periodic scheduler.
+//! schedules off the sequential analysis path and onto the progression
+//! engine like every other periodic scheduler.
 //!
 //! The same row deltas drive cache repair downstream: [`apply_event`]
 //! returns an [`EventRepair`] — the applied event plus at most two

@@ -40,10 +40,9 @@ pub mod schedulers;
 pub mod serving;
 
 pub use analysis::{
-    analyze_schedule, analyze_schedule_reference, analyze_schedule_totals,
-    analyze_schedule_with_checker, analyze_schedule_with_engine, AnalysisEngine, AnalysisTotals,
-    CycleProfile, GraphChecker, HolidayChecker, NodeAnalysis, PatchRefused, PatchScratch,
-    PatchStats, ScanChecker, ScheduleAnalysis,
+    analyze_schedule, analyze_schedule_reference, analyze_schedule_totals, AnalysisEngine,
+    AnalysisTotals, CycleProfile, GraphChecker, HolidayChecker, NodeAnalysis, PatchRefused,
+    PatchScratch, PatchStats, ScanChecker, ScheduleAnalysis,
 };
 pub use gathering::{orientation_from_happy_set, Gathering};
 pub use scheduler::Scheduler;

@@ -91,13 +91,16 @@ pub trait Scheduler {
     /// [`fill_happy_set`](Scheduler::fill_happy_set) would, evaluable through
     /// `&self` from any thread.
     ///
-    /// Returning `Some` is what unlocks the fast analysis engines
-    /// ([`crate::analysis::AnalysisEngine`]): the closed-form cycle profile
-    /// (each residue class `t mod` [`ResidueSchedule::cycle`] emitted and
-    /// verified once, the whole horizon derived analytically) when the
-    /// horizon spans at least one cycle, and the sharded, residue-cached
-    /// sweep otherwise.  Stateful schedulers must return `None` (the
-    /// default) and take the sequential, fully verified path.
+    /// Returning `Some` puts the scheduler on the progression engine
+    /// ([`crate::analysis::AnalysisEngine::ClosedForm`]) at every horizon:
+    /// [`crate::analysis::analyze_schedule`] reads each node's
+    /// `(slot, modulus)` row, derives its statistics from one formula per
+    /// node and the independence verdict from one congruence test per
+    /// edge, without emitting a single happy set, so the horizon and the
+    /// [`ResidueSchedule::cycle`] cost nothing.  The view is also what the
+    /// serving tier caches ([`crate::serving::ProfileService`]).  Stateful
+    /// schedulers must return `None` (the default) and take the sequential,
+    /// fully verified path.
     fn residue_schedule(&self) -> Option<&ResidueSchedule> {
         None
     }

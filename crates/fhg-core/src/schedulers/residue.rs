@@ -15,9 +15,10 @@
 //! [`ResidueSchedule`] bundles the `(slot, modulus)` assignment, the optional
 //! table and the schedule's global cycle length into a **pure function of the
 //! holiday number** that can be evaluated from any thread through `&self`.
-//! It is the view [`crate::scheduler::Scheduler::residue_schedule`] exposes
-//! so the analysis can shard horizons across worker threads and verify
-//! independence once per residue class instead of once per holiday.
+//! It is the view [`crate::scheduler::Scheduler::residue_schedule`] exposes:
+//! the one-shot analysis reads its rows directly (one formula per node, one
+//! congruence test per edge), and the serving tier's cycle profiles emit
+//! each residue class from it once, from any thread.
 //!
 //! Memory is `Σ_m m · n/8` bytes over the distinct moduli, which is tiny for
 //! the degree distributions the experiments use but can reach `Θ(n·Δ)` on
@@ -163,7 +164,7 @@ impl ResidueTable {
 /// Unlike [`crate::scheduler::Scheduler::fill_happy_set`] (which takes `&mut
 /// self`), [`ResidueSchedule::fill`] works through `&self`, so any number of
 /// threads can evaluate disjoint stretches of the horizon concurrently — the
-/// property the sharded analysis relies on.  The schedule repeats with period
+/// property the parallel profile build relies on.  The schedule repeats with period
 /// [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
 /// `t mod cycle()`, which is what makes per-residue verification caching
 /// sound.
@@ -342,13 +343,15 @@ impl ResidueSchedule {
 
     /// Total happy appearances over one full cycle: `Σ_p cycle / m_p`
     /// (saturating), precomputed at construction.  This — not the cycle
-    /// length — is what bounds the memory of a closed-form
+    /// length — is what bounds the memory of a serving-tier
     /// [`CycleProfile`](crate::analysis::CycleProfile), so
-    /// [`AnalysisEngine::select`](crate::analysis::AnalysisEngine::select)
-    /// budgets on it: a hub-and-spoke degree distribution can pack
-    /// `n · cycle / 2` attendances into one cycle even when the cycle itself
-    /// is short.  The profile builder also sizes its per-shard event lists
-    /// from it, so the class walk never regrows them.
+    /// `ProfileService` budgets on it against
+    /// [`CycleProfile::MAX_EVENTS`](crate::analysis::CycleProfile::MAX_EVENTS):
+    /// a hub-and-spoke degree distribution can pack `n · cycle / 2`
+    /// attendances into one cycle even when the cycle itself is short.  The
+    /// profile builder also sizes its per-shard event lists from it, so the
+    /// class walk never regrows them.  One-shot analysis never reads it: the
+    /// progression engine costs `O(n + m)` whatever the attendance.
     pub fn attendance_per_cycle(&self) -> u64 {
         self.attendance
     }

@@ -15,7 +15,7 @@ use crate::schedulers::residue::ResidueSchedule;
 #[derive(Debug, Clone)]
 pub struct TrivialSequential {
     n: usize,
-    /// Residue view `t ≡ p (mod n)` for the sharded analysis; scan-only
+    /// Residue view `t ≡ p (mod n)` for the progression analysis; scan-only
     /// because a word-row table for the identity schedule would cost `n²/8`
     /// bytes — the view emits through its `O(n)`-memory residue bucket index
     /// (one divide + one insert per holiday) instead.

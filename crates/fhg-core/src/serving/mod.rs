@@ -226,8 +226,8 @@ fn parse_audit_step(raw: Option<&str>) -> usize {
 pub enum RegisterError {
     /// The scheduler exposes no perfectly periodic residue view
     /// ([`Scheduler::residue_schedule`] returned `None`), so no cycle
-    /// profile exists to build.  Analyze it with the sweep engines instead
-    /// ([`crate::analysis::analyze_schedule`]).
+    /// profile exists to build.  Analyze it with the sequential engine
+    /// instead ([`crate::analysis::analyze_schedule`]).
     NotPeriodic {
         /// The offending scheduler's [`Scheduler::name`].
         scheduler: String,

@@ -39,11 +39,11 @@
 //! point, starting at `first_holiday()`.
 //!
 //! Perfectly periodic schedulers additionally expose a
-//! `core::Scheduler::residue_schedule` view — a pure function of the holiday
-//! number — which lets `core::analyze_schedule` shard the horizon across
-//! worker threads (`FHG_THREADS`) and verify independence once per residue
-//! class `t mod cycle` instead of once per holiday, with results
-//! bitwise-identical to the sequential sweep at every thread count.
+//! `core::Scheduler::residue_schedule` view — each parent's `(slot, modulus)`
+//! row — which lets `core::analyze_schedule` skip emission entirely: every
+//! parent's statistics follow from one formula on its row, and independence
+//! from one congruence test per conflict edge, in `O(n + m)` at any horizon
+//! and bitwise-identical to the sequential sweep.
 //!
 //! ## Quickstart
 //!

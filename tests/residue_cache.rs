@@ -1,23 +1,28 @@
-//! Verification-cache lockdown: perfectly periodic schedulers are verified
-//! once per residue class, and a corrupted schedule is still caught through
-//! the cache path.
+//! Verification lockdown: every holiday a schedule runs is covered by its
+//! independence verdict, exactly once per residue class where classes are
+//! walked, and a corrupted schedule is caught on every path.
 //!
 //! A counting [`HolidayChecker`] wraps the real graph checker and records
-//! every holiday the analysis actually probes.  For a scheduler exposing a
-//! `ResidueSchedule` view with cycle `C <= horizon`, the analysis must probe
-//! exactly the holidays `start..start + C` — one per residue class — at every
-//! thread count; stateful schedulers must still be probed on every holiday.
-//! Both counting granularities are pinned: a checker that only overrides
-//! `check` sees every class through the batch default's per-class fallback,
-//! and a checker that overrides `check_batch` sees each class in exactly one
-//! batch.  Kernel-mode coverage comes from CI running this suite under each
+//! every holiday it is asked to verify.  The serving tier's
+//! `CycleProfile::build` is the one cycle walk left: it must probe exactly
+//! the holidays `start..start + C` of a cycle `C` — one per residue class,
+//! none repeated — at every thread count, and deriving any horizon from the
+//! built profile must probe nothing more.  Both counting granularities are
+//! pinned: a checker that only overrides `check` sees every class through
+//! the batch default's per-class fallback, and a checker that overrides
+//! `check_batch` sees each class in exactly one batch.  The one-shot
+//! analysis emits no happy sets at all (one congruence test per edge), so
+//! its verdict is pinned by what it reports: a horizon that ends before the
+//! first conflicting holiday is independent, one that reaches it is not.
+//! Stateful schedulers are verified holiday by holiday, up to the last.
+//! Kernel-mode coverage comes from CI running this suite under each
 //! `FHG_KERNEL` value.
 
 use std::sync::Mutex;
 
 use fhg::core::analysis::{
-    analyze_schedule, analyze_schedule_reference, analyze_schedule_with_checker, GraphChecker,
-    HolidayChecker,
+    analyze_schedule, analyze_schedule_reference, analyze_schedule_totals, CycleProfile,
+    GraphChecker, HolidayChecker,
 };
 use fhg::core::schedulers::residue::ResidueSchedule;
 use fhg::core::schedulers::{PeriodicDegreeBound, PhasedGreedy};
@@ -27,8 +32,8 @@ use fhg::graph::{FixedBitSet, Graph, NodeId};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
-/// Records every holiday the analysis asks to verify, then delegates to the
-/// real checker.
+/// Records every holiday it is asked to verify, then delegates to the real
+/// checker.
 struct CountingChecker {
     inner: GraphChecker,
     probed: Mutex<Vec<u64>>,
@@ -55,8 +60,8 @@ impl HolidayChecker for CountingChecker {
 
 /// Records every class handed through the **batch** path (and asserts the
 /// batch width contract), then delegates to the real batched checker.  A
-/// class the engines route through per-class `check` would be counted too —
-/// the exactly-once assertions below therefore cover both granularities.
+/// class routed through per-class `check` would be counted too — the
+/// exactly-once assertions below therefore cover both granularities.
 struct BatchCountingChecker {
     inner: GraphChecker,
     probed: Mutex<Vec<u64>>,
@@ -93,21 +98,33 @@ impl HolidayChecker for BatchCountingChecker {
     }
 }
 
+/// Builds the profile of `scheduler`'s view through `checker` on a pool of
+/// `threads` workers.
+fn build_with<C: HolidayChecker>(
+    graph: &Graph,
+    scheduler: &dyn Scheduler,
+    checker: &C,
+    threads: usize,
+) -> CycleProfile {
+    let view = scheduler.residue_schedule().expect("periodic");
+    let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+    pool.install(|| {
+        CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), checker)
+    })
+}
+
 #[test]
 fn each_residue_class_is_verified_exactly_once() {
     let graph = erdos_renyi(80, 0.08, 7);
-    let mut scheduler = PeriodicDegreeBound::new(&graph);
+    let scheduler = PeriodicDegreeBound::new(&graph);
     let cycle = scheduler.residue_schedule().expect("periodic").cycle();
     let start = scheduler.first_holiday();
-    let horizon = 4 * cycle + 13; // comfortably more holidays than classes
-    assert!(cycle >= 2 && cycle < horizon, "test graph must have a non-trivial cycle");
+    assert!(cycle >= 2, "test graph must have a non-trivial cycle");
 
     for threads in [1usize, 2, 8] {
         let checker = CountingChecker::new(&graph);
-        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let analysis = pool
-            .install(|| analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker));
-        assert!(analysis.all_happy_sets_independent);
+        let profile = build_with(&graph, &scheduler, &checker, threads);
+        assert!(profile.all_classes_independent());
         assert_eq!(
             checker.probed_sorted(),
             (start..start + cycle).collect::<Vec<u64>>(),
@@ -118,32 +135,77 @@ fn each_residue_class_is_verified_exactly_once() {
 
 #[test]
 fn short_horizons_only_verify_what_they_run() {
-    // horizon < cycle: every holiday is a fresh residue class, all probed.
-    let graph = erdos_renyi(60, 0.1, 3);
-    let mut scheduler = PeriodicDegreeBound::new(&graph);
-    let cycle = scheduler.residue_schedule().expect("periodic").cycle();
-    assert!(cycle > 4, "need a cycle longer than the horizon under test");
-    let start = scheduler.first_holiday();
-    let horizon = cycle - 2;
-    let checker = CountingChecker::new(&graph);
-    analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker);
-    assert_eq!(checker.probed_sorted(), (start..start + horizon).collect::<Vec<u64>>());
+    // `Corrupted` first puts two neighbours together at offset 1, so a
+    // one-holiday horizon is independent and every longer one is not —
+    // on the progression engine, on its totals path and in the reference.
+    let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+    for (horizon, independent) in [(1u64, true), (2, false), (64, false)] {
+        let mut scheduler = Corrupted::new();
+        let analysis = analyze_schedule(&graph, &mut scheduler, horizon);
+        assert_eq!(analysis.all_happy_sets_independent, independent, "horizon {horizon}");
+        let totals = analyze_schedule_totals(&graph, &mut scheduler, horizon);
+        assert_eq!(totals.all_happy_sets_independent, independent, "totals, horizon {horizon}");
+        let reference = analyze_schedule_reference(&graph, &mut scheduler, horizon);
+        assert_eq!(reference.all_happy_sets_independent, independent, "reference {horizon}");
+    }
+}
+
+/// A stateful scheduler (no residue view) that plants a conflicting pair
+/// into the otherwise valid phased-greedy happy set of holiday `at`.
+struct Planted {
+    inner: PhasedGreedy,
+    at: u64,
+    pair: (NodeId, NodeId),
+}
+
+impl Scheduler for Planted {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
+        self.inner.fill_happy_set(t, out);
+        if t == self.at {
+            out.insert(self.pair.0);
+            out.insert(self.pair.1);
+        }
+    }
+    fn first_holiday(&self) -> u64 {
+        self.inner.first_holiday()
+    }
+    fn name(&self) -> &'static str {
+        "planted"
+    }
+    fn is_periodic(&self) -> bool {
+        false
+    }
+    fn period(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
+    fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
 }
 
 #[test]
 fn stateful_schedulers_are_verified_on_every_holiday() {
     let graph = erdos_renyi(40, 0.1, 5);
-    let mut scheduler = PhasedGreedy::new(&graph);
-    assert!(scheduler.residue_schedule().is_none(), "phased greedy is stateful: no view");
-    let start = scheduler.first_holiday();
+    let edge = graph.edges().next().expect("the test graph has edges");
     let horizon = 97u64;
-    let checker = CountingChecker::new(&graph);
-    analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker);
-    assert_eq!(
-        checker.probed_sorted(),
-        (start..start + horizon).collect::<Vec<u64>>(),
-        "no residue view means no caching: every holiday probed"
-    );
+    let planted = || {
+        let inner = PhasedGreedy::new(&graph);
+        let at = inner.first_holiday() + horizon - 1;
+        Planted { inner, at, pair: (edge.u, edge.v) }
+    };
+    assert!(planted().residue_schedule().is_none(), "no view: the sequential engine runs");
+    // The conflict sits on the last holiday: only a sweep that verifies
+    // every holiday up to the end catches it.
+    let reference = analyze_schedule_reference(&graph, &mut planted(), horizon);
+    assert!(!reference.all_happy_sets_independent, "the reference must catch the last holiday");
+    let analysis = analyze_schedule(&graph, &mut planted(), horizon);
+    assert!(!analysis.all_happy_sets_independent);
+    // One holiday shorter, the plant is never emitted.
+    let short = analyze_schedule_reference(&graph, &mut planted(), horizon - 1);
+    assert!(short.all_happy_sets_independent, "phased greedy alone is independent");
 }
 
 /// A deliberately broken "periodic" scheduler: two adjacent nodes share the
@@ -188,38 +250,42 @@ impl Scheduler for Corrupted {
 }
 
 #[test]
-fn corrupted_happy_sets_are_caught_through_the_cache_path() {
+fn corrupted_happy_sets_are_caught_by_the_congruence_test() {
     let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-    for threads in [1usize, 2, 8] {
-        let mut scheduler = Corrupted::new();
-        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let analysis = pool.install(|| analyze_schedule(&graph, &mut scheduler, 64));
-        assert!(
-            !analysis.all_happy_sets_independent,
-            "{threads} threads: the cached path must catch the conflicting residue class"
-        );
-        // And the verdict replay agrees with the exhaustive reference.
-        let mut reference = Corrupted::new();
-        let expected = analyze_schedule_reference(&graph, &mut reference, 64);
-        assert!(!expected.all_happy_sets_independent);
-    }
+    let mut scheduler = Corrupted::new();
+    let analysis = analyze_schedule(&graph, &mut scheduler, 64);
+    assert!(
+        !analysis.all_happy_sets_independent,
+        "nodes 0 and 1 share the row 1 mod 4: the congruence test must fail their edge"
+    );
+    assert!(!analyze_schedule_totals(&graph, &mut scheduler, 64).all_happy_sets_independent);
+    // And the verdict agrees with the exhaustive reference.
+    let mut reference = Corrupted::new();
+    let expected = analyze_schedule_reference(&graph, &mut reference, 64);
+    assert!(!expected.all_happy_sets_independent);
 }
 
 #[test]
 fn cache_probe_count_is_independent_of_the_horizon() {
-    // Doubling the horizon must not change the number of probes once every
-    // residue class has been seen.
+    // Deriving any horizon from a built profile probes nothing: the count
+    // stays one per residue class however far the derivation reaches.
     let graph = erdos_renyi(50, 0.12, 9);
-    let cycle = PeriodicDegreeBound::new(&graph).residue_schedule().unwrap().cycle();
-    let mut counts = Vec::new();
-    for horizon in [2 * cycle, 8 * cycle] {
-        let mut scheduler = PeriodicDegreeBound::new(&graph);
+    let scheduler = PeriodicDegreeBound::new(&graph);
+    let cycle = scheduler.residue_schedule().unwrap().cycle();
+    for threads in [1usize, 2, 8] {
         let checker = CountingChecker::new(&graph);
-        analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker);
-        counts.push(checker.probed_sorted().len() as u64);
+        let profile = build_with(&graph, &scheduler, &checker, threads);
+        for horizon in [2 * cycle, 8 * cycle, 1 << 40] {
+            let analysis = profile.derive(scheduler.name(), &graph, horizon).unwrap();
+            assert!(analysis.all_happy_sets_independent);
+            assert!(profile.derive_window_totals(3, horizon).all_happy_sets_independent);
+        }
+        assert_eq!(
+            checker.probed_sorted().len() as u64,
+            cycle,
+            "{threads} threads: probe count must not scale with the horizon"
+        );
     }
-    assert_eq!(counts[0], cycle);
-    assert_eq!(counts[1], cycle, "probe count must not scale with the horizon");
 }
 
 #[test]
@@ -229,18 +295,15 @@ fn batched_verification_still_probes_each_class_exactly_once() {
     // arrives in exactly one batch, none is re-probed per class, at every
     // thread count.
     let graph = erdos_renyi(80, 0.08, 7);
-    let mut scheduler = PeriodicDegreeBound::new(&graph);
+    let scheduler = PeriodicDegreeBound::new(&graph);
     let cycle = scheduler.residue_schedule().expect("periodic").cycle();
     let start = scheduler.first_holiday();
-    let horizon = 4 * cycle + 13;
-    assert!(cycle >= 2 && cycle < horizon, "test graph must have a non-trivial cycle");
+    assert!(cycle >= 2, "test graph must have a non-trivial cycle");
 
     for threads in [1usize, 2, 8] {
         let checker = BatchCountingChecker::new(&graph);
-        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let analysis = pool
-            .install(|| analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker));
-        assert!(analysis.all_happy_sets_independent);
+        let profile = build_with(&graph, &scheduler, &checker, threads);
+        assert!(profile.all_classes_independent());
         assert_eq!(
             checker.probed_sorted(),
             (start..start + cycle).collect::<Vec<u64>>(),
@@ -262,13 +325,13 @@ fn batched_verification_still_probes_each_class_exactly_once() {
 #[test]
 fn corrupted_happy_sets_are_caught_through_the_batch_path() {
     // The conflicting residue class (nodes 0 and 1 host together) must fail
-    // the analysis when verification flows through `check_batch`.
+    // the profile build when verification flows through `check_batch`.
     let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-    let mut scheduler = Corrupted::new();
+    let scheduler = Corrupted::new();
     let checker = BatchCountingChecker::new(&graph);
-    let analysis = analyze_schedule_with_checker(&graph, &mut scheduler, 64, &checker);
+    let profile = build_with(&graph, &scheduler, &checker, 1);
     assert!(
-        !analysis.all_happy_sets_independent,
+        !profile.all_classes_independent(),
         "the batch path must catch the conflicting residue class"
     );
     assert!(!checker.probed_sorted().is_empty(), "the corrupted class was actually probed");

@@ -2,19 +2,16 @@
 //! heap allocations per holiday, for every scheduler in the standard suite —
 //! the same holds for the fused kernel emission+verification paths
 //! (`ResidueSchedule::fill` + `GraphChecker`, whose dispatch decision is
-//! cached in a `OnceLock`, never re-detected per call), on every worker
-//! thread of the sharded analysis path, whose per-shard scratch (happy-set
-//! buffer + accumulators) is allocated once per shard, never per holiday,
-//! and for the incremental repair plane, where steady-state edge events
-//! through `ProfileService::patch` reuse the service-owned scratch.
+//! cached in a `OnceLock`, never re-detected per call), for the serving
+//! tier's window derivations, and for the incremental repair plane, where
+//! steady-state edge events through `ProfileService::patch` reuse the
+//! service-owned scratch.  One-shot `analyze_schedule` on a periodic
+//! scheduler allocates only its output, whatever the horizon or pool
+//! width, and `analyze_schedule_totals` allocates nothing.
 //!
 //! A counting global allocator records every allocation; the test warms each
 //! scheduler's buffer (and any internal scratch) for a few holidays, then
-//! asserts the allocation counter does not move across a long horizon.  For
-//! the sharded path the per-holiday claim is proved by horizon-independence:
-//! two `analyze_schedule` runs at the same thread count but very different
-//! horizons must allocate exactly the same number of times (threads, shard
-//! scratch and channel messages depend only on the thread count).  The
+//! asserts the allocation counter does not move across a long horizon.  The
 //! `happy_set` Vec shim is also pinned: at most one allocation per call (the
 //! returned `Vec`), since the intermediate `HappySet` is thread-local
 //! scratch.
@@ -44,7 +41,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fhg::core::analysis::{
-    analyze_schedule, AnalysisEngine, CycleProfile, GraphChecker, HolidayChecker,
+    analyze_schedule, analyze_schedule_totals, AnalysisEngine, CycleProfile, GraphChecker,
+    HolidayChecker,
 };
 use fhg::core::schedulers::{standard_suite, PeriodicDegreeBound};
 use fhg::core::{HappySet, Scheduler};
@@ -207,40 +205,54 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         "happy_set shim allocated {delta} times across 256 holidays (max 1 per call)"
     );
 
-    // The production analysis: per-holiday (and, for the closed-form
-    // engine, per-repetition) work must allocate nothing, which shows up as
-    // horizon-independence — the allocations left (profile/shard scratch,
-    // pool bookkeeping) depend only on the graph, the cycle and the thread
-    // count.  Horizons 128/1024/8192 all take the closed-form engine here
-    // (cycle divides them); the engine profiles one cycle and derives the
-    // rest analytically, so an 8x horizon costs not a single extra
-    // allocation.
-    assert_eq!(
-        AnalysisEngine::select(&scheduler, 128),
-        AnalysisEngine::ClosedForm,
-        "horizons of at least one cycle must take the closed-form engine"
-    );
+    // The production analysis of a periodic scheduler: the progression
+    // engine reads the residue rows and the graph, emits nothing and keeps
+    // no scratch, so it allocates exactly its output — the scheduler name,
+    // the per-node vector and, when some node never hosts within the
+    // horizon, the exact-capacity never-happy list — below one cycle and at
+    // every longer horizon, and at every pool width, since it never leaves
+    // the calling thread.
+    let cycle = scheduler.schedule_cycle().expect("perfectly periodic");
+    assert!(cycle > 2 && cycle - 1 < 128, "cycle - 1 must sit below the other horizons");
+    for horizon in [cycle - 1, 128] {
+        assert_eq!(AnalysisEngine::select(&scheduler, horizon), AnalysisEngine::ClosedForm);
+    }
+    let mut counts = Vec::new();
     for threads in [1usize, 2, 4] {
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        // Warm-up run: first-use lazy state (thread-local buffers, pool
-        // workers, runtime bookkeeping) settles before measurement.
+        // Warm-up run: first-use lazy state settles before measurement.
         pool.install(|| analyze_schedule(&graph, &mut scheduler, 64));
-        let deltas: Vec<u64> = [128u64, 1024, 8192]
-            .iter()
-            .map(|&horizon| {
-                min_alloc_delta(|| {
-                    let analysis =
-                        pool.install(|| analyze_schedule(&graph, &mut scheduler, horizon));
-                    assert!(analysis.all_happy_sets_independent);
-                })
-            })
-            .collect();
-        assert!(
-            deltas.windows(2).all(|w| w[0] == w[1]),
-            "{threads} threads: allocations grew with the horizon ({deltas:?}), \
-             so some engine allocated per holiday or per repetition"
-        );
+        for horizon in [cycle - 1, 128, 1024, 8192] {
+            let mut output = 0u64;
+            let delta = min_alloc_delta(|| {
+                let analysis = pool.install(|| analyze_schedule(&graph, &mut scheduler, horizon));
+                assert!(analysis.all_happy_sets_independent);
+                output = 2 + u64::from(!analysis.never_happy.is_empty());
+            });
+            assert_eq!(
+                delta, output,
+                "{threads} threads, horizon {horizon}: analyze_schedule allocated {delta} times \
+                 for an output of {output} allocations"
+            );
+            counts.push((horizon, delta));
+        }
     }
+    for horizon in [cycle - 1, 128, 1024, 8192] {
+        let at: Vec<u64> = counts.iter().filter(|c| c.0 == horizon).map(|c| c.1).collect();
+        assert!(at.windows(2).all(|w| w[0] == w[1]), "horizon {horizon}: {at:?} across pools");
+    }
+    assert!(
+        counts.iter().filter(|c| c.0 >= 128).all(|c| c.1 == 2),
+        "once every node hosts, the count must not depend on the horizon: {counts:?}"
+    );
+    let _ = analyze_schedule_totals(&graph, &mut scheduler, 64);
+    let delta = min_alloc_delta(|| {
+        for horizon in [cycle - 1, 128, 1024, 8192, u64::MAX] {
+            let totals = analyze_schedule_totals(&graph, &mut scheduler, horizon);
+            assert!(totals.all_happy_sets_independent);
+        }
+    });
+    assert_eq!(delta, 0, "analyze_schedule_totals allocated {delta} times after warm-up");
 
     // The serving-tier derivation paths: repeated derivations from one
     // cached profile, with no scratch at all.  The lane fold reads the
@@ -307,24 +319,6 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             "windowed derive allocations grew with the window ({window_deltas:?})"
         );
     }
-
-    // The sub-cycle sharded sweep (horizon < cycle forces the sweep engine):
-    // allocations must likewise be horizon-independent on every worker.
-    let cycle = scheduler.schedule_cycle().expect("perfectly periodic");
-    assert!(cycle >= 8, "need room for two distinct sub-cycle horizons");
-    assert_eq!(AnalysisEngine::select(&scheduler, cycle - 1), AnalysisEngine::ShardedSweep);
-    let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-    pool.install(|| analyze_schedule(&graph, &mut scheduler, cycle - 1));
-    let deltas: Vec<u64> = [cycle - 2, cycle - 1]
-        .iter()
-        .map(|&horizon| {
-            min_alloc_delta(|| {
-                let analysis = pool.install(|| analyze_schedule(&graph, &mut scheduler, horizon));
-                assert!(analysis.all_happy_sets_independent);
-            })
-        })
-        .collect();
-    assert_eq!(deltas[0], deltas[1], "sharded sweep allocations must not depend on the horizon");
 
     // The incremental repair plane (PR 8): steady-state edge churn through
     // `ProfileService::patch` must be allocation-free after warm-up — the
