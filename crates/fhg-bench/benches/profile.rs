@@ -10,6 +10,11 @@
 //! within 2x of the 4096-holiday one — neither the profile's `derive` nor
 //! the progression engine does work that grows with the horizon.
 //!
+//! A second group times the churn read shape: one `derive_window_totals`
+//! over a ragged window far out, on the profile of a `DynamicColorBound`
+//! schedule of `erdos_renyi` with 2048 nodes and mean degree 8 — `O(n)`,
+//! one formula per node, whatever the window.
+//!
 //! Every `CycleProfile::build` row pins its thread pool, so the ambient
 //! pool width never silently shifts what a named row measures.
 
@@ -17,6 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fhg_core::analysis::{analyze_schedule, AnalysisEngine, CycleProfile, GraphChecker};
+use fhg_core::dynamic::DynamicColorBound;
 use fhg_core::prelude::*;
 use fhg_graph::generators;
 use rayon::ThreadPoolBuilder;
@@ -92,6 +98,28 @@ fn bench_cycle_profile(c: &mut Criterion) {
         });
     }
 
+    group.finish();
+
+    let graph = generators::erdos_renyi(2048, 8.0 / 2047.0, 42);
+    let dynamic = DynamicColorBound::new(&graph);
+    let view = dynamic.residue_schedule().expect("perfectly periodic between events");
+    let profile = pool.install(|| {
+        CycleProfile::build(
+            view,
+            dynamic.first_holiday(),
+            graph.node_count(),
+            &GraphChecker::new(&graph),
+        )
+    });
+    let mut group = c.benchmark_group("cycle-profile-dynamic-2048");
+    group.bench_function("window-totals-ragged", |b| {
+        let t0 = (1 << 20) + 12_345;
+        b.iter(|| {
+            let totals = profile.derive_window_totals(black_box(t0), black_box(t0 + 40_961));
+            assert!(totals.all_happy_sets_independent);
+            black_box(totals)
+        })
+    });
     group.finish();
 }
 

@@ -756,11 +756,11 @@ pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<B
 /// must land within 2x of it — the acceptance criterion, witnessed by the
 /// `criterion` column.  The final row reuses one prebuilt `CycleProfile`
 /// and only derives, the serving tier's horizon-free path.  Parity
-/// witnesses are genuinely independent derivations: the short-horizon row
-/// compares against the sequential reference, the long-horizon row against
-/// the profile's derivation (which walks one cycle of residue classes and
-/// replicates it), and the derive-only row against the long-horizon
-/// production analysis.
+/// witnesses: the short-horizon row compares against the sequential
+/// reference, the long-horizon row against the profile's derivation (the
+/// same per-node formula, applied to lanes from a walk of one cycle of
+/// residue classes rather than to the view rows), and the derive-only row
+/// against the long-horizon production analysis.
 pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let mut table = Table::new(
@@ -1574,8 +1574,8 @@ pub fn e16_windowed_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
     assert_eq!(service.warm_count(), service.key_count());
 
     // --- The query mix: LCG-drawn tenant + ragged window per request.
-    // Widths span sub-cycle through many-cycle; starts are arbitrary
-    // phases, so head/middle/tail of the start-offset fold all stay hot. ---
+    // Widths span sub-cycle through many-cycle and starts are arbitrary
+    // phases, so every window shape stays in the mix. ---
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -47,7 +47,8 @@
 //! [`CycleProfile`] (`profile.rs`) walks one cycle of residue classes,
 //! verifying each exactly once through a [`HolidayChecker`] (in batches of
 //! up to 64, [`HolidayChecker::check_batch`]), and then derives any window
-//! in closed form.
+//! in closed form, with the progression engine's per-node formula applied
+//! to each lane's one-cycle progression.
 
 mod checker;
 mod profile;

@@ -13,7 +13,8 @@
 //! exactly once during that walk (locked down by `tests/residue_cache.rs`).
 //! One-shot analyses do not walk the cycle: [`super::analyze_schedule`] runs
 //! the progression engine ([`super::progression`]), and the parity suite
-//! uses this walk as an independent witness for it.
+//! checks each lane's first offset and count from this walk against the
+//! residue rows that engine reads.
 //!
 //! # Sharded parallel build
 //!
@@ -31,37 +32,39 @@
 //! `tests/analysis_parity.rs`).  Each class is still verified exactly once,
 //! by the one shard that owns it.
 //!
-//! # Closed-form derivation: the lane fold
+//! # Closed-form derivation: one formula per lane
 //!
 //! Every derivation — [`CycleProfile::derive`] / [`CycleProfile::derive_totals`]
 //! over `[0, h)` and [`CycleProfile::derive_window`] /
 //! [`CycleProfile::derive_window_totals`] over any `[t0, t1)` — is **one
-//! pass over the nodes**.  A node's statistics over a window depend only on
-//! its own progression, so each lane folds on its own, in registers.  With
-//! phase `a = t0 mod C` the window is
-//!
-//! 1. a ragged **head** — the rest of the phase cycle, replayed from the
-//!    stored offsets rebased by `-a`;
-//! 2. a run of phase-shifted **whole cycles**, replicated analytically from
-//!    the one-cycle summary ([`replicate`]: the internal gaps repeat and each
-//!    cycle boundary contributes the wrap-around gap `C - last + first`),
-//!    then rebased behind the head;
-//! 3. a ragged **tail** of the first cycle offsets, replayed like the head,
-//!
-//! each summarised as a segment and merged in window order by
-//! [`merge_node`], the exact segment merge of the sweep module.  The
-//! merged lane reduces straight to a [`NodeAnalysis`](super::NodeAnalysis)
-//! or into the running totals.  Because replication and replay compose
-//! through the same integer arithmetic as the sequential sweep, every
-//! derived analysis is **bitwise-identical** to
-//! [`super::analyze_schedule_reference`] over the same window (locked down
-//! by `tests/analysis_parity.rs` and `tests/window_parity.rs`).  The cost is
-//! `O(C)` emissions for the build, then `O(n)` plus the head and tail
-//! attendances per derivation — independent of the window length.
+//! pass over the nodes with `O(1)` work per node**.  In a perfectly
+//! periodic schedule node `p` attends exactly one arithmetic progression,
+//! so its one-cycle summary is a progression too: `happy` attendances
+//! `step = C / happy` apart from a `first` offset below the step.  Every
+//! lane a build, a rehydration or a patch writes has that shape (a patch
+//! refuses to change `C`), and the fold checks it in debug builds.  Over
+//! the window the lane is the same progression read from `t0`: its first
+//! offset is the least `o` with `t0 + o ≡ first (mod step)`, and
+//! [`window_lane`], the per-node formula of the progression engine
+//! ([`super::progression`]), turns that offset, the step and the window
+//! length into the accumulator a sequential record pass over the window
+//! ends with.  The merged lane reduces straight to a
+//! [`NodeAnalysis`](super::NodeAnalysis) or into the running totals through
+//! the sweep's arithmetic, so every derived analysis is
+//! **bitwise-identical** to [`super::analyze_schedule_reference`] over the
+//! same window (locked down by `tests/analysis_parity.rs`,
+//! `tests/window_parity.rs` and, across edge churn,
+//! `tests/dynamic_patch.rs`).  The window's total happiness comes from the
+//! per-class size prefix: the ragged head of the phase cycle, the whole
+//! cycles and the ragged tail.  The cost is `O(C)` emissions for the build,
+//! then `O(n)` per derivation — independent of the cycle, the attendance
+//! and the window.  No derivation reads the offset arena; it backs
+//! [`CycleProfile::attendance_offsets`], the patch and
+//! [`CycleProfile::content_eq`].
 //!
 //! The windowed entry points are **total**: zero-width, inverted and
-//! sub-cycle windows are windows without whole cycles (`derive_window(t, t)`
-//! is the empty analysis), so no request shape can panic a long-lived
+//! sub-cycle windows take the same formula (`derive_window(t, t)` is the
+//! empty analysis), so no request shape can panic a long-lived
 //! server.  The whole-cycle verdict caveat: the window's independence flag
 //! is the *cycle's* verdict, not the window restriction (see the method
 //! docs).  The totals paths skip the per-node assembly and float work and
@@ -72,8 +75,8 @@ use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
 
 use super::checker::{ClassBatch, HolidayChecker};
-use super::progression::{crt_class, first_offset, offset_from};
-use super::sweep::{self, merge_node, NodeAccum};
+use super::progression::{crt_class, div, first_offset, offset_from, window_lane};
+use super::sweep::{self, NodeAccum};
 use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
 
@@ -97,7 +100,8 @@ pub struct CycleProfile {
     /// flagged as non-independent and excluded, like the other engines do).
     node_count: usize,
     /// Per-node summaries of the one profiled cycle (offsets relative to the
-    /// cycle start).
+    /// cycle start), each an arithmetic progression `first + k·(cycle /
+    /// happy)` — all the window fold reads of a lane.
     accums: Vec<NodeAccum>,
     /// Per-node `(start, len)` rows into `offsets`.  A fresh build lays
     /// the rows out dense and node-major (a plain CSR); a patch that grows
@@ -717,8 +721,9 @@ impl CycleProfile {
     }
 
     /// Derives the full [`ScheduleAnalysis`] of `horizon` holidays in closed
-    /// form.  Returns `None` when `horizon < cycle` (no full repetition to
-    /// fold; [`CycleProfile::derive_window`] covers those horizons);
+    /// form, in `O(n)` whatever the horizon and the cycle (see the module
+    /// docs).  Returns `None` when `horizon < cycle`, the horizons that hold
+    /// no whole cycle ([`CycleProfile::derive_window`] covers those);
     /// `derive(0)` is therefore always `None` (every cycle is at least 1
     /// long).
     pub fn derive(&self, scheduler: &str, graph: &Graph, horizon: u64) -> Option<ScheduleAnalysis> {
@@ -727,24 +732,25 @@ impl CycleProfile {
 
     /// The totals-only fast path: whole-schedule aggregates of `horizon`
     /// holidays, skipping the per-node assembly and float finalisation
-    /// entirely.  Equal to [`CycleProfile::derive`]`(..).totals()` by
-    /// construction, and `None` exactly when [`CycleProfile::derive`] is.
+    /// entirely, in `O(n)`.  Equal to [`CycleProfile::derive`]`(..).totals()`
+    /// by construction, and `None` exactly when [`CycleProfile::derive`] is.
     pub fn derive_totals(&self, horizon: u64) -> Option<AnalysisTotals> {
         (horizon >= self.cycle).then(|| self.derive_window_totals(0, horizon))
     }
 
     /// Derives the full [`ScheduleAnalysis`] of the window `[t0, t1)` —
     /// holidays `start + t0` up to (excluding) `start + t1`, offsets
-    /// reported relative to the window start — in closed form via the lane
-    /// fold (see the module docs).  **Total over all windows**: zero-width
-    /// (`t1 <= t0`) and sub-cycle windows are defined, never `None` or a
-    /// panic, so this is the serving tier's entry point.  Bitwise-identical
-    /// to [`super::analyze_schedule_reference`] run over the same window
-    /// (pinned by `tests/window_parity.rs`), except that the independence
-    /// verdict is always the profiled cycle's whole-cycle verdict — a
-    /// serving tier answers "is this schedule valid", not "did the bad
-    /// class happen to fall inside the window".  Allocates only the output,
-    /// independently of the window length.
+    /// reported relative to the window start — in closed form, one `O(1)`
+    /// formula per node (see the module docs): `O(n)`, independent of the
+    /// cycle, the attendance, the anchor and the window length.  **Total
+    /// over all windows**: zero-width (`t1 <= t0`) and sub-cycle windows are
+    /// defined, never `None` or a panic, so this is the serving tier's entry
+    /// point.  Bitwise-identical to [`super::analyze_schedule_reference`]
+    /// run over the same window (pinned by `tests/window_parity.rs`), except
+    /// that the independence verdict is always the profiled cycle's
+    /// whole-cycle verdict — a serving tier answers "is this schedule
+    /// valid", not "did the bad class happen to fall inside the window".
+    /// Allocates only the output.
     pub fn derive_window(
         &self,
         scheduler: &str,
@@ -757,29 +763,30 @@ impl CycleProfile {
             scheduler.to_string(),
             w.len,
             graph,
-            (0..self.node_count).map(|p| self.fold_node(p, &w)),
+            (0..self.node_count).map(|p| self.fold_node(p, t0, w.len)),
             self.all_independent,
             self.window_happiness(&w),
         )
     }
 
     /// The totals-only windowed fast path: whole-window aggregates of
-    /// `[t0, t1)`, skipping the per-node assembly entirely.  Total over all
-    /// windows and **allocation-free** (the steady-state serving shape;
-    /// proved by `tests/zero_alloc.rs`).  Equal to
+    /// `[t0, t1)`, skipping the per-node assembly entirely.  `O(n)` like
+    /// [`CycleProfile::derive_window`], total over all windows and
+    /// **allocation-free** (the steady-state serving shape; proved by
+    /// `tests/zero_alloc.rs`).  Equal to
     /// [`CycleProfile::derive_window`]`(..).totals()` by construction.
     pub fn derive_window_totals(&self, t0: u64, t1: u64) -> AnalysisTotals {
         let w = self.window(t0, t1);
         sweep::totals(
             w.len,
-            (0..self.node_count).map(|p| self.fold_node(p, &w)),
+            (0..self.node_count).map(|p| self.fold_node(p, t0, w.len)),
             self.all_independent,
             self.window_happiness(&w),
         )
     }
 
     /// Splits the window `[t0, t1)` into its ragged head, whole cycles and
-    /// ragged tail.
+    /// ragged tail, the pieces its happiness total sums.
     fn window(&self, t0: u64, t1: u64) -> Window {
         let cycle = self.cycle;
         let len = t1.saturating_sub(t0);
@@ -789,42 +796,18 @@ impl CycleProfile {
         Window { len, phase, head, reps: rest / cycle, tail: rest % cycle }
     }
 
-    /// The lane fold of node `p`: its global accumulator over window `w`.  The
-    /// head, the replicated cycles and the tail are each exactly the segment
-    /// summary a sequential record pass over their offsets would produce,
-    /// and [`merge_node`] is exact at any cut, so the folded lane equals a
-    /// sequential sweep of the window merged into the empty accumulator.
+    /// Node `p`'s merged accumulator over the `len` holidays from `t0`: its
+    /// lane is the progression `first + k·step` with `step = C / happy`, so
+    /// the window's lane is that progression read from `t0`, in closed form.
     #[inline]
-    fn fold_node(&self, p: NodeId, w: &Window) -> NodeAccum {
-        let offsets = self.attendance_offsets(p);
-        let mut lane = NodeAccum::empty();
-        if w.head > 0 {
-            let from = offsets.partition_point(|&o| o < w.phase);
-            let mut head = NodeAccum::empty();
-            for &o in offsets[from..].iter().take_while(|&&o| o < w.phase + w.head) {
-                head.record(o - w.phase);
-            }
-            merge_node(&mut lane, &head);
+    fn fold_node(&self, p: NodeId, t0: u64, len: u64) -> NodeAccum {
+        let lane = &self.accums[p];
+        debug_assert!(is_progression(lane, self.cycle), "lane {p} is not a progression");
+        if lane.happy == 0 {
+            return NodeAccum::empty();
         }
-        if w.reps > 0 {
-            // Shifting a segment moves only its endpoints: every gap field
-            // is a difference of offsets.
-            let mut cycles = replicate(&self.accums[p], w.reps, self.cycle);
-            if cycles.happy > 0 {
-                cycles.first += w.head;
-                cycles.last += w.head;
-            }
-            merge_node(&mut lane, &cycles);
-        }
-        if w.tail > 0 {
-            let base = w.head + w.reps * self.cycle;
-            let mut tail = NodeAccum::empty();
-            for &o in offsets.iter().take_while(|&&o| o < w.tail) {
-                tail.record(base + o);
-            }
-            merge_node(&mut lane, &tail);
-        }
-        lane
+        let step = div(self.cycle, lane.happy);
+        window_lane(first_offset(t0, lane.first, step), step, len)
     }
 
     /// Total happy appearances over window `w`, through the per-class size
@@ -842,8 +825,8 @@ impl CycleProfile {
     }
 }
 
-/// A window decomposed for the lane fold: `head` holidays from cycle offset
-/// `phase`, then `reps` whole cycles, then `tail` holidays from cycle
+/// A window decomposed for its happiness total: `head` holidays from cycle
+/// offset `phase`, then `reps` whole cycles, then `tail` holidays from cycle
 /// offset 0 — `len` holidays in all.
 struct Window {
     len: u64,
@@ -860,34 +843,18 @@ fn lane_summary(offsets: &[u64]) -> NodeAccum {
     a
 }
 
-/// Analytically replicates a one-cycle accumulator over `reps`
-/// consecutive cycles of length `cycle`, producing exactly the segment
-/// accumulator a sequential [`NodeAccum::record`] pass over all
-/// `reps · count` attendance offsets would: internal gaps repeat `reps`
-/// times, and the `reps - 1` cycle boundaries each contribute the
-/// wrap-around gap `cycle - last + first`.
-#[inline]
-fn replicate(a: &NodeAccum, reps: u64, cycle: u64) -> NodeAccum {
-    if a.happy == 0 || reps == 0 {
-        return NodeAccum::empty();
+/// Whether a one-cycle summary is an arithmetic progression of the cycle:
+/// no attendance, or `happy` attendances `cycle / happy` apart from a first
+/// offset below that step — the shape every lane of a perfectly periodic
+/// schedule has, and the one the window fold reads.
+fn is_progression(lane: &NodeAccum, cycle: u64) -> bool {
+    if lane.happy == 0 {
+        return true;
     }
-    let wrap = cycle - a.last + a.first;
-    NodeAccum {
-        first: a.first,
-        last: (reps - 1) * cycle + a.last,
-        happy: reps * a.happy,
-        gap_sum: reps * a.gap_sum + (reps - 1) * wrap,
-        gap_count: reps * a.gap_count + (reps - 1),
-        first_gap: if a.gap_count > 0 {
-            a.first_gap
-        } else if reps > 1 {
-            wrap
-        } else {
-            sweep::NONE
-        },
-        max_streak: if reps > 1 { a.max_streak.max(wrap - 1) } else { a.max_streak },
-        uniform: a.uniform && (reps == 1 || a.gap_count == 0 || a.first_gap == wrap),
-    }
+    let step = cycle / lane.happy;
+    cycle.is_multiple_of(lane.happy)
+        && lane.first < step
+        && (lane.happy == 1 || (lane.uniform && lane.first_gap == step))
 }
 
 /// Appends the arithmetic progression `first, first + step, …` below
@@ -922,6 +889,77 @@ fn split_offsets(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::sweep::{merge_node, NONE};
+
+    /// The replay witness for the closed-form fold: node `p`'s lane over
+    /// window `w`, folded piece by piece from the offset arena.  The ragged
+    /// head is replayed from the stored offsets rebased by the phase, the
+    /// whole cycles are replicated from the one-cycle summary
+    /// ([`replicate`]) and rebased behind the head, and the ragged tail is
+    /// replayed like the head; the three segments merge in window order
+    /// through [`merge_node`], which is exact at any cut.  It reads the
+    /// stored offsets and the one-cycle summary, never a step, so it shares
+    /// no arithmetic with [`window_lane`].
+    fn replay_fold(profile: &CycleProfile, p: NodeId, w: &Window) -> NodeAccum {
+        let offsets = profile.attendance_offsets(p);
+        let mut lane = NodeAccum::empty();
+        if w.head > 0 {
+            let from = offsets.partition_point(|&o| o < w.phase);
+            let mut head = NodeAccum::empty();
+            for &o in offsets[from..].iter().take_while(|&&o| o < w.phase + w.head) {
+                head.record(o - w.phase);
+            }
+            merge_node(&mut lane, &head);
+        }
+        if w.reps > 0 {
+            // Shifting a segment moves only its endpoints: every gap field
+            // is a difference of offsets.
+            let mut cycles = replicate(&profile.accums[p], w.reps, profile.cycle);
+            if cycles.happy > 0 {
+                cycles.first += w.head;
+                cycles.last += w.head;
+            }
+            merge_node(&mut lane, &cycles);
+        }
+        if w.tail > 0 {
+            let base = w.head + w.reps * profile.cycle;
+            let mut tail = NodeAccum::empty();
+            for &o in offsets.iter().take_while(|&&o| o < w.tail) {
+                tail.record(base + o);
+            }
+            merge_node(&mut lane, &tail);
+        }
+        lane
+    }
+
+    /// Analytically replicates a one-cycle accumulator over `reps`
+    /// consecutive cycles of length `cycle`, producing exactly the segment
+    /// accumulator a sequential [`NodeAccum::record`] pass over all
+    /// `reps · count` attendance offsets would: internal gaps repeat `reps`
+    /// times, and the `reps - 1` cycle boundaries each contribute the
+    /// wrap-around gap `cycle - last + first`.
+    fn replicate(a: &NodeAccum, reps: u64, cycle: u64) -> NodeAccum {
+        if a.happy == 0 || reps == 0 {
+            return NodeAccum::empty();
+        }
+        let wrap = cycle - a.last + a.first;
+        NodeAccum {
+            first: a.first,
+            last: (reps - 1) * cycle + a.last,
+            happy: reps * a.happy,
+            gap_sum: reps * a.gap_sum + (reps - 1) * wrap,
+            gap_count: reps * a.gap_count + (reps - 1),
+            first_gap: if a.gap_count > 0 {
+                a.first_gap
+            } else if reps > 1 {
+                wrap
+            } else {
+                NONE
+            },
+            max_streak: if reps > 1 { a.max_streak.max(wrap - 1) } else { a.max_streak },
+            uniform: a.uniform && (reps == 1 || a.gap_count == 0 || a.first_gap == wrap),
+        }
+    }
 
     /// Reference: record every attendance offset of `reps` cycles one by one.
     fn replicate_by_record(offsets: &[u64], reps: u64, cycle: u64) -> NodeAccum {
@@ -959,50 +997,38 @@ mod tests {
         }
     }
 
-    /// A profile over arbitrary (not just arithmetic) attendance rows, one
-    /// lane per script — the lane fold reads each row on its own, so any
-    /// ascending script within the cycle is a valid lane.
-    fn scripted_profile(cycle: u64, scripts: &[&[u64]]) -> CycleProfile {
-        let mut rows = Vec::new();
-        let mut offsets = Vec::new();
-        let mut size_prefix = vec![0u64; cycle as usize + 1];
-        for script in scripts {
-            rows.push((offsets.len(), script.len()));
-            offsets.extend_from_slice(script);
-            script.iter().for_each(|&o| size_prefix[o as usize + 1] += 1);
-        }
-        for k in 1..size_prefix.len() {
-            size_prefix[k] += size_prefix[k - 1];
-        }
-        CycleProfile {
-            start: 0,
-            cycle,
-            node_count: scripts.len(),
-            accums: scripts.iter().map(|s| lane_summary(s)).collect(),
-            rows,
-            offsets,
-            garbage: 0,
-            size_prefix,
-            all_independent: true,
-        }
+    /// A profile holding every arithmetic lane of `cycle` — one lane per
+    /// `(first, step)` with `step | cycle` and `first < step` — plus one
+    /// empty lane, the graph node past the view.  It starts at holiday 0,
+    /// so a lane's first cycle offset is its slot.
+    fn arithmetic_profile(cycle: u64) -> (CycleProfile, Vec<(u64, u64)>) {
+        let lanes: Vec<(u64, u64)> = (1..=cycle)
+            .filter(|&step| cycle.is_multiple_of(step))
+            .flat_map(|step| (0..step).map(move |first| (first, step)))
+            .collect();
+        let view = ResidueSchedule::new(
+            lanes.iter().map(|&(first, _)| first).collect(),
+            lanes.iter().map(|&(_, step)| step).collect(),
+        );
+        let profile = CycleProfile::rehydrate(&view, 0, lanes.len() + 1, true);
+        assert_eq!(profile.cycle(), cycle);
+        assert_eq!(profile.count_per_cycle(lanes.len()), 0, "the last lane is empty");
+        (profile, lanes)
     }
+
+    /// Every `(head, whole cycles, tail)` shape a window grid must reach.
+    const SHAPES: [(bool, bool, bool); 5] = [
+        (false, false, false),
+        (true, false, false),
+        (false, true, false),
+        (false, false, true),
+        (true, true, true),
+    ];
 
     #[test]
     fn lane_fold_equals_recording_every_offset_in_the_window() {
         const CYCLE: u64 = 16;
-        let every: Vec<u64> = (0..CYCLE).collect();
-        let scripts: [&[u64]; 9] = [
-            &[],
-            &[0],
-            &[5],
-            &[15],
-            &[0, 2, 4, 6, 8, 10, 12, 14],
-            &[1, 4, 5, 9],
-            &every,
-            &[3, 15],
-            &[0, 7, 8],
-        ];
-        let profile = scripted_profile(CYCLE, &scripts);
+        let (profile, lanes) = arithmetic_profile(CYCLE);
         // Anchors on, just past and just before cycle boundaries (one far
         // out), and lengths from zero width through head-only,
         // cycles-only, tail-only and all three pieces.
@@ -1015,31 +1041,57 @@ mod tests {
                 let w = profile.window(t0, t1);
                 shapes.insert((w.head > 0, w.reps > 0, w.tail > 0));
                 let mut happiness = 0u64;
-                for (p, script) in scripts.iter().enumerate() {
+                for p in 0..profile.node_count() {
+                    let hosts = |t: u64| lanes.get(p).is_some_and(|&(f, s)| t % s == f);
                     let mut seg = NodeAccum::empty();
-                    for t in t0..t1 {
-                        if script.contains(&(t % CYCLE)) {
-                            seg.record(t - t0);
-                        }
+                    for t in (t0..t1).filter(|&t| hosts(t)) {
+                        seg.record(t - t0);
                     }
                     happiness += seg.happy;
                     // The global accumulator of the window: the recorded
                     // segment merged into the empty one (leading stretch).
                     let mut expected = NodeAccum::empty();
                     merge_node(&mut expected, &seg);
-                    assert_eq!(profile.fold_node(p, &w), expected, "lane {p}, [{t0}, {t1})");
+                    let ctx = format!("lane {p} {:?}, [{t0}, {t1})", lanes.get(p));
+                    assert_eq!(profile.fold_node(p, t0, w.len), expected, "{ctx}");
+                    assert_eq!(replay_fold(&profile, p, &w), expected, "witness, {ctx}");
                 }
                 assert_eq!(profile.window_happiness(&w), happiness, "[{t0}, {t1})");
             }
         }
-        for shape in [
-            (false, false, false),
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-            (true, true, true),
-        ] {
+        for shape in SHAPES {
             assert!(shapes.contains(&shape), "grid misses (head, cycles, tail) = {shape:?}");
+        }
+    }
+
+    /// The closed form against the replay witness where recording every
+    /// offset is out of reach: every arithmetic lane of cycles 12 and 16,
+    /// anchored up to `2^62 + 5` with windows up to `2^62` holidays long.
+    #[test]
+    fn closed_form_fold_equals_the_replay_witness_on_far_windows() {
+        for cycle in [12u64, 16] {
+            let (profile, lanes) = arithmetic_profile(cycle);
+            let c = cycle;
+            let anchors = [0u64, 1, c - 1, c, (1 << 40) + 3, (1 << 62) + 5];
+            let lengths = [0u64, 1, c - 1, c, c + 1, 5 * c + 7, 1 << 40, 1 << 62];
+            let mut shapes = std::collections::BTreeSet::new();
+            for t0 in anchors {
+                for len in lengths {
+                    let w = profile.window(t0, t0 + len);
+                    shapes.insert((w.head > 0, w.reps > 0, w.tail > 0));
+                    for p in 0..profile.node_count() {
+                        assert_eq!(
+                            profile.fold_node(p, t0, w.len),
+                            replay_fold(&profile, p, &w),
+                            "cycle {c}, lane {p} {:?}, t0 {t0}, len {len}",
+                            lanes.get(p)
+                        );
+                    }
+                }
+            }
+            for shape in SHAPES {
+                assert!(shapes.contains(&shape), "cycle {c}: grid misses {shape:?}");
+            }
         }
     }
 

@@ -11,7 +11,9 @@
 //!   `count = (h − 1 − o0)/m + 1` times, last at `o0 + (count − 1)·m`, so its
 //!   longest unhappy stretch is the largest of the leading stretch `o0`, the
 //!   trailing one and (from two appearances on) the inner gap `m − 1`, and
-//!   its observed period is `m` once it hosts twice ([`lane`]);
+//!   its observed period is `m` once it hosts twice ([`window_lane`], which
+//!   the serving tier's [`CycleProfile`](super::CycleProfile) window fold
+//!   shares);
 //! * **one congruence per edge** — the endpoints of an edge host together on
 //!   some holiday iff `s_u ≡ s_v (mod gcd(m_u, m_v))`, and their first shared
 //!   holiday is the CRT solution ([`crt_class`]).  A horizon of at least one
@@ -79,29 +81,35 @@ pub(super) fn totals(
     fold.finish(horizon, independent, total)
 }
 
-/// Node `p`'s merged accumulator over the horizon, in closed form: the
-/// accumulator that recording each offset of its progression and merging
-/// the segment into the empty accumulator would produce.  Graph nodes
-/// missing from the view never host.
+/// Node `p`'s merged accumulator over the horizon, in closed form.  Graph
+/// nodes missing from the view never host.
 fn lane(view: &ResidueSchedule, p: NodeId, start: u64, horizon: u64) -> NodeAccum {
     if p >= view.node_count() {
         return NodeAccum::empty();
     }
     let m = view.modulus(p);
-    let first = first_offset(start, view.slot(p), m);
-    if first >= horizon {
+    window_lane(first_offset(start, view.slot(p), m), m, horizon)
+}
+
+/// The merged accumulator of the progression `first, first + step, …` over
+/// a window of `len` holidays: the accumulator that recording each offset
+/// below `len` and merging the segment into the empty accumulator would
+/// produce.  `O(1)`, whatever the window and the step.
+#[inline]
+pub(super) fn window_lane(first: u64, step: u64, len: u64) -> NodeAccum {
+    if first >= len {
         return NodeAccum::empty();
     }
-    let gaps = div(horizon - 1 - first, m);
-    let gap_sum = gaps * m;
+    let gaps = div(len - 1 - first, step);
+    let gap_sum = gaps * step;
     NodeAccum {
         first,
         last: first + gap_sum,
         happy: gaps + 1,
         gap_sum,
         gap_count: gaps,
-        first_gap: if gaps > 0 { m } else { NONE },
-        max_streak: if gaps > 0 { first.max(m - 1) } else { first },
+        first_gap: if gaps > 0 { step } else { NONE },
+        max_streak: if gaps > 0 { first.max(step - 1) } else { first },
         uniform: true,
     }
 }
@@ -157,7 +165,7 @@ fn congruent(su: u64, mu: u64, sv: u64, mv: u64) -> bool {
 
 /// `x / m`, by a shift when `m` is a power of two.
 #[inline]
-fn div(x: u64, m: u64) -> u64 {
+pub(super) fn div(x: u64, m: u64) -> u64 {
     if m.is_power_of_two() {
         x >> m.trailing_zeros()
     } else {

@@ -12,8 +12,8 @@
 //! statistics depend only on its own happy appearances, so nothing here
 //! ever looks across nodes: the sequential reference, the progression
 //! engine of [`super::progression`] (which writes each merged accumulator
-//! in closed form) and the window fold of [`super::profile`] all reduce
-//! through this same per-node arithmetic.
+//! in closed form) and the window fold of [`super::profile`] (the same
+//! formula, per lane) all reduce through this same per-node arithmetic.
 //!
 //! # The merge algebra
 //!
@@ -23,10 +23,13 @@
 //! `g` is still empty, the leading unhappy stretch before `s`'s first
 //! appearance), then `s`'s internal gaps are absorbed in order.  Because
 //! that reproduces the sequential rule bit for bit, any partition of the
-//! horizon into contiguous segments — a ragged head, replicated whole
-//! cycles and a ragged tail in the window fold — merges back to a result
-//! bitwise-identical to the sequential sweep (locked down end-to-end by
-//! `tests/analysis_parity.rs` and `tests/window_parity.rs`).
+//! horizon into contiguous segments merges back to a result
+//! bitwise-identical to the sequential sweep.  The sweep merges one
+//! segment per lane, its whole horizon, into the empty accumulator; the
+//! closed forms write that merged accumulator directly and merge nothing,
+//! and the window fold's test witness in [`super::profile`] merges a
+//! replayed head, replicated whole cycles and a replayed tail (pinned
+//! against recording every offset there).
 //!
 //! [`sequential`] is the Sequential engine — and so
 //! [`super::analyze_schedule_reference`]: every holiday emitted, verified

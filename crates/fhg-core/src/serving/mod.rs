@@ -1067,8 +1067,8 @@ impl ProfileService {
     }
 
     /// Answers one totals-only windowed query — the hot serving shape:
-    /// after warm-up this performs zero heap allocations (thread-local
-    /// derivation scratch; proved by `tests/zero_alloc.rs`).
+    /// `O(n)` whatever the window, and no heap allocation at all (the
+    /// window fold keeps no scratch; proved by `tests/zero_alloc.rs`).
     pub fn query_totals(
         &self,
         tenant: u64,

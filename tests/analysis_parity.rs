@@ -273,10 +273,10 @@ proptest! {
     /// Lockdown for the profile's derivation planes: for every periodic
     /// scheduler in the suite, the **parallel profile build** (classes
     /// sharded across 1/2/8 worker threads), the **whole-cycle derive**
-    /// (`horizon = k·cycle`, replicated cycles only), the **ragged derive**
-    /// (`k·cycle ± 1`, replicated cycles merged with a replayed tail) and
-    /// the **totals-only fast path** all agree bitwise with the sequential
-    /// reference sweep.
+    /// (`horizon = k·cycle`, every lane's last appearance one step before
+    /// the end of a cycle), the **ragged derive** (`k·cycle ± 1`, the
+    /// horizon cutting into a cycle) and the **totals-only fast path** all
+    /// agree bitwise with the sequential reference sweep.
     #[test]
     fn soa_derivation_planes_match_the_reference(
         family in prop::sample::select(Family::ALL.to_vec()),
@@ -367,8 +367,12 @@ fn engines_and_profile_agree_bitwise() {
 /// Horizons the reference cannot sweep: each periodic suite scheduler's
 /// analysis at 2^40 holidays and at `u64::MAX` (where `total_happiness`
 /// saturates whenever the schedule hosts more than one parent per holiday
-/// on average) equals `CycleProfile::derive`, the independent derivation
-/// that walks one cycle of residue classes and replicates it.
+/// on average) equals `CycleProfile::derive`.  Both apply the same
+/// per-node formula, the engine to the view's `(slot, modulus)` rows and
+/// the profile to each lane's `(first, count)` from its walk of one cycle
+/// of residue classes, so this pins the class walk's per-lane first
+/// offsets and counts against the view rows (and the profile's size
+/// prefix against the engine's saturating happiness total).
 #[test]
 fn far_horizons_match_the_profile_derive() {
     for family in Family::ALL {

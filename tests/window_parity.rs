@@ -1,17 +1,21 @@
-//! Parity lockdown for the windowed derivation (the lane fold) and the
-//! serving tier built on it.
+//! Parity lockdown for the windowed derivation and the serving tier built
+//! on it.
 //!
-//! `CycleProfile::derive_window(t0, t1)` folds an arbitrary `[t0, t1)`
-//! window node by node — a ragged head of the phase cycle, phase-shifted
-//! whole cycles replicated analytically, and a ragged tail, merged through
-//! the exact segment-merge rule.  This suite asserts the result is
-//! **bitwise-identical** to a sequential reference sweep restricted to the
-//! same window (`analyze_schedule_reference` run on a start-shifted view of
-//! the schedule), for every periodic scheduler in the standard suite,
-//! across graph families, random seeds, profile builds pinned at 1/2/8
-//! worker threads, and window shapes chosen adversarially: zero-width,
-//! sub-cycle, straddling `cycle ± 1`, whole-cycle aligned, multi-cycle,
-//! ragged at both ends, and anchored far out (`2^20`, the serving shape).
+//! `CycleProfile::derive_window(t0, t1)` answers an arbitrary `[t0, t1)`
+//! window with one closed-form formula per node: each lane's one-cycle
+//! progression `first + k·(cycle / happy)`, read from `t0` over the window
+//! length.  This suite asserts the result is **bitwise-identical** to a
+//! sequential reference sweep restricted to the same window
+//! (`analyze_schedule_reference` run on a start-shifted view of the
+//! schedule), for every periodic scheduler in the standard suite, across
+//! graph families, random seeds, profile builds pinned at 1/2/8 worker
+//! threads, and window shapes chosen adversarially: zero-width, sub-cycle,
+//! straddling `cycle ± 1`, whole-cycle aligned, multi-cycle, ragged at both
+//! ends, and anchored far out (`2^20`, the serving shape, then `2^40` and
+//! `2^62`; the start-shifted reference sweeps only the window's length).
+//! Mixed-coprime views (moduli `{3, 4, 6}`, cycle 12, and `{8, 27}`, cycle
+//! 216) go through `ProfileService::query` and `query_totals`, the serving
+//! entry points.
 //!
 //! Like `tests/analysis_parity.rs`, float fields compare through
 //! `to_bits`, and CI runs this suite under the `FHG_THREADS` ×
@@ -28,7 +32,7 @@ use fhg::core::schedulers::standard_suite;
 use fhg::core::serving::{ProfileService, Query};
 use fhg::core::Scheduler;
 use fhg::graph::generators::Family;
-use fhg::graph::{HappySet, NodeId};
+use fhg::graph::{Graph, HappySet, NodeId};
 use rayon::ThreadPoolBuilder;
 
 /// A start-shifted view of a periodic schedule: holiday `t` of the window
@@ -61,6 +65,9 @@ impl Scheduler for WindowView<'_> {
     }
     fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
         None
+    }
+    fn residue_schedule(&self) -> Option<&ResidueSchedule> {
+        Some(self.view)
     }
 }
 
@@ -98,8 +105,10 @@ fn assert_bitwise_identical(windowed: &ScheduleAnalysis, reference: &ScheduleAna
 
 /// The adversarial window shapes for a schedule of cycle `C`: zero-width at
 /// several anchors, sub-cycle from 0 and from a ragged phase, straddling
-/// `C ± 1`, whole-cycle aligned, multi-cycle, ragged at both ends, and a
-/// `2^16`-holiday window anchored past `2^20` (the serving read shape).
+/// `C ± 1`, whole-cycle aligned, multi-cycle, ragged at both ends, a
+/// `2^16`-holiday window anchored past `2^20` (the serving read shape), and
+/// zero-width, sub-cycle and ragged multi-cycle windows anchored past
+/// `2^40` and `2^62`.
 fn window_shapes(cycle: u64, k: u64, jitter: u64) -> Vec<(u64, u64)> {
     let c = cycle;
     let a = 1 + jitter % c.max(1); // a ragged anchor in (0, c]
@@ -125,6 +134,12 @@ fn window_shapes(cycle: u64, k: u64, jitter: u64) -> Vec<(u64, u64)> {
         (k * c - 1, (k + 2) * c + 1),
         (c / 3, k * c + 2 * c / 3),
         ((1 << 20) + a, (1 << 20) + a + (1 << 16)),
+        ((1 << 40) + a, (1 << 40) + a),
+        ((1 << 40) + a, (1 << 40) + a + c - 1),
+        ((1 << 40) + a, (1 << 40) + k * c + (a + 1) % c),
+        ((1 << 62) + a, (1 << 62) + a + 1),
+        ((1 << 62) + a, (1 << 62) + a + c + 1),
+        ((1 << 62) + a, (1 << 62) + (k + 1) * c + a / 2),
     ]
 }
 
@@ -225,4 +240,61 @@ fn profile_service_serves_reference_identical_windows() {
     assert_eq!(service.build_pending(), 1);
     let after = service.query_totals(probe.tenant, probe.window.0, probe.window.1).unwrap();
     assert_eq!(before, after);
+}
+
+/// A mixed-coprime view: node `p` takes modulus `moduli[p % moduli.len()]`
+/// (so every modulus occurs and the cycle is their lcm) and a slot drawn
+/// from `seed`.
+fn mixed_view(nodes: usize, moduli: &[u64], seed: u64) -> ResidueSchedule {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let moduli: Vec<u64> = (0..nodes).map(|p| moduli[p % moduli.len()]).collect();
+    let slots = moduli
+        .iter()
+        .map(|&m| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        })
+        .collect();
+    ResidueSchedule::new(slots, moduli)
+}
+
+/// Mixed-coprime views through the serving entry points: every
+/// `ProfileService::query` and `query_totals` answer equals the reference
+/// sweep over the same window of the start-shifted view — the independence
+/// verdict aside, which the service reports for the whole cycle, so it is
+/// compared with the reference over one whole cycle.
+#[test]
+fn mixed_coprime_views_serve_reference_identical_windows() {
+    let mut verdicts = std::collections::BTreeSet::new();
+    for (moduli, cycle) in [(&[3u64, 4, 6][..], 12u64), (&[8, 27][..], 216)] {
+        for seed in 0..4u64 {
+            // Seed 0 is edgeless, so one view per moduli set is valid.
+            let graph = match seed {
+                0 => Graph::new(24),
+                _ => Family::ALL[seed as usize % Family::ALL.len()].generate(24, 1.5, seed),
+            };
+            let view = mixed_view(graph.node_count(), moduli, seed);
+            assert_eq!(view.cycle(), cycle);
+            let start = 3 + seed;
+            let mut service = ProfileService::new();
+            service.register(0, &graph, &WindowView { view: &view, start }).unwrap();
+            assert_eq!(service.build_pending(), 1);
+            let mut whole = WindowView { view: &view, start };
+            let verdict =
+                analyze_schedule_reference(&graph, &mut whole, cycle).all_happy_sets_independent;
+            verdicts.insert(verdict);
+            for (t0, t1) in window_shapes(cycle, 3, seed * 37) {
+                let mut shifted = WindowView { view: &view, start: start + t0 };
+                let mut expected =
+                    analyze_schedule_reference(&graph, &mut shifted, t1.saturating_sub(t0));
+                expected.all_happy_sets_independent = verdict;
+                let ctx = format!("moduli {moduli:?}, seed {seed}, window [{t0}, {t1})");
+                assert_eq!(service.query_totals(0, t0, t1).unwrap(), expected.totals(), "{ctx}");
+                assert_bitwise_identical(&service.query(0, t0, t1).unwrap(), &expected, &ctx);
+            }
+        }
+    }
+    assert_eq!(verdicts.len(), 2, "both verdicts must occur");
 }

@@ -255,13 +255,13 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
     assert_eq!(delta, 0, "analyze_schedule_totals allocated {delta} times after warm-up");
 
     // The serving-tier derivation paths: repeated derivations from one
-    // cached profile, with no scratch at all.  The lane fold reads the
-    // profile and keeps each lane in registers, so the totals paths must be
-    // allocation-free after warm-up across aligned, ragged-head,
-    // ragged-tail, sub-cycle, zero-width and far-anchored windows (the
-    // whole-horizon `derive_totals` included), and the full derive
-    // allocates only its output, so its allocation count must not depend
-    // on the window size.
+    // cached profile, with no scratch at all.  The window fold computes
+    // each lane in registers from its one-cycle progression, one formula
+    // per node, so the totals paths must be allocation-free after warm-up
+    // across aligned, ragged-head, ragged-tail, sub-cycle, zero-width and
+    // far-anchored windows (out to `2^62`, the whole-horizon
+    // `derive_totals` included), and the full derive allocates only its
+    // output, so its allocation count must not depend on the window size.
     {
         let scheduler = PeriodicDegreeBound::new(&graph);
         let view = scheduler.residue_schedule().expect("perfectly periodic");
@@ -283,6 +283,7 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             (3, 3 + cycle / 2),
             (7, 7),
             (far + 5, far + 5 + (1 << 16)),
+            ((1 << 62) + 5, (1 << 62) + 5 + (1 << 40) + 3),
         ];
         // Warm-up: one ragged window settles any first-use lazy state.
         let _ = profile.derive_window_totals(1, 8 * cycle + 3);
@@ -297,7 +298,7 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         assert_eq!(
             delta, 0,
             "windowed totals derivation allocated {delta} times after warm-up \
-             (the lane fold needs no scratch)"
+             (the window fold needs no scratch)"
         );
 
         let mut window_deltas = Vec::new();
