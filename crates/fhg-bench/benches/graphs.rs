@@ -1,11 +1,11 @@
-//! Criterion benchmarks for the graph substrate: generators, CSR conversion
-//! and the structural properties the schedulers lean on.
+//! Criterion benchmarks for the graph substrate: generators, the packed
+//! clone and the structural properties the schedulers lean on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use fhg_graph::generators;
-use fhg_graph::{properties, CsrGraph};
+use fhg_graph::properties;
 
 fn bench_generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
@@ -29,9 +29,7 @@ fn bench_properties(c: &mut Criterion) {
     let graph = generators::erdos_renyi(50_000, 10.0 / 49_999.0, 2);
     let mut group = c.benchmark_group("properties");
     group.sample_size(20);
-    group.bench_function("csr-conversion-50k", |b| {
-        b.iter(|| black_box(CsrGraph::from_graph(&graph)))
-    });
+    group.bench_function("packed-clone-50k", |b| b.iter(|| black_box(graph.clone())));
     group.bench_function("connected-components-50k", |b| {
         b.iter(|| black_box(properties::connected_components(&graph)))
     });

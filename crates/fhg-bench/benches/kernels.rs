@@ -22,7 +22,7 @@ use fhg_bench::{emission_rows, fill_sweep, AnalysisBenchConfig, ModulusRows};
 use fhg_core::analysis::{GraphChecker, HolidayChecker};
 use fhg_core::prelude::*;
 use fhg_graph::kernels::{self, KernelMode};
-use fhg_graph::{generators, CsrGraph, Graph, HappySet};
+use fhg_graph::{generators, Graph, HappySet};
 
 const HOLIDAYS: u64 = 4096;
 
@@ -110,9 +110,9 @@ fn bench_verify(c: &mut Criterion) {
         })
     });
 
-    // CSR path: branchless word probes beyond the dense limit.
+    // CSR path: branchless word probes of the packed graph's rows beyond
+    // the dense limit.
     let graph = full_config_graph();
-    let csr = CsrGraph::from_graph(&graph);
     let scheduler = PeriodicDegreeBound::new(&graph);
     let view = scheduler.residue_schedule().expect("perfectly periodic");
     let sets: Vec<HappySet> = (0..view.cycle())
@@ -124,7 +124,7 @@ fn bench_verify(c: &mut Criterion) {
         .collect();
     group.bench_function("csr-word-probes/one-cycle-10k-nodes", |b| {
         b.iter(|| {
-            let ok = sets.iter().all(|s| csr.is_independent(s.as_bitset()));
+            let ok = sets.iter().all(|s| graph.is_independent(s.as_bitset()));
             assert!(ok);
             black_box(ok)
         })

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use fhg_core::analysis::analyze_schedule;
 use fhg_core::prelude::*;
 use fhg_graph::generators;
-use fhg_graph::{properties, CsrGraph, Graph, HappySet};
+use fhg_graph::{properties, Graph, HappySet};
 
 fn test_graph(n: usize) -> Graph {
     generators::erdos_renyi(n, 8.0 / (n as f64 - 1.0), 42)
@@ -105,10 +105,10 @@ fn bench_full_analysis(c: &mut Criterion) {
 /// The `verified` pair additionally checks every holiday's independence the
 /// way `analyze_schedule` does: the Vec path with the slice-based
 /// `properties::is_independent_set` (one fresh bit set per holiday), the
-/// fill path with branchless CSR word probes on the reused buffer.
+/// fill path with branchless word probes of the graph's rows on the reused
+/// buffer.
 fn bench_happy_set_engine(c: &mut Criterion) {
     let graph = generators::erdos_renyi(10_000, 0.001, 42);
-    let csr = CsrGraph::from_graph(&graph);
     const HORIZON: u64 = 4096;
     let mut group = c.benchmark_group("happy-set-engine-10k-4096");
     group.sample_size(10);
@@ -153,7 +153,7 @@ fn bench_happy_set_engine(c: &mut Criterion) {
             let mut independent = true;
             for t in 0..HORIZON {
                 s.fill_happy_set(t, &mut buf);
-                independent &= csr.is_independent(buf.as_bitset());
+                independent &= graph.is_independent(buf.as_bitset());
                 black_box(&buf);
             }
             assert!(independent);

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `--smoke` shrinks the analysis-engine experiments (`e11`–`e19`) to CI
-//! sizing.  Whenever any of `e11`–`e19` run, their machine-readable medians
-//! are written to `BENCH_analysis.json` **at the repository root** — the
+//! sizing (`e20` keeps its one size).  Whenever any of `e11`–`e20` run,
+//! their machine-readable medians are written to `BENCH_analysis.json`
+//! **at the repository root** — the
 //! compile-time manifest location when that checkout still exists,
 //! otherwise the nearest enclosing workspace of the invocation directory —
 //! so the perf trajectory accumulates across commits no matter where the

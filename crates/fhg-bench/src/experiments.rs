@@ -1,4 +1,4 @@
-//! The E1–E19 experiment implementations (see `DESIGN.md` §5 and
+//! The E1–E20 experiment implementations (see `DESIGN.md` §5 and
 //! `EXPERIMENTS.md`).
 //!
 //! Every experiment uses fixed seeds, so the tables in `EXPERIMENTS.md` are
@@ -11,11 +11,12 @@
 //! binary serialises to `BENCH_analysis.json` (at the repository root) so CI
 //! can accumulate a perf trajectory.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use fhg_codes::{log_star, phi, rho_omega, EliasCode, UnaryCode};
 use fhg_coloring::{greedy_coloring, GreedyOrder};
-use fhg_core::analysis::{analyze_schedule, CycleProfile, GraphChecker};
+use fhg_core::analysis::{analyze_schedule, analyze_schedule_totals, CycleProfile, GraphChecker};
 use fhg_core::dynamic::DynamicColorBound;
 use fhg_core::lower_bound::lower_bound_table;
 use fhg_core::prelude::*;
@@ -30,12 +31,13 @@ use fhg_radio::{evaluate_tdma, RadioNetwork};
 use crate::table::Table;
 
 /// The experiment identifiers, in order.
-pub const EXPERIMENT_IDS: [&str; 19] = [
+pub const EXPERIMENT_IDS: [&str; 20] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19",
+    "e16", "e17", "e18", "e19", "e20",
 ];
 
-/// Sizing knobs for the analysis-engine experiments (`e11`–`e19`).
+/// Sizing knobs for the analysis-engine experiments (`e11`–`e19`; `e20`
+/// has a fixed size).
 #[derive(Debug, Clone)]
 pub struct AnalysisBenchConfig {
     /// Nodes of the Erdős–Rényi conflict graph.
@@ -193,6 +195,7 @@ pub fn run_experiment_collecting(
         "e17" => e17_incremental_repair_with(cfg),
         "e18" => e18_crash_only_serving_with(cfg),
         "e19" => e19_durable_recovery_with(cfg),
+        "e20" => e20_edge_pass(10_000, 0.001, 201),
         other => panic!("unknown experiment id {other:?}; valid ids: {EXPERIMENT_IDS:?}"),
     }
 }
@@ -2049,7 +2052,7 @@ pub fn e18_crash_only_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
         let mut live = 0u64;
         let wall = Instant::now();
         for _ in 0..hits {
-            live += failpoint::check(std::hint::black_box("query.batch")).is_some() as u64;
+            live += failpoint::check(black_box("query.batch")).is_some() as u64;
         }
         let ns = wall.elapsed().as_nanos() as f64 / hits as f64;
         assert_eq!(live, 0, "the disabled registry must never fire");
@@ -2496,6 +2499,57 @@ pub fn e19_durable_recovery_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
     (vec![table], entries)
 }
 
+/// E20 — the one-shot edge pass on the flat graph: `analyze_schedule`,
+/// `analyze_schedule_totals`, and the totals call on an edgeless graph of
+/// the same size, for `PeriodicDegreeBound` over 4096 holidays of
+/// `erdos_renyi(nodes, p)` (medians of `runs`, single-threaded).  The two
+/// totals rows differ by the edge pass alone.  The experiments run it at
+/// one fixed size, `--smoke` included, because its `full < 0.5 ms`
+/// criterion is stated for `erdos_renyi(10_000, 0.001)`.
+fn e20_edge_pass(nodes: usize, p: f64, runs: usize) -> (Vec<Table>, Vec<BenchEntry>) {
+    const HORIZON: u64 = 4096;
+    let graph = generators::erdos_renyi(nodes, p, 42);
+    let edgeless = Graph::new(nodes);
+    let mut scheduler = PeriodicDegreeBound::new(&graph);
+    let full = median_ms(runs, || {
+        black_box(analyze_schedule(&graph, &mut scheduler, HORIZON));
+    });
+    let totals = median_ms(runs, || {
+        black_box(analyze_schedule_totals(&graph, &mut scheduler, HORIZON));
+    });
+    let edgeless_totals = median_ms(runs, || {
+        black_box(analyze_schedule_totals(&edgeless, &mut scheduler, HORIZON));
+    });
+    let mut table = Table::new(
+        format!(
+            "E20 — the edge pass on erdos_renyi({nodes}, {p}) ({} edges), periodic-degree-bound, \
+             {HORIZON} holidays (medians of {runs}, single-threaded)",
+            graph.edge_count()
+        ),
+        &["call", "graph", "median ms", "full < 0.5 ms"],
+    );
+    let rows = [
+        ("analyze_schedule", "full", "erdos-renyi", full),
+        ("analyze_schedule_totals", "totals", "erdos-renyi", totals),
+        ("analyze_schedule_totals", "totals-edgeless", "edgeless", edgeless_totals),
+        ("edge pass (difference)", "edge-pass", "erdos-renyi", totals - edgeless_totals),
+    ];
+    let mut entries = Vec::new();
+    for (call, engine, graph_label, ms) in rows {
+        let criterion = if engine == "full" { (full < 0.5).to_string() } else { "-".to_string() };
+        table.push(&[call.to_string(), graph_label.to_string(), format!("{ms:.3}"), criterion]);
+        entries.push(BenchEntry {
+            experiment: "e20",
+            engine: engine.to_string(),
+            threads: 1,
+            horizon: HORIZON,
+            median_ms: ms,
+            speedup: full / ms,
+        });
+    }
+    (vec![table], entries)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2524,7 +2578,19 @@ mod tests {
 
     #[test]
     fn experiment_ids_are_wired_up() {
-        assert_eq!(EXPERIMENT_IDS.len(), 19);
+        assert_eq!(EXPERIMENT_IDS.len(), 20);
+    }
+
+    #[test]
+    fn e20_reports_the_three_calls_and_the_edge_pass() {
+        let (tables, entries) = e20_edge_pass(300, 0.02, 3);
+        assert_eq!(tables.len(), 1);
+        let md = tables[0].to_markdown();
+        assert!(md.contains("full < 0.5 ms"), "{md}");
+        assert!(md.contains("edgeless"), "{md}");
+        let engines: Vec<&str> = entries.iter().map(|e| e.engine.as_str()).collect();
+        assert_eq!(engines, ["full", "totals", "totals-edgeless", "edge-pass"]);
+        assert!(entries.iter().all(|e| e.experiment == "e20" && e.horizon == 4096));
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //!   `OnceLock` discipline as `FHG_KERNEL`);
 //! * **blocked** ([`properties::BlockedAdjacency`]) from the dense limit up
 //!   to [`BLOCKED_ADJACENCY_LIMIT`] nodes — 256×256-bit tiles materialised
-//!   only where high-degree rows have edges, CSR probes for the sparse
-//!   remainder, so dense-style verification reaches ~64k nodes at bounded
-//!   memory;
-//! * **CSR** probes beyond that.
+//!   only where high-degree rows have edges, row probes of a packed graph
+//!   copy for the sparse remainder, so dense-style verification reaches ~64k
+//!   nodes at bounded memory;
+//! * **CSR** probes beyond that: a packed copy of the [`Graph`], whose flat
+//!   rows are a compressed-sparse-row layout.
 //!
 //! All layouts walk sets through `fhg_graph::kernels`, so verification
 //! rides the same runtime-dispatched wide loops as emission.
@@ -54,7 +55,7 @@
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use fhg_graph::{properties, CsrGraph, FixedBitSet, Graph, HappySet};
+use fhg_graph::{properties, FixedBitSet, Graph, HappySet};
 
 /// Default largest node count for which the analysis materialises flat
 /// dense adjacency bit rows (`n²/8` bytes — 2 MiB at the limit) to verify
@@ -188,7 +189,8 @@ impl ClassBatch {
 enum Layout {
     Flat(properties::AdjacencyBitmap),
     Blocked(properties::BlockedAdjacency),
-    Csr(CsrGraph),
+    /// A packed copy of the graph: its rows in node order, a CSR layout.
+    Csr(Graph),
 }
 
 impl std::fmt::Debug for GraphChecker {
@@ -233,7 +235,7 @@ impl GraphChecker {
         } else if n <= blocked_limit {
             Layout::Blocked(properties::BlockedAdjacency::from_graph(graph))
         } else {
-            Layout::Csr(CsrGraph::from_graph(graph))
+            Layout::Csr(graph.clone())
         };
         GraphChecker { layout }
     }
@@ -249,13 +251,13 @@ impl GraphChecker {
     }
 
     /// Peak adjacency memory of the chosen layout in bytes (the flat
-    /// bitmap's `n²/8`, the blocked hybrid's tiles + grid + CSR arrays, or
-    /// the raw CSR arrays).
+    /// bitmap's `n²/8`, the blocked hybrid's tiles + grid + packed graph, or
+    /// the packed graph alone).
     pub fn memory_bytes(&self) -> usize {
         match &self.layout {
             Layout::Flat(adj) => adj.node_count() * adj.node_count().div_ceil(64) * 8,
             Layout::Blocked(adj) => adj.memory_bytes(),
-            Layout::Csr(csr) => (csr.node_count() + 1) * 8 + 2 * csr.edge_count() * 8,
+            Layout::Csr(graph) => graph.memory_bytes(),
         }
     }
 
@@ -264,7 +266,7 @@ impl GraphChecker {
         match &self.layout {
             Layout::Flat(adj) => adj.node_count(),
             Layout::Blocked(adj) => adj.node_count(),
-            Layout::Csr(csr) => csr.node_count(),
+            Layout::Csr(graph) => graph.node_count(),
         }
     }
 }
@@ -274,7 +276,7 @@ impl HolidayChecker for GraphChecker {
         match &self.layout {
             Layout::Flat(adj) => adj.is_independent(happy),
             Layout::Blocked(adj) => adj.is_independent(happy),
-            Layout::Csr(csr) => csr.is_independent(happy),
+            Layout::Csr(graph) => graph.is_independent(happy),
         }
     }
 
@@ -289,7 +291,7 @@ impl HolidayChecker for GraphChecker {
             let violations = match &self.layout {
                 Layout::Flat(adj) => adj.batch_violations(&table),
                 Layout::Blocked(adj) => adj.batch_violations(&table),
-                Layout::Csr(csr) => csr.batch_violations(&table),
+                Layout::Csr(graph) => graph.batch_violations(&table),
             };
             violations == 0
         })
@@ -326,10 +328,7 @@ impl HolidayChecker for ScanChecker<'_> {
         // catch (the audit re-derives through `GraphChecker`, so it never
         // shares this site).
         crate::fail_point!("checker.batch", return false);
-        let n = self.graph.node_count();
-        fhg_graph::kernels::all_set_bits(happy.as_words(), |u| {
-            u < n && self.graph.neighbors(u).iter().all(|&v| !happy.contains(v))
-        })
+        self.graph.is_independent(happy)
     }
 }
 

@@ -18,7 +18,9 @@
 //!   some holiday iff `s_u ≡ s_v (mod gcd(m_u, m_v))`, and their first shared
 //!   holiday is the CRT solution ([`crt_class`]).  A horizon of at least one
 //!   cycle holds every shared holiday, so the offset is only compared with
-//!   the horizon below one cycle.
+//!   the horizon below one cycle.  Each edge is tested once, from its lower
+//!   endpoint's row slice above itself ([`Graph::neighbors_above`]), which
+//!   the packed graph lays out in node order.
 //!
 //! The node formula produces exactly the merged [`NodeAccum`] a sequential
 //! sweep of the horizon ends with, and the per-node statistics reduce
@@ -124,6 +126,8 @@ fn beyond_graph_happiness(graph: &Graph, view: &ResidueSchedule, start: u64, hor
 /// Whether no edge's endpoints host together inside the horizon: the
 /// congruence test on every edge `u < v` whose endpoints both have a row,
 /// plus, below one cycle, the first shared offset against the horizon.
+/// The upper slices need no search, and a packed graph's arena is read in
+/// order.
 fn edges_independent(graph: &Graph, view: &ResidueSchedule, start: u64, horizon: u64) -> bool {
     // A saturated cycle is not a true lcm, so it takes the exact CRT path.
     let cycle = view.cycle();
@@ -131,10 +135,8 @@ fn edges_independent(graph: &Graph, view: &ResidueSchedule, start: u64, horizon:
     let rows = graph.node_count().min(view.node_count());
     (0..rows).all(|u| {
         let (su, mu) = (view.slot(u), view.modulus(u));
-        let neighbors = graph.neighbors(u);
-        let above = &neighbors[neighbors.partition_point(|&v| v <= u)..];
-        // Adjacency lists ascend, so the neighbours with rows come first.
-        above.iter().take_while(|&&v| v < rows).all(|&v| {
+        // Rows ascend, so the neighbours with view rows come first.
+        graph.neighbors_above(u).iter().take_while(|&&v| v < rows).all(|&v| {
             let (sv, mv) = (view.slot(v), view.modulus(v));
             !congruent(su, mu, sv, mv)
                 || (!whole_cycle

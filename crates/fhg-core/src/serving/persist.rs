@@ -426,15 +426,12 @@ fn encode_slot_content(sink: &mut BitSink, key: u64, slot: &ProfileSlot, tenants
     let graph = &slot.graph;
     let n = graph.node_count();
     sink.put_gamma0(n as u64);
-    let mut uppers: Vec<u64> = Vec::new();
     for u in 0..n {
-        uppers.clear();
-        uppers.extend(graph.neighbors(u).iter().filter(|&&v| v > u).map(|&v| v as u64));
-        uppers.sort_unstable();
+        let uppers = graph.neighbors_above(u);
         sink.put_gamma0(uppers.len() as u64);
-        let mut prev = u as u64;
-        for &v in &uppers {
-            sink.put_gamma(v - prev);
+        let mut prev = u;
+        for &v in uppers {
+            sink.put_gamma((v - prev) as u64);
             prev = v;
         }
     }
@@ -481,7 +478,9 @@ fn decode_slot_content(payload: &[u8]) -> Option<PendingSlot> {
     if graph_n > r.remaining_bits() {
         return None;
     }
-    let mut graph = Graph::new(graph_n);
+    // Each node lists its upper neighbours by strictly positive gaps, so
+    // the edges arrive distinct, loop-free and in lexicographic order.
+    let mut edges = Vec::new();
     for u in 0..graph_n {
         let deg = usize::try_from(r.get_gamma0()?).ok()?;
         if deg > r.remaining_bits() {
@@ -489,14 +488,15 @@ fn decode_slot_content(payload: &[u8]) -> Option<PendingSlot> {
         }
         let mut v = u as u64;
         for _ in 0..deg {
-            v += r.get_gamma()?;
+            v = v.checked_add(r.get_gamma()?)?;
             let v = usize::try_from(v).ok()?;
             if v >= graph_n {
                 return None;
             }
-            graph.add_edge(u, v).ok()?;
+            edges.push((u, v));
         }
     }
+    let graph = Graph::from_edges(graph_n, edges).ok()?;
 
     let tenant_count = usize::try_from(r.get_gamma0()?).ok()?;
     if tenant_count > r.remaining_bits() / 64 {

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use fhg_graph::{CsrGraph, Graph, NodeId};
+use fhg_graph::{Graph, NodeId};
 
 /// Per-node, per-round view of the world: everything a LOCAL-model node is
 /// allowed to know.
@@ -94,7 +94,8 @@ struct NodeSlot<S> {
 
 /// The synchronous round simulator.
 pub struct Simulator<'g, P: Protocol> {
-    graph: CsrGraph,
+    /// A packed copy of the conflict graph.
+    graph: Graph,
     protocol: &'g P,
     parallel: bool,
 }
@@ -102,7 +103,7 @@ pub struct Simulator<'g, P: Protocol> {
 impl<'g, P: Protocol> Simulator<'g, P> {
     /// Creates a simulator for `protocol` on `graph`.
     pub fn new(graph: &Graph, protocol: &'g P) -> Self {
-        Simulator { graph: CsrGraph::from_graph(graph), protocol, parallel: false }
+        Simulator { graph: graph.clone(), protocol, parallel: false }
     }
 
     /// Enables rayon-parallel node stepping.  Results are identical to the

@@ -80,7 +80,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> GeometricGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let positions: Vec<Point> =
         (0..n).map(|_| Point { x: rng.gen::<f64>(), y: rng.gen::<f64>() }).collect();
-    let mut graph = Graph::new(n);
+    let mut edges = Vec::new();
     if n >= 2 && radius > 0.0 {
         // Bucket points into a grid of cell width `radius`; only neighbouring
         // cells can contain points within range.
@@ -110,13 +110,14 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> GeometricGraph {
                     }
                     for &j in &buckets[ny as usize * cells_per_side + nx as usize] {
                         if j > i && p.distance(&positions[j]) <= radius {
-                            graph.add_edge(i, j).expect("grid enumeration visits each pair once");
+                            edges.push((i, j));
                         }
                     }
                 }
             }
         }
     }
+    let graph = Graph::from_edges(n, edges).expect("grid enumeration visits each pair once");
     GeometricGraph { graph, positions, radius }
 }
 

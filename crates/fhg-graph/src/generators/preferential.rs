@@ -23,13 +23,12 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
     assert!(m >= 1, "attachment count m must be at least 1");
     assert!(n > m, "need at least m+1 = {} nodes, got {n}", m + 1);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    // Urn of node ids, each appearing once per incident edge endpoint.
+    // Urn of node ids, each appearing once per incident edge endpoint: the
+    // edge list itself, flattened.
     let mut urn: Vec<NodeId> = Vec::with_capacity(2 * m * n);
     // Seed clique on the first m+1 nodes.
     for u in 0..=m {
         for v in (u + 1)..=m {
-            g.add_edge(u, v).expect("clique edges are simple");
             urn.push(u);
             urn.push(v);
         }
@@ -45,12 +44,12 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
             }
         }
         for &target in &chosen {
-            g.add_edge(new, target).expect("new node has no prior edges");
             urn.push(new);
             urn.push(target);
         }
     }
-    g
+    let edges = urn.chunks_exact(2).map(|e| (e[0], e[1]));
+    Graph::from_edges(n, edges).expect("new nodes attach to distinct old nodes")
 }
 
 #[cfg(test)]

@@ -16,25 +16,20 @@ use crate::Graph;
 /// Panics if `p` is not in `[0, 1]` or is NaN.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "edge probability must be in [0, 1], got {p}");
-    let mut g = Graph::new(n);
     if n < 2 || p == 0.0 {
-        return g;
+        return Graph::new(n);
+    }
+    if p >= 1.0 {
+        return super::complete(n);
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    if p >= 1.0 {
-        for u in 0..n {
-            for v in (u + 1)..n {
-                g.add_edge(u, v).expect("complete graph edges are simple");
-            }
-        }
-        return g;
-    }
     // Iterate over the pairs (u, v), u < v, in lexicographic order, skipping
     // ahead by geometrically distributed gaps.
     let log_q = (1.0 - p).ln();
+    let mut edges = Vec::new();
     let mut u: usize = 0;
     let mut v: i64 = 0; // candidate index within row u, offset from u+1
-    while u < n - 1 {
+    'pairs: while u < n - 1 {
         let r: f64 = rng.gen_range(f64::EPSILON..1.0);
         let skip = (r.ln() / log_q).floor() as i64;
         v += skip + 1;
@@ -47,13 +42,12 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
             v -= row_len;
             u += 1;
             if u >= n - 1 {
-                return g;
+                break 'pairs;
             }
         }
-        let w = u + 1 + v as usize;
-        g.add_edge(u, w).expect("pair enumeration never repeats an edge");
+        edges.push((u, u + 1 + v as usize));
     }
-    g
+    Graph::from_edges(n, edges).expect("pair enumeration never repeats an edge")
 }
 
 /// Generates a uniform `G(n, m)` graph with exactly `m` distinct edges.
@@ -63,9 +57,8 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
 pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
     let max_edges = n.saturating_mul(n.saturating_sub(1)) / 2;
     assert!(m <= max_edges, "requested {m} edges but only {max_edges} are possible");
-    let mut g = Graph::new(n);
     if m == 0 {
-        return g;
+        return Graph::new(n);
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // Dense request: sample by enumerating all pairs and shuffling a prefix.
@@ -76,20 +69,20 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
         for i in 0..m {
             let j = rng.gen_range(i..pairs.len());
             pairs.swap(i, j);
-            let (u, v) = pairs[i];
-            g.add_edge(u, v).expect("distinct pairs");
         }
-        return g;
+        pairs.truncate(m);
+        return Graph::from_edges(n, pairs).expect("distinct pairs");
     }
     // Sparse request: rejection sampling.
-    while g.edge_count() < m {
+    let mut chosen = std::collections::BTreeSet::new();
+    while chosen.len() < m {
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
         if u != v {
-            let _ = g.add_edge_if_absent(u, v);
+            chosen.insert((u.min(v), u.max(v)));
         }
     }
-    g
+    Graph::from_edges(n, chosen).expect("distinct pairs")
 }
 
 /// The paper's motivating "two villages" example: parents split into groups
@@ -101,16 +94,16 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
 /// Panics if `p` is not in `[0, 1]`.
 pub fn bipartite_villages(a: usize, b: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "edge probability must be in [0, 1], got {p}");
-    let mut g = Graph::new(a + b);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut edges = Vec::new();
     for u in 0..a {
-        for v in 0..b {
+        for v in a..a + b {
             if rng.gen_bool(p) {
-                g.add_edge(u, a + v).expect("bipartite pairs are simple");
+                edges.push((u, v));
             }
         }
     }
-    g
+    Graph::from_edges(a + b, edges).expect("bipartite pairs are simple")
 }
 
 #[cfg(test)]

@@ -12,79 +12,53 @@ use crate::Graph;
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v).expect("complete graph edges are simple");
-        }
-    }
-    g
+    let edges = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+    Graph::from_edges(n, edges).expect("complete graph edges are simple")
 }
 
 /// Simple path `P_n` on `n` nodes (`n - 1` edges).
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 1..n {
-        g.add_edge(u - 1, u).expect("path edges are simple");
-    }
-    g
+    Graph::from_edges(n, (1..n).map(|u| (u - 1, u))).expect("path edges are simple")
 }
 
 /// Simple cycle `C_n`.  For `n < 3` this degenerates to a path.
 pub fn cycle(n: usize) -> Graph {
-    let mut g = path(n);
-    if n >= 3 {
-        g.add_edge(n - 1, 0).expect("closing edge is new");
-    }
-    g
+    let closing = (n >= 3).then(|| (n - 1, 0));
+    Graph::from_edges(n, (1..n).map(|u| (u - 1, u)).chain(closing)).expect("cycle edges are simple")
 }
 
 /// Star `K_{1,n-1}`: node 0 is the centre.
 pub fn star(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for v in 1..n {
-        g.add_edge(0, v).expect("star edges are simple");
-    }
-    g
+    Graph::from_edges(n, (1..n).map(|v| (0, v))).expect("star edges are simple")
 }
 
 /// Complete bipartite graph `K_{a,b}`; the first `a` nodes form one side.
 pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = Graph::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g.add_edge(u, a + v).expect("bipartite edges are simple");
-        }
-    }
-    g
+    let edges = (0..a).flat_map(|u| (a..a + b).map(move |v| (u, v)));
+    Graph::from_edges(a + b, edges).expect("bipartite edges are simple")
 }
 
 /// `rows x cols` 2D grid graph; node `(r, c)` has id `r * cols + c`.
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    let mut g = Graph::new(rows * cols);
+    let mut edges = Vec::new();
     for r in 0..rows {
         for c in 0..cols {
             let id = r * cols + c;
             if c + 1 < cols {
-                g.add_edge(id, id + 1).expect("grid edges are simple");
+                edges.push((id, id + 1));
             }
             if r + 1 < rows {
-                g.add_edge(id, id + cols).expect("grid edges are simple");
+                edges.push((id, id + cols));
             }
         }
     }
-    g
+    Graph::from_edges(rows * cols, edges).expect("grid edges are simple")
 }
 
 /// Uniform random labelled tree on `n` nodes via a random Prüfer sequence.
 pub fn random_tree(n: usize, seed: u64) -> Graph {
-    let mut g = Graph::new(n);
-    if n < 2 {
-        return g;
-    }
-    if n == 2 {
-        g.add_edge(0, 1).expect("single edge");
-        return g;
+    if n <= 2 {
+        return path(n);
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let prufer: Vec<usize> = (0..n - 2).map(|_| rng.gen_range(0..n)).collect();
@@ -98,8 +72,9 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
         ptr += 1;
     }
     let mut leaf = ptr;
+    let mut edges = Vec::with_capacity(n - 1);
     for &x in &prufer {
-        g.add_edge(leaf, x).expect("Prüfer decoding yields a simple tree");
+        edges.push((leaf, x));
         degree[x] -= 1;
         if degree[x] == 1 && x < ptr {
             leaf = x;
@@ -111,8 +86,8 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
             leaf = ptr;
         }
     }
-    g.add_edge(leaf, n - 1).expect("final Prüfer edge");
-    g
+    edges.push((leaf, n - 1));
+    Graph::from_edges(n, edges).expect("Prüfer decoding yields a simple tree")
 }
 
 /// Caterpillar: a spine path of `spine` nodes, each with `legs` pendant leaves.
@@ -121,17 +96,9 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
 /// spine nodes and degree-1 leaves hanging off higher-degree hubs.
 pub fn caterpillar(spine: usize, legs: usize) -> Graph {
     let n = spine + spine * legs;
-    let mut g = Graph::new(n);
-    for u in 1..spine {
-        g.add_edge(u - 1, u).expect("spine edges are simple");
-    }
-    for s in 0..spine {
-        for l in 0..legs {
-            let leaf = spine + s * legs + l;
-            g.add_edge(s, leaf).expect("leg edges are simple");
-        }
-    }
-    g
+    let spine_edges = (1..spine).map(|u| (u - 1, u));
+    let leg_edges = (0..spine).flat_map(|s| (0..legs).map(move |l| (s, spine + s * legs + l)));
+    Graph::from_edges(n, spine_edges.chain(leg_edges)).expect("caterpillar edges are simple")
 }
 
 /// Circulant graph `C_n(1..=k)`: node `i` is adjacent to `i ± 1, …, i ± k`
@@ -147,14 +114,9 @@ pub fn regular_circulant(n: usize, k: usize) -> Graph {
         return Graph::new(0);
     }
     assert!(2 * k < n, "circulant requires 2k < n (got n={n}, k={k})");
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for d in 1..=k {
-            let v = (u + d) % n;
-            g.add_edge_if_absent(u, v).expect("nodes are in range");
-        }
-    }
-    g
+    // Offsets `1..=k` with `2k < n` never reach a pair twice.
+    let edges = (0..n).flat_map(|u| (1..=k).map(move |d| (u, (u + d) % n)));
+    Graph::from_edges(n, edges).expect("circulant edges are simple")
 }
 
 #[cfg(test)]

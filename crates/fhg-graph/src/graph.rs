@@ -1,12 +1,42 @@
-//! Mutable adjacency-list graph.
+//! The conflict graph: sorted neighbour rows in one flat arena.
 //!
-//! [`Graph`] is the workhorse representation used while building conflict
-//! graphs (generators), while applying dynamic edge events (paper §6) and by
-//! algorithms that need cheap mutation.  Algorithms that only *read* the
-//! graph usually convert to [`crate::CsrGraph`] first.
+//! [`Graph`] is the workspace's one graph type.  Generators build it,
+//! dynamic edge events (paper §6) edit it in place, and every read-only
+//! pass (the schedulers, the independence checkers, the analysis's edge
+//! pass, the distributed simulator) scans it as it is.
+//!
+//! Each node's sorted neighbour row lives in one shared arena.  Node `u`
+//! keeps `(start, len, cap, split)`, with `split` the index of its first
+//! neighbour above `u`, so [`Graph::neighbors`] is a slice and
+//! [`Graph::neighbors_above`] (every edge once, from its lower endpoint) is
+//! a slice with no search.  A **packed** graph holds its rows in node order
+//! with no slack and no garbage, which is exactly a compressed-sparse-row
+//! (CSR) layout; [`Graph::from_edges`], `Clone`, the generators and snapshot
+//! decode all return packed graphs.
+//!
+//! Edits stay in place while a row has room.  A full row grows in place if
+//! it ends the arena and otherwise moves to the tail with `GROWTH` times its
+//! capacity, leaving its old span behind as garbage.  Once the garbage
+//! passes `1 / GARBAGE_SHARE` of the arena, compaction re-lays the rows in
+//! node order, each keeping its capacity.
 
+use std::fmt;
+use std::ops::Range;
+
+use crate::bitset::FixedBitSet;
 use crate::error::GraphError;
-use crate::NodeId;
+use crate::properties::MembershipTable;
+use crate::{kernels, NodeId};
+
+/// A full row that moves gets this many times its capacity.
+const GROWTH: usize = 2;
+
+/// The least capacity a grown row gets.
+const MIN_ROW_CAP: usize = 4;
+
+/// Compaction runs once the garbage exceeds this share of the arena, so
+/// after every edit `garbage * GARBAGE_SHARE <= arena.len()`.
+const GARBAGE_SHARE: usize = 4;
 
 /// An undirected edge, stored with `u <= v` when produced by [`Graph::edges`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,42 +72,112 @@ impl Edge {
     }
 }
 
-/// A mutable, undirected, simple graph stored as sorted adjacency lists.
+/// One node's row: `arena[start..start + len]`, sorted, inside a span of
+/// `cap` slots, with the neighbours above the node from index `split` on.
+/// Offsets and capacities reach `u32` through [`narrow`]; `len` and `split`
+/// stay at most `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    start: u32,
+    len: u32,
+    cap: u32,
+    split: u32,
+}
+
+impl Row {
+    fn live(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// Narrows an arena index or length to a row field.
+fn narrow(x: usize) -> Result<u32, GraphError> {
+    u32::try_from(x).map_err(|_| {
+        GraphError::InvalidParameter(format!("adjacency arena index {x} exceeds u32::MAX"))
+    })
+}
+
+/// A mutable, undirected, simple graph stored as sorted neighbour rows in
+/// one arena (see the module docs for the layout).
 ///
 /// Invariants maintained by every method:
 ///
 /// * no self-loops, no parallel edges;
-/// * each adjacency list is sorted in increasing node order;
-/// * `edge_count` equals the number of unordered edges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// * each row is sorted in increasing node order;
+/// * `edge_count` equals the number of unordered edges;
+/// * the rows' spans are disjoint, and together with the garbage they make
+///   up the arena.
+///
+/// Equality compares the neighbour rows, not their layout.
+#[derive(Default)]
 pub struct Graph {
-    adj: Vec<Vec<NodeId>>,
+    rows: Vec<Row>,
+    arena: Vec<NodeId>,
     edge_count: usize,
+    /// Arena slots no row owns: the old spans of moved rows.
+    garbage: usize,
 }
 
 impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
-        Graph { adj: vec![Vec::new(); n], edge_count: 0 }
+        Graph { rows: vec![Row::default(); n], ..Graph::default() }
     }
 
-    /// Creates a graph from an edge list over nodes `0..n`.
+    /// Creates a packed graph from an edge list over nodes `0..n`.
     ///
-    /// Duplicate edges and self-loops are rejected.
+    /// Duplicate edges, self-loops and a node count whose row table cannot
+    /// be allocated are rejected.
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Result<Self, GraphError> {
-        let mut g = Graph::new(n);
-        for (u, v) in edges {
-            g.add_edge(u, v)?;
+        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+        let mut rows = Vec::new();
+        rows.try_reserve_exact(n).map_err(|_| {
+            GraphError::InvalidParameter(format!("cannot allocate a graph of {n} nodes"))
+        })?;
+        rows.resize(n, Row::default());
+        // Every row offset below is at most the arena length.
+        narrow(2 * edges.len())?;
+        for &(u, v) in &edges {
+            if u.max(v) >= n {
+                return Err(GraphError::NodeOutOfBounds { node: u.max(v), node_count: n });
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop(u));
+            }
+            rows[u].cap += 1;
+            rows[v].cap += 1;
         }
-        Ok(g)
+        let mut start = 0;
+        for row in &mut rows {
+            row.start = start;
+            start += row.cap;
+        }
+        let mut arena = vec![0; start as usize];
+        for &(u, v) in &edges {
+            for (x, y) in [(u, v), (v, u)] {
+                let row = &mut rows[x];
+                arena[row.live().end] = y;
+                row.len += 1;
+            }
+        }
+        for (u, row) in rows.iter_mut().enumerate() {
+            let nbrs = &mut arena[row.live()];
+            nbrs.sort_unstable();
+            if let Some(w) = nbrs.windows(2).find(|w| w[0] == w[1]) {
+                return Err(GraphError::DuplicateEdge(u, w[0]));
+            }
+            row.split = narrow(nbrs.partition_point(|&v| v < u))?;
+        }
+        Ok(Graph { rows, arena, edge_count: edges.len(), garbage: 0 })
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.rows.len()
     }
 
     /// Number of (unordered) edges.
@@ -92,8 +192,8 @@ impl Graph {
 
     /// Adds an isolated node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.rows.push(Row::default());
+        self.rows.len() - 1
     }
 
     /// Degree of `u`.
@@ -101,12 +201,19 @@ impl Graph {
     /// # Panics
     /// Panics if `u` is out of bounds.
     pub fn degree(&self, u: NodeId) -> usize {
-        self.adj[u].len()
+        self.rows[u].len as usize
     }
 
     /// Sorted slice of neighbours of `u`.
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.adj[u]
+        &self.arena[self.rows[u].live()]
+    }
+
+    /// Sorted slice of the neighbours of `u` above `u`: every edge appears
+    /// in exactly one of these slices, its lower endpoint's.
+    pub fn neighbors_above(&self, u: NodeId) -> &[NodeId] {
+        let row = self.rows[u];
+        &self.arena[row.start as usize + row.split as usize..row.live().end]
     }
 
     /// Whether the edge `(u, v)` exists.
@@ -114,7 +221,7 @@ impl Graph {
         if u >= self.node_count() || v >= self.node_count() {
             return false;
         }
-        self.adj[u].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     fn check_node(&self, u: NodeId) -> Result<(), GraphError> {
@@ -132,64 +239,119 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
-        match self.adj[u].binary_search(&v) {
-            Ok(_) => Err(GraphError::DuplicateEdge(u, v)),
-            Err(pos_u) => {
-                self.adj[u].insert(pos_u, v);
-                let pos_v = self.adj[v].binary_search(&u).unwrap_err();
-                self.adj[v].insert(pos_v, u);
-                self.edge_count += 1;
-                Ok(())
-            }
-        }
-    }
-
-    /// Adds the edge `(u, v)` if it is absent; returns whether it was added.
-    pub fn add_edge_if_absent(&mut self, u: NodeId, v: NodeId) -> Result<bool, GraphError> {
-        match self.add_edge(u, v) {
-            Ok(()) => Ok(true),
-            Err(GraphError::DuplicateEdge(..)) => Ok(false),
-            Err(e) => Err(e),
-        }
+        let Err(pos_u) = self.neighbors(u).binary_search(&v) else {
+            return Err(GraphError::DuplicateEdge(u, v));
+        };
+        let pos_v = self.neighbors(v).binary_search(&u).expect_err("adjacency symmetry");
+        // Both rows get room before either changes, so a failed growth
+        // leaves the edge set as it was.
+        self.reserve_one(u)?;
+        self.reserve_one(v)?;
+        self.insert(u, pos_u, v);
+        self.insert(v, pos_v, u);
+        self.edge_count += 1;
+        Ok(())
     }
 
     /// Removes the undirected edge `(u, v)`.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         self.check_node(u)?;
         self.check_node(v)?;
-        match self.adj[u].binary_search(&v) {
-            Ok(pos_u) => {
-                self.adj[u].remove(pos_u);
-                let pos_v = self.adj[v].binary_search(&u).expect("adjacency symmetry");
-                self.adj[v].remove(pos_v);
-                self.edge_count -= 1;
-                Ok(())
-            }
-            Err(_) => Err(GraphError::MissingEdge(u, v)),
+        let Ok(pos_u) = self.neighbors(u).binary_search(&v) else {
+            return Err(GraphError::MissingEdge(u, v));
+        };
+        let pos_v = self.neighbors(v).binary_search(&u).expect("adjacency symmetry");
+        self.remove(u, pos_u);
+        self.remove(v, pos_v);
+        self.edge_count -= 1;
+        Ok(())
+    }
+
+    /// Gives `u`'s row room for one more neighbour: a full row grows in
+    /// place if it ends the arena and otherwise moves to the tail, after
+    /// which the garbage bound may trigger a compaction.
+    fn reserve_one(&mut self, u: NodeId) -> Result<(), GraphError> {
+        let row = self.rows[u];
+        if row.len < row.cap {
+            return Ok(());
         }
+        let cap = (row.cap as usize * GROWTH).max(MIN_ROW_CAP);
+        let moves = row.start as usize + row.cap as usize != self.arena.len();
+        let start = if moves { self.arena.len() } else { row.start as usize };
+        // The new arena end must fit too: the next moved row starts there.
+        narrow(start + cap)?;
+        let grown = Row { start: narrow(start)?, cap: narrow(cap)?, ..row };
+        if moves {
+            self.arena.extend_from_within(row.live());
+            self.garbage += row.cap as usize;
+        }
+        self.arena.resize(start + cap, 0);
+        self.rows[u] = grown;
+        if self.garbage * GARBAGE_SHARE > self.arena.len() {
+            *self = self.relaid(true);
+        }
+        Ok(())
+    }
+
+    /// Inserts `v` at `pos` of `u`'s row, which has room.
+    fn insert(&mut self, u: NodeId, pos: usize, v: NodeId) {
+        let row = &mut self.rows[u];
+        let at = row.start as usize + pos;
+        self.arena.copy_within(at..row.live().end, at + 1);
+        self.arena[at] = v;
+        row.len += 1;
+        row.split += u32::from(v < u);
+    }
+
+    /// Removes the neighbour at `pos` of `u`'s row.
+    fn remove(&mut self, u: NodeId, pos: usize) {
+        let row = &mut self.rows[u];
+        let at = row.start as usize + pos;
+        row.split -= u32::from(self.arena[at] < u);
+        self.arena.copy_within(at + 1..row.live().end, at);
+        row.len -= 1;
+    }
+
+    /// The rows copied in node order into a fresh arena with no garbage,
+    /// each keeping its capacity if `keep_slack` and packed otherwise.
+    fn relaid(&self, keep_slack: bool) -> Graph {
+        let live = if keep_slack { self.arena.len() - self.garbage } else { 2 * self.edge_count };
+        let mut arena = Vec::with_capacity(live);
+        // The copy is no longer than this arena, whose length fits a row.
+        let mut start = 0;
+        let rows = self
+            .rows
+            .iter()
+            .map(|&row| {
+                let cap = if keep_slack { row.cap } else { row.len };
+                arena.extend_from_slice(&self.arena[row.live()]);
+                arena.resize(arena.len() + (cap - row.len) as usize, 0);
+                let moved = Row { start, cap, ..row };
+                start += cap;
+                moved
+            })
+            .collect();
+        Graph { rows, arena, edge_count: self.edge_count, garbage: 0 }
     }
 
     /// Iterator over all edges with `u <= v`, in lexicographic order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, nbrs)| nbrs.iter().filter(move |&&v| u < v).map(move |&v| Edge { u, v }))
+        self.nodes().flat_map(move |u| self.neighbors_above(u).iter().map(move |&v| Edge { u, v }))
     }
 
     /// Maximum degree Δ of the graph (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.rows.iter().map(|r| r.len as usize).max().unwrap_or(0)
     }
 
     /// Minimum degree δ of the graph (0 for the empty graph).
     pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
+        self.rows.iter().map(|r| r.len as usize).min().unwrap_or(0)
     }
 
     /// Vector of all node degrees, indexed by node id.
     pub fn degrees(&self) -> Vec<usize> {
-        self.adj.iter().map(Vec::len).collect()
+        self.rows.iter().map(|r| r.len as usize).collect()
     }
 
     /// Average degree `2m / n` (0.0 for the empty graph).
@@ -201,9 +363,82 @@ impl Graph {
         }
     }
 
-    /// Consumes self and returns the adjacency lists.
-    pub fn into_adjacency(self) -> Vec<Vec<NodeId>> {
-        self.adj
+    /// Bytes held by the row table and the arena, garbage and slack
+    /// included.
+    pub fn memory_bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<Row>()
+            + self.arena.len() * std::mem::size_of::<NodeId>()
+    }
+
+    /// Whether `set` (as a bit set over node ids) is an independent set.
+    ///
+    /// Walks the set's backing words through the set-bit-extraction kernel
+    /// ([`kernels::all_set_bits`], early exit on the first conflict) and
+    /// probes each member's row against the raw words with branchless
+    /// OR-accumulation (the conditional per neighbour is a data dependency,
+    /// not a branch, which beats short-circuit probes on scattered
+    /// members).  Members `>= node_count()` make the set invalid, mirroring
+    /// [`crate::properties::is_independent_set`].  This is the big-graph
+    /// complement to [`crate::properties::AdjacencyBitmap::is_independent`],
+    /// whose dense rows are fully word-wise but cost `n²/8` bytes.
+    pub fn is_independent(&self, set: &FixedBitSet) -> bool {
+        let n = self.node_count();
+        if set.capacity() < n {
+            // Undersized sets cannot be probed word-raw (a neighbour's word
+            // may not exist); use the checked probe instead.
+            return set
+                .iter()
+                .all(|u| u < n && self.neighbors(u).iter().all(|&v| !set.contains(v)));
+        }
+        let words = set.as_words();
+        kernels::all_set_bits(words, |u| {
+            if u >= n {
+                return false;
+            }
+            let mut hit = 0u64;
+            for &v in self.neighbors(u) {
+                hit |= words[v >> 6] & (1u64 << (v & 63));
+            }
+            hit == 0
+        })
+    }
+
+    /// Batched independence over a [`MembershipTable`]: bit `i` of the
+    /// result is set iff class `i` is *not* independent.  Walks the batch
+    /// union once and gathers each member's neighbour lanes through
+    /// [`kernels::intersects_many_indexed`], so every row is loaded once for
+    /// the whole batch instead of once per class.
+    pub fn batch_violations(&self, table: &MembershipTable) -> u64 {
+        let mut violations = table.invalid();
+        let lanes = table.lanes();
+        kernels::for_each_set_bit(table.union(), |u| {
+            let hits = kernels::intersects_many_indexed(self.neighbors(u), lanes);
+            violations |= hits & table.lane(u);
+        });
+        violations
+    }
+}
+
+impl Clone for Graph {
+    /// A packed copy: rows in node order, no slack, no garbage.
+    fn clone(&self) -> Self {
+        self.relaid(false)
+    }
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_count() == other.node_count()
+            && self.edge_count == other.edge_count
+            && self.nodes().all(|u| self.neighbors(u) == other.neighbors(u))
+    }
+}
+
+impl Eq for Graph {}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.nodes().map(|u| (u, self.neighbors(u)))).finish()
     }
 }
 
@@ -211,6 +446,7 @@ impl Graph {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn new_graph_is_empty() {
@@ -225,11 +461,49 @@ mod tests {
 
     #[test]
     fn empty_graph_edge_cases() {
-        let g = Graph::new(0);
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.average_degree(), 0.0);
-        assert_eq!(g.edges().count(), 0);
+        for g in [Graph::new(0), Graph::from_edges(0, []).unwrap()] {
+            assert_eq!(g.node_count(), 0);
+            assert_eq!(g.edge_count(), 0);
+            assert_eq!(g.max_degree(), 0);
+            assert_eq!(g.average_degree(), 0.0);
+            assert_eq!(g.edges().count(), 0);
+            assert!(is_packed(&g));
+        }
+    }
+
+    #[test]
+    fn from_edges_rejects_invalid_edges() {
+        assert_eq!(Graph::from_edges(2, [(0, 0)]), Err(GraphError::SelfLoop(0)));
+        assert!(matches!(
+            Graph::from_edges(2, [(0, 5)]),
+            Err(GraphError::NodeOutOfBounds { node: 5, .. })
+        ));
+        assert_eq!(Graph::from_edges(3, [(0, 1), (1, 0)]), Err(GraphError::DuplicateEdge(0, 1)));
+        assert!(matches!(Graph::from_edges(usize::MAX, []), Err(GraphError::InvalidParameter(_))));
+    }
+
+    #[test]
+    fn is_independent_handles_range_and_capacity_edge_cases() {
+        let g = Graph::from_edges(70, [(0, 1), (0, 69), (2, 3)]).unwrap();
+        let mut ok = FixedBitSet::new(70);
+        ok.insert(1);
+        ok.insert(69);
+        ok.insert(2);
+        assert!(g.is_independent(&ok));
+        ok.insert(0); // adjacent to both 1 and 69, in a different word than 69
+        assert!(!g.is_independent(&ok));
+
+        // Oversized capacity with an out-of-range member is invalid.
+        let mut oversized = FixedBitSet::new(100);
+        oversized.insert(99);
+        assert!(!g.is_independent(&oversized));
+
+        // Undersized capacity takes the checked path.
+        let mut small = FixedBitSet::new(1);
+        small.insert(0);
+        assert!(g.is_independent(&small), "node 0's neighbours lie beyond the set capacity");
+        let empty = FixedBitSet::new(0);
+        assert!(g.is_independent(&empty));
     }
 
     #[test]
@@ -261,15 +535,6 @@ mod tests {
         assert!(matches!(g.add_edge(0, 9), Err(GraphError::NodeOutOfBounds { node: 9, .. })));
         assert_eq!(g.remove_edge(0, 2), Err(GraphError::MissingEdge(0, 2)));
         assert!(!g.has_edge(0, 99));
-    }
-
-    #[test]
-    fn add_edge_if_absent_is_idempotent() {
-        let mut g = Graph::new(3);
-        assert!(g.add_edge_if_absent(0, 1).unwrap());
-        assert!(!g.add_edge_if_absent(1, 0).unwrap());
-        assert_eq!(g.edge_count(), 1);
-        assert!(g.add_edge_if_absent(0, 7).is_err());
     }
 
     #[test]
@@ -319,44 +584,86 @@ mod tests {
         assert_eq!(g, back);
     }
 
-    fn arb_edges(n: usize, max_edges: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
-        proptest::collection::vec((0..n, 0..n), 0..max_edges)
+    /// Whether `g` is packed: rows in node order, no slack, no garbage.
+    fn is_packed(g: &Graph) -> bool {
+        let mut next = 0;
+        let in_order = g.rows.iter().all(|r| {
+            let at = next;
+            next += r.len as usize;
+            r.start as usize == at && r.cap == r.len
+        });
+        in_order && g.garbage == 0 && next == g.arena.len()
+    }
+
+    /// Checks `g` against the model edge set `{(u, v) : u < v}` (with
+    /// symmetry, the upper slices pin every row), then the layout's
+    /// promises: row spans plus garbage make up the arena, the garbage
+    /// stays in its bound, and the clone is equal and packed.
+    fn check_model(g: &Graph, model: &BTreeSet<(usize, usize)>) {
+        prop_assert!(g.edges().map(|e| (e.u, e.v)).eq(model.iter().copied()), "edges() order");
+        prop_assert_eq!(g.edge_count(), model.len());
+        for u in g.nodes() {
+            let nbrs = g.neighbors(u);
+            prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "sorted, no dup");
+            prop_assert!(nbrs.iter().all(|&v| g.neighbors(v).binary_search(&u).is_ok()));
+            prop_assert_eq!(g.degree(u), nbrs.len());
+            let above: Vec<usize> = nbrs.iter().copied().filter(|&v| v > u).collect();
+            prop_assert_eq!(g.neighbors_above(u), &above[..]);
+        }
+        let caps: usize = g.rows.iter().map(|r| r.cap as usize).sum();
+        prop_assert_eq!(caps + g.garbage, g.arena.len());
+        prop_assert!(g.garbage * GARBAGE_SHARE <= g.arena.len(), "garbage past the bound");
+        let copy = g.clone();
+        prop_assert_eq!(&copy, g);
+        prop_assert!(is_packed(&copy));
+    }
+
+    /// Sequences long enough that rows fill up, move and get compacted.
+    fn arb_edges(n: usize, len: Range<usize>) -> impl Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0..n, 0..n), len)
     }
 
     proptest! {
+        /// Inserts only: every row grows past its first capacities, so rows
+        /// move to the tail and the garbage forces compactions.
         #[test]
-        fn adjacency_is_always_symmetric_and_sorted(pairs in arb_edges(30, 120)) {
+        fn adjacency_is_always_symmetric_and_sorted(pairs in arb_edges(30, 200..400)) {
             let mut g = Graph::new(30);
-            for (u, v) in pairs {
-                if u != v {
-                    let _ = g.add_edge_if_absent(u, v);
-                }
+            let mut model = BTreeSet::new();
+            let (mut moved, mut compacted) = (false, false);
+            for (u, v) in pairs.into_iter().filter(|&(u, v)| u != v) {
+                let garbage = g.garbage;
+                prop_assert_eq!(g.add_edge(u, v).is_ok(), model.insert((u.min(v), u.max(v))));
+                moved |= g.garbage > garbage;
+                compacted |= g.garbage < garbage;
+                check_model(&g, &model);
             }
-            let mut m = 0;
-            for u in g.nodes() {
-                let nbrs = g.neighbors(u);
-                prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "sorted, no dup");
-                for &v in nbrs {
-                    prop_assert!(g.neighbors(v).contains(&u), "symmetry");
-                    prop_assert_ne!(v, u, "no self loops");
-                }
-                m += nbrs.len();
-            }
-            prop_assert_eq!(m, 2 * g.edge_count());
-            prop_assert_eq!(g.edges().count(), g.edge_count());
+            prop_assert!(moved && compacted, "the sequence must move and compact rows");
         }
 
+        /// Toggles: each pair inserts its edge if absent and deletes it if
+        /// present; then every remaining edge is deleted, newest first.
         #[test]
-        fn remove_undoes_add(pairs in arb_edges(20, 60)) {
-            let mut g = Graph::new(20);
-            let mut added = Vec::new();
-            for (u, v) in pairs {
-                if u != v && g.add_edge_if_absent(u, v).unwrap() {
-                    added.push((u, v));
+        fn remove_undoes_add(pairs in arb_edges(20, 100..300)) {
+            let mut g = Graph::from_edges(20, [(0, 19), (3, 7)]).unwrap();
+            let mut model = BTreeSet::from([(0, 19), (3, 7)]);
+            let mut added = vec![(0, 19), (3, 7)];
+            for (u, v) in pairs.into_iter().filter(|&(u, v)| u != v) {
+                let e = (u.min(v), u.max(v));
+                if model.remove(&e) {
+                    g.remove_edge(v, u).unwrap();
+                } else {
+                    g.add_edge(u, v).unwrap();
+                    model.insert(e);
+                    added.push(e);
                 }
+                check_model(&g, &model);
             }
             for &(u, v) in added.iter().rev() {
-                g.remove_edge(u, v).unwrap();
+                if model.remove(&(u, v)) {
+                    g.remove_edge(u, v).unwrap();
+                    check_model(&g, &model);
+                }
             }
             prop_assert_eq!(g.edge_count(), 0);
             for u in g.nodes() {

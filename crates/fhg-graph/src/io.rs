@@ -28,8 +28,8 @@ pub fn to_edge_list(graph: &Graph) -> String {
 /// Parses a graph from the edge-list format produced by [`to_edge_list`].
 ///
 /// Blank lines and lines starting with `#` are ignored.  Edges must reference
-/// nodes below the declared count; duplicate edges and self-loops are
-/// rejected (conflict graphs are simple).
+/// nodes below the declared count; duplicate edges, self-loops and node
+/// counts too large to allocate are rejected (conflict graphs are simple).
 pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'));
     let header = lines
@@ -38,13 +38,14 @@ pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut parts = header.split_whitespace();
     let n: usize = parse_field(parts.next(), "node count")?;
     let declared_edges: usize = parse_field(parts.next(), "edge count")?;
-    let mut graph = Graph::new(n);
+    let mut edges = Vec::new();
     for line in lines {
         let mut fields = line.split_whitespace();
         let u: NodeId = parse_field(fields.next(), "edge endpoint")?;
         let v: NodeId = parse_field(fields.next(), "edge endpoint")?;
-        graph.add_edge(u, v)?;
+        edges.push((u, v));
     }
+    let graph = Graph::from_edges(n, edges)?;
     if graph.edge_count() != declared_edges {
         return Err(GraphError::InvalidParameter(format!(
             "header declares {declared_edges} edges but {} were listed",
@@ -68,9 +69,10 @@ pub fn to_dimacs(graph: &Graph) -> String {
 /// Parses a graph from DIMACS `p edge` format (1-based vertex ids on disk).
 ///
 /// `c` lines are comments; duplicate `e` lines are tolerated (DIMACS files in
-/// the wild often list both orientations) but self-loops are rejected.
+/// the wild often list both orientations) but self-loops and node counts too
+/// large to allocate are rejected.
 pub fn from_dimacs(text: &str) -> Result<Graph, GraphError> {
-    let mut graph: Option<Graph> = None;
+    let mut graph: Option<(usize, Vec<(NodeId, NodeId)>)> = None;
     for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let mut fields = line.split_whitespace();
         match fields.next() {
@@ -83,10 +85,10 @@ pub fn from_dimacs(text: &str) -> Result<Graph, GraphError> {
                     )));
                 }
                 let n: usize = parse_field(fields.next(), "node count")?;
-                graph = Some(Graph::new(n));
+                graph = Some((n, Vec::new()));
             }
             Some("e") => {
-                let g = graph.as_mut().ok_or_else(|| {
+                let (_, edges) = graph.as_mut().ok_or_else(|| {
                     GraphError::InvalidParameter("`e` line before the `p` line".into())
                 })?;
                 let u: usize = parse_field(fields.next(), "edge endpoint")?;
@@ -96,7 +98,7 @@ pub fn from_dimacs(text: &str) -> Result<Graph, GraphError> {
                         "DIMACS vertex ids are 1-based; found 0".into(),
                     ));
                 }
-                let _ = g.add_edge_if_absent(u - 1, v - 1)?;
+                edges.push(((u - 1).min(v - 1), (u - 1).max(v - 1)));
             }
             Some(other) => {
                 return Err(GraphError::InvalidParameter(format!(
@@ -106,7 +108,11 @@ pub fn from_dimacs(text: &str) -> Result<Graph, GraphError> {
             None => {}
         }
     }
-    graph.ok_or_else(|| GraphError::InvalidParameter("no `p edge` line found".into()))
+    let (n, mut edges) =
+        graph.ok_or_else(|| GraphError::InvalidParameter("no `p edge` line found".into()))?;
+    edges.sort_unstable();
+    edges.dedup();
+    Graph::from_edges(n, edges)
 }
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, what: &str) -> Result<T, GraphError> {
@@ -146,6 +152,12 @@ mod tests {
         assert!(from_edge_list("2 1\n0 0").is_err(), "self loop");
         assert!(from_edge_list("3 2\n0 1").is_err(), "edge count mismatch");
         assert!(from_edge_list("3 1\n0 x").is_err(), "malformed endpoint");
+        for text in ["18446744073709551615 0", "99999999999999 0"] {
+            assert!(
+                matches!(from_edge_list(text), Err(GraphError::InvalidParameter(_))),
+                "unallocatable node count {text}"
+            );
+        }
     }
 
     #[test]
@@ -171,6 +183,14 @@ mod tests {
         assert!(from_dimacs("p matrix 3 1").is_err(), "unsupported kind");
         assert!(from_dimacs("p edge 3 1\ne 0 2").is_err(), "zero-based id rejected");
         assert!(from_dimacs("p edge 3 1\nx 1 2").is_err(), "unknown prefix");
+        assert!(from_dimacs("p edge 3 1\ne 2 2").is_err(), "self loop");
+        assert!(
+            matches!(
+                from_dimacs("p edge 18446744073709551615 0"),
+                Err(GraphError::InvalidParameter(_))
+            ),
+            "unallocatable node count"
+        );
     }
 
     proptest! {

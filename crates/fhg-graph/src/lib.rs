@@ -10,11 +10,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`Graph`] — a mutable, adjacency-list undirected simple graph used while
-//!   building or dynamically updating a conflict graph.
-//! * [`CsrGraph`] — a compact, immutable compressed-sparse-row view used by
-//!   the schedulers and the distributed simulator for cache-friendly
-//!   neighbourhood scans.
+//! * [`Graph`] — the undirected simple conflict graph: sorted neighbour
+//!   rows in one flat arena, packed (a compressed-sparse-row layout) when
+//!   built, edited in place by dynamic edge events, and scanned directly by
+//!   the schedulers, the independence checkers and the distributed
+//!   simulator.
 //! * [`generators`] — synthetic conflict-graph families (Erdős–Rényi,
 //!   unit-disk/radio, Barabási–Albert, bipartite "two villages", cliques,
 //!   cycles, grids, trees, regular circulants, …) used by the experiments.
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod csr;
 pub mod dynamic;
 pub mod error;
 pub mod generators;
@@ -57,7 +56,6 @@ pub mod kernels;
 pub mod properties;
 
 pub use bitset::FixedBitSet;
-pub use csr::CsrGraph;
 pub use dynamic::{DynamicGraph, EdgeEvent, EdgeEventKind};
 pub use error::GraphError;
 pub use graph::{Edge, Graph};

@@ -9,14 +9,13 @@
 //!
 //! Verification comes in three adjacency layouts — the flat
 //! [`AdjacencyBitmap`], the cache-blocked [`BlockedAdjacency`] hybrid and
-//! raw [`CsrGraph`](crate::CsrGraph) probes — and two granularities: one
+//! raw probes of the [`Graph`] rows — and two granularities: one
 //! set at a time, or a **batch of up to 64 sets at once** through a
 //! bit-sliced [`MembershipTable`], where every adjacency row is loaded once
 //! and answers the AND-any question for the whole batch via
 //! [`crate::kernels::intersects_many`].
 
 use crate::bitset::FixedBitSet;
-use crate::csr::CsrGraph;
 use crate::{Graph, NodeId};
 
 /// Summary statistics of a degree sequence.
@@ -240,7 +239,7 @@ pub fn triangle_count(g: &Graph) -> usize {
 /// `S` conflict with `u`" is one AND-scan of `⌈n/64⌉` words instead of a
 /// per-neighbour probe.  Memory is `n²/8` bytes — callers should gate
 /// construction on graph size (the schedule analysis uses it up to a few
-/// thousand nodes and falls back to CSR scans beyond that).
+/// thousand nodes and falls back to graph row scans beyond that).
 #[derive(Debug, Clone)]
 pub struct AdjacencyBitmap {
     rows: Vec<FixedBitSet>,
@@ -439,7 +438,7 @@ impl MembershipTable {
 /// where those rows actually have edges, so memory is bounded by the edges
 /// of the dense nodes rather than `n²`.  The sparse remainder — nodes a
 /// row-scan would be slower for than walking their few neighbours — probes
-/// an internally-owned [`CsrGraph`].  The default cutoff is the break-even
+/// an internally-owned packed [`Graph`].  The default cutoff is the break-even
 /// point `max(64, n/64)`: a full row scan touches `n/64` words, so a node
 /// wants the tiled form once its degree passes that.
 ///
@@ -459,8 +458,8 @@ pub struct BlockedAdjacency {
     /// Tile storage, [`TILE_AREA_WORDS`] words per tile: row `r` of a tile
     /// is the 4-word segment at `tile * TILE_AREA_WORDS + r * TILE_WORDS`.
     arena: Vec<u64>,
-    /// All edges, probed for the sparse remainder.
-    csr: CsrGraph,
+    /// All edges (a packed copy), probed for the sparse remainder.
+    graph: Graph,
 }
 
 impl BlockedAdjacency {
@@ -472,7 +471,7 @@ impl BlockedAdjacency {
 
     /// Builds the hybrid with an explicit degree cutoff: nodes with
     /// `degree >= cutoff` get tiled rows (`0` tiles every non-isolated
-    /// node, `usize::MAX` none — pure CSR probing).
+    /// node, `usize::MAX` none — pure row probing).
     pub fn with_cutoff(g: &Graph, cutoff: usize) -> Self {
         let n = g.node_count();
         let nb = n.div_ceil(TILE_BITS);
@@ -499,7 +498,7 @@ impl BlockedAdjacency {
                 arena[tile * TILE_AREA_WORDS + seg + (v % TILE_BITS) / 64] |= 1u64 << (v % 64);
             }
         }
-        BlockedAdjacency { n, nb, dense, grid, arena, csr: CsrGraph::from_graph(g) }
+        BlockedAdjacency { n, nb, dense, grid, arena, graph: g.clone() }
     }
 
     /// Number of nodes.
@@ -518,13 +517,10 @@ impl BlockedAdjacency {
     }
 
     /// Peak adjacency memory of this layout in bytes: tile arena + grid
-    /// index + the CSR arrays for the sparse remainder.  The comparison
+    /// index + the packed graph for the sparse remainder.  The comparison
     /// point is the `n²/8` a flat bitmap would pin.
     pub fn memory_bytes(&self) -> usize {
-        self.arena.len() * 8
-            + self.grid.len() * 4
-            + (self.csr.node_count() + 1) * 8
-            + 2 * self.csr.edge_count() * 8
+        self.arena.len() * 8 + self.grid.len() * 4 + self.graph.memory_bytes()
     }
 
     /// Whether the tiled row of dense node `u` intersects `set`.
@@ -548,7 +544,7 @@ impl BlockedAdjacency {
     }
 
     /// Whether `set` is an independent set: dense members scan their tiled
-    /// row segments, sparse members probe the CSR remainder, and members
+    /// row segments, sparse members probe the graph's rows, and members
     /// `>= node_count()` make the set invalid (mirroring
     /// [`is_independent_set`]).
     pub fn is_independent(&self, set: &FixedBitSet) -> bool {
@@ -559,7 +555,7 @@ impl BlockedAdjacency {
             if self.dense.contains(u) {
                 !self.row_intersects(u, set)
             } else {
-                !self.csr.neighbors(u).iter().any(|&v| set.contains(v))
+                !self.graph.neighbors(u).iter().any(|&v| set.contains(v))
             }
         })
     }
@@ -589,7 +585,7 @@ impl BlockedAdjacency {
                 }
                 acc
             } else {
-                crate::kernels::intersects_many_indexed(self.csr.neighbors(u), lanes)
+                crate::kernels::intersects_many_indexed(self.graph.neighbors(u), lanes)
             };
             violations |= hits & table.lane(u);
         });
@@ -782,7 +778,7 @@ mod tests {
         assert_eq!(all_dense.dense_node_count(), 40);
         let none_dense = BlockedAdjacency::with_cutoff(&g, usize::MAX);
         assert_eq!(none_dense.dense_node_count(), 0);
-        assert_eq!(none_dense.tile_count(), 0, "pure CSR probing pins no tiles");
+        assert_eq!(none_dense.tile_count(), 0, "pure row probing pins no tiles");
 
         let mut set = FixedBitSet::new(40);
         set.insert(0);
@@ -824,13 +820,12 @@ mod tests {
 
     proptest! {
         /// The independence checkers — slice scan, dense word-wise bitmap,
-        /// blocked hybrid at several cutoffs, CSR bit probes — agree on
+        /// blocked hybrid at several cutoffs, graph row bit probes — agree on
         /// arbitrary subsets of random graphs.
         #[test]
         fn independence_checkers_agree(seed in 0u64..40, mask in 0u64..(1 << 20)) {
             let g = erdos_renyi(20, 0.2, seed);
             let adj = AdjacencyBitmap::from_graph(&g);
-            let csr = crate::CsrGraph::from_graph(&g);
             let members: Vec<usize> = (0..20).filter(|u| mask & (1 << u) != 0).collect();
             let mut bits = FixedBitSet::new(20);
             for &u in &members {
@@ -838,7 +833,7 @@ mod tests {
             }
             let reference = is_independent_set(&g, &members);
             prop_assert_eq!(adj.is_independent(&bits), reference);
-            prop_assert_eq!(csr.is_independent(&bits), reference);
+            prop_assert_eq!(g.is_independent(&bits), reference);
             for cutoff in [0usize, 3, usize::MAX] {
                 let blocked = BlockedAdjacency::with_cutoff(&g, cutoff);
                 prop_assert_eq!(blocked.is_independent(&bits), reference, "cutoff {}", cutoff);
@@ -858,7 +853,6 @@ mod tests {
             for n in [30usize, 300] {
                 let g = erdos_renyi(n, 0.08, seed);
                 let adj = AdjacencyBitmap::from_graph(&g);
-                let csr = crate::CsrGraph::from_graph(&g);
                 let classes: Vec<FixedBitSet> = masks
                     .iter()
                     .enumerate()
@@ -878,7 +872,7 @@ mod tests {
                     if adj.is_independent(s) { acc } else { acc | (1 << i) }
                 });
                 prop_assert_eq!(adj.batch_violations(&table), expected);
-                prop_assert_eq!(csr.batch_violations(&table), expected);
+                prop_assert_eq!(g.batch_violations(&table), expected);
                 for cutoff in [0usize, 2, usize::MAX] {
                     let blocked = BlockedAdjacency::with_cutoff(&g, cutoff);
                     prop_assert_eq!(

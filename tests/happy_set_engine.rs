@@ -9,7 +9,7 @@ use fhg::core::schedulers::standard_suite;
 use fhg::core::HappySet;
 use fhg::graph::generators::{erdos_renyi, Family};
 use fhg::graph::properties::{self, AdjacencyBitmap};
-use fhg::graph::{CsrGraph, FixedBitSet};
+use fhg::graph::FixedBitSet;
 
 #[test]
 fn happy_set_roundtrips_through_vec() {
@@ -63,7 +63,6 @@ proptest! {
     #[test]
     fn independence_checkers_agree_on_real_happy_sets(seed in 0u64..100) {
         let graph = erdos_renyi(60, 0.08, seed);
-        let csr = CsrGraph::from_graph(&graph);
         let adj = AdjacencyBitmap::from_graph(&graph);
         for mut s in standard_suite(&graph, seed) {
             let start = s.first_holiday();
@@ -73,7 +72,7 @@ proptest! {
                 let slice = buf.to_vec();
                 let reference = properties::is_independent_set(&graph, &slice);
                 prop_assert!(reference, "{} emitted a conflicting set", s.name());
-                prop_assert_eq!(csr.is_independent(buf.as_bitset()), reference);
+                prop_assert_eq!(graph.is_independent(buf.as_bitset()), reference);
                 prop_assert_eq!(adj.is_independent(buf.as_bitset()), reference);
             }
         }
@@ -85,12 +84,11 @@ proptest! {
     fn checkers_reject_injected_conflicts(seed in 0u64..60) {
         let graph = erdos_renyi(50, 0.15, seed);
         let Some(edge) = graph.edges().next() else { return; };
-        let csr = CsrGraph::from_graph(&graph);
         let adj = AdjacencyBitmap::from_graph(&graph);
         let mut bits = FixedBitSet::new(50);
         bits.insert(edge.u);
         bits.insert(edge.v);
-        prop_assert!(!csr.is_independent(&bits));
+        prop_assert!(!graph.is_independent(&bits));
         prop_assert!(!adj.is_independent(&bits));
         prop_assert!(!properties::is_independent_set(&graph, &[edge.u, edge.v]));
     }

@@ -5,9 +5,11 @@
 //! cached in a `OnceLock`, never re-detected per call), for the serving
 //! tier's window derivations, and for the incremental repair plane, where
 //! steady-state edge events through `ProfileService::patch` reuse the
-//! service-owned scratch.  One-shot `analyze_schedule` on a periodic
-//! scheduler allocates only its output, whatever the horizon or pool
-//! width, and `analyze_schedule_totals` allocates nothing.
+//! service-owned scratch.  Edge toggles on a `Graph` itself allocate nothing
+//! once a warm-up insert has given both rows room.  One-shot
+//! `analyze_schedule` on a periodic scheduler allocates only its output,
+//! whatever the horizon or pool width, and `analyze_schedule_totals`
+//! allocates nothing.
 //!
 //! A counting global allocator records every allocation; the test warms each
 //! scheduler's buffer (and any internal scratch) for a few holidays, then
@@ -319,6 +321,28 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             window_deltas.windows(2).all(|w| w[0] == w[1]),
             "windowed derive allocations grew with the window ({window_deltas:?})"
         );
+    }
+
+    // Edge toggles on a packed graph: one warm-up insert grows both full
+    // rows once, after which deleting and re-inserting the edge edits the
+    // rows in place.  The patch plane below toggles a slot's private graph
+    // the same way.
+    {
+        let mut graph = generators::erdos_renyi(200, 0.02, 13);
+        let n = graph.node_count();
+        let (u, v) = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+            .find(|&(a, b)| !graph.has_edge(a, b))
+            .expect("a sparse graph has absent edges");
+        graph.add_edge(u, v).expect("the warm-up insert applies");
+        graph.remove_edge(u, v).expect("the warm-up edge is present");
+        let delta = min_alloc_delta(|| {
+            for _ in 0..8 {
+                graph.add_edge(u, v).expect("the toggled edge is absent");
+                graph.remove_edge(u, v).expect("the toggled edge is present");
+            }
+        });
+        assert_eq!(delta, 0, "edge toggles allocated {delta} times after the warm-up insert");
     }
 
     // The incremental repair plane (PR 8): steady-state edge churn through
