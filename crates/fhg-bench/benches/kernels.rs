@@ -3,17 +3,16 @@
 //! path, and the raw fused-vs-scalar kernel comparison the E13 acceptance
 //! criterion is stated on.
 //!
-//! Three groups:
+//! Two groups:
 //!
 //! * `kernel-fill` — fill-only: `ResidueSchedule::fill` (reset + multi-row
 //!   gather + fused count) over the E11 configuration, plus the raw
 //!   `or_rows_count` gather under scalar / portable / dispatched modes on
 //!   byte-identical row data.
-//! * `kernel-verify` — verify-only: dense AdjacencyBitmap AND-any probes
-//!   (4096-node graph, the `DENSE_ADJACENCY_LIMIT` boundary) and branchless
-//!   CSR word probes (10k-node graph) over one cycle of happy sets.
-//! * `kernel-intersects` — the fused AND-any against the scalar zip on
-//!   adversarially long disjoint rows (worst case: no early exit).
+//! * `kernel-verify` — verify-only: branchless word probes of each member's
+//!   upper neighbours over one cycle of happy sets, through a
+//!   `GraphChecker`'s packed copy (4096-node graph) and straight off the
+//!   generated graph (10k-node graph).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -89,7 +88,7 @@ fn bench_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel-verify");
     group.sample_size(10);
 
-    // Dense path: AND-any adjacency rows at the DENSE_ADJACENCY_LIMIT edge.
+    // Through the checker: its packed copy of a 4096-node graph.
     let graph = generators::erdos_renyi(4096, 10.0 / 4095.0, 7);
     let checker = GraphChecker::new(&graph);
     let scheduler = PeriodicDegreeBound::new(&graph);
@@ -102,7 +101,7 @@ fn bench_verify(c: &mut Criterion) {
             buf
         })
         .collect();
-    group.bench_function("dense-adjacency/one-cycle-4096-nodes", |b| {
+    group.bench_function("graph-checker-upper-probes/one-cycle-4096-nodes", |b| {
         b.iter(|| {
             let ok = sets.iter().enumerate().all(|(t, s)| checker.check(t as u64, s.as_bitset()));
             assert!(ok);
@@ -110,8 +109,7 @@ fn bench_verify(c: &mut Criterion) {
         })
     });
 
-    // CSR path: branchless word probes of the packed graph's rows beyond
-    // the dense limit.
+    // Straight off the generated (packed) graph.
     let graph = full_config_graph();
     let scheduler = PeriodicDegreeBound::new(&graph);
     let view = scheduler.residue_schedule().expect("perfectly periodic");
@@ -132,36 +130,5 @@ fn bench_verify(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_intersects(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel-intersects");
-    group.sample_size(10);
-    // Disjoint even/odd words: the AND-any must scan to the end (worst
-    // case — no early exit), 10k bits per side.
-    let words = 10_000usize.div_ceil(64);
-    let a: Vec<u64> = (0..words as u64).map(|i| if i % 2 == 0 { !0 } else { 0 }).collect();
-    let b_: Vec<u64> = (0..words as u64).map(|i| if i % 2 == 1 { !0 } else { 0 }).collect();
-    group.bench_function("and-any/scalar-disjoint-10k-bits", |bch| {
-        bch.iter(|| {
-            let mut hits = 0u32;
-            for _ in 0..1024 {
-                hits += u32::from(kernels::scalar::intersects(black_box(&a), black_box(&b_)));
-            }
-            assert_eq!(hits, 0);
-            black_box(hits)
-        })
-    });
-    group.bench_function("and-any/fused-dispatched-disjoint-10k-bits", |bch| {
-        bch.iter(|| {
-            let mut hits = 0u32;
-            for _ in 0..1024 {
-                hits += u32::from(kernels::intersects(black_box(&a), black_box(&b_)));
-            }
-            assert_eq!(hits, 0);
-            black_box(hits)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_fill, bench_verify, bench_intersects);
+criterion_group!(benches, bench_fill, bench_verify);
 criterion_main!(benches);

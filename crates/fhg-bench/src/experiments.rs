@@ -967,7 +967,6 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
     assert_eq!(scalar_sum, fill_sum, "ResidueSchedule::fill checksum diverged");
 
     let active = match KernelMode::active() {
-        KernelMode::Wide512 => "wide512",
         KernelMode::Wide => "wide",
         KernelMode::Portable => "portable",
     };
@@ -1243,34 +1242,17 @@ pub fn e14_derive_and_parallel_build_with(
     (vec![derive_table, build_table], entries)
 }
 
-/// E15 — verification throughput: batched residue-class checking, the
-/// blocked adjacency layout and the three-arm kernel dispatch.  Three
-/// tables:
-///
-/// * **E15a** (the E12 configuration): per-class `check` vs batched
-///   `check_batch` over the same materialised residue classes, on the flat
-///   and blocked adjacency layouts plus the default layout pick
-///   (acceptance: batched ≥ 2x over the per-class baseline), and the
-///   production end-to-end analysis at the short horizon, which verifies by
-///   one congruence test per edge instead of any class check (acceptance on
-///   the full config: ≤ 0.8 ms).
-///
-/// * **E15b**: the `intersects_many` row-broadcast kernel itself, per
-///   dispatch arm (`portable` always, `wide512` where AVX-512 is detected;
-///   `wide` runs the portable loop), checksum-pinned across arms.
-///
-/// * **E15c**: a conflict graph **above** `DENSE_ADJACENCY_LIMIT` — the
-///   seed fell back to CSR probes there; the blocked 256×256-bit tile
-///   hybrid now keeps it on a dense-style path at bounded memory
-///   (acceptance: layout is `blocked`, not `csr`, with peak adjacency
-///   memory reported in the row and far below the flat `n²/8`).
+/// E15 — verification throughput on the one checker layout: the packed
+/// graph (CSR), probed once per edge from its lower endpoint.  One table
+/// (**E15a**, the E12 configuration): per-class `check` vs batched
+/// `check_batch` over the same materialised residue classes (acceptance:
+/// batched ≥ 2x over per-class), and the production end-to-end analysis at
+/// the short horizon, which verifies by one congruence test per edge
+/// instead of any class check (acceptance on the full config: ≤ 0.8 ms).
 pub fn e15_verification_throughput_with(
     cfg: &AnalysisBenchConfig,
 ) -> (Vec<Table>, Vec<BenchEntry>) {
-    use fhg_core::analysis::{HolidayChecker, DENSE_ADJACENCY_LIMIT};
-    use fhg_core::schedulers::residue::ResidueSchedule;
-    use fhg_graph::kernels::{self, KernelMode};
-    use fhg_graph::properties::MembershipTable;
+    use fhg_core::analysis::HolidayChecker;
     use fhg_graph::{FixedBitSet, HappySet};
 
     let mut entries = Vec::new();
@@ -1280,8 +1262,8 @@ pub fn e15_verification_throughput_with(
     let n = view.node_count();
 
     // Materialise the classes once (the E12 configuration probes
-    // `cfg.horizon` of them) so every layout and both granularities run on
-    // byte-identical inputs.
+    // `cfg.horizon` of them) so both granularities run on byte-identical
+    // inputs.
     let classes: Vec<(u64, FixedBitSet)> = {
         let mut buf = HappySet::new(n);
         (0..cfg.horizon)
@@ -1293,78 +1275,55 @@ pub fn e15_verification_throughput_with(
     };
     let refs: Vec<(u64, &FixedBitSet)> = classes.iter().map(|(t, s)| (*t, s)).collect();
 
-    // --- E15a: per-class vs batched, per adjacency layout. ---
-    let default_layout = GraphChecker::new(&graph).layout();
+    let checker = GraphChecker::new(&graph);
     let mut table = Table::new(
         format!(
-            "E15a — verification throughput on erdos_renyi({}, {}), {} residue classes in \
-             batches of 64 (medians of {}; default layout here: {})",
-            cfg.nodes, cfg.edge_prob, cfg.horizon, cfg.reps, default_layout
+            "E15a — verification throughput on erdos_renyi({}, {}), {} residue classes, \
+             packed graph (CSR), batches of 64 (medians of {})",
+            cfg.nodes, cfg.edge_prob, cfg.horizon, cfg.reps
         ),
-        &["path", "layout", "median ms", "speedup vs per-class", "criterion"],
+        &["path", "median ms", "speedup vs per-class", "criterion"],
     );
-    for (layout_label, flat_limit, blocked_limit) in
-        [("flat", usize::MAX, usize::MAX), ("blocked", 0, usize::MAX)]
-    {
-        let checker = GraphChecker::with_limits(&graph, flat_limit, blocked_limit);
-        assert_eq!(checker.layout(), layout_label);
-        let per_class_ms = median_ms(cfg.reps, || {
-            let mut ok = true;
-            for &(t, set) in &refs {
-                ok &= checker.check(t, set);
-            }
-            assert!(ok, "the periodic schedule must verify");
-        });
-        let batched_ms = median_ms(cfg.reps, || {
-            let mut ok = true;
-            for chunk in refs.chunks(64) {
-                ok &= checker.check_batch(chunk);
-            }
-            assert!(ok, "the periodic schedule must verify in batches");
-        });
-        let speedup = per_class_ms / batched_ms;
-        // The >=2x criterion sits on the blocked row: the E12 configuration
-        // (10k nodes) is above DENSE_ADJACENCY_LIMIT, so that is the layout
-        // `GraphChecker::new` gives it.  On the flat layout residue classes
-        // partition the nodes, so batching cannot amortise row loads and the
-        // row is informational (parity only, asserted above).
-        let criterion = if layout_label == "blocked" {
-            format!(">=2x vs per-class: {}", speedup >= 2.0)
-        } else {
-            "- (informational)".to_string()
-        };
-        let rows: [(&str, f64, f64, String); 2] = [
-            ("per-class check", per_class_ms, 1.0, "-".to_string()),
-            ("batched check_batch (64-wide)", batched_ms, speedup, criterion),
-        ];
-        for (path, ms, speedup, criterion) in rows {
-            table.push(&[
-                path.to_string(),
-                layout_label.to_string(),
-                format!("{ms:.3}"),
-                format!("{speedup:.2}x"),
-                criterion,
-            ]);
-            entries.push(BenchEntry {
-                experiment: "e15",
-                engine: format!("{}-{}", path.replace(' ', "-"), layout_label),
-                threads: 1,
-                horizon: cfg.horizon,
-                median_ms: ms,
-                speedup,
-            });
+    let per_class_ms = median_ms(cfg.reps, || {
+        let mut ok = true;
+        for &(t, set) in &refs {
+            ok &= checker.check(t, set);
         }
+        assert!(ok, "the periodic schedule must verify");
+    });
+    let batched_ms = median_ms(cfg.reps, || {
+        assert!(checker.check_batch(&refs), "the periodic schedule must verify in batches");
+    });
+    let speedup = per_class_ms / batched_ms;
+    let rows: [(&str, f64, f64, String); 2] = [
+        ("per-class check", per_class_ms, 1.0, "-".to_string()),
+        (
+            "batched check_batch (64-wide)",
+            batched_ms,
+            speedup,
+            format!(">=2x vs per-class: {}", speedup >= 2.0),
+        ),
+    ];
+    for (path, ms, speedup, criterion) in rows {
+        table.push(&[path.to_string(), format!("{ms:.3}"), format!("{speedup:.2}x"), criterion]);
+        entries.push(BenchEntry {
+            experiment: "e15",
+            engine: format!("{}-csr", path.replace(' ', "-")),
+            threads: 1,
+            horizon: cfg.horizon,
+            median_ms: ms,
+            speedup,
+        });
     }
     // The production end-to-end analysis at the short horizon: no class is
-    // verified at all, so no adjacency layout is involved (the e14
-    // criterion was <= 1.0 ms; this one is tighter).
+    // verified at all, so the checker is not involved (the e14 criterion
+    // was <= 1.0 ms; this one is tighter).
     let e2e_ms = median_ms(cfg.reps * 7, || {
         let analysis = analyze_schedule(&graph, &mut scheduler, cfg.horizon);
         assert!(analysis.all_happy_sets_independent);
     });
     table.push(&[
         "closed-form end-to-end (progression)".to_string(),
-        "-".to_string(),
         format!("{e2e_ms:.3}"),
         "-".to_string(),
         format!("<=0.8ms: {}", e2e_ms <= 0.8),
@@ -1378,164 +1337,7 @@ pub fn e15_verification_throughput_with(
         speedup: 1.0,
     });
 
-    // --- E15b: the row-broadcast kernel per dispatch arm. ---
-    // The raw adjacency rows (rebuilt from the graph so the bench does not
-    // reach into checker internals) against one 64-class membership table —
-    // exactly the inner loop of the flat batched check.
-    let mut rows: Vec<FixedBitSet> = (0..n).map(|_| FixedBitSet::new(n)).collect();
-    for (u, row) in rows.iter_mut().enumerate() {
-        for &v in graph.neighbors(u) {
-            row.insert(v);
-        }
-    }
-    let mut mt = MembershipTable::new();
-    mt.fill(n, classes.iter().take(64).map(|(_, s)| s));
-    let mut members = Vec::new();
-    kernels::for_each_set_bit(mt.union(), |u| members.push(u));
-    // `wide` runs the portable loop for this kernel (its AVX2 arm measured
-    // slower), so only the arms with their own code are timed.
-    let mut arms = vec![KernelMode::Portable];
-    if KernelMode::wide512_supported() {
-        arms.push(KernelMode::Wide512);
-    }
-    let mut kernel_table = Table::new(
-        format!(
-            "E15b — intersects_many row broadcast, {} members x 64 lanes x {} words (medians \
-             of {})",
-            members.len(),
-            n.div_ceil(64),
-            cfg.reps * 7
-        ),
-        &["kernel arm", "median ms", "speedup vs portable", "checksum stable"],
-    );
-    let mut portable_kernel_ms = 0.0f64;
-    let mut expected_sum = 0u64;
-    for &mode in &arms {
-        let mut sum = 0u64;
-        let ms = median_ms(cfg.reps * 7, || {
-            sum = 0;
-            for _ in 0..8 {
-                for &u in &members {
-                    sum ^= kernels::intersects_many_in(mode, rows[u].as_words(), mt.lanes())
-                        & mt.lane(u);
-                }
-            }
-        });
-        let label = match mode {
-            KernelMode::Portable => {
-                portable_kernel_ms = ms;
-                expected_sum = sum;
-                "portable"
-            }
-            KernelMode::Wide => "wide",
-            KernelMode::Wide512 => "wide512",
-        };
-        assert_eq!(sum, expected_sum, "kernel arm {label} checksum diverged");
-        kernel_table.push(&[
-            label.to_string(),
-            format!("{ms:.3}"),
-            format!("{:.2}x", portable_kernel_ms / ms),
-            "true".to_string(),
-        ]);
-        entries.push(BenchEntry {
-            experiment: "e15",
-            engine: format!("intersects-many-{label}"),
-            threads: 1,
-            horizon: cfg.horizon,
-            median_ms: ms,
-            speedup: portable_kernel_ms / ms,
-        });
-    }
-
-    // --- E15c: dense-style verification above the old dense limit. ---
-    let big_n = 4 * DENSE_ADJACENCY_LIMIT;
-    let big = generators::erdos_renyi(big_n, 8.0 / big_n as f64, cfg.seed ^ 0x15);
-    let big_checker = GraphChecker::new(&big);
-    let mem = big_checker.memory_bytes();
-    let flat_mem = big_n * big_n.div_ceil(64) * 8;
-    let (m_a, m_b) = cfg.build_moduli;
-    let big_slots: Vec<u64> = (0..big_n as u64)
-        .map(|p| {
-            let m = if p % 2 == 0 { m_a } else { m_b };
-            p.wrapping_mul(0x9E37_79B9) % m
-        })
-        .collect();
-    let big_moduli: Vec<u64> =
-        (0..big_n as u64).map(|p| if p % 2 == 0 { m_a } else { m_b }).collect();
-    let big_schedule = ResidueSchedule::new(big_slots, big_moduli);
-    let big_classes: Vec<FixedBitSet> = {
-        let mut buf = HappySet::new(big_n);
-        (0..256u64)
-            .map(|t| {
-                big_schedule.fill(t, &mut buf);
-                buf.as_bitset().clone()
-            })
-            .collect()
-    };
-    let big_refs: Vec<(u64, &FixedBitSet)> =
-        big_classes.iter().enumerate().map(|(t, s)| (t as u64, s)).collect();
-    let mut big_table = Table::new(
-        format!(
-            "E15c — dense-style verification above DENSE_ADJACENCY_LIMIT: erdos_renyi({}, \
-             avg degree 8), 256 classes (medians of {})",
-            big_n, cfg.reps
-        ),
-        &["path", "layout", "peak adjacency MiB", "median ms", "criterion"],
-    );
-    let csr_checker = GraphChecker::with_limits(&big, 0, 0);
-    // Residue collisions on a random graph mean some classes legitimately
-    // fail; the layouts must agree on exactly how many batches do.
-    let mut batch_failures = Vec::new();
-    for checker in [&big_checker, &csr_checker] {
-        let mut fails = 0u32;
-        let ms = median_ms(cfg.reps, || {
-            fails = 0;
-            for chunk in big_refs.chunks(64) {
-                fails += u32::from(!checker.check_batch(chunk));
-            }
-        });
-        batch_failures.push(fails);
-        let criterion = if checker.layout() == "blocked" {
-            format!(
-                "blocked (not csr) at <=1/4 of flat {:.0} MiB: {}",
-                flat_mem as f64 / (1 << 20) as f64,
-                mem * 4 <= flat_mem
-            )
-        } else {
-            "-".to_string()
-        };
-        big_table.push(&[
-            "batched check_batch (64-wide)".to_string(),
-            checker.layout().to_string(),
-            format!("{:.1}", checker.memory_bytes() as f64 / (1 << 20) as f64),
-            format!("{ms:.3}"),
-            criterion,
-        ]);
-        entries.push(BenchEntry {
-            experiment: "e15",
-            engine: format!(
-                "dense-speed-{}-{}-mem-{}B",
-                big_n,
-                checker.layout(),
-                checker.memory_bytes()
-            ),
-            threads: 1,
-            horizon: 256,
-            median_ms: ms,
-            speedup: 1.0,
-        });
-    }
-    assert_eq!(
-        batch_failures[0], batch_failures[1],
-        "blocked and CSR layouts disagreed on the batch verdicts"
-    );
-    assert_eq!(
-        big_checker.layout(),
-        "blocked",
-        "{big_n} nodes must take the blocked dense path, not CSR"
-    );
-
-    (vec![table, kernel_table, big_table], entries)
+    (vec![table], entries)
 }
 
 /// E16 — the windowed profile-serving tier under sustained load.
@@ -2662,20 +2464,19 @@ mod tests {
     }
 
     #[test]
-    fn e15_reports_batched_rows_on_every_layout() {
-        // Tiny configuration: structure + the internal parity asserts
-        // (batched == per-class verdicts, blocked/CSR agreement), no perf
-        // criteria evaluated at this size beyond being printed.
+    fn e15_reports_per_class_and_batched_rows() {
+        // Tiny configuration: structure + the internal verdict asserts (both
+        // granularities verify the periodic schedule), no perf criteria
+        // evaluated at this size beyond being printed.
         let cfg = tiny_cfg();
         let (tables, entries) = run_experiment_collecting("e15", &cfg);
-        assert_eq!(tables.len(), 3, "batch table, kernel table, dense-scale table");
+        assert_eq!(tables.len(), 1, "one table: per-class vs batched, plus end-to-end");
         let batch_md = tables[0].to_markdown();
         assert!(batch_md.contains("per-class"));
-        assert!(batch_md.contains("batched"));
+        assert!(batch_md.contains(">=2x vs per-class"));
         assert!(entries.iter().all(|e| e.experiment == "e15"));
-        assert!(entries.iter().any(|e| e.engine.contains("flat")));
-        assert!(entries.iter().any(|e| e.engine.contains("blocked")));
-        assert!(entries.iter().any(|e| e.engine.contains("intersects-many-portable")));
+        assert!(entries.iter().any(|e| e.engine == "per-class-check-csr"));
+        assert!(entries.iter().any(|e| e.engine.starts_with("batched-check_batch")));
         assert!(entries.iter().any(|e| e.engine == "closed-form-end-to-end-progression"));
         let json = bench_entries_to_json(true, &entries);
         assert_eq!(json.matches("\"experiment\": \"e15\"").count(), entries.len());

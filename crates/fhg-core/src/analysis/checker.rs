@@ -12,34 +12,22 @@
 //! * [`HolidayChecker::check`] — one class at a time, the reference shape
 //!   every instrumented checker (e.g. the counting checker in
 //!   `tests/residue_cache.rs`) can observe holiday by holiday, and
-//! * [`HolidayChecker::check_batch`] — up to 64 residue classes at once.
-//!   The default implementation falls back to per-class [`check`]
+//! * [`HolidayChecker::check_batch`] — any number of residue classes at
+//!   once.  The default implementation falls back to per-class [`check`]
 //!   (short-circuiting on the first failure, like the engines themselves),
 //!   so instrumented wrappers keep working unchanged; [`GraphChecker`]
-//!   overrides it with the bit-sliced batch plane: the classes are
-//!   transposed into a [`properties::MembershipTable`] and each adjacency
-//!   row is loaded **once**, answering the AND-any question for the whole
-//!   batch through the `intersects_many` kernel family.  The `CycleProfile`
-//!   build hands each shard's classes over in batches, which turns the
-//!   memory-bound per-class row walk into a compute-dense multi-bitmap
-//!   kernel.
+//!   overrides it with the bit-sliced batch plane: each chunk of up to
+//!   [`properties::BATCH_WIDTH`] classes is transposed into a
+//!   [`properties::MembershipTable`] and each adjacency row is loaded
+//!   **once** for the whole chunk.  The `CycleProfile` build hands each
+//!   shard's classes over in batches of that width.
 //!
-//! [`GraphChecker`] picks among three adjacency layouts by node count:
-//!
-//! * **flat** ([`properties::AdjacencyBitmap`], `n²/8` bytes) up to the
-//!   dense limit — [`DENSE_ADJACENCY_LIMIT`] by default, tunable at runtime
-//!   via the `FHG_DENSE_LIMIT` environment variable (parsed once, same
-//!   `OnceLock` discipline as `FHG_KERNEL`);
-//! * **blocked** ([`properties::BlockedAdjacency`]) from the dense limit up
-//!   to [`BLOCKED_ADJACENCY_LIMIT`] nodes — 256×256-bit tiles materialised
-//!   only where high-degree rows have edges, row probes of a packed graph
-//!   copy for the sparse remainder, so dense-style verification reaches ~64k
-//!   nodes at bounded memory;
-//! * **CSR** probes beyond that: a packed copy of the [`Graph`], whose flat
-//!   rows are a compressed-sparse-row layout.
-//!
-//! All layouts walk sets through `fhg_graph::kernels`, so verification
-//! rides the same runtime-dispatched wide loops as emission.
+//! [`GraphChecker`] holds one layout: a packed copy of the [`Graph`], whose
+//! rows in node order are a compressed-sparse-row (CSR) layout.  Both
+//! granularities walk each member's upper neighbours
+//! ([`Graph::neighbors_above`]), so every edge is probed once, from its
+//! lower endpoint: a conflicting pair is always caught at its smaller
+//! member.
 //!
 //! The holiday number is passed alongside each set so the verdict source
 //! can be audited: the verdict must not depend on it, but instrumentation
@@ -53,54 +41,8 @@
 //! pool.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use fhg_graph::{properties, FixedBitSet, Graph, HappySet};
-
-/// Default largest node count for which the analysis materialises flat
-/// dense adjacency bit rows (`n²/8` bytes — 2 MiB at the limit) to verify
-/// independence with whole-word ANDs.  Override at runtime with
-/// `FHG_DENSE_LIMIT`; see [`dense_limit`].
-pub const DENSE_ADJACENCY_LIMIT: usize = 4096;
-
-/// Largest node count for which the analysis builds the cache-blocked
-/// hybrid layout; beyond this, raw CSR probes.
-pub const BLOCKED_ADJACENCY_LIMIT: usize = 65_536;
-
-/// The flat-dense/blocked threshold, decided once per process and cached in
-/// a `OnceLock`: the `FHG_DENSE_LIMIT` environment variable when set (so
-/// benches can sweep the crossover without recompiling), otherwise
-/// [`DENSE_ADJACENCY_LIMIT`].
-///
-/// A malformed value is **not** fatal: a long-lived serving process must
-/// not be killable by a typo in its environment, so unparseable overrides
-/// log one warning to stderr and fall back to the default (pinned by the
-/// unit tests below).
-pub fn dense_limit() -> usize {
-    static LIMIT: OnceLock<usize> = OnceLock::new();
-    *LIMIT.get_or_init(|| parse_dense_limit(std::env::var("FHG_DENSE_LIMIT").ok().as_deref()))
-}
-
-/// Parses the `FHG_DENSE_LIMIT` override (factored out of [`dense_limit`]
-/// so the fallback policy is testable despite the process-wide cache):
-/// unset or empty means the default, a non-negative integer is taken
-/// verbatim, and anything else warns and falls back to the default.
-fn parse_dense_limit(raw: Option<&str>) -> usize {
-    match raw {
-        None => DENSE_ADJACENCY_LIMIT,
-        Some(raw) if raw.trim().is_empty() => DENSE_ADJACENCY_LIMIT,
-        Some(raw) => match raw.trim().parse() {
-            Ok(limit) => limit,
-            Err(_) => {
-                eprintln!(
-                    "warning: FHG_DENSE_LIMIT={raw:?} is not a node count; \
-                     using the default {DENSE_ADJACENCY_LIMIT}"
-                );
-                DENSE_ADJACENCY_LIMIT
-            }
-        },
-    }
-}
 
 /// A per-holiday independence verdict source, shareable across worker
 /// threads.
@@ -120,8 +62,6 @@ pub trait HolidayChecker: Sync {
     /// engines had before batching, so instrumented checkers that only
     /// override `check` observe the same probes.  [`GraphChecker`]
     /// overrides this with the bit-sliced batch plane.
-    ///
-    /// Callers pass at most [`properties::BATCH_WIDTH`] classes per call.
     fn check_batch(&self, classes: &[(u64, &FixedBitSet)]) -> bool {
         classes.iter().all(|&(t, set)| self.check(t, set))
     }
@@ -185,26 +125,12 @@ impl ClassBatch {
     }
 }
 
-/// Which adjacency layout a [`GraphChecker`] picked.
-enum Layout {
-    Flat(properties::AdjacencyBitmap),
-    Blocked(properties::BlockedAdjacency),
-    /// A packed copy of the graph: its rows in node order, a CSR layout.
-    Csr(Graph),
-}
-
-impl std::fmt::Debug for GraphChecker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphChecker").field("layout", &self.layout()).finish()
-    }
-}
-
-/// The default checker: flat dense adjacency rows up to [`dense_limit`]
-/// nodes, the blocked hybrid up to [`BLOCKED_ADJACENCY_LIMIT`], branchless
-/// CSR neighbour probes beyond.  Batched checks run on a thread-local
+/// The default checker: a packed copy of the graph (CSR), probed once per
+/// edge from its lower endpoint.  Batched checks run on a thread-local
 /// [`properties::MembershipTable`] (allocation-free after warm-up).
+#[derive(Debug)]
 pub struct GraphChecker {
-    layout: Layout,
+    graph: Graph,
 }
 
 thread_local! {
@@ -217,67 +143,20 @@ thread_local! {
 }
 
 impl GraphChecker {
-    /// Builds the checker for `graph`, choosing the layout by node count:
-    /// flat dense rows up to [`dense_limit`], the blocked hybrid up to
-    /// [`BLOCKED_ADJACENCY_LIMIT`], CSR beyond.
+    /// Builds the checker for `graph`: a packed copy of its rows.
     pub fn new(graph: &Graph) -> Self {
-        Self::with_limits(graph, dense_limit(), BLOCKED_ADJACENCY_LIMIT)
+        GraphChecker { graph: graph.clone() }
     }
 
-    /// Builds the checker with explicit layout thresholds — the test and
-    /// bench entry point for forcing a layout regardless of graph size
-    /// (`(usize::MAX, _)` forces flat, `(0, usize::MAX)` blocked, `(0, 0)`
-    /// CSR).
-    pub fn with_limits(graph: &Graph, flat_limit: usize, blocked_limit: usize) -> Self {
-        let n = graph.node_count();
-        let layout = if n <= flat_limit {
-            Layout::Flat(properties::AdjacencyBitmap::from_graph(graph))
-        } else if n <= blocked_limit {
-            Layout::Blocked(properties::BlockedAdjacency::from_graph(graph))
-        } else {
-            Layout::Csr(graph.clone())
-        };
-        GraphChecker { layout }
-    }
-
-    /// The adjacency layout this checker picked (`"flat"`, `"blocked"` or
-    /// `"csr"`), for bench rows and layout assertions.
-    pub fn layout(&self) -> &'static str {
-        match &self.layout {
-            Layout::Flat(_) => "flat",
-            Layout::Blocked(_) => "blocked",
-            Layout::Csr(_) => "csr",
-        }
-    }
-
-    /// Peak adjacency memory of the chosen layout in bytes (the flat
-    /// bitmap's `n²/8`, the blocked hybrid's tiles + grid + packed graph, or
-    /// the packed graph alone).
+    /// Adjacency memory in bytes: the packed graph's row table and arena.
     pub fn memory_bytes(&self) -> usize {
-        match &self.layout {
-            Layout::Flat(adj) => adj.node_count() * adj.node_count().div_ceil(64) * 8,
-            Layout::Blocked(adj) => adj.memory_bytes(),
-            Layout::Csr(graph) => graph.memory_bytes(),
-        }
-    }
-
-    /// The graph's node count, whichever layout holds it.
-    fn node_count(&self) -> usize {
-        match &self.layout {
-            Layout::Flat(adj) => adj.node_count(),
-            Layout::Blocked(adj) => adj.node_count(),
-            Layout::Csr(graph) => graph.node_count(),
-        }
+        self.graph.memory_bytes()
     }
 }
 
 impl HolidayChecker for GraphChecker {
     fn check(&self, _t: u64, happy: &FixedBitSet) -> bool {
-        match &self.layout {
-            Layout::Flat(adj) => adj.is_independent(happy),
-            Layout::Blocked(adj) => adj.is_independent(happy),
-            Layout::Csr(graph) => graph.is_independent(happy),
-        }
+        self.graph.is_independent(happy)
     }
 
     fn check_batch(&self, classes: &[(u64, &FixedBitSet)]) -> bool {
@@ -287,26 +166,22 @@ impl HolidayChecker for GraphChecker {
         }
         BATCH_SCRATCH.with(|scratch| {
             let mut table = scratch.borrow_mut();
-            table.fill(self.node_count(), classes.iter().map(|&(_, set)| set));
-            let violations = match &self.layout {
-                Layout::Flat(adj) => adj.batch_violations(&table),
-                Layout::Blocked(adj) => adj.batch_violations(&table),
-                Layout::Csr(graph) => graph.batch_violations(&table),
-            };
-            violations == 0
+            classes.chunks(properties::BATCH_WIDTH).all(|chunk| {
+                table.fill(self.graph.node_count(), chunk.iter().map(|&(_, set)| set));
+                self.graph.batch_violations(&table) == 0
+            })
         })
     }
 }
 
-/// A layout-free checker that probes adjacency straight off a borrowed
-/// [`Graph`]: for every member of the set, scan its (sorted) neighbour
-/// list and demand no neighbour is also a member.
+/// A copy-free checker that probes adjacency straight off a borrowed
+/// [`Graph`] through [`Graph::is_independent`].
 ///
-/// [`GraphChecker`] amortises a precomputed adjacency layout over an
-/// entire cycle's worth of classes; the incremental patch path
+/// [`GraphChecker`] amortises a packed copy of the graph over an entire
+/// cycle's worth of classes; the incremental patch path
 /// (`CycleProfile::patch`) verifies a handful of classes against a graph
-/// that *just mutated*, where rebuilding a layout per edge event would
-/// dwarf the repair itself and allocate.  `ScanChecker` costs
+/// that *just mutated*, where copying the graph per edge event would dwarf
+/// the repair itself and allocate.  `ScanChecker` costs
 /// `O(Σ deg(member))` per class, allocates nothing, and always reflects
 /// the graph's current edges.
 pub struct ScanChecker<'g> {
@@ -350,42 +225,13 @@ mod tests {
             assert_eq!(
                 scan.check(t, &set),
                 full.check(t, &set),
-                "scan and layout checkers disagree at t={t}"
+                "scan and packed checkers disagree at t={t}"
             );
         }
     }
 
     #[test]
-    fn dense_limit_override_falls_back_instead_of_panicking() {
-        // A malformed FHG_DENSE_LIMIT must never kill the process: the
-        // fallback to the compiled default is the pinned contract.
-        assert_eq!(parse_dense_limit(None), DENSE_ADJACENCY_LIMIT);
-        assert_eq!(parse_dense_limit(Some("")), DENSE_ADJACENCY_LIMIT);
-        assert_eq!(parse_dense_limit(Some("  ")), DENSE_ADJACENCY_LIMIT);
-        assert_eq!(parse_dense_limit(Some("garbage")), DENSE_ADJACENCY_LIMIT);
-        assert_eq!(parse_dense_limit(Some("-3")), DENSE_ADJACENCY_LIMIT);
-        assert_eq!(parse_dense_limit(Some("1e4")), DENSE_ADJACENCY_LIMIT);
-        assert_eq!(parse_dense_limit(Some("0")), 0, "zero is a valid crossover");
-        assert_eq!(parse_dense_limit(Some("8192")), 8192);
-        assert_eq!(parse_dense_limit(Some(" 512 ")), 512, "whitespace is trimmed");
-    }
-
-    #[test]
-    fn layout_selection_follows_the_limits() {
-        let g = erdos_renyi(50, 0.1, 3);
-        assert_eq!(GraphChecker::new(&g).layout(), "flat", "50 nodes sit under every limit");
-        assert_eq!(GraphChecker::with_limits(&g, usize::MAX, usize::MAX).layout(), "flat");
-        assert_eq!(GraphChecker::with_limits(&g, 0, usize::MAX).layout(), "blocked");
-        assert_eq!(GraphChecker::with_limits(&g, 0, 0).layout(), "csr");
-        for limits in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
-            let checker = GraphChecker::with_limits(&g, limits.0, limits.1);
-            assert!(checker.memory_bytes() > 0);
-            assert!(format!("{checker:?}").contains(checker.layout()));
-        }
-    }
-
-    #[test]
-    fn batch_and_per_class_agree_on_every_layout() {
+    fn batch_and_per_class_agree() {
         let g = erdos_renyi(130, 0.05, 9);
         let mut classes = Vec::new();
         for t in 0..10u64 {
@@ -396,16 +242,10 @@ mod tests {
             }
             classes.push((t, set));
         }
-        for limits in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
-            let checker = GraphChecker::with_limits(&g, limits.0, limits.1);
-            let refs: Vec<(u64, &FixedBitSet)> = classes.iter().map(|(t, s)| (*t, s)).collect();
-            let per_class = refs.iter().all(|&(t, s)| checker.check(t, s));
-            assert_eq!(
-                checker.check_batch(&refs),
-                per_class,
-                "layout {} disagrees with per-class checks",
-                checker.layout()
-            );
-        }
+        let checker = GraphChecker::new(&g);
+        assert!(checker.memory_bytes() > 0);
+        let refs: Vec<(u64, &FixedBitSet)> = classes.iter().map(|(t, s)| (*t, s)).collect();
+        let per_class = refs.iter().all(|&(t, s)| checker.check(t, s));
+        assert_eq!(checker.check_batch(&refs), per_class);
     }
 }

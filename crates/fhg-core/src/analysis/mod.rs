@@ -55,10 +55,7 @@ mod profile;
 mod progression;
 mod sweep;
 
-pub use checker::{
-    dense_limit, GraphChecker, HolidayChecker, ScanChecker, BLOCKED_ADJACENCY_LIMIT,
-    DENSE_ADJACENCY_LIMIT,
-};
+pub use checker::{GraphChecker, HolidayChecker, ScanChecker};
 pub use profile::{CycleProfile, PatchRefused, PatchScratch, PatchStats};
 
 use fhg_graph::{Graph, NodeId};

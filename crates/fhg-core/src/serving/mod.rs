@@ -1375,7 +1375,7 @@ mod tests {
 
     #[test]
     fn patch_limit_override_falls_back_instead_of_panicking() {
-        // Same contract as FHG_DENSE_LIMIT and FHG_KERNEL: garbage in the
+        // Same contract as FHG_KERNEL and FHG_AUDIT_STEP: garbage in the
         // environment warns and falls back, never kills the server.
         assert_eq!(parse_patch_limit(None), PATCH_LIMIT);
         assert_eq!(parse_patch_limit(Some("")), PATCH_LIMIT);

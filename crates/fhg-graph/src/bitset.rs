@@ -4,10 +4,9 @@
 //! bookkeeping, visited marks in traversals) need a dense set of node ids.
 //! A `Vec<bool>` works but wastes 8x the memory and defeats the cache; this
 //! minimal word-packed bit set keeps those scans tight without pulling in an
-//! external dependency.  The bulk operations (union, intersection probes,
-//! popcounts, member walks) run on the fused word loops in
-//! [`crate::kernels`], so every consumer gets the runtime-dispatched wide
-//! path for free.
+//! external dependency.  The bulk operations (unions, popcounts, member
+//! walks) run on the fused word loops in [`crate::kernels`], so every
+//! consumer gets the runtime-dispatched wide path for free.
 //!
 //! Invariant: the backing words never contain a set bit at a position `>=
 //! capacity()` — every mutator bounds-checks, and the bulk operations only
@@ -145,15 +144,6 @@ impl FixedBitSet {
         &mut self.words
     }
 
-    /// Whether the two sets share any element, computed word-wise with the
-    /// fused AND-any kernel (per-block early exit).
-    ///
-    /// Capacities may differ; values beyond the shorter capacity cannot
-    /// intersect.
-    pub fn intersects(&self, other: &FixedBitSet) -> bool {
-        kernels::intersects(&self.words, &other.words)
-    }
-
     /// In-place union with another set of the same capacity.
     pub fn union_with(&mut self, other: &FixedBitSet) {
         assert_eq!(self.len, other.len, "bitset capacity mismatch");
@@ -284,25 +274,6 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![50]);
-    }
-
-    #[test]
-    fn intersects_is_word_accurate_and_capacity_tolerant() {
-        let mut a = FixedBitSet::new(130);
-        let mut b = FixedBitSet::new(130);
-        a.insert(129);
-        b.insert(128);
-        assert!(!a.intersects(&b), "neighbouring bits in the top word must not intersect");
-        b.insert(129);
-        assert!(a.intersects(&b));
-        let mut short = FixedBitSet::new(10);
-        short.insert(3);
-        assert!(!a.intersects(&short), "disjoint values across different capacities");
-        let mut short2 = FixedBitSet::new(10);
-        short2.insert(3);
-        let mut long = FixedBitSet::new(500);
-        long.insert(3);
-        assert!(long.intersects(&short2));
     }
 
     #[test]

@@ -374,13 +374,13 @@ impl Graph {
     ///
     /// Walks the set's backing words through the set-bit-extraction kernel
     /// ([`kernels::all_set_bits`], early exit on the first conflict) and
-    /// probes each member's row against the raw words with branchless
-    /// OR-accumulation (the conditional per neighbour is a data dependency,
-    /// not a branch, which beats short-circuit probes on scattered
-    /// members).  Members `>= node_count()` make the set invalid, mirroring
-    /// [`crate::properties::is_independent_set`].  This is the big-graph
-    /// complement to [`crate::properties::AdjacencyBitmap::is_independent`],
-    /// whose dense rows are fully word-wise but cost `n²/8` bytes.
+    /// probes each member's upper neighbours ([`Graph::neighbors_above`])
+    /// against the raw words with branchless OR-accumulation (the
+    /// conditional per neighbour is a data dependency, not a branch, which
+    /// beats short-circuit probes on scattered members).  Each edge is
+    /// probed once: a conflicting pair is caught at its smaller member.
+    /// Members `>= node_count()` make the set invalid, mirroring
+    /// [`crate::properties::is_independent_set`].
     pub fn is_independent(&self, set: &FixedBitSet) -> bool {
         let n = self.node_count();
         if set.capacity() < n {
@@ -388,7 +388,7 @@ impl Graph {
             // may not exist); use the checked probe instead.
             return set
                 .iter()
-                .all(|u| u < n && self.neighbors(u).iter().all(|&v| !set.contains(v)));
+                .all(|u| u < n && self.neighbors_above(u).iter().all(|&v| !set.contains(v)));
         }
         let words = set.as_words();
         kernels::all_set_bits(words, |u| {
@@ -396,7 +396,7 @@ impl Graph {
                 return false;
             }
             let mut hit = 0u64;
-            for &v in self.neighbors(u) {
+            for &v in self.neighbors_above(u) {
                 hit |= words[v >> 6] & (1u64 << (v & 63));
             }
             hit == 0
@@ -405,14 +405,15 @@ impl Graph {
 
     /// Batched independence over a [`MembershipTable`]: bit `i` of the
     /// result is set iff class `i` is *not* independent.  Walks the batch
-    /// union once and gathers each member's neighbour lanes through
+    /// union once and gathers each member's upper-neighbour lanes through
     /// [`kernels::intersects_many_indexed`], so every row is loaded once for
-    /// the whole batch instead of once per class.
+    /// the whole batch instead of once per class, and each edge is probed
+    /// once, from its lower endpoint.
     pub fn batch_violations(&self, table: &MembershipTable) -> u64 {
         let mut violations = table.invalid();
         let lanes = table.lanes();
         kernels::for_each_set_bit(table.union(), |u| {
-            let hits = kernels::intersects_many_indexed(self.neighbors(u), lanes);
+            let hits = kernels::intersects_many_indexed(self.neighbors_above(u), lanes);
             violations |= hits & table.lane(u);
         });
         violations

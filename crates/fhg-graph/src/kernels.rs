@@ -19,82 +19,69 @@
 //!   `union_with`.
 //! * [`or_rows`] — the same multi-row OR without the count, for interior
 //!   batches when a caller fuses the count into its final batch only.
-//! * [`intersects`] — the **fused AND-any** with per-block early exit,
-//!   backing `FixedBitSet::intersects` and the dense adjacency-row
-//!   independence checker.
-//! * [`intersects_many`] / [`intersects_many_indexed`] — the **row-broadcast
-//!   gather** behind batched independence verification: one adjacency row
-//!   (a bit row, or a CSR neighbour list) is tested against up to 64 class
-//!   bitmaps at once by OR-ing the lanes of a bit-sliced membership table
-//!   selected by the row's set bits.  Bit `i` of the returned word is set
-//!   iff the row intersects class `i` — one row load serves the whole
-//!   batch.
+//! * [`intersects_many_indexed`] — the **lane gather** behind batched
+//!   independence verification: ORs the lanes of a bit-sliced membership
+//!   table selected by a neighbour list, so bit `i` of the returned word is
+//!   set iff the list meets class `i` — one row load serves up to 64
+//!   classes.
 //! * [`count`] — unrolled popcount of a word slice.
 //! * [`for_each_set_bit`] / [`all_set_bits`] — **set-bit extraction** via
 //!   `trailing_zeros` word scans, backing `hosts_into`, the `CycleProfile`
-//!   attendance recording and the word-raw member walks of both
-//!   independence checkers.
+//!   attendance recording and the word-raw member walks of the
+//!   independence checks.
 //!
 //! # Dispatch contract
 //!
-//! Every data-plane kernel exists in up to three implementations:
+//! Every data-plane kernel exists in up to two implementations:
 //!
 //! * **portable** — unrolled `u64x4`-style scalar loops, available on every
-//!   target,
+//!   target, and
 //! * **wide** — 256-bit AVX2 loops, compiled only for `x86_64` and executed
-//!   only after a successful runtime `avx2` detection, and
-//! * **wide512** — 512-bit AVX-512 loops (`avx512f`), again `x86_64`-only
-//!   behind a runtime detection.
+//!   only after a successful runtime `avx2` detection.
 //!
-//! Not every kernel has all three: a kernel keeps an arm only where the
-//! wider ISA measurably buys something on its own bench row.  The
-//! per-kernel dispatch table:
+//! A kernel keeps its wide arm only where the wider ISA measurably buys
+//! something on its own bench row.  The per-kernel dispatch table:
 //!
-//! | kernel | portable | wide (AVX2) | wide512 (AVX-512) |
-//! |---|---|---|---|
-//! | [`set_rows_count`], [`set_rows`], [`or_rows_count`], [`or_rows`] | ✓ | ✓ | runs the AVX2 arm |
-//! | [`intersects`] | ✓ | ✓ | runs the AVX2 arm |
-//! | [`intersects_many`] | ✓ | slower than portable (e15b): portable | ✓ |
-//! | [`intersects_many_indexed`] | ✓ | gather-bound: portable | gather-bound: portable |
-//! | [`count`], [`for_each_set_bit`], [`all_set_bits`] | ✓ | scalar popcount unit: portable | portable |
+//! | kernel | portable | wide (AVX2) |
+//! |---|---|---|
+//! | [`set_rows_count`], [`set_rows`], [`or_rows_count`], [`or_rows`] | ✓ | ✓ |
+//! | [`intersects_many_indexed`] | ✓ | gather-bound: portable |
+//! | [`count`], [`for_each_set_bit`], [`all_set_bits`] | ✓ | scalar popcount unit: portable |
 //!
 //! [`KernelMode::active`] decides the mode **once per process** and caches
 //! the decision in a `OnceLock` (so the hot path never re-detects and
 //! never re-reads the environment): the `FHG_KERNEL` environment variable
-//! (`portable` | `wide` | `wide512`) overrides for parity testing,
-//! otherwise the widest supported path is used.  Requesting `wide` or
-//! `wide512` on a machine without the feature falls back to the best
-//! supported mode — the override selects an implementation, it cannot make
-//! unsupported instructions execute.
+//! (`portable` | `wide`) overrides for parity testing, otherwise the wide
+//! arm is used where supported.  Requesting `wide` on a machine without
+//! AVX2 falls back to portable — the override selects an implementation,
+//! it cannot make unsupported instructions execute.
 //!
 //! All implementations are **bitwise-identical by contract**: for every
 //! input, every kernel returns the same bits in `dst` and the same scalar
 //! result under every mode.  The property tests in this module pin that at
 //! adversarial capacities (0, 1, 63, 64, 65, 255, 256, 4095, 4097 bits)
 //! against a deliberately naive scalar reference ([`scalar`]), and CI
-//! runs the full workspace suite with `FHG_KERNEL=portable` and
-//! `FHG_KERNEL=wide512` forced so no arm can silently diverge.
+//! runs the full workspace suite with `FHG_KERNEL=portable` forced beside
+//! the default (wide where supported) run, so neither arm can silently
+//! diverge.
 //!
 //! # How to add a kernel
 //!
 //! 1. Write the naive loop in [`scalar`] — that is the specification.
 //! 2. Add the unrolled portable version to [`portable`] and (only if the
 //!    inner loop genuinely vectorises) the AVX2 version to the
-//!    `x86_64`-gated `wide` module and/or the AVX-512 version to the
-//!    `wide512` module, as an `unsafe fn` with the matching
-//!    `#[target_feature(enable = ...)]` and a safety comment.
+//!    `x86_64`-gated `wide` module, as an `unsafe fn` with
+//!    `#[target_feature(enable = "avx2")]` and a safety comment.
 //! 3. Export a dispatching wrapper (`fn name(...)`) that validates slice
 //!    lengths **before** dispatch plus an explicit-mode twin (`name_in`) for
 //!    differential tests, following [`or_rows_count`] / [`or_rows_count_in`].
-//!    A kernel without its own `wide512` arm lists `Wide512` alongside
-//!    `Wide` in the AVX2 arm so the wider mode still takes its best path.
 //! 4. Extend `proptest` parity below to cover the new kernel at the
 //!    adversarial capacities, under every mode, against the scalar
 //!    reference.
 //!
 //! This is the single module in the crate allowed to use `unsafe` (the
 //! crate is otherwise `deny(unsafe_code)`); the only unsafe operations are
-//! the AVX2 and AVX-512 intrinsics behind the runtime feature checks.
+//! the AVX2 intrinsics behind the runtime feature check.
 
 #![allow(unsafe_code)]
 
@@ -107,9 +94,6 @@ pub enum KernelMode {
     Portable,
     /// 256-bit AVX2 loops; `x86_64` with runtime `avx2` support only.
     Wide,
-    /// 512-bit AVX-512 loops (`avx512f`); kernels without a 512-bit form
-    /// run their AVX2 arm under this mode.
-    Wide512,
 }
 
 impl KernelMode {
@@ -125,23 +109,10 @@ impl KernelMode {
         }
     }
 
-    /// Whether the [`KernelMode::Wide512`] path can execute on this machine
-    /// (`avx512f`, the 512-bit integer core).
-    pub fn wide512_supported() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx512f")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
     /// The mode every dispatching kernel entry point uses, decided once per
     /// process and cached in a `OnceLock`: the `FHG_KERNEL` override
-    /// (`portable` | `wide` | `wide512`) when set, otherwise the widest
-    /// supported mode — so the per-call cost is one atomic load, never a
+    /// (`portable` | `wide`) when set, otherwise the widest supported
+    /// mode — so the per-call cost is one atomic load, never a
     /// feature re-detection or an environment read.  An unrecognised
     /// override is not fatal: it logs one warning to stderr and falls back
     /// to auto-detection (a long-lived serving process must not be killable
@@ -154,32 +125,17 @@ impl KernelMode {
     /// Parses the `FHG_KERNEL` override (factored out of [`KernelMode::active`]
     /// so the policy is testable despite the process-wide cache).
     fn from_env(var: Option<&str>) -> KernelMode {
-        let auto = if Self::wide512_supported() {
-            KernelMode::Wide512
-        } else if Self::wide_supported() {
-            KernelMode::Wide
-        } else {
-            KernelMode::Portable
-        };
+        // The override selects an implementation; it cannot make
+        // unsupported instructions execute, so `wide` degrades to the best
+        // supported mode, which is also the auto-detected one.
+        let auto = if Self::wide_supported() { KernelMode::Wide } else { KernelMode::Portable };
         match var {
-            None | Some("") => auto,
+            None | Some("") | Some("wide") => auto,
             Some("portable") => KernelMode::Portable,
-            // The override selects an implementation; it cannot make
-            // unsupported instructions execute, so a wide request degrades
-            // to the best supported mode.  `wide` never upgrades to
-            // `wide512` — parity runs pin the exact arm they ask for.
-            Some("wide") => {
-                if Self::wide_supported() {
-                    KernelMode::Wide
-                } else {
-                    KernelMode::Portable
-                }
-            }
-            Some("wide512") => auto,
             Some(other) => {
                 eprintln!(
                     "warning: FHG_KERNEL={other:?} is not a kernel mode \
-                     (use \"portable\", \"wide\" or \"wide512\"); auto-detecting"
+                     (use \"portable\" or \"wide\"); auto-detecting"
                 );
                 auto
             }
@@ -218,7 +174,7 @@ pub fn set_rows_count_in(mode: KernelMode, dst: &mut [u64], rows: &[&[u64]]) -> 
     check_rows(dst.len(), rows);
     match mode {
         #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
+        KernelMode::Wide if KernelMode::wide_supported() => {
             // SAFETY: the avx2 feature was verified at runtime on this line.
             unsafe { wide::set_rows_count(dst, rows) }
         }
@@ -240,7 +196,7 @@ pub fn set_rows_in(mode: KernelMode, dst: &mut [u64], rows: &[&[u64]]) {
     check_rows(dst.len(), rows);
     match mode {
         #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
+        KernelMode::Wide if KernelMode::wide_supported() => {
             // SAFETY: the avx2 feature was verified at runtime on this line.
             unsafe { wide::set_rows(dst, rows) }
         }
@@ -268,7 +224,7 @@ pub fn or_rows_count_in(mode: KernelMode, dst: &mut [u64], rows: &[&[u64]]) -> u
     check_rows(dst.len(), rows);
     match mode {
         #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
+        KernelMode::Wide if KernelMode::wide_supported() => {
             // SAFETY: the avx2 feature was verified at runtime on this line.
             unsafe { wide::or_rows_count(dst, rows) }
         }
@@ -290,7 +246,7 @@ pub fn or_rows_in(mode: KernelMode, dst: &mut [u64], rows: &[&[u64]]) {
     check_rows(dst.len(), rows);
     match mode {
         #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
+        KernelMode::Wide if KernelMode::wide_supported() => {
             // SAFETY: the avx2 feature was verified at runtime on this line.
             unsafe { wide::or_rows(dst, rows) }
         }
@@ -298,67 +254,15 @@ pub fn or_rows_in(mode: KernelMode, dst: &mut [u64], rows: &[&[u64]]) {
     }
 }
 
-/// Whether `a` and `b` share any set bit — the fused AND-any with per-block
-/// early exit behind `FixedBitSet::intersects` and the dense independence
-/// checker.  Lengths may differ; only the common prefix can intersect.
-pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-    intersects_in(KernelMode::active(), a, b)
-}
-
-/// [`intersects`] under an explicit [`KernelMode`].
-pub fn intersects_in(mode: KernelMode, a: &[u64], b: &[u64]) -> bool {
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide | KernelMode::Wide512 if KernelMode::wide_supported() => {
-            // SAFETY: the avx2 feature was verified at runtime on this line.
-            unsafe { wide::intersects(a, b) }
-        }
-        _ => portable::intersects(a, b),
-    }
-}
-
-/// The row-broadcast gather behind batched independence verification: ORs
-/// together `table[v]` for every set bit `v` of `row` and returns the
-/// resulting word.  `table` is a bit-sliced membership table — bit `i` of
-/// `table[v]` says node `v` belongs to class `i` of the batch — so bit `i`
-/// of the result is set iff `row` intersects class `i`: one adjacency-row
-/// load answers the AND-any question for up to 64 classes at once.
-///
-/// Empty row words are skipped (adjacency rows are sparse at scale), so the
-/// cost is one word test per 64 nodes plus one table load per neighbour.
-///
-/// # Panics
-/// Panics if `table` has fewer than `row.len() * 64` lanes (one per
-/// possible set bit).
-pub fn intersects_many(row: &[u64], table: &[u64]) -> u64 {
-    intersects_many_in(KernelMode::active(), row, table)
-}
-
-/// [`intersects_many`] under an explicit [`KernelMode`].
-pub fn intersects_many_in(mode: KernelMode, row: &[u64], table: &[u64]) -> u64 {
-    assert!(
-        table.len() >= row.len() * 64,
-        "kernel table too short: {} lanes for a {}-word row",
-        table.len(),
-        row.len()
-    );
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Wide512 if KernelMode::wide512_supported() => {
-            // SAFETY: the avx512f feature was verified at runtime on this
-            // line.
-            unsafe { wide512::intersects_many(row, table) }
-        }
-        // The AVX2 arm measured slower than portable (e15b), so `Wide`
-        // runs the portable loop.
-        _ => portable::intersects_many(row, table),
-    }
-}
-
-/// [`intersects_many`] for a CSR neighbour list: ORs `table[v]` for every
-/// `v` in `indices`.  The access pattern is a data-dependent gather, which
-/// no supported ISA beats scalar loads at, so — like [`count`] — this runs
-/// the (unrolled) portable loop under every mode.
+/// The lane gather behind batched independence verification: ORs
+/// `table[v]` for every `v` in `indices` and returns the resulting word.
+/// `table` is a bit-sliced membership table — bit `i` of `table[v]` says
+/// node `v` belongs to class `i` of the batch — so for a neighbour list,
+/// bit `i` of the result is set iff the list meets class `i`: one row load
+/// answers the AND-any question for up to 64 classes at once.  The access
+/// pattern is a data-dependent gather, which no supported ISA beats scalar
+/// loads at, so — like [`count`] — this runs the (unrolled) portable loop
+/// under every mode.
 ///
 /// # Panics
 /// Panics if some index is out of the table's bounds.
@@ -387,8 +291,7 @@ pub fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
 }
 
 /// Whether `pred` holds for every set bit of `words` (ascending, early
-/// exit on the first `false`) — the member walk of both independence
-/// checkers.
+/// exit on the first `false`) — the member walk of `Graph::is_independent`.
 #[inline]
 pub fn all_set_bits(words: &[u64], mut pred: impl FnMut(usize) -> bool) -> bool {
     for (wi, &word) in words.iter().enumerate() {
@@ -432,28 +335,6 @@ pub mod scalar {
     pub fn set_rows_count(dst: &mut [u64], rows: &[&[u64]]) -> u64 {
         dst.iter_mut().for_each(|w| *w = 0);
         or_rows_count(dst, rows)
-    }
-
-    /// Word-at-a-time AND-any over the common prefix.
-    pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-        a.iter().zip(b).any(|(x, y)| x & y != 0)
-    }
-
-    /// Bit-by-bit row-broadcast gather: walk every set bit of `row` and OR
-    /// the matching membership-table lane.
-    ///
-    /// # Panics
-    /// Panics if `table` has fewer than `row.len() * 64` lanes.
-    pub fn intersects_many(row: &[u64], table: &[u64]) -> u64 {
-        let mut acc = 0u64;
-        for (wi, &word) in row.iter().enumerate() {
-            for bit in 0..64 {
-                if word & (1u64 << bit) != 0 {
-                    acc |= table[wi * 64 + bit];
-                }
-            }
-        }
-        acc
     }
 
     /// One-by-one indexed gather.
@@ -569,44 +450,6 @@ mod portable {
         }
     }
 
-    pub(super) fn intersects(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let hit = (a[i] & b[i])
-                | (a[i + 1] & b[i + 1])
-                | (a[i + 2] & b[i + 2])
-                | (a[i + 3] & b[i + 3]);
-            if hit != 0 {
-                return true;
-            }
-            i += 4;
-        }
-        while i < n {
-            if a[i] & b[i] != 0 {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-
-    pub(super) fn intersects_many(row: &[u64], table: &[u64]) -> u64 {
-        let mut acc = 0u64;
-        for (wi, &word) in row.iter().enumerate() {
-            // Empty words are the common case on sparse adjacency rows;
-            // non-empty ones walk set bits via trailing_zeros like the
-            // extraction kernel.
-            let mut w = word;
-            let base = wi * 64;
-            while w != 0 {
-                acc |= table[base + w.trailing_zeros() as usize];
-                w &= w - 1;
-            }
-        }
-        acc
-    }
-
     pub(super) fn intersects_many_indexed(indices: &[usize], table: &[u64]) -> u64 {
         // Four independent OR chains hide the gather latency.
         let n = indices.len();
@@ -658,7 +501,6 @@ mod wide {
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_extract_epi64,
         _mm256_loadu_si256, _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
         _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256,
-        _mm256_testz_si256,
     };
 
     /// Adds the popcount of `v` to the four 64-bit lane counters of `acc` —
@@ -873,97 +715,6 @@ mod wide {
             i += 1;
         }
     }
-
-    /// # Safety
-    /// Requires runtime `avx2` support.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn intersects(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n <= min(a.len(), b.len()), so both
-            // four-word unaligned loads are in bounds.
-            let disjoint = unsafe {
-                let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-                _mm256_testz_si256(va, vb)
-            };
-            if disjoint == 0 {
-                return true;
-            }
-            i += 4;
-        }
-        while i < n {
-            if a[i] & b[i] != 0 {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-}
-
-/// 512-bit AVX-512 loops (`avx512f`): the wider empty-chunk rejection for
-/// the row-broadcast gather.  Every function carries the matching
-/// `#[target_feature]` and must only be called after a successful runtime
-/// detection (the dispatch wrappers guarantee it); slice lengths were
-/// validated by the wrapper, so the raw pointer arithmetic stays in bounds.
-#[cfg(target_arch = "x86_64")]
-mod wide512 {
-    use std::arch::x86_64::{__m512i, _mm512_loadu_si512, _mm512_test_epi64_mask};
-
-    /// Loads 8 words from `s[i..]`.
-    ///
-    /// # Safety
-    /// Requires runtime `avx512f` support and `i + 8 <= s.len()`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn load(s: &[u64], i: usize) -> __m512i {
-        // SAFETY: caller guarantees i + 8 <= s.len().
-        unsafe { _mm512_loadu_si512(s.as_ptr().add(i) as *const __m512i) }
-    }
-
-    /// # Safety
-    /// Requires runtime `avx512f` support and `table.len() >= row.len() * 64`
-    /// (wrapper invariant).
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn intersects_many(row: &[u64], table: &[u64]) -> u64 {
-        let n = row.len();
-        let mut acc = 0u64;
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n, so the eight-word unaligned load is in
-            // bounds; avx512f is guaranteed by the caller contract.
-            let occupied = unsafe {
-                let v = load(row, i);
-                _mm512_test_epi64_mask(v, v)
-            };
-            // One vector test rejects 512 empty row bits; each remaining
-            // non-empty word (flagged in the test mask) walks its set bits
-            // scalar — the table loads are a data-dependent gather.
-            let mut words = occupied;
-            while words != 0 {
-                let wi = i + words.trailing_zeros() as usize;
-                let mut w = row[wi];
-                let base = wi * 64;
-                while w != 0 {
-                    acc |= table[base + w.trailing_zeros() as usize];
-                    w &= w - 1;
-                }
-                words &= words - 1;
-            }
-            i += 8;
-        }
-        while i < n {
-            let mut w = row[i];
-            let base = i * 64;
-            while w != 0 {
-                acc |= table[base + w.trailing_zeros() as usize];
-                w &= w - 1;
-            }
-            i += 1;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -982,9 +733,6 @@ mod tests {
         let mut modes = vec![KernelMode::Portable];
         if KernelMode::wide_supported() {
             modes.push(KernelMode::Wide);
-        }
-        if KernelMode::wide512_supported() {
-            modes.push(KernelMode::Wide512);
         }
         modes
     }
@@ -1013,12 +761,7 @@ mod tests {
         assert_eq!(KernelMode::from_env(Some("")), auto);
         assert_eq!(KernelMode::from_env(Some("portable")), KernelMode::Portable);
         let wide = KernelMode::from_env(Some("wide"));
-        let wide512 = KernelMode::from_env(Some("wide512"));
-        assert_eq!(wide512, auto, "wide512 degrades to the best supported mode");
-        if KernelMode::wide512_supported() {
-            assert_eq!(auto, KernelMode::Wide512);
-            assert_eq!(wide, KernelMode::Wide, "wide pins the AVX2 arm, never upgrades");
-        } else if KernelMode::wide_supported() {
+        if KernelMode::wide_supported() {
             assert_eq!(auto, KernelMode::Wide);
             assert_eq!(wide, KernelMode::Wide);
         } else {
@@ -1076,14 +819,6 @@ mod tests {
                             dst, set_expected,
                             "set_rows: {bits} bits, {take} rows, {mode:?}"
                         );
-
-                        for row in &refs {
-                            assert_eq!(
-                                intersects_in(mode, &dst0, row),
-                                scalar::intersects(&dst0, row),
-                                "intersects: {bits} bits, {mode:?}"
-                            );
-                        }
                     }
                     assert_eq!(count(&expected), expected_count, "count: {bits} bits");
                 }
@@ -1092,21 +827,11 @@ mod tests {
     }
 
     #[test]
-    fn intersects_many_agrees_with_scalar() {
+    fn intersects_many_indexed_agrees_with_scalar() {
         for &bits in &CAPACITIES {
             for seed in 0..3u64 {
                 let row = words_for(bits, seed * 13 + 1);
                 let table = column_for(row.len() * 64, seed * 13 + 2);
-                let expected = scalar::intersects_many(&row, &table);
-                for mode in modes() {
-                    assert_eq!(
-                        intersects_many_in(mode, &row, &table),
-                        expected,
-                        "intersects_many: {bits} bits, {mode:?}"
-                    );
-                }
-                // The indexed twin over the same members must see the same
-                // table lanes.
                 let mut indices = Vec::new();
                 for_each_set_bit(&row, |b| indices.push(b));
                 assert_eq!(
@@ -1114,30 +839,9 @@ mod tests {
                     scalar::intersects_many_indexed(&indices, &table),
                     "indexed: {bits} bits"
                 );
-                assert_eq!(intersects_many_indexed(&indices, &table), expected);
             }
         }
         assert_eq!(intersects_many_indexed(&[], &[]), 0, "no indices, no intersections");
-    }
-
-    #[test]
-    #[should_panic(expected = "table too short")]
-    fn short_membership_tables_are_rejected() {
-        let row = vec![1u64; 2];
-        let table = vec![0u64; 127];
-        intersects_many(&row, &table);
-    }
-
-    #[test]
-    fn intersects_handles_length_mismatch_like_scalar() {
-        let long = words_for(4097, 7);
-        let short = words_for(65, 8);
-        for mode in modes() {
-            assert_eq!(intersects_in(mode, &long, &short), scalar::intersects(&long, &short));
-            assert_eq!(intersects_in(mode, &short, &long), scalar::intersects(&short, &long));
-            assert!(!intersects_in(mode, &long, &[]));
-            assert!(!intersects_in(mode, &[], &long));
-        }
     }
 
     #[test]
@@ -1207,10 +911,7 @@ mod tests {
             let expected_count = scalar::or_rows_count(&mut expected, &refs);
             let mut set_expected = dst0.clone();
             let set_count = scalar::set_rows_count(&mut set_expected, &refs);
-            let table = column_for(dst0.len() * 64, seed ^ 0x00C0_FFEE);
-            let many_expected = scalar::intersects_many(&dst0, &table);
             for mode in modes() {
-                prop_assert_eq!(intersects_many_in(mode, &dst0, &table), many_expected);
                 let mut dst = dst0.clone();
                 prop_assert_eq!(or_rows_count_in(mode, &mut dst, &refs), expected_count);
                 prop_assert_eq!(&dst, &expected);
@@ -1220,12 +921,6 @@ mod tests {
                 let mut dst = dst0.clone();
                 set_rows_in(mode, &mut dst, &refs);
                 prop_assert_eq!(&dst, &set_expected);
-                for row in &refs {
-                    prop_assert_eq!(
-                        intersects_in(mode, &dst0, row),
-                        scalar::intersects(&dst0, row)
-                    );
-                }
             }
         }
     }

@@ -22,10 +22,10 @@
 //!   bipartiteness, degeneracy, triangles, independence checks).
 //! * [`happy_set`] — the reusable word-packed [`HappySet`] buffer the
 //!   scheduler engine fills once per holiday without allocating.
-//! * [`kernels`] — the fused word kernels (OR+popcount emission, AND-any
-//!   independence probes, set-bit extraction) every hot bit loop runs on,
-//!   with runtime-dispatched AVX-512 and AVX2 wide paths and a portable
-//!   unrolled fallback (`FHG_KERNEL=portable|wide|wide512` override).
+//! * [`kernels`] — the fused word kernels (OR+popcount emission, the
+//!   batched-verification lane gather, set-bit extraction) every hot bit
+//!   loop runs on, with a runtime-dispatched AVX2 wide path and a portable
+//!   unrolled fallback (`FHG_KERNEL=portable|wide` override).
 //! * [`dynamic`] — the dynamic-setting substrate of paper §6: an edge-event
 //!   stream applied to a graph with notification of affected nodes.
 //!

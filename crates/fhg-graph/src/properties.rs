@@ -7,13 +7,12 @@
 //! footnote) and independent-set verification (every gathering's happy set
 //! must be independent).
 //!
-//! Verification comes in three adjacency layouts — the flat
-//! [`AdjacencyBitmap`], the cache-blocked [`BlockedAdjacency`] hybrid and
-//! raw probes of the [`Graph`] rows — and two granularities: one
-//! set at a time, or a **batch of up to 64 sets at once** through a
-//! bit-sliced [`MembershipTable`], where every adjacency row is loaded once
-//! and answers the AND-any question for the whole batch via
-//! [`crate::kernels::intersects_many`].
+//! [`is_independent_set`] is the slice reference.  The fast verifiers live
+//! on the packed [`Graph`] itself and probe each edge once, from its lower
+//! endpoint's upper slice: [`Graph::is_independent`] checks one set, and
+//! [`Graph::batch_violations`] checks up to [`BATCH_WIDTH`] sets at once
+//! through the bit-sliced [`MembershipTable`] defined here, loading each
+//! row once for the whole batch.
 
 use crate::bitset::FixedBitSet;
 use crate::{Graph, NodeId};
@@ -232,86 +231,9 @@ pub fn triangle_count(g: &Graph) -> usize {
     count
 }
 
-/// Dense adjacency rows packed 64 nodes per word, for word-wise independence
-/// checks.
-///
-/// Row `u` is the neighbourhood `N(u)` as a bitmask, so "does any member of
-/// `S` conflict with `u`" is one AND-scan of `⌈n/64⌉` words instead of a
-/// per-neighbour probe.  Memory is `n²/8` bytes — callers should gate
-/// construction on graph size (the schedule analysis uses it up to a few
-/// thousand nodes and falls back to graph row scans beyond that).
-#[derive(Debug, Clone)]
-pub struct AdjacencyBitmap {
-    rows: Vec<FixedBitSet>,
-}
-
-impl AdjacencyBitmap {
-    /// Builds the dense rows from a graph.
-    pub fn from_graph(g: &Graph) -> Self {
-        let n = g.node_count();
-        let rows = (0..n)
-            .map(|u| {
-                let mut row = FixedBitSet::new(n);
-                for &v in g.neighbors(u) {
-                    row.insert(v);
-                }
-                row
-            })
-            .collect();
-        AdjacencyBitmap { rows }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The neighbourhood of `u` as a bit row.
-    pub fn row(&self, u: NodeId) -> &FixedBitSet {
-        &self.rows[u]
-    }
-
-    /// Whether `set` is an independent set, verified by ANDing every member's
-    /// adjacency row against the set — the member walk runs on the
-    /// set-bit-extraction kernel and each row probe on the fused AND-any
-    /// kernel ([`crate::kernels`]), both with early exit on the first
-    /// conflict.  Members `>= node_count()` make the set invalid (mirroring
-    /// [`is_independent_set`]).
-    pub fn is_independent(&self, set: &FixedBitSet) -> bool {
-        crate::kernels::all_set_bits(set.as_words(), |u| {
-            u < self.rows.len() && !self.rows[u].intersects(set)
-        })
-    }
-
-    /// Batched independence: which classes of `table` contain an edge?
-    /// Walks the batch **union** once; each member's adjacency row is loaded
-    /// once and broadcast against all classes through
-    /// [`crate::kernels::intersects_many`].  Bit `i` of the result is set
-    /// iff class `i` is *not* independent (it contains an edge, or a member
-    /// out of range).
-    pub fn batch_violations(&self, table: &MembershipTable) -> u64 {
-        let mut violations = table.invalid();
-        crate::kernels::for_each_set_bit(table.union(), |u| {
-            let hits = crate::kernels::intersects_many(self.rows[u].as_words(), table.lanes());
-            violations |= hits & table.lane(u);
-        });
-        violations
-    }
-}
-
 /// The number of classes a single [`MembershipTable`] fill can hold (one
 /// lane bit per class).
 pub const BATCH_WIDTH: usize = 64;
-
-/// Side length, in bits, of one [`BlockedAdjacency`] tile (256×256 bits =
-/// 8 KiB per tile, four words per row segment).
-const TILE_BITS: usize = 256;
-
-/// Words per tile row segment.
-const TILE_WORDS: usize = TILE_BITS / 64;
-
-/// Words per tile.
-const TILE_AREA_WORDS: usize = TILE_BITS * TILE_WORDS;
 
 /// Bit-sliced membership table: the transposed view of up to
 /// [`BATCH_WIDTH`] class bitmaps that batched verification runs on.
@@ -320,25 +242,24 @@ const TILE_AREA_WORDS: usize = TILE_BITS * TILE_WORDS;
 /// belongs to class `i`, [`MembershipTable::union`] holds the OR of all
 /// class bitmaps (the nodes the batch touches at all) and
 /// [`MembershipTable::invalid`] flags classes containing an out-of-range
-/// member.  A checker then walks the union once: each member's adjacency
-/// row, tested against the lane table with
-/// [`crate::kernels::intersects_many`], yields the violating classes of
-/// every edge it covers — the row is loaded once for the whole batch.
+/// member.  [`Graph::batch_violations`] then walks the union once: each
+/// member's upper neighbours, gathered from the lane table with
+/// [`crate::kernels::intersects_many_indexed`], yield the violating classes
+/// of every edge the member is the lower endpoint of — the row is loaded
+/// once for the whole batch.
 ///
 /// The buffers grow once to the graph's size and are re-used across fills
 /// (clearing walks the previous union instead of memsetting the table), so
 /// steady-state fills allocate nothing.
 #[derive(Debug, Default)]
 pub struct MembershipTable {
-    /// `lanes[v]` bit `i` ⇔ node `v` ∈ class `i`.  Padded to a whole
-    /// number of 256-lane tile blocks so blocked row segments can always
-    /// take a full-width slice.
+    /// `lanes[v]` bit `i` ⇔ node `v` ∈ class `i`.
     lanes: Vec<u64>,
     /// OR of all class bitmaps, masked to the node range.
     union: Vec<u64>,
     /// Classes with a member `>= n` (always a violation).
     invalid: u64,
-    /// Lanes in use for the current fill (`n` padded to a tile block).
+    /// Lanes in use for the current fill (`n`).
     lanes_used: usize,
     /// Union words in use for the current fill.
     union_used: usize,
@@ -366,7 +287,7 @@ impl MembershipTable {
         self.invalid = 0;
 
         let words = n.div_ceil(64);
-        self.lanes_used = n.div_ceil(TILE_BITS) * TILE_BITS;
+        self.lanes_used = n;
         self.union_used = words;
         if self.lanes.len() < self.lanes_used {
             self.lanes.resize(self.lanes_used, 0);
@@ -406,8 +327,7 @@ impl MembershipTable {
     }
 
     /// The lane table: `lanes()[v]` has bit `i` set iff node `v` belongs to
-    /// class `i`.  Sized to the fill's node count padded to a whole tile
-    /// block, as [`crate::kernels::intersects_many`] requires.
+    /// class `i`, one lane per node of the fill.
     pub fn lanes(&self) -> &[u64] {
         &self.lanes[..self.lanes_used]
     }
@@ -426,170 +346,6 @@ impl MembershipTable {
     /// Classes containing a member `>= n` (bit `i` ⇔ class `i` invalid).
     pub fn invalid(&self) -> u64 {
         self.invalid
-    }
-}
-
-/// Cache-blocked, degree-sorted hybrid adjacency: the dense layout for the
-/// 4k–64k node range, where a flat [`AdjacencyBitmap`] would cost `n²/8`
-/// bytes regardless of the edge count.
-///
-/// Nodes whose degree reaches the cutoff get **tiled rows**: their
-/// neighbourhoods live in 256×256-bit tiles (8 KiB each), materialised only
-/// where those rows actually have edges, so memory is bounded by the edges
-/// of the dense nodes rather than `n²`.  The sparse remainder — nodes a
-/// row-scan would be slower for than walking their few neighbours — probes
-/// an internally-owned packed [`Graph`].  The default cutoff is the break-even
-/// point `max(64, n/64)`: a full row scan touches `n/64` words, so a node
-/// wants the tiled form once its degree passes that.
-///
-/// Both granularities are served: [`BlockedAdjacency::is_independent`]
-/// checks one set, [`BlockedAdjacency::batch_violations`] a whole
-/// [`MembershipTable`] with each row segment broadcast against all classes.
-#[derive(Debug, Clone)]
-pub struct BlockedAdjacency {
-    n: usize,
-    /// Tile-blocks per side (`⌈n/256⌉`).
-    nb: usize,
-    /// Nodes with materialised tile rows.
-    dense: FixedBitSet,
-    /// `grid[rb * nb + cb]` is the arena tile index for block `(rb, cb)`,
-    /// or `u32::MAX` if no dense row has an edge there.
-    grid: Vec<u32>,
-    /// Tile storage, [`TILE_AREA_WORDS`] words per tile: row `r` of a tile
-    /// is the 4-word segment at `tile * TILE_AREA_WORDS + r * TILE_WORDS`.
-    arena: Vec<u64>,
-    /// All edges (a packed copy), probed for the sparse remainder.
-    graph: Graph,
-}
-
-impl BlockedAdjacency {
-    /// Builds the hybrid with the break-even cutoff `max(64, n/64)`.
-    pub fn from_graph(g: &Graph) -> Self {
-        let n = g.node_count();
-        Self::with_cutoff(g, 64.max(n / 64))
-    }
-
-    /// Builds the hybrid with an explicit degree cutoff: nodes with
-    /// `degree >= cutoff` get tiled rows (`0` tiles every non-isolated
-    /// node, `usize::MAX` none — pure row probing).
-    pub fn with_cutoff(g: &Graph, cutoff: usize) -> Self {
-        let n = g.node_count();
-        let nb = n.div_ceil(TILE_BITS);
-        let mut dense = FixedBitSet::new(n);
-        let mut grid = vec![u32::MAX; nb * nb];
-        let mut arena = Vec::new();
-        for u in 0..n {
-            if g.degree(u) < cutoff {
-                continue;
-            }
-            dense.insert(u);
-            let row_base = (u / TILE_BITS) * nb;
-            let seg = (u % TILE_BITS) * TILE_WORDS;
-            for &v in g.neighbors(u) {
-                let cell = row_base + v / TILE_BITS;
-                let tile = if grid[cell] == u32::MAX {
-                    let t = arena.len() / TILE_AREA_WORDS;
-                    grid[cell] = t as u32;
-                    arena.resize(arena.len() + TILE_AREA_WORDS, 0);
-                    t
-                } else {
-                    grid[cell] as usize
-                };
-                arena[tile * TILE_AREA_WORDS + seg + (v % TILE_BITS) / 64] |= 1u64 << (v % 64);
-            }
-        }
-        BlockedAdjacency { n, nb, dense, grid, arena, graph: g.clone() }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of nodes with materialised tile rows.
-    pub fn dense_node_count(&self) -> usize {
-        self.dense.count()
-    }
-
-    /// Number of materialised tiles.
-    pub fn tile_count(&self) -> usize {
-        self.arena.len() / TILE_AREA_WORDS
-    }
-
-    /// Peak adjacency memory of this layout in bytes: tile arena + grid
-    /// index + the packed graph for the sparse remainder.  The comparison
-    /// point is the `n²/8` a flat bitmap would pin.
-    pub fn memory_bytes(&self) -> usize {
-        self.arena.len() * 8 + self.grid.len() * 4 + self.graph.memory_bytes()
-    }
-
-    /// Whether the tiled row of dense node `u` intersects `set`.
-    fn row_intersects(&self, u: NodeId, set: &FixedBitSet) -> bool {
-        let words = set.as_words();
-        let row_base = (u / TILE_BITS) * self.nb;
-        let seg = (u % TILE_BITS) * TILE_WORDS;
-        for (cb, &tile) in self.grid[row_base..row_base + self.nb].iter().enumerate() {
-            if tile == u32::MAX {
-                continue;
-            }
-            let start = tile as usize * TILE_AREA_WORDS + seg;
-            let segment = &self.arena[start..start + TILE_WORDS];
-            // `intersects` stops at the common prefix, which trims the last
-            // block to the set's actual word count.
-            if crate::kernels::intersects(segment, &words[(cb * TILE_WORDS).min(words.len())..]) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether `set` is an independent set: dense members scan their tiled
-    /// row segments, sparse members probe the graph's rows, and members
-    /// `>= node_count()` make the set invalid (mirroring
-    /// [`is_independent_set`]).
-    pub fn is_independent(&self, set: &FixedBitSet) -> bool {
-        crate::kernels::all_set_bits(set.as_words(), |u| {
-            if u >= self.n {
-                return false;
-            }
-            if self.dense.contains(u) {
-                !self.row_intersects(u, set)
-            } else {
-                !self.graph.neighbors(u).iter().any(|&v| set.contains(v))
-            }
-        })
-    }
-
-    /// Batched independence over a [`MembershipTable`]: bit `i` of the
-    /// result is set iff class `i` is *not* independent.  Dense members
-    /// broadcast each 4-word row segment against the matching 256-lane
-    /// block of the table ([`crate::kernels::intersects_many`]); sparse
-    /// members gather their neighbours' lanes.
-    pub fn batch_violations(&self, table: &MembershipTable) -> u64 {
-        let mut violations = table.invalid();
-        let lanes = table.lanes();
-        crate::kernels::for_each_set_bit(table.union(), |u| {
-            let hits = if self.dense.contains(u) {
-                let row_base = (u / TILE_BITS) * self.nb;
-                let seg = (u % TILE_BITS) * TILE_WORDS;
-                let mut acc = 0u64;
-                for (cb, &tile) in self.grid[row_base..row_base + self.nb].iter().enumerate() {
-                    if tile == u32::MAX {
-                        continue;
-                    }
-                    let start = tile as usize * TILE_AREA_WORDS + seg;
-                    acc |= crate::kernels::intersects_many(
-                        &self.arena[start..start + TILE_WORDS],
-                        &lanes[cb * TILE_BITS..(cb + 1) * TILE_BITS],
-                    );
-                }
-                acc
-            } else {
-                crate::kernels::intersects_many_indexed(self.graph.neighbors(u), lanes)
-            };
-            violations |= hits & table.lane(u);
-        });
-        violations
     }
 }
 
@@ -752,55 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_bitmap_mirrors_neighbourhoods() {
-        let g = cycle(5);
-        let adj = AdjacencyBitmap::from_graph(&g);
-        assert_eq!(adj.node_count(), 5);
-        assert_eq!(adj.row(0).iter().collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(adj.row(3).iter().collect::<Vec<_>>(), vec![2, 4]);
-    }
-
-    #[test]
-    fn blocked_adjacency_splits_by_degree() {
-        // A star inside a larger sparse graph: the hub crosses any small
-        // cutoff, the leaves do not.
-        let mut g = star(40);
-        for u in 1..39 {
-            g.add_edge(u, u + 1).unwrap();
-        }
-        let blocked = BlockedAdjacency::with_cutoff(&g, 10);
-        assert_eq!(blocked.node_count(), 40);
-        assert_eq!(blocked.dense_node_count(), 1, "only the hub is dense");
-        assert_eq!(blocked.tile_count(), 1, "one block covers 40 nodes");
-        assert!(blocked.memory_bytes() > 0);
-
-        let all_dense = BlockedAdjacency::with_cutoff(&g, 0);
-        assert_eq!(all_dense.dense_node_count(), 40);
-        let none_dense = BlockedAdjacency::with_cutoff(&g, usize::MAX);
-        assert_eq!(none_dense.dense_node_count(), 0);
-        assert_eq!(none_dense.tile_count(), 0, "pure row probing pins no tiles");
-
-        let mut set = FixedBitSet::new(40);
-        set.insert(0);
-        set.insert(1);
-        for adj in [&blocked, &all_dense, &none_dense] {
-            assert!(!adj.is_independent(&set), "hub and a leaf are adjacent");
-        }
-        let mut odd = FixedBitSet::new(40);
-        for u in (1..40).step_by(2) {
-            odd.insert(u);
-        }
-        for adj in [&blocked, &all_dense, &none_dense] {
-            assert!(adj.is_independent(&odd), "odd leaves avoid the hub and the leaf path");
-        }
-    }
-
-    #[test]
     fn membership_table_flags_out_of_range_members() {
         // Classes live in a 70-node id space; the graph has 65 nodes, so
         // member 68 is out of range (and sits in the last, partial word).
         let g = cycle(65);
-        let adj = AdjacencyBitmap::from_graph(&g);
         let mut ok = FixedBitSet::new(70);
         ok.insert(0);
         ok.insert(2);
@@ -810,73 +521,110 @@ mod tests {
         let mut table = MembershipTable::new();
         table.fill(65, [&ok, &oob]);
         assert_eq!(table.invalid(), 0b10);
-        assert_eq!(adj.batch_violations(&table), 0b10, "oob class invalid, ok class clean");
+        assert_eq!(g.batch_violations(&table), 0b10, "oob class invalid, ok class clean");
         // Refill reuses the buffers and fully clears the previous batch.
         table.fill(65, [&ok]);
         assert_eq!(table.invalid(), 0);
-        assert_eq!(adj.batch_violations(&table), 0);
+        assert_eq!(g.batch_violations(&table), 0);
         assert_eq!(table.lane(1), 0, "member of the dropped class cleared");
     }
 
-    proptest! {
-        /// The independence checkers — slice scan, dense word-wise bitmap,
-        /// blocked hybrid at several cutoffs, graph row bit probes — agree on
-        /// arbitrary subsets of random graphs.
-        #[test]
-        fn independence_checkers_agree(seed in 0u64..40, mask in 0u64..(1 << 20)) {
-            let g = erdos_renyi(20, 0.2, seed);
-            let adj = AdjacencyBitmap::from_graph(&g);
-            let members: Vec<usize> = (0..20).filter(|u| mask & (1 << u) != 0).collect();
-            let mut bits = FixedBitSet::new(20);
-            for &u in &members {
-                bits.insert(u);
+    /// A seeded run of edge toggles (add if absent, remove if present):
+    /// rows grow, move to the arena tail and get compacted, and every
+    /// split shifts with its row.
+    fn toggle(g: &mut Graph, pairs: &[(usize, usize)]) {
+        let n = g.node_count();
+        for &(a, b) in pairs {
+            let (u, v) = (a % n, b % n);
+            if u == v {
+                continue;
             }
-            let reference = is_independent_set(&g, &members);
-            prop_assert_eq!(adj.is_independent(&bits), reference);
-            prop_assert_eq!(g.is_independent(&bits), reference);
-            for cutoff in [0usize, 3, usize::MAX] {
-                let blocked = BlockedAdjacency::with_cutoff(&g, cutoff);
-                prop_assert_eq!(blocked.is_independent(&bits), reference, "cutoff {}", cutoff);
+            if g.has_edge(u, v) {
+                g.remove_edge(u, v).unwrap();
+            } else {
+                g.add_edge(u, v).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        /// `Graph::is_independent` agrees with the slice reference on
+        /// arbitrary subsets, on the packed graph and again after edge
+        /// toggles: for sets as wide as the graph, wider (with and without
+        /// a member `>= n`) and narrower.
+        #[test]
+        fn independence_checkers_agree(
+            seed in 0u64..40,
+            mask in 0u64..(1 << 20),
+            beyond in 20usize..90,
+            narrow in 0usize..20,
+            toggles in prop::collection::vec((0usize..20, 0usize..20), 0..150),
+        ) {
+            let mut g = erdos_renyi(20, 0.2, seed);
+            let members: Vec<usize> = (0..20).filter(|u| mask & (1 << u) != 0).collect();
+            let below: Vec<usize> = members.iter().copied().filter(|&u| u < narrow).collect();
+            let mut out_of_range = members.clone();
+            out_of_range.push(beyond);
+            for churned in [false, true] {
+                if churned {
+                    toggle(&mut g, &toggles);
+                }
+                for (capacity, set) in
+                    [(20, &members), (90, &members), (90, &out_of_range), (narrow, &below)]
+                {
+                    let mut bits = FixedBitSet::new(capacity);
+                    for &u in set {
+                        bits.insert(u);
+                    }
+                    prop_assert_eq!(
+                        g.is_independent(&bits),
+                        is_independent_set(&g, set),
+                        "capacity {}, churned {}", capacity, churned
+                    );
+                }
             }
         }
 
-        /// Batched verification agrees bitwise with the per-set checkers on
-        /// every layout: each class's violation bit matches its individual
-        /// `is_independent` verdict.
+        /// `Graph::batch_violations` flags exactly the classes the slice
+        /// reference rejects, on the packed graph and again after edge
+        /// toggles.  Every third class is narrower than the graph; the
+        /// others are wider, so some hold a member `>= n`.
         #[test]
         fn batch_violations_agree_with_per_set_checks(
             seed in 0u64..20,
-            masks in prop::collection::vec(0u64..(1 << 30), 1..8),
+            raw in prop::collection::vec(
+                prop::collection::vec(0usize..400, 0..6),
+                1..BATCH_WIDTH + 1,
+            ),
+            toggles in prop::collection::vec((0usize..300, 0usize..300), 0..300),
         ) {
-            // 30-bit masks over a 30-node graph that straddles no tile
-            // boundary; a second run at 300 nodes crosses word boundaries.
+            // A 30-node graph fits one word; 300 nodes cross word boundaries.
             for n in [30usize, 300] {
-                let g = erdos_renyi(n, 0.08, seed);
-                let adj = AdjacencyBitmap::from_graph(&g);
-                let classes: Vec<FixedBitSet> = masks
+                let mut g = erdos_renyi(n, 0.08, seed);
+                let classes: Vec<(Vec<usize>, FixedBitSet)> = raw
                     .iter()
                     .enumerate()
-                    .map(|(i, &m)| {
-                        let mut s = FixedBitSet::new(n);
-                        for b in 0..30 {
-                            if m & (1 << b) != 0 {
-                                s.insert((b * (i + 7)) % n);
-                            }
+                    .map(|(i, raw)| {
+                        let capacity = if i % 3 == 2 { n / 2 } else { n + 5 };
+                        let members: Vec<usize> = raw.iter().map(|&u| u % capacity).collect();
+                        let mut set = FixedBitSet::new(capacity);
+                        for &u in &members {
+                            set.insert(u);
                         }
-                        s
+                        (members, set)
                     })
                     .collect();
                 let mut table = MembershipTable::new();
-                table.fill(n, classes.iter());
-                let expected = classes.iter().enumerate().fold(0u64, |acc, (i, s)| {
-                    if adj.is_independent(s) { acc } else { acc | (1 << i) }
-                });
-                prop_assert_eq!(adj.batch_violations(&table), expected);
-                prop_assert_eq!(g.batch_violations(&table), expected);
-                for cutoff in [0usize, 2, usize::MAX] {
-                    let blocked = BlockedAdjacency::with_cutoff(&g, cutoff);
+                table.fill(n, classes.iter().map(|(_, set)| set));
+                for churned in [false, true] {
+                    if churned {
+                        toggle(&mut g, &toggles);
+                    }
+                    let expected = classes.iter().enumerate().fold(0u64, |acc, (i, (members, _))| {
+                        if is_independent_set(&g, members) { acc } else { acc | (1 << i) }
+                    });
                     prop_assert_eq!(
-                        blocked.batch_violations(&table), expected, "cutoff {}", cutoff
+                        g.batch_violations(&table), expected, "n {}, churned {}", n, churned
                     );
                 }
             }

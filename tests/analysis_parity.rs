@@ -24,9 +24,8 @@
 //! than two happy holidays) compare equal exactly when both paths produce
 //! them.  The reference and the profile build verify through the fused word
 //! kernels (`fhg_graph::kernels`), whose arm is selected once per process
-//! (`FHG_KERNEL=portable|wide|wide512`); CI runs this suite under
-//! `FHG_KERNEL=portable` and, where the runner supports it,
-//! `FHG_KERNEL=wide512`, alongside the `FHG_THREADS=1/8` matrix.
+//! (`FHG_KERNEL=portable|wide`); CI runs this suite under the default arm
+//! and under `FHG_KERNEL=portable`, alongside the `FHG_THREADS=1/8` matrix.
 
 use proptest::prelude::*;
 

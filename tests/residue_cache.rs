@@ -339,15 +339,17 @@ fn corrupted_happy_sets_are_caught_through_the_batch_path() {
 
 proptest! {
     /// `GraphChecker::check_batch` equals the conjunction of per-set
-    /// `check` on every adjacency layout (flat, blocked, CSR — forced via
-    /// `with_limits`), including batches holding a corrupted (dependent or
-    /// out-of-range) class.  Kernel-mode coverage comes from CI running
-    /// this suite under each `FHG_KERNEL` value.
+    /// `check` at any batch length, up to 140 classes (three membership
+    /// tables), including batches holding a dependent class.  Then the
+    /// independent classes alone, with one conflicting class appended: the
+    /// only conflict sits in the last chunk, which every chunk before it
+    /// must not hide.  Kernel-mode coverage comes from CI running this
+    /// suite under each `FHG_KERNEL` value.
     #[test]
-    fn check_batch_matches_per_set_checks_on_every_layout(
+    fn check_batch_matches_per_set_checks_at_any_batch_length(
         seed in 0u64..40,
         n in 40usize..200,
-        picks in proptest::collection::vec((0u64..1 << 16, 1usize..10), 1..20),
+        picks in proptest::collection::vec((0u64..1 << 16, 1usize..10), 1..141),
     ) {
         let graph = erdos_renyi(n, 0.04, seed);
         let classes: Vec<(u64, FixedBitSet)> = picks
@@ -362,15 +364,22 @@ proptest! {
             })
             .collect();
         let refs: Vec<(u64, &FixedBitSet)> = classes.iter().map(|(t, s)| (*t, s)).collect();
-        for (flat, blocked) in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
-            let checker = GraphChecker::with_limits(&graph, flat, blocked);
-            let expected = refs.iter().all(|&(t, s)| checker.check(t, s));
-            prop_assert_eq!(
-                checker.check_batch(&refs),
-                expected,
-                "layout {} disagrees with the per-set conjunction",
-                checker.layout()
-            );
-        }
+        let checker = GraphChecker::new(&graph);
+        let expected = refs.iter().all(|&(t, s)| checker.check(t, s));
+        prop_assert_eq!(checker.check_batch(&refs), expected);
+
+        let Some(edge) = graph.edges().next() else { return };
+        let mut conflict = FixedBitSet::new(n);
+        conflict.insert(edge.u);
+        conflict.insert(edge.v);
+        let mut clean: Vec<(u64, &FixedBitSet)> =
+            refs.iter().copied().filter(|&(t, s)| checker.check(t, s)).collect();
+        prop_assert!(checker.check_batch(&clean));
+        clean.push((clean.len() as u64, &conflict));
+        prop_assert!(
+            !checker.check_batch(&clean),
+            "the conflict closing a batch of {} classes went unseen",
+            clean.len()
+        );
     }
 }

@@ -157,9 +157,7 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
     // Batched verification: after the thread-local membership table warms
     // up, `check_batch` allocates nothing — the bit-sliced transpose fill
     // re-walks the previous batch union instead of clearing storage, and
-    // the engines' flush borrow array lives on the stack.  Proved on all
-    // three adjacency layouts (flat, blocked, CSR, forced via
-    // `with_limits`).
+    // the engines' flush borrow array lives on the stack.
     {
         let scheduler = PeriodicDegreeBound::new(&graph);
         let view = scheduler.residue_schedule().expect("perfectly periodic");
@@ -169,21 +167,14 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         }
         let classes: Vec<(u64, &fhg::graph::FixedBitSet)> =
             slots.iter().enumerate().map(|(i, s)| (i as u64, s.as_bitset())).collect();
-        for (flat, blocked) in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
-            let checker = GraphChecker::with_limits(&graph, flat, blocked);
-            assert!(checker.check_batch(&classes), "warm-up batch must verify");
-            let delta = min_alloc_delta(|| {
-                for _ in 0..64 {
-                    assert!(checker.check_batch(&classes));
-                }
-            });
-            assert_eq!(
-                delta,
-                0,
-                "batched verification on the {} layout allocated {delta} times after warm-up",
-                checker.layout()
-            );
-        }
+        let checker = GraphChecker::new(&graph);
+        assert!(checker.check_batch(&classes), "warm-up batch must verify");
+        let delta = min_alloc_delta(|| {
+            for _ in 0..64 {
+                assert!(checker.check_batch(&classes));
+            }
+        });
+        assert_eq!(delta, 0, "batched verification allocated {delta} times after warm-up");
     }
 
     // The `happy_set` Vec shim: the intermediate HappySet is thread-local
