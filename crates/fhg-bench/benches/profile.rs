@@ -12,8 +12,8 @@
 //!
 //! A second group times the churn read shape: one `derive_window_totals`
 //! over a ragged window far out, on the profile of a `DynamicColorBound`
-//! schedule of `erdos_renyi` with 2048 nodes and mean degree 8 — `O(n)`,
-//! one formula per node, whatever the window.
+//! schedule of `erdos_renyi` with 2048 nodes and mean degree 8 — one
+//! formula per distinct progression of the schedule, whatever the window.
 //!
 //! Every `CycleProfile::build` row pins its thread pool, so the ambient
 //! pool width never silently shifts what a named row measures.

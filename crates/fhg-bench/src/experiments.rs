@@ -1048,8 +1048,8 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
 ///   cycle, an edgeless conflict graph so verification does full-row
 ///   AND scans with no early exit): `CycleProfile::build` at 1/2/8
 ///   worker threads — the class walk shards across the persistent pool
-///   and the per-shard events concatenate in class order, so the build is
-///   bitwise-identical at every thread count (asserted), with wall-clock
+///   and the per-shard class sizes concatenate in class order, so the build
+///   is bitwise-identical at every thread count (asserted), with wall-clock
 ///   scaling wherever the host actually has cores (acceptance: ≥ 2x at 8
 ///   threads on a multi-core host; a 1-core container reports the
 ///   measured factor honestly).  Derive-only and totals-only rows on the
@@ -1203,8 +1203,9 @@ pub fn e14_derive_and_parallel_build_with(
         });
     }
 
-    // Derive rows on the long-cycle profile: the attendance CSR here is
-    // ~cycle-sized per node pair, so derivation is events-bound.
+    // Derive rows on the long-cycle profile: its nodes share at most
+    // `m_a + m_b` progressions, so the totals fold reads that many lanes
+    // while the full derive reads every node.
     let long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
     let horizon = 4 * cycle + 3;
     let mut full = long_profile.derive("e14b", &build_graph, horizon).unwrap();
@@ -1844,7 +1845,7 @@ pub fn e18_crash_only_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
     // The acceptance criterion is the *disabled* tax — what the
     // instrumentation costs the PR 7 qps path when `FHG_FAILPOINTS` is
     // unset, which is the state every production run serves in.  The
-    // disabled site is two relaxed atomic loads; measure it head-on with
+    // disabled site is one relaxed atomic load; measure it head-on with
     // a tight loop (stable even on a noisy host — the per-hit cost is
     // nanoseconds against a microsecond query) and express it as a
     // fraction of the measured per-query service time.  `query_batch`

@@ -46,9 +46,10 @@
 //! The serving tier keeps one more derivation of the same quantities: a
 //! [`CycleProfile`] (`profile.rs`) walks one cycle of residue classes,
 //! verifying each exactly once through a [`HolidayChecker`] (in batches of
-//! up to 64, [`HolidayChecker::check_batch`]), and then derives any window
-//! in closed form, with the progression engine's per-node formula applied
-//! to each lane's one-cycle progression.
+//! up to 64, [`HolidayChecker::check_batch`]), groups the nodes' rows into
+//! a table of distinct progressions, and then derives any window in closed
+//! form, with the progression engine's per-node formula applied once per
+//! progression.
 
 mod checker;
 mod profile;
@@ -562,7 +563,7 @@ mod tests {
         assert_eq!(profile.cycle(), view.cycle());
         let mut total = 0u64;
         for p in 0..profile.node_count() {
-            let offs = profile.attendance_offsets(p);
+            let offs: Vec<u64> = profile.attendance_offsets(p).collect();
             assert_eq!(offs.len() as u64, profile.count_per_cycle(p));
             assert!(offs.windows(2).all(|w| w[0] < w[1]), "offsets ascend");
             // Every node of a ResidueSchedule is perfectly periodic: its gap

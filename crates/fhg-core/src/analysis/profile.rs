@@ -1,66 +1,66 @@
 //! Cycle profiles: the serving tier's cached form of a residue schedule —
-//! profile each residue class once, then derive any window of the schedule
-//! with one fold per node.
+//! verify each residue class once, then answer any window from a table of
+//! the schedule's distinct progressions.
 //!
 //! A perfectly periodic schedule repeats with period `C =`
 //! [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
-//! `t mod C`, so every statistic of an arbitrarily long horizon is already
-//! determined by **one cycle** of happy sets.  A [`CycleProfile`] walks that
-//! single cycle and records, per node, its attendance pattern: the explicit
-//! attendance-offset list (the gap multiset in CSR form) and its one-cycle
-//! summary (count, first/last offsets, internal gap structure) as a
-//! [`NodeAccum`](super::sweep).  Each residue class is independence-verified
-//! exactly once during that walk (locked down by `tests/residue_cache.rs`).
-//! One-shot analyses do not walk the cycle: [`super::analyze_schedule`] runs
-//! the progression engine ([`super::progression`]), and the parity suite
-//! checks each lane's first offset and count from this walk against the
-//! residue rows that engine reads.
+//! `t mod C`.  In every such schedule of the paper node `p` attends exactly
+//! one arithmetic progression, its view row `s_p (mod m_p)`, and the rows
+//! come from a colouring, so a schedule has about as many distinct
+//! progressions as colours, not nodes.  A [`CycleProfile`] keeps three
+//! things:
 //!
-//! # Sharded parallel build
+//! * the **lane table**: one lane per distinct progression of the graph
+//!   nodes' rows — its first cycle offset, its step (the modulus) and how
+//!   many graph nodes hold it — plus one empty lane for the graph nodes
+//!   past the view, and a `u32` lane id per node;
+//! * the **per-class size prefix**, from which the window's total
+//!   happiness folds exactly (view nodes past the graph included);
+//! * the **verdict**: whether every residue class passed its independence
+//!   check.
 //!
-//! For large cycles (where the build is verification-bound) the cycle walk
-//! shards: the residue classes split into one contiguous range per worker
-//! of the persistent `compat/rayon` pool, each shard emitting, verifying
-//! and collecting `(node, offset)` events with private scratch.  The
-//! per-class sizes and events concatenate in
-//! class order — the combined event sequence is offset-major, exactly what
-//! a sequential walk would have pushed — so the counting sort builds an
-//! identical attendance CSR at any thread count, and the one-cycle
-//! summaries are then replayed **node-major from that CSR**: the built
-//! profile, and everything derived from it, is **bitwise-identical at any
-//! thread count** (pinned by the build-parity test below and
-//! `tests/analysis_parity.rs`).  Each class is still verified exactly once,
-//! by the one shard that owns it.
+//! # Sharded build with no events
+//!
+//! [`CycleProfile::build`] walks one cycle of residue classes to verify
+//! each exactly once (locked down by `tests/residue_cache.rs`) and to record
+//! its size.  The classes split into one contiguous range per worker of the
+//! persistent `compat/rayon` pool; each shard emits, counts and
+//! batch-verifies its range with private scratch and collects nothing else.
+//! The sizes concatenate in class order, and the lane table comes from one
+//! `O(n)` grouping of the view rows, shared with
+//! [`CycleProfile::rehydrate`], so the built profile, and everything derived
+//! from it, is **bitwise-identical at any thread count** (pinned by the
+//! build-parity test below and `tests/analysis_parity.rs`).  A view node
+//! past the graph attends some class of every cycle, so it fails the
+//! verdict without a class being checked.
 //!
 //! # Closed-form derivation: one formula per lane
 //!
-//! Every derivation — [`CycleProfile::derive`] / [`CycleProfile::derive_totals`]
-//! over `[0, h)` and [`CycleProfile::derive_window`] /
-//! [`CycleProfile::derive_window_totals`] over any `[t0, t1)` — is **one
-//! pass over the nodes with `O(1)` work per node**.  In a perfectly
-//! periodic schedule node `p` attends exactly one arithmetic progression,
-//! so its one-cycle summary is a progression too: `happy` attendances
-//! `step = C / happy` apart from a `first` offset below the step.  Every
-//! lane a build, a rehydration or a patch writes has that shape (a patch
-//! refuses to change `C`), and the fold checks it in debug builds.  Over
-//! the window the lane is the same progression read from `t0`: its first
-//! offset is the least `o` with `t0 + o ≡ first (mod step)`, and
-//! [`window_lane`], the per-node formula of the progression engine
-//! ([`super::progression`]), turns that offset, the step and the window
-//! length into the accumulator a sequential record pass over the window
-//! ends with.  The merged lane reduces straight to a
-//! [`NodeAnalysis`](super::NodeAnalysis) or into the running totals through
-//! the sweep's arithmetic, so every derived analysis is
-//! **bitwise-identical** to [`super::analyze_schedule_reference`] over the
-//! same window (locked down by `tests/analysis_parity.rs`,
-//! `tests/window_parity.rs` and, across edge churn,
-//! `tests/dynamic_patch.rs`).  The window's total happiness comes from the
-//! per-class size prefix: the ragged head of the phase cycle, the whole
+//! Over the window `[t0, t1)` a lane is the same progression read from
+//! `t0`: its first offset is the least `o` with `t0 + o ≡ first (mod
+//! step)`, and [`window_lane`], the per-node formula of the progression
+//! engine ([`super::progression`]), turns that offset, the step and the
+//! window length into the accumulator a sequential record pass over the
+//! window ends with.  [`CycleProfile::derive_window`] (and
+//! [`CycleProfile::derive`] over `[0, h)`) reads each node's lane by id and
+//! reduces it to a [`NodeAnalysis`](super::NodeAnalysis) through the sweep's
+//! per-node arithmetic, in `O(n)`.
+//!
+//! # The totals fold
+//!
+//! [`CycleProfile::derive_window_totals`] (and [`CycleProfile::derive_totals`])
+//! folds each non-empty lane once.  The longest unhappy stretch and
+//! `all_periodic` are a maximum and a conjunction, which the nodes sharing a
+//! lane cannot change, and `never_happy` adds the lane's node count, so a
+//! totals answer costs `O(#lanes)` instead of `O(n)` and stays bitwise the
+//! per-node fold.  Both derivations are **bitwise-identical** to
+//! [`super::analyze_schedule_reference`] over the same window (locked down
+//! by `tests/analysis_parity.rs`, `tests/window_parity.rs` and, across edge
+//! churn, `tests/dynamic_patch.rs`).  The window's total happiness comes
+//! from the size prefix: the ragged head of the phase cycle, the whole
 //! cycles and the ragged tail.  The cost is `O(C)` emissions for the build,
-//! then `O(n)` per derivation — independent of the cycle, the attendance
-//! and the window.  No derivation reads the offset arena; it backs
-//! [`CycleProfile::attendance_offsets`], the patch and
-//! [`CycleProfile::content_eq`].
+//! then one derivation is independent of the cycle, the attendance and the
+//! window.
 //!
 //! The windowed entry points are **total**: zero-width, inverted and
 //! sub-cycle windows take the same formula (`derive_window(t, t)` is the
@@ -71,23 +71,25 @@
 //! allocate nothing at all; the full paths allocate only their output
 //! (both proved by `tests/zero_alloc.rs`).
 
+use std::collections::HashMap;
+
 use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
 
 use super::checker::{ClassBatch, HolidayChecker};
-use super::progression::{crt_class, div, first_offset, offset_from, window_lane};
-use super::sweep::{self, NodeAccum};
+use super::progression::{crt_class, first_offset, offset_from, window_lane};
+use super::sweep::{self, NodeAccum, TotalsFold};
 use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
 
-/// A profile of one full residue cycle: per-node attendance patterns
-/// (offset rows plus one-cycle summaries) and the per-class verification
+/// A profile of one full residue cycle: the lane table of the schedule's
+/// progressions, the per-class sizes and the per-class verification
 /// verdict, sufficient to derive the analysis of any window in closed form.
 ///
 /// The profile is also **patchable**: after a dynamic edge event moves a
-/// handful of nodes to new residue rows, [`CycleProfile::patch`] repairs
-/// exactly those nodes' lanes in place instead of rebuilding the whole
-/// cycle walk (see the method docs for the repair algebra and what it
+/// handful of nodes to new residue rows, [`CycleProfile::patch`] moves
+/// exactly those nodes between lanes instead of rebuilding the whole cycle
+/// walk (see the method docs for the repair algebra and what it
 /// re-verifies).
 #[derive(Clone)]
 pub struct CycleProfile {
@@ -96,28 +98,43 @@ pub struct CycleProfile {
     start: u64,
     /// The schedule's cycle length `C`.
     cycle: u64,
-    /// Number of graph nodes tracked (attendance of out-of-range nodes is
-    /// flagged as non-independent and excluded, like the other engines do).
-    node_count: usize,
-    /// Per-node summaries of the one profiled cycle (offsets relative to the
-    /// cycle start), each an arithmetic progression `first + k·(cycle /
-    /// happy)` — all the window fold reads of a lane.
-    accums: Vec<NodeAccum>,
-    /// Per-node `(start, len)` rows into `offsets`.  A fresh build lays
-    /// the rows out dense and node-major (a plain CSR); a patch that grows
-    /// a row retires it to the arena tail instead, leaving `garbage`
-    /// behind until compaction.
-    rows: Vec<(usize, usize)>,
-    /// Attendance-offset arena: each node's offsets within the cycle,
-    /// ascending per row (rows may be out of node order after patches).
-    offsets: Vec<u64>,
-    /// Retired (unreferenced) `offsets` entries awaiting compaction.
-    garbage: usize,
+    /// One lane per distinct progression of the graph nodes' rows, plus the
+    /// empty lane of graph nodes past the view.  A patch may empty a lane
+    /// and later reuse it for another progression; the table never shrinks.
+    lanes: Vec<Lane>,
+    /// Each graph node's index into `lanes` (attendance of view nodes past
+    /// the graph is flagged as non-independent and gets no lane, like the
+    /// other engines do).
+    lane_of: Vec<u32>,
     /// Prefix sums of the per-class happy-set sizes (`size_prefix[k]` = total
     /// happiness of the first `k` classes), so ragged tails fold exactly.
     size_prefix: Vec<u64>,
     /// Whether every residue class passed its independence check.
     all_independent: bool,
+}
+
+/// The graph nodes holding one arithmetic progression of the cycle: they
+/// attend the cycle offsets `first + k·step` below the cycle, with `first <
+/// step` and `step` dividing the cycle.  `step == 0` is the empty lane of
+/// graph nodes past the view, which never attend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Lane {
+    first: u64,
+    step: u64,
+    /// How many graph nodes hold the lane; 0 once a patch has emptied it.
+    nodes: u64,
+}
+
+impl Lane {
+    /// The merged accumulator of each node on this lane over the `len`
+    /// holidays from holiday `start + t0`, in closed form.
+    #[inline]
+    fn window(&self, t0: u64, len: u64) -> NodeAccum {
+        if self.step == 0 {
+            return NodeAccum::empty();
+        }
+        window_lane(first_offset(t0, self.first, self.step), self.step, len)
+    }
 }
 
 /// Why [`CycleProfile::patch`] refused to repair in place — the caller
@@ -158,21 +175,20 @@ impl std::error::Error for PatchRefused {}
 /// (bench rows, serving-tier stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PatchStats {
-    /// Node lanes whose attendance pattern was replaced and replayed.
+    /// Nodes whose residue row changed and that moved between lanes.
     pub lanes_patched: usize,
     /// Residue classes re-verified through the checker.
     pub classes_verified: usize,
 }
 
-/// Reusable buffers for [`CycleProfile::patch`]: the verification batch,
-/// the touched-class list and the compaction arena.  Allocate once next to
-/// the cached profile; after warm-up a patch performs zero heap
-/// allocations (proved by `tests/zero_alloc.rs`).
+/// Reusable buffers for [`CycleProfile::patch`]: the verification batch
+/// and the touched-class list.  Allocate once next to the cached profile;
+/// after warm-up a patch performs zero heap allocations (proved by
+/// `tests/zero_alloc.rs`).
 pub struct PatchScratch {
     batch: ClassBatch,
     batch_capacity: usize,
     classes: Vec<u64>,
-    arena: Vec<u64>,
 }
 
 impl Default for PatchScratch {
@@ -184,21 +200,14 @@ impl Default for PatchScratch {
 impl PatchScratch {
     /// Empty scratch; the first patch sizes it.
     pub fn new() -> Self {
-        PatchScratch {
-            batch: ClassBatch::new(0),
-            batch_capacity: 0,
-            classes: Vec::new(),
-            arena: Vec::new(),
-        }
+        PatchScratch { batch: ClassBatch::new(0), batch_capacity: 0, classes: Vec::new() }
     }
 }
 
 /// One worker's contiguous range of residue classes during the parallel
-/// profile build: private emission scratch, event list, per-class sizes and
-/// the verification batch buffer.
+/// profile build: the per-class sizes and the verification batch buffer.
 struct BuildShard {
     range: std::ops::Range<u64>,
-    events: Vec<(NodeId, u64)>,
     sizes: Vec<u64>,
     batch: ClassBatch,
     all_independent: bool,
@@ -212,11 +221,12 @@ impl CycleProfile {
     /// panics beyond it.  One-shot analysis has no cycle budget.
     pub const MAX_CYCLE: u64 = 1 << 22;
 
-    /// Largest total attendance (`Σ_p cycle / modulus_p`, the stored
-    /// offset-CSR entries) the profile will materialise — the quantity that
-    /// actually dominates profile memory, since a hub-and-spoke degree
-    /// distribution can pack `n · cycle / 2` attendances into a short
-    /// cycle.  A serving-tier budget, checked by `ProfileService` on
+    /// Largest total attendance (`Σ_p cycle / modulus_p`) the serving tier
+    /// accepts.  The profile stores no attendance; the budget bounds the
+    /// one walk that still visits every attendance of a cycle,
+    /// [`CycleProfile::rehydrate`]'s class-size walk, which a hub-and-spoke
+    /// degree distribution can make `n · cycle / 2` long even when the cycle
+    /// is short.  Checked by `ProfileService` on
     /// [`ResidueSchedule::attendance_per_cycle`] alongside
     /// [`CycleProfile::MAX_CYCLE`]; one-shot analysis has no attendance
     /// budget.
@@ -228,9 +238,9 @@ impl CycleProfile {
     /// `FHG_THREADS` knob / an installed pool); the result is
     /// bitwise-identical at any thread count (see the module docs).
     ///
-    /// `node_count` is the conflict graph's node count: attendance of nodes
-    /// at or beyond it marks the schedule non-independent (mirroring the
-    /// other engines) and is excluded from the per-node patterns.
+    /// `node_count` is the conflict graph's node count: a view node at or
+    /// beyond it marks the schedule non-independent (mirroring the other
+    /// engines) and gets no lane.
     ///
     /// # Panics
     /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
@@ -246,52 +256,36 @@ impl CycleProfile {
             "cycle {cycle} exceeds the profile budget ({})",
             Self::MAX_CYCLE
         );
-        let n = node_count;
+        // Every view node attends at least one class per cycle, so a node
+        // past the graph fails the verdict before any class is checked.
+        let in_range = view.node_count() <= node_count;
         let threads = rayon::current_num_threads().max(1);
-        // Exact-capacity event lists: the per-cycle attendance volume is
-        // precomputed on the view, so the class walk never regrows them.
-        let attendance = view.attendance_per_cycle().min(Self::MAX_EVENTS) as usize;
         let mut shards: Vec<BuildShard> = split_offsets(cycle, threads)
             .into_iter()
             .map(|range| BuildShard {
                 sizes: Vec::with_capacity((range.end - range.start) as usize),
-                events: Vec::with_capacity(
-                    (attendance as u64 * (range.end - range.start) / cycle) as usize + n / 64 + 16,
-                ),
                 range,
                 batch: ClassBatch::new(view.node_count()),
-                all_independent: true,
+                all_independent: in_range,
             })
             .collect();
 
         // The parallel class walk: `view.fill` is pure in `t`, so each
-        // shard emits, verifies and collects its contiguous class range
-        // with private scratch — each class is filled and verified exactly
-        // once, by the one shard that owns it.  Verification is batched:
-        // classes buffer into the shard's [`ClassBatch`] slots and flush
-        // through [`HolidayChecker::check_batch`] up to 64 at a time, so a
+        // shard emits, counts and verifies its contiguous class range with
+        // private scratch — each class is filled and verified exactly once,
+        // by the one shard that owns it.  Verification is batched: classes
+        // buffer into the shard's [`ClassBatch`] slots and flush through
+        // [`HolidayChecker::check_batch`] up to 64 at a time, so a
         // [`super::GraphChecker`] loads each adjacency row once per batch
-        // instead of once per class.  The walk only gathers
-        // `(node, offset)` events (through the set-bit extraction kernel,
-        // one trailing_zeros word scan per class) and per-class sizes; all
-        // per-node accumulation happens afterwards, node-major, from the
-        // sorted CSR.
+        // instead of once per class.
         shards.par_iter_mut().for_each(|shard| {
             for offset in shard.range.clone() {
                 let t = start + offset;
-                let BuildShard { events, all_independent, batch, sizes, .. } = shard;
-                let happy = batch.slot(t);
+                let happy = shard.batch.slot(t);
                 view.fill(t, happy);
-                sizes.push(happy.len() as u64);
-                happy.for_each(|p| {
-                    if p >= n {
-                        *all_independent = false;
-                        return;
-                    }
-                    events.push((p, offset));
-                });
-                if batch.commit() {
-                    let ok = batch.flush(shard.all_independent, checker);
+                shard.sizes.push(happy.len() as u64);
+                if shard.batch.commit() {
+                    let ok = shard.batch.flush(shard.all_independent, checker);
                     shard.all_independent &= ok;
                 }
             }
@@ -299,61 +293,16 @@ impl CycleProfile {
             shard.all_independent &= ok;
         });
 
-        // Concatenate in class order: the combined event sequence is
-        // offset-major (shards are contiguous ascending ranges), exactly
-        // what a sequential walk would have pushed, so the counting sort
-        // below builds an identical CSR at any thread count.
-        let mut all_independent = true;
-        let mut size_prefix = Vec::with_capacity(cycle as usize + 1);
-        size_prefix.push(0u64);
-        let mut running = 0u64;
-        let mut counts = vec![0u64; n];
-        for shard in &shards {
-            all_independent &= shard.all_independent;
-            for &size in &shard.sizes {
-                running += size;
-                size_prefix.push(running);
-            }
-            for &(p, _) in &shard.events {
-                counts[p] += 1;
-            }
-        }
-
-        // Counting-sort the (node, offset) events into per-node rows.
-        // Events arrive offset-major, so within each node the offsets stay
-        // ascending; a fresh build lays the rows dense and node-major.
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0usize);
-        for (p, &c) in counts.iter().enumerate() {
-            starts.push(starts[p] + c as usize);
-        }
-        let mut cursor = starts.clone();
-        let mut offsets = vec![0u64; starts[n]];
-        for shard in shards {
-            for (p, o) in shard.events {
-                offsets[cursor[p]] = o;
-                cursor[p] += 1;
-            }
-        }
-        let rows: Vec<(usize, usize)> =
-            (0..n).map(|p| (starts[p], starts[p + 1] - starts[p])).collect();
-
-        // The one-cycle summaries, replayed node-major from the rows: each
-        // lane's offsets are contiguous and ascending, so this is the exact
-        // record sequence of a sequential walk — and, built from the merged
-        // rows, it is trivially identical at every thread count.
-        let accums = rows.iter().map(|&(s, l)| lane_summary(&offsets[s..s + l])).collect();
-
+        // Shards are contiguous ascending ranges, so their sizes
+        // concatenate in class order at any thread count.
+        let (lanes, lane_of) = group_lanes(view, start, node_count);
         CycleProfile {
             start,
             cycle,
-            node_count: n,
-            accums,
-            rows,
-            offsets,
-            garbage: 0,
-            size_prefix,
-            all_independent,
+            lanes,
+            lane_of,
+            size_prefix: prefix_sums(shards.iter().flat_map(|s| s.sizes.iter().copied()), cycle),
+            all_independent: in_range && shards.iter().all(|s| s.all_independent),
         }
     }
 
@@ -363,9 +312,9 @@ impl CycleProfile {
     ///
     /// Everything a [`CycleProfile::build`] computes except the verdict is a
     /// pure function of the residue view: node `p` attends exactly the
-    /// offsets `o ≡ slot_p − start (mod m_p)` within the cycle, so the
-    /// per-class sizes, the offset CSR and the one-cycle summaries can all be
-    /// replayed arithmetically in `O(cycle + attendance)`.  This is the
+    /// offsets `o ≡ slot_p − start (mod m_p)` within the cycle, so the lane
+    /// table is the build's grouping of the rows and the per-class sizes
+    /// are replayed arithmetically in `O(cycle + attendance)`.  This is the
     /// serving tier's recovery path: a snapshot persists only the compact
     /// view plus the one verdict bit, and rehydration restores a profile
     /// that is [`content_eq`](CycleProfile::content_eq) to the original —
@@ -389,67 +338,25 @@ impl CycleProfile {
             "cycle {cycle} exceeds the profile budget ({})",
             Self::MAX_CYCLE
         );
-        let n = node_count;
 
         // Per-class sizes count ALL view nodes (out-of-range attendance is
-        // part of class size, exactly as `view.fill` reports it); per-node
-        // lanes exist only for graph nodes `p < n`, mirroring the build's
-        // event emission.
+        // part of class size, exactly as `view.fill` reports it).
         let mut class_sizes = vec![0u64; cycle as usize];
-        let mut counts = vec![0u64; n];
         for p in 0..view.node_count() {
             let m = view.modulus(p);
             let mut o = first_offset(start, view.slot(p), m);
-            let mut hits = 0u64;
             while o < cycle {
                 class_sizes[o as usize] += 1;
-                hits += 1;
-                o += m;
-            }
-            if let Some(count) = counts.get_mut(p) {
-                *count = hits;
-            }
-        }
-        let mut size_prefix = Vec::with_capacity(cycle as usize + 1);
-        size_prefix.push(0u64);
-        let mut running = 0u64;
-        for &size in &class_sizes {
-            running += size;
-            size_prefix.push(running);
-        }
-
-        // Dense node-major CSR with ascending offsets per lane — the exact
-        // layout a fresh build's counting sort produces.
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0usize);
-        for p in 0..n {
-            starts.push(starts[p] + counts[p] as usize);
-        }
-        let mut offsets = vec![0u64; starts[n]];
-        for (p, &row_start) in starts.iter().enumerate().take(n.min(view.node_count())) {
-            let m = view.modulus(p);
-            let mut idx = row_start;
-            let mut o = first_offset(start, view.slot(p), m);
-            while o < cycle {
-                offsets[idx] = o;
-                idx += 1;
                 o += m;
             }
         }
-        let rows: Vec<(usize, usize)> =
-            (0..n).map(|p| (starts[p], starts[p + 1] - starts[p])).collect();
-
-        let accums = rows.iter().map(|&(s, l)| lane_summary(&offsets[s..s + l])).collect();
-
+        let (lanes, lane_of) = group_lanes(view, start, node_count);
         CycleProfile {
             start,
             cycle,
-            node_count: n,
-            accums,
-            rows,
-            offsets,
-            garbage: 0,
-            size_prefix,
+            lanes,
+            lane_of,
+            size_prefix: prefix_sums(class_sizes, cycle),
             all_independent,
         }
     }
@@ -466,7 +373,7 @@ impl CycleProfile {
 
     /// Number of nodes the profile tracks.
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.lane_of.len()
     }
 
     /// Whether every residue class passed its independence check.
@@ -474,25 +381,32 @@ impl CycleProfile {
         self.all_independent
     }
 
-    /// How many holidays per cycle node `p` attends.
-    pub fn count_per_cycle(&self, p: NodeId) -> u64 {
-        self.accums[p].happy
+    /// Node `p`'s lane.
+    #[inline]
+    fn lane(&self, p: NodeId) -> &Lane {
+        &self.lanes[self.lane_of[p] as usize]
     }
 
-    /// The offsets (within the cycle, ascending) at which node `p` attends.
-    pub fn attendance_offsets(&self, p: NodeId) -> &[u64] {
-        let (s, l) = self.rows[p];
-        &self.offsets[s..s + l]
+    /// How many holidays per cycle node `p` attends.
+    pub fn count_per_cycle(&self, p: NodeId) -> u64 {
+        self.cycle.checked_div(self.lane(p).step).unwrap_or(0)
+    }
+
+    /// The offsets (within the cycle, ascending) at which node `p` attends:
+    /// `first + k·step` for each of its [`count_per_cycle`] attendances.
+    ///
+    /// [`count_per_cycle`]: CycleProfile::count_per_cycle
+    pub fn attendance_offsets(&self, p: NodeId) -> impl Iterator<Item = u64> {
+        let Lane { first, step, .. } = *self.lane(p);
+        (0..self.count_per_cycle(p)).map(move |k| first + k * step)
     }
 
     /// The gap multiset of node `p` over the infinite periodic schedule: the
     /// internal gaps between consecutive attendances within a cycle, plus the
-    /// wrap-around gap into the next cycle.  Empty for nodes that never
-    /// attend.
-    pub fn gaps(&self, p: NodeId) -> impl Iterator<Item = u64> + '_ {
-        let offs = self.attendance_offsets(p);
-        let wrap = offs.last().map(|&last| self.cycle - last + offs[0]);
-        offs.windows(2).map(|w| w[1] - w[0]).chain(wrap)
+    /// wrap-around gap into the next cycle — the lane's step, once per
+    /// attendance.  Empty for nodes that never attend.
+    pub fn gaps(&self, p: NodeId) -> impl Iterator<Item = u64> {
+        std::iter::repeat_n(self.lane(p).step, self.count_per_cycle(p) as usize)
     }
 
     /// Total happy appearances over one full cycle (out-of-range members
@@ -518,12 +432,11 @@ impl CycleProfile {
     /// event added, if any.  The repair has three parts, each touching only
     /// what the event touched:
     ///
-    /// * **attendance lanes** — each changed node's offset row is replaced
-    ///   by its new arithmetic progression (`cycle / modulus` offsets; in
-    ///   place when the length is unchanged, retired to the arena tail
-    ///   otherwise, with compaction once retired entries outweigh live
-    ///   ones) and its one-cycle summary is replayed, a single ascending
-    ///   record pass;
+    /// * **lanes** — each changed node moves to the lane of its new
+    ///   progression, found by a linear search of the lane table: the lane
+    ///   already holding it, else the first lane a patch emptied, else a
+    ///   new lane at the end.  The table never shrinks, so steady-state
+    ///   patches allocate nothing;
     /// * **per-class sizes** — one `O(cycle)` delta walk over the size
     ///   prefix subtracts the old progressions and adds the new ones;
     /// * **re-verification** — only the residue classes whose membership
@@ -540,23 +453,22 @@ impl CycleProfile {
     ///
     /// The phases run **prepare → validate → commit**: refusal checks and
     /// class collection first, then the batched verification (which reads
-    /// only `view` and scratch), and only then the mutating size/row/lane
-    /// walk with the pre-computed verdict applied last.  A crash anywhere
-    /// before the commit phase leaves the profile bitwise-untouched; a
-    /// crash *inside* the commit phase can leave it poisoned, which the
-    /// serving tier handles by quarantining the tenant (see
-    /// `ProfileService`).
+    /// only `view` and scratch), and only then the mutating size/lane walk
+    /// with the pre-computed verdict applied last.  A crash anywhere before
+    /// the commit phase leaves the profile bitwise-untouched; a crash
+    /// *inside* the commit phase can leave it poisoned, which the serving
+    /// tier handles by quarantining the tenant (see `ProfileService`).
     ///
     /// The patched profile is **bitwise-identical in content** (see
     /// [`CycleProfile::content_eq`]) to `CycleProfile::build` against the
-    /// post-event view and graph — only the arena layout may differ —
-    /// which `tests/dynamic_patch.rs` pins against the rebuild oracle at
-    /// several thread counts.
+    /// post-event view and graph — only the lane table's order and its
+    /// emptied lanes may differ — which `tests/dynamic_patch.rs` pins
+    /// against the rebuild oracle at several thread counts.
     ///
     /// Refuses (and leaves the profile untouched) when the event changed
     /// the cycle itself or the cached verdict is already `false`; see
-    /// [`PatchRefused`].  Cost: `O(cycle + Σ lanes + Σ deg(checked))` —
-    /// independent of node count and total attendance.
+    /// [`PatchRefused`].  Cost: `O(cycle + #lanes + Σ deg(checked))` per
+    /// change — independent of node count and total attendance.
     ///
     /// # Panics
     /// Panics if `view` disagrees with the profile's node count, or if a
@@ -577,7 +489,7 @@ impl CycleProfile {
         if !self.all_independent {
             return Err(PatchRefused::NotIndependent);
         }
-        assert_eq!(view.node_count(), self.node_count, "patch from a different schedule");
+        assert_eq!(view.node_count(), self.node_count(), "patch from a different schedule");
 
         // Collect the residue classes to re-verify (as cycle offsets):
         // every changed node's *new* progression, plus the co-attendance
@@ -632,7 +544,6 @@ impl CycleProfile {
         crate::fail_point!("profile.patch.validate");
 
         for change in changes {
-            let p = change.node;
             let (old_m, new_m) = (change.old_modulus, change.new_modulus);
             let old_f = first_offset(self.start, change.old_slot, old_m);
             let new_f = first_offset(self.start, change.new_slot, new_m);
@@ -656,68 +567,53 @@ impl CycleProfile {
                     *cell = cell.wrapping_add(delta as u64);
                 }
             }
-
-            // Row replacement: in place when the attendance count is
-            // unchanged, otherwise retire the old row to the arena.
-            let new_len = (cycle / new_m) as usize;
-            let (s, l) = self.rows[p];
-            if new_len == l {
-                for (i, dst) in self.offsets[s..s + l].iter_mut().enumerate() {
-                    *dst = new_f + i as u64 * new_m;
-                }
-            } else {
-                self.garbage += l;
-                let ns = self.offsets.len();
-                self.offsets.extend((0..new_len as u64).map(|i| new_f + i * new_m));
-                self.rows[p] = (ns, new_len);
-            }
-
-            // Lane replay: the same ascending record pass a fresh build
-            // runs for this node.
-            let (s, l) = self.rows[p];
-            self.accums[p] = lane_summary(&self.offsets[s..s + l]);
+            self.move_to_lane(change.node, new_f, new_m);
         }
         crate::fail_point!("profile.patch.commit");
-        if self.garbage > self.offsets.len() / 2 {
-            self.compact(scratch);
-        }
         self.all_independent = ok;
 
         Ok(PatchStats { lanes_patched: changes.len(), classes_verified: scratch.classes.len() })
     }
 
-    /// Rewrites the offset arena dense and node-major (the fresh-build
-    /// layout), dropping retired rows.  The old arena becomes the next
-    /// compaction's target buffer, so both sides keep their high-water
-    /// capacity and steady-state compaction allocates nothing.
-    fn compact(&mut self, scratch: &mut PatchScratch) {
-        scratch.arena.clear();
-        scratch.arena.reserve(self.offsets.len() - self.garbage);
-        for row in &mut self.rows {
-            let (s, l) = *row;
-            let ns = scratch.arena.len();
-            scratch.arena.extend_from_slice(&self.offsets[s..s + l]);
-            *row = (ns, l);
-        }
-        std::mem::swap(&mut self.offsets, &mut scratch.arena);
-        self.garbage = 0;
+    /// Moves node `p` onto the lane of the progression `(first, step)`: the
+    /// lane holding it if there is one, else the first emptied lane, else a
+    /// new lane at the end of the table.
+    fn move_to_lane(&mut self, p: NodeId, first: u64, step: u64) {
+        self.lanes[self.lane_of[p] as usize].nodes -= 1;
+        let found = self.lanes.iter().position(|l| (l.first, l.step) == (first, step));
+        let id = found.unwrap_or_else(|| {
+            let lane = Lane { first, step, nodes: 0 };
+            match self.lanes.iter().position(|l| l.nodes == 0) {
+                Some(id) => {
+                    self.lanes[id] = lane;
+                    id
+                }
+                None => {
+                    self.lanes.push(lane);
+                    self.lanes.len() - 1
+                }
+            }
+        });
+        self.lanes[id].nodes += 1;
+        self.lane_of[p] = lane_id(id);
     }
 
-    /// Whether two profiles describe the same schedule content: every
-    /// derived quantity (start, cycle, verdict, per-class sizes, one-cycle
-    /// summaries, per-node attendance offsets) is equal — ignoring the arena
-    /// layout, which patching is free to permute.  This is the equality the
-    /// patch-parity suite pins against the rebuild oracle: `content_eq`
+    /// Whether two profiles describe the same schedule content: start,
+    /// cycle, verdict, per-class sizes and every node's progression `(first,
+    /// step)` are equal — ignoring the lane table's order and its emptied
+    /// lanes, which patching is free to leave behind.  This is the equality
+    /// the patch-parity suite pins against the rebuild oracle: `content_eq`
     /// implies every `derive*` output is bitwise-identical.
     pub fn content_eq(&self, other: &CycleProfile) -> bool {
         self.start == other.start
             && self.cycle == other.cycle
-            && self.node_count == other.node_count
+            && self.node_count() == other.node_count()
             && self.all_independent == other.all_independent
             && self.size_prefix == other.size_prefix
-            && self.accums == other.accums
-            && (0..self.node_count)
-                .all(|p| self.attendance_offsets(p) == other.attendance_offsets(p))
+            && (0..self.node_count()).all(|p| {
+                let (a, b) = (self.lane(p), other.lane(p));
+                (a.first, a.step) == (b.first, b.step)
+            })
     }
 
     /// Derives the full [`ScheduleAnalysis`] of `horizon` holidays in closed
@@ -732,8 +628,9 @@ impl CycleProfile {
 
     /// The totals-only fast path: whole-schedule aggregates of `horizon`
     /// holidays, skipping the per-node assembly and float finalisation
-    /// entirely, in `O(n)`.  Equal to [`CycleProfile::derive`]`(..).totals()`
-    /// by construction, and `None` exactly when [`CycleProfile::derive`] is.
+    /// entirely, in `O(#lanes)`.  Equal to
+    /// [`CycleProfile::derive`]`(..).totals()`, and `None` exactly when
+    /// [`CycleProfile::derive`] is.
     pub fn derive_totals(&self, horizon: u64) -> Option<AnalysisTotals> {
         (horizon >= self.cycle).then(|| self.derive_window_totals(0, horizon))
     }
@@ -741,16 +638,16 @@ impl CycleProfile {
     /// Derives the full [`ScheduleAnalysis`] of the window `[t0, t1)` —
     /// holidays `start + t0` up to (excluding) `start + t1`, offsets
     /// reported relative to the window start — in closed form, one `O(1)`
-    /// formula per node (see the module docs): `O(n)`, independent of the
-    /// cycle, the attendance, the anchor and the window length.  **Total
-    /// over all windows**: zero-width (`t1 <= t0`) and sub-cycle windows are
-    /// defined, never `None` or a panic, so this is the serving tier's entry
-    /// point.  Bitwise-identical to [`super::analyze_schedule_reference`]
-    /// run over the same window (pinned by `tests/window_parity.rs`), except
-    /// that the independence verdict is always the profiled cycle's
-    /// whole-cycle verdict — a serving tier answers "is this schedule
-    /// valid", not "did the bad class happen to fall inside the window".
-    /// Allocates only the output.
+    /// formula per node, read from its lane (see the module docs): `O(n)`,
+    /// independent of the cycle, the attendance, the anchor and the window
+    /// length.  **Total over all windows**: zero-width (`t1 <= t0`) and
+    /// sub-cycle windows are defined, never `None` or a panic, so this is
+    /// the serving tier's entry point.  Bitwise-identical to
+    /// [`super::analyze_schedule_reference`] run over the same window
+    /// (pinned by `tests/window_parity.rs`), except that the independence
+    /// verdict is always the profiled cycle's whole-cycle verdict — a
+    /// serving tier answers "is this schedule valid", not "did the bad
+    /// class happen to fall inside the window".  Allocates only the output.
     pub fn derive_window(
         &self,
         scheduler: &str,
@@ -763,26 +660,28 @@ impl CycleProfile {
             scheduler.to_string(),
             w.len,
             graph,
-            (0..self.node_count).map(|p| self.fold_node(p, t0, w.len)),
+            (0..self.node_count()).map(|p| self.lane(p).window(t0, w.len)),
             self.all_independent,
             self.window_happiness(&w),
         )
     }
 
     /// The totals-only windowed fast path: whole-window aggregates of
-    /// `[t0, t1)`, skipping the per-node assembly entirely.  `O(n)` like
-    /// [`CycleProfile::derive_window`], total over all windows and
+    /// `[t0, t1)`, skipping the per-node assembly entirely.  It folds each
+    /// non-empty lane once, weighting `never_happy` by the lane's node
+    /// count, so it costs `O(#lanes)`; it is total over all windows and
     /// **allocation-free** (the steady-state serving shape; proved by
     /// `tests/zero_alloc.rs`).  Equal to
-    /// [`CycleProfile::derive_window`]`(..).totals()` by construction.
+    /// [`CycleProfile::derive_window`]`(..).totals()`: the maximum and the
+    /// periodicity conjunction are idempotent over the nodes of a lane
+    /// (pinned by the lane-fold tests below).
     pub fn derive_window_totals(&self, t0: u64, t1: u64) -> AnalysisTotals {
         let w = self.window(t0, t1);
-        sweep::totals(
-            w.len,
-            (0..self.node_count).map(|p| self.fold_node(p, t0, w.len)),
-            self.all_independent,
-            self.window_happiness(&w),
-        )
+        let mut fold = TotalsFold::new();
+        for lane in self.lanes.iter().filter(|lane| lane.nodes > 0) {
+            fold.absorb(&lane.window(t0, w.len), w.len, lane.nodes);
+        }
+        fold.finish(w.len, self.all_independent, self.window_happiness(&w))
     }
 
     /// Splits the window `[t0, t1)` into its ragged head, whole cycles and
@@ -794,20 +693,6 @@ impl CycleProfile {
         let head = if phase == 0 { 0 } else { (cycle - phase).min(len) };
         let rest = len - head;
         Window { len, phase, head, reps: rest / cycle, tail: rest % cycle }
-    }
-
-    /// Node `p`'s merged accumulator over the `len` holidays from `t0`: its
-    /// lane is the progression `first + k·step` with `step = C / happy`, so
-    /// the window's lane is that progression read from `t0`, in closed form.
-    #[inline]
-    fn fold_node(&self, p: NodeId, t0: u64, len: u64) -> NodeAccum {
-        let lane = &self.accums[p];
-        debug_assert!(is_progression(lane, self.cycle), "lane {p} is not a progression");
-        if lane.happy == 0 {
-            return NodeAccum::empty();
-        }
-        let step = div(self.cycle, lane.happy);
-        window_lane(first_offset(t0, lane.first, step), step, len)
     }
 
     /// Total happy appearances over window `w`, through the per-class size
@@ -836,25 +721,49 @@ struct Window {
     tail: u64,
 }
 
-/// The one-cycle summary of one attendance row (ascending offsets).
-fn lane_summary(offsets: &[u64]) -> NodeAccum {
-    let mut a = NodeAccum::empty();
-    offsets.iter().for_each(|&o| a.record(o));
-    a
+/// The lane table of graph nodes `0..n` on `view` from holiday `start`: one
+/// lane per distinct progression `(first cycle offset, modulus)`, numbered
+/// in node order, plus one empty lane for the graph nodes past the view;
+/// and each node's lane id.  One hash lookup per node.
+fn group_lanes(view: &ResidueSchedule, start: u64, n: usize) -> (Vec<Lane>, Vec<u32>) {
+    let mut ids: HashMap<(u64, u64), u32> = HashMap::new();
+    let mut lanes: Vec<Lane> = Vec::new();
+    let lane_of = (0..n)
+        .map(|p| {
+            let (first, step) = if p < view.node_count() {
+                let m = view.modulus(p);
+                (first_offset(start, view.slot(p), m), m)
+            } else {
+                (0, 0)
+            };
+            let id = *ids.entry((first, step)).or_insert_with(|| {
+                lanes.push(Lane { first, step, nodes: 0 });
+                lane_id(lanes.len() - 1)
+            });
+            lanes[id as usize].nodes += 1;
+            id
+        })
+        .collect();
+    (lanes, lane_of)
 }
 
-/// Whether a one-cycle summary is an arithmetic progression of the cycle:
-/// no attendance, or `happy` attendances `cycle / happy` apart from a first
-/// offset below that step — the shape every lane of a perfectly periodic
-/// schedule has, and the one the window fold reads.
-fn is_progression(lane: &NodeAccum, cycle: u64) -> bool {
-    if lane.happy == 0 {
-        return true;
-    }
-    let step = cycle / lane.happy;
-    cycle.is_multiple_of(lane.happy)
-        && lane.first < step
-        && (lane.happy == 1 || (lane.uniform && lane.first_gap == step))
+/// A lane index narrowed to the stored `u32` id.  There are at most as many
+/// lanes as nodes plus one.
+fn lane_id(index: usize) -> u32 {
+    u32::try_from(index).expect("lane count exceeds u32")
+}
+
+/// The size prefix of one cycle's per-class sizes: `0`, then the running
+/// totals.
+fn prefix_sums(sizes: impl IntoIterator<Item = u64>, cycle: u64) -> Vec<u64> {
+    let mut prefix = Vec::with_capacity(cycle as usize + 1);
+    prefix.push(0);
+    let mut running = 0u64;
+    prefix.extend(sizes.into_iter().map(|size| {
+        running += size;
+        running
+    }));
+    prefix
 }
 
 /// Appends the arithmetic progression `first, first + step, …` below
@@ -885,23 +794,21 @@ fn split_offsets(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
     }
     ranges
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::sweep::{merge_node, NONE};
 
     /// The replay witness for the closed-form fold: node `p`'s lane over
-    /// window `w`, folded piece by piece from the offset arena.  The ragged
-    /// head is replayed from the stored offsets rebased by the phase, the
-    /// whole cycles are replicated from the one-cycle summary
+    /// window `w`, folded piece by piece from its attendance offsets.  The
+    /// ragged head is replayed from the offsets rebased by the phase, the
+    /// whole cycles are replicated from the one-cycle record pass
     /// ([`replicate`]) and rebased behind the head, and the ragged tail is
     /// replayed like the head; the three segments merge in window order
-    /// through [`merge_node`], which is exact at any cut.  It reads the
-    /// stored offsets and the one-cycle summary, never a step, so it shares
-    /// no arithmetic with [`window_lane`].
+    /// through [`merge_node`], which is exact at any cut.  It reads only the
+    /// offsets, so it shares no arithmetic with [`window_lane`].
     fn replay_fold(profile: &CycleProfile, p: NodeId, w: &Window) -> NodeAccum {
-        let offsets = profile.attendance_offsets(p);
+        let offsets: Vec<u64> = profile.attendance_offsets(p).collect();
         let mut lane = NodeAccum::empty();
         if w.head > 0 {
             let from = offsets.partition_point(|&o| o < w.phase);
@@ -914,7 +821,9 @@ mod tests {
         if w.reps > 0 {
             // Shifting a segment moves only its endpoints: every gap field
             // is a difference of offsets.
-            let mut cycles = replicate(&profile.accums[p], w.reps, profile.cycle);
+            let mut one = NodeAccum::empty();
+            offsets.iter().for_each(|&o| one.record(o));
+            let mut cycles = replicate(&one, w.reps, profile.cycle);
             if cycles.happy > 0 {
                 cycles.first += w.head;
                 cycles.last += w.head;
@@ -998,22 +907,32 @@ mod tests {
     }
 
     /// A profile holding every arithmetic lane of `cycle` — one lane per
-    /// `(first, step)` with `step | cycle` and `first < step` — plus one
-    /// empty lane, the graph node past the view.  It starts at holiday 0,
-    /// so a lane's first cycle offset is its slot.
+    /// `(first, step)` with `step | cycle` and `first < step` — where lane
+    /// `i` holds `1 + i % 3` view nodes, dealt round-robin so a lane's nodes
+    /// are not adjacent, plus the empty lane of two graph nodes past the
+    /// view.  It starts at holiday 0, so a lane's first cycle offset is its
+    /// slot.  Returns the profile and each view node's `(first, step)`.
     fn arithmetic_profile(cycle: u64) -> (CycleProfile, Vec<(u64, u64)>) {
-        let lanes: Vec<(u64, u64)> = (1..=cycle)
+        let progressions: Vec<(u64, u64)> = (1..=cycle)
             .filter(|&step| cycle.is_multiple_of(step))
             .flat_map(|step| (0..step).map(move |first| (first, step)))
             .collect();
+        let rows: Vec<(u64, u64)> = (0..3)
+            .flat_map(|round| progressions.iter().enumerate().filter(move |&(i, _)| i % 3 >= round))
+            .map(|(_, &row)| row)
+            .collect();
         let view = ResidueSchedule::new(
-            lanes.iter().map(|&(first, _)| first).collect(),
-            lanes.iter().map(|&(_, step)| step).collect(),
+            rows.iter().map(|&(first, _)| first).collect(),
+            rows.iter().map(|&(_, step)| step).collect(),
         );
-        let profile = CycleProfile::rehydrate(&view, 0, lanes.len() + 1, true);
+        let profile = CycleProfile::rehydrate(&view, 0, rows.len() + 2, true);
         assert_eq!(profile.cycle(), cycle);
-        assert_eq!(profile.count_per_cycle(lanes.len()), 0, "the last lane is empty");
-        (profile, lanes)
+        let nodes: Vec<u64> = profile.lanes.iter().map(|lane| lane.nodes).collect();
+        let expected: Vec<u64> =
+            (0..progressions.len() as u64).map(|i| 1 + i % 3).chain([2]).collect();
+        assert_eq!(nodes, expected, "lane node counts, in node order, then the empty lane");
+        assert_eq!(profile.count_per_cycle(rows.len() + 1), 0, "the last lane is empty");
+        (profile, rows)
     }
 
     /// Every `(head, whole cycles, tail)` shape a window grid must reach.
@@ -1029,6 +948,7 @@ mod tests {
     fn lane_fold_equals_recording_every_offset_in_the_window() {
         const CYCLE: u64 = 16;
         let (profile, lanes) = arithmetic_profile(CYCLE);
+        let graph = Graph::new(profile.node_count());
         // Anchors on, just past and just before cycle boundaries (one far
         // out), and lengths from zero width through head-only,
         // cycles-only, tail-only and all three pieces.
@@ -1053,10 +973,15 @@ mod tests {
                     let mut expected = NodeAccum::empty();
                     merge_node(&mut expected, &seg);
                     let ctx = format!("lane {p} {:?}, [{t0}, {t1})", lanes.get(p));
-                    assert_eq!(profile.fold_node(p, t0, w.len), expected, "{ctx}");
+                    assert_eq!(profile.lane(p).window(t0, w.len), expected, "{ctx}");
                     assert_eq!(replay_fold(&profile, p, &w), expected, "witness, {ctx}");
                 }
                 assert_eq!(profile.window_happiness(&w), happiness, "[{t0}, {t1})");
+                assert_eq!(
+                    profile.derive_window_totals(t0, t1),
+                    profile.derive_window("lanes", &graph, t0, t1).totals(),
+                    "lane fold vs per-node fold, [{t0}, {t1})"
+                );
             }
         }
         for shape in SHAPES {
@@ -1071,6 +996,7 @@ mod tests {
     fn closed_form_fold_equals_the_replay_witness_on_far_windows() {
         for cycle in [12u64, 16] {
             let (profile, lanes) = arithmetic_profile(cycle);
+            let graph = Graph::new(profile.node_count());
             let c = cycle;
             let anchors = [0u64, 1, c - 1, c, (1 << 40) + 3, (1 << 62) + 5];
             let lengths = [0u64, 1, c - 1, c, c + 1, 5 * c + 7, 1 << 40, 1 << 62];
@@ -1081,12 +1007,17 @@ mod tests {
                     shapes.insert((w.head > 0, w.reps > 0, w.tail > 0));
                     for p in 0..profile.node_count() {
                         assert_eq!(
-                            profile.fold_node(p, t0, w.len),
+                            profile.lane(p).window(t0, w.len),
                             replay_fold(&profile, p, &w),
                             "cycle {c}, lane {p} {:?}, t0 {t0}, len {len}",
                             lanes.get(p)
                         );
                     }
+                    assert_eq!(
+                        profile.derive_window_totals(t0, t0 + len),
+                        profile.derive_window("lanes", &graph, t0, t0 + len).totals(),
+                        "cycle {c}: lane fold vs per-node fold, t0 {t0}, len {len}"
+                    );
                 }
             }
             for shape in SHAPES {
@@ -1290,10 +1221,9 @@ mod tests {
                 .install(|| CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker));
             assert_eq!(got.cycle(), reference.cycle());
             assert_eq!(got.all_classes_independent(), reference.all_classes_independent());
-            assert_eq!(got.rows, reference.rows, "{threads} threads: attendance rows");
-            assert_eq!(got.offsets, reference.offsets, "{threads} threads: attendance offsets");
+            assert_eq!(got.lanes, reference.lanes, "{threads} threads: lane table");
+            assert_eq!(got.lane_of, reference.lane_of, "{threads} threads: lane ids");
             assert_eq!(got.size_prefix, reference.size_prefix, "{threads} threads: size prefix");
-            assert_eq!(got.accums, reference.accums, "{threads} threads: one-cycle summaries");
             assert!(got.content_eq(&reference), "{threads} threads: content equality");
         }
     }
@@ -1408,35 +1338,49 @@ mod tests {
     }
 
     #[test]
-    fn patch_compaction_keeps_every_row_intact() {
+    fn patch_moves_nodes_between_lanes_and_reuses_emptied_ones() {
         use crate::analysis::GraphChecker;
         use fhg_graph::Graph;
 
-        // Bounce one node between a 12-row and a 2-row progression until
-        // retired rows outweigh live ones and compaction kicks in; the
-        // profile must stay identical to a rebuild throughout.
-        let g = Graph::new(4);
+        // Node 0 bounces between a progression of step 12 that only it
+        // holds and `1 mod 2`, which nodes 1 and 2 hold; nodes 3 and 4 keep
+        // the cycle at 12.  Each move onto `1 mod 2` empties node 0's lane,
+        // and the next move reuses that lane for a fresh step-12
+        // progression, so the table never grows.  The emptied lane's step
+        // outlasts every live lane's, so folding it would change the
+        // longest unhappy stretch and the periodicity of short windows.
+        let g = Graph::new(5);
         let checker = GraphChecker::new(&g);
-        let mut view = ResidueSchedule::new(vec![0, 1, 2, 3], vec![12, 12, 12, 12]);
-        let mut profile = CycleProfile::build(&view, 0, 4, &checker);
+        let mut view = ResidueSchedule::new(vec![0, 1, 1, 2, 1], vec![12, 2, 2, 4, 3]);
+        let mut profile = CycleProfile::build(&view, 0, 5, &checker);
         let mut scratch = PatchScratch::new();
-        for round in 0..6u64 {
-            let m = if round % 2 == 0 { 2 } else { 12 };
+        let table = profile.lanes.len();
+        assert_eq!(table, 4, "nodes 1 and 2 share a lane");
+        for round in 0..8u64 {
+            let (slot, m) = if round % 2 == 0 { (1, 2) } else { (round, 12) };
             let change = RowChange {
                 node: 0,
                 old_slot: view.slot(0),
                 old_modulus: view.modulus(0),
-                new_slot: round % 2,
+                new_slot: slot,
                 new_modulus: m,
             };
-            view.set_row(0, round % 2, m);
+            view.set_row(0, slot, m);
             profile.patch(&view, &[change], None, &checker, &mut scratch).expect("cycle fixed");
-            let rebuilt = CycleProfile::build(&view, 0, 4, &checker);
+            let rebuilt = CycleProfile::build(&view, 0, 5, &checker);
             assert!(profile.content_eq(&rebuilt), "round {round}");
+            let held: u64 = profile.lanes.iter().map(|lane| lane.nodes).sum();
+            assert_eq!(held, 5, "round {round}: lane node counts must sum to the node count");
+            assert_eq!(profile.lanes.len(), table, "round {round}: emptied lanes are reused");
+            for t0 in [0u64, 1, 5, 11, 12, 13] {
+                for len in [0u64, 1, 3, 7, 11, 12, 13, 25] {
+                    assert_eq!(
+                        profile.derive_window_totals(t0, t0 + len),
+                        rebuilt.derive_window_totals(t0, t0 + len),
+                        "round {round}, t0 {t0}, len {len}"
+                    );
+                }
+            }
         }
-        assert!(
-            profile.garbage * 2 <= profile.offsets.len(),
-            "compaction must keep retired entries at most half the arena"
-        );
     }
 }

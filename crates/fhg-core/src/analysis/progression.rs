@@ -77,7 +77,7 @@ pub(super) fn totals(
     for p in 0..graph.node_count() {
         let lane = lane(view, p, start, horizon);
         total = total.saturating_add(lane.happy);
-        fold.absorb(&lane, horizon);
+        fold.absorb(&lane, horizon, 1);
     }
     let independent = beyond == 0 && edges_independent(graph, view, start, horizon);
     fold.finish(horizon, independent, total)
@@ -167,7 +167,7 @@ fn congruent(su: u64, mu: u64, sv: u64, mv: u64) -> bool {
 
 /// `x / m`, by a shift when `m` is a power of two.
 #[inline]
-pub(super) fn div(x: u64, m: u64) -> u64 {
+fn div(x: u64, m: u64) -> u64 {
     if m.is_power_of_two() {
         x >> m.trailing_zeros()
     } else {

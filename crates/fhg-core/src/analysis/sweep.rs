@@ -13,7 +13,8 @@
 //! ever looks across nodes: the sequential reference, the progression
 //! engine of [`super::progression`] (which writes each merged accumulator
 //! in closed form) and the window fold of [`super::profile`] (the same
-//! formula, per lane) all reduce through this same per-node arithmetic.
+//! formula, once per distinct progression) all reduce through this same
+//! per-node arithmetic.
 //!
 //! # The merge algebra
 //!
@@ -289,9 +290,11 @@ pub(super) fn assemble(
     }
 }
 
-/// The totals-only reduction of merged global accumulators, one lane at a
-/// time: the aggregate view of [`finalize`]'s output, with no per-node
-/// assembly, no float work per node and no allocation.
+/// The totals-only reduction of merged global accumulators: the aggregate
+/// view of [`finalize`]'s output, with no per-node assembly, no float work
+/// per node and no allocation.  Nodes that share an accumulator fold in
+/// once: the maximum and the periodicity conjunction are idempotent, and
+/// only the never-happy count is weighted.
 pub(super) struct TotalsFold {
     max_unhappiness: u64,
     all_periodic: bool,
@@ -303,12 +306,15 @@ impl TotalsFold {
         TotalsFold { max_unhappiness: 0, all_periodic: true, never_happy: 0 }
     }
 
-    /// Folds in one node's merged accumulator over `horizon` holidays.
+    /// Folds in `nodes` nodes whose merged accumulator over `horizon`
+    /// holidays is `a`.
     #[inline]
-    pub(super) fn absorb(&mut self, a: &NodeAccum, horizon: u64) {
+    pub(super) fn absorb(&mut self, a: &NodeAccum, horizon: u64, nodes: u64) {
         self.max_unhappiness = self.max_unhappiness.max(a.max_unhappiness(horizon));
         self.all_periodic &= a.observed_period().is_some();
-        self.never_happy += u64::from(a.happy == 0);
+        if a.happy == 0 {
+            self.never_happy += nodes;
+        }
     }
 
     pub(super) fn finish(
@@ -327,20 +333,6 @@ impl TotalsFold {
             all_happy_sets_independent: all_independent,
         }
     }
-}
-
-/// [`TotalsFold`] over every lane of `global`.
-pub(super) fn totals(
-    horizon: u64,
-    global: impl IntoIterator<Item = NodeAccum>,
-    all_independent: bool,
-    total_happiness: u64,
-) -> AnalysisTotals {
-    let mut fold = TotalsFold::new();
-    for a in global {
-        fold.absorb(&a, horizon);
-    }
-    fold.finish(horizon, all_independent, total_happiness)
 }
 
 #[cfg(test)]

@@ -27,9 +27,10 @@
 //! [`RowChange`]s (an insert recolours at most one endpoint, a delete
 //! rebalances at most both) on the stack, no allocation.  A cached
 //! [`CycleProfile`](crate::analysis::CycleProfile) consumes the repair
-//! through [`patch`](crate::analysis::CycleProfile::patch): only the touched
-//! nodes' attendance lanes are replayed and only the residue classes whose
-//! membership changed are re-verified, instead of rebuilding the whole
+//! through [`patch`](crate::analysis::CycleProfile::patch): only the
+//! recoloured nodes move between the lanes of its progression table, and
+//! only the residue classes they join (plus an inserted edge's
+//! co-attendance classes) are re-verified, instead of rebuilding the whole
 //! profile.  [`ProfileService::patch`](crate::serving::ProfileService::patch)
 //! wires this into the serving tier so a mutating tenant keeps a warm
 //! profile across churn.

@@ -2,7 +2,7 @@
 //! crate's failpoints, built for the crash-only serving tier.
 //!
 //! A *failpoint* is a named site in the code (`fail_point!("patch.commit")`)
-//! that compiles to a two-atomic-load no-op branch unless fault injection is
+//! that compiles to a one-atomic-load no-op branch unless fault injection is
 //! active.  Activation is either the `FHG_FAILPOINTS` environment variable
 //! (read once, at the first site evaluation) or an explicit
 //! [`configure`] call (chaos tests); the spec format is
@@ -29,13 +29,15 @@
 //!
 //! # Disabled cost
 //!
-//! When no spec is active every site costs one `Once` fast-path load plus
-//! one relaxed [`AtomicBool`] load — no locks, no hashing, no branch the
-//! optimiser cannot predict.  Experiment `e18` records this overhead on the
-//! e16 serving qps path; the acceptance bound is ≤ 2 %.
+//! When no spec is active every site costs one inlined relaxed [`AtomicU8`]
+//! load and a predicted branch — no call, no lock, no hashing.  The first
+//! evaluation, which reads the environment, and every evaluation while
+//! injection is on take a cold out-of-line path.  Experiment `e18` records
+//! the disabled overhead on the e16 serving qps path; the acceptance bound
+//! is ≤ 2 %.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::{Once, OnceLock, RwLock};
 
 /// What an armed failpoint tells its site to do.
@@ -74,10 +76,18 @@ impl Site {
     }
 }
 
-/// Whether any failpoint spec is active — the relaxed fast-path gate every
-/// site loads before touching the registry.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INIT: Once = Once::new();
+/// The injection state every site loads first: [`UNREAD`] until the
+/// environment has been read (or an explicit [`configure`] / [`clear`]),
+/// then [`OFF`] or [`ON`].  It publishes nothing else — the sites live in
+/// the registry, which is read under its `RwLock` — so `Relaxed` suffices.
+static STATE: AtomicU8 = AtomicU8::new(UNREAD);
+const UNREAD: u8 = 0;
+const OFF: u8 = 1;
+const ON: u8 = 2;
+
+/// Serialises the one environment read against explicit configuration, so
+/// an explicit [`configure`] always wins over `FHG_FAILPOINTS`.
+static ENV_READ: Once = Once::new();
 
 fn registry() -> &'static RwLock<HashMap<String, Site>> {
     static REGISTRY: OnceLock<RwLock<HashMap<String, Site>>> = OnceLock::new();
@@ -97,8 +107,8 @@ fn site_seed(name: &str, seed: u64) -> u64 {
 }
 
 /// Parses one `site=action[@prob]` rule; `None` (with a warning) on
-/// malformed input.  Factored out of [`configure_with_seed`] so the
-/// fallback policy is testable.
+/// malformed input.  Factored out of [`install`] so the fallback policy is
+/// testable.
 fn parse_rule(rule: &str) -> Option<(String, Option<(FailAction, u64)>)> {
     let rule = rule.trim();
     let (site, spec) = rule.split_once('=')?;
@@ -130,7 +140,13 @@ fn parse_rule(rule: &str) -> Option<(String, Option<(FailAction, u64)>)> {
 /// probability streams.  Malformed rules warn on stderr and are skipped —
 /// the warn-and-fall-back `FHG_*` contract.
 pub fn configure_with_seed(spec: &str, seed: u64) {
-    INIT.call_once(|| {}); // claim env init; an explicit config wins
+    ENV_READ.call_once(|| {}); // claim the env read; an explicit config wins
+    install(spec, seed);
+}
+
+/// Parses `spec` and replaces the registry with it; the state turns [`ON`]
+/// when any site is armed, [`OFF`] otherwise.
+fn install(spec: &str, seed: u64) {
     let mut map = HashMap::new();
     for rule in spec.split(',') {
         if rule.trim().is_empty() {
@@ -150,9 +166,10 @@ pub fn configure_with_seed(spec: &str, seed: u64) {
             }
         }
     }
-    let enabled = !map.is_empty();
-    *registry().write().expect("failpoint registry poisoned") = map;
-    ENABLED.store(enabled, Relaxed);
+    let state = if map.is_empty() { OFF } else { ON };
+    let mut registry = registry().write().expect("failpoint registry poisoned");
+    *registry = map;
+    STATE.store(state, Relaxed);
 }
 
 /// [`configure_with_seed`] with the `FHG_FAILPOINT_SEED` environment
@@ -164,9 +181,7 @@ pub fn configure(spec: &str) {
 /// Removes every configured site and disables injection; sites return to
 /// their compiled no-op branch.
 pub fn clear() {
-    INIT.call_once(|| {});
-    registry().write().expect("failpoint registry poisoned").clear();
-    ENABLED.store(false, Relaxed);
+    configure_with_seed("", 0);
 }
 
 /// Re-reads `FHG_FAILPOINTS` / `FHG_FAILPOINT_SEED` and installs whatever
@@ -174,9 +189,16 @@ pub fn clear() {
 /// tests use this to hand control back to an externally-pinned schedule
 /// after programmatic [`configure`] calls.
 pub fn reset_to_env() {
+    ENV_READ.call_once(|| {});
+    install_from_env();
+}
+
+/// Installs `FHG_FAILPOINTS` with the `FHG_FAILPOINT_SEED` seed, or nothing
+/// when it is unset.
+fn install_from_env() {
     match std::env::var("FHG_FAILPOINTS") {
-        Ok(spec) => configure_with_seed(&spec, env_seed()),
-        Err(_) => clear(),
+        Ok(spec) => install(&spec, env_seed()),
+        Err(_) => install("", 0),
     }
 }
 
@@ -196,45 +218,28 @@ fn env_seed() -> u64 {
 /// Whether any failpoint spec is currently active (observability; `e18`
 /// reports it next to its overhead rows).
 pub fn active() -> bool {
-    INIT.call_once(init_from_env);
-    ENABLED.load(Relaxed)
-}
-
-fn init_from_env() {
-    if let Ok(spec) = std::env::var("FHG_FAILPOINTS") {
-        // configure() re-enters INIT.call_once, which would deadlock from
-        // inside the closure — inline the install instead.
-        let seed = env_seed();
-        let mut map = HashMap::new();
-        for rule in spec.split(',') {
-            if rule.trim().is_empty() {
-                continue;
-            }
-            match parse_rule(rule) {
-                Some((site, Some((action, prob)))) => {
-                    let lcg = AtomicU64::new(site_seed(&site, seed));
-                    map.insert(site, Site { action, prob_millionths: prob, lcg });
-                }
-                Some((_, None)) => {}
-                None => eprintln!(
-                    "warning: FHG_FAILPOINTS rule {rule:?} is not site=panic|err|off[@prob]; \
-                     skipping it"
-                ),
-            }
-        }
-        let enabled = !map.is_empty();
-        *registry().write().expect("failpoint registry poisoned") = map;
-        ENABLED.store(enabled, Relaxed);
-    }
+    ENV_READ.call_once(install_from_env);
+    STATE.load(Relaxed) == ON
 }
 
 /// Evaluates the failpoint `site`: `None` on the (overwhelmingly common)
 /// disabled or unarmed path, `Some(action)` when the site fires.  Callers
 /// normally go through the [`fail_point!`](crate::fail_point) macro rather
 /// than calling this directly.
+#[inline]
 pub fn check(site: &str) -> Option<FailAction> {
-    INIT.call_once(init_from_env);
-    if !ENABLED.load(Relaxed) {
+    if STATE.load(Relaxed) == OFF {
+        return None;
+    }
+    check_slow(site)
+}
+
+/// [`check`] with the environment unread or injection on: read the
+/// environment once, then look the site up.
+#[cold]
+#[inline(never)]
+fn check_slow(site: &str) -> Option<FailAction> {
+    if !active() {
         return None;
     }
     let registry = registry().read().expect("failpoint registry poisoned");
@@ -251,7 +256,7 @@ pub fn check(site: &str) -> Option<FailAction> {
 ///   `err`.  `expr` is typically a `return Err(...)` in the enclosing
 ///   function, which is what makes the site a *typed* fault.
 ///
-/// Disabled cost is two relaxed atomic loads; see the
+/// Disabled cost is one relaxed atomic load; see the
 /// [module docs](crate::failpoint).
 #[macro_export]
 macro_rules! fail_point {

@@ -342,16 +342,14 @@ impl ResidueSchedule {
     }
 
     /// Total happy appearances over one full cycle: `Σ_p cycle / m_p`
-    /// (saturating), precomputed at construction.  This — not the cycle
-    /// length — is what bounds the memory of a serving-tier
-    /// [`CycleProfile`](crate::analysis::CycleProfile), so
-    /// `ProfileService` budgets on it against
-    /// [`CycleProfile::MAX_EVENTS`](crate::analysis::CycleProfile::MAX_EVENTS):
-    /// a hub-and-spoke degree distribution can pack `n · cycle / 2`
-    /// attendances into one cycle even when the cycle itself is short.  The
-    /// profile builder also sizes its per-shard event lists from it, so the
-    /// class walk never regrows them.  One-shot analysis never reads it: the
-    /// progression engine costs `O(n + m)` whatever the attendance.
+    /// (saturating), precomputed at construction.  `ProfileService` budgets
+    /// on it against
+    /// [`CycleProfile::MAX_EVENTS`](crate::analysis::CycleProfile::MAX_EVENTS),
+    /// which bounds the profile's rehydration walk over every attendance: a
+    /// hub-and-spoke degree distribution can pack `n · cycle / 2`
+    /// attendances into one cycle even when the cycle itself is short.
+    /// One-shot analysis never reads it: the progression engine costs
+    /// `O(n + m)` whatever the attendance.
     pub fn attendance_per_cycle(&self) -> u64 {
         self.attendance
     }

@@ -114,9 +114,9 @@
 //! build's internal cycle walk shards further (the pool's caller always
 //! participates in a batch, so the nesting cannot deadlock).
 //! [`ProfileService::query_batch`] / [`query_batch_full`](ProfileService::query_batch_full)
-//! answer a request slice in parallel the same way; each worker reuses its
-//! thread-local derivation scratch, so steady-state totals queries perform
-//! **zero heap allocations** per request (proved by `tests/zero_alloc.rs`).
+//! answer a request slice in parallel the same way; the window fold keeps
+//! no scratch, so steady-state totals queries perform **zero heap
+//! allocations** per request (proved by `tests/zero_alloc.rs`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -240,8 +240,8 @@ pub enum RegisterError {
         /// The budget it exceeded.
         max: u64,
     },
-    /// The per-cycle attendance volume exceeds the profile memory budget
-    /// [`CycleProfile::MAX_EVENTS`].
+    /// The per-cycle attendance volume exceeds the profile's attendance
+    /// budget [`CycleProfile::MAX_EVENTS`].
     AttendanceTooHeavy {
         /// The schedule's total attendance per cycle.
         attendance: u64,
@@ -853,12 +853,13 @@ impl ProfileService {
             return Err(PatchError::BudgetExceeded(violation));
         }
 
-        // The analytic touched-lane estimate: offsets rewritten per row
-        // change (old progression out, new progression in) plus, for an
-        // insert, an upper bound on the CRT co-attendance classes.  Purely
-        // arithmetic — computed before deciding to patch, so a pathological
-        // event (a hub recoloring onto modulus 1) pays a rebuild instead of
-        // a patch that is no cheaper.
+        // The analytic touched-lane estimate: per row change, the classes
+        // the old progression leaves and the new one joins (the joined
+        // classes are refilled and re-verified), plus, for an insert, an
+        // upper bound on the CRT co-attendance classes.  Purely arithmetic
+        // — computed before deciding to patch, so a pathological event (a
+        // hub recoloring onto modulus 1) pays a rebuild instead of a patch
+        // that is no cheaper.
         let mut touched: u64 = repair
             .row_changes()
             .iter()
@@ -1067,8 +1068,10 @@ impl ProfileService {
     }
 
     /// Answers one totals-only windowed query — the hot serving shape:
-    /// `O(n)` whatever the window, and no heap allocation at all (the
-    /// window fold keeps no scratch; proved by `tests/zero_alloc.rs`).
+    /// `O(#lanes)`, one closed form per distinct progression of the
+    /// tenant's schedule, whatever the window, and no heap allocation at
+    /// all (the window fold keeps no scratch; proved by
+    /// `tests/zero_alloc.rs`).
     pub fn query_totals(
         &self,
         tenant: u64,

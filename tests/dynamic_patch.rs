@@ -116,7 +116,7 @@ proptest! {
             let cycle = profile.cycle();
             for p in 0..n {
                 let happy = profile.count_per_cycle(p);
-                let offsets = profile.attendance_offsets(p);
+                let offsets: Vec<u64> = profile.attendance_offsets(p).collect();
                 prop_assert_eq!(offsets.len() as u64, happy, "{}: lane {}", ctx, p);
                 let Some(&first) = offsets.first() else { continue };
                 prop_assert_eq!(cycle % happy, 0, "{}: lane {}", ctx, p);

@@ -338,10 +338,11 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
 
     // The incremental repair plane (PR 8): steady-state edge churn through
     // `ProfileService::patch` must be allocation-free after warm-up — the
-    // patch scratch (class batch, verification list, compaction arena) is
-    // owned by the service and reused, replacement rows retire in place or
-    // into pre-grown arena capacity, and the `ScanChecker` verifies against
-    // the live graph without building a per-event adjacency layout.
+    // patch scratch (class batch, verification list) is owned by the
+    // service and reused, a recoloured node moves into an existing or
+    // emptied lane of the profile's lane table, which never shrinks, and
+    // the `ScanChecker` verifies against the live graph without building a
+    // per-event adjacency layout.
     {
         use fhg::core::dynamic::DynamicColorBound;
         use fhg::core::serving::{PatchOutcome, ProfileService};
@@ -372,8 +373,7 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             .collect();
 
         // Warm-up: the first patches detach the slot, size the class batch
-        // and let the offset arena find its high-water capacity across a
-        // few retire/compact rounds.
+        // and let the lane table reach its high-water length.
         let mut next = 0usize;
         for _ in 0..16 {
             let outcome = service.patch(0, &repairs[next]).expect("tenant 0 is registered");
