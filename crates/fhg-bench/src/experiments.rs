@@ -398,7 +398,8 @@ pub fn e4_periodic_degree_bound() -> Vec<Table> {
 
 /// E5 — distributed initialisation costs: rounds and messages of the
 /// Johansson colouring, Luby MIS and the §5.2 phased slot assignment as the
-/// network grows.
+/// network grows, plus the wall time of the slot assignment (median of 3
+/// calls).
 pub fn e5_distributed_rounds() -> Vec<Table> {
     let mut table = Table::new(
         "E5 — distributed initialisation cost vs network size (Erdős–Rényi, mean degree 8)",
@@ -409,14 +410,18 @@ pub fn e5_distributed_rounds() -> Vec<Table> {
             "Luby MIS rounds",
             "§5.2 phases",
             "§5.2 total rounds",
+            "§5.2 ms",
         ],
     );
-    for &n in &[256usize, 1024, 4096, 16384] {
+    for &n in &[256usize, 1024, 4096, 16384, 100_000] {
         let p = 8.0 / (n as f64 - 1.0);
         let graph = generators::erdos_renyi(n, p, 3);
         let (_, coloring_stats) = johansson_coloring(&graph, 5);
         let mis = luby_mis(&graph, 7, 4096);
         let slots = distributed_slot_assignment(&graph, 9);
+        let slot_ms = median_ms(3, || {
+            black_box(distributed_slot_assignment(&graph, 9));
+        });
         table.push(&[
             n.to_string(),
             coloring_stats.rounds.to_string(),
@@ -424,6 +429,7 @@ pub fn e5_distributed_rounds() -> Vec<Table> {
             mis.stats.rounds.to_string(),
             slots.phases.to_string(),
             slots.stats.rounds.to_string(),
+            format!("{slot_ms:.2}"),
         ]);
     }
     vec![table]

@@ -320,7 +320,6 @@ mod tests {
         }
 
         #[test]
-        #[ignore = "slow; run with --ignored for the full sweep"]
         fn johansson_on_heavy_tailed_graphs(seed in 0u64..20) {
             let g = barabasi_albert(300, 3, seed);
             let (coloring, _) = johansson_coloring(&g, seed);

@@ -80,47 +80,48 @@ pub fn distributed_slot_assignment(graph: &Graph, seed: u64) -> SlotAssignmentOu
     let mut slots: Vec<Option<u64>> = vec![None; n];
     let mut stats = ExecutionStats { rounds: 0, messages: 0, completed: true };
     let max_rounds_per_phase = 64 + 40 * (n.max(2) as f64).log2().ceil() as u64;
+    // The participants of each phase: `members[i]` holds the nodes of
+    // exponent `i`, in node order.
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); max_exponent as usize + 1];
+    for u in graph.nodes() {
+        members[exponents[u] as usize].push(u);
+    }
+    // One residue scratch, as wide as the first phase's modulus.
+    let mut blocked = vec![false; 1 << max_exponent];
 
     // Phases from the largest exponent (highest degree class) down to 0.
     for (phase_index, i) in (0..=max_exponent).rev().enumerate() {
-        let participants: Vec<bool> = (0..n).map(|u| exponents[u] == i).collect();
-        if !participants.iter().any(|&p| p) {
+        let phase = &members[i as usize];
+        if phase.is_empty() {
             continue;
         }
         let modulus = 1u64 << i;
-        // Restricted palettes: residues not blocked by already-assigned neighbours.
-        let palettes: Vec<Vec<u64>> = (0..n)
-            .map(|u| {
-                if !participants[u] {
-                    return Vec::new();
+        let blocked = &mut blocked[..modulus as usize];
+        // Restricted palettes, built for this phase's participants only:
+        // residues not blocked by already-assigned neighbours.
+        let mut palettes = vec![Vec::new(); n];
+        let mut participants = vec![false; n];
+        for &u in phase {
+            blocked.fill(false);
+            for &v in graph.neighbors(u) {
+                if let Some(x) = slots[v] {
+                    blocked[(x % modulus) as usize] = true;
                 }
-                let mut blocked = vec![false; modulus as usize];
-                for &v in graph.neighbors(u) {
-                    if let Some(x) = slots[v] {
-                        blocked[(x % modulus) as usize] = true;
-                    }
-                }
-                (0..modulus).filter(|&x| !blocked[x as usize]).collect()
-            })
-            .collect();
+            }
+            palettes[u] = (0..modulus).filter(|&x| !blocked[x as usize]).collect();
+            participants[u] = true;
+        }
         let phase_seed = seed.wrapping_add(0x9E37_79B9u64.wrapping_mul(phase_index as u64 + 1));
-        let outcome = list_coloring_among(
-            graph,
-            palettes,
-            participants.clone(),
-            phase_seed,
-            max_rounds_per_phase,
-        );
+        let outcome =
+            list_coloring_among(graph, palettes, participants, phase_seed, max_rounds_per_phase);
         stats.rounds += outcome.stats.rounds;
         stats.messages += outcome.stats.messages;
         stats.completed &= outcome.stats.completed;
-        for u in 0..n {
-            if participants[u] {
-                slots[u] = Some(
-                    outcome.colors[u]
-                        .expect("restricted palettes are large enough (Lemma 5.1) to terminate"),
-                );
-            }
+        for &u in phase {
+            slots[u] = Some(
+                outcome.colors[u]
+                    .expect("restricted palettes are large enough (Lemma 5.1) to terminate"),
+            );
         }
     }
 

@@ -23,8 +23,9 @@
 //!
 //! Contents:
 //!
-//! * [`simulator`] — the synchronous message-passing engine (sequential or
-//!   rayon-parallel node stepping) with round and message accounting.
+//! * [`simulator`] — the synchronous message-passing engine, which steps
+//!   only the nodes that have not terminated, with round and message
+//!   accounting.
 //! * [`coloring`] — distributed list colouring (Johansson / BEPS-style),
 //!   `(deg+1)`-colouring, and restricted-palette colouring.
 //! * [`mis`] — Luby's randomised maximal-independent-set algorithm, used by

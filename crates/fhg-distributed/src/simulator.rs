@@ -8,14 +8,26 @@
 //! paper reasons about ("executing each holiday takes another O(1) rounds",
 //! Theorem 3.1).
 //!
-//! Determinism: every node owns a `ChaCha8` RNG seeded from
-//! `(simulation seed, node id)`, so an execution is bit-for-bit reproducible
-//! regardless of whether node steps run sequentially or on the rayon thread
-//! pool.
+//! A round costs its live nodes and the messages they send, not the graph.
+//! After `init` the simulator keeps a worklist of the nodes that have not
+//! terminated, in node order, and steps only those.  Each of them owns a
+//! slice of one flat inbox arena, as long as its degree: a node hears at
+//! most one broadcast per neighbour per round.  An arena entry indexes the
+//! round's message pool, so a broadcast is stored once however many
+//! neighbours hear it.  A unicast that sends one neighbour a second message
+//! in the same round spills into an overflow list, which keeps delivery
+//! order.  Messages to terminated nodes are counted but not stored, and
+//! terminated nodes keep no RNG and no inbox.  A step reads its inbox
+//! through one reused buffer, so once the buffers have grown a round
+//! allocates nothing.
+//!
+//! Determinism: every node draws from its own `ChaCha8` RNG, seeded from
+//! `(simulation seed, node id)`, and every inbox lists its messages in
+//! sender order (a unicast's messages in send order), so an execution is
+//! bit-for-bit reproducible per seed.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use fhg_graph::{Graph, NodeId};
 
@@ -86,123 +98,172 @@ pub struct ExecutionStats {
     pub completed: bool,
 }
 
-struct NodeSlot<S> {
-    state: S,
+/// The slot of a node that is not live: it keeps no RNG and no inbox.
+const DEAD: u32 = u32::MAX;
+
+/// A live node and its private randomness.
+struct Live {
+    node: NodeId,
     rng: ChaCha8Rng,
-    inbox: Vec<(NodeId, usize)>, // indices into the round's message pool
+}
+
+/// A live node's inbox: the `len` entries delivered this round, in
+/// `arena[start..start + cap]`, where `cap` is the node's degree.  Kept
+/// apart from [`Live`] so that a delivery touches 12 bytes, not the RNG.
+struct Inbox {
+    start: u32,
+    cap: u32,
+    len: u32,
 }
 
 /// The synchronous round simulator.
 pub struct Simulator<'g, P: Protocol> {
-    /// A packed copy of the conflict graph.
-    graph: Graph,
+    graph: &'g Graph,
     protocol: &'g P,
-    parallel: bool,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
     /// Creates a simulator for `protocol` on `graph`.
-    pub fn new(graph: &Graph, protocol: &'g P) -> Self {
-        Simulator { graph: graph.clone(), protocol, parallel: false }
-    }
-
-    /// Enables rayon-parallel node stepping.  Results are identical to the
-    /// sequential execution because all randomness is per-node.
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
+    pub fn new(graph: &'g Graph, protocol: &'g P) -> Self {
+        Simulator { graph, protocol }
     }
 
     /// Runs the protocol until every node terminates or `max_rounds` rounds
     /// have been executed.  Returns the final per-node states and statistics.
     pub fn run(&self, seed: u64, max_rounds: u64) -> (Vec<P::State>, ExecutionStats) {
-        let n = self.graph.node_count();
-        let protocol = self.protocol;
-        // Initialise nodes.
-        let mut slots: Vec<NodeSlot<P::State>> = (0..n)
-            .map(|u| {
-                let mut rng = node_rng(seed, u);
-                let mut ctx = NodeContext {
-                    node: u,
-                    neighbors: self.graph.neighbors(u),
-                    round: 0,
-                    rng: &mut rng,
-                };
-                let state = protocol.init(&mut ctx);
-                NodeSlot { state, rng, inbox: Vec::new() }
-            })
-            .collect();
+        let (graph, protocol) = (self.graph, self.protocol);
+        let n = graph.node_count();
+        let mut states = Vec::with_capacity(n);
+        // A node live after `init` gets a slot, which indexes `lives` and
+        // `inboxes`; `slot[u]` turns `DEAD` when `u` terminates.
+        let mut slot = vec![DEAD; n];
+        let mut lives: Vec<Live> = Vec::new();
+        let mut inboxes: Vec<Inbox> = Vec::new();
+        let mut arena_len = 0;
+        for (u, slot) in slot.iter_mut().enumerate() {
+            let mut rng = node_rng(seed, u);
+            let neighbors = graph.neighbors(u);
+            let mut ctx = NodeContext { node: u, neighbors, round: 0, rng: &mut rng };
+            let state = protocol.init(&mut ctx);
+            if !protocol.is_terminated(&state) {
+                *slot = narrow(lives.len());
+                lives.push(Live { node: u, rng });
+                let cap = narrow(neighbors.len());
+                inboxes.push(Inbox { start: arena_len, cap, len: 0 });
+                arena_len = narrow(arena_len as usize + neighbors.len());
+            }
+            states.push(state);
+        }
 
         let mut stats = ExecutionStats::default();
-        // Message pool for the current round: (sender, message) pairs; each
-        // node's inbox stores indices into this pool to avoid cloning large
-        // messages more than once per recipient.
-        let mut pool: Vec<(NodeId, P::Message)> = Vec::new();
+        // The live slots, in node order.
+        let mut work: Vec<u32> = (0..narrow(lives.len())).collect();
+        // Inbox entries index `pool`, the round's `(sender, message)` list.
+        let mut arena = vec![0u32; arena_len as usize];
+        let mut pool: Vec<(NodeId, P::Message)> = Vec::with_capacity(lives.len());
+        // `(slot, pool index)` entries past a full inbox, in delivery order
+        // until sorted by slot at the end of delivery.
+        let mut overflow: Vec<(u32, u32)> = Vec::new();
+        let mut outputs: Vec<(NodeId, RoundOutput<P::Message>)> = Vec::with_capacity(lives.len());
+        let mut inbox: Vec<(NodeId, P::Message)> = Vec::new();
 
         for round in 1..=max_rounds {
-            if slots.iter().all(|s| protocol.is_terminated(&s.state)) {
+            if work.is_empty() {
                 stats.completed = true;
                 break;
             }
             stats.rounds = round;
 
-            // Step every non-terminated node, producing its output.
-            let step_one = |u: usize, slot: &mut NodeSlot<P::State>| -> RoundOutput<P::Message> {
-                if protocol.is_terminated(&slot.state) {
-                    slot.inbox.clear();
-                    return RoundOutput::Silent;
+            // Step every live node in node order and keep the ones that do
+            // not terminate.  The overflow list is sorted by slot, so one
+            // cursor walks it alongside.
+            let (mut kept, mut spilled) = (0, 0);
+            for w in 0..work.len() {
+                let s = work[w];
+                let Live { node: u, rng } = &mut lives[s as usize];
+                let u = *u;
+                let delivered = &mut inboxes[s as usize];
+                let entries = &arena[delivered.start as usize..][..delivered.len as usize];
+                delivered.len = 0;
+                let spill = overflow[spilled..].iter().take_while(|e| e.0 == s);
+                inbox.clear();
+                for &i in entries.iter().chain(spill.clone().map(|e| &e.1)) {
+                    let (from, msg) = &pool[i as usize];
+                    inbox.push((*from, msg.clone()));
                 }
-                let inbox: Vec<(NodeId, P::Message)> =
-                    slot.inbox.iter().map(|&(from, idx)| (from, pool[idx].1.clone())).collect();
-                slot.inbox.clear();
-                let mut ctx = NodeContext {
-                    node: u,
-                    neighbors: self.graph.neighbors(u),
-                    round,
-                    rng: &mut slot.rng,
-                };
-                protocol.step(&mut slot.state, &inbox, &mut ctx)
-            };
+                spilled += spill.count();
+                let mut ctx = NodeContext { node: u, neighbors: graph.neighbors(u), round, rng };
+                let output = protocol.step(&mut states[u], &inbox, &mut ctx);
+                if !matches!(output, RoundOutput::Silent) {
+                    outputs.push((u, output));
+                }
+                if protocol.is_terminated(&states[u]) {
+                    slot[u] = DEAD;
+                } else {
+                    work[kept] = s;
+                    kept += 1;
+                }
+            }
+            work.truncate(kept);
 
-            let outputs: Vec<RoundOutput<P::Message>> = if self.parallel {
-                slots.par_iter_mut().enumerate().map(|(u, slot)| step_one(u, slot)).collect()
-            } else {
-                slots.iter_mut().enumerate().map(|(u, slot)| step_one(u, slot)).collect()
-            };
-
-            // Deliver messages for the next round.
+            // Deliver for the next round, in sender order.
             pool.clear();
-            for (u, output) in outputs.into_iter().enumerate() {
+            overflow.clear();
+            let mut deliver = |v: NodeId, i: u32| {
+                let s = slot[v];
+                if s == DEAD {
+                    return;
+                }
+                let to = &mut inboxes[s as usize];
+                if to.len < to.cap {
+                    arena[(to.start + to.len) as usize] = i;
+                    to.len += 1;
+                } else {
+                    overflow.push((s, i));
+                }
+            };
+            for (u, output) in outputs.drain(..) {
                 match output {
                     RoundOutput::Silent => {}
                     RoundOutput::Broadcast(msg) => {
-                        let idx = pool.len();
-                        pool.push((u, msg));
-                        for &v in self.graph.neighbors(u) {
-                            slots[v].inbox.push((u, idx));
-                            stats.messages += 1;
-                        }
+                        let i = pooled(&mut pool, u, msg);
+                        let neighbors = graph.neighbors(u);
+                        stats.messages += neighbors.len() as u64;
+                        neighbors.iter().for_each(|&v| deliver(v, i));
                     }
                     RoundOutput::Unicast(targets) => {
                         for (v, msg) in targets {
                             assert!(
-                                self.graph.has_edge(u, v),
+                                graph.has_edge(u, v),
                                 "node {u} attempted to send to non-neighbour {v}"
                             );
-                            let idx = pool.len();
-                            pool.push((u, msg));
-                            slots[v].inbox.push((u, idx));
                             stats.messages += 1;
+                            deliver(v, pooled(&mut pool, u, msg));
                         }
                     }
                 }
             }
+            // Stable: each slot's spilled entries keep delivery order.
+            overflow.sort_by_key(|e| e.0);
         }
         if !stats.completed {
-            stats.completed = slots.iter().all(|s| protocol.is_terminated(&s.state));
+            stats.completed = work.is_empty();
         }
-        (slots.into_iter().map(|s| s.state).collect(), stats)
+        (states, stats)
     }
+}
+
+/// Adds `u`'s message to the round's pool and returns its index.
+fn pooled<M>(pool: &mut Vec<(NodeId, M)>, u: NodeId, msg: M) -> u32 {
+    let i = narrow(pool.len());
+    pool.push((u, msg));
+    i
+}
+
+/// Narrows a slot, arena offset or pool index to `u32`, the width the
+/// packed graph keeps its own offsets in.
+fn narrow(x: usize) -> u32 {
+    u32::try_from(x).expect("simulator index exceeds u32::MAX")
 }
 
 /// Derives the private RNG of node `u` from the simulation seed.
@@ -217,7 +278,6 @@ fn node_rng(seed: u64, u: NodeId) -> ChaCha8Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fhg_graph::generators::erdos_renyi;
     use fhg_graph::generators::structured::{complete, cycle, path, star};
     use rand::Rng;
 
@@ -277,18 +337,6 @@ mod tests {
                 heard.sort_unstable();
                 assert_eq!(heard, g.neighbors(u), "node {u} heard the wrong set");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_executions_agree() {
-        let g = erdos_renyi(200, 0.03, 5);
-        let protocol = GossipIds;
-        let (seq, seq_stats) = Simulator::new(&g, &protocol).run(7, 10);
-        let (par, par_stats) = Simulator::new(&g, &protocol).parallel(true).run(7, 10);
-        assert_eq!(seq_stats, par_stats);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.heard, b.heard);
         }
     }
 
@@ -381,6 +429,56 @@ mod tests {
         }
     }
 
+    /// In round 1 on `star(4)`, the hub unicasts several numbered messages
+    /// to leaves 3 and 1, leaves 1 and 2 each unicast two to the hub, and
+    /// leaf 3 broadcasts; every node records what it hears in round 2.
+    struct RepeatedUnicast;
+
+    impl Protocol for RepeatedUnicast {
+        type State = Vec<(NodeId, u32)>;
+        type Message = u32;
+
+        fn init(&self, _ctx: &mut NodeContext<'_>) -> Self::State {
+            Vec::new()
+        }
+
+        fn step(
+            &self,
+            state: &mut Self::State,
+            inbox: &[(NodeId, u32)],
+            ctx: &mut NodeContext<'_>,
+        ) -> RoundOutput<u32> {
+            state.extend_from_slice(inbox);
+            match (ctx.round, ctx.node) {
+                (1, 0) => RoundOutput::Unicast(vec![(3, 30), (1, 10), (3, 31), (2, 20), (1, 11)]),
+                (1, 1) => RoundOutput::Unicast(vec![(0, 1), (0, 2)]),
+                (1, 2) => RoundOutput::Unicast(vec![(0, 3), (0, 4)]),
+                (1, 3) => RoundOutput::Broadcast(5),
+                _ => RoundOutput::Silent,
+            }
+        }
+
+        fn is_terminated(&self, _state: &Self::State) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn repeated_unicasts_arrive_in_send_order() {
+        // Every inbox is as long as its node's degree, so the hub's fourth
+        // and fifth messages and the second messages to leaves 1 and 3
+        // spill over.
+        let g = star(4);
+        let protocol = RepeatedUnicast;
+        let (states, stats) = Simulator::new(&g, &protocol).run(0, 2);
+        assert_eq!(stats.rounds, 2);
+        assert_eq!(stats.messages, 5 + 2 + 2 + 1, "every unicast counts once");
+        assert_eq!(states[0], [(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)]);
+        assert_eq!(states[1], [(0, 10), (0, 11)]);
+        assert_eq!(states[2], [(0, 20)]);
+        assert_eq!(states[3], [(0, 30), (0, 31)]);
+    }
+
     #[test]
     #[should_panic(expected = "non-neighbour")]
     fn unicast_to_non_neighbor_panics() {
@@ -444,9 +542,9 @@ mod tests {
         let g = path(10);
         let protocol = RandomRecorder;
         let (a, _) = Simulator::new(&g, &protocol).run(42, 10);
-        let (b, _) = Simulator::new(&g, &protocol).parallel(true).run(42, 10);
+        let (b, _) = Simulator::new(&g, &protocol).run(42, 10);
         let (c, _) = Simulator::new(&g, &protocol).run(43, 10);
-        assert_eq!(a, b, "same seed, same randomness regardless of execution mode");
+        assert_eq!(a, b, "same seed, same randomness");
         assert_ne!(a, c, "different seed should change the randomness");
         // Distinct nodes get distinct streams.
         assert_ne!(a[0], a[1]);

@@ -9,7 +9,8 @@
 //! once a warm-up insert has given both rows room.  One-shot
 //! `analyze_schedule` on a periodic scheduler allocates only its output,
 //! whatever the horizon or pool width, and `analyze_schedule_totals`
-//! allocates nothing.
+//! allocates nothing.  A LOCAL-model simulation allocates per run, never
+//! per round: `Simulator::run` allocates as often for 8 rounds as for 512.
 //!
 //! A counting global allocator records every allocation; the test warms each
 //! scheduler's buffer (and any internal scratch) for a few holidays, then
@@ -48,7 +49,8 @@ use fhg::core::analysis::{
 };
 use fhg::core::schedulers::{standard_suite, PeriodicDegreeBound};
 use fhg::core::{HappySet, Scheduler};
-use fhg::graph::generators;
+use fhg::distributed::{NodeContext, Protocol, RoundOutput, Simulator};
+use fhg::graph::{generators, NodeId};
 use rayon::ThreadPoolBuilder;
 
 struct CountingAllocator;
@@ -96,6 +98,33 @@ fn min_alloc_delta(mut f: impl FnMut()) -> u64 {
         }
     }
     best
+}
+
+/// A LOCAL protocol that never terminates and broadcasts a `Copy` message
+/// every round: every round steps every node and fills every inbox.
+struct Chatter;
+
+impl Protocol for Chatter {
+    type State = u64;
+    type Message = u64;
+
+    fn init(&self, _ctx: &mut NodeContext<'_>) -> u64 {
+        0
+    }
+
+    fn step(
+        &self,
+        state: &mut u64,
+        inbox: &[(NodeId, u64)],
+        ctx: &mut NodeContext<'_>,
+    ) -> RoundOutput<u64> {
+        *state += inbox.iter().map(|&(_, x)| x).sum::<u64>();
+        RoundOutput::Broadcast(ctx.node as u64)
+    }
+
+    fn is_terminated(&self, _state: &u64) -> bool {
+        false
+    }
 }
 
 #[test]
@@ -445,5 +474,26 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         );
         drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // The LOCAL simulator: a run allocates its states, its slot tables,
+    // the inbox arena and its round buffers once; a round reuses them, so
+    // the count must not depend on the number of rounds.
+    {
+        let graph = generators::erdos_renyi(300, 0.03, 7);
+        let protocol = Chatter;
+        let simulator = Simulator::new(&graph, &protocol);
+        let run = |rounds: u64| {
+            let (states, stats) = simulator.run(5, rounds);
+            assert_eq!(stats.rounds, rounds);
+            assert_eq!(stats.messages, rounds * 2 * graph.edge_count() as u64);
+            assert!(states.iter().any(|&x| x > 0));
+        };
+        let short = min_alloc_delta(|| run(8));
+        let long = min_alloc_delta(|| run(512));
+        assert_eq!(
+            short, long,
+            "Simulator::run allocated {short} times for 8 rounds, {long} for 512"
+        );
     }
 }
