@@ -3,12 +3,16 @@
 //! path, and the raw fused-vs-scalar kernel comparison the E13 acceptance
 //! criterion is stated on.
 //!
-//! Two groups:
+//! Three groups:
 //!
-//! * `kernel-fill` — fill-only: `ResidueSchedule::fill` (reset + multi-row
+//! * `kernel-fill-10k` — fill-only: `ResidueSchedule::fill` (multi-row
 //!   gather + fused count) over the E11 configuration, plus the raw
-//!   `or_rows_count` gather under scalar / portable / dispatched modes on
+//!   `set_rows_count` gather under scalar / portable / dispatched modes on
 //!   byte-identical row data.
+//! * `kernel-assign-many` — one `HappySet::assign_many` call at the
+//!   (words, rows) shapes emission meets: serve-read's small tenants
+//!   (1, 2), the 4-word block (4, 4) and the spill past eight rows into a
+//!   second pass (157, 12).
 //! * `kernel-verify` — verify-only: branchless word probes of each member's
 //!   upper neighbours over one cycle of happy sets, through a
 //!   `GraphChecker`'s packed copy (4096-node graph) and straight off the
@@ -21,7 +25,7 @@ use fhg_bench::{emission_rows, fill_sweep, AnalysisBenchConfig, ModulusRows};
 use fhg_core::analysis::{GraphChecker, HolidayChecker};
 use fhg_core::prelude::*;
 use fhg_graph::kernels::{self, KernelMode};
-use fhg_graph::{generators, Graph, HappySet};
+use fhg_graph::{generators, FixedBitSet, Graph, HappySet};
 
 const HOLIDAYS: u64 = 4096;
 
@@ -84,6 +88,30 @@ fn bench_fill(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_assign_many(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel-assign-many");
+    for (words, rows) in [(1usize, 2usize), (4, 4), (157, 12)] {
+        let capacity = words * 64;
+        let sets: Vec<FixedBitSet> = (0..rows)
+            .map(|r| {
+                let mut s = FixedBitSet::new(capacity);
+                (r..capacity).step_by(rows + 1).for_each(|v| {
+                    s.insert(v);
+                });
+                s
+            })
+            .collect();
+        let mut buf = HappySet::new(capacity);
+        group.bench_function(format!("{words}-words-{rows}-rows"), |b| {
+            b.iter(|| {
+                buf.assign_many(capacity, sets.iter());
+                buf.len()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel-verify");
     group.sample_size(10);
@@ -130,5 +158,5 @@ fn bench_verify(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fill, bench_verify);
+criterion_group!(benches, bench_fill, bench_assign_many, bench_verify);
 criterion_main!(benches);

@@ -908,9 +908,10 @@ pub fn fill_sweep(
 /// identical row data: the PR 3 scalar shape (reset memset, one full `dst`
 /// OR pass per distinct modulus, then a separate popcount rescan), the
 /// fused gather+popcount kernel (`set_rows_count`: one write-only pass,
-/// rows indexed inner, count fused) forced portable, and the same kernel as
-/// dispatched (AVX2 wide wherever supported, `FHG_KERNEL` override).  A
-/// fourth row drives the production `ResidueSchedule::fill` end to end.
+/// rows indexed inner, count fused) in its baseline compilation
+/// (`portable`), and the same source as dispatched (compiled for AVX2 +
+/// POPCNT wherever the CPU has both).  A fourth row drives the production
+/// `ResidueSchedule::fill` end to end.
 /// All paths must produce identical cardinality checksums, and a second
 /// table witnesses that the production analysis engines still match
 /// `analyze_schedule_reference` bitwise after the kernel refactor.

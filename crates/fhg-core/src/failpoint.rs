@@ -202,17 +202,10 @@ fn install_from_env() {
     }
 }
 
+/// The `FHG_FAILPOINT_SEED` knob (default 0; malformed values warn and
+/// fall back, like every other `FHG_*` knob).
 fn env_seed() -> u64 {
-    match std::env::var("FHG_FAILPOINT_SEED") {
-        Ok(raw) => match raw.trim().parse() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("warning: FHG_FAILPOINT_SEED={raw:?} is not an integer; using 0");
-                0
-            }
-        },
-        Err(_) => 0,
-    }
+    crate::env_knob("FHG_FAILPOINT_SEED", 0)
 }
 
 /// Whether any failpoint spec is currently active (observability; `e18`
@@ -353,6 +346,21 @@ mod tests {
             assert_eq!(check("y"), None);
             assert_eq!(check("z"), None);
         });
+    }
+
+    #[test]
+    fn seed_knob_falls_back_instead_of_panicking() {
+        // Same contract as every other `FHG_*` knob; a blank seed is unset.
+        let parse_seed = |raw| crate::parse_knob("FHG_FAILPOINT_SEED", raw, 0u64);
+        assert_eq!(parse_seed(None), 0);
+        assert_eq!(parse_seed(Some("")), 0);
+        assert_eq!(parse_seed(Some("  ")), 0);
+        assert_eq!(parse_seed(Some("garbage")), 0);
+        assert_eq!(parse_seed(Some("-1")), 0);
+        assert_eq!(parse_seed(Some("20260809")), 20_260_809);
+        assert_eq!(parse_seed(Some(" 7 ")), 7, "whitespace is trimmed");
+        assert_eq!(parse_seed(Some("18446744073709551615")), u64::MAX);
+        assert_eq!(parse_seed(Some("18446744073709551616")), 0, "overflow falls back");
     }
 
     #[test]

@@ -53,6 +53,35 @@ pub use serving::{
     AUDIT_STEP, PATCH_LIMIT, SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
 };
 
+/// Reads the integer knob `name` from the environment through
+/// [`parse_knob`].
+pub(crate) fn env_knob<T: std::str::FromStr + std::fmt::Display>(name: &str, default: T) -> T {
+    parse_knob(name, std::env::var(name).ok().as_deref(), default)
+}
+
+/// Parses the value `raw` of the integer knob `name` (factored out of
+/// [`env_knob`] so the fallback policy is testable despite the
+/// process-wide caches).  An unset or blank value gives `default`; a
+/// malformed one warns once on stderr and gives `default`, so a typo in
+/// the environment can never panic a long-lived server.  Surrounding
+/// whitespace is trimmed.
+pub(crate) fn parse_knob<T: std::str::FromStr + std::fmt::Display>(
+    name: &str,
+    raw: Option<&str>,
+    default: T,
+) -> T {
+    let Some(raw) = raw.map(str::trim).filter(|raw| !raw.is_empty()) else {
+        return default;
+    };
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!(
+            "warning: {name}={raw:?} is not a {}; using the default {default}",
+            std::any::type_name::<T>()
+        );
+        default
+    })
+}
+
 /// The zero-allocation per-holiday buffer filled by
 /// [`Scheduler::fill_happy_set`] (defined in [`fhg_graph::happy_set`] so the
 /// distributed layer can fill it too).

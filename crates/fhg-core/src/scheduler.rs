@@ -5,14 +5,13 @@
 //! parents.  The engine interface is [`Scheduler::fill_happy_set`], which
 //! writes into a caller-provided [`HappySet`] buffer and performs **zero heap
 //! allocations per holiday** once the buffer has warmed up to the right
-//! capacity; [`Scheduler::happy_set`] is a compatibility shim that allocates
-//! a fresh sorted `Vec<NodeId>` on every call.
+//! capacity; [`HappySet::to_vec`] copies a holiday out as a sorted
+//! `Vec<NodeId>` where one is wanted.
 //!
 //! Stateful schedulers (the §3 phased-greedy algorithm and the random
 //! baseline) must be queried with consecutive holiday numbers starting from
-//! [`Scheduler::first_holiday`] — through *either* entry point, which share
-//! the same internal state; perfectly periodic schedulers (§4, §5) are pure
-//! functions of the holiday number.
+//! [`Scheduler::first_holiday`]; perfectly periodic schedulers (§4, §5) are
+//! pure functions of the holiday number.
 
 use fhg_graph::{HappySet, NodeId};
 
@@ -39,30 +38,10 @@ pub trait Scheduler {
     /// * Stateful schedulers (those with
     ///   [`rounds_per_holiday`](Scheduler::rounds_per_holiday) `> 0` or
     ///   internal randomness) must be called with **consecutive** values of
-    ///   `t` starting at [`first_holiday`](Scheduler::first_holiday); calls
-    ///   advance the same state as [`happy_set`](Scheduler::happy_set), so
-    ///   the two entry points can be mixed but not replayed.  Perfectly
-    ///   periodic schedulers accept any `t` in any order.
+    ///   `t` starting at [`first_holiday`](Scheduler::first_holiday); a
+    ///   holiday cannot be replayed.  Perfectly periodic schedulers accept
+    ///   any `t` in any order.
     fn fill_happy_set(&mut self, t: u64, out: &mut HappySet);
-
-    /// The happy parents of holiday `t` as a freshly allocated sorted `Vec`.
-    ///
-    /// Compatibility shim over [`fill_happy_set`](Scheduler::fill_happy_set);
-    /// prefer the buffer API on hot paths.  The consecutive-`t` requirement
-    /// for stateful schedulers applies here too.
-    ///
-    /// The intermediate [`HappySet`] is the process-wide per-thread scratch
-    /// buffer ([`fhg_graph::happy_set::with_thread_scratch`]) reused across
-    /// calls (and across schedulers of the same `node_count`), so the only
-    /// steady-state allocation is the returned `Vec` itself.
-    /// Implementations of `fill_happy_set` must not call back into
-    /// `happy_set` (none has a reason to), or the scratch borrow panics.
-    fn happy_set(&mut self, t: u64) -> Vec<NodeId> {
-        fhg_graph::happy_set::with_thread_scratch(|buf| {
-            self.fill_happy_set(t, buf);
-            buf.to_vec()
-        })
-    }
 
     /// The first holiday index this scheduler is defined for (the paper
     /// starts at 1; purely periodic schedulers also accept 0).
@@ -127,13 +106,29 @@ pub trait Scheduler {
     }
 }
 
+/// The happy parents of holiday `t` as a sorted `Vec` — the tests' way to
+/// assert on one holiday.
+#[cfg(test)]
+pub(crate) fn happy_vec<S: Scheduler + ?Sized>(s: &mut S, t: u64) -> Vec<NodeId> {
+    let mut buf = HappySet::new(s.node_count());
+    s.fill_happy_set(t, &mut buf);
+    buf.to_vec()
+}
+
 /// Convenience blanket helpers available on every scheduler.
 pub trait SchedulerExt: Scheduler {
     /// Collects the happy sets of the first `horizon` holidays, starting at
-    /// [`Scheduler::first_holiday`].
+    /// [`Scheduler::first_holiday`], driving the engine through **one**
+    /// reused [`HappySet`] buffer.
     fn run(&mut self, horizon: u64) -> Vec<Vec<NodeId>> {
         let start = self.first_holiday();
-        (start..start + horizon).map(|t| self.happy_set(t)).collect()
+        let mut buf = HappySet::new(self.node_count());
+        (start..start + horizon)
+            .map(|t| {
+                self.fill_happy_set(t, &mut buf);
+                buf.to_vec()
+            })
+            .collect()
     }
 
     /// Collects the first `horizon` [`Gathering`]s (the Definition 2.1
@@ -201,34 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn shim_scratch_is_reused_across_interleaved_schedulers() {
-        // The thread-local scratch buffer must survive interleaved calls from
-        // schedulers of different capacities: each call resets it to its own
-        // node_count, so results stay bitwise-identical to the buffer API.
-        let mut small = EveryOther { n: 3 };
-        let mut large = EveryOther { n: 10 };
-        for t in 0..6u64 {
-            let s = small.happy_set(t);
-            let l = large.happy_set(t);
-            if t % 2 == 0 {
-                assert_eq!(s, vec![0, 1, 2], "holiday {t}");
-                assert_eq!(l, (0..10).collect::<Vec<_>>(), "holiday {t}");
-            } else {
-                assert!(s.is_empty(), "holiday {t}");
-                assert!(l.is_empty(), "holiday {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn happy_set_shim_matches_fill() {
+    fn fill_resets_the_buffer_and_clears_old_members() {
         let mut s = EveryOther { n: 4 };
-        let via_vec = s.happy_set(2);
         let mut buf = HappySet::new(0); // wrong capacity on purpose
         s.fill_happy_set(2, &mut buf);
         assert_eq!(buf.capacity(), 4, "fill must reset the buffer to node_count");
-        assert_eq!(via_vec, buf.to_vec());
-        assert_eq!(via_vec, vec![0, 1, 2, 3]);
+        assert_eq!(buf.to_vec(), vec![0, 1, 2, 3]);
         s.fill_happy_set(3, &mut buf);
         assert!(buf.is_empty(), "fill must clear previous members");
     }
@@ -261,7 +234,6 @@ mod tests {
     fn trait_objects_work() {
         let mut boxed: Box<dyn Scheduler> = Box::new(EveryOther { n: 1 });
         assert_eq!(boxed.name(), "every-other");
-        assert_eq!(boxed.happy_set(2), vec![0]);
         let mut buf = HappySet::new(1);
         boxed.fill_happy_set(2, &mut buf);
         assert_eq!(buf.to_vec(), vec![0]);

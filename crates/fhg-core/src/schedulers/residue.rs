@@ -47,22 +47,6 @@ pub struct RowChange {
     pub new_modulus: u64,
 }
 
-/// Shared core of the `hosts_into` entry points: runs `fill` on the
-/// process-wide per-thread scratch buffer
-/// ([`fhg_graph::happy_set::with_thread_scratch`], also behind the
-/// `Scheduler::happy_set` shim) and copies the members into `out` (cleared
-/// first, ascending) — the steady-state cost is the output copy alone.
-fn hosts_into_via(fill: impl FnOnce(&mut HappySet), out: &mut Vec<NodeId>) {
-    out.clear();
-    fhg_graph::happy_set::with_thread_scratch(|buf| {
-        fill(buf);
-        // Member extraction through the set-bit kernel (trailing_zeros word
-        // scan) rather than the iterator chain — this copy is the whole
-        // steady-state cost of the shim.
-        buf.for_each(|p| out.push(p));
-    });
-}
-
 /// Precomputed hosting rows: `groups` holds, per distinct modulus `m`, the
 /// modulus and one bit row per residue `r < m`.
 #[derive(Debug, Clone)]
@@ -140,21 +124,6 @@ impl ResidueTable {
                 &rows[r as usize]
             }),
         );
-    }
-
-    /// Writes the nodes hosting at holiday `t` into `out` (cleared first,
-    /// ascending), reusing a thread-local scratch buffer — zero steady-state
-    /// heap allocations once `out` has warmed up to capacity.
-    pub fn hosts_into(&self, t: u64, out: &mut Vec<NodeId>) {
-        hosts_into_via(|buf| self.fill(t, buf), out);
-    }
-
-    /// The nodes hosting at holiday `t`, as a fresh `Vec` (convenience shim
-    /// over [`ResidueTable::hosts_into`]).
-    pub fn hosts(&self, t: u64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.hosts_into(t, &mut out);
-        out
     }
 }
 
@@ -490,21 +459,6 @@ impl ResidueSchedule {
         }
     }
 
-    /// Writes the nodes hosting at holiday `t` into `out` (cleared first,
-    /// ascending), reusing a thread-local scratch buffer — zero steady-state
-    /// heap allocations once `out` has warmed up to capacity.
-    pub fn hosts_into(&self, t: u64, out: &mut Vec<NodeId>) {
-        hosts_into_via(|buf| self.fill(t, buf), out);
-    }
-
-    /// The nodes hosting at holiday `t`, as a fresh `Vec` (convenience shim
-    /// over [`ResidueSchedule::hosts_into`]).
-    pub fn hosts(&self, t: u64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.hosts_into(t, &mut out);
-        out
-    }
-
     /// Enumerates one full cycle of residue classes starting at holiday
     /// `start`, yielding each class's happy set from a single reused buffer —
     /// the emission path of the closed-form
@@ -568,6 +522,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The hosting set of holiday `t` through either view's `fill`, as a
+    /// sorted `Vec`.
+    trait Members {
+        fn members(&self, t: u64) -> Vec<NodeId>;
+    }
+
+    impl Members for ResidueTable {
+        fn members(&self, t: u64) -> Vec<NodeId> {
+            let mut buf = HappySet::new(0);
+            self.fill(t, &mut buf);
+            buf.to_vec()
+        }
+    }
+
+    impl Members for ResidueSchedule {
+        fn members(&self, t: u64) -> Vec<NodeId> {
+            let mut buf = HappySet::new(0);
+            self.fill(t, &mut buf);
+            buf.to_vec()
+        }
+    }
+
     /// Reference implementation: the per-node scan the table replaces.
     fn scan(slots: &[u64], exponents: &[u32], t: u64) -> Vec<NodeId> {
         (0..slots.len()).filter(|&p| t % (1u64 << exponents[p]) == slots[p]).collect()
@@ -580,7 +556,7 @@ mod tests {
         let table = ResidueTable::build(&slots, &exponents).expect("tiny table");
         assert_eq!(table.node_count(), 6);
         for t in 0..64u64 {
-            assert_eq!(table.hosts(t), scan(&slots, &exponents, t), "holiday {t}");
+            assert_eq!(table.members(t), scan(&slots, &exponents, t), "holiday {t}");
         }
     }
 
@@ -592,14 +568,14 @@ mod tests {
         for t in 0..60u64 {
             let expected: Vec<NodeId> =
                 (0..slots.len()).filter(|&p| t % moduli[p] == slots[p]).collect();
-            assert_eq!(table.hosts(t), expected, "holiday {t}");
+            assert_eq!(table.members(t), expected, "holiday {t}");
         }
     }
 
     #[test]
     fn empty_table() {
         let table = ResidueTable::build(&[], &[]).expect("empty");
-        assert!(table.hosts(9).is_empty());
+        assert!(table.members(9).is_empty());
     }
 
     #[test]
@@ -629,11 +605,11 @@ mod tests {
         assert_eq!(s.slot(2), 2);
         // The schedule repeats with exactly that cycle.
         for t in 0..48u64 {
-            assert_eq!(s.hosts(t), s.hosts(t % 12), "holiday {t}");
+            assert_eq!(s.members(t), s.members(t % 12), "holiday {t}");
         }
         let empty = ResidueSchedule::new(vec![], vec![]);
         assert_eq!(empty.cycle(), 1);
-        assert!(empty.hosts(7).is_empty());
+        assert!(empty.members(7).is_empty());
     }
 
     #[test]
@@ -641,8 +617,8 @@ mod tests {
         let s = ResidueSchedule::new(vec![0, 0], vec![u64::MAX, u64::MAX - 1]);
         assert_eq!(s.cycle(), u64::MAX);
         assert!(!s.has_table(), "astronomically long periods cannot be tabulated");
-        assert_eq!(s.hosts(0), vec![0, 1]);
-        assert_eq!(s.hosts(1), Vec::<NodeId>::new());
+        assert_eq!(s.members(0), vec![0, 1]);
+        assert_eq!(s.members(1), Vec::<NodeId>::new());
     }
 
     #[test]
@@ -663,7 +639,7 @@ mod tests {
         let s = ResidueSchedule::new(vec![0, 0], vec![u64::MAX, u64::MAX - 2]);
         assert_eq!(s.cycle(), u64::MAX);
         assert!(!s.has_table());
-        assert_eq!(s.hosts(0), vec![0, 1], "emission still works on saturated cycles");
+        assert_eq!(s.members(0), vec![0, 1], "emission still works on saturated cycles");
 
         // Powers of two at the top: lcm(2^63, 2^62) = 2^63, exactly.
         let s = ResidueSchedule::new(vec![0, 0], vec![1 << 63, 1 << 62]);
@@ -685,9 +661,9 @@ mod tests {
         let mut scanned = bucketed.clone();
         scanned.buckets = None;
         for t in 0..64u64 {
-            let expected = with_table.hosts(t);
-            assert_eq!(bucketed.hosts(t), expected, "bucket index diverged at holiday {t}");
-            assert_eq!(scanned.hosts(t), expected, "per-node scan diverged at holiday {t}");
+            let expected = with_table.members(t);
+            assert_eq!(bucketed.members(t), expected, "bucket index diverged at holiday {t}");
+            assert_eq!(scanned.members(t), expected, "per-node scan diverged at holiday {t}");
         }
     }
 
@@ -704,7 +680,7 @@ mod tests {
         assert_eq!(buckets.groups.len(), 1);
         assert!(buckets.starts.windows(2).all(|w| w[1] - w[0] == 1));
         for t in [0u64, 1, 7, 499, 500, 12_345] {
-            assert_eq!(s.hosts(t), vec![(t % n) as NodeId], "holiday {t}");
+            assert_eq!(s.members(t), vec![(t % n) as NodeId], "holiday {t}");
         }
     }
 
@@ -713,7 +689,7 @@ mod tests {
         let s = ResidueSchedule::new(vec![0, 1, 2], vec![2, 3, 4]);
         // cycle 12: node 0 hosts 6 times, node 1 hosts 4, node 2 hosts 3.
         assert_eq!(s.attendance_per_cycle(), 13);
-        let total: usize = (0..12u64).map(|t| s.hosts(t).len()).sum();
+        let total: usize = (0..12u64).map(|t| s.members(t).len()).sum();
         assert_eq!(total as u64, s.attendance_per_cycle());
         // Hub-and-spoke shape: many fast nodes make the attendance volume
         // n·cycle/2 even though the cycle itself is short.
@@ -725,23 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn hosts_into_reuses_the_output_and_clears_stale_members() {
-        let s = ResidueSchedule::new(vec![0, 1, 2], vec![2, 3, 4]);
-        let mut out = vec![99, 99, 99, 99];
-        for t in 0..24u64 {
-            s.hosts_into(t, &mut out);
-            assert_eq!(out, s.hosts(t), "holiday {t}");
-            assert!(out.windows(2).all(|w| w[0] < w[1]), "ascending, no stale members");
-        }
-        let table = ResidueTable::build_moduli(&[0, 1], &[2, 2]).unwrap();
-        let mut out = Vec::new();
-        table.hosts_into(0, &mut out);
-        assert_eq!(out, vec![0]);
-        table.hosts_into(1, &mut out);
-        assert_eq!(out, vec![1], "previous holiday's members must be cleared");
-    }
-
-    #[test]
     fn cycle_enumeration_yields_every_class_once_without_refill() {
         let s = ResidueSchedule::new(vec![0, 1, 2], vec![2, 3, 4]);
         let start = 5u64;
@@ -749,7 +708,7 @@ mod tests {
         let mut seen = 0u64;
         while let Some((t, happy)) = classes.next_class() {
             assert_eq!(t, start + seen, "classes arrive in holiday order");
-            assert_eq!(happy.to_vec(), s.hosts(t), "holiday {t}");
+            assert_eq!(happy.to_vec(), s.members(t), "holiday {t}");
             seen += 1;
         }
         assert_eq!(seen, s.cycle(), "exactly one yield per residue class");
@@ -769,7 +728,7 @@ mod tests {
         assert_eq!(edited.mods, fresh.mods, "{ctx}: distinct-modulus counts");
         let span = 2 * fresh.cycle().min(256);
         for t in 0..span {
-            assert_eq!(edited.hosts(t), fresh.hosts(t), "{ctx}: holiday {t}");
+            assert_eq!(edited.members(t), fresh.members(t), "{ctx}: holiday {t}");
         }
     }
 
@@ -864,14 +823,14 @@ mod tests {
             let slots: Vec<u64> =
                 (0..n).map(|p| (seed.wrapping_mul(p as u64 + 3) >> 2) % (1 << exponents[p])).collect();
             let table = ResidueTable::build(&slots, &exponents).expect("small");
-            prop_assert_eq!(table.hosts(t), scan(&slots, &exponents, t));
+            prop_assert_eq!(table.members(t), scan(&slots, &exponents, t));
 
             // The schedule view agrees with the raw table and repeats with
             // its cycle.
             let schedule = ResidueSchedule::from_exponents(slots.clone(), &exponents);
-            prop_assert_eq!(schedule.hosts(t), scan(&slots, &exponents, t));
+            prop_assert_eq!(schedule.members(t), scan(&slots, &exponents, t));
             prop_assert!(schedule.cycle() <= 32, "exponents < 6 keep the lcm at most 2^5");
-            prop_assert_eq!(schedule.hosts(t), schedule.hosts(t % schedule.cycle()));
+            prop_assert_eq!(schedule.members(t), schedule.members(t % schedule.cycle()));
         }
     }
 }

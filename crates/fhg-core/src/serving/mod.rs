@@ -158,26 +158,7 @@ pub const PATCH_LIMIT: u64 = 65_536;
 /// in its environment (pinned by the unit tests below).
 pub fn patch_limit() -> u64 {
     static LIMIT: OnceLock<u64> = OnceLock::new();
-    *LIMIT.get_or_init(|| parse_patch_limit(std::env::var("FHG_PATCH_LIMIT").ok().as_deref()))
-}
-
-/// Parses the `FHG_PATCH_LIMIT` override (factored out of [`patch_limit`]
-/// so the fallback policy is testable despite the process-wide cache).
-fn parse_patch_limit(raw: Option<&str>) -> u64 {
-    match raw {
-        None => PATCH_LIMIT,
-        Some(raw) if raw.trim().is_empty() => PATCH_LIMIT,
-        Some(raw) => match raw.trim().parse() {
-            Ok(limit) => limit,
-            Err(_) => {
-                eprintln!(
-                    "warning: FHG_PATCH_LIMIT={raw:?} is not a lane count; \
-                     using the default {PATCH_LIMIT}"
-                );
-                PATCH_LIMIT
-            }
-        },
-    }
+    *LIMIT.get_or_init(|| crate::env_knob("FHG_PATCH_LIMIT", PATCH_LIMIT))
 }
 
 /// Default number of warm slots one [`ProfileService::audit_step`] call
@@ -195,27 +176,7 @@ pub const AUDIT_STEP: usize = 8;
 /// default (pinned by the unit tests below).
 pub fn audit_step_size() -> usize {
     static STEP: OnceLock<usize> = OnceLock::new();
-    *STEP.get_or_init(|| parse_audit_step(std::env::var("FHG_AUDIT_STEP").ok().as_deref()))
-}
-
-/// Parses the `FHG_AUDIT_STEP` override (factored out of
-/// [`audit_step_size`] so the fallback policy is testable despite the
-/// process-wide cache).
-fn parse_audit_step(raw: Option<&str>) -> usize {
-    match raw {
-        None => AUDIT_STEP,
-        Some(raw) if raw.trim().is_empty() => AUDIT_STEP,
-        Some(raw) => match raw.trim().parse() {
-            Ok(step) => step,
-            Err(_) => {
-                eprintln!(
-                    "warning: FHG_AUDIT_STEP={raw:?} is not a slot count; \
-                     using the default {AUDIT_STEP}"
-                );
-                AUDIT_STEP
-            }
-        },
-    }
+    *STEP.get_or_init(|| crate::env_knob("FHG_AUDIT_STEP", AUDIT_STEP))
 }
 
 /// Why a scheduler could not be registered: the service refuses, with a
@@ -1378,8 +1339,9 @@ mod tests {
 
     #[test]
     fn patch_limit_override_falls_back_instead_of_panicking() {
-        // Same contract as FHG_KERNEL and FHG_AUDIT_STEP: garbage in the
+        // Same contract as FHG_AUDIT_STEP: garbage in the
         // environment warns and falls back, never kills the server.
+        let parse_patch_limit = |raw| crate::parse_knob("FHG_PATCH_LIMIT", raw, PATCH_LIMIT);
         assert_eq!(parse_patch_limit(None), PATCH_LIMIT);
         assert_eq!(parse_patch_limit(Some("")), PATCH_LIMIT);
         assert_eq!(parse_patch_limit(Some("  ")), PATCH_LIMIT);
@@ -1493,6 +1455,7 @@ mod tests {
     fn audit_step_knob_falls_back_instead_of_panicking() {
         // Same contract as FHG_PATCH_LIMIT: garbage in the environment
         // warns and falls back, never kills the server.
+        let parse_audit_step = |raw| crate::parse_knob("FHG_AUDIT_STEP", raw, AUDIT_STEP);
         assert_eq!(parse_audit_step(None), AUDIT_STEP);
         assert_eq!(parse_audit_step(Some("")), AUDIT_STEP);
         assert_eq!(parse_audit_step(Some("  ")), AUDIT_STEP);

@@ -102,8 +102,8 @@ impl FixedBitSet {
 
     /// Calls `f` with every stored value in increasing order — the
     /// set-bit-extraction kernel ([`kernels::for_each_set_bit`]) behind the
-    /// hot member walks (`hosts_into`, attendance recording), cheaper than
-    /// driving [`FixedBitSet::iter`] through a `flat_map` chain.
+    /// hot member walks (`HappySet::for_each`, the analysis sweep), cheaper
+    /// than driving [`FixedBitSet::iter`] through a `flat_map` chain.
     #[inline]
     pub fn for_each(&self, f: impl FnMut(usize)) {
         // Sound without a capacity guard: no word ever holds a bit at a
@@ -138,7 +138,7 @@ impl FixedBitSet {
     }
 
     /// Mutable view of the backing words, for the in-crate kernel callers
-    /// ([`crate::happy_set::HappySet`]'s fused union) — crate-private so the
+    /// ([`crate::happy_set::HappySet`]'s fused gather) — crate-private so the
     /// no-stray-high-bits invariant stays enforceable.
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
@@ -147,7 +147,9 @@ impl FixedBitSet {
     /// In-place union with another set of the same capacity.
     pub fn union_with(&mut self, other: &FixedBitSet) {
         assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        kernels::or_rows(&mut self.words, &[&other.words]);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
     }
 
     /// In-place intersection with another set of the same capacity.

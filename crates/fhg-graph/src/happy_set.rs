@@ -102,40 +102,29 @@ impl HappySet {
 
     /// Calls `f` with every happy node in increasing order (the set-bit
     /// extraction kernel — the cheap member walk the analysis engines and
-    /// the `hosts_into` shims use).
+    /// [`HappySet::to_vec`] use).
     #[inline]
     pub fn for_each(&self, f: impl FnMut(NodeId)) {
         self.bits.for_each(f);
     }
 
-    /// Collects the happy nodes into a sorted `Vec` (the compatibility shim
-    /// behind `Scheduler::happy_set`).
+    /// Collects the happy nodes into a sorted `Vec` (for tests and the
+    /// `SchedulerExt::run` collector; hot paths read the set in place).
     pub fn to_vec(&self) -> Vec<NodeId> {
         let mut v = Vec::with_capacity(self.len);
         self.for_each(|p| v.push(p));
         v
     }
 
-    /// In-place union with a raw bit row of the same capacity — the
-    /// word-packed bulk insert used by precomputed periodic schedules.  The
-    /// OR and the cardinality recount are fused into one pass
-    /// ([`kernels::or_rows_count`]).
-    ///
-    /// # Panics
-    /// Panics if `row.capacity() != self.capacity()`.
-    pub fn union_with(&mut self, row: &FixedBitSet) {
-        assert_eq!(row.capacity(), self.bits.capacity(), "bitset capacity mismatch");
-        self.len = kernels::or_rows_count(self.bits.words_mut(), &[row.as_words()]) as usize;
-    }
-
     /// Overwrites the set with the union of `rows`, at `capacity` — the
-    /// per-holiday table emission path.  Equivalent to
-    /// [`HappySet::reset`]`(capacity)` followed by
-    /// [`HappySet::union_many`]`(rows)`, but the reset memset, the OR passes
+    /// per-holiday table emission path.  The reset memset, the OR passes
     /// and the cardinality count collapse into **one write-only gather over
     /// the backing words** ([`kernels::set_rows_count`], rows indexed in the
     /// inner loop): the old contents are never read and never zeroed
-    /// separately.  Reallocates only when `capacity` changes.
+    /// separately.  Rows are fused eight at a time; each further batch is
+    /// OR'd in by one [`kernels::or_rows_count`] pass, and the last pass's
+    /// count is the cardinality.  No rows clears the set.  Reallocates only
+    /// when `capacity` changes.
     ///
     /// # Panics
     /// Panics if any row's capacity differs from `capacity`.
@@ -144,91 +133,31 @@ impl HappySet {
         capacity: usize,
         rows: impl IntoIterator<Item = &'a FixedBitSet>,
     ) {
+        /// Rows fused per pass: 8 covers every residue table the
+        /// experiments build (one row per distinct modulus) and is the
+        /// largest arity the kernels unroll at compile time.
+        const BATCH: usize = 8;
         if self.bits.capacity() != capacity {
             self.bits = FixedBitSet::new(capacity);
         }
-        let mut it = rows.into_iter();
-        let Some(first) = it.next() else {
-            // No rows: the overwrite semantics degrade to a clear.
-            self.bits.clear();
-            self.len = 0;
-            return;
-        };
-        self.combine_batched(true, first, it);
-    }
-
-    /// In-place union with several rows at once (keeping existing members —
-    /// for a pure overwrite see [`HappySet::assign_many`], the emission
-    /// path).  Rows are gathered into batches and OR'd with the rows indexed
-    /// in the *inner* loop ([`kernels::or_rows_count`]): one interleaved
-    /// pass over the backing words per batch instead of one full sweep per
-    /// row, with the popcount fused into the final batch, so the
-    /// cardinality costs no separate rescan.  An empty iterator is a
-    /// guaranteed no-op: nothing is OR'd and nothing is recounted.
-    ///
-    /// # Panics
-    /// Panics if any row's capacity differs from `self.capacity()`.
-    pub fn union_many<'a>(&mut self, rows: impl IntoIterator<Item = &'a FixedBitSet>) {
-        let mut it = rows.into_iter();
-        // Short-circuit: zero rows OR'd means the set (and its cached
-        // cardinality) are already correct — skip the backing-store scan
-        // entirely.
-        let Some(first) = it.next() else { return };
-        self.combine_batched(false, first, it);
-    }
-
-    /// The shared batch driver behind [`HappySet::assign_many`] (`overwrite`
-    /// true) and [`HappySet::union_many`] (`overwrite` false): gathers the
-    /// rows into stack batches of up to `BATCH` word slices and picks the
-    /// kernel per batch — overwrite semantics use the write-only gather on
-    /// the first batch, the count is fused into whichever batch is last,
-    /// and interior batches skip counting entirely.  Callers decide the
-    /// empty-iterator semantics and hand over the first row.
-    ///
-    /// # Panics
-    /// Panics if any row's capacity differs from `self.capacity()`.
-    fn combine_batched<'a>(
-        &mut self,
-        overwrite: bool,
-        first: &'a FixedBitSet,
-        mut it: impl Iterator<Item = &'a FixedBitSet>,
-    ) {
-        /// Rows fused per pass; beyond this the batch spills into a
-        /// non-counting interior pass.  8 rows covers every residue table
-        /// the experiments build (one row per distinct modulus) while
-        /// keeping the gather's register pressure sane.
-        const BATCH: usize = 8;
-        let capacity = self.bits.capacity();
-        let mut pending = Some(first);
-        let mut first_batch = true;
-        while let Some(first) = pending.take() {
-            assert_eq!(first.capacity(), capacity, "bitset capacity mismatch");
+        let words = self.bits.words_mut();
+        let mut rows = rows.into_iter().peekable();
+        let mut pass: fn(&mut [u64], &[&[u64]]) -> u64 = kernels::set_rows_count;
+        loop {
             let mut batch: [&[u64]; BATCH] = [&[]; BATCH];
-            batch[0] = first.as_words();
-            let mut len = 1;
+            let mut len = 0;
             while len < BATCH {
-                match it.next() {
-                    Some(row) => {
-                        assert_eq!(row.capacity(), capacity, "bitset capacity mismatch");
-                        batch[len] = row.as_words();
-                        len += 1;
-                    }
-                    None => break,
-                }
+                let Some(row) = rows.next() else { break };
+                assert_eq!(row.capacity(), capacity, "bitset capacity mismatch");
+                batch[len] = row.as_words();
+                len += 1;
             }
-            if len == BATCH {
-                pending = it.next();
+            let count = pass(words, &batch[..len]);
+            if rows.peek().is_none() {
+                self.len = count as usize;
+                return;
             }
-            let last = pending.is_none();
-            let words = self.bits.words_mut();
-            let batch = &batch[..len];
-            match (first_batch && overwrite, last) {
-                (true, true) => self.len = kernels::set_rows_count(words, batch) as usize,
-                (true, false) => kernels::set_rows(words, batch),
-                (false, true) => self.len = kernels::or_rows_count(words, batch) as usize,
-                (false, false) => kernels::or_rows(words, batch),
-            }
-            first_batch = false;
+            pass = kernels::or_rows_count;
         }
     }
 
@@ -236,22 +165,6 @@ impl HappySet {
     pub fn as_bitset(&self) -> &FixedBitSet {
         &self.bits
     }
-}
-
-/// Runs `f` with this thread's shared scratch [`HappySet`] — the one
-/// per-thread buffer behind every "fill into scratch, copy members out"
-/// compatibility shim (`Scheduler::happy_set`, the residue `hosts_into`
-/// entry points), so the steady-state cost of those paths is the output
-/// copy alone and the mechanism lives in exactly one place.
-///
-/// `f` must reset the buffer to the capacity it needs (every scheduler
-/// `fill` contract already does) and must not re-enter `with_thread_scratch`
-/// — the scratch is a `RefCell`, so re-entry panics rather than aliasing.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut HappySet) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<HappySet> = std::cell::RefCell::new(HappySet::new(0));
-    }
-    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -306,76 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn union_with_merges_rows_and_recounts() {
-        let mut s = HappySet::from_members(130, [0, 64]);
-        let mut row = FixedBitSet::new(130);
-        row.insert(64);
-        row.insert(129);
-        s.union_with(&row);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.to_vec(), vec![0, 64, 129]);
-    }
-
-    #[test]
-    fn union_many_matches_repeated_union_with() {
-        let mut a = FixedBitSet::new(100);
-        a.insert(1);
-        let mut b = FixedBitSet::new(100);
-        b.insert(64);
-        b.insert(1);
-        let mut c = FixedBitSet::new(100);
-        c.insert(99);
-        let mut many = HappySet::new(100);
-        many.union_many([&a, &b, &c]);
-        let mut repeated = HappySet::new(100);
-        for row in [&a, &b, &c] {
-            repeated.union_with(row);
-        }
-        assert_eq!(many, repeated);
-        assert_eq!(many.len(), 3);
-        assert_eq!(many.to_vec(), vec![1, 64, 99]);
-        many.union_many(std::iter::empty());
-        assert_eq!(many.len(), 3, "empty union is a no-op");
-    }
-
-    #[test]
-    fn union_many_spills_across_batches_exactly() {
-        // 8, 16 and 17 rows exercise the exact-batch and spill paths of the
-        // fused gather; parity against repeated union_with at each count.
-        for rows in [1usize, 7, 8, 9, 16, 17] {
-            let sets: Vec<FixedBitSet> = (0..rows)
-                .map(|r| {
-                    let mut s = FixedBitSet::new(300);
-                    s.insert(r * 17 % 300);
-                    s.insert((r * 63 + 5) % 300);
-                    s
-                })
-                .collect();
-            let mut fused = HappySet::new(300);
-            fused.insert(299);
-            fused.union_many(sets.iter());
-            let mut repeated = HappySet::new(300);
-            repeated.insert(299);
-            for s in &sets {
-                repeated.union_with(s);
-            }
-            assert_eq!(fused, repeated, "{rows} rows");
-            assert_eq!(fused.len(), repeated.len(), "{rows} rows");
-            assert_eq!(fused.len(), fused.as_bitset().count(), "cached cardinality is exact");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity mismatch")]
-    fn union_many_rejects_capacity_mismatch() {
-        let mut s = HappySet::new(100);
-        let row = FixedBitSet::new(99);
-        s.union_many([&row]);
-    }
-
-    #[test]
-    fn assign_many_equals_reset_then_union_many() {
-        for rows in [0usize, 1, 3, 8, 9, 17] {
+    fn assign_many_equals_the_union_of_its_rows() {
+        // 8, 9, 16 and 17 rows exercise the exact-batch and spill passes.
+        for rows in [0usize, 1, 3, 8, 9, 16, 17] {
             let sets: Vec<FixedBitSet> = (0..rows)
                 .map(|r| {
                     let mut s = FixedBitSet::new(200);
@@ -384,13 +230,11 @@ mod tests {
                     s
                 })
                 .collect();
+            let reference = HappySet::from_members(200, sets.iter().flat_map(FixedBitSet::iter));
             // Stale content (including a stale capacity) must never leak
             // into the overwrite.
             let mut assigned = HappySet::from_members(64, [0, 63]);
             assigned.assign_many(200, sets.iter());
-            let mut reference = HappySet::from_members(64, [0, 63]);
-            reference.reset(200);
-            reference.union_many(sets.iter());
             assert_eq!(assigned, reference, "{rows} rows");
             assert_eq!(assigned.len(), reference.len(), "{rows} rows");
             assert_eq!(assigned.len(), assigned.as_bitset().count(), "exact cardinality");
@@ -399,6 +243,7 @@ mod tests {
             let mut stale = HappySet::from_members(200, [5, 150, 199]);
             stale.assign_many(200, sets.iter());
             assert_eq!(stale, reference, "{rows} rows, stale members");
+            assert_eq!(stale.len(), reference.len(), "{rows} rows, stale members");
         }
     }
 

@@ -24,8 +24,8 @@
 //!   scheduler engine fills once per holiday without allocating.
 //! * [`kernels`] — the fused word kernels (OR+popcount emission, the
 //!   batched-verification lane gather, set-bit extraction) every hot bit
-//!   loop runs on, with a runtime-dispatched AVX2 wide path and a portable
-//!   unrolled fallback (`FHG_KERNEL=portable|wide` override).
+//!   loop runs on: one portable source, whose emission loops also run
+//!   compiled for AVX2 + POPCNT where the CPU has both.
 //! * [`dynamic`] — the dynamic-setting substrate of paper §6: an edge-event
 //!   stream applied to a graph with notification of affected nodes.
 //!
@@ -40,8 +40,9 @@
 //! assert!(comps.component_count() >= 1);
 //! ```
 
-// `kernels` is the one module allowed to use `unsafe` (AVX2 intrinsics
-// behind a runtime feature check); everything else stays safe Rust.
+// The only `unsafe` code is the two dispatch blocks in `kernels` that call
+// the AVX2 + POPCNT compilation of the emission loops after a runtime
+// feature check; there are no intrinsics and no raw pointers.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

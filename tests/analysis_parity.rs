@@ -23,9 +23,9 @@
 //! Float fields are compared through `to_bits`, so `NaN` mean gaps (fewer
 //! than two happy holidays) compare equal exactly when both paths produce
 //! them.  The reference and the profile build verify through the fused word
-//! kernels (`fhg_graph::kernels`), whose arm is selected once per process
-//! (`FHG_KERNEL=portable|wide`); CI runs this suite under the default arm
-//! and under `FHG_KERNEL=portable`, alongside the `FHG_THREADS=1/8` matrix.
+//! kernels (`fhg_graph::kernels`), whose two compilations of one source the
+//! kernel proptests compare in-process; CI runs this suite under the
+//! `FHG_THREADS=1/8` matrix.
 
 use proptest::prelude::*;
 

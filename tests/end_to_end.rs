@@ -194,10 +194,11 @@ fn dynamic_setting_end_to_end() {
     let mut scheduler = DynamicColorBound::new(&initial);
     let events = fhg::graph::dynamic::random_churn(&initial, 120, 0.65, 0, 9);
     let mut holiday = 0;
+    let mut buf = HappySet::new(0);
     for event in events {
         for _ in 0..2 {
-            let happy = scheduler.happy_set(holiday);
-            assert!(properties::is_independent_set(scheduler.graph(), &happy));
+            scheduler.fill_happy_set(holiday, &mut buf);
+            assert!(properties::is_independent_set(scheduler.graph(), &buf.to_vec()));
             holiday += 1;
         }
         scheduler.apply_event(event).unwrap();

@@ -15,8 +15,6 @@
 //! its verdict is pinned by what it reports: a horizon that ends before the
 //! first conflicting holiday is independent, one that reaches it is not.
 //! Stateful schedulers are verified holiday by holiday, up to the last.
-//! Kernel-mode coverage comes from CI running this suite under each
-//! `FHG_KERNEL` value.
 
 use std::sync::Mutex;
 
@@ -343,8 +341,7 @@ proptest! {
     /// tables), including batches holding a dependent class.  Then the
     /// independent classes alone, with one conflicting class appended: the
     /// only conflict sits in the last chunk, which every chunk before it
-    /// must not hide.  Kernel-mode coverage comes from CI running this
-    /// suite under each `FHG_KERNEL` value.
+    /// must not hide.
     #[test]
     fn check_batch_matches_per_set_checks_at_any_batch_length(
         seed in 0u64..40,

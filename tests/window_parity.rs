@@ -18,9 +18,9 @@
 //! entry points.
 //!
 //! Like `tests/analysis_parity.rs`, float fields compare through
-//! `to_bits`, and CI runs this suite under the `FHG_THREADS` ×
-//! `FHG_KERNEL` matrix, so a drift in the build sharding or the batched
-//! verification kernels shows up here as a window-parity failure.
+//! `to_bits`, and CI runs this suite under the `FHG_THREADS` matrix, so a
+//! drift in the build sharding or the batched verification kernels shows
+//! up here as a window-parity failure.
 
 use proptest::prelude::*;
 
