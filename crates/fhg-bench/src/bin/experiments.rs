@@ -9,6 +9,10 @@
 //! cargo run -p fhg-bench --release --bin experiments -- --list
 //! ```
 //!
+//! A table row that breaks one of the paper claims its experiment checks
+//! (so far E1's Theorem 3.1 bound and E7's frequency band) is named on
+//! stderr after every table has printed, and the run exits 1.
+//!
 //! `--smoke` shrinks the analysis-engine experiments (`e11`–`e19`) to CI
 //! sizing (`e20` keeps its one size).  Whenever any of `e11`–`e20` run,
 //! their machine-readable medians are written to `BENCH_analysis.json`
@@ -72,11 +76,13 @@ fn main() {
     }
     let cfg = if smoke { AnalysisBenchConfig::smoke() } else { AnalysisBenchConfig::full() };
     let mut entries = Vec::new();
+    let mut failed_claims = Vec::new();
     for id in &ids {
         let start = Instant::now();
         let (tables, mut bench_entries) = run_experiment_collecting(id, &cfg);
         for table in &tables {
             println!("{}", table.to_markdown());
+            failed_claims.extend_from_slice(table.failed_claims());
         }
         entries.append(&mut bench_entries);
         eprintln!("[{} finished in {:.1}s]\n", id, start.elapsed().as_secs_f64());
@@ -101,5 +107,11 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+    if !failed_claims.is_empty() {
+        for claim in &failed_claims {
+            eprintln!("claim failed: {claim}");
+        }
+        std::process::exit(1);
     }
 }

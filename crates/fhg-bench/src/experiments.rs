@@ -239,17 +239,20 @@ pub fn e1_phased_greedy_bound() -> Vec<Table> {
             .max()
             .unwrap_or(0);
         let violations = analysis.bound_violations(&scheduler).len();
-        table.push(&[
-            family.name().to_string(),
-            graph.node_count().to_string(),
-            graph.edge_count().to_string(),
-            graph.max_degree().to_string(),
-            worst.to_string(),
-            worst_slack.to_string(),
-            violations.to_string(),
-            scheduler.init_rounds().to_string(),
-            scheduler.rounds_per_holiday().to_string(),
-        ]);
+        table
+            .push(&[
+                family.name().to_string(),
+                graph.node_count().to_string(),
+                graph.edge_count().to_string(),
+                graph.max_degree().to_string(),
+                worst.to_string(),
+                worst_slack.to_string(),
+                violations.to_string(),
+                scheduler.init_rounds().to_string(),
+                scheduler.rounds_per_holiday().to_string(),
+            ])
+            .claim(violations == 0, "Thm 3.1: no bound violations")
+            .claim(worst_slack <= 0, "Thm 3.1: worst streak - degree <= 0");
     }
     vec![table]
 }
@@ -476,6 +479,10 @@ pub fn e6_scheduler_comparison() -> Vec<Table> {
     vec![table]
 }
 
+/// The band E7's frequency ratios must lie in: 20 000 holidays put every
+/// bucket's ratio within about 1% of 1.
+const E7_RATIO_BAND: (f64, f64) = (0.97, 1.03);
+
 /// E7 — the "first come first grab" landmark: the empirical happiness
 /// frequency of a parent of degree `d` approaches `1/(d+1)`.
 pub fn e7_first_come_first_grab() -> Vec<Table> {
@@ -504,14 +511,21 @@ pub fn e7_first_come_first_grab() -> Vec<Table> {
             let mean_target = members.iter().map(|n| 1.0 / (n.degree as f64 + 1.0)).sum::<f64>()
                 / members.len() as f64;
             let hi_label = if hi == usize::MAX { "+".to_string() } else { hi.to_string() };
-            table.push(&[
-                family.name().to_string(),
-                format!("{lo}-{hi_label}"),
-                members.len().to_string(),
-                format!("{mean_freq:.4}"),
-                format!("{mean_target:.4}"),
-                format!("{:.3}", mean_freq / mean_target),
-            ]);
+            let ratio = mean_freq / mean_target;
+            let (lo_band, hi_band) = E7_RATIO_BAND;
+            table
+                .push(&[
+                    family.name().to_string(),
+                    format!("{lo}-{hi_label}"),
+                    members.len().to_string(),
+                    format!("{mean_freq:.4}"),
+                    format!("{mean_target:.4}"),
+                    format!("{ratio:.3}"),
+                ])
+                .claim(
+                    (lo_band..=hi_band).contains(&ratio),
+                    &format!("frequency ratio in [{lo_band}, {hi_band}]"),
+                );
         }
     }
     vec![table]
@@ -678,10 +692,18 @@ pub fn e10_mis_and_radio() -> Vec<Table> {
 
 /// Median wall time of `reps` runs of `f`, in milliseconds.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    median_ms_fresh(reps, &(), |_| f())
+}
+
+/// Median wall time of `reps` runs of `f`, in milliseconds, each on a
+/// fresh clone of `template` made before its timer starts (a stateful
+/// scheduler cannot replay a holiday).
+fn median_ms_fresh<S: Clone>(reps: usize, template: &S, mut f: impl FnMut(&mut S)) -> f64 {
     let mut times: Vec<f64> = (0..reps.max(1))
         .map(|_| {
+            let mut fresh = template.clone();
             let t0 = Instant::now();
-            f();
+            f(&mut fresh);
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
@@ -700,6 +722,10 @@ fn matches_reference(analysis: &ScheduleAnalysis, reference: &ScheduleAnalysis) 
         })
 }
 
+/// The horizon of E11b's stateful rows: the stateful jobs' horizon in the
+/// repository benchmark's analyze-mix workload.
+const STATEFUL_HORIZON: u64 = 1024;
+
 /// E11 — the two analysis engines head-to-head on the configuration's
 /// Erdős–Rényi graph and short horizon: the sequential reference (every
 /// holiday emitted and verified) against the production path
@@ -708,6 +734,12 @@ fn matches_reference(analysis: &ScheduleAnalysis, reference: &ScheduleAnalysis) 
 /// congruence test per edge).  Timings are medians over the config's
 /// repetitions; the structural columns (happy sets emitted, parity) are
 /// deterministic.
+///
+/// E11b times the two stateful schedulers, which have no residue view and
+/// always take the sequential engine, on the same graph at
+/// [`STATEFUL_HORIZON`] holidays: `analyze_schedule` against emission
+/// alone (`fill_happy_set` into one reused buffer), each run on a fresh
+/// clone.  At smoke size the graph is analyze-mix's stateful shape.
 pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let horizon = cfg.horizon;
@@ -756,7 +788,59 @@ pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<B
             speedup: reference_ms / ms,
         });
     }
-    (vec![table], entries)
+
+    let mut stateful = Table::new(
+        format!(
+            "E11b — stateful schedulers on erdos_renyi({}, {}), {STATEFUL_HORIZON} holidays: \
+             analyze_schedule vs emission alone (medians of {}, single-threaded)",
+            cfg.nodes, cfg.edge_prob, cfg.reps
+        ),
+        &["scheduler", "path", "median ms", "us per holiday", "speedup"],
+    );
+    let phased = PhasedGreedy::new(&graph);
+    let grab = FirstComeFirstGrab::new(&graph, cfg.seed);
+    let timings = [
+        (phased.name(), stateful_timings(&graph, &phased, cfg.reps)),
+        (grab.name(), stateful_timings(&graph, &grab, cfg.reps)),
+    ];
+    for (name, (analyze_ms, emit_ms)) in timings {
+        for (path, ms) in [("analyze", analyze_ms), ("emit", emit_ms)] {
+            stateful.push(&[
+                name.to_string(),
+                path.to_string(),
+                format!("{ms:.3}"),
+                format!("{:.2}", ms * 1e3 / STATEFUL_HORIZON as f64),
+                format!("{:.2}x", analyze_ms / ms),
+            ]);
+            entries.push(BenchEntry {
+                experiment: "e11",
+                engine: format!("{name}-{path}"),
+                threads: 1,
+                horizon: STATEFUL_HORIZON,
+                median_ms: ms,
+                speedup: analyze_ms / ms,
+            });
+        }
+    }
+    (vec![table, stateful], entries)
+}
+
+/// Median milliseconds of `analyze_schedule` and of emission alone over
+/// [`STATEFUL_HORIZON`] holidays, each run on a fresh clone of `template`.
+fn stateful_timings<S: Scheduler + Clone>(graph: &Graph, template: &S, reps: usize) -> (f64, f64) {
+    let analyze_ms = median_ms_fresh(reps, template, |s| {
+        let analysis = analyze_schedule(graph, s, STATEFUL_HORIZON);
+        assert!(analysis.all_happy_sets_independent, "{}: a dependent happy set", s.name());
+    });
+    let mut buf = HappySet::new(graph.node_count());
+    let emit_ms = median_ms_fresh(reps, template, |s| {
+        let start = s.first_holiday();
+        for t in start..start + STATEFUL_HORIZON {
+            s.fill_happy_set(t, &mut buf);
+            black_box(buf.len());
+        }
+    });
+    (analyze_ms, emit_ms)
 }
 
 /// E12 — horizon scaling: the cost of an analysis must not depend on the
@@ -2427,11 +2511,20 @@ mod tests {
     fn e11_and_e12_report_entries_and_json() {
         let cfg = tiny_cfg();
         let (tables, entries) = run_experiment_collecting("e11", &cfg);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(entries.len(), 2, "reference and production rows");
+        assert_eq!(tables.len(), 2);
+        assert_eq!(entries.len(), 6, "reference and production rows, then 2 per stateful");
         assert!(entries.iter().any(|e| e.engine == "closed-form-progression"));
         assert!((entries[0].speedup - 1.0).abs() < 1e-9, "baseline speedup is 1");
         assert!(!tables[0].to_markdown().contains("| false |"));
+        for engine in [
+            "phased-greedy-analyze",
+            "phased-greedy-emit",
+            "first-come-first-grab-analyze",
+            "first-come-first-grab-emit",
+        ] {
+            let entry = entries.iter().find(|e| e.engine == engine).expect(engine);
+            assert_eq!(entry.horizon, STATEFUL_HORIZON, "{engine}");
+        }
 
         let (tables, entries) = run_experiment_collecting("e12", &cfg);
         assert_eq!(tables.len(), 1);

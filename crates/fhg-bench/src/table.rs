@@ -2,12 +2,14 @@
 
 use std::fmt::Write as _;
 
-/// A Markdown table with a title, built row by row.
+/// A Markdown table with a title, built row by row, plus the paper claims
+/// its rows failed.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    failed_claims: Vec<String>,
 }
 
 impl Table {
@@ -17,6 +19,7 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            failed_claims: Vec::new(),
         }
     }
 
@@ -31,6 +34,22 @@ impl Table {
     pub fn push<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
         let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
         self.row(&cells)
+    }
+
+    /// Checks a paper claim about the last row pushed: when `holds` is
+    /// false, the claim and that row are recorded, and the experiments
+    /// binary exits non-zero after printing every table.
+    pub fn claim(&mut self, holds: bool, claim: &str) -> &mut Self {
+        if !holds {
+            let row = self.rows.last().map(|r| r.join(" | ")).unwrap_or_default();
+            self.failed_claims.push(format!("{}: {claim} fails on | {row} |", self.title));
+        }
+        self
+    }
+
+    /// The failed claims, one line each (empty when every claim holds).
+    pub fn failed_claims(&self) -> &[String] {
+        &self.failed_claims
     }
 
     /// Number of data rows.
@@ -83,6 +102,15 @@ mod tests {
         assert!(md.contains("| alpha | 1     |"));
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.title(), "Demo");
+    }
+
+    #[test]
+    fn failed_claims_name_their_row() {
+        let mut t = Table::new("Demo", &["name", "value"]);
+        t.push(&["alpha", "1"]).claim(true, "value is small");
+        assert!(t.failed_claims().is_empty());
+        t.push(&["beta", "9"]).claim(false, "value is small");
+        assert_eq!(t.failed_claims(), ["Demo: value is small fails on | beta | 9 |"]);
     }
 
     #[test]

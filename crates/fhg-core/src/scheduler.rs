@@ -30,17 +30,20 @@ pub trait Scheduler {
     ///
     /// # Contract
     ///
-    /// * Implementations begin with `out.reset(self.node_count())`, so the
-    ///   caller never has to clear the buffer between holidays and may reuse
-    ///   one buffer across different schedulers.  `reset` only reallocates
-    ///   when the capacity changes, so driving one scheduler over a horizon
-    ///   allocates nothing after the first call.
+    /// * Implementations overwrite `out` at capacity `self.node_count()`
+    ///   (`HappySet::reset`, `assign_many` or `assign_where`), so the caller
+    ///   never has to clear the buffer between holidays and may reuse one
+    ///   buffer across different schedulers.  Each reallocates only when the
+    ///   capacity changes, so driving one scheduler over a horizon allocates
+    ///   nothing after the first call.
     /// * Stateful schedulers (those with
-    ///   [`rounds_per_holiday`](Scheduler::rounds_per_holiday) `> 0` or
-    ///   internal randomness) must be called with **consecutive** values of
-    ///   `t` starting at [`first_holiday`](Scheduler::first_holiday); a
-    ///   holiday cannot be replayed.  Perfectly periodic schedulers accept
-    ///   any `t` in any order.
+    ///   [`rounds_per_holiday`](Scheduler::rounds_per_holiday) `> 0` or other
+    ///   state carried from one holiday to the next) must be called with
+    ///   **consecutive** values of `t` starting at
+    ///   [`first_holiday`](Scheduler::first_holiday); a holiday cannot be
+    ///   replayed.  Perfectly periodic schedulers, and schedulers whose
+    ///   happy set is a pure function of `t` such as the seeded first come
+    ///   first grab, accept any `t` in any order.
     fn fill_happy_set(&mut self, t: u64, out: &mut HappySet);
 
     /// The first holiday index this scheduler is defined for (the paper

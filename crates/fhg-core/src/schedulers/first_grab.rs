@@ -8,36 +8,81 @@
 //! paper's deterministic algorithms are measured against — but it offers no
 //! worst-case guarantee, is not periodic, and requires fresh randomness every
 //! holiday.
-
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+//!
+//! Parent `p`'s wake time at holiday `t` is a hash of `(seed, t, p)`: the
+//! `p`-th output of a SplitMix64 stream seeded from `(seed, t)`, whose
+//! finalizer is the mixer `seed_from_u64` and the LOCAL simulator's node
+//! seeding use.  The wake key is the hash's high 32 bits above `p` in the
+//! low 32 bits, so keys are distinct and the wake order is strict: the
+//! happy set is exactly the set of local minima of the keys, and the global
+//! minimum always hosts.  A holiday therefore needs no state carried over
+//! from the last one, and [`Scheduler::fill_happy_set`] is a pure function
+//! of `t`.  It hashes every parent once into a reused key buffer, then
+//! writes the happy set a word at a time ([`HappySet::assign_where`]): each
+//! parent compares its key with its first eight in-laws' without branches,
+//! and only the survivors scan the rest of their in-laws.
 
 use fhg_graph::{Graph, HappySet, NodeId};
 
 use crate::scheduler::Scheduler;
 
+/// In-laws whose keys a parent compares without branches before the
+/// early-exit scan over the rest.
+const FOLDED_IN_LAWS: usize = 8;
+
+/// The SplitMix64 increment (the golden-ratio constant).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The state of holiday `t`'s SplitMix64 stream under `seed`.
+fn holiday_stream(seed: u64, t: u64) -> u64 {
+    mix(mix(seed) ^ t.wrapping_mul(GOLDEN))
+}
+
+/// Parent `p`'s wake key in the holiday whose stream is `stream`: the
+/// high 32 bits of the stream's `p`-th output, above `p`.
+fn wake_key(stream: u64, p: NodeId) -> u64 {
+    let hash = mix(stream.wrapping_add((p as u64).wrapping_add(1).wrapping_mul(GOLDEN)));
+    (hash & !0xFFFF_FFFF) | p as u64
+}
+
+/// Whether parent `p` wakes strictly before each of its `in_laws`: a
+/// branchless fold over the first [`FOLDED_IN_LAWS`], then an early-exit
+/// scan over the rest.  Strict, so that two in-laws could not both host
+/// even on a tied key.
+fn wakes_first(keys: &[u64], p: NodeId, in_laws: &[NodeId]) -> bool {
+    let key = keys[p];
+    let (head, rest) = in_laws.split_at(in_laws.len().min(FOLDED_IN_LAWS));
+    head.iter().fold(true, |first, &q| first & (key < keys[q]))
+        && rest.iter().all(|&q| key < keys[q])
+}
+
 /// The random wake-up baseline.
 #[derive(Debug, Clone)]
 pub struct FirstComeFirstGrab {
     graph: Graph,
-    rng: ChaCha8Rng,
-    /// Reusable wake-up order scratch (a permutation of the nodes).
-    order: Vec<NodeId>,
-    /// Reusable inverse permutation: `rank[p]` is `p`'s wake-up position.
-    rank: Vec<usize>,
+    seed: u64,
+    /// Reusable key scratch: `keys[p]` is parent `p`'s wake key at the
+    /// holiday being filled.
+    keys: Vec<u64>,
 }
 
 impl FirstComeFirstGrab {
     /// Creates the baseline with a deterministic seed.
+    ///
+    /// # Panics
+    /// Panics if the graph has more than `2³²` parents: a wake key carries
+    /// its parent in its low 32 bits.
     pub fn new(graph: &Graph, seed: u64) -> Self {
         let n = graph.node_count();
-        FirstComeFirstGrab {
-            graph: graph.clone(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            order: (0..n).collect(),
-            rank: vec![0; n],
-        }
+        assert!(n as u64 <= 1 << 32, "first come first grab keys at most 2^32 parents, got {n}");
+        FirstComeFirstGrab { graph: graph.clone(), seed, keys: vec![0; n] }
     }
 
     /// The empirical happiness probability `1/(deg(p)+1)` the process targets.
@@ -51,21 +96,13 @@ impl Scheduler for FirstComeFirstGrab {
         self.graph.node_count()
     }
 
-    fn fill_happy_set(&mut self, _t: u64, out: &mut HappySet) {
-        let n = self.graph.node_count();
-        out.reset(n);
-        // Draw a uniformly random wake-up order (the scratch permutation from
-        // the previous holiday is a fine starting point for the shuffle).
-        self.order.shuffle(&mut self.rng);
-        for (r, &p) in self.order.iter().enumerate() {
-            self.rank[p] = r;
+    fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
+        let stream = holiday_stream(self.seed, t);
+        for (p, key) in self.keys.iter_mut().enumerate() {
+            *key = wake_key(stream, p);
         }
-        // A parent is happy iff it wakes before every in-law.
-        for p in 0..n {
-            if self.graph.neighbors(p).iter().all(|&q| self.rank[p] < self.rank[q]) {
-                out.insert(p);
-            }
-        }
+        let (graph, keys) = (&self.graph, &self.keys);
+        out.assign_where(keys.len(), |p| wakes_first(keys, p, graph.neighbors(p)));
     }
 
     fn name(&self) -> &'static str {
@@ -118,6 +155,58 @@ mod tests {
             );
             assert!(!happy.is_empty(), "some parent always wakes first overall");
         }
+    }
+
+    /// The parents whose key is below every in-law's key, by brute force.
+    fn local_minima(g: &Graph, seed: u64, t: u64) -> Vec<NodeId> {
+        let stream = holiday_stream(seed, t);
+        let key = |p| wake_key(stream, p);
+        g.nodes().filter(|&p| g.neighbors(p).iter().all(|&q| key(p) < key(q))).collect()
+    }
+
+    #[test]
+    fn each_holiday_hosts_exactly_the_local_minima_of_the_wake_keys() {
+        // Degrees past the eight folded in-laws take the early-exit scan.
+        let graphs = [erdos_renyi(120, 0.1, 3), star(40), complete(12), cycle(9)];
+        for (i, g) in graphs.iter().enumerate() {
+            let seed = 17 + i as u64;
+            let mut s = FirstComeFirstGrab::new(g, seed);
+            for t in 0..64 {
+                let happy = happy_vec(&mut s, t);
+                assert_eq!(happy, local_minima(g, seed, t), "graph {i}, holiday {t}");
+                // The earliest riser always hosts, so no holiday is empty.
+                let stream = holiday_stream(seed, t);
+                let earliest = g.nodes().min_by_key(|&p| wake_key(stream, p)).unwrap();
+                assert!(happy.contains(&earliest), "graph {i}, holiday {t}: no host");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tied_key_lets_neither_in_law_host() {
+        // Keys are distinct by construction; the order must stay strict
+        // anyway, in the folded in-laws and past them.
+        let in_laws: Vec<NodeId> = (1..12).collect();
+        for tied in [1, 10] {
+            let mut keys = vec![100u64; 12];
+            keys[0] = 50;
+            keys[tied] = 50;
+            assert!(!wakes_first(&keys, 0, &in_laws), "tie with in-law {tied}");
+            assert!(!wakes_first(&keys, tied, &[0]), "tie with in-law {tied}, reversed");
+            keys[tied] = 51;
+            assert!(wakes_first(&keys, 0, &in_laws), "in-law {tied} wakes later");
+        }
+    }
+
+    #[test]
+    fn a_holiday_is_a_pure_function_of_its_number() {
+        let g = erdos_renyi(80, 0.08, 5);
+        let mut s = FirstComeFirstGrab::new(&g, 12);
+        let first = happy_vec(&mut s, 5);
+        happy_vec(&mut s, 3);
+        assert_eq!(happy_vec(&mut s, 5), first, "refilling holiday 5 must give the same set");
+        let mut fresh = FirstComeFirstGrab::new(&g, 12);
+        assert_eq!(happy_vec(&mut fresh, 5), first, "a fresh scheduler agrees");
     }
 
     #[test]

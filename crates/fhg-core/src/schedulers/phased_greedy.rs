@@ -11,6 +11,13 @@
 //! window of `d + 1` consecutive holidays — but the schedule is not periodic
 //! and each holiday costs a round of communication (or full local knowledge
 //! of the neighbourhood).
+//!
+//! A holiday costs one pass over the colours plus the degrees of its happy
+//! nodes.  The pass writes the happy set a word at a time
+//! ([`HappySet::assign_where`]).  A recolouring marks each neighbour's
+//! colour offset in a bitmask of `⌈(Δ + 1)/64⌉` reused words and takes the
+//! first clear bit, so no holiday allocates and no degree takes another
+//! path.
 
 use fhg_coloring::{greedy_coloring, Coloring, GreedyOrder};
 use fhg_distributed::johansson_coloring;
@@ -29,9 +36,9 @@ pub struct PhasedGreedy {
     next_holiday: u64,
     /// Rounds charged to the distributed initialisation (0 when sequential).
     init_rounds: u64,
-    /// Reusable recolouring scratch (one flag per candidate colour offset,
-    /// max degree + 1 entries), so no holiday allocates.
-    used_offsets: Vec<bool>,
+    /// Reusable recolouring scratch: one bit per candidate colour offset,
+    /// `⌈(max degree + 1)/64⌉` words, all clear between recolourings.
+    used_offsets: Vec<u64>,
 }
 
 impl PhasedGreedy {
@@ -53,7 +60,7 @@ impl PhasedGreedy {
             "initial colouring must satisfy colour <= degree + 1"
         );
         PhasedGreedy {
-            used_offsets: vec![false; graph.max_degree() + 1],
+            used_offsets: vec![0; (graph.max_degree() + 1).div_ceil(64)],
             graph: graph.clone(),
             colors: coloring.as_slice().iter().map(|&c| u64::from(c)).collect(),
             next_holiday: 1,
@@ -77,22 +84,30 @@ impl PhasedGreedy {
     }
 
     /// Greedy recolouring rule of §3: the smallest colour greater than
-    /// `holiday` not used by any neighbour of `p`.  Uses the reusable
-    /// `used_offsets` scratch; only the first `deg(p) + 1` entries are
-    /// touched (and re-cleared before returning).
+    /// `holiday` not used by any neighbour of `p`.  Neighbour colour `c`
+    /// sets bit `c − holiday − 1` (wrapping, so colours at or below
+    /// `holiday` fall outside) of the `used_offsets` words when that offset
+    /// is below the window of `deg(p) + 1` candidates; the answer is the
+    /// first clear bit.  Only the window's words are touched, and they are
+    /// cleared before returning.
     fn recolor(&mut self, p: NodeId, holiday: u64) -> u64 {
         let neighbors = self.graph.neighbors(p);
-        let window = neighbors.len() + 1;
-        let used = &mut self.used_offsets[..window];
+        let window = neighbors.len() as u64 + 1;
+        let used = &mut self.used_offsets[..window.div_ceil(64) as usize];
+        let last = used.len() - 1;
         for &v in neighbors {
-            let c = self.colors[v];
-            if c > holiday && (c - holiday) as usize <= window {
-                used[(c - holiday - 1) as usize] = true;
-            }
+            let offset = self.colors[v].wrapping_sub(holiday + 1);
+            let inside = offset < window;
+            used[(offset / 64).min(last as u64) as usize] |= u64::from(inside) << (offset % 64);
         }
-        let offset = used.iter().position(|&b| !b).unwrap_or(window - 1);
-        used.fill(false);
-        holiday + offset as u64 + 1
+        // `deg(p)` neighbours cannot fill `deg(p) + 1` offsets, so a clear
+        // bit always exists; the cap keeps the old rule's fallback exact.
+        let free = used
+            .iter()
+            .position(|&w| w != u64::MAX)
+            .map_or(window, |i| i as u64 * 64 + u64::from((!used[i]).trailing_zeros()));
+        used.fill(0);
+        holiday + free.min(window - 1) + 1
     }
 }
 
@@ -108,18 +123,14 @@ impl Scheduler for PhasedGreedy {
              (expected {}, got {t})",
             self.next_holiday
         );
-        out.reset(self.graph.node_count());
-        for p in self.graph.nodes() {
-            if self.colors[p] == t {
-                out.insert(p);
-            }
-        }
+        let colors = &self.colors;
+        out.assign_where(colors.len(), |p| colors[p] == t);
         // Recolour in increasing node order, matching the sequential rule:
         // later happy nodes see the colours earlier ones just picked.
-        for p in out.iter() {
+        out.for_each(|p| {
             let c = self.recolor(p, t);
             self.colors[p] = c;
-        }
+        });
         self.next_holiday += 1;
     }
 
@@ -271,6 +282,60 @@ mod tests {
         let mut s = PhasedGreedy::new(&g);
         for t in 1..20 {
             assert_eq!(happy_vec(&mut s, t), vec![0, 1, 2]);
+        }
+    }
+
+    /// The recolouring rule as first written, one flag per candidate
+    /// offset: the specification the bitmask must reproduce.
+    fn recolor_by_flags(graph: &Graph, colors: &[u64], p: NodeId, holiday: u64) -> u64 {
+        let neighbors = graph.neighbors(p);
+        let window = neighbors.len() + 1;
+        let mut used = vec![false; window];
+        for &v in neighbors {
+            let c = colors[v];
+            if c > holiday && (c - holiday) as usize <= window {
+                used[(c - holiday - 1) as usize] = true;
+            }
+        }
+        holiday + used.iter().position(|&b| !b).unwrap_or(window - 1) as u64 + 1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn bitmask_recolor_matches_the_flag_rule(
+            n in 64usize..141,
+            seed in 0u64..1000,
+            holiday in 0u64..3,
+            offsets in proptest::collection::vec(0u64..72, 140..141),
+            hole_pick in 0usize..1000,
+        ) {
+            // Degrees around 64, so windows of one and two words both
+            // occur (`n = 64` is the 63-regular clique).
+            let g = erdos_renyi(n, (64.0 / (n as f64 - 1.0)).min(1.0), seed);
+            let mut s = PhasedGreedy::new(&g);
+            // Scattered colours: some at or below the holiday, some past
+            // the window.
+            s.colors = offsets[..n].iter().map(|&o| (holiday + o).saturating_sub(1)).collect();
+            for p in g.nodes() {
+                let want = recolor_by_flags(&g, &s.colors, p, holiday);
+                prop_assert_eq!(s.recolor(p, holiday), want, "scattered, node {}", p);
+            }
+            // Packed colours: the neighbours fill every offset but the
+            // hole, so the answer is the hole, up to the window's last
+            // offset (`hole == deg`), on either side of a word edge.
+            for p in g.nodes() {
+                let deg = g.degree(p);
+                let hole = hole_pick % (deg + 1);
+                for (i, &v) in g.neighbors(p).iter().enumerate() {
+                    let off = if i < hole { i } else { i + 1 };
+                    s.colors[v] = holiday + 1 + off as u64;
+                }
+                let want = recolor_by_flags(&g, &s.colors, p, holiday);
+                prop_assert_eq!(want, holiday + 1 + hole as u64);
+                prop_assert_eq!(s.recolor(p, holiday), want, "packed, node {}", p);
+            }
+            prop_assert!(s.used_offsets.iter().all(|&w| w == 0), "scratch left dirty");
         }
     }
 

@@ -458,51 +458,6 @@ impl ResidueSchedule {
             }
         }
     }
-
-    /// Enumerates one full cycle of residue classes starting at holiday
-    /// `start`, yielding each class's happy set from a single reused buffer —
-    /// the emission path of the closed-form
-    /// [`CycleProfile`](crate::analysis::CycleProfile) builder, which fills
-    /// each class exactly once and never re-fills.
-    ///
-    /// The enumerator is *lending*: each yielded set borrows the internal
-    /// buffer, so consume it before asking for the next class.  Callers must
-    /// bound the walk themselves when the cycle is astronomically long
-    /// (saturated lcms yield `u64::MAX` classes).
-    pub fn classes(&self, start: u64) -> CycleClasses<'_> {
-        CycleClasses {
-            schedule: self,
-            next: start,
-            remaining: self.cycle,
-            buf: HappySet::new(self.node_count()),
-        }
-    }
-}
-
-/// Lending enumerator over the residue classes of one full cycle: yields
-/// `(holiday, happy set)` for `cycle` consecutive holidays, filling one
-/// internal buffer per class (no per-class allocation, no re-fill).  Built by
-/// [`ResidueSchedule::classes`].
-pub struct CycleClasses<'a> {
-    schedule: &'a ResidueSchedule,
-    next: u64,
-    remaining: u64,
-    buf: HappySet,
-}
-
-impl CycleClasses<'_> {
-    /// Fills and yields the next residue class, or `None` after one full
-    /// cycle.  Lending: the returned set is valid until the next call.
-    pub fn next_class(&mut self) -> Option<(u64, &HappySet)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let t = self.next;
-        self.schedule.fill(t, &mut self.buf);
-        self.next += 1;
-        self.remaining -= 1;
-        Some((t, &self.buf))
-    }
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -698,21 +653,6 @@ mod tests {
         // Saturated cycles saturate the attendance count too.
         let huge = ResidueSchedule::new(vec![0, 0], vec![u64::MAX, u64::MAX - 1]);
         assert_eq!(huge.attendance_per_cycle(), 2);
-    }
-
-    #[test]
-    fn cycle_enumeration_yields_every_class_once_without_refill() {
-        let s = ResidueSchedule::new(vec![0, 1, 2], vec![2, 3, 4]);
-        let start = 5u64;
-        let mut classes = s.classes(start);
-        let mut seen = 0u64;
-        while let Some((t, happy)) = classes.next_class() {
-            assert_eq!(t, start + seen, "classes arrive in holiday order");
-            assert_eq!(happy.to_vec(), s.members(t), "holiday {t}");
-            seen += 1;
-        }
-        assert_eq!(seen, s.cycle(), "exactly one yield per residue class");
-        assert!(classes.next_class().is_none(), "enumeration stays exhausted");
     }
 
     /// Every aggregate and emission answer of a row-edited schedule must be

@@ -10,7 +10,7 @@
 //! taken by a neighbour from an earlier phase.  Lemma 5.2 shows no two
 //! adjacent nodes can end up hosting the same holiday.
 
-use fhg_graph::{Graph, HappySet, NodeId};
+use fhg_graph::{Graph, NodeId};
 
 use crate::coloring::list_coloring_among;
 use crate::simulator::ExecutionStats;
@@ -43,19 +43,6 @@ impl SlotAssignmentOutcome {
     /// Whether node `u` hosts at holiday `t`.
     pub fn hosts(&self, u: NodeId, t: u64) -> bool {
         t % self.period(u) == self.slots[u]
-    }
-
-    /// Writes the full hosting set of holiday `t` into `out` without
-    /// allocating — the engine entry point behind
-    /// `DistributedDegreeBound::fill_happy_set` in `fhg-core`.  The period
-    /// is a power of two, so a mask replaces the hardware divide.
-    pub fn fill_hosts(&self, t: u64, out: &mut HappySet) {
-        out.reset(self.slots.len());
-        for (u, (&slot, &exp)) in self.slots.iter().zip(&self.exponents).enumerate() {
-            if t & ((1u64 << exp) - 1) == slot {
-                out.insert(u);
-            }
-        }
     }
 
     /// Checks Lemma 5.2: no two adjacent nodes ever host at the same holiday,

@@ -29,18 +29,6 @@ impl MisOutcome {
         self.in_mis.iter().enumerate().filter_map(|(u, &m)| m.then_some(u)).collect()
     }
 
-    /// Writes the membership into a reusable [`fhg_graph::HappySet`] buffer
-    /// without allocating, for callers that treat the MIS as one holiday's
-    /// happy set.
-    pub fn fill_members(&self, out: &mut fhg_graph::HappySet) {
-        out.reset(self.in_mis.len());
-        for (u, &m) in self.in_mis.iter().enumerate() {
-            if m {
-                out.insert(u);
-            }
-        }
-    }
-
     /// Verifies maximal independence against the graph.
     pub fn is_maximal_independent(&self, graph: &Graph) -> bool {
         properties::is_maximal_independent_set(graph, &self.members())

@@ -1,15 +1,14 @@
 //! Dynamic conflict graphs (paper §6).
 //!
 //! Relationships are not fixed: new couples form (edge insertions) and old
-//! ones dissolve (edge deletions).  [`DynamicGraph`] wraps a [`Graph`] with
-//! an applied-event log so that schedulers can observe *which nodes were
-//! affected* by each event and react locally (recolouring only the endpoints,
-//! as §6 prescribes for the colour-bound algorithm).
+//! ones dissolve (edge deletions).  An [`EdgeEvent`] names one such change
+//! and the holiday it takes effect; the §6 scheduler applies it to its own
+//! [`Graph`] and recolours only the endpoints.  [`random_churn`] generates
+//! the event streams the experiments and tests replay.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::error::GraphError;
 use crate::{Graph, NodeId};
 
 /// The kind of a dynamic edge event.
@@ -32,78 +31,6 @@ pub struct EdgeEvent {
     pub v: NodeId,
     /// The holiday index at which the event takes effect.
     pub holiday: u64,
-}
-
-/// A conflict graph subject to edge insertions and deletions over time.
-#[derive(Debug, Clone)]
-pub struct DynamicGraph {
-    graph: Graph,
-    history: Vec<EdgeEvent>,
-}
-
-impl DynamicGraph {
-    /// Wraps an initial graph.
-    pub fn new(initial: Graph) -> Self {
-        DynamicGraph { graph: initial, history: Vec::new() }
-    }
-
-    /// The current graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// All events applied so far, in application order.
-    pub fn history(&self) -> &[EdgeEvent] {
-        &self.history
-    }
-
-    /// Number of events applied so far.
-    pub fn event_count(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Inserts edge `(u, v)` at `holiday`; returns the affected endpoints.
-    pub fn insert_edge(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        holiday: u64,
-    ) -> Result<[NodeId; 2], GraphError> {
-        self.graph.add_edge(u, v)?;
-        self.history.push(EdgeEvent { kind: EdgeEventKind::Insert, u, v, holiday });
-        Ok([u, v])
-    }
-
-    /// Deletes edge `(u, v)` at `holiday`; returns the affected endpoints.
-    pub fn delete_edge(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        holiday: u64,
-    ) -> Result<[NodeId; 2], GraphError> {
-        self.graph.remove_edge(u, v)?;
-        self.history.push(EdgeEvent { kind: EdgeEventKind::Delete, u, v, holiday });
-        Ok([u, v])
-    }
-
-    /// Applies a pre-computed event, dispatching on its kind.
-    pub fn apply(&mut self, event: EdgeEvent) -> Result<[NodeId; 2], GraphError> {
-        match event.kind {
-            EdgeEventKind::Insert => self.insert_edge(event.u, event.v, event.holiday),
-            EdgeEventKind::Delete => self.delete_edge(event.u, event.v, event.holiday),
-        }
-    }
-
-    /// Replays the event history onto a copy of `initial`, returning the graph
-    /// that results.  Used by tests to confirm the history fully describes
-    /// the current state.
-    pub fn replay(initial: Graph, events: &[EdgeEvent]) -> Result<Graph, GraphError> {
-        let mut dynamic = DynamicGraph::new(initial);
-        for &e in events {
-            dynamic.apply(e)?;
-        }
-        Ok(dynamic.graph)
-    }
 }
 
 /// Generates a random churn workload of `count` events against `graph`.
@@ -158,50 +85,7 @@ pub fn random_churn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{erdos_renyi, structured::cycle};
-
-    #[test]
-    fn insert_and_delete_update_graph_and_history() {
-        let mut d = DynamicGraph::new(Graph::new(4));
-        assert_eq!(d.insert_edge(0, 1, 3).unwrap(), [0, 1]);
-        assert_eq!(d.insert_edge(1, 2, 4).unwrap(), [1, 2]);
-        assert!(d.graph().has_edge(0, 1));
-        assert_eq!(d.event_count(), 2);
-        assert_eq!(d.delete_edge(0, 1, 7).unwrap(), [0, 1]);
-        assert!(!d.graph().has_edge(0, 1));
-        assert_eq!(d.history()[2].kind, EdgeEventKind::Delete);
-        assert_eq!(d.history()[2].holiday, 7);
-    }
-
-    #[test]
-    fn invalid_events_are_rejected_and_not_logged() {
-        let mut d = DynamicGraph::new(cycle(4));
-        assert!(d.insert_edge(0, 1, 0).is_err(), "edge already exists");
-        assert!(d.delete_edge(0, 2, 0).is_err(), "edge missing");
-        assert!(d.insert_edge(0, 9, 0).is_err(), "node out of range");
-        assert_eq!(d.event_count(), 0);
-    }
-
-    #[test]
-    fn apply_dispatches_on_kind() {
-        let mut d = DynamicGraph::new(Graph::new(3));
-        d.apply(EdgeEvent { kind: EdgeEventKind::Insert, u: 0, v: 2, holiday: 1 }).unwrap();
-        assert!(d.graph().has_edge(0, 2));
-        d.apply(EdgeEvent { kind: EdgeEventKind::Delete, u: 0, v: 2, holiday: 2 }).unwrap();
-        assert!(!d.graph().has_edge(0, 2));
-    }
-
-    #[test]
-    fn replay_reconstructs_current_graph() {
-        let initial = erdos_renyi(30, 0.1, 1);
-        let events = random_churn(&initial, 40, 0.5, 100, 2);
-        let mut d = DynamicGraph::new(initial.clone());
-        for &e in &events {
-            d.apply(e).unwrap();
-        }
-        let replayed = DynamicGraph::replay(initial, &events).unwrap();
-        assert_eq!(&replayed, d.graph());
-    }
+    use crate::generators::erdos_renyi;
 
     #[test]
     fn random_churn_produces_requested_count_and_valid_events() {
@@ -209,7 +93,13 @@ mod tests {
         let events = random_churn(&g, 100, 0.6, 10, 4);
         assert_eq!(events.len(), 100);
         // All events must be applicable in sequence.
-        DynamicGraph::replay(g, &events).unwrap();
+        let mut current = g;
+        for e in &events {
+            match e.kind {
+                EdgeEventKind::Insert => current.add_edge(e.u, e.v).unwrap(),
+                EdgeEventKind::Delete => current.remove_edge(e.u, e.v).unwrap(),
+            }
+        }
         // Holidays are non-decreasing.
         assert!(events.windows(2).all(|w| w[0].holiday <= w[1].holiday));
         assert!(events.iter().all(|e| e.holiday >= 10));

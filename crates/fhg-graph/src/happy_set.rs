@@ -9,9 +9,17 @@
 //! holiday.  Membership tests are O(1) bit probes and independence
 //! verification ANDs whole 64-bit words against adjacency rows.
 //!
+//! Emission overwrites the set whole words at a time, never reading or
+//! clearing the old contents first, in one of two ways:
+//! * [`HappySet::assign_many`] — the union of word-packed rows, the
+//!   residue-table path of the periodic schedulers;
+//! * [`HappySet::assign_where`] — one predicate call per parent, each
+//!   64-parent word assembled without branches, the path of the stateful
+//!   schedulers (§3's phased greedy, §1's first come first grab).
+//!
 //! The type lives in `fhg-graph` (rather than next to the `Scheduler` trait
-//! in `fhg-core`) so that lower layers — the distributed slot assignment, the
-//! MIS outcomes — can fill the same buffers without a dependency cycle.
+//! in `fhg-core`) beside the word kernels those writers and the member walk
+//! run on.
 
 use crate::bitset::FixedBitSet;
 use crate::kernels;
@@ -161,6 +169,29 @@ impl HappySet {
         }
     }
 
+    /// Overwrites the set with the parents `p < capacity` for which
+    /// `member(p)` holds — the emission path of the stateful schedulers.
+    /// `member` is called once per parent, in ascending order.  Each
+    /// 64-parent word is built without branches and stored whole, so the
+    /// old contents are never read, and the cardinality is the sum of the
+    /// words' popcounts.  Reallocates only when `capacity` changes.
+    pub fn assign_where(&mut self, capacity: usize, mut member: impl FnMut(NodeId) -> bool) {
+        if self.bits.capacity() != capacity {
+            self.bits = FixedBitSet::new(capacity);
+        }
+        let mut len = 0;
+        for (w, word) in self.bits.words_mut().iter_mut().enumerate() {
+            let base = w * 64;
+            let mut bits = 0u64;
+            for p in base..capacity.min(base + 64) {
+                bits |= u64::from(member(p)) << (p - base);
+            }
+            *word = bits;
+            len += bits.count_ones() as usize;
+        }
+        self.len = len;
+    }
+
     /// The backing bit set, for word-wise algorithms.
     pub fn as_bitset(&self) -> &FixedBitSet {
         &self.bits
@@ -245,6 +276,42 @@ mod tests {
             assert_eq!(stale, reference, "{rows} rows, stale members");
             assert_eq!(stale.len(), reference.len(), "{rows} rows, stale members");
         }
+    }
+
+    #[test]
+    fn assign_where_overwrites_with_the_predicate_set() {
+        for capacity in [0usize, 1, 63, 64, 65, 130] {
+            let rule = |p: usize| p.is_multiple_of(3) || p == capacity.saturating_sub(1);
+            let reference = HappySet::from_members(capacity, (0..capacity).filter(|&p| rule(p)));
+            // Stale members at a stale capacity, then at the same capacity:
+            // neither may leak into the overwrite.
+            for stale in [HappySet::from_members(200, [1, 64, 199]), reference.clone()] {
+                let mut set = stale;
+                if set.capacity() == capacity && capacity > 2 {
+                    set.insert(1);
+                }
+                let mut calls = Vec::new();
+                set.assign_where(capacity, |p| {
+                    calls.push(p);
+                    rule(p)
+                });
+                assert_eq!(calls, (0..capacity).collect::<Vec<_>>(), "capacity {capacity}");
+                assert_eq!(set, reference, "capacity {capacity}");
+                assert_eq!(set.capacity(), capacity);
+                assert_eq!(set.len(), set.as_bitset().count(), "capacity {capacity}");
+                let words = set.as_bitset().as_words();
+                assert_eq!(words.len(), capacity.div_ceil(64));
+                if capacity % 64 != 0 {
+                    let tail = words[words.len() - 1] >> (capacity % 64);
+                    assert_eq!(tail, 0, "capacity {capacity}: a bit past the capacity is set");
+                }
+            }
+        }
+        let mut full = HappySet::new(0);
+        full.assign_where(130, |_| true);
+        assert_eq!(full.len(), 130);
+        full.assign_where(130, |_| false);
+        assert!(full.is_empty());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   batched-verification lane gather, set-bit extraction) every hot bit
 //!   loop runs on: one portable source, whose emission loops also run
 //!   compiled for AVX2 + POPCNT where the CPU has both.
-//! * [`dynamic`] — the dynamic-setting substrate of paper §6: an edge-event
-//!   stream applied to a graph with notification of affected nodes.
+//! * [`dynamic`] — the dynamic-setting substrate of paper §6: edge events
+//!   and the random churn streams the §6 experiments replay.
 //!
 //! ## Quick example
 //!
@@ -57,7 +57,7 @@ pub mod kernels;
 pub mod properties;
 
 pub use bitset::FixedBitSet;
-pub use dynamic::{DynamicGraph, EdgeEvent, EdgeEventKind};
+pub use dynamic::{EdgeEvent, EdgeEventKind};
 pub use error::GraphError;
 pub use graph::{Edge, Graph};
 pub use happy_set::HappySet;
