@@ -739,7 +739,9 @@ const STATEFUL_HORIZON: u64 = 1024;
 /// always take the sequential engine, on the same graph at
 /// [`STATEFUL_HORIZON`] holidays: `analyze_schedule` against emission
 /// alone (`fill_happy_set` into one reused buffer), each run on a fresh
-/// clone.  At smoke size the graph is analyze-mix's stateful shape.
+/// clone.  At smoke size the graph (2000 nodes, mean degree about 10) only
+/// approximates analyze-mix's stateful graphs, which have 2048 nodes and
+/// mean degree 4, 10 or 32 in four families.
 pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let horizon = cfg.horizon;

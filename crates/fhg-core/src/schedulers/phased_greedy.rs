@@ -100,14 +100,12 @@ impl PhasedGreedy {
             let inside = offset < window;
             used[(offset / 64).min(last as u64) as usize] |= u64::from(inside) << (offset % 64);
         }
-        // `deg(p)` neighbours cannot fill `deg(p) + 1` offsets, so a clear
-        // bit always exists; the cap keeps the old rule's fallback exact.
-        let free = used
-            .iter()
-            .position(|&w| w != u64::MAX)
-            .map_or(window, |i| i as u64 * 64 + u64::from((!used[i]).trailing_zeros()));
+        // `deg(p)` neighbours cannot fill `deg(p) + 1` offsets, and no bit
+        // past the window is set, so the first clear bit is inside it.
+        let word = used.iter().position(|&w| w != u64::MAX).expect("a clear offset exists");
+        let free = word as u64 * 64 + u64::from((!used[word]).trailing_zeros());
         used.fill(0);
-        holiday + free.min(window - 1) + 1
+        holiday + free + 1
     }
 }
 

@@ -66,13 +66,8 @@ impl Scheduler for RoundRobinColoring {
         match &self.schedule {
             Some(schedule) => schedule.fill(t, out),
             None => {
-                let active = (t % self.k) as u32 + 1;
-                out.reset(self.coloring.len());
-                for (p, &c) in self.coloring.as_slice().iter().enumerate() {
-                    if c == active {
-                        out.insert(p);
-                    }
-                }
+                let (colors, active) = (self.coloring.as_slice(), (t % self.k) as u32 + 1);
+                out.assign_where(colors.len(), |p| colors[p] == active);
             }
         }
     }
