@@ -1084,5 +1084,30 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_frame(&bytes[..cut]).is_none(), "cut {cut}");
         }
+        // The bytes themselves are pinned, so a field-order slip that
+        // still round-trips fails here.
+        assert_eq!(wire::fnv1a(&bytes), 0xc47c_3ecf_dd8a_6435, "WAL frame bytes moved");
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        use crate::schedulers::PrefixCodeScheduler;
+        use fhg_graph::generators::structured::path;
+
+        let mut svc = ProfileService::new();
+        let shared = erdos_renyi(14, 0.2, 3);
+        svc.register(1, &shared, &PeriodicDegreeBound::new(&shared)).expect("register");
+        svc.register(2, &shared, &PeriodicDegreeBound::new(&shared)).expect("register");
+        let coloured = erdos_renyi(12, 0.25, 8);
+        svc.register(3, &coloured, &PrefixCodeScheduler::omega(&coloured)).expect("register");
+        let mut dynamic = DynamicColorBound::new(&path(6));
+        svc.register(4, dynamic.graph(), &dynamic).expect("register");
+        svc.build_pending();
+        // Nodes 0 and 2 share colour 1 on the path, so the insert recolours 2.
+        let event = EdgeEvent { kind: EdgeEventKind::Insert, u: 0, v: 2, holiday: 5 };
+        let repair = dynamic.apply_event(event).expect("event applies");
+        assert_eq!(repair.row_changes().len(), 1);
+        svc.patch(4, &repair).expect("patch");
+        assert_eq!(wire::fnv1a(&svc.snapshot_bytes()), 0x4102_4d1d_6ec9_530a, "snapshot bytes moved");
     }
 }
