@@ -20,9 +20,10 @@
 //! * [`iterlog`] — iterated logarithms `log^{(i)}`, `log*` and the paper's
 //!   `φ(c) = ∏_{i=0}^{log* c} log^{(i)} c` function (Definition 4.1), plus
 //!   the Cauchy-condensation series used in the Theorem 4.1 lower bound.
-//! * [`schedule`] — the holiday-number ↔ colour mapping of the Algorithm
-//!   Scheme in §4: each codeword becomes an arithmetic progression
-//!   `offset + k·period`.
+//! * [`schedule`] — [`Progression`], the one arithmetic progression
+//!   `slot + k·modulus` every periodic schedule gives a parent, with the
+//!   workspace's one [`gcd`]; and the holiday-number ↔ colour mapping of
+//!   the Algorithm Scheme in §4, which turns each codeword into one.
 //! * [`wire`] — the packed, endian-stable byte substrate (bit sinks/sources,
 //!   FNV-1a checksums, length-prefixed sections) used by the serving tier's
 //!   durable snapshot + write-ahead-log format.
@@ -40,7 +41,7 @@ pub mod wire;
 pub use bits::{BitReader, Codeword};
 pub use elias::{EliasCode, EliasKind};
 pub use iterlog::{ceil_log2, iterated_log, log_star, phi, rho_omega};
-pub use schedule::{CodeSchedule, SlotAssignment};
+pub use schedule::{gcd, CodeSchedule, Progression};
 pub use unary::UnaryCode;
 
 /// A prefix-free code over the positive integers `1, 2, 3, …`.

@@ -1,75 +1,146 @@
-//! The holiday-number ↔ colour mapping of the paper's §4 Algorithm Scheme.
+//! Arithmetic progressions of holidays, and the holiday-number ↔ colour
+//! mapping of the paper's §4 Algorithm Scheme.
+//!
+//! Every periodic schedule in the paper gives each parent one arithmetic
+//! progression: colour `c` owns `offset(c) + k·2^{len(c)}` (§4), and node `p`
+//! hosts at `x_p mod 2^{j_p}` (§5).  [`Progression`] is that value, shared by
+//! every crate of the workspace.  Thm 4.1's packing argument and Lemma 5.2
+//! both rest on one fact: two progressions meet iff their slots agree modulo
+//! the gcd of their moduli ([`Progression::meets`]).  Their shared holidays
+//! form a progression of their own, solved by the Chinese remainder theorem
+//! ([`Progression::meeting`]).
 //!
 //! Given any prefix-free code, colour `c` is happy at holiday `i` exactly
 //! when the reversed codeword of `c` is a suffix of the binary representation
 //! of `i`.  Equivalently (and this is how we implement it), colour `c` owns
-//! the arithmetic progression `offset(c) + k · 2^{len(c)}` where `offset(c)`
-//! is the codeword of `c` read with its first bit as the least significant
-//! bit.  Prefix-freeness guarantees the progressions of distinct colours are
+//! the progression `offset(c) + k · 2^{len(c)}` where `offset(c)` is the
+//! codeword of `c` read with its first bit as the least significant bit.
+//! Prefix-freeness guarantees the progressions of distinct colours are
 //! disjoint, and each colour's schedule is perfectly periodic with period
 //! `2^{len(c)}`.
 
 use crate::PrefixFreeCode;
 
-/// The perfectly periodic slot owned by one colour: all holidays
-/// `≡ offset (mod period)`.
+/// The holidays `t ≡ slot (mod modulus)`: the perfectly periodic hosting
+/// schedule of one parent or one colour.
+///
+/// The methods assume `modulus ≥ 1` and `slot < modulus`.  The fields are
+/// public, so nothing enforces that; the schedules that store progressions
+/// check it where they take one in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotAssignment {
+pub struct Progression {
     /// Residue of the owned holidays.
-    pub offset: u64,
-    /// Period between consecutive owned holidays; always a power of two for
-    /// code-derived slots.
-    pub period: u64,
+    pub slot: u64,
+    /// Distance between consecutive owned holidays: the period.
+    pub modulus: u64,
 }
 
-impl SlotAssignment {
-    /// Creates a slot; `offset` is reduced modulo `period`.
-    ///
-    /// # Panics
-    /// Panics if `period == 0`.
-    pub fn new(offset: u64, period: u64) -> Self {
-        assert!(period > 0, "slot period must be positive");
-        SlotAssignment { offset: offset % period, period }
+impl Default for Progression {
+    /// Every holiday: `0 mod 1`.
+    fn default() -> Self {
+        Progression { slot: 0, modulus: 1 }
+    }
+}
+
+impl Progression {
+    /// Whether the progression owns holiday `t`.
+    pub fn contains(&self, t: u64) -> bool {
+        t % self.modulus == self.slot
     }
 
-    /// Whether the slot owns `holiday`.
-    pub fn contains(&self, holiday: u64) -> bool {
-        holiday % self.period == self.offset
-    }
-
-    /// The first owned holiday at or after `holiday`.
-    pub fn next_at_or_after(&self, holiday: u64) -> u64 {
-        let r = holiday % self.period;
-        if r <= self.offset {
-            holiday + (self.offset - r)
+    /// The least `o` such that holiday `start + o` lies on the progression.
+    /// It is a distance, not a holiday, so it cannot overflow.  Exact for
+    /// every `u64` modulus.
+    #[inline]
+    pub fn offset_from(&self, start: u64) -> u64 {
+        let m = self.modulus;
+        let r = if m.is_power_of_two() { start & (m - 1) } else { start % m };
+        if self.slot >= r {
+            self.slot - r
         } else {
-            holiday + (self.period - r) + self.offset
+            self.slot + (m - r)
         }
     }
 
-    /// Longest possible gap between consecutive happy holidays, i.e. the
-    /// worst-case unhappiness interval this slot can cause: `period - 1`.
-    pub fn max_unhappiness(&self) -> u64 {
-        self.period - 1
+    /// Whether the two progressions share a holiday:
+    /// `s₁ ≡ s₂ (mod gcd(m₁, m₂))`.  Pairs of powers of two (every §4/§5
+    /// schedule) and equal moduli take the gcd without a loop.  The
+    /// power-of-two test comes first: it is the same for every edge of such
+    /// a schedule, while whether two neighbours' moduli are equal is not,
+    /// and a mispredicted branch per edge costs more than the test itself
+    /// (equal powers of two need no branch: their smaller modulus is the
+    /// modulus).
+    #[inline]
+    pub fn meets(&self, other: &Progression) -> bool {
+        let (s1, m1, s2, m2) = (self.slot, self.modulus, other.slot, other.modulus);
+        if m1.is_power_of_two() && m2.is_power_of_two() {
+            (s1 ^ s2) & (m1.min(m2) - 1) == 0
+        } else if m1 == m2 {
+            s1 == s2
+        } else {
+            let g = gcd(m1, m2);
+            s1 % g == s2 % g
+        }
     }
 
-    /// Whether two slots ever own the same holiday (CRT-style check).
-    pub fn conflicts_with(&self, other: &SlotAssignment) -> bool {
-        let g = gcd(self.period, other.period);
-        self.offset % g == other.offset % g
+    /// The shared holidays of the two progressions, by the Chinese
+    /// remainder theorem: the offset from `start` of the first one at or
+    /// after `start`, and the lcm of the moduli, which separates them.
+    /// `None` when the progressions never meet.  Total over every pair of
+    /// `u64` moduli: the lcm reaches `(2^64 − 1)(2^64 − 2)`, so both values
+    /// are `u128`.
+    pub fn meeting(&self, other: &Progression, start: u64) -> Option<(u128, u128)> {
+        let (s1, m1, s2, m2) = (self.slot, self.modulus, other.slot, other.modulus);
+        debug_assert!(s1 < m1 && s2 < m2, "slots must be residues of their moduli");
+        let g = gcd(m1, m2);
+        if s1 % g != s2 % g {
+            return None;
+        }
+        // t = s1 + m1·k, where (m1/g)·k ≡ (s2 − s1)/g (mod m2/g).
+        let step = m2 / g;
+        let rhs = ((i128::from(s2) - i128::from(s1)) / i128::from(g)).rem_euclid(i128::from(step));
+        let k = rhs as u128 * u128::from(inverse((m1 / g) % step, step)) % u128::from(step);
+        // k < step, so t0 = s1 + m1·k < m1·step = lcm.
+        let (t0, lcm) = (u128::from(s1) + u128::from(m1) * k, u128::from(m1) * u128::from(step));
+        let r = u128::from(start) % lcm;
+        Some((if t0 >= r { t0 - r } else { t0 + (lcm - r) }, lcm))
     }
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
+/// The inverse of `a` modulo `m` (`a < m`, `gcd(a, m) = 1`; `0` when
+/// `m = 1`), by the extended Euclidean algorithm.  Every Bézout coefficient
+/// is bounded by `m`, so `i128` holds them all.
+fn inverse(a: u64, m: u64) -> u64 {
+    let (mut r0, mut r1) = (i128::from(a), i128::from(m));
+    let (mut x0, mut x1) = (1i128, 0i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (x0, x1) = (x1, x0 - q * x1);
+    }
+    x0.rem_euclid(i128::from(m)) as u64
+}
+
+/// The gcd of two positive integers (binary, Stein's algorithm).
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+    debug_assert!(a > 0 && b > 0, "gcd takes positive integers");
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
     }
 }
 
-/// A colour → slot mapping induced by a prefix-free code, i.e. the paper's §4
-/// "Algorithm Scheme" specialised to suffix matching of reversed codewords.
+/// A colour → progression mapping induced by a prefix-free code, i.e. the
+/// paper's §4 "Algorithm Scheme" specialised to suffix matching of reversed
+/// codewords.
 #[derive(Debug, Clone)]
 pub struct CodeSchedule<C> {
     code: C,
@@ -86,12 +157,12 @@ impl<C: PrefixFreeCode> CodeSchedule<C> {
         &self.code
     }
 
-    /// The slot owned by `color` (colours are positive integers).
-    pub fn slot(&self, color: u64) -> SlotAssignment {
+    /// The progression owned by `color` (colours are positive integers).
+    pub fn slot(&self, color: u64) -> Progression {
         let cw = self.code.encode(color);
         let len = cw.len();
         assert!(len < 64, "codeword of colour {color} is too long for a u64 period");
-        SlotAssignment { offset: cw.to_u64_lsb_first(), period: 1u64 << len }
+        Progression { slot: cw.to_u64_lsb_first(), modulus: 1u64 << len }
     }
 
     /// Whether `color` is happy at `holiday` (the `decode(i) = col(p)` test).
@@ -108,10 +179,10 @@ impl<C: PrefixFreeCode> CodeSchedule<C> {
     /// Verifies that no two distinct colours in `1..=max_color` ever own the
     /// same holiday.  Returns the first conflicting pair if one exists.
     pub fn find_conflict(&self, max_color: u64) -> Option<(u64, u64)> {
-        let slots: Vec<SlotAssignment> = (1..=max_color).map(|c| self.slot(c)).collect();
+        let slots: Vec<Progression> = (1..=max_color).map(|c| self.slot(c)).collect();
         for i in 0..slots.len() {
             for j in (i + 1)..slots.len() {
-                if slots[i].conflicts_with(&slots[j]) {
+                if slots[i].meets(&slots[j]) {
                     return Some((i as u64 + 1, j as u64 + 1));
                 }
             }
@@ -126,42 +197,143 @@ mod tests {
     use crate::{EliasCode, UnaryCode};
     use proptest::prelude::*;
 
+    fn euclid(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            euclid(b, a % b)
+        }
+    }
+
+    fn row(slot: u64, modulus: u64) -> Progression {
+        Progression { slot, modulus }
+    }
+
     #[test]
-    fn slot_membership_and_next() {
-        let s = SlotAssignment::new(3, 8);
+    fn membership_and_offsets() {
+        let s = row(3, 8);
         assert!(s.contains(3));
         assert!(s.contains(11));
         assert!(!s.contains(4));
-        assert_eq!(s.max_unhappiness(), 7);
-        assert_eq!(s.next_at_or_after(0), 3);
-        assert_eq!(s.next_at_or_after(3), 3);
-        assert_eq!(s.next_at_or_after(4), 11);
-        assert_eq!(s.next_at_or_after(11), 11);
-        assert_eq!(s.next_at_or_after(12), 19);
+        assert_eq!(s.offset_from(0), 3);
+        assert_eq!(s.offset_from(3), 0);
+        assert_eq!(s.offset_from(4), 7);
+        assert_eq!(s.offset_from(11), 0);
+        assert_eq!(s.offset_from(12), 7);
+        assert_eq!(row(2, 3).offset_from(4), 1);
+        assert_eq!(Progression::default().offset_from(17), 0);
     }
 
     #[test]
-    fn slot_offset_is_reduced() {
-        let s = SlotAssignment::new(13, 8);
-        assert_eq!(s.offset, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_period_rejected() {
-        SlotAssignment::new(0, 0);
-    }
-
-    #[test]
-    fn conflict_detection_matches_enumeration() {
-        let a = SlotAssignment::new(1, 4);
-        let b = SlotAssignment::new(3, 8);
-        let c = SlotAssignment::new(5, 8);
+    fn meets_matches_enumeration() {
+        let a = row(1, 4);
+        let b = row(3, 8);
+        let c = row(5, 8);
         // 1 mod 4 = {1,5,9,13,...}; 3 mod 8 = {3,11,...} disjoint; 5 mod 8 = {5,13,...} overlaps.
-        assert!(!a.conflicts_with(&b));
-        assert!(a.conflicts_with(&c));
-        assert!(!b.conflicts_with(&c));
-        assert!(a.conflicts_with(&a));
+        assert!(!a.meets(&b));
+        assert!(a.meets(&c));
+        assert!(!b.meets(&c));
+        assert!(a.meets(&a));
+    }
+
+    #[test]
+    fn congruence_matches_the_gcd_and_the_crt() {
+        for mu in 1u64..=16 {
+            for mv in 1u64..=16 {
+                let g = euclid(mu, mv);
+                assert_eq!(gcd(mu, mv), g, "gcd({mu}, {mv})");
+                for su in 0..mu {
+                    for sv in 0..mv {
+                        let (a, b) = (row(su, mu), row(sv, mv));
+                        let want = su % g == sv % g;
+                        assert_eq!(a.meets(&b), want, "{su}/{mu} vs {sv}/{mv}");
+                        assert_eq!(a.meeting(&b, 0).is_some(), want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn meeting_matches_brute_force() {
+        for m1 in 1u64..=12 {
+            for m2 in 1u64..=12 {
+                let lcm = m1 / euclid(m1, m2) * m2;
+                for s1 in 0..m1 {
+                    for s2 in 0..m2 {
+                        let (a, b) = (row(s1, m1), row(s2, m2));
+                        let brute: Vec<u64> =
+                            (0..2 * lcm).filter(|t| t % m1 == s1 && t % m2 == s2).collect();
+                        match a.meeting(&b, 0) {
+                            None => assert!(
+                                brute.is_empty(),
+                                "({s1} mod {m1}, {s2} mod {m2}): CRT says never, brute {brute:?}"
+                            ),
+                            Some((t0, l)) => {
+                                assert_eq!(l, u128::from(lcm));
+                                assert!(t0 < l, "first solution must be canonical");
+                                let t0 = t0 as u64;
+                                assert_eq!(
+                                    brute,
+                                    vec![t0, t0 + lcm],
+                                    "({s1} mod {m1}, {s2} mod {m2})"
+                                );
+                                for start in [0u64, 1, lcm - 1, lcm, 3 * lcm + 2] {
+                                    let first = (start..)
+                                        .find(|t| t % m1 == s1 && t % m2 == s2)
+                                        .expect("the progression passes every start");
+                                    assert_eq!(
+                                        a.meeting(&b, start),
+                                        Some((u128::from(first - start), l)),
+                                        "start {start}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn meeting_is_total_at_the_u64_boundary() {
+        let max = u64::MAX;
+        let rows = [
+            row(0, 1 << 63),
+            row((1 << 63) - 1, 1 << 63),
+            row(5, max),
+            row(max - 1, max),
+            row(5, max - 1),
+            row(max - 2, max - 1),
+            row(2, 3),
+            row(7, (1 << 62) + 1),
+            row(0, 1),
+        ];
+        for a in &rows {
+            for b in &rows {
+                let g = euclid(a.modulus, b.modulus);
+                let lcm = u128::from(a.modulus / g) * u128::from(b.modulus);
+                assert_eq!(a.meets(b), a.meeting(b, 0).is_some(), "{a:?} vs {b:?}");
+                match a.meeting(b, 0) {
+                    None => assert_ne!(a.slot % g, b.slot % g, "{a:?} vs {b:?}"),
+                    Some((t0, l)) => {
+                        assert_eq!(l, lcm, "{a:?} vs {b:?}");
+                        assert!(t0 < l);
+                        assert_eq!(t0 % u128::from(a.modulus), u128::from(a.slot));
+                        assert_eq!(t0 % u128::from(b.modulus), u128::from(b.slot));
+                        let (o, _) = a.meeting(b, max).expect("the same progressions meet");
+                        assert!(o < l);
+                        let t = u128::from(max) + o;
+                        assert_eq!(t % u128::from(a.modulus), u128::from(a.slot));
+                        assert_eq!(t % u128::from(b.modulus), u128::from(b.slot));
+                    }
+                }
+            }
+        }
+        assert_eq!(row(0, max).offset_from(max), 0);
+        assert_eq!(row(max - 1, max).offset_from(0), max - 1);
+        assert_eq!(row(0, 1 << 63).offset_from(max), 1);
     }
 
     #[test]
@@ -169,7 +341,7 @@ mod tests {
         let sched = CodeSchedule::new(EliasCode::omega());
         for c in 1..200u64 {
             let slot = sched.slot(c);
-            assert_eq!(slot.period, 1u64 << crate::rho_omega(c));
+            assert_eq!(slot.modulus, 1u64 << crate::rho_omega(c));
         }
     }
 
@@ -183,7 +355,7 @@ mod tests {
     fn unary_schedule_has_no_conflicts_but_huge_periods() {
         let sched = CodeSchedule::new(UnaryCode);
         assert_eq!(sched.find_conflict(40), None);
-        assert_eq!(sched.slot(10).period, 1 << 10);
+        assert_eq!(sched.slot(10).modulus, 1 << 10);
     }
 
     #[test]
@@ -207,9 +379,7 @@ mod tests {
         // ω(1) = "0": offset 0, period 2 → happy every other holiday, the
         // best any colour can do under the omega schedule.
         let sched = CodeSchedule::new(EliasCode::omega());
-        let slot = sched.slot(1);
-        assert_eq!(slot.period, 2);
-        assert_eq!(slot.offset, 0);
+        assert_eq!(sched.slot(1), row(0, 2));
     }
 
     proptest! {
@@ -217,7 +387,7 @@ mod tests {
         fn happiness_is_periodic(color in 1u64..500, k in 0u64..1_000) {
             let sched = CodeSchedule::new(EliasCode::omega());
             let slot = sched.slot(color);
-            prop_assert!(sched.is_happy(color, slot.offset + k * slot.period));
+            prop_assert!(sched.is_happy(color, slot.slot + k * slot.modulus));
         }
 
         #[test]
@@ -230,12 +400,16 @@ mod tests {
         }
 
         #[test]
-        fn next_at_or_after_is_correct(offset in 0u64..64, exp in 1u32..10, start in 0u64..10_000) {
-            let s = SlotAssignment::new(offset, 1 << exp);
-            let next = s.next_at_or_after(start);
-            prop_assert!(next >= start);
-            prop_assert!(s.contains(next));
-            prop_assert!(next - start < s.period);
+        fn offset_from_reaches_the_first_owned_holiday(
+            slot in 0u64..1_000,
+            modulus in 1u64..1_000,
+            start in 0u64..10_000,
+        ) {
+            let s = row(slot % modulus, modulus);
+            let o = s.offset_from(start);
+            prop_assert!(o < s.modulus);
+            prop_assert!(s.contains(start + o));
+            prop_assert!((start..start + o).all(|t| !s.contains(t)));
         }
     }
 }

@@ -73,11 +73,12 @@
 
 use std::collections::HashMap;
 
+use fhg_codes::Progression;
 use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
 
 use super::checker::{ClassBatch, HolidayChecker};
-use super::progression::{crt_class, first_offset, offset_from, window_lane};
+use super::progression::window_lane;
 use super::sweep::{self, NodeAccum, TotalsFold};
 use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
@@ -133,7 +134,8 @@ impl Lane {
         if self.step == 0 {
             return NodeAccum::empty();
         }
-        window_lane(first_offset(t0, self.first, self.step), self.step, len)
+        let row = Progression { slot: self.first, modulus: self.step };
+        window_lane(row.offset_from(t0), self.step, len)
     }
 }
 
@@ -343,11 +345,11 @@ impl CycleProfile {
         // part of class size, exactly as `view.fill` reports it).
         let mut class_sizes = vec![0u64; cycle as usize];
         for p in 0..view.node_count() {
-            let m = view.modulus(p);
-            let mut o = first_offset(start, view.slot(p), m);
+            let row = view.row(p);
+            let mut o = row.offset_from(start);
             while o < cycle {
                 class_sizes[o as usize] += 1;
-                o += m;
+                o += row.modulus;
             }
         }
         let (lanes, lane_of) = group_lanes(view, start, node_count);
@@ -498,23 +500,15 @@ impl CycleProfile {
         // now lies inside existing classes).
         scratch.classes.clear();
         for change in changes {
-            let m = change.new_modulus;
+            let m = change.new.modulus;
             debug_assert!(cycle.is_multiple_of(m), "row modulus must divide the unchanged cycle");
-            push_progression(
-                &mut scratch.classes,
-                first_offset(self.start, change.new_slot, m),
-                m,
-                cycle,
-            );
+            push_progression(&mut scratch.classes, change.new.offset_from(self.start), m, cycle);
         }
         if let Some((u, v)) = inserted_edge {
-            if let Some(class) =
-                crt_class(view.slot(u), view.modulus(u), view.slot(v), view.modulus(v))
-            {
-                // Both moduli divide the unchanged cycle, so the class fits
-                // in a u64.
-                let (first, step) = (offset_from(self.start, class) as u64, class.1 as u64);
-                push_progression(&mut scratch.classes, first, step, cycle);
+            if let Some((first, step)) = view.row(u).meeting(&view.row(v), self.start) {
+                // Both moduli divide the unchanged cycle, so the meeting
+                // fits in a u64.
+                push_progression(&mut scratch.classes, first as u64, step as u64, cycle);
             }
         }
         scratch.classes.sort_unstable();
@@ -544,9 +538,9 @@ impl CycleProfile {
         crate::fail_point!("profile.patch.validate");
 
         for change in changes {
-            let (old_m, new_m) = (change.old_modulus, change.new_modulus);
-            let old_f = first_offset(self.start, change.old_slot, old_m);
-            let new_f = first_offset(self.start, change.new_slot, new_m);
+            let (old_m, new_m) = (change.old.modulus, change.new.modulus);
+            let old_f = change.old.offset_from(self.start);
+            let new_f = change.new.offset_from(self.start);
 
             // Per-class size delta: walk the cycle once, subtracting the
             // old progression and adding the new.  The running delta is
@@ -731,8 +725,8 @@ fn group_lanes(view: &ResidueSchedule, start: u64, n: usize) -> (Vec<Lane>, Vec<
     let lane_of = (0..n)
         .map(|p| {
             let (first, step) = if p < view.node_count() {
-                let m = view.modulus(p);
-                (first_offset(start, view.slot(p), m), m)
+                let row = view.row(p);
+                (row.offset_from(start), row.modulus)
             } else {
                 (0, 0)
             };
@@ -1264,14 +1258,9 @@ mod tests {
         let moves: &[(usize, u64, u64)] =
             &[(2, 1, 4), (0, 1, 6), (5, 2, 3), (0, 0, 2), (3, 1, 4), (5, 0, 12)];
         for &(p, slot, m) in moves {
-            let change = RowChange {
-                node: p,
-                old_slot: view.slot(p),
-                old_modulus: view.modulus(p),
-                new_slot: slot,
-                new_modulus: m,
-            };
-            view.set_row(p, slot, m);
+            let change =
+                RowChange { node: p, old: view.row(p), new: Progression { slot, modulus: m } };
+            view.set_row(p, change.new);
             assert_eq!(view.cycle(), 12, "moves must preserve the cycle");
             let stats =
                 profile.patch(&view, &[change], None, &checker, &mut scratch).expect("same cycle");
@@ -1358,14 +1347,9 @@ mod tests {
         assert_eq!(table, 4, "nodes 1 and 2 share a lane");
         for round in 0..8u64 {
             let (slot, m) = if round % 2 == 0 { (1, 2) } else { (round, 12) };
-            let change = RowChange {
-                node: 0,
-                old_slot: view.slot(0),
-                old_modulus: view.modulus(0),
-                new_slot: slot,
-                new_modulus: m,
-            };
-            view.set_row(0, slot, m);
+            let change =
+                RowChange { node: 0, old: view.row(0), new: Progression { slot, modulus: m } };
+            view.set_row(0, change.new);
             profile.patch(&view, &[change], None, &checker, &mut scratch).expect("cycle fixed");
             let rebuilt = CycleProfile::build(&view, 0, 5, &checker);
             assert!(profile.content_eq(&rebuilt), "round {round}");

@@ -115,14 +115,7 @@ impl DynamicColorBound {
         let coloring = greedy_coloring(graph, GreedyOrder::Natural);
         let colors = coloring.into_vec();
         let schedule = CodeSchedule::new(EliasCode::omega());
-        let mut slots = Vec::with_capacity(colors.len());
-        let mut moduli = Vec::with_capacity(colors.len());
-        for &c in &colors {
-            let sa = schedule.slot(u64::from(c));
-            slots.push(sa.offset);
-            moduli.push(sa.period);
-        }
-        let view = ResidueSchedule::new(slots, moduli);
+        let view = ResidueSchedule::from_rows(colors.iter().map(|&c| schedule.slot(u64::from(c))));
         DynamicColorBound { graph: graph.clone(), colors, schedule, view, recolor_events: 0 }
     }
 
@@ -143,7 +136,7 @@ impl DynamicColorBound {
 
     /// The current period of node `p` (changes when `p` is recoloured).
     pub fn current_period(&self, p: NodeId) -> u64 {
-        self.schedule.slot(u64::from(self.colors[p])).period
+        self.schedule.slot(u64::from(self.colors[p])).modulus
     }
 
     /// §6 recovery bound: after quiescence a node of degree `d` hosts within
@@ -166,14 +159,8 @@ impl DynamicColorBound {
         let c = recolor_node(&self.graph, &mut self.colors, p);
         self.recolor_events += 1;
         let new = self.schedule.slot(u64::from(c));
-        self.view.set_row(p, new.offset, new.period);
-        RowChange {
-            node: p,
-            old_slot: old.offset,
-            old_modulus: old.period,
-            new_slot: new.offset,
-            new_modulus: new.period,
-        }
+        self.view.set_row(p, new);
+        RowChange { node: p, old, new }
     }
 
     /// A new couple forms: insert the conflict edge `(u, v)`.
@@ -379,8 +366,8 @@ mod tests {
         let changes = repair.row_changes();
         assert_eq!(changes.len(), 1, "one endpoint recoloured");
         assert_eq!(changes[0].node, 2);
-        assert_eq!(changes[0].old_modulus, before);
-        assert_eq!(changes[0].new_modulus, s.current_period(2));
+        assert_eq!(changes[0].old.modulus, before);
+        assert_eq!(changes[0].new.modulus, s.current_period(2));
         assert_eq!(repair.recolored().collect::<Vec<_>>(), vec![2]);
         assert_view_matches_colors(&mut s, 64, "after reported insert");
     }

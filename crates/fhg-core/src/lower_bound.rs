@@ -19,7 +19,7 @@
 //! * [`max_packable_colors`] — the largest number of colours a period
 //!   function can accommodate, demonstrating where each function breaks.
 
-use fhg_codes::{phi, rho_omega};
+use fhg_codes::{gcd, phi, rho_omega, Progression};
 
 /// `Σ_{c=1}^{limit} 1/f(c)` — the feasibility functional of Theorem 4.1.
 /// A schedule with periods `f(c)` can only exist if the value stays `≤ 1`
@@ -38,67 +38,46 @@ pub fn kraft_sum(periods: &[u64]) -> f64 {
 /// i.e. constructs an actual colour-bound schedule with the demanded periods.
 ///
 /// Periods need not be powers of two; two progressions `(o₁, p₁)`, `(o₂, p₂)`
-/// are disjoint iff `o₁ ≢ o₂ (mod gcd(p₁, p₂))`.  Offsets are chosen
-/// greedily (smallest feasible), which is exact for chains of divisibility
-/// (e.g. powers of two) and a good constructive witness in general.
+/// are disjoint iff `o₁ ≢ o₂ (mod gcd(p₁, p₂))` ([`Progression::meets`]).
+/// Offsets are chosen greedily (smallest feasible), which is exact for
+/// chains of divisibility (e.g. powers of two) and a good constructive
+/// witness in general.
 ///
 /// Returns the offsets, or `None` if some colour cannot be placed.
 pub fn greedy_offset_assignment(periods: &[u64]) -> Option<Vec<u64>> {
-    let mut offsets: Vec<u64> = Vec::with_capacity(periods.len());
-    for (i, &p) in periods.iter().enumerate() {
-        offsets.push(next_free_offset(&periods[..i], &offsets, p)?);
-    }
-    Some(offsets)
-}
-
-/// Smallest offset in `[0, period)` whose progression avoids every already
-/// assigned `(period, offset)` pair, by first-fit search.
-///
-/// A prior progression whose period shares no common factor with `p`
-/// (gcd = 1) collides with every candidate, so the search bails out
-/// immediately in that case instead of scanning the whole range.
-fn next_free_offset(periods: &[u64], offsets: &[u64], p: u64) -> Option<u64> {
-    assert!(p > 0, "periods must be positive");
-    if periods.iter().any(|&q| gcd(p, q) == 1) {
-        return None;
-    }
-    'candidates: for candidate in 0..p {
-        for (j, &q) in periods.iter().enumerate() {
-            let g = gcd(p, q);
-            if candidate % g == offsets[j] % g {
-                continue 'candidates;
-            }
-        }
-        return Some(candidate);
-    }
-    None
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
+    let placed = pack(periods.iter().copied());
+    (placed.len() == periods.len()).then(|| placed.iter().map(|row| row.slot).collect())
 }
 
 /// The largest `C ≤ cap` such that colours `1..=C` with periods `f(c)` can be
-/// packed by [`greedy_offset_assignment`], built incrementally (the greedy
-/// choice for colour `c` does not depend on later colours).
+/// packed by [`greedy_offset_assignment`] (the greedy choice for colour `c`
+/// does not depend on later colours).
 pub fn max_packable_colors(f: impl Fn(u64) -> u64, cap: u64) -> u64 {
-    let mut periods: Vec<u64> = Vec::new();
-    let mut offsets: Vec<u64> = Vec::new();
-    for c in 1..=cap {
-        let p = f(c);
-        match next_free_offset(&periods, &offsets, p) {
-            Some(o) => {
-                periods.push(p);
-                offsets.push(o);
-            }
-            None => return c - 1,
+    pack((1..=cap).map(f)).len() as u64
+}
+
+/// The progressions of the given periods, each at its smallest offset that
+/// meets none placed before it, up to the first period that finds none.
+///
+/// A placed progression whose period shares no common factor with the next
+/// one (gcd = 1) meets every candidate, so the search stops at once in that
+/// case instead of scanning the whole range.
+fn pack(periods: impl IntoIterator<Item = u64>) -> Vec<Progression> {
+    let mut placed: Vec<Progression> = Vec::new();
+    for p in periods {
+        assert!(p > 0, "periods must be positive");
+        if placed.iter().any(|q| gcd(p, q.modulus) == 1) {
+            break;
+        }
+        let free = (0..p)
+            .map(|slot| Progression { slot, modulus: p })
+            .find(|candidate| !placed.iter().any(|q| q.meets(candidate)));
+        match free {
+            Some(row) => placed.push(row),
+            None => break,
         }
     }
-    cap
+    placed
 }
 
 /// Summary of the Theorem 4.1 validation for one period function — the row

@@ -11,7 +11,7 @@
 //! communication after setup.
 
 use fhg_coloring::{restricted_greedy_slot, slot_exponent};
-use fhg_distributed::{distributed_slot_assignment, SlotAssignmentOutcome};
+use fhg_distributed::distributed_slot_assignment;
 use fhg_graph::{Graph, HappySet, NodeId};
 
 use crate::scheduler::Scheduler;
@@ -20,10 +20,9 @@ use crate::schedulers::residue::ResidueSchedule;
 /// The sequential §5.1 periodic degree-bound scheduler.
 #[derive(Debug, Clone)]
 pub struct PeriodicDegreeBound {
-    /// The `(slot, 2^exponent)` assignment as a thread-safe pure function of
-    /// the holiday number (word-packed rows inside when within budget).
+    /// The `(slot, 2^exponent)` rows as a thread-safe pure function of the
+    /// holiday number (word-packed rows inside when within budget).
     schedule: ResidueSchedule,
-    exponents: Vec<u32>,
     degrees: Vec<usize>,
 }
 
@@ -60,7 +59,8 @@ impl PeriodicDegreeBound {
     /// Only [`AssignmentOrder::DecreasingDegree`] guarantees a *conflict-free*
     /// schedule (Lemma 5.1); other orders may succeed yet produce adjacent
     /// nodes hosting the same holiday — check with
-    /// [`PeriodicDegreeBound::verify_no_conflicts`].
+    /// [`ResidueSchedule::conflict`] on the
+    /// [`residue_schedule`](Scheduler::residue_schedule).
     pub fn with_order(graph: &Graph, order: AssignmentOrder) -> Option<Self> {
         let n = graph.node_count();
         let mut nodes: Vec<NodeId> = graph.nodes().collect();
@@ -80,26 +80,7 @@ impl PeriodicDegreeBound {
         let slots: Vec<u64> =
             assigned.into_iter().map(|s| s.expect("all nodes assigned")).collect();
         let schedule = ResidueSchedule::from_exponents(slots, &exponents);
-        Some(PeriodicDegreeBound { schedule, exponents, degrees: graph.degrees() })
-    }
-
-    /// The slot (residue) of node `p`.
-    pub fn slot(&self, p: NodeId) -> u64 {
-        self.schedule.slot(p)
-    }
-
-    /// The slot exponent `⌈log₂(d_p + 1)⌉` of node `p`.
-    pub fn exponent(&self, p: NodeId) -> u32 {
-        self.exponents[p]
-    }
-
-    /// Lemma 5.2 check: no two adjacent nodes ever host the same holiday,
-    /// i.e. their slots differ modulo the smaller of the two periods.
-    pub fn verify_no_conflicts(&self, graph: &Graph) -> bool {
-        graph.edges().all(|e| {
-            let m = 1u64 << self.exponents[e.u].min(self.exponents[e.v]);
-            self.schedule.slot(e.u) % m != self.schedule.slot(e.v) % m
-        })
+        Some(PeriodicDegreeBound { schedule, degrees: graph.degrees() })
     }
 }
 
@@ -121,7 +102,7 @@ impl Scheduler for PeriodicDegreeBound {
     }
 
     fn period(&self, p: NodeId) -> Option<u64> {
-        Some(1u64 << self.exponents[p])
+        Some(self.schedule.modulus(p))
     }
 
     fn unhappiness_bound(&self, p: NodeId) -> Option<u64> {
@@ -139,7 +120,8 @@ impl Scheduler for PeriodicDegreeBound {
 /// restricted-palette distributed colouring on the LOCAL-model simulator.
 #[derive(Debug, Clone)]
 pub struct DistributedDegreeBound {
-    outcome: SlotAssignmentOutcome,
+    /// LOCAL rounds the §5.2 assignment took.
+    rounds: u64,
     degrees: Vec<usize>,
     /// The assignment as a thread-safe pure function of the holiday number.
     schedule: ResidueSchedule,
@@ -149,19 +131,14 @@ impl DistributedDegreeBound {
     /// Runs the §5.2 phased distributed slot assignment with the given seed.
     pub fn new(graph: &Graph, seed: u64) -> Self {
         let outcome = distributed_slot_assignment(graph, seed);
-        let schedule = ResidueSchedule::from_exponents(outcome.slots.clone(), &outcome.exponents);
-        DistributedDegreeBound { outcome, degrees: graph.degrees(), schedule }
-    }
-
-    /// The underlying slot-assignment outcome (slots, exponents, round counts).
-    pub fn outcome(&self) -> &SlotAssignmentOutcome {
-        &self.outcome
+        let schedule = ResidueSchedule::from_exponents(outcome.slots, &outcome.exponents);
+        DistributedDegreeBound { rounds: outcome.stats.rounds, degrees: graph.degrees(), schedule }
     }
 }
 
 impl Scheduler for DistributedDegreeBound {
     fn node_count(&self) -> usize {
-        self.outcome.slots.len()
+        self.schedule.node_count()
     }
 
     fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
@@ -177,7 +154,7 @@ impl Scheduler for DistributedDegreeBound {
     }
 
     fn period(&self, p: NodeId) -> Option<u64> {
-        Some(self.outcome.period(p))
+        Some(self.schedule.modulus(p))
     }
 
     fn unhappiness_bound(&self, p: NodeId) -> Option<u64> {
@@ -189,7 +166,7 @@ impl Scheduler for DistributedDegreeBound {
     }
 
     fn init_rounds(&self) -> u64 {
-        self.outcome.stats.rounds
+        self.rounds
     }
 }
 
@@ -228,13 +205,22 @@ mod tests {
         }
     }
 
+    /// The first edge whose endpoints ever host together (Lemma 5.2 holds
+    /// iff there is none).
+    fn conflict(s: &impl Scheduler, g: &Graph) -> Option<(NodeId, NodeId)> {
+        s.residue_schedule().expect("periodic").conflict(g)
+    }
+
     #[test]
     fn lemma_5_1_no_adjacent_conflicts() {
         let g = erdos_renyi(60, 0.12, 11);
         let s = PeriodicDegreeBound::new(&g);
+        assert_eq!(conflict(&s, &g), None);
+        // The same check, edge by edge against the exponents' definition.
+        let view = s.residue_schedule().unwrap();
         for e in g.edges() {
-            let m = 1u64 << s.exponent(e.u).min(s.exponent(e.v));
-            assert_ne!(s.slot(e.u) % m, s.slot(e.v) % m, "edge ({}, {})", e.u, e.v);
+            let m = 1u64 << slot_exponent(g.degree(e.u)).min(slot_exponent(g.degree(e.v)));
+            assert_ne!(view.slot(e.u) % m, view.slot(e.v) % m, "edge ({}, {})", e.u, e.v);
         }
     }
 
@@ -274,13 +260,14 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 3), (2, 3), (3, 4)]).unwrap();
         let natural = PeriodicDegreeBound::with_order(&g, AssignmentOrder::Natural)
             .expect("assignment itself succeeds");
-        assert!(
-            !natural.verify_no_conflicts(&g),
+        assert_eq!(
+            conflict(&natural, &g),
+            Some((2, 3)),
             "the crafted gadget must expose a conflict under id order"
         );
         let correct = PeriodicDegreeBound::with_order(&g, AssignmentOrder::DecreasingDegree)
             .expect("Lemma 5.1");
-        assert!(correct.verify_no_conflicts(&g));
+        assert_eq!(conflict(&correct, &g), None);
     }
 
     #[test]
@@ -290,10 +277,10 @@ mod tests {
             let g = erdos_renyi(20, 0.25, seed);
             let correct = PeriodicDegreeBound::with_order(&g, AssignmentOrder::DecreasingDegree)
                 .expect("Lemma 5.1: a slot always exists under decreasing degree");
-            assert!(correct.verify_no_conflicts(&g), "Lemma 5.2 violated at seed {seed}");
+            assert_eq!(conflict(&correct, &g), None, "Lemma 5.2 violated at seed {seed}");
             for order in [AssignmentOrder::IncreasingDegree, AssignmentOrder::Natural] {
                 if let Some(wrong) = PeriodicDegreeBound::with_order(&g, order) {
-                    if !wrong.verify_no_conflicts(&g) {
+                    if conflict(&wrong, &g).is_some() {
                         wrong_order_conflicts += 1;
                     }
                 }
@@ -310,7 +297,7 @@ mod tests {
         let g = erdos_renyi(50, 0.1, 4);
         let mut s = DistributedDegreeBound::new(&g, 9);
         assert!(s.init_rounds() >= 1);
-        assert!(s.outcome().verify_no_conflicts(&g));
+        assert_eq!(conflict(&s, &g), None);
         let analysis = analyze_schedule(&g, &mut s, 256);
         assert!(analysis.all_happy_sets_independent);
         for node in &analysis.per_node {

@@ -9,7 +9,7 @@
 //! per-holiday communication, and Theorem 4.2 bounds the period by
 //! `2^{1 + log* c} · φ(c)`, nearly matching the Theorem 4.1 lower bound.
 
-use fhg_codes::{CodeSchedule, EliasCode, PrefixFreeCode, SlotAssignment, UnaryCode};
+use fhg_codes::{CodeSchedule, EliasCode, PrefixFreeCode, UnaryCode};
 use fhg_coloring::{greedy_coloring, Coloring, GreedyOrder};
 use fhg_graph::{Graph, HappySet, NodeId};
 
@@ -20,10 +20,9 @@ use crate::schedulers::residue::ResidueSchedule;
 #[derive(Debug, Clone)]
 pub struct PrefixCodeScheduler {
     coloring: Coloring,
-    slots: Vec<SlotAssignment>,
     code_name: &'static str,
-    /// The `(offset, period)` assignment as a thread-safe pure function of
-    /// the holiday number (word-packed rows inside when within budget).
+    /// Each node's colour progression as a thread-safe pure function of the
+    /// holiday number (word-packed rows inside when within budget).
     schedule: ResidueSchedule,
 }
 
@@ -58,29 +57,18 @@ impl PrefixCodeScheduler {
     /// longer (period would overflow a `u64`).
     pub fn with_code<C: PrefixFreeCode>(graph: &Graph, coloring: &Coloring, code: C) -> Self {
         assert!(coloring.is_proper(graph), "colouring must be proper");
-        let schedule = CodeSchedule::new(code);
-        let slots: Vec<SlotAssignment> =
-            coloring.as_slice().iter().map(|&c| schedule.slot(u64::from(c))).collect();
-        let offsets: Vec<u64> = slots.iter().map(|s| s.offset).collect();
-        let periods: Vec<u64> = slots.iter().map(|s| s.period).collect();
-        debug_assert!(periods.iter().all(|p| p.is_power_of_two()));
-        let residue_schedule = ResidueSchedule::new(offsets, periods);
+        let code = CodeSchedule::new(code);
+        let rows = coloring.as_slice().iter().map(|&c| code.slot(u64::from(c)));
         PrefixCodeScheduler {
             coloring: coloring.clone(),
-            slots,
-            code_name: schedule.code().name(),
-            schedule: residue_schedule,
+            code_name: code.code().name(),
+            schedule: ResidueSchedule::from_rows(rows),
         }
     }
 
     /// The colour of node `p`.
     pub fn color(&self, p: NodeId) -> u32 {
         self.coloring.color(p)
-    }
-
-    /// The slot (offset, period) of node `p`.
-    pub fn slot(&self, p: NodeId) -> SlotAssignment {
-        self.slots[p]
     }
 
     /// The underlying colouring.
@@ -91,7 +79,7 @@ impl PrefixCodeScheduler {
 
 impl Scheduler for PrefixCodeScheduler {
     fn node_count(&self) -> usize {
-        self.slots.len()
+        self.schedule.node_count()
     }
 
     fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
@@ -113,11 +101,11 @@ impl Scheduler for PrefixCodeScheduler {
     }
 
     fn period(&self, p: NodeId) -> Option<u64> {
-        Some(self.slots[p].period)
+        Some(self.schedule.modulus(p))
     }
 
     fn unhappiness_bound(&self, p: NodeId) -> Option<u64> {
-        Some(self.slots[p].period)
+        Some(self.schedule.modulus(p))
     }
 
     fn residue_schedule(&self) -> Option<&ResidueSchedule> {

@@ -1,34 +1,40 @@
 //! Word-packed emission tables and thread-safe views for perfectly periodic
 //! schedules.
 //!
-//! Every perfectly periodic scheduler in the paper assigns node `p` a pair
-//! `(slot_p, m_p)` and wakes `p` exactly when `t ≡ slot_p (mod m_p)` — §4.2
-//! via prefix-free codes and §5 via degree exponents use power-of-two moduli
-//! `m_p = 2^{j_p}`, while the §1/§4 baselines cycle a fixed modulus (`k`
-//! colours, `n` nodes).  Evaluating that per node costs an `O(n)` scan with a
-//! hardware divide per node, every holiday.  A [`ResidueTable`] precomputes,
-//! for every distinct modulus `m` and every residue `r < m`, the bitmask of
-//! nodes hosting at that residue; emitting a holiday then reduces to OR-ing
-//! one precomputed row per distinct modulus into the output [`HappySet`] —
-//! `O(#moduli · n/64)` word operations and zero allocations.
+//! Every perfectly periodic scheduler in the paper assigns node `p` one
+//! [`Progression`] `(slot_p, m_p)`, its row, and wakes `p` exactly when
+//! `t ≡ slot_p (mod m_p)` — §4.2 via prefix-free codes and §5 via degree
+//! exponents use power-of-two moduli `m_p = 2^{j_p}`, while the §1/§4
+//! baselines cycle a fixed modulus (`k` colours, `n` nodes).  Evaluating
+//! that per node costs an `O(n)` scan with a hardware divide per node,
+//! every holiday.  A [`ResidueTable`] precomputes, for every distinct
+//! modulus `m` and every residue `r < m`, the bitmask of nodes hosting at
+//! that residue; emitting a holiday then reduces to OR-ing one precomputed
+//! row per distinct modulus into the output [`HappySet`] — `O(#moduli ·
+//! n/64)` word operations and zero allocations.
 //!
-//! [`ResidueSchedule`] bundles the `(slot, modulus)` assignment, the optional
-//! table and the schedule's global cycle length into a **pure function of the
-//! holiday number** that can be evaluated from any thread through `&self`.
-//! It is the view [`crate::scheduler::Scheduler::residue_schedule`] exposes:
-//! the one-shot analysis reads its rows directly (one formula per node, one
-//! congruence test per edge), and the serving tier's cycle profiles emit
-//! each residue class from it once, from any thread.
+//! [`ResidueSchedule`] bundles the rows, the optional table and the
+//! schedule's global cycle length into a **pure function of the holiday
+//! number** that can be evaluated from any thread through `&self`.  It is
+//! the view [`crate::scheduler::Scheduler::residue_schedule`] exposes and
+//! the one place a periodic scheduler keeps its rows: the one-shot analysis
+//! reads them directly (one formula per node, one
+//! [`meets`](Progression::meets) per edge), [`ResidueSchedule::conflict`]
+//! checks Lemma 5.2 for every holiday at once, and the serving tier's cycle
+//! profiles emit each residue class from it once, from any thread.  The
+//! rows are stored as two arrays, slots and moduli, and
+//! [`ResidueSchedule::row`] assembles one on demand.
 //!
 //! Memory is `Σ_m m · n/8` bytes over the distinct moduli, which is tiny for
 //! the degree distributions the experiments use but can reach `Θ(n·Δ)` on
 //! dense graphs, so construction is gated by [`ResidueTable::MAX_BYTES`] and
 //! [`ResidueSchedule::fill`] keeps a per-node scan fallback.
 
-use fhg_graph::{FixedBitSet, HappySet, NodeId};
+use fhg_codes::{gcd, Progression};
+use fhg_graph::{FixedBitSet, Graph, HappySet, NodeId};
 
-/// One node's `(slot, modulus)` row replacement: the unit of work a dynamic
-/// repair (§6 recolouring) hands to [`ResidueSchedule::apply_row`] and to the
+/// One node's row replacement: the unit of work a dynamic repair (§6
+/// recolouring) hands to [`ResidueSchedule::apply_row`] and to the
 /// incremental profile patch
 /// ([`CycleProfile::patch`](crate::analysis::CycleProfile::patch)).  Carries
 /// both the old and the new row so downstream caches can retire the old
@@ -37,14 +43,10 @@ use fhg_graph::{FixedBitSet, HappySet, NodeId};
 pub struct RowChange {
     /// The node whose hosting row changed.
     pub node: NodeId,
-    /// Previous hosting residue.
-    pub old_slot: u64,
-    /// Previous hosting modulus.
-    pub old_modulus: u64,
-    /// New hosting residue.
-    pub new_slot: u64,
-    /// New hosting modulus.
-    pub new_modulus: u64,
+    /// Previous hosting row.
+    pub old: Progression,
+    /// New hosting row.
+    pub new: Progression,
 }
 
 /// Precomputed hosting rows: `groups` holds, per distinct modulus `m`, the
@@ -233,6 +235,15 @@ impl ResidueSchedule {
         Self::build(slots, moduli, true)
     }
 
+    /// Builds the schedule hosting node `p` on the `p`-th of `rows`.
+    ///
+    /// # Panics
+    /// Same contract as [`ResidueSchedule::new`].
+    pub fn from_rows(rows: impl IntoIterator<Item = Progression>) -> Self {
+        let (slots, moduli) = rows.into_iter().map(|row| (row.slot, row.modulus)).unzip();
+        Self::new(slots, moduli)
+    }
+
     /// Like [`ResidueSchedule::new`], but never builds the word-packed table —
     /// for assignments where the rows are provably wasteful, e.g. the trivial
     /// scheduler's `n` singleton rows (`n²/8` bytes to represent `t mod n`).
@@ -292,6 +303,12 @@ impl ResidueSchedule {
         self.slots.len()
     }
 
+    /// The hosting row of node `p`.
+    #[inline]
+    pub fn row(&self, p: NodeId) -> Progression {
+        Progression { slot: self.slots[p], modulus: self.moduli[p] }
+    }
+
     /// The hosting residue of node `p`.
     pub fn slot(&self, p: NodeId) -> u64 {
         self.slots[p]
@@ -300,6 +317,20 @@ impl ResidueSchedule {
     /// The hosting modulus (period) of node `p`.
     pub fn modulus(&self, p: NodeId) -> u64 {
         self.moduli[p]
+    }
+
+    /// The first edge `(u, v)`, `u < v` in graph order, whose endpoints'
+    /// rows meet, or `None` when no two neighbours ever host on the same
+    /// holiday (Lemma 5.2).  Exact for every holiday, not just a horizon.
+    /// Graph nodes past the view have no row and never host.
+    pub fn conflict(&self, graph: &Graph) -> Option<(NodeId, NodeId)> {
+        let rows = graph.node_count().min(self.node_count());
+        (0..rows).find_map(|u| {
+            let row = self.row(u);
+            // Rows ascend, so the neighbours with view rows come first.
+            let mut above = graph.neighbors_above(u).iter().take_while(|&&v| v < rows);
+            above.find(|&&v| row.meets(&self.row(v))).map(|&v| (u, v))
+        })
     }
 
     /// The global cycle length: the smallest `C` such that the happy set of
@@ -329,25 +360,26 @@ impl ResidueSchedule {
         self.table.is_some()
     }
 
-    /// Redirects node `p` to host at `t ≡ slot (mod m)`, maintaining every
-    /// cached aggregate and emission structure in place — the row-maintenance
+    /// Redirects node `p` to host on `row`, maintaining every cached
+    /// aggregate and emission structure in place — the row-maintenance
     /// primitive behind §6 dynamic repair: an edge event recolours at most
     /// two nodes, and each recolouring is one call here instead of a full
     /// view reconstruction.
     ///
     /// Cost: `O(#distinct moduli)` to refold the cycle and attendance
     /// aggregates, plus two bit flips in the word-packed table.  The table
-    /// path allocates only when `m` is a modulus the table has never held
-    /// (one new row group, budget-checked against
+    /// path allocates only when the row's modulus is one the table has never
+    /// held (one new row group, budget-checked against
     /// [`ResidueTable::MAX_BYTES`]; on overflow the table is dropped in
     /// favour of the bucket index).  Without a table the bucket index is
     /// rebuilt, which is `O(n)` and allocates — schedules on the incremental
     /// path are expected to live within the table budget.
     ///
     /// # Panics
-    /// Panics if `m` is zero or `slot` is not a residue of `m` (the
-    /// construction contract).
-    pub fn set_row(&mut self, p: NodeId, slot: u64, m: u64) {
+    /// Panics if the row's modulus is zero or its slot is not a residue of
+    /// it (the construction contract).
+    pub fn set_row(&mut self, p: NodeId, row: Progression) {
+        let Progression { slot, modulus: m } = row;
         assert!(m >= 1, "node {p}: modulus must be positive");
         assert!(slot < m, "node {p}: slot {slot} is not a residue modulo {m}");
         let (old_slot, old_m) = (self.slots[p], self.moduli[p]);
@@ -419,17 +451,20 @@ impl ResidueSchedule {
         }
     }
 
-    /// Applies one recorded [`RowChange`] (convenience over
-    /// [`ResidueSchedule::set_row`]; debug-asserts that the change's old row
-    /// matches the current assignment, catching out-of-order replays).
+    /// Applies one recorded [`RowChange`] through
+    /// [`ResidueSchedule::set_row`].
+    ///
+    /// # Panics
+    /// Panics, in every build profile, if the change's old row is not the
+    /// node's current row (a stale or out-of-order replay), besides
+    /// `set_row`'s own contract.
     pub fn apply_row(&mut self, change: &RowChange) {
-        debug_assert_eq!(
-            (self.slots[change.node], self.moduli[change.node]),
-            (change.old_slot, change.old_modulus),
-            "row change for node {} replayed out of order",
+        assert!(
+            self.row(change.node) == change.old,
+            "row change for node {} does not start from its current row",
             change.node
         );
-        self.set_row(change.node, change.new_slot, change.new_modulus);
+        self.set_row(change.node, change.new);
     }
 
     /// Writes the hosting set of holiday `t` into `out`, resetting it to
@@ -460,13 +495,6 @@ impl ResidueSchedule {
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
 fn lcm_saturating(a: u64, b: u64) -> u64 {
     debug_assert!(a >= 1 && b >= 1);
     (a / gcd(a, b)).saturating_mul(b)
@@ -476,6 +504,10 @@ fn lcm_saturating(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn row(slot: u64, modulus: u64) -> Progression {
+        Progression { slot, modulus }
+    }
 
     /// The hosting set of holiday `t` through either view's `fill`, as a
     /// sorted `Vec`.
@@ -678,18 +710,18 @@ mod tests {
         assert!(s.has_table());
         // Same-modulus move, cross-modulus move, and a brand-new modulus
         // (inserts a table group), then drain a modulus empty (removes one).
-        s.set_row(0, 1, 2);
+        s.set_row(0, row(1, 2));
         assert_equivalent_to_fresh(&s, "slot move within modulus 2");
-        s.set_row(1, 5, 8);
+        s.set_row(1, row(5, 8));
         assert_equivalent_to_fresh(&s, "move onto new modulus 8");
-        s.set_row(2, 0, 4);
+        s.set_row(2, row(0, 4));
         assert_equivalent_to_fresh(&s, "slot move within modulus 4");
-        s.set_row(0, 2, 6);
+        s.set_row(0, row(2, 6));
         assert_equivalent_to_fresh(&s, "modulus 2 drained empty");
         assert!(s.has_table(), "small schedules stay on the table path");
         // No-op edits change nothing.
         let cycle = s.cycle();
-        s.set_row(0, 2, 6);
+        s.set_row(0, row(2, 6));
         assert_eq!(s.cycle(), cycle);
         assert_equivalent_to_fresh(&s, "no-op edit");
     }
@@ -699,8 +731,8 @@ mod tests {
         let n = 64u64;
         let mut s = ResidueSchedule::scan_only((0..n).collect(), vec![n; n as usize]);
         assert!(!s.has_table());
-        s.set_row(3, 0, 4);
-        s.set_row(9, 3, 4);
+        s.set_row(3, row(0, 4));
+        s.set_row(9, row(3, 4));
         assert!(s.buckets.is_some(), "bucket index rebuilt after the edit");
         assert_equivalent_to_fresh(&s, "bucket-path edits");
     }
@@ -711,7 +743,7 @@ mod tests {
         assert!(s.has_table());
         // 2^36 rows of one word each would cost 512 GiB: the table must be
         // dropped, not allocated, and emission must keep answering.
-        s.set_row(1, 7, 1 << 36);
+        s.set_row(1, row(7, 1 << 36));
         assert!(!s.has_table());
         assert_equivalent_to_fresh(&s, "budget-overflow fallback");
     }
@@ -719,22 +751,28 @@ mod tests {
     #[test]
     fn apply_row_replays_a_recorded_change() {
         let mut s = ResidueSchedule::new(vec![0, 1], vec![2, 4]);
-        s.apply_row(&RowChange {
-            node: 1,
-            old_slot: 1,
-            old_modulus: 4,
-            new_slot: 5,
-            new_modulus: 8,
-        });
-        assert_eq!((s.slot(1), s.modulus(1)), (5, 8));
+        s.apply_row(&RowChange { node: 1, old: row(1, 4), new: row(5, 8) });
+        assert_eq!(s.row(1), row(5, 8));
         assert_equivalent_to_fresh(&s, "apply_row");
+    }
+
+    #[test]
+    fn conflict_is_the_first_edge_whose_rows_meet() {
+        // 0 mod 2 meets 2 mod 4 and 0 mod 3; 1 mod 4 meets neither.
+        let view = ResidueSchedule::new(vec![0, 2, 1, 0], vec![2, 4, 4, 3]);
+        let g = Graph::from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)]).unwrap();
+        assert_eq!(view.conflict(&g), Some((0, 1)));
+        let g = Graph::from_edges(5, [(0, 2), (1, 2), (2, 3), (0, 3), (3, 4)]).unwrap();
+        assert_eq!(view.conflict(&g), Some((0, 3)), "node 4 has no row and never hosts");
+        let independent = Graph::from_edges(4, [(0, 2), (1, 2)]).unwrap();
+        assert_eq!(view.conflict(&independent), None);
     }
 
     #[test]
     #[should_panic(expected = "slot 9 is not a residue")]
     fn set_row_rejects_out_of_range_slots() {
         let mut s = ResidueSchedule::new(vec![0], vec![2]);
-        s.set_row(0, 9, 4);
+        s.set_row(0, row(9, 4));
     }
 
     #[test]

@@ -824,7 +824,7 @@ impl ProfileService {
         let mut touched: u64 = repair
             .row_changes()
             .iter()
-            .map(|c| cycle / c.old_modulus.max(1) + cycle / c.new_modulus)
+            .map(|c| cycle / c.old.modulus.max(1) + cycle / c.new.modulus)
             .sum();
         if event.kind == EdgeEventKind::Insert {
             let (mu, mv) = (slot.view.modulus(event.u), slot.view.modulus(event.v));
@@ -1110,13 +1110,7 @@ impl ProfileService {
 /// the same view) restores the pre-change row — the rollback arm of the
 /// transactional patch.
 fn inverse_row(change: &RowChange) -> RowChange {
-    RowChange {
-        node: change.node,
-        old_slot: change.new_slot,
-        old_modulus: change.new_modulus,
-        new_slot: change.old_slot,
-        new_modulus: change.old_modulus,
-    }
+    RowChange { node: change.node, old: change.new, new: change.old }
 }
 
 /// A minimal scheduler over a borrowed residue view, so the background
@@ -1469,6 +1463,7 @@ mod tests {
     fn budget_violating_patch_rolls_back_bitwise() {
         use crate::dynamic::EventRepair;
         use crate::schedulers::residue::RowChange;
+        use fhg_codes::Progression;
 
         // Nodes 0 and 1 co-attend class 0 (0 mod 2 vs 0 mod 4), no edge.
         let g = Graph::new(2);
@@ -1486,10 +1481,8 @@ mod tests {
         let event = fhg_graph::EdgeEvent { kind: EdgeEventKind::Insert, u: 0, v: 1, holiday: 0 };
         let change = RowChange {
             node: 0,
-            old_slot: 0,
-            old_modulus: 2,
-            new_slot: 0,
-            new_modulus: (1 << 22) + 1,
+            old: Progression { slot: 0, modulus: 2 },
+            new: Progression { slot: 0, modulus: (1 << 22) + 1 },
         };
         let err = service.patch(5, &EventRepair::from_parts(event, &[change])).unwrap_err();
         assert!(
@@ -1514,6 +1507,39 @@ mod tests {
             !service.profile(5).unwrap().all_classes_independent(),
             "the inserted edge lands inside co-attendance class 0"
         );
+    }
+
+    #[test]
+    fn malformed_row_changes_quarantine_in_every_build_profile() {
+        use crate::dynamic::EventRepair;
+        use crate::schedulers::residue::RowChange;
+        use fhg_codes::Progression;
+
+        let row = |slot, modulus| Progression { slot, modulus };
+        // Node 0 holds 0 mod 2; inserting (0, 2) is a valid graph edit.
+        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+        let view = ResidueSchedule::new(vec![0, 1, 1], vec![2, 2, 4]);
+        let event = fhg_graph::EdgeEvent { kind: EdgeEventKind::Insert, u: 0, v: 2, holiday: 0 };
+        let cases = [
+            ("modulus 0", RowChange { node: 0, old: row(0, 2), new: row(0, 0) }),
+            ("slot >= modulus", RowChange { node: 0, old: row(0, 2), new: row(9, 8) }),
+            ("node >= n", RowChange { node: 3, old: row(0, 2), new: row(1, 2) }),
+            ("stale old row", RowChange { node: 0, old: row(1, 8), new: row(1, 2) }),
+        ];
+        for (case, change) in cases {
+            let mut service = ProfileService::new();
+            service.register(1, &g, &Fixed(view.clone())).unwrap();
+            service.register(2, &g, &Fixed(view.clone())).unwrap();
+            assert_eq!(service.build_pending(), 1, "{case}: one shared slot");
+            let before = service.query_totals(2, 0, 16).unwrap();
+
+            let err = service.patch(1, &EventRepair::from_parts(event, &[change])).unwrap_err();
+            assert_eq!(err, PatchError::Quarantined(1), "{case}");
+            assert_eq!(service.quarantine_reason(1), Some(QuarantineReason::PatchPanic), "{case}");
+            assert_eq!(service.quarantine_reason(2), None, "{case}: the co-tenant stays warm");
+            assert_eq!(service.warm_count(), 1, "{case}");
+            assert_eq!(service.query_totals(2, 0, 16).unwrap(), before, "{case}");
+        }
     }
 
     #[test]

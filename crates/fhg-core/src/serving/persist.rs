@@ -108,6 +108,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use fhg_codes::wire::{self, BitSink, BitSource, SectionRead};
+use fhg_codes::Progression;
 use fhg_graph::{EdgeEvent, EdgeEventKind, Graph};
 
 use super::{
@@ -362,10 +363,10 @@ fn encode_frame(sink: &mut BitSink, tenant: u64, repair: &EventRepair) {
     sink.put_gamma0(changes.len() as u64);
     for c in changes {
         sink.put_gamma0(c.node as u64);
-        sink.put_gamma0(c.old_slot);
-        sink.put_gamma0(c.old_modulus);
-        sink.put_gamma0(c.new_slot);
-        sink.put_gamma0(c.new_modulus);
+        for row in [c.old, c.new] {
+            sink.put_gamma0(row.slot);
+            sink.put_gamma0(row.modulus);
+        }
     }
 }
 
@@ -383,10 +384,8 @@ fn decode_frame(payload: &[u8]) -> Option<(u64, EventRepair)> {
     let mut changes = [RowChange::default(); 2];
     for c in changes.iter_mut().take(n as usize) {
         c.node = usize::try_from(r.get_gamma0()?).ok()?;
-        c.old_slot = r.get_gamma0()?;
-        c.old_modulus = r.get_gamma0()?;
-        c.new_slot = r.get_gamma0()?;
-        c.new_modulus = r.get_gamma0()?;
+        c.old = Progression { slot: r.get_gamma0()?, modulus: r.get_gamma0()? };
+        c.new = Progression { slot: r.get_gamma0()?, modulus: r.get_gamma0()? };
     }
     let event = EdgeEvent { kind, u, v, holiday };
     Some((tenant, EventRepair::from_parts(event, &changes[..n as usize])))
@@ -1069,9 +1068,10 @@ mod tests {
     fn wal_frame_encoding_round_trips() {
         let mut sink = BitSink::new();
         let event = EdgeEvent { kind: EdgeEventKind::Delete, u: 3, v: 17, holiday: 0xDEAD_BEEF };
+        let row = |slot, modulus| Progression { slot, modulus };
         let changes = [
-            RowChange { node: 17, old_slot: 2, old_modulus: 8, new_slot: 0, new_modulus: 4 },
-            RowChange { node: 3, old_slot: 0, old_modulus: 1, new_slot: 5, new_modulus: 6 },
+            RowChange { node: 17, old: row(2, 8), new: row(0, 4) },
+            RowChange { node: 3, old: row(0, 1), new: row(5, 6) },
         ];
         let repair = EventRepair::from_parts(event, &changes);
         encode_frame(&mut sink, 99, &repair);
@@ -1108,6 +1108,10 @@ mod tests {
         let repair = dynamic.apply_event(event).expect("event applies");
         assert_eq!(repair.row_changes().len(), 1);
         svc.patch(4, &repair).expect("patch");
-        assert_eq!(wire::fnv1a(&svc.snapshot_bytes()), 0x4102_4d1d_6ec9_530a, "snapshot bytes moved");
+        assert_eq!(
+            wire::fnv1a(&svc.snapshot_bytes()),
+            0x4102_4d1d_6ec9_530a,
+            "snapshot bytes moved"
+        );
     }
 }

@@ -10,15 +10,11 @@
 //! taken by a neighbour from an earlier phase.  Lemma 5.2 shows no two
 //! adjacent nodes can end up hosting the same holiday.
 
+use fhg_coloring::slot_exponent;
 use fhg_graph::{Graph, NodeId};
 
 use crate::coloring::list_coloring_among;
 use crate::simulator::ExecutionStats;
-
-/// The slot exponent `⌈log₂(d + 1)⌉` of a node of degree `d`.
-fn exponent_of_degree(d: usize) -> u32 {
-    ((d + 1) as u64).next_power_of_two().trailing_zeros()
-}
 
 /// Result of the distributed §5.2 slot assignment.
 #[derive(Debug, Clone)]
@@ -39,20 +35,6 @@ impl SlotAssignmentOutcome {
     pub fn period(&self, u: NodeId) -> u64 {
         1u64 << self.exponents[u]
     }
-
-    /// Whether node `u` hosts at holiday `t`.
-    pub fn hosts(&self, u: NodeId, t: u64) -> bool {
-        t % self.period(u) == self.slots[u]
-    }
-
-    /// Checks Lemma 5.2: no two adjacent nodes ever host at the same holiday,
-    /// i.e. their slots differ modulo the smaller of their two periods.
-    pub fn verify_no_conflicts(&self, graph: &Graph) -> bool {
-        graph.edges().all(|e| {
-            let m = 1u64 << self.exponents[e.u].min(self.exponents[e.v]);
-            self.slots[e.u] % m != self.slots[e.v] % m
-        })
-    }
 }
 
 /// Runs the §5.2 distributed degree-bound slot assignment.
@@ -62,7 +44,7 @@ impl SlotAssignmentOutcome {
 /// Lemma 5.1 palette-size argument makes astronomically unlikely.
 pub fn distributed_slot_assignment(graph: &Graph, seed: u64) -> SlotAssignmentOutcome {
     let n = graph.node_count();
-    let exponents: Vec<u32> = graph.nodes().map(|u| exponent_of_degree(graph.degree(u))).collect();
+    let exponents: Vec<u32> = graph.nodes().map(|u| slot_exponent(graph.degree(u))).collect();
     let max_exponent = exponents.iter().copied().max().unwrap_or(0);
     let mut slots: Vec<Option<u64>> = vec![None; n];
     let mut stats = ExecutionStats { rounds: 0, messages: 0, completed: true };
@@ -123,18 +105,19 @@ pub fn distributed_slot_assignment(graph: &Graph, seed: u64) -> SlotAssignmentOu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fhg_codes::Progression;
     use fhg_graph::generators::structured::{complete, cycle, path, star};
     use fhg_graph::generators::{barabasi_albert, erdos_renyi};
     use proptest::prelude::*;
 
-    #[test]
-    fn exponents_match_definition() {
-        assert_eq!(exponent_of_degree(0), 0);
-        assert_eq!(exponent_of_degree(1), 1);
-        assert_eq!(exponent_of_degree(3), 2);
-        assert_eq!(exponent_of_degree(4), 3);
-        assert_eq!(exponent_of_degree(7), 3);
-        assert_eq!(exponent_of_degree(8), 4);
+    /// Node `u`'s hosting progression.
+    fn row(out: &SlotAssignmentOutcome, u: NodeId) -> Progression {
+        Progression { slot: out.slots[u], modulus: out.period(u) }
+    }
+
+    /// Lemma 5.2: no two adjacent nodes ever host on the same holiday.
+    fn conflict_free(out: &SlotAssignmentOutcome, graph: &Graph) -> bool {
+        graph.edges().all(|e| !row(out, e.u).meets(&row(out, e.v)))
     }
 
     #[test]
@@ -145,7 +128,7 @@ mod tests {
         {
             let out = distributed_slot_assignment(&g, i as u64);
             assert!(out.stats.completed, "graph #{i} hit the round budget");
-            assert!(out.verify_no_conflicts(&g), "graph #{i} has a hosting conflict");
+            assert!(conflict_free(&out, &g), "graph #{i} has a hosting conflict");
             for u in g.nodes() {
                 let d = g.degree(u);
                 assert!(out.period(u) >= (d + 1) as u64 || d == 0);
@@ -164,7 +147,7 @@ mod tests {
         let mut hosts = fhg_graph::FixedBitSet::new(g.node_count());
         for t in 0..256u64 {
             hosts.clear();
-            g.nodes().filter(|&u| out.hosts(u, t)).for_each(|u| {
+            g.nodes().filter(|&u| row(&out, u).contains(t)).for_each(|u| {
                 hosts.insert(u);
             });
             assert!(g.is_independent(&hosts), "holiday {t}: hosting set not independent");
@@ -179,7 +162,7 @@ mod tests {
         for leaf in 1..9 {
             assert_eq!(out.period(leaf), 2);
         }
-        assert!(out.verify_no_conflicts(&g));
+        assert!(conflict_free(&out, &g));
     }
 
     #[test]
@@ -199,14 +182,14 @@ mod tests {
         assert!(out.slots.iter().all(|&s| s == 0));
         assert!(out.exponents.iter().all(|&e| e == 0));
         // Isolated parents host every holiday.
-        assert!(out.hosts(2, 0) && out.hosts(2, 1));
+        assert!(row(&out, 2).contains(0) && row(&out, 2).contains(1));
     }
 
     #[test]
     fn heavy_tailed_graph_gives_hubs_long_periods_and_leaves_short_ones() {
         let g = barabasi_albert(400, 2, 7);
         let out = distributed_slot_assignment(&g, 3);
-        assert!(out.verify_no_conflicts(&g));
+        assert!(conflict_free(&out, &g));
         let min_degree_node = g.nodes().min_by_key(|&u| g.degree(u)).unwrap();
         let max_degree_node = g.nodes().max_by_key(|&u| g.degree(u)).unwrap();
         assert!(out.period(min_degree_node) <= 4);
@@ -220,7 +203,7 @@ mod tests {
             let g = erdos_renyi(40, p, seed);
             let out = distributed_slot_assignment(&g, seed ^ 0x55);
             prop_assert!(out.stats.completed);
-            prop_assert!(out.verify_no_conflicts(&g));
+            prop_assert!(conflict_free(&out, &g));
             for u in g.nodes() {
                 let d = g.degree(u);
                 if d > 0 {
