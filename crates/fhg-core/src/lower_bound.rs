@@ -72,10 +72,8 @@ fn pack(periods: impl IntoIterator<Item = u64>) -> Vec<Progression> {
         let free = (0..p)
             .map(|slot| Progression { slot, modulus: p })
             .find(|candidate| !placed.iter().any(|q| q.meets(candidate)));
-        match free {
-            Some(row) => placed.push(row),
-            None => break,
-        }
+        let Some(row) = free else { break };
+        placed.push(row);
     }
     placed
 }
