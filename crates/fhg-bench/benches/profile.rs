@@ -1,5 +1,5 @@
 //! Criterion benchmark for the serving tier's `CycleProfile`: profile
-//! construction (single-threaded and on the sharded parallel build) and
+//! construction (one class walk on the calling thread) and
 //! horizon-free derivation (full, and the totals-only fast path), next to
 //! the one-shot end-to-end analysis (the progression engine, which builds
 //! no profile) at the E11 configuration and at a 1M-holiday horizon.
@@ -14,9 +14,6 @@
 //! over a ragged window far out, on the profile of a `DynamicColorBound`
 //! schedule of `erdos_renyi` with 2048 nodes and mean degree 8 — one
 //! formula per distinct progression of the schedule, whatever the window.
-//!
-//! Every `CycleProfile::build` row pins its thread pool, so the ambient
-//! pool width never silently shifts what a named row measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -25,14 +22,12 @@ use fhg_core::analysis::{analyze_schedule, AnalysisEngine, CycleProfile, GraphCh
 use fhg_core::dynamic::DynamicColorBound;
 use fhg_core::prelude::*;
 use fhg_graph::generators;
-use rayon::ThreadPoolBuilder;
 
 fn bench_cycle_profile(c: &mut Criterion) {
     let graph = generators::erdos_renyi(10_000, 0.001, 42);
     const HORIZON: u64 = 4096;
     const LONG_HORIZON: u64 = 1 << 20;
     let checker = GraphChecker::new(&graph);
-    let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
 
     let mut group = c.benchmark_group("cycle-profile-10k");
     group.sample_size(10);
@@ -41,22 +36,8 @@ fn bench_cycle_profile(c: &mut Criterion) {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
         b.iter(|| {
-            let profile = pool.install(|| {
-                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker)
-            });
-            assert!(profile.all_classes_independent());
-            black_box(profile)
-        })
-    });
-
-    group.bench_function("profile-build/8-threads", |b| {
-        let s = PeriodicDegreeBound::new(&graph);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        b.iter(|| {
-            let profile = wide_pool.install(|| {
-                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker)
-            });
+            let profile =
+                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
             assert!(profile.all_classes_independent());
             black_box(profile)
         })
@@ -65,8 +46,7 @@ fn bench_cycle_profile(c: &mut Criterion) {
     group.bench_function("derive-1M-from-prebuilt-profile", |b| {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
-        let profile = pool
-            .install(|| CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker));
+        let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
         b.iter(|| {
             let analysis = profile.derive(s.name(), &graph, LONG_HORIZON).unwrap();
             assert!(analysis.all_happy_sets_independent);
@@ -77,8 +57,7 @@ fn bench_cycle_profile(c: &mut Criterion) {
     group.bench_function("derive-1M-totals-only", |b| {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
-        let profile = pool
-            .install(|| CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker));
+        let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
         b.iter(|| {
             let totals = profile.derive_totals(LONG_HORIZON).unwrap();
             assert!(totals.all_happy_sets_independent);
@@ -103,14 +82,12 @@ fn bench_cycle_profile(c: &mut Criterion) {
     let graph = generators::erdos_renyi(2048, 8.0 / 2047.0, 42);
     let dynamic = DynamicColorBound::new(&graph);
     let view = dynamic.residue_schedule().expect("perfectly periodic between events");
-    let profile = pool.install(|| {
-        CycleProfile::build(
-            view,
-            dynamic.first_holiday(),
-            graph.node_count(),
-            &GraphChecker::new(&graph),
-        )
-    });
+    let profile = CycleProfile::build(
+        view,
+        dynamic.first_holiday(),
+        graph.node_count(),
+        &GraphChecker::new(&graph),
+    );
     let mut group = c.benchmark_group("cycle-profile-dynamic-2048");
     group.bench_function("window-totals-ragged", |b| {
         let t0 = (1 << 20) + 12_345;

@@ -50,8 +50,8 @@ pub struct AnalysisBenchConfig {
     pub horizon: u64,
     /// The long horizon the closed form must make essentially free.
     pub long_horizon: u64,
-    /// Nodes of the long-cycle residue schedule `e14` times the parallel
-    /// profile build on.
+    /// Nodes of the long-cycle residue schedule `e14` times the profile
+    /// build on.
     pub build_nodes: usize,
     /// The two interleaved hosting moduli of that schedule; their lcm is
     /// the cycle (`cycle ≈ 10⁵` on the full config), long enough that the
@@ -71,8 +71,8 @@ pub struct AnalysisBenchConfig {
 impl AnalysisBenchConfig {
     /// The full configuration the ROADMAP numbers are quoted on:
     /// `erdos_renyi(10_000, 0.001)`, 4096 holidays, 1M-holiday long
-    /// horizon, and a 4096-node cycle-80000 schedule for the parallel
-    /// profile build.
+    /// horizon, and a 4096-node cycle-80000 schedule for the profile
+    /// build.
     pub fn full() -> Self {
         AnalysisBenchConfig {
             nodes: 10_000,
@@ -183,7 +183,7 @@ pub fn run_experiment_collecting(
         "e11" => e11_analysis_engine_with(cfg),
         "e12" => e12_closed_form_engine_with(cfg),
         "e13" => e13_fused_kernel_emission_with(cfg),
-        "e14" => e14_derive_and_parallel_build_with(cfg),
+        "e14" => e14_derive_and_build_with(cfg),
         "e15" => e15_verification_throughput_with(cfg),
         "e16" => e16_windowed_serving_with(cfg),
         "e17" => e17_incremental_repair_with(cfg),
@@ -949,9 +949,9 @@ pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
 }
 
 /// Word-packed residue rows grouped per distinct modulus — `(modulus, one
-/// bit row per residue)` — the raw-word form of a `ResidueTable`, shared by
-/// experiment `e13` and `benches/kernels.rs` so both drive byte-identical
-/// inputs.
+/// bit row per residue)` — the raw-word form of `ResidueSchedule`'s
+/// word-packed table, shared by experiment `e13` and `benches/kernels.rs`
+/// so both drive byte-identical inputs.
 pub type ModulusRows = Vec<(u64, Vec<Vec<u64>>)>;
 
 /// Rebuilds the word-packed emission rows of `view` (one bit row per
@@ -1140,8 +1140,8 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
     (vec![table, parity], entries)
 }
 
-/// E14 — the prebuilt-profile derivation and the sharded parallel profile
-/// build.  Two tables:
+/// E14 — the prebuilt-profile derivation and the profile build.  Two
+/// tables:
 ///
 /// * **E14a** (the E12 configuration): the profile's totals-only fast path
 ///   (skips per-node assembly and float work), cross-checked against the
@@ -1151,17 +1151,10 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
 ///
 /// * **E14b** (`cycle ≈ 10⁵`, two interleaved moduli whose lcm is the
 ///   cycle, an edgeless conflict graph so verification does full-row
-///   AND scans with no early exit): `CycleProfile::build` at 1/2/8
-///   worker threads — the class walk shards across the persistent pool
-///   and the per-shard class sizes concatenate in class order, so the build
-///   is bitwise-identical at every thread count (asserted), with wall-clock
-///   scaling wherever the host actually has cores (acceptance: ≥ 2x at 8
-///   threads on a multi-core host; a 1-core container reports the
-///   measured factor honestly).  Derive-only and totals-only rows on the
-///   same long-cycle profile round out the table.
-pub fn e14_derive_and_parallel_build_with(
-    cfg: &AnalysisBenchConfig,
-) -> (Vec<Table>, Vec<BenchEntry>) {
+///   AND scans with no early exit): `CycleProfile::build`, one class walk on
+///   the calling thread.  Derive-only and totals-only rows on the same
+///   long-cycle profile round out the table.
+pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     use fhg_core::schedulers::residue::ResidueSchedule;
 
     let mut entries = Vec::new();
@@ -1229,14 +1222,14 @@ pub fn e14_derive_and_parallel_build_with(
         });
     }
 
-    // --- E14b: the sharded parallel profile build on a long cycle. ---
+    // --- E14b: the profile build on a long cycle. ---
     let n = cfg.build_nodes;
     let (m_a, m_b) = cfg.build_moduli;
     let cycle = cfg.build_cycle();
     // Interleaved moduli with spread slots; an edgeless conflict graph
     // keeps the schedule trivially independent, so every class is verified
-    // with full-row AND scans (no early exit) and the per-shard
-    // short-circuit never fires — the honest verification-bound shape.
+    // with full-row AND scans (no early exit) — the honest
+    // verification-bound shape.
     let slots: Vec<u64> = (0..n as u64)
         .map(|p| {
             let m = if p % 2 == 0 { m_a } else { m_b };
@@ -1251,67 +1244,36 @@ pub fn e14_derive_and_parallel_build_with(
 
     let mut build_table = Table::new(
         format!(
-            "E14b — parallel CycleProfile build, {} nodes, moduli ({}, {}), cycle {} (build \
-             medians of {}, derive medians of {}; wall-clock scaling requires physical cores)",
+            "E14b — CycleProfile build, {} nodes, moduli ({}, {}), cycle {} (build medians of \
+             {}, derive medians of {}, single-threaded)",
             n, m_a, m_b, cycle, cfg.reps, derive_reps
         ),
-        &["path", "threads", "median ms", "speedup vs 1 thread", "criterion"],
+        &["path", "threads", "median ms", "criterion"],
     );
 
-    let mut profiles: Vec<(usize, f64)> = Vec::new();
-    let mut witness: Option<fhg_core::analysis::ScheduleAnalysis> = None;
-    let mut build_1t_ms = 0.0f64;
-    for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let mut built = pool.install(|| CycleProfile::build(&schedule, 0, n, &build_checker));
-        let ms = median_ms(cfg.reps, || {
-            built = pool.install(|| CycleProfile::build(&schedule, 0, n, &build_checker));
-        });
-        if threads == 1 {
-            build_1t_ms = ms;
-        }
-        // Bitwise parity across thread counts, witnessed through the
-        // derived analysis (every stored column and offset feeds it).
-        let derived = built.derive("e14b", &build_graph, 2 * cycle + 7).unwrap();
-        match &witness {
-            None => witness = Some(derived),
-            Some(w) => {
-                assert!(
-                    matches_reference(&derived, w),
-                    "{threads}-thread build diverged from the 1-thread profile"
-                );
-            }
-        }
-        profiles.push((threads, ms));
-    }
-    for (threads, ms) in &profiles {
-        let speedup = build_1t_ms / ms;
-        let criterion = if *threads == 8 {
-            format!(">=2x at 8 threads: {}", speedup >= 2.0)
-        } else {
-            "-".to_string()
-        };
-        build_table.push(&[
-            "profile build (sharded classes)".to_string(),
-            threads.to_string(),
-            format!("{ms:.2}"),
-            format!("{speedup:.2}x"),
-            criterion,
-        ]);
-        entries.push(BenchEntry {
-            experiment: "e14",
-            engine: "profile-build-sharded".to_string(),
-            threads: *threads,
-            horizon: cycle,
-            median_ms: *ms,
-            speedup,
-        });
-    }
+    let mut long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
+    let build_ms = median_ms(cfg.reps, || {
+        long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
+    });
+    assert!(long_profile.all_classes_independent(), "the edgeless schedule is independent");
+    build_table.push(&[
+        "profile build (one class walk)".to_string(),
+        "1".to_string(),
+        format!("{build_ms:.2}"),
+        "-".to_string(),
+    ]);
+    entries.push(BenchEntry {
+        experiment: "e14",
+        engine: "profile-build".to_string(),
+        threads: 1,
+        horizon: cycle,
+        median_ms: build_ms,
+        speedup: 1.0,
+    });
 
     // Derive rows on the long-cycle profile: its nodes share at most
     // `m_a + m_b` progressions, so the totals fold reads that many lanes
     // while the full derive reads every node.
-    let long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
     let horizon = 4 * cycle + 3;
     let mut full = long_profile.derive("e14b", &build_graph, horizon).unwrap();
     let derive_ms = median_ms(derive_reps, || {
@@ -1325,13 +1287,7 @@ pub fn e14_derive_and_parallel_build_with(
     for (path, ms) in
         [("derive only (lane fold)", derive_ms), ("derive totals-only (lane fold)", totals_ms)]
     {
-        build_table.push(&[
-            path.to_string(),
-            "1".to_string(),
-            format!("{ms:.3}"),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
+        build_table.push(&[path.to_string(), "1".to_string(), format!("{ms:.3}"), "-".to_string()]);
         entries.push(BenchEntry {
             experiment: "e14",
             engine: format!("long-cycle-{}", path.replace(' ', "-")),
@@ -2558,20 +2514,25 @@ mod tests {
     #[test]
     fn e14_reports_derive_and_build_rows_with_parity() {
         let cfg = tiny_cfg();
-        // The parity cross-checks (totals vs reduced full derive,
-        // thread-count build parity) assert inside e14.
+        // The parity cross-check (totals vs reduced full derive) asserts
+        // inside e14.
         let (tables, entries) = run_experiment_collecting("e14", &cfg);
-        assert_eq!(tables.len(), 2, "derivation table plus the parallel-build table");
+        assert_eq!(tables.len(), 2, "derivation table plus the build table");
         let derive_md = tables[0].to_markdown();
         assert!(derive_md.contains("totals-only"));
         assert!(derive_md.contains("closed-form end-to-end"));
         assert!(!derive_md.contains("AoS"), "the AoS baseline rows are gone: {derive_md}");
         let build_md = tables[1].to_markdown();
-        assert!(build_md.contains("profile build (sharded classes)"));
+        assert!(build_md.contains("profile build (one class walk)"));
         assert_eq!(
-            entries.iter().filter(|e| e.engine == "profile-build-sharded").count(),
-            3,
-            "1/2/8-thread build rows"
+            entries.iter().filter(|e| e.engine == "profile-build").count(),
+            1,
+            "one single-thread build row"
+        );
+        assert_eq!(
+            entries.iter().filter(|e| e.engine.starts_with("long-cycle-")).count(),
+            2,
+            "the long-cycle derive rows"
         );
         assert!(entries.iter().all(|e| e.experiment == "e14"));
         let json = bench_entries_to_json(true, &entries);

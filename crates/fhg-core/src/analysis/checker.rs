@@ -19,8 +19,8 @@
 //!   overrides it with the bit-sliced batch plane: each chunk of up to
 //!   [`properties::BATCH_WIDTH`] classes is transposed into a
 //!   [`properties::MembershipTable`] and each adjacency row is loaded
-//!   **once** for the whole chunk.  The `CycleProfile` build hands each
-//!   shard's classes over in batches of that width.
+//!   **once** for the whole chunk.  The `CycleProfile` build and patch
+//!   hand their classes over in batches of that width.
 //!
 //! [`GraphChecker`] holds one layout: a packed copy of the [`Graph`], whose
 //! rows in node order are a compressed-sparse-row (CSR) layout.  Both
@@ -34,24 +34,23 @@
 //! wants to see it — the profile build promises exactly one probe per
 //! residue class, batched or not.
 //!
-//! Checkers must be `Sync` because the parallel `CycleProfile` build probes
-//! from worker threads, each class from the one shard that owns its range —
-//! so the once-per-class promise holds at every thread count, and
-//! verification (the build's dominant cost on large cycles) scales with the
-//! pool.
+//! A checker never crosses a thread: the `CycleProfile` build walks its
+//! cycle on the calling thread, and the serving tier's fleet build
+//! (`ProfileService::build_pending`) creates each slot's [`GraphChecker`]
+//! inside the worker that builds the slot.  So the trait asks for no
+//! `Sync`, and an instrumented checker may keep plain interior state.
 
 use std::cell::RefCell;
 
 use fhg_graph::{properties, FixedBitSet, Graph, HappySet};
 
-/// A per-holiday independence verdict source, shareable across worker
-/// threads.
+/// A per-holiday independence verdict source.
 ///
 /// The holiday number is passed alongside the set so instrumented checkers
 /// (e.g. the counting checker in `tests/residue_cache.rs`) can observe
 /// *which* holidays a sweep or a profile build actually verifies — the
 /// build promises each residue class is probed exactly once.
-pub trait HolidayChecker: Sync {
+pub trait HolidayChecker {
     /// Whether the happy set emitted at holiday `t` is an independent set.
     fn check(&self, t: u64, happy: &FixedBitSet) -> bool;
 
@@ -106,13 +105,10 @@ impl ClassBatch {
     }
 
     /// Verifies and drains the buffered classes: `true` iff every one is
-    /// independent.  `enabled: false` drains without probing — a previous
-    /// class already failed, mirroring the per-class engines'
-    /// `all_independent &&` short-circuit, under which the checker is never
-    /// consulted again.
-    pub(crate) fn flush<C: HolidayChecker + ?Sized>(&mut self, enabled: bool, checker: &C) -> bool {
+    /// independent.
+    pub(crate) fn flush<C: HolidayChecker + ?Sized>(&mut self, checker: &C) -> bool {
         let len = std::mem::take(&mut self.len);
-        if !enabled || len == 0 {
+        if len == 0 {
             return true;
         }
         // The borrow array lives on the stack (padded with repeats of the
@@ -135,9 +131,9 @@ pub struct GraphChecker {
 
 thread_local! {
     /// Per-thread transpose scratch for batched checks: grows once to the
-    /// graph's size, then every fill re-uses it — the parallel profile
-    /// build batches from worker threads, so the scratch follows the
-    /// thread, not the checker.
+    /// graph's size, then every fill re-uses it — the fleet build batches
+    /// from every worker of the pool, so the scratch follows the thread,
+    /// not the checker.
     static BATCH_SCRATCH: RefCell<properties::MembershipTable> =
         RefCell::new(properties::MembershipTable::new());
 }

@@ -7,32 +7,30 @@
 //! `t mod C`.  In every such schedule of the paper node `p` attends exactly
 //! one arithmetic progression, its view row `s_p (mod m_p)`, and the rows
 //! come from a colouring, so a schedule has about as many distinct
-//! progressions as colours, not nodes.  A [`CycleProfile`] keeps three
-//! things:
+//! progressions as colours, not nodes.  Besides its start and cycle, a
+//! [`CycleProfile`] keeps two things:
 //!
 //! * the **lane table**: one lane per distinct progression of the graph
-//!   nodes' rows — its first cycle offset, its step (the modulus) and how
-//!   many graph nodes hold it — plus one empty lane for the graph nodes
-//!   past the view, and a `u32` lane id per node;
-//! * the **per-class size prefix**, from which the window's total
-//!   happiness folds exactly (view nodes past the graph included);
+//!   nodes' rows — its first offset from the start, its step (the modulus)
+//!   and how many graph nodes hold it — plus one empty lane for the graph
+//!   nodes past the view, and a `u32` lane id per node.  View rows past the
+//!   graph are grouped the same way into a second lane list, which counts
+//!   into happiness and into nothing else;
 //! * the **verdict**: whether every residue class passed its independence
 //!   check.
 //!
-//! # Sharded build with no events
+//! No lane depends on the cycle, so a window's every quantity, its total
+//! happiness included, is a sum over the lanes.
 //!
-//! [`CycleProfile::build`] walks one cycle of residue classes to verify
-//! each exactly once (locked down by `tests/residue_cache.rs`) and to record
-//! its size.  The classes split into one contiguous range per worker of the
-//! persistent `compat/rayon` pool; each shard emits, counts and
-//! batch-verifies its range with private scratch and collects nothing else.
-//! The sizes concatenate in class order, and the lane table comes from one
-//! `O(n)` grouping of the view rows, shared with
-//! [`CycleProfile::rehydrate`], so the built profile, and everything derived
-//! from it, is **bitwise-identical at any thread count** (pinned by the
-//! build-parity test below and `tests/analysis_parity.rs`).  A view node
-//! past the graph attends some class of every cycle, so it fails the
-//! verdict without a class being checked.
+//! # Build: one class walk that only verifies
+//!
+//! [`CycleProfile::build`] walks one cycle of residue classes on the calling
+//! thread, filling and verifying each exactly once (locked down by
+//! `tests/residue_cache.rs`), and stops at the first failed batch.  The lane
+//! table comes from one `O(n)` grouping of the view rows, which is all of
+//! [`CycleProfile::rehydrate`].  A view node past the graph attends some
+//! class of every cycle, so it fails the verdict without a class being
+//! checked.
 //!
 //! # Closed-form derivation: one formula per lane
 //!
@@ -51,14 +49,13 @@
 //! [`CycleProfile::derive_window_totals`] (and [`CycleProfile::derive_totals`])
 //! folds each non-empty lane once.  The longest unhappy stretch and
 //! `all_periodic` are a maximum and a conjunction, which the nodes sharing a
-//! lane cannot change, and `never_happy` adds the lane's node count, so a
-//! totals answer costs `O(#lanes)` instead of `O(n)` and stays bitwise the
-//! per-node fold.  Both derivations are **bitwise-identical** to
-//! [`super::analyze_schedule_reference`] over the same window (locked down
-//! by `tests/analysis_parity.rs`, `tests/window_parity.rs` and, across edge
-//! churn, `tests/dynamic_patch.rs`).  The window's total happiness comes
-//! from the size prefix: the ragged head of the phase cycle, the whole
-//! cycles and the ragged tail.  The cost is `O(C)` emissions for the build,
+//! lane cannot change, and `never_happy` and the total happiness add the
+//! lane's node count times its value, so a totals answer costs `O(#lanes)`
+//! instead of `O(n)` and stays bitwise the per-node fold.  Both derivations
+//! are **bitwise-identical** to [`super::analyze_schedule_reference`] over
+//! the same window (locked down by `tests/analysis_parity.rs`,
+//! `tests/window_parity.rs` and, across edge churn,
+//! `tests/dynamic_patch.rs`).  The cost is `O(C)` emissions for the build,
 //! then one derivation is independent of the cycle, the attendance and the
 //! window.
 //!
@@ -72,10 +69,10 @@
 //! (both proved by `tests/zero_alloc.rs`).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use fhg_codes::Progression;
 use fhg_graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 use super::checker::{ClassBatch, HolidayChecker};
 use super::progression::window_lane;
@@ -84,14 +81,13 @@ use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
 
 /// A profile of one full residue cycle: the lane table of the schedule's
-/// progressions, the per-class sizes and the per-class verification
-/// verdict, sufficient to derive the analysis of any window in closed form.
+/// progressions and the per-class verification verdict, sufficient to
+/// derive the analysis of any window in closed form.
 ///
 /// The profile is also **patchable**: after a dynamic edge event moves a
 /// handful of nodes to new residue rows, [`CycleProfile::patch`] moves
-/// exactly those nodes between lanes instead of rebuilding the whole cycle
-/// walk (see the method docs for the repair algebra and what it
-/// re-verifies).
+/// exactly those nodes between lanes and re-verifies only the classes they
+/// join, instead of rebuilding the whole cycle walk (see the method docs).
 #[derive(Clone)]
 pub struct CycleProfile {
     /// First holiday of the profiled cycle (the scheduler's
@@ -103,26 +99,24 @@ pub struct CycleProfile {
     /// empty lane of graph nodes past the view.  A patch may empty a lane
     /// and later reuse it for another progression; the table never shrinks.
     lanes: Vec<Lane>,
-    /// Each graph node's index into `lanes` (attendance of view nodes past
-    /// the graph is flagged as non-independent and gets no lane, like the
-    /// other engines do).
+    /// Each graph node's index into `lanes`.
     lane_of: Vec<u32>,
-    /// Prefix sums of the per-class happy-set sizes (`size_prefix[k]` = total
-    /// happiness of the first `k` classes), so ragged tails fold exactly.
-    size_prefix: Vec<u64>,
+    /// The lanes of view rows past the graph, in the same grouping: their
+    /// attendance counts into happiness and into nothing else, like the
+    /// other engines count it, and such a view always fails the verdict.
+    beyond: Vec<Lane>,
     /// Whether every residue class passed its independence check.
     all_independent: bool,
 }
 
-/// The graph nodes holding one arithmetic progression of the cycle: they
-/// attend the cycle offsets `first + k·step` below the cycle, with `first <
-/// step` and `step` dividing the cycle.  `step == 0` is the empty lane of
-/// graph nodes past the view, which never attend.
+/// The nodes holding one arithmetic progression: they attend the holidays
+/// `start + first + k·step`, with `first < step`.  `step == 0` is the empty
+/// lane of graph nodes past the view, which never attend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Lane {
     first: u64,
     step: u64,
-    /// How many graph nodes hold the lane; 0 once a patch has emptied it.
+    /// How many nodes hold the lane; 0 once a patch has emptied it.
     nodes: u64,
 }
 
@@ -143,15 +137,6 @@ impl Lane {
 /// (the serving tier's patch path) falls back to a full rebuild.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchRefused {
-    /// The view's cycle no longer matches the profiled cycle (the event
-    /// changed the lcm of the moduli): every class offset is rebased, so
-    /// there is nothing to patch around.
-    CycleChanged {
-        /// The profiled cycle.
-        old: u64,
-        /// The view's current cycle.
-        new: u64,
-    },
     /// The cached verdict is already `false`.  The repair only re-verifies
     /// classes the event touched, so it can never discover that the
     /// offending class *healed* — only a full rebuild can clear the flag.
@@ -161,9 +146,6 @@ pub enum PatchRefused {
 impl std::fmt::Display for PatchRefused {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PatchRefused::CycleChanged { old, new } => {
-                write!(f, "cycle changed from {old} to {new}; profile must be rebuilt")
-            }
             PatchRefused::NotIndependent => {
                 write!(f, "profile verdict is already non-independent; rebuild to re-verify")
             }
@@ -206,43 +188,23 @@ impl PatchScratch {
     }
 }
 
-/// One worker's contiguous range of residue classes during the parallel
-/// profile build: the per-class sizes and the verification batch buffer.
-struct BuildShard {
-    range: std::ops::Range<u64>,
-    sizes: Vec<u64>,
-    batch: ClassBatch,
-    all_independent: bool,
-}
-
 impl CycleProfile {
-    /// Largest cycle the profile will materialise: the per-class size
-    /// prefix and the cycle walk itself are `O(cycle)`.  A serving-tier
-    /// budget: `ProfileService` refuses to register (or patch a tenant
-    /// into) a longer cycle with a typed error, and [`CycleProfile::build`]
-    /// panics beyond it.  One-shot analysis has no cycle budget.
+    /// Largest cycle the profile verifies: the build walks one cycle of
+    /// classes, and a patch re-verifies up to a cycle of them per change.
+    /// A serving-tier budget: `ProfileService` refuses to register (or
+    /// patch a tenant into) a longer cycle with a typed error, and
+    /// [`CycleProfile::build`] and [`CycleProfile::patch`] panic beyond it.
+    /// One-shot analysis has no cycle budget.
     pub const MAX_CYCLE: u64 = 1 << 22;
 
-    /// Largest total attendance (`Σ_p cycle / modulus_p`) the serving tier
-    /// accepts.  The profile stores no attendance; the budget bounds the
-    /// one walk that still visits every attendance of a cycle,
-    /// [`CycleProfile::rehydrate`]'s class-size walk, which a hub-and-spoke
-    /// degree distribution can make `n · cycle / 2` long even when the cycle
-    /// is short.  Checked by `ProfileService` on
-    /// [`ResidueSchedule::attendance_per_cycle`] alongside
-    /// [`CycleProfile::MAX_CYCLE`]; one-shot analysis has no attendance
-    /// budget.
-    pub const MAX_EVENTS: u64 = 1 << 24;
-
     /// Profiles one full cycle of `view` starting at holiday `start`,
-    /// verifying each residue class exactly once through `checker`.  The
-    /// class walk shards across the ambient worker-thread pool (the
-    /// `FHG_THREADS` knob / an installed pool); the result is
-    /// bitwise-identical at any thread count (see the module docs).
+    /// verifying each residue class exactly once through `checker`, in
+    /// batches of up to 64 ([`HolidayChecker::check_batch`]), on the
+    /// calling thread.  The walk stops after the first failed batch.
     ///
     /// `node_count` is the conflict graph's node count: a view node at or
     /// beyond it marks the schedule non-independent (mirroring the other
-    /// engines) and gets no lane.
+    /// engines) and gets no lane id.
     ///
     /// # Panics
     /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
@@ -260,52 +222,9 @@ impl CycleProfile {
         );
         // Every view node attends at least one class per cycle, so a node
         // past the graph fails the verdict before any class is checked.
-        let in_range = view.node_count() <= node_count;
-        let threads = rayon::current_num_threads().max(1);
-        let mut shards: Vec<BuildShard> = split_offsets(cycle, threads)
-            .into_iter()
-            .map(|range| BuildShard {
-                sizes: Vec::with_capacity((range.end - range.start) as usize),
-                range,
-                batch: ClassBatch::new(view.node_count()),
-                all_independent: in_range,
-            })
-            .collect();
-
-        // The parallel class walk: `view.fill` is pure in `t`, so each
-        // shard emits, counts and verifies its contiguous class range with
-        // private scratch — each class is filled and verified exactly once,
-        // by the one shard that owns it.  Verification is batched: classes
-        // buffer into the shard's [`ClassBatch`] slots and flush through
-        // [`HolidayChecker::check_batch`] up to 64 at a time, so a
-        // [`super::GraphChecker`] loads each adjacency row once per batch
-        // instead of once per class.
-        shards.par_iter_mut().for_each(|shard| {
-            for offset in shard.range.clone() {
-                let t = start + offset;
-                let happy = shard.batch.slot(t);
-                view.fill(t, happy);
-                shard.sizes.push(happy.len() as u64);
-                if shard.batch.commit() {
-                    let ok = shard.batch.flush(shard.all_independent, checker);
-                    shard.all_independent &= ok;
-                }
-            }
-            let ok = shard.batch.flush(shard.all_independent, checker);
-            shard.all_independent &= ok;
-        });
-
-        // Shards are contiguous ascending ranges, so their sizes
-        // concatenate in class order at any thread count.
-        let (lanes, lane_of) = group_lanes(view, start, node_count);
-        CycleProfile {
-            start,
-            cycle,
-            lanes,
-            lane_of,
-            size_prefix: prefix_sums(shards.iter().flat_map(|s| s.sizes.iter().copied()), cycle),
-            all_independent: in_range && shards.iter().all(|s| s.all_independent),
-        }
+        let independent = view.node_count() <= node_count
+            && verify(view, start..start + cycle, &mut ClassBatch::new(view.node_count()), checker);
+        Self::rehydrate(view, start, node_count, independent)
     }
 
     /// Reconstructs a profile from its deterministic inputs — view, start,
@@ -314,53 +233,25 @@ impl CycleProfile {
     ///
     /// Everything a [`CycleProfile::build`] computes except the verdict is a
     /// pure function of the residue view: node `p` attends exactly the
-    /// offsets `o ≡ slot_p − start (mod m_p)` within the cycle, so the lane
-    /// table is the build's grouping of the rows and the per-class sizes
-    /// are replayed arithmetically in `O(cycle + attendance)`.  This is the
-    /// serving tier's recovery path: a snapshot persists only the compact
-    /// view plus the one verdict bit, and rehydration restores a profile
-    /// that is [`content_eq`](CycleProfile::content_eq) to the original —
-    /// no cold build, no checker traffic.
+    /// holidays `start + o` with `o ≡ slot_p − start (mod m_p)`, so the lane
+    /// table is one `O(n)` grouping of the rows.  This is the serving tier's
+    /// recovery path: a snapshot persists only the compact view plus the
+    /// one verdict bit, and rehydration restores a profile that is
+    /// [`content_eq`](CycleProfile::content_eq) to the original — no cold
+    /// build, no checker traffic.
     ///
     /// The caller vouches for `all_independent` (recovery trusts the
     /// checksummed snapshot and then re-audits a sample through
     /// the serving tier's audit plane).
-    ///
-    /// # Panics
-    /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
     pub fn rehydrate(
         view: &ResidueSchedule,
         start: u64,
         node_count: usize,
         all_independent: bool,
     ) -> Self {
-        let cycle = view.cycle();
-        assert!(
-            cycle <= Self::MAX_CYCLE,
-            "cycle {cycle} exceeds the profile budget ({})",
-            Self::MAX_CYCLE
-        );
-
-        // Per-class sizes count ALL view nodes (out-of-range attendance is
-        // part of class size, exactly as `view.fill` reports it).
-        let mut class_sizes = vec![0u64; cycle as usize];
-        for p in 0..view.node_count() {
-            let row = view.row(p);
-            let mut o = row.offset_from(start);
-            while o < cycle {
-                class_sizes[o as usize] += 1;
-                o += row.modulus;
-            }
-        }
-        let (lanes, lane_of) = group_lanes(view, start, node_count);
-        CycleProfile {
-            start,
-            cycle,
-            lanes,
-            lane_of,
-            size_prefix: prefix_sums(class_sizes, cycle),
-            all_independent,
-        }
+        let (lanes, lane_of) = group_lanes(view, start, 0..node_count);
+        let (beyond, _) = group_lanes(view, start, node_count..view.node_count());
+        CycleProfile { start, cycle: view.cycle(), lanes, lane_of, beyond, all_independent }
     }
 
     /// The profiled cycle length.
@@ -411,71 +302,59 @@ impl CycleProfile {
         std::iter::repeat_n(self.lane(p).step, self.count_per_cycle(p) as usize)
     }
 
-    /// Total happy appearances over one full cycle (out-of-range members
-    /// included, matching the sweep's accounting).
-    pub fn happiness_per_cycle(&self) -> u64 {
-        self.size_prefix[self.cycle as usize]
-    }
-
-    /// Total happy appearances over the first `classes` residue classes of
-    /// the cycle — the per-class size prefix ragged tails fold through.
-    ///
-    /// # Panics
-    /// Panics if `classes > cycle`.
-    pub fn happiness_prefix(&self, classes: u64) -> u64 {
-        self.size_prefix[classes as usize]
-    }
-
     /// Repairs this profile in place after a dynamic edge event, instead of
     /// rebuilding the whole cycle walk: `changes` are the residue rows the
     /// event moved (endpoints the scheduler recolored — see
     /// `DynamicColorBound::apply_event`), `view` is the schedule's
     /// **already-updated** residue view and `inserted_edge` the edge the
-    /// event added, if any.  The repair has three parts, each touching only
-    /// what the event touched:
+    /// event added, if any.  The event may change the cycle: a lane is an
+    /// offset from the start and a modulus, which no cycle enters.  The
+    /// repair has two parts, each touching only what the event touched:
     ///
+    /// * **re-verification** — the residue classes of the view's cycle that
+    ///   can newly violate independence: the changed nodes' new
+    ///   progressions, plus (for an insert) the classes where both
+    ///   endpoints co-attend, found by CRT on their rows
+    ///   ([`Progression::meeting`]).  Those classes are refilled from
+    ///   `view` and batched through [`HolidayChecker::check_batch`]
+    ///   (64-wide, like the build).  The verdict stays exact: while it is
+    ///   true no edge between unchanged rows meets, every holiday a changed
+    ///   node hosts lies in one of its re-verified classes, an inserted
+    ///   edge between unchanged rows meets only on its CRT classes, and a
+    ///   deleted edge cannot create a conflict.  A failed check flips the
+    ///   profile's verdict to non-independent, exactly as a rebuild would
+    ///   conclude;
     /// * **lanes** — each changed node moves to the lane of its new
     ///   progression, found by a linear search of the lane table: the lane
     ///   already holding it, else the first lane a patch emptied, else a
     ///   new lane at the end.  The table never shrinks, so steady-state
-    ///   patches allocate nothing;
-    /// * **per-class sizes** — one `O(cycle)` delta walk over the size
-    ///   prefix subtracts the old progressions and adds the new ones;
-    /// * **re-verification** — only the residue classes whose membership
-    ///   *gained* a node can newly violate independence: the changed
-    ///   nodes' new progressions, plus (for an insert between two nodes
-    ///   that kept their rows) the classes where both endpoints co-attend,
-    ///   found by CRT on their rows.  Those classes are refilled from
-    ///   `view` and batched through [`HolidayChecker::check_batch`]
-    ///   (64-wide, like the build); classes that merely *lost* a member
-    ///   stay independent (a subset of an independent set), and a deleted
-    ///   edge cannot invalidate any class, so everything else keeps its
-    ///   verdict.  A failed check flips the profile's verdict to
-    ///   non-independent, exactly as a rebuild would conclude.
+    ///   patches allocate nothing.
     ///
     /// The phases run **prepare → validate → commit**: refusal checks and
     /// class collection first, then the batched verification (which reads
-    /// only `view` and scratch), and only then the mutating size/lane walk
-    /// with the pre-computed verdict applied last.  A crash anywhere before
-    /// the commit phase leaves the profile bitwise-untouched; a crash
-    /// *inside* the commit phase can leave it poisoned, which the serving
-    /// tier handles by quarantining the tenant (see `ProfileService`).
+    /// only `view` and scratch), and only then the lane moves, with the
+    /// view's cycle and the pre-computed verdict applied last.  A crash
+    /// anywhere before the commit phase leaves the profile bitwise-untouched;
+    /// a crash *inside* the commit phase can leave it poisoned, which the
+    /// serving tier handles by quarantining the tenant (see
+    /// `ProfileService`).
     ///
     /// The patched profile is **bitwise-identical in content** (see
     /// [`CycleProfile::content_eq`]) to `CycleProfile::build` against the
     /// post-event view and graph — only the lane table's order and its
     /// emptied lanes may differ — which `tests/dynamic_patch.rs` pins
-    /// against the rebuild oracle at several thread counts.
+    /// against the rebuild oracle.
     ///
-    /// Refuses (and leaves the profile untouched) when the event changed
-    /// the cycle itself or the cached verdict is already `false`; see
-    /// [`PatchRefused`].  Cost: `O(cycle + #lanes + Σ deg(checked))` per
-    /// change — independent of node count and total attendance.
+    /// Refuses (and leaves the profile untouched) when the cached verdict
+    /// is already `false`; see [`PatchRefused`].  Cost: `O(cycle / m +
+    /// #lanes + Σ deg(checked))` per change of new modulus `m` —
+    /// independent of node count and total attendance.
     ///
     /// # Panics
-    /// Panics if `view` disagrees with the profile's node count, or if a
-    /// change's node is out of range — patches must come from the same
-    /// scheduler the profile was built from.
+    /// Panics if the view's cycle exceeds [`CycleProfile::MAX_CYCLE`], if
+    /// `view` disagrees with the profile's node count, or if a change's
+    /// node is out of range — patches must come from the same scheduler the
+    /// profile was built from.
     pub fn patch<C: HolidayChecker + ?Sized>(
         &mut self,
         view: &ResidueSchedule,
@@ -484,30 +363,32 @@ impl CycleProfile {
         checker: &C,
         scratch: &mut PatchScratch,
     ) -> Result<PatchStats, PatchRefused> {
-        let cycle = self.cycle;
-        if view.cycle() != cycle {
-            return Err(PatchRefused::CycleChanged { old: cycle, new: view.cycle() });
-        }
         if !self.all_independent {
             return Err(PatchRefused::NotIndependent);
         }
         assert_eq!(view.node_count(), self.node_count(), "patch from a different schedule");
+        let cycle = view.cycle();
+        assert!(
+            cycle <= Self::MAX_CYCLE,
+            "cycle {cycle} exceeds the profile budget ({})",
+            Self::MAX_CYCLE
+        );
 
-        // Collect the residue classes to re-verify (as cycle offsets):
-        // every changed node's *new* progression, plus the co-attendance
-        // classes of an inserted edge (CRT over the post-event rows —
-        // relevant when neither endpoint was recolored but the new edge
-        // now lies inside existing classes).
+        // Collect the residue classes of the view's cycle to re-verify (as
+        // offsets from the start): every changed node's *new* progression,
+        // plus the co-attendance classes of an inserted edge (CRT over the
+        // post-event rows — relevant when neither endpoint was recolored
+        // but the new edge now lies inside existing classes).
         scratch.classes.clear();
         for change in changes {
             let m = change.new.modulus;
-            debug_assert!(cycle.is_multiple_of(m), "row modulus must divide the unchanged cycle");
+            debug_assert!(cycle.is_multiple_of(m), "row modulus must divide the view's cycle");
             push_progression(&mut scratch.classes, change.new.offset_from(self.start), m, cycle);
         }
         if let Some((u, v)) = inserted_edge {
             if let Some((first, step)) = view.row(u).meeting(&view.row(v), self.start) {
-                // Both moduli divide the unchanged cycle, so the meeting
-                // fits in a u64.
+                // Both moduli divide the cycle, which is within budget, so
+                // the meeting fits in a u64.
                 push_progression(&mut scratch.classes, first as u64, step as u64, cycle);
             }
         }
@@ -515,55 +396,24 @@ impl CycleProfile {
         scratch.classes.dedup();
 
         // Validate before commit: batched re-verification of the touched
-        // classes, 64-wide like the build, against the (already-updated)
-        // `view` — it reads nothing the commit below mutates, so the
-        // verdict is decided while the profile is still bitwise-untouched
-        // and a crash anywhere up to here leaves nothing to roll back.
-        // `enabled` short-circuits after the first failure, exactly
-        // mirroring the build's shard loop.
+        // classes against the (already-updated) `view` — it reads nothing
+        // the commit below mutates, so the verdict is decided while the
+        // profile is still bitwise-untouched and a crash anywhere up to
+        // here leaves nothing to roll back.
         if scratch.batch_capacity != view.node_count() {
             scratch.batch = ClassBatch::new(view.node_count());
             scratch.batch_capacity = view.node_count();
         }
-        let mut ok = true;
-        for &o in &scratch.classes {
-            let t = self.start + o;
-            let happy = scratch.batch.slot(t);
-            view.fill(t, happy);
-            if scratch.batch.commit() {
-                ok &= scratch.batch.flush(ok, checker);
-            }
-        }
-        ok &= scratch.batch.flush(ok, checker);
+        let start = self.start;
+        let classes = scratch.classes.iter().map(|&o| start + o);
+        let ok = verify(view, classes, &mut scratch.batch, checker);
         crate::fail_point!("profile.patch.validate");
 
         for change in changes {
-            let (old_m, new_m) = (change.old.modulus, change.new.modulus);
-            let old_f = change.old.offset_from(self.start);
-            let new_f = change.new.offset_from(self.start);
-
-            // Per-class size delta: walk the cycle once, subtracting the
-            // old progression and adding the new.  The running delta is
-            // signed; `wrapping_add` of the sign-extended word is exact.
-            let (mut next_old, mut next_new) = (old_f, new_f);
-            let mut delta = 0i64;
-            for k in 0..cycle {
-                if k == next_old {
-                    delta -= 1;
-                    next_old = next_old.saturating_add(old_m);
-                }
-                if k == next_new {
-                    delta += 1;
-                    next_new = next_new.saturating_add(new_m);
-                }
-                if delta != 0 {
-                    let cell = &mut self.size_prefix[(k + 1) as usize];
-                    *cell = cell.wrapping_add(delta as u64);
-                }
-            }
-            self.move_to_lane(change.node, new_f, new_m);
+            self.move_to_lane(change.node, change.new.offset_from(start), change.new.modulus);
         }
         crate::fail_point!("profile.patch.commit");
+        self.cycle = cycle;
         self.all_independent = ok;
 
         Ok(PatchStats { lanes_patched: changes.len(), classes_verified: scratch.classes.len() })
@@ -593,17 +443,18 @@ impl CycleProfile {
     }
 
     /// Whether two profiles describe the same schedule content: start,
-    /// cycle, verdict, per-class sizes and every node's progression `(first,
-    /// step)` are equal — ignoring the lane table's order and its emptied
-    /// lanes, which patching is free to leave behind.  This is the equality
-    /// the patch-parity suite pins against the rebuild oracle: `content_eq`
-    /// implies every `derive*` output is bitwise-identical.
+    /// cycle, verdict, every node's progression `(first, step)` and the
+    /// lanes of the view rows past the graph are equal — ignoring the lane
+    /// table's order and its emptied lanes, which patching is free to leave
+    /// behind.  This is the equality the patch-parity suite pins against
+    /// the rebuild oracle: `content_eq` implies every `derive*` output is
+    /// bitwise-identical.
     pub fn content_eq(&self, other: &CycleProfile) -> bool {
         self.start == other.start
             && self.cycle == other.cycle
             && self.node_count() == other.node_count()
             && self.all_independent == other.all_independent
-            && self.size_prefix == other.size_prefix
+            && self.beyond == other.beyond
             && (0..self.node_count()).all(|p| {
                 let (a, b) = (self.lane(p), other.lane(p));
                 (a.first, a.step) == (b.first, b.step)
@@ -649,80 +500,81 @@ impl CycleProfile {
         t0: u64,
         t1: u64,
     ) -> ScheduleAnalysis {
-        let w = self.window(t0, t1);
-        sweep::finalize(
-            scheduler.to_string(),
-            w.len,
-            graph,
-            (0..self.node_count()).map(|p| self.lane(p).window(t0, w.len)),
-            self.all_independent,
-            self.window_happiness(&w),
-        )
+        let len = t1.saturating_sub(t0);
+        let mut total = self.beyond_happiness(t0, len);
+        let per_node = (0..self.node_count())
+            .map(|p| {
+                let lane = self.lane(p).window(t0, len);
+                total = total.saturating_add(lane.happy);
+                lane.analysis(p, graph.degree(p), len)
+            })
+            .collect();
+        sweep::assemble(scheduler.to_string(), len, per_node, self.all_independent, total)
     }
 
     /// The totals-only windowed fast path: whole-window aggregates of
     /// `[t0, t1)`, skipping the per-node assembly entirely.  It folds each
-    /// non-empty lane once, weighting `never_happy` by the lane's node
-    /// count, so it costs `O(#lanes)`; it is total over all windows and
-    /// **allocation-free** (the steady-state serving shape; proved by
-    /// `tests/zero_alloc.rs`).  Equal to
+    /// non-empty lane once, weighting `never_happy` and the total happiness
+    /// by the lane's node count, so it costs `O(#lanes)`; it is total over
+    /// all windows and **allocation-free** (the steady-state serving shape;
+    /// proved by `tests/zero_alloc.rs`).  Equal to
     /// [`CycleProfile::derive_window`]`(..).totals()`: the maximum and the
-    /// periodicity conjunction are idempotent over the nodes of a lane
-    /// (pinned by the lane-fold tests below).
+    /// periodicity conjunction are idempotent over the nodes of a lane, and
+    /// a saturating sum is `min(true total, u64::MAX)` in any order (pinned
+    /// by the lane-fold tests below).
     pub fn derive_window_totals(&self, t0: u64, t1: u64) -> AnalysisTotals {
-        let w = self.window(t0, t1);
+        let len = t1.saturating_sub(t0);
+        let mut total = self.beyond_happiness(t0, len);
         let mut fold = TotalsFold::new();
         for lane in self.lanes.iter().filter(|lane| lane.nodes > 0) {
-            fold.absorb(&lane.window(t0, w.len), w.len, lane.nodes);
+            let accum = lane.window(t0, len);
+            total = total.saturating_add(lane.nodes.saturating_mul(accum.happy));
+            fold.absorb(&accum, len, lane.nodes);
         }
-        fold.finish(w.len, self.all_independent, self.window_happiness(&w))
+        fold.finish(len, self.all_independent, total)
     }
 
-    /// Splits the window `[t0, t1)` into its ragged head, whole cycles and
-    /// ragged tail, the pieces its happiness total sums.
-    fn window(&self, t0: u64, t1: u64) -> Window {
-        let cycle = self.cycle;
-        let len = t1.saturating_sub(t0);
-        let phase = t0 % cycle;
-        let head = if phase == 0 { 0 } else { (cycle - phase).min(len) };
-        let rest = len - head;
-        Window { len, phase, head, reps: rest / cycle, tail: rest % cycle }
-    }
-
-    /// Total happy appearances over window `w`, through the per-class size
-    /// prefix.  Per-node fields cannot overflow (each is bounded by the
-    /// window length), but the whole-window total is `n`-fold larger, so it
-    /// saturates rather than wraps on windows beyond ~10^16 (the sweep
-    /// engines could never reach them to compare against anyway).
-    fn window_happiness(&self, w: &Window) -> u64 {
-        let head =
-            self.size_prefix[(w.phase + w.head) as usize] - self.size_prefix[w.phase as usize];
-        w.reps
-            .saturating_mul(self.happiness_per_cycle())
-            .saturating_add(head)
-            .saturating_add(self.size_prefix[w.tail as usize])
+    /// Happy appearances of the view rows past the graph over the `len`
+    /// holidays from holiday `start + t0` (saturating; zero for every view
+    /// that fits its graph).  Per-node fields cannot overflow (each is
+    /// bounded by the window length), but a whole-window total is `n`-fold
+    /// larger, so every happiness sum saturates rather than wraps on windows
+    /// beyond ~10^16 (the sweep engines could never reach them to compare
+    /// against anyway).
+    fn beyond_happiness(&self, t0: u64, len: u64) -> u64 {
+        self.beyond.iter().fold(0, |total, lane| {
+            total.saturating_add(lane.nodes.saturating_mul(lane.window(t0, len).happy))
+        })
     }
 }
 
-/// A window decomposed for its happiness total: `head` holidays from cycle
-/// offset `phase`, then `reps` whole cycles, then `tail` holidays from cycle
-/// offset 0 — `len` holidays in all.
-struct Window {
-    len: u64,
-    phase: u64,
-    head: u64,
-    reps: u64,
-    tail: u64,
+/// Fills the classes `holidays` of `view` into `batch` and verifies them
+/// through `checker` up to 64 at a time, so a [`super::GraphChecker`] loads
+/// each adjacency row once per batch instead of once per class.  Stops
+/// after the first failed batch; `true` iff every class is independent.
+fn verify<C: HolidayChecker + ?Sized>(
+    view: &ResidueSchedule,
+    holidays: impl IntoIterator<Item = u64>,
+    batch: &mut ClassBatch,
+    checker: &C,
+) -> bool {
+    for t in holidays {
+        view.fill(t, batch.slot(t));
+        if batch.commit() && !batch.flush(checker) {
+            return false;
+        }
+    }
+    batch.flush(checker)
 }
 
-/// The lane table of graph nodes `0..n` on `view` from holiday `start`: one
-/// lane per distinct progression `(first cycle offset, modulus)`, numbered
-/// in node order, plus one empty lane for the graph nodes past the view;
-/// and each node's lane id.  One hash lookup per node.
-fn group_lanes(view: &ResidueSchedule, start: u64, n: usize) -> (Vec<Lane>, Vec<u32>) {
+/// The lanes of the view rows `nodes` from holiday `start`: one lane per
+/// distinct progression `(first offset, modulus)`, numbered in node order,
+/// plus one empty lane for nodes past the view; and each node's lane id.
+/// One hash lookup per node.
+fn group_lanes(view: &ResidueSchedule, start: u64, nodes: Range<usize>) -> (Vec<Lane>, Vec<u32>) {
     let mut ids: HashMap<(u64, u64), u32> = HashMap::new();
     let mut lanes: Vec<Lane> = Vec::new();
-    let lane_of = (0..n)
+    let lane_of = nodes
         .map(|p| {
             let (first, step) = if p < view.node_count() {
                 let row = view.row(p);
@@ -747,19 +599,6 @@ fn lane_id(index: usize) -> u32 {
     u32::try_from(index).expect("lane count exceeds u32")
 }
 
-/// The size prefix of one cycle's per-class sizes: `0`, then the running
-/// totals.
-fn prefix_sums(sizes: impl IntoIterator<Item = u64>, cycle: u64) -> Vec<u64> {
-    let mut prefix = Vec::with_capacity(cycle as usize + 1);
-    prefix.push(0);
-    let mut running = 0u64;
-    prefix.extend(sizes.into_iter().map(|size| {
-        running += size;
-        running
-    }));
-    prefix
-}
-
 /// Appends the arithmetic progression `first, first + step, …` below
 /// `cycle` to `out` — the cycle offsets of one residue row.
 fn push_progression(out: &mut Vec<u64>, first: u64, step: u64, cycle: u64) {
@@ -770,28 +609,32 @@ fn push_progression(out: &mut Vec<u64>, first: u64, step: u64, cycle: u64) {
     }
 }
 
-/// Splits `total` classes into at most `parts` contiguous, non-empty
-/// ranges (earlier ranges get the remainder, matching an even split).
-fn split_offsets(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
-    if total == 0 || parts == 0 {
-        return Vec::new();
-    }
-    let parts = (parts as u64).min(total);
-    let base = total / parts;
-    let remainder = total % parts;
-    let mut ranges = Vec::with_capacity(parts as usize);
-    let mut lo = 0u64;
-    for i in 0..parts {
-        let len = base + u64::from(i < remainder);
-        ranges.push(lo..lo + len);
-        lo += len;
-    }
-    ranges
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::sweep::{merge_node, NONE};
+
+    /// A window split for the replay witness: `head` holidays from cycle
+    /// offset `phase`, then `reps` whole cycles, then `tail` holidays from
+    /// cycle offset 0 — `len` holidays in all.
+    struct Window {
+        len: u64,
+        phase: u64,
+        head: u64,
+        reps: u64,
+        tail: u64,
+    }
+
+    /// Splits the window `[t0, t1)` of `profile`'s cycle into its ragged
+    /// head, whole cycles and ragged tail.
+    fn split(profile: &CycleProfile, t0: u64, t1: u64) -> Window {
+        let cycle = profile.cycle;
+        let len = t1.saturating_sub(t0);
+        let phase = t0 % cycle;
+        let head = if phase == 0 { 0 } else { (cycle - phase).min(len) };
+        let rest = len - head;
+        Window { len, phase, head, reps: rest / cycle, tail: rest % cycle }
+    }
 
     /// The replay witness for the closed-form fold: node `p`'s lane over
     /// window `w`, folded piece by piece from its attendance offsets.  The
@@ -952,7 +795,7 @@ mod tests {
         for t0 in anchors {
             for len in lengths {
                 let t1 = t0 + len;
-                let w = profile.window(t0, t1);
+                let w = split(&profile, t0, t1);
                 shapes.insert((w.head > 0, w.reps > 0, w.tail > 0));
                 let mut happiness = 0u64;
                 for p in 0..profile.node_count() {
@@ -970,9 +813,10 @@ mod tests {
                     assert_eq!(profile.lane(p).window(t0, w.len), expected, "{ctx}");
                     assert_eq!(replay_fold(&profile, p, &w), expected, "witness, {ctx}");
                 }
-                assert_eq!(profile.window_happiness(&w), happiness, "[{t0}, {t1})");
+                let totals = profile.derive_window_totals(t0, t1);
+                assert_eq!(totals.total_happiness, happiness, "[{t0}, {t1})");
                 assert_eq!(
-                    profile.derive_window_totals(t0, t1),
+                    totals,
                     profile.derive_window("lanes", &graph, t0, t1).totals(),
                     "lane fold vs per-node fold, [{t0}, {t1})"
                 );
@@ -997,7 +841,7 @@ mod tests {
             let mut shapes = std::collections::BTreeSet::new();
             for t0 in anchors {
                 for len in lengths {
-                    let w = profile.window(t0, t0 + len);
+                    let w = split(&profile, t0, t0 + len);
                     shapes.insert((w.head > 0, w.reps > 0, w.tail > 0));
                     for p in 0..profile.node_count() {
                         assert_eq!(
@@ -1079,8 +923,9 @@ mod tests {
         use fhg_graph::generators::erdos_renyi;
 
         // A view with more nodes than the graph: the extra node's attendance
-        // still counts toward class sizes but gets no lane, and the verdict
-        // is pinned false — exactly what a checker build concludes.
+        // counts into happiness through the second lane list but gets no
+        // lane id, and the verdict is pinned false — exactly what a checker
+        // build concludes.
         let g = erdos_renyi(5, 0.4, 9);
         let view = ResidueSchedule::new(vec![0, 1, 0, 3, 2, 1], vec![2, 4, 4, 4, 4, 2]);
         for start in [0u64, 1, 5, 7] {
@@ -1089,6 +934,8 @@ mod tests {
             assert!(!built.all_classes_independent(), "out-of-range node must taint");
             let rehydrated = CycleProfile::rehydrate(&view, start, g.node_count(), false);
             assert!(rehydrated.content_eq(&built), "start {start}");
+            let beyond = Progression { slot: 1, modulus: 2 }.offset_from(start);
+            assert_eq!(built.beyond, vec![Lane { first: beyond, step: 2, nodes: 1 }]);
         }
     }
 
@@ -1162,11 +1009,10 @@ mod tests {
             assert!(profile.derive("w", &g, h).is_none());
             let windowed = profile.derive_window("w", &g, 0, h);
             assert_eq!(windowed.horizon, h);
-            assert_eq!(
-                windowed.total_happiness,
-                profile.happiness_prefix(h),
-                "sub-cycle happiness folds through the size prefix (h = {h})"
-            );
+            let attended: u64 = (0..profile.node_count())
+                .map(|p| profile.attendance_offsets(p).filter(|&o| o < h).count() as u64)
+                .sum();
+            assert_eq!(windowed.total_happiness, attended, "sub-cycle happiness (h = {h})");
             assert_eq!(profile.derive_window_totals(0, h), windowed.totals(), "h = {h}");
         }
     }
@@ -1176,15 +1022,16 @@ mod tests {
         use crate::analysis::GraphChecker;
         use fhg_graph::Graph;
 
-        // Four nodes hosting every other holiday: happiness_per_cycle = 4
-        // on a cycle of 2, so reps · per_cycle overflows u64 at horizons
-        // near u64::MAX and must saturate, while every per-node field stays
-        // bounded by the horizon.
+        // Four nodes hosting every other holiday, two per lane: 4 happy
+        // appearances per cycle of 2, so a lane's node count times its
+        // happy count, and the sum over lanes or nodes, overflow u64 at
+        // horizons near u64::MAX and must saturate, while every per-node
+        // field stays bounded by the horizon.
         let graph = Graph::new(4);
         let view = ResidueSchedule::new(vec![0, 1, 0, 1], vec![2, 2, 2, 2]);
         let checker = GraphChecker::new(&graph);
         let profile = CycleProfile::build(&view, 0, 4, &checker);
-        assert_eq!(profile.happiness_per_cycle(), 4);
+        assert_eq!(profile.derive_window_totals(0, 2).total_happiness, 4);
 
         let horizon = u64::MAX;
         let analysis = profile.derive("sat", &graph, horizon).expect("horizon >= cycle");
@@ -1198,55 +1045,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bitwise_identical_across_thread_counts() {
-        use crate::schedulers::PeriodicDegreeBound;
-        use crate::Scheduler;
-        use fhg_graph::generators::erdos_renyi;
-        use rayon::ThreadPoolBuilder;
-
-        let g = erdos_renyi(48, 0.12, 11);
-        let s = PeriodicDegreeBound::new(&g);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let checker = super::super::GraphChecker::new(&g);
-        let reference = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let got = pool
-                .install(|| CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker));
-            assert_eq!(got.cycle(), reference.cycle());
-            assert_eq!(got.all_classes_independent(), reference.all_classes_independent());
-            assert_eq!(got.lanes, reference.lanes, "{threads} threads: lane table");
-            assert_eq!(got.lane_of, reference.lane_of, "{threads} threads: lane ids");
-            assert_eq!(got.size_prefix, reference.size_prefix, "{threads} threads: size prefix");
-            assert!(got.content_eq(&reference), "{threads} threads: content equality");
-        }
-    }
-
-    #[test]
-    fn split_offsets_covers_the_classes_exactly() {
-        for (total, parts) in [(10u64, 3usize), (7, 8), (1, 1), (64, 4), (5, 5)] {
-            let ranges = split_offsets(total, parts);
-            assert!(ranges.len() <= parts);
-            assert!(ranges.iter().all(|r| !r.is_empty()), "no empty shards");
-            let mut expected = 0u64;
-            for r in &ranges {
-                assert_eq!(r.start, expected, "contiguous coverage");
-                expected = r.end;
-            }
-            assert_eq!(expected, total);
-        }
-        assert!(split_offsets(0, 4).is_empty());
-        assert!(split_offsets(9, 0).is_empty());
-    }
-
-    #[test]
     fn patch_tracks_a_row_change_like_a_rebuild() {
         use crate::analysis::GraphChecker;
         use fhg_graph::Graph;
 
-        // A small schedule whose cycle (12) survives moving nodes between
-        // the moduli {2, 3, 4, 6, 12}; the edgeless graph keeps every
-        // verification green so the structural repair is what's compared.
+        // A small schedule on the moduli {2, 3, 4, 6, 12} (cycle 12); the
+        // edgeless graph keeps every verification green so the structural
+        // repair is what's compared.
         let g = Graph::new(6);
         let checker = GraphChecker::new(&g);
         let mut view = ResidueSchedule::new(vec![0, 1, 2, 3, 0, 5], vec![2, 3, 4, 6, 12, 12]);
@@ -1261,9 +1066,9 @@ mod tests {
             let change =
                 RowChange { node: p, old: view.row(p), new: Progression { slot, modulus: m } };
             view.set_row(p, change.new);
-            assert_eq!(view.cycle(), 12, "moves must preserve the cycle");
-            let stats =
-                profile.patch(&view, &[change], None, &checker, &mut scratch).expect("same cycle");
+            let stats = profile
+                .patch(&view, &[change], None, &checker, &mut scratch)
+                .expect("the verdict holds");
             assert_eq!(stats.lanes_patched, 1);
             let rebuilt = CycleProfile::build(&view, 1, 6, &checker);
             assert!(
@@ -1274,29 +1079,60 @@ mod tests {
     }
 
     #[test]
-    fn patch_refuses_cycle_changes_and_broken_verdicts() {
+    fn patch_refuses_broken_verdicts() {
         use crate::analysis::GraphChecker;
         use fhg_graph::generators::structured::path;
 
-        let g = path(3);
-        let checker = GraphChecker::new(&g);
-        let view = ResidueSchedule::new(vec![0, 1, 0], vec![2, 2, 4]);
-        let mut profile = CycleProfile::build(&view, 0, 3, &checker);
-        let mut scratch = PatchScratch::new();
-
-        // A view whose cycle differs from the profiled one.
-        let stretched = ResidueSchedule::new(vec![0, 1, 0], vec![2, 2, 8]);
-        let refusal = profile.patch(&stretched, &[], None, &checker, &mut scratch);
-        assert_eq!(refusal, Err(PatchRefused::CycleChanged { old: 4, new: 8 }));
-
         // A profile whose verdict is already false: adjacent path nodes 0
         // and 1 share the row 0 mod 2, so every even class conflicts.
+        let g = path(3);
+        let checker = GraphChecker::new(&g);
         let clashing = ResidueSchedule::new(vec![0, 0, 1], vec![2, 2, 4]);
         let mut broken = CycleProfile::build(&clashing, 0, 3, &checker);
         assert!(!broken.all_classes_independent());
-        let refusal = broken.patch(&clashing, &[], None, &checker, &mut scratch);
+        let refusal = broken.patch(&clashing, &[], None, &checker, &mut PatchScratch::new());
         assert_eq!(refusal, Err(PatchRefused::NotIndependent));
         assert!(format!("{}", refusal.unwrap_err()).contains("rebuild"));
+    }
+
+    #[test]
+    fn patch_follows_the_cycle_as_it_grows_and_shrinks() {
+        use crate::analysis::GraphChecker;
+
+        // A triangle on 0 mod 2, 1 mod 4 and 3 mod 4, profiled from holiday
+        // 3, so node 2 hosts at offsets 0 and 4 of a cycle of 8.  Moving
+        // node 1 onto 1 mod 8 grows the cycle to 8 and stays independent.
+        // Moving it onto 7 mod 8 (offset 4) grows it too, and its only
+        // conflict, with node 2, lies at offset 4, the old cycle: a patch
+        // that verified below the old cycle would miss it.  From 1 mod 8
+        // (cycle 8), moving node 1 back onto 1 mod 4 shrinks the cycle to 4
+        // and stays independent, and moving it onto 3 mod 4 shrinks it into
+        // a conflict with node 2.
+        let g = Graph::from_edges(3, [(0, 1), (0, 2), (1, 2)]).unwrap();
+        let checker = GraphChecker::new(&g);
+        let row = |slot, modulus| Progression { slot, modulus };
+        let cases = [
+            (row(1, 4), row(1, 8), 8, true),
+            (row(1, 4), row(7, 8), 8, false),
+            (row(1, 8), row(1, 4), 4, true),
+            (row(1, 8), row(3, 4), 4, false),
+        ];
+        for (old, new, cycle, independent) in cases {
+            let ctx = format!("{old:?} -> {new:?}");
+            let mut view = ResidueSchedule::from_rows([row(0, 2), old, row(3, 4)]);
+            let mut profile = CycleProfile::build(&view, 3, 3, &checker);
+            assert!(profile.all_classes_independent(), "{ctx}");
+            let change = RowChange { node: 1, old, new };
+            view.apply_row(&change);
+            let stats = profile
+                .patch(&view, &[change], None, &checker, &mut PatchScratch::new())
+                .expect("the verdict held");
+            assert_eq!(stats.classes_verified, 1, "{ctx}: one class of the new row");
+            assert_eq!(profile.cycle(), cycle, "{ctx}");
+            assert_eq!(profile.all_classes_independent(), independent, "{ctx}");
+            let rebuilt = CycleProfile::build(&view, 3, 3, &checker);
+            assert!(profile.content_eq(&rebuilt), "{ctx}: patched profile diverged from rebuild");
+        }
     }
 
     #[test]
@@ -1319,7 +1155,7 @@ mod tests {
         let post_checker = GraphChecker::new(&g);
         let stats = profile
             .patch(&view, &[], Some((0, 1)), &post_checker, &mut scratch)
-            .expect("cycle unchanged");
+            .expect("the verdict held");
         assert_eq!(stats.classes_verified, 1, "one co-attendance class in a cycle of 6");
         assert!(!profile.all_classes_independent());
         let rebuilt = CycleProfile::build(&view, 0, 2, &post_checker);
@@ -1350,7 +1186,7 @@ mod tests {
             let change =
                 RowChange { node: 0, old: view.row(0), new: Progression { slot, modulus: m } };
             view.set_row(0, change.new);
-            profile.patch(&view, &[change], None, &checker, &mut scratch).expect("cycle fixed");
+            profile.patch(&view, &[change], None, &checker, &mut scratch).expect("verdict holds");
             let rebuilt = CycleProfile::build(&view, 0, 5, &checker);
             assert!(profile.content_eq(&rebuilt), "round {round}");
             let held: u64 = profile.lanes.iter().map(|lane| lane.nodes).sum();

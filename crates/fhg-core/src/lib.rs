@@ -47,10 +47,10 @@ pub use analysis::{
 pub use gathering::{orientation_from_happy_set, Gathering};
 pub use scheduler::Scheduler;
 pub use serving::{
-    audit_step_size, patch_limit, snapshot_dir, wal_sync, AuditStats, CacheStats, PatchError,
-    PatchOutcome, ProfileService, QuarantineReason, Query, QueryError, RecoverError,
-    RecoveryReport, RegisterError, SnapshotStats, WalSync, WalWriter, WindowAnalysis, WindowTotals,
-    AUDIT_STEP, PATCH_LIMIT, SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
+    audit_step_size, snapshot_dir, wal_sync, AuditStats, CacheStats, PatchError, PatchOutcome,
+    ProfileService, QuarantineReason, Query, QueryError, RecoverError, RecoveryReport,
+    RegisterError, SnapshotStats, WalSync, WalWriter, WindowAnalysis, WindowTotals, AUDIT_STEP,
+    PATCH_LIMIT, SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
 };
 
 /// Reads the integer knob `name` from the environment through

@@ -7,7 +7,7 @@
 //! exponents use power-of-two moduli `m_p = 2^{j_p}`, while the §1/§4
 //! baselines cycle a fixed modulus (`k` colours, `n` nodes).  Evaluating
 //! that per node costs an `O(n)` scan with a hardware divide per node,
-//! every holiday.  A [`ResidueTable`] precomputes, for every distinct
+//! every holiday.  A word-packed table precomputes, for every distinct
 //! modulus `m` and every residue `r < m`, the bitmask of nodes hosting at
 //! that residue; emitting a holiday then reduces to OR-ing one precomputed
 //! row per distinct modulus into the output [`HappySet`] — `O(#moduli ·
@@ -21,14 +21,15 @@
 //! reads them directly (one formula per node, one
 //! [`meets`](Progression::meets) per edge), [`ResidueSchedule::conflict`]
 //! checks Lemma 5.2 for every holiday at once, and the serving tier's cycle
-//! profiles emit each residue class from it once, from any thread.  The
-//! rows are stored as two arrays, slots and moduli, and
-//! [`ResidueSchedule::row`] assembles one on demand.
+//! profiles emit each residue class from it once.  The rows are stored as
+//! two arrays, slots and moduli, and [`ResidueSchedule::row`] assembles one
+//! on demand.
 //!
 //! Memory is `Σ_m m · n/8` bytes over the distinct moduli, which is tiny for
 //! the degree distributions the experiments use but can reach `Θ(n·Δ)` on
-//! dense graphs, so construction is gated by [`ResidueTable::MAX_BYTES`] and
-//! [`ResidueSchedule::fill`] keeps a per-node scan fallback.
+//! dense graphs, so construction is gated by a 16 MiB budget and
+//! [`ResidueSchedule::fill`] keeps a bucket index and a per-node scan as
+//! fallbacks.
 
 use fhg_codes::{gcd, Progression};
 use fhg_graph::{FixedBitSet, Graph, HappySet, NodeId};
@@ -52,27 +53,14 @@ pub struct RowChange {
 /// Precomputed hosting rows: `groups` holds, per distinct modulus `m`, the
 /// modulus and one bit row per residue `r < m`.
 #[derive(Debug, Clone)]
-pub struct ResidueTable {
+struct ResidueTable {
     n: usize,
     groups: Vec<(u64, Vec<FixedBitSet>)>,
 }
 
 impl ResidueTable {
     /// Construction budget for the precomputed rows (bytes).
-    pub const MAX_BYTES: usize = 16 << 20;
-
-    /// Builds the table for nodes hosting at `t ≡ slots[p] (mod
-    /// 2^{exponents[p]})`.  Returns `None` when the rows would exceed
-    /// [`ResidueTable::MAX_BYTES`], in which case callers fall back to their
-    /// per-node scan.
-    pub fn build(slots: &[u64], exponents: &[u32]) -> Option<Self> {
-        debug_assert_eq!(slots.len(), exponents.len());
-        // Periods of 2^40+ would be refused on size anyway; saturating keeps
-        // the arithmetic below overflow-free for adversarial exponents.
-        let moduli: Vec<u64> =
-            exponents.iter().map(|&j| 1u64.checked_shl(j).unwrap_or(u64::MAX)).collect();
-        Self::build_moduli(slots, &moduli)
-    }
+    const MAX_BYTES: usize = 16 << 20;
 
     /// Builds the table for nodes hosting at `t ≡ slots[p] (mod moduli[p])`,
     /// for arbitrary (not necessarily power-of-two) moduli.  Returns `None`
@@ -81,7 +69,7 @@ impl ResidueTable {
     /// # Panics
     /// Panics (in debug builds) if some modulus is zero or some slot is not a
     /// residue of its modulus.
-    pub fn build_moduli(slots: &[u64], moduli: &[u64]) -> Option<Self> {
+    fn build_moduli(slots: &[u64], moduli: &[u64]) -> Option<Self> {
         debug_assert_eq!(slots.len(), moduli.len());
         let n = slots.len();
         let words = n.div_ceil(64);
@@ -107,18 +95,13 @@ impl ResidueTable {
         Some(ResidueTable { n, groups })
     }
 
-    /// Number of nodes the table was built for.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// Writes the hosting set of holiday `t` into `out` by gathering one row
     /// per distinct modulus into a single fused gather+popcount pass over
     /// the output words ([`HappySet::assign_many`] batches the rows and
     /// indexes them in the inner loop): `out` is written exactly once — no
     /// reset memset, no per-row sweep, no cardinality rescan.  Resets `out`
     /// to the table's capacity.
-    pub fn fill(&self, t: u64, out: &mut HappySet) {
+    fn fill(&self, t: u64, out: &mut HappySet) {
         out.assign_many(
             self.n,
             self.groups.iter().map(|(m, rows)| {
@@ -134,8 +117,8 @@ impl ResidueTable {
 ///
 /// Unlike [`crate::scheduler::Scheduler::fill_happy_set`] (which takes `&mut
 /// self`), [`ResidueSchedule::fill`] works through `&self`, so any number of
-/// threads can evaluate disjoint stretches of the horizon concurrently — the
-/// property the parallel profile build relies on.  The schedule repeats with period
+/// threads can evaluate disjoint stretches of the horizon concurrently.  The
+/// schedule repeats with period
 /// [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
 /// `t mod cycle()`, which is what makes per-residue verification caching
 /// sound.
@@ -342,14 +325,12 @@ impl ResidueSchedule {
     }
 
     /// Total happy appearances over one full cycle: `Σ_p cycle / m_p`
-    /// (saturating), precomputed at construction.  `ProfileService` budgets
-    /// on it against
-    /// [`CycleProfile::MAX_EVENTS`](crate::analysis::CycleProfile::MAX_EVENTS),
-    /// which bounds the profile's rehydration walk over every attendance: a
-    /// hub-and-spoke degree distribution can pack `n · cycle / 2`
-    /// attendances into one cycle even when the cycle itself is short.
-    /// One-shot analysis never reads it: the progression engine costs
-    /// `O(n + m)` whatever the attendance.
+    /// (saturating), precomputed at construction.  A hub-and-spoke degree
+    /// distribution can pack `n · cycle / 2` attendances into one cycle even
+    /// when the cycle itself is short.  No engine reads it: the progression
+    /// engine costs `O(n + m)` and a cycle profile `O(n)` besides its class
+    /// walk, whatever the attendance.  The repository benchmark reports it
+    /// as its `profile.events` counter.
     pub fn attendance_per_cycle(&self) -> u64 {
         self.attendance
     }
@@ -369,9 +350,8 @@ impl ResidueSchedule {
     /// Cost: `O(#distinct moduli)` to refold the cycle and attendance
     /// aggregates, plus two bit flips in the word-packed table.  The table
     /// path allocates only when the row's modulus is one the table has never
-    /// held (one new row group, budget-checked against
-    /// [`ResidueTable::MAX_BYTES`]; on overflow the table is dropped in
-    /// favour of the bucket index).  Without a table the bucket index is
+    /// held (one new row group, budget-checked like construction; on
+    /// overflow the table is dropped in favour of the bucket index).  Without a table the bucket index is
     /// rebuilt, which is `O(n)` and allocates — schedules on the incremental
     /// path are expected to live within the table budget.
     ///
@@ -536,12 +516,18 @@ mod tests {
         (0..slots.len()).filter(|&p| t % (1u64 << exponents[p]) == slots[p]).collect()
     }
 
+    /// The table for power-of-two periods `2^{exponents[p]}`.
+    fn pow2_table(slots: &[u64], exponents: &[u32]) -> Option<ResidueTable> {
+        let moduli: Vec<u64> = exponents.iter().map(|&j| 1u64 << j).collect();
+        ResidueTable::build_moduli(slots, &moduli)
+    }
+
     #[test]
     fn matches_scan_on_mixed_exponents() {
         let slots = vec![0, 1, 0, 3, 7, 0];
         let exponents = vec![0, 1, 2, 2, 3, 3];
-        let table = ResidueTable::build(&slots, &exponents).expect("tiny table");
-        assert_eq!(table.node_count(), 6);
+        let table = pow2_table(&slots, &exponents).expect("tiny table");
+        assert_eq!(table.n, 6);
         for t in 0..64u64 {
             assert_eq!(table.members(t), scan(&slots, &exponents, t), "holiday {t}");
         }
@@ -561,7 +547,7 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let table = ResidueTable::build(&[], &[]).expect("empty");
+        let table = ResidueTable::build_moduli(&[], &[]).expect("empty");
         assert!(table.members(9).is_empty());
     }
 
@@ -569,14 +555,14 @@ mod tests {
     fn oversized_tables_are_refused() {
         // One node with a 2^40 period would need 2^40 rows: must refuse
         // rather than allocate.
-        assert!(ResidueTable::build(&[5], &[40]).is_none());
+        assert!(pow2_table(&[5], &[40]).is_none());
     }
 
     #[test]
     fn fill_reuses_the_buffer() {
         let slots = vec![0, 1];
         let exponents = vec![1, 1];
-        let table = ResidueTable::build(&slots, &exponents).unwrap();
+        let table = pow2_table(&slots, &exponents).unwrap();
         let mut out = HappySet::new(2);
         table.fill(0, &mut out);
         assert_eq!(out.to_vec(), vec![0]);
@@ -800,7 +786,7 @@ mod tests {
             let exponents: Vec<u32> = (0..n).map(|p| ((seed >> (p % 13)) % 6) as u32).collect();
             let slots: Vec<u64> =
                 (0..n).map(|p| (seed.wrapping_mul(p as u64 + 3) >> 2) % (1 << exponents[p])).collect();
-            let table = ResidueTable::build(&slots, &exponents).expect("small");
+            let table = pow2_table(&slots, &exponents).expect("small");
             prop_assert_eq!(table.members(t), scan(&slots, &exponents, t));
 
             // The schedule view agrees with the raw table and repeats with

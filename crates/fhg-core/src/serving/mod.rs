@@ -21,12 +21,12 @@
 //!   a fresh key; the old key is dropped when its last tenant leaves).
 //!   Cold keys rebuild on the next [`build_pending`](ProfileService::build_pending).
 //! * **Total, typed request handling.**  Registration validates *before*
-//!   building — a non-periodic scheduler, an over-budget cycle or an
-//!   over-budget attendance volume is a [`RegisterError`], never an unwrap
-//!   crash or a budget assert — and queries return [`QueryError`] for
-//!   unknown tenants or cold profiles.  The window fold itself is total:
-//!   zero-width, inverted and sub-cycle windows all take defined paths
-//!   (see [`CycleProfile::derive_window`](crate::analysis::CycleProfile::derive_window)).
+//!   building — a non-periodic scheduler or an over-budget cycle is a
+//!   [`RegisterError`], never an unwrap crash or a budget assert — and
+//!   queries return [`QueryError`] for unknown tenants or cold profiles.
+//!   The window fold itself is total: zero-width, inverted and sub-cycle
+//!   windows all take defined paths (see
+//!   [`CycleProfile::derive_window`](crate::analysis::CycleProfile::derive_window)).
 //!
 //! # Slot lifecycle: Building → Warm → Quarantined
 //!
@@ -53,13 +53,13 @@
 //! returned) straight to the cached profile — copy-on-write detach when
 //! the profile is shared, lane-level repair through
 //! [`CycleProfile::patch`](crate::analysis::CycleProfile::patch), and a
-//! guarded fall-back to a full rebuild when the event touches more lanes
-//! than the `FHG_PATCH_LIMIT` knob allows ([`patch_limit`]).
+//! guarded fall-back to a full rebuild when the repair would re-verify more
+//! residue classes than [`PATCH_LIMIT`].
 //!
 //! The patch runs **prepare → validate → commit**.  Prepare mirrors the
 //! edge event onto the slot's private graph (a typed [`PatchError::Graph`]
 //! failure here leaves everything untouched) and stages the row changes.
-//! Validate re-checks the profile budgets; a violation **rolls back** the
+//! Validate re-checks the cycle budget; a violation **rolls back** the
 //! rows and the edge event, so the slot's graph/schedule/profile trio is
 //! bitwise the pre-event state and keeps serving
 //! ([`PatchError::BudgetExceeded`]).  Only then does the profile repair
@@ -109,10 +109,9 @@
 //!
 //! # Batch front and sharding
 //!
-//! [`ProfileService::build_pending`] builds every cold profile, sharded
-//! across the persistent worker pool — one worker per profile, and each
-//! build's internal cycle walk shards further (the pool's caller always
-//! participates in a batch, so the nesting cannot deadlock).
+//! [`ProfileService::build_pending`] builds every cold profile across the
+//! persistent worker pool, one worker per profile; each build walks its
+//! cycle on the worker that runs it.
 //! [`ProfileService::query_batch`] / [`query_batch_full`](ProfileService::query_batch_full)
 //! answer a request slice in parallel the same way; the window fold keeps
 //! no scratch, so steady-state totals queries perform **zero heap
@@ -142,24 +141,10 @@ pub use persist::{
     SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
 };
 
-/// Default ceiling on the analytic touched-lane estimate above which
-/// [`ProfileService::patch`] rebuilds instead of repairing in place.
-/// Override at runtime with `FHG_PATCH_LIMIT`; see [`patch_limit`].
+/// Ceiling on the analytic estimate of the residue classes a repair
+/// re-verifies, above which [`ProfileService::patch`] rebuilds instead of
+/// repairing in place.
 pub const PATCH_LIMIT: u64 = 65_536;
-
-/// The patch-vs-rebuild threshold, decided once per process and cached in
-/// a `OnceLock`: the `FHG_PATCH_LIMIT` environment variable when set (so
-/// deployments can tune the crossover without recompiling), otherwise
-/// [`PATCH_LIMIT`].
-///
-/// Same warn-and-fall-back contract as every other `FHG_*` knob: a
-/// malformed value logs one warning to stderr and falls back to the
-/// default — a long-lived serving process must not be killable by a typo
-/// in its environment (pinned by the unit tests below).
-pub fn patch_limit() -> u64 {
-    static LIMIT: OnceLock<u64> = OnceLock::new();
-    *LIMIT.get_or_init(|| crate::env_knob("FHG_PATCH_LIMIT", PATCH_LIMIT))
-}
 
 /// Default number of warm slots one [`ProfileService::audit_step`] call
 /// re-derives.  Override at runtime with `FHG_AUDIT_STEP`; see
@@ -201,14 +186,6 @@ pub enum RegisterError {
         /// The budget it exceeded.
         max: u64,
     },
-    /// The per-cycle attendance volume exceeds the profile's attendance
-    /// budget [`CycleProfile::MAX_EVENTS`].
-    AttendanceTooHeavy {
-        /// The schedule's total attendance per cycle.
-        attendance: u64,
-        /// The budget it exceeded.
-        max: u64,
-    },
 }
 
 impl fmt::Display for RegisterError {
@@ -219,9 +196,6 @@ impl fmt::Display for RegisterError {
             }
             RegisterError::CycleTooLong { cycle, max } => {
                 write!(f, "cycle {cycle} exceeds the profile budget {max}")
-            }
-            RegisterError::AttendanceTooHeavy { attendance, max } => {
-                write!(f, "attendance {attendance} per cycle exceeds the profile budget {max}")
             }
         }
     }
@@ -328,9 +302,10 @@ pub enum PatchOutcome {
     /// The cached profile was repaired in place; the stats say how much
     /// work that took.
     Patched(PatchStats),
-    /// The repair was refused (cycle changed, verdict already broken) or
-    /// the touched-lane estimate exceeded [`patch_limit`]; the profile was
-    /// rebuilt from scratch instead — still warm, just not incremental.
+    /// The repair was refused (the verdict was already broken) or the
+    /// estimate of the classes it would re-verify exceeded [`PATCH_LIMIT`];
+    /// the profile was rebuilt from scratch instead — still warm, just not
+    /// incremental.
     Rebuilt,
     /// The tenant's slot was cold: its graph and schedule content were
     /// updated, but there is no profile to repair until the next
@@ -348,11 +323,10 @@ pub enum PatchError {
     /// the repair came from a different scheduler than the one registered.
     /// The slot is left untouched.
     Graph(GraphError),
-    /// The mutated schedule would outgrow a profile budget (cycle length
-    /// or attendance volume); the closed form cannot represent the
-    /// post-event tenant, so the edge event and row changes were **rolled
-    /// back** — the slot still serves its pre-event content, bitwise
-    /// unchanged.
+    /// The mutated schedule's cycle would outgrow the profile budget; the
+    /// closed form cannot represent the post-event tenant, so the edge
+    /// event and row changes were **rolled back** — the slot still serves
+    /// its pre-event content, bitwise unchanged.
     BudgetExceeded(RegisterError),
     /// The tenant's slot is quarantined: either it already was when the
     /// patch arrived, or this very patch panicked past its commit point
@@ -516,10 +490,10 @@ impl ProfileService {
 
     /// Registers (or re-registers) tenant `tenant` with its conflict graph
     /// and scheduler, returning the schedule key the tenant was bound to.
-    /// Validates every profile precondition up front — periodicity, the
-    /// cycle budget, the attendance budget — and returns a typed
-    /// [`RegisterError`] instead of crashing later.  The profile itself is
-    /// *not* built here: registration marks the key pending and
+    /// Validates every profile precondition up front — periodicity and the
+    /// cycle budget — and returns a typed [`RegisterError`] instead of
+    /// crashing later.  The profile itself is *not* built here:
+    /// registration marks the key pending and
     /// [`ProfileService::build_pending`] builds all pending keys sharded
     /// across the worker pool.  Re-registering a tenant whose content
     /// changed rebinds it (the old key is dropped with its last tenant);
@@ -537,13 +511,6 @@ impl ProfileService {
         let cycle = view.cycle();
         if cycle > CycleProfile::MAX_CYCLE {
             return Err(RegisterError::CycleTooLong { cycle, max: CycleProfile::MAX_CYCLE });
-        }
-        let attendance = view.attendance_per_cycle();
-        if attendance > CycleProfile::MAX_EVENTS {
-            return Err(RegisterError::AttendanceTooHeavy {
-                attendance,
-                max: CycleProfile::MAX_EVENTS,
-            });
         }
         let start = scheduler.first_holiday();
         let key = schedule_key(graph, view, start);
@@ -622,10 +589,9 @@ impl ProfileService {
         }
     }
 
-    /// Builds every cold ([`SlotState::Building`]) profile, sharded across
-    /// the persistent worker pool (each build's internal cycle walk shards
-    /// further — the nesting is deadlock-free because the pool's caller
-    /// always participates).  Returns how many profiles were built.
+    /// Builds every cold ([`SlotState::Building`]) profile across the
+    /// persistent worker pool, one worker per profile.  Returns how many
+    /// profiles were built.
     /// Idempotent: warm profiles are untouched, so the service stays
     /// bitwise-stable across calls.
     ///
@@ -708,14 +674,14 @@ impl ProfileService {
     /// 3. repairs the cached [`CycleProfile`] through
     ///    [`CycleProfile::patch`] — verification runs against the live
     ///    graph through a [`ScanChecker`], so no adjacency layout is
-    ///    rebuilt per event — **unless** the analytic touched-lane
-    ///    estimate exceeds the [`patch_limit`] knob (`FHG_PATCH_LIMIT`) or
-    ///    the patch is refused (cycle changed, verdict already broken), in
-    ///    which case it degrades to a full rebuild, still in this call.
+    ///    rebuilt per event — **unless** the analytic estimate of the
+    ///    classes it would re-verify exceeds [`PATCH_LIMIT`] or the patch
+    ///    is refused (the verdict is already broken), in which case it
+    ///    degrades to a full rebuild, still in this call.
     ///
     /// Cold slots absorb the content change and stay cold
-    /// ([`PatchOutcome::Cold`]).  A mutated schedule that would outgrow a
-    /// profile budget is **rolled back** — edge event and rows restored,
+    /// ([`PatchOutcome::Cold`]).  A mutated schedule that would outgrow the
+    /// cycle budget is **rolled back** — edge event and rows restored,
     /// the slot keeps serving its pre-event content — with a typed
     /// [`PatchError::BudgetExceeded`].  A panic past the graph edit is
     /// caught and quarantines the tenant ([`PatchError::Quarantined`])
@@ -789,20 +755,12 @@ impl ProfileService {
 
         // Validate: the mutated schedule may have outgrown the closed form
         // (a recolored node with a longer period stretches the cycle) —
-        // the same budgets registration enforces, re-checked before any
-        // rebuild could assert deep in the build.  A violation rolls the
-        // event back: rows restored via the inverse changes, the edge
-        // edit inverted, and the slot keeps serving pre-event answers.
+        // the budget registration enforces, re-checked before the patch or
+        // a rebuild could assert on it.  A violation rolls the event back:
+        // rows restored via the inverse changes, the edge edit inverted,
+        // and the slot keeps serving pre-event answers.
         let cycle = slot.view.cycle();
-        let attendance = slot.view.attendance_per_cycle();
-        let violation = if cycle > CycleProfile::MAX_CYCLE {
-            Some(RegisterError::CycleTooLong { cycle, max: CycleProfile::MAX_CYCLE })
-        } else if attendance > CycleProfile::MAX_EVENTS {
-            Some(RegisterError::AttendanceTooHeavy { attendance, max: CycleProfile::MAX_EVENTS })
-        } else {
-            None
-        };
-        if let Some(violation) = violation {
+        if cycle > CycleProfile::MAX_CYCLE {
             for change in repair.row_changes().iter().rev() {
                 slot.view.apply_row(&inverse_row(change));
             }
@@ -811,27 +769,25 @@ impl ProfileService {
                 EdgeEventKind::Delete => slot.graph.add_edge(event.u, event.v),
             }
             .expect("inverting a just-applied edge event");
-            return Err(PatchError::BudgetExceeded(violation));
+            return Err(PatchError::BudgetExceeded(RegisterError::CycleTooLong {
+                cycle,
+                max: CycleProfile::MAX_CYCLE,
+            }));
         }
 
-        // The analytic touched-lane estimate: per row change, the classes
-        // the old progression leaves and the new one joins (the joined
-        // classes are refilled and re-verified), plus, for an insert, an
-        // upper bound on the CRT co-attendance classes.  Purely arithmetic
-        // — computed before deciding to patch, so a pathological event (a
-        // hub recoloring onto modulus 1) pays a rebuild instead of a patch
-        // that is no cheaper.
-        let mut touched: u64 = repair
-            .row_changes()
-            .iter()
-            .map(|c| cycle / c.old.modulus.max(1) + cycle / c.new.modulus)
-            .sum();
+        // The analytic estimate of the classes the repair re-verifies: per
+        // row change, the classes its new progression joins, plus, for an
+        // insert, an upper bound on the CRT co-attendance classes.  Purely
+        // arithmetic — computed before deciding to patch, so a pathological
+        // event (a hub recoloring onto modulus 1) pays a rebuild instead of
+        // a patch that is no cheaper.
+        let mut touched: u64 = repair.row_changes().iter().map(|c| cycle / c.new.modulus).sum();
         if event.kind == EdgeEventKind::Insert {
             let (mu, mv) = (slot.view.modulus(event.u), slot.view.modulus(event.v));
             touched += cycle / mu.max(mv);
         }
 
-        if touched <= patch_limit() {
+        if touched <= PATCH_LIMIT {
             if let SlotState::Warm(profile) = &mut slot.state {
                 let scan = ScanChecker::new(&slot.graph);
                 let inserted = (event.kind == EdgeEventKind::Insert).then_some((event.u, event.v));
@@ -1332,22 +1288,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_limit_override_falls_back_instead_of_panicking() {
-        // Same contract as FHG_AUDIT_STEP: garbage in the
-        // environment warns and falls back, never kills the server.
-        let parse_patch_limit = |raw| crate::parse_knob("FHG_PATCH_LIMIT", raw, PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(None), PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(Some("")), PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(Some("  ")), PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(Some("garbage")), PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(Some("-7")), PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(Some("1e6")), PATCH_LIMIT);
-        assert_eq!(parse_patch_limit(Some("0")), 0, "zero forces rebuild-always");
-        assert_eq!(parse_patch_limit(Some("1024")), 1024);
-        assert_eq!(parse_patch_limit(Some(" 42 ")), 42, "whitespace is trimmed");
-    }
-
-    #[test]
     fn shared_profiles_survive_removal_and_invalidation_of_a_cotenant() {
         // Two tenants share one profile; removing one and bouncing the
         // other through an invalidate/rebuild must keep the survivor's
@@ -1447,7 +1387,7 @@ mod tests {
 
     #[test]
     fn audit_step_knob_falls_back_instead_of_panicking() {
-        // Same contract as FHG_PATCH_LIMIT: garbage in the environment
+        // Same contract as every FHG_* knob: garbage in the environment
         // warns and falls back, never kills the server.
         let parse_audit_step = |raw| crate::parse_knob("FHG_AUDIT_STEP", raw, AUDIT_STEP);
         assert_eq!(parse_audit_step(None), AUDIT_STEP);

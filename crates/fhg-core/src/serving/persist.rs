@@ -33,8 +33,8 @@
 //!   (PatchPanic, BuildPanic, AuditMismatch, RecoveryMismatch).  A warm
 //!   profile stores **no offset rows, sizes or summaries**: everything but the
 //!   verdict bit is a pure function of `(view, start, node_count)` and is
-//!   reconstructed by [`CycleProfile::rehydrate`] in `O(cycle+attendance)`
-//!   — recovery never cold-builds an uncorrupted slot.
+//!   reconstructed by [`CycleProfile::rehydrate`] in `O(n)` — recovery
+//!   never cold-builds an uncorrupted slot.
 //! * `END`          — the atomic-completion marker; a snapshot without it
 //!   is torn and only its readable prefix is salvaged.
 //!
@@ -70,10 +70,10 @@
 //!    `Corrupt` frame (checksum mismatch, in-bounds length) is skipped and
 //!    counted; a `Torn` tail or missing `END` stops the scan and salvages
 //!    the prefix ([`RecoveryReport::snapshot_torn`]).
-//! 2. **Assemble** slots.  A slot whose content decodes but whose budgets
-//!    no longer validate is dropped (its tenants simply aren't restored —
-//!    queries get the typed `UnknownTenant`).  A content section without a
-//!    matching readable profile section comes back
+//! 2. **Assemble** slots.  A slot whose content decodes but whose cycle
+//!    budget no longer validates is dropped (its tenants simply aren't
+//!    restored — queries get the typed `UnknownTenant`).  A content section
+//!    without a matching readable profile section comes back
 //!    [`Quarantined`](super::SlotState::Quarantined) with
 //!    [`QuarantineReason::RecoveryMismatch`] — content is intact, so
 //!    [`ProfileService::repair_quarantined`] rebuilds it.  Warm slots are
@@ -688,13 +688,11 @@ impl ProfileService {
 
         // Assemble: every decoded slot either restores (warm slots
         // rehydrated — never cold-built), survives quarantined, or is
-        // dropped when its budgets no longer validate.
+        // dropped when its cycle budget no longer validates.
         let mut svc = ProfileService::new();
         svc.next_private_key = next_private_key;
         for pending in contents {
-            let cycle = pending.view.cycle();
-            let attendance = pending.view.attendance_per_cycle();
-            if cycle > CycleProfile::MAX_CYCLE || attendance > CycleProfile::MAX_EVENTS {
+            if pending.view.cycle() > CycleProfile::MAX_CYCLE {
                 report.sections_dropped += 1;
                 continue;
             }

@@ -2,16 +2,17 @@
 //!
 //! Every periodic schedule hosts node `p` exactly when `t ≡ slot_p (mod
 //! m_p)`, so emitting a holiday is one OR of a precomputed row per
-//! distinct modulus plus a popcount (`ResidueTable::fill`), and verifying
-//! it is a walk of word probes and set bits.  Those are straight-line bit
-//! kernels, so this module keeps them behind a small, heavily-tested API:
+//! distinct modulus plus a popcount (the word-packed table behind
+//! `ResidueSchedule::fill`), and verifying it is a walk of word probes and
+//! set bits.  Those are straight-line bit kernels, so this module keeps them
+//! behind a small, heavily-tested API:
 //!
 //! * [`set_rows_count`] — the **multi-row gather**: overwrite `dst` with the
 //!   OR of any number of rows, rows indexed in the *inner* loop, counting
 //!   the set bits of the result in the same pass.  One write-only sweep of
 //!   `dst` replaces the old reset-memset + one-OR-pass-per-row +
 //!   count-rescan emission shape.  Backs `HappySet::assign_many`, and
-//!   through it `ResidueTable::fill`.
+//!   through it `ResidueSchedule::fill`.
 //! * [`or_rows_count`] — the same fused pass, OR-ing *into* the existing
 //!   `dst` bits: the batches after the first when `HappySet::assign_many`
 //!   gathers more than eight rows.

@@ -16,9 +16,11 @@
 //! `u64::MAX`) are checked against `CycleProfile::derive`, the serving
 //! tier's independent derivation, which walks one cycle of residue classes.
 //!
-//! The profile itself is locked down here too: its parallel build (classes
-//! sharded across 1/2/8 worker threads, including pools wider than the
-//! cycle) and every derivation plane agree bitwise with the reference.
+//! The profile itself is locked down here too: its build and every
+//! derivation plane agree bitwise with the reference.  The build walks its
+//! classes on the calling thread, 64 to a batch, so it runs inside 1/2/8
+//! worker pools (including pools wider than the cycle) and on cycles around
+//! batch multiples, none of which may change a bit.
 //!
 //! Float fields are compared through `to_bits`, so `NaN` mean gaps (fewer
 //! than two happy holidays) compare equal exactly when both paths produce
@@ -270,8 +272,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Lockdown for the profile's derivation planes: for every periodic
-    /// scheduler in the suite, the **parallel profile build** (classes
-    /// sharded across 1/2/8 worker threads), the **whole-cycle derive**
+    /// scheduler in the suite, the **profile build** (inside a 1/2/8-thread
+    /// pool, which must change nothing), the **whole-cycle derive**
     /// (`horizon = k·cycle`, every lane's last appearance one step before
     /// the end of a cycle), the **ragged derive** (`k·cycle ± 1`, the
     /// horizon cutting into a cycle) and the **totals-only fast path** all
@@ -291,8 +293,8 @@ proptest! {
         for (prod, mut reference) in suite_prod.into_iter().zip(suite_ref) {
             let Some(cycle) = prod.schedule_cycle() else { continue };
             let view = prod.residue_schedule().expect("cycle implies a residue view");
-            // Build inside the pinned pool: the class walk shards across
-            // exactly `threads` workers.
+            // Build inside the pinned pool: the class walk runs on the
+            // calling thread, so the pool width must not show.
             let profile = pool.install(|| {
                 CycleProfile::build(view, prod.first_holiday(), graph.node_count(), &checker)
             });
@@ -470,9 +472,9 @@ fn assert_profile_build_matches(graph: &Graph, view: ResidueSchedule, threads: u
     assert_bitwise_identical(&analyze_schedule(graph, &mut sched, horizon), &expected, &ctx);
 }
 
-/// Cycles around shard-count multiples: the profile build splits a cycle's
-/// classes into one range per worker, so an off-by-one in the split or in
-/// the class-order concatenation shows up exactly here.
+/// Cycles around multiples of the worker count and of the 64-class batch
+/// (`64·t ± 1`): the profile build flushes its classes 64 at a time, so an
+/// off-by-one in the batching shows up here, and the pool must not.
 #[test]
 fn horizons_straddling_shard_boundaries() {
     let graph = Family::ErdosRenyi.generate(30, 3.5, 11);
@@ -484,8 +486,7 @@ fn horizons_straddling_shard_boundaries() {
     }
 }
 
-/// Pools wider than the cycle must not create empty shards or skew the
-/// profile build's merge.
+/// Pools wider than the cycle must not change the profile build.
 #[test]
 fn more_threads_than_holidays() {
     let graph = Family::BarabasiAlbert.generate(25, 3.0, 3);

@@ -15,12 +15,13 @@
 //! `2^62`; the start-shifted reference sweeps only the window's length).
 //! Mixed-coprime views (moduli `{3, 4, 6}`, cycle 12, and `{8, 27}`, cycle
 //! 216) go through `ProfileService::query` and `query_totals`, the serving
-//! entry points.
+//! entry points, and the same views, widened past their graph, pin the
+//! happiness of rows with no graph node.
 //!
 //! Like `tests/analysis_parity.rs`, float fields compare through
 //! `to_bits`, and CI runs this suite under the `FHG_THREADS` matrix, so a
-//! drift in the build sharding or the batched verification kernels shows
-//! up here as a window-parity failure.
+//! drift in the fleet build or the batched verification kernels shows up
+//! here as a window-parity failure.
 
 use proptest::prelude::*;
 
@@ -297,4 +298,40 @@ fn mixed_coprime_views_serve_reference_identical_windows() {
         }
     }
     assert_eq!(verdicts.len(), 2, "both verdicts must occur");
+}
+
+/// Views wider than their graph: the rows past the graph count into
+/// `total_happiness` and into nothing else, on both derivations, exactly as
+/// the reference sweep over the same window counts them.  Such a view
+/// fails the verdict: the profile reports it for the whole cycle, and the
+/// windowed reference agrees on every window that holds a whole cycle.
+#[test]
+fn wider_views_count_their_extra_rows_into_happiness_only() {
+    for (moduli, cycle) in [(&[3u64, 4, 6][..], 12u64), (&[8, 27][..], 216)] {
+        for seed in 0..3u64 {
+            let graph = match seed {
+                0 => Graph::new(20),
+                _ => Family::ALL[seed as usize % Family::ALL.len()].generate(20, 1.5, seed),
+            };
+            let view = mixed_view(graph.node_count() + 2 + seed as usize, moduli, seed);
+            assert_eq!(view.cycle(), cycle);
+            let start = 5 + seed;
+            let checker = GraphChecker::new(&graph);
+            let profile = CycleProfile::build(&view, start, graph.node_count(), &checker);
+            assert!(!profile.all_classes_independent(), "rows past the graph fail the verdict");
+            for (t0, t1) in window_shapes(cycle, 3, seed * 41) {
+                let horizon = t1.saturating_sub(t0);
+                let mut shifted = WindowView { view: &view, start: start + t0 };
+                let mut expected = analyze_schedule_reference(&graph, &mut shifted, horizon);
+                let ctx = format!("moduli {moduli:?}, seed {seed}, window [{t0}, {t1})");
+                if horizon >= cycle {
+                    assert!(!expected.all_happy_sets_independent, "{ctx}: reference verdict");
+                }
+                expected.all_happy_sets_independent = false;
+                let got = profile.derive_window("window-ref", &graph, t0, t1);
+                assert_bitwise_identical(&got, &expected, &ctx);
+                assert_eq!(profile.derive_window_totals(t0, t1), expected.totals(), "{ctx}");
+            }
+        }
+    }
 }
