@@ -1,6 +1,7 @@
 //! Criterion benchmark for the serving tier's `CycleProfile`: profile
-//! construction (one class walk on the calling thread) and
-//! horizon-free derivation (full, and the totals-only fast path), next to
+//! construction (one congruence test per edge plus the `O(n)` lane
+//! grouping, on the calling thread) and horizon-free derivation (full, and
+//! the totals-only fast path), next to
 //! the one-shot end-to-end analysis (the progression engine, which builds
 //! no profile) at the E11 configuration and at a 1M-holiday horizon.
 //!
@@ -18,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fhg_core::analysis::{analyze_schedule, AnalysisEngine, CycleProfile, GraphChecker};
+use fhg_core::analysis::{analyze_schedule, AnalysisEngine, CycleProfile};
 use fhg_core::dynamic::DynamicColorBound;
 use fhg_core::prelude::*;
 use fhg_graph::generators;
@@ -27,7 +28,6 @@ fn bench_cycle_profile(c: &mut Criterion) {
     let graph = generators::erdos_renyi(10_000, 0.001, 42);
     const HORIZON: u64 = 4096;
     const LONG_HORIZON: u64 = 1 << 20;
-    let checker = GraphChecker::new(&graph);
 
     let mut group = c.benchmark_group("cycle-profile-10k");
     group.sample_size(10);
@@ -36,8 +36,7 @@ fn bench_cycle_profile(c: &mut Criterion) {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
         b.iter(|| {
-            let profile =
-                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
+            let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &graph);
             assert!(profile.all_classes_independent());
             black_box(profile)
         })
@@ -46,7 +45,7 @@ fn bench_cycle_profile(c: &mut Criterion) {
     group.bench_function("derive-1M-from-prebuilt-profile", |b| {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
-        let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
+        let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &graph);
         b.iter(|| {
             let analysis = profile.derive(s.name(), &graph, LONG_HORIZON).unwrap();
             assert!(analysis.all_happy_sets_independent);
@@ -57,7 +56,7 @@ fn bench_cycle_profile(c: &mut Criterion) {
     group.bench_function("derive-1M-totals-only", |b| {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
-        let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
+        let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &graph);
         b.iter(|| {
             let totals = profile.derive_totals(LONG_HORIZON).unwrap();
             assert!(totals.all_happy_sets_independent);
@@ -82,12 +81,7 @@ fn bench_cycle_profile(c: &mut Criterion) {
     let graph = generators::erdos_renyi(2048, 8.0 / 2047.0, 42);
     let dynamic = DynamicColorBound::new(&graph);
     let view = dynamic.residue_schedule().expect("perfectly periodic between events");
-    let profile = CycleProfile::build(
-        view,
-        dynamic.first_holiday(),
-        graph.node_count(),
-        &GraphChecker::new(&graph),
-    );
+    let profile = CycleProfile::build(view, dynamic.first_holiday(), graph.node_count(), &graph);
     let mut group = c.benchmark_group("cycle-profile-dynamic-2048");
     group.bench_function("window-totals-ragged", |b| {
         let t0 = (1 << 20) + 12_345;

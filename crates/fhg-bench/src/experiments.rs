@@ -896,9 +896,7 @@ pub fn e12_closed_form_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
     // derivation is the long-horizon row's witness.
     let scheduler = PeriodicDegreeBound::new(&graph);
     let view = scheduler.residue_schedule().expect("perfectly periodic");
-    let checker = GraphChecker::new(&graph);
-    let profile =
-        CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker);
+    let profile = CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &graph);
     let long_witness = profile.derive(scheduler.name(), &graph, cfg.long_horizon).unwrap();
     let mut derived = long_witness.clone();
     let derive_ms = median_ms(cfg.reps, || {
@@ -1111,21 +1109,16 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
         });
     }
 
-    // Parity witness: the production engine and the kernel-driven profile
-    // build (emission through the fused gathers, verification through the
-    // batched kernels) still match the sequential reference bitwise.
+    // Parity witness: the production engine and the profile's window fold
+    // still match the sequential reference (emission through the fused
+    // gathers) bitwise.
     let mut parity = Table::new(
         "E13b — engine parity after the kernel refactor (same graph, short horizon)",
         &["engine", "horizon", "matches reference"],
     );
     let reference = analyze_schedule_reference(&graph, &mut scheduler, horizon);
     let production = analyze_schedule(&graph, &mut scheduler, horizon);
-    let profile = CycleProfile::build(
-        &view,
-        scheduler.first_holiday(),
-        graph.node_count(),
-        &GraphChecker::new(&graph),
-    );
+    let profile = CycleProfile::build(&view, scheduler.first_holiday(), graph.node_count(), &graph);
     let derived = profile.derive_window(scheduler.name(), &graph, 0, horizon);
     for (label, analysis) in
         [("closed-form progression", production), ("cycle profile window fold", derived)]
@@ -1150,10 +1143,11 @@ pub fn e13_fused_kernel_emission_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>,
 ///   (acceptance on the full config: ≤ 1.0 ms).
 ///
 /// * **E14b** (`cycle ≈ 10⁵`, two interleaved moduli whose lcm is the
-///   cycle, an edgeless conflict graph so verification does full-row
-///   AND scans with no early exit): `CycleProfile::build`, one class walk on
-///   the calling thread.  Derive-only and totals-only rows on the same
-///   long-cycle profile round out the table.
+///   cycle, an edgeless conflict graph): `CycleProfile::build`, the edge
+///   pass (one congruence test per edge, none here) plus the `O(n)` lane
+///   grouping, on the calling thread.  Its cost does not depend on the
+///   cycle.  Derive-only and totals-only rows on the same long-cycle
+///   profile round out the table.
 pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     use fhg_core::schedulers::residue::ResidueSchedule;
 
@@ -1166,12 +1160,8 @@ pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
     // --- E14a: the derivation on the E12 configuration. ---
     let graph = generators::erdos_renyi(cfg.nodes, cfg.edge_prob, cfg.seed);
     let mut scheduler = PeriodicDegreeBound::new(&graph);
-    let checker = GraphChecker::new(&graph);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let view = scheduler.residue_schedule().expect("perfectly periodic").clone();
-    let profile = pool.install(|| {
-        CycleProfile::build(&view, scheduler.first_holiday(), graph.node_count(), &checker)
-    });
+    let profile = CycleProfile::build(&view, scheduler.first_holiday(), graph.node_count(), &graph);
 
     let mut derive_table = Table::new(
         format!(
@@ -1227,9 +1217,8 @@ pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
     let (m_a, m_b) = cfg.build_moduli;
     let cycle = cfg.build_cycle();
     // Interleaved moduli with spread slots; an edgeless conflict graph
-    // keeps the schedule trivially independent, so every class is verified
-    // with full-row AND scans (no early exit) — the honest
-    // verification-bound shape.
+    // keeps the schedule trivially independent, so the build is the edge
+    // pass's row walk and the lane grouping, with no early exit.
     let slots: Vec<u64> = (0..n as u64)
         .map(|p| {
             let m = if p % 2 == 0 { m_a } else { m_b };
@@ -1240,7 +1229,6 @@ pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
     let schedule = ResidueSchedule::new(slots, moduli);
     assert_eq!(schedule.cycle(), cycle);
     let build_graph = fhg_graph::Graph::new(n);
-    let build_checker = GraphChecker::new(&build_graph);
 
     let mut build_table = Table::new(
         format!(
@@ -1251,13 +1239,13 @@ pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
         &["path", "threads", "median ms", "criterion"],
     );
 
-    let mut long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
+    let mut long_profile = CycleProfile::build(&schedule, 0, n, &build_graph);
     let build_ms = median_ms(cfg.reps, || {
-        long_profile = CycleProfile::build(&schedule, 0, n, &build_checker);
+        long_profile = CycleProfile::build(&schedule, 0, n, &build_graph);
     });
     assert!(long_profile.all_classes_independent(), "the edgeless schedule is independent");
     build_table.push(&[
-        "profile build (one class walk)".to_string(),
+        "profile build (edge pass + lane grouping)".to_string(),
         "1".to_string(),
         format!("{build_ms:.2}"),
         "-".to_string(),
@@ -1306,11 +1294,11 @@ pub fn e14_derive_and_build_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
 
 /// E15 — verification throughput on the one checker layout: the packed
 /// graph (CSR), probed once per edge from its lower endpoint.  One table
-/// (**E15a**, the E12 configuration): per-class `check` vs batched
-/// `check_batch` over the same materialised residue classes (acceptance:
-/// batched ≥ 2x over per-class), and the production end-to-end analysis at
-/// the short horizon, which verifies by one congruence test per edge
-/// instead of any class check (acceptance on the full config: ≤ 0.8 ms).
+/// (**E15a**, the E12 configuration): per-class `check` over materialised
+/// residue classes, the sequential sweep's verification shape, and the
+/// production end-to-end analysis at the short horizon, which verifies by
+/// one congruence test per edge instead of any class check (acceptance on
+/// the full config: ≤ 0.8 ms).
 pub fn e15_verification_throughput_with(
     cfg: &AnalysisBenchConfig,
 ) -> (Vec<Table>, Vec<BenchEntry>) {
@@ -1324,8 +1312,7 @@ pub fn e15_verification_throughput_with(
     let n = view.node_count();
 
     // Materialise the classes once (the E12 configuration probes
-    // `cfg.horizon` of them) so both granularities run on byte-identical
-    // inputs.
+    // `cfg.horizon` of them), so the timed loop is verification alone.
     let classes: Vec<(u64, FixedBitSet)> = {
         let mut buf = HappySet::new(n);
         (0..cfg.horizon)
@@ -1341,7 +1328,7 @@ pub fn e15_verification_throughput_with(
     let mut table = Table::new(
         format!(
             "E15a — verification throughput on erdos_renyi({}, {}), {} residue classes, \
-             packed graph (CSR), batches of 64 (medians of {})",
+             packed graph (CSR) (medians of {})",
             cfg.nodes, cfg.edge_prob, cfg.horizon, cfg.reps
         ),
         &["path", "median ms", "speedup vs per-class", "criterion"],
@@ -1353,30 +1340,20 @@ pub fn e15_verification_throughput_with(
         }
         assert!(ok, "the periodic schedule must verify");
     });
-    let batched_ms = median_ms(cfg.reps, || {
-        assert!(checker.check_batch(&refs), "the periodic schedule must verify in batches");
+    table.push(&[
+        "per-class check".to_string(),
+        format!("{per_class_ms:.3}"),
+        "1.00x".to_string(),
+        "-".to_string(),
+    ]);
+    entries.push(BenchEntry {
+        experiment: "e15",
+        engine: "per-class-check-csr".to_string(),
+        threads: 1,
+        horizon: cfg.horizon,
+        median_ms: per_class_ms,
+        speedup: 1.0,
     });
-    let speedup = per_class_ms / batched_ms;
-    let rows: [(&str, f64, f64, String); 2] = [
-        ("per-class check", per_class_ms, 1.0, "-".to_string()),
-        (
-            "batched check_batch (64-wide)",
-            batched_ms,
-            speedup,
-            format!(">=2x vs per-class: {}", speedup >= 2.0),
-        ),
-    ];
-    for (path, ms, speedup, criterion) in rows {
-        table.push(&[path.to_string(), format!("{ms:.3}"), format!("{speedup:.2}x"), criterion]);
-        entries.push(BenchEntry {
-            experiment: "e15",
-            engine: format!("{}-csr", path.replace(' ', "-")),
-            threads: 1,
-            horizon: cfg.horizon,
-            median_ms: ms,
-            speedup,
-        });
-    }
     // The production end-to-end analysis at the short horizon: no class is
     // verified at all, so the checker is not involved (the e14 criterion
     // was <= 1.0 ms; this one is tighter).
@@ -1614,9 +1591,11 @@ pub fn e16_windowed_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
 /// the serving tier, then a fixed LCG stream of edge events (delete when
 /// the drawn edge exists, insert otherwise) flows through
 /// `DynamicColorBound::apply_event` and `ProfileService::patch`, which
-/// repairs only the touched lanes of the cached closed form.  The table
-/// compares the median per-event repair against the full
-/// `CycleProfile::build` each event would otherwise force, reports the
+/// repairs only the touched lanes of the cached closed form and re-tests
+/// only the edges at the recoloured nodes.  The table compares the median
+/// per-event repair against the full `CycleProfile::build` each event
+/// would otherwise force — the edge pass over every edge plus the lane
+/// grouping, its rebuild baseline — reports the
 /// service cache counters, and hard-asserts the churned profile is
 /// content-identical (hence every derived analysis is bitwise-identical)
 /// to rebuild-from-scratch oracles on 1-, 2- and 8-thread pools.
@@ -1638,10 +1617,9 @@ pub fn e17_incremental_repair_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
     // event would cost without the patch plane. ---
     let full_ms = {
         let view = sched.residue_schedule().expect("colour-bound schedules are periodic");
-        let checker = GraphChecker::new(sched.graph());
-        let mut profile = CycleProfile::build(view, sched.first_holiday(), n, &checker);
+        let mut profile = CycleProfile::build(view, sched.first_holiday(), n, sched.graph());
         let ms = median_ms(cfg.reps, || {
-            profile = CycleProfile::build(view, sched.first_holiday(), n, &checker);
+            profile = CycleProfile::build(view, sched.first_holiday(), n, sched.graph());
         });
         assert!(profile.all_classes_independent(), "the colour bound keeps gatherings independent");
         ms
@@ -1692,12 +1670,12 @@ pub fn e17_incremental_repair_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
     // schedule at every pool width. ---
     let served = service.profile(0).expect("the tenant stays warm through the stream");
     let view = sched.residue_schedule().expect("still perfectly periodic after churn");
-    let checker = GraphChecker::new(sched.graph());
     let mut parity_rows = Vec::new();
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let t0 = Instant::now();
-        let oracle = pool.install(|| CycleProfile::build(view, sched.first_holiday(), n, &checker));
+        let oracle =
+            pool.install(|| CycleProfile::build(view, sched.first_holiday(), n, sched.graph()));
         let oracle_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(
             served.content_eq(&oracle),
@@ -2523,7 +2501,7 @@ mod tests {
         assert!(derive_md.contains("closed-form end-to-end"));
         assert!(!derive_md.contains("AoS"), "the AoS baseline rows are gone: {derive_md}");
         let build_md = tables[1].to_markdown();
-        assert!(build_md.contains("profile build (one class walk)"));
+        assert!(build_md.contains("profile build (edge pass + lane grouping)"));
         assert_eq!(
             entries.iter().filter(|e| e.engine == "profile-build").count(),
             1,
@@ -2540,19 +2518,17 @@ mod tests {
     }
 
     #[test]
-    fn e15_reports_per_class_and_batched_rows() {
-        // Tiny configuration: structure + the internal verdict asserts (both
-        // granularities verify the periodic schedule), no perf criteria
-        // evaluated at this size beyond being printed.
+    fn e15_reports_per_class_and_end_to_end_rows() {
+        // Tiny configuration: structure + the internal verdict asserts, no
+        // perf criteria evaluated at this size beyond being printed.
         let cfg = tiny_cfg();
         let (tables, entries) = run_experiment_collecting("e15", &cfg);
-        assert_eq!(tables.len(), 1, "one table: per-class vs batched, plus end-to-end");
-        let batch_md = tables[0].to_markdown();
-        assert!(batch_md.contains("per-class"));
-        assert!(batch_md.contains(">=2x vs per-class"));
+        assert_eq!(tables.len(), 1, "one table: per-class, plus end-to-end");
+        let md = tables[0].to_markdown();
+        assert!(md.contains("per-class"));
         assert!(entries.iter().all(|e| e.experiment == "e15"));
+        assert_eq!(entries.len(), 2, "the per-class and end-to-end rows");
         assert!(entries.iter().any(|e| e.engine == "per-class-check-csr"));
-        assert!(entries.iter().any(|e| e.engine.starts_with("batched-check_batch")));
         assert!(entries.iter().any(|e| e.engine == "closed-form-end-to-end-progression"));
         let json = bench_entries_to_json(true, &entries);
         assert_eq!(json.matches("\"experiment\": \"e15\"").count(), entries.len());

@@ -102,19 +102,6 @@ impl Codeword {
     pub fn to_u64_lsb_first(&self) -> u64 {
         self.bits.iter().rev().fold(0u64, |acc, &b| (acc << 1) | u64::from(b))
     }
-
-    /// Whether the reversed codeword is a suffix of the binary representation
-    /// of `holiday`, padded with infinitely many leading zeros — the happiness
-    /// test `LSB(B(i), |ω(c)|) = ω(c)^R` from the Elias omega code algorithm.
-    pub fn matches_holiday(&self, holiday: u64) -> bool {
-        if self.len() >= 64 {
-            // Periods beyond 2^63 never recur within a u64 horizon; only the
-            // exact offset matches.
-            return holiday == self.to_u64_lsb_first();
-        }
-        let period = 1u64 << self.len();
-        holiday % period == self.to_u64_lsb_first()
-    }
 }
 
 impl fmt::Display for Codeword {
@@ -275,37 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_holiday_is_an_arithmetic_progression() {
-        // Codeword "110": period 8, offset = reversed-as-binary = 0b011 = 3.
-        let c = Codeword::parse("110");
-        let matches: Vec<u64> = (0..40).filter(|&i| c.matches_holiday(i)).collect();
-        assert_eq!(matches, vec![3, 11, 19, 27, 35]);
-        // The empty codeword matches every holiday (period 1).
-        assert!(Codeword::empty().matches_holiday(0));
-        assert!(Codeword::empty().matches_holiday(17));
-    }
-
-    #[test]
-    fn matches_holiday_agrees_with_suffix_definition() {
-        // Cross-check the arithmetic-progression implementation against the
-        // paper's literal definition via string suffix matching.
-        for value in 1..64u64 {
-            let code = Codeword::binary(value);
-            for holiday in 1..512u64 {
-                let bin = format!("{holiday:064b}");
-                let codestr: String =
-                    code.reversed().bits().iter().map(|&b| if b { '1' } else { '0' }).collect();
-                let expected = bin.ends_with(&codestr);
-                assert_eq!(
-                    code.matches_holiday(holiday),
-                    expected,
-                    "value {value} holiday {holiday}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn bit_reader_reads_in_order() {
         let c = Codeword::parse("10110");
         let mut r = BitReader::new(&c);
@@ -366,14 +322,6 @@ mod tests {
             let c = Codeword::binary(n);
             prop_assert_eq!(c.reversed().to_u64_lsb_first(), n);
             prop_assert_eq!(c.to_u64_lsb_first(), c.reversed().to_u64_msb_first());
-        }
-
-        #[test]
-        fn holiday_matches_are_periodic(n in 1u64..2000u64, h in 0u64..100_000u64) {
-            let c = Codeword::binary(n);
-            let period = 1u64 << c.len();
-            let offset = c.to_u64_lsb_first();
-            prop_assert_eq!(c.matches_holiday(h), h % period == offset);
         }
     }
 }

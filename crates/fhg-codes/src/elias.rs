@@ -181,6 +181,7 @@ impl PrefixFreeCode for EliasCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CodeSchedule;
     use proptest::prelude::*;
 
     /// The paper's Appendix B table: omega codes of 1..=15.
@@ -392,11 +393,11 @@ mod tests {
             // suffixes of the same binary string, contradicting prefix-freeness.
             prop_assume!(a != b);
             for code in all_codes() {
-                let ca = code.encode(a);
-                let cb = code.encode(b);
+                let name = code.name();
+                let sched = CodeSchedule::new(code);
                 prop_assert!(
-                    !(ca.matches_holiday(holiday) && cb.matches_holiday(holiday)),
-                    "{}: colours {a} and {b} collide at holiday {holiday}", code.name()
+                    !(sched.is_happy(a, holiday) && sched.is_happy(b, holiday)),
+                    "{}: colours {a} and {b} collide at holiday {holiday}", name
                 );
             }
         }

@@ -375,6 +375,34 @@ mod tests {
     }
 
     #[test]
+    fn is_happy_agrees_with_the_suffix_definition() {
+        // The paper's literal test: colour `c` is happy at holiday `t` iff
+        // the reversed codeword of `c` is a suffix of the binary
+        // representation of `t`, padded with leading zeros.
+        for code in [EliasCode::gamma(), EliasCode::delta(), EliasCode::omega()] {
+            let sched = CodeSchedule::new(code);
+            for color in 1..64u64 {
+                let reversed: String = sched
+                    .code()
+                    .encode(color)
+                    .reversed()
+                    .bits()
+                    .iter()
+                    .map(|&b| if b { '1' } else { '0' })
+                    .collect();
+                for holiday in 0..512u64 {
+                    assert_eq!(
+                        sched.is_happy(color, holiday),
+                        format!("{holiday:064b}").ends_with(&reversed),
+                        "{} colour {color} holiday {holiday}",
+                        sched.code().name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn paper_example_color_one_has_period_two() {
         // ω(1) = "0": offset 0, period 2 → happy every other holiday, the
         // best any colour can do under the omega schedule.

@@ -44,20 +44,20 @@
 //! `analyze_schedule(..).totals()`.
 //!
 //! The serving tier keeps one more derivation of the same quantities: a
-//! [`CycleProfile`] (`profile.rs`) walks one cycle of residue classes,
-//! verifying each exactly once through a [`HolidayChecker`] (in batches of
-//! up to 64, [`HolidayChecker::check_batch`]), groups the nodes' rows into
-//! a table of distinct progressions, and then derives any window in closed
-//! form, with the progression engine's per-node formula applied once per
-//! progression.
+//! [`CycleProfile`] (`profile.rs`) decides its verdict by the same
+//! congruence test per edge, groups the nodes' rows into a table of
+//! distinct progressions, and then derives any window in closed form, with
+//! the progression engine's per-node formula applied once per progression.
+//! A dynamic edge event patches it by re-testing only the edges the event
+//! touched.
 
 mod checker;
 mod profile;
 mod progression;
 mod sweep;
 
-pub use checker::{GraphChecker, HolidayChecker, ScanChecker};
-pub use profile::{CycleProfile, PatchRefused, PatchScratch, PatchStats};
+pub use checker::{GraphChecker, HolidayChecker};
+pub use profile::{CycleProfile, PatchRefused, PatchStats};
 
 use fhg_graph::{Graph, NodeId};
 
@@ -557,8 +557,7 @@ mod tests {
         let g = erdos_renyi(20, 0.2, 9);
         let s = PeriodicDegreeBound::new(&g);
         let view = s.residue_schedule().unwrap();
-        let profile =
-            CycleProfile::build(view, s.first_holiday(), g.node_count(), &GraphChecker::new(&g));
+        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &g);
         assert!(profile.all_classes_independent());
         assert_eq!(profile.cycle(), view.cycle());
         let mut total = 0u64;

@@ -1,6 +1,6 @@
 //! Cycle profiles: the serving tier's cached form of a residue schedule —
-//! verify each residue class once, then answer any window from a table of
-//! the schedule's distinct progressions.
+//! one congruence test per edge for the verdict, then any window from a
+//! table of the schedule's distinct progressions.
 //!
 //! A perfectly periodic schedule repeats with period `C =`
 //! [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
@@ -16,21 +16,24 @@
 //!   nodes past the view, and a `u32` lane id per node.  View rows past the
 //!   graph are grouped the same way into a second lane list, which counts
 //!   into happiness and into nothing else;
-//! * the **verdict**: whether every residue class passed its independence
-//!   check.
+//! * the **verdict**: whether no two neighbours ever host on the same
+//!   holiday.
 //!
 //! No lane depends on the cycle, so a window's every quantity, its total
 //! happiness included, is a sum over the lanes.
 //!
-//! # Build: one class walk that only verifies
+//! # Build: one edge pass and the lane grouping
 //!
-//! [`CycleProfile::build`] walks one cycle of residue classes on the calling
-//! thread, filling and verifying each exactly once (locked down by
-//! `tests/residue_cache.rs`), and stops at the first failed batch.  The lane
-//! table comes from one `O(n)` grouping of the view rows, which is all of
-//! [`CycleProfile::rehydrate`].  A view node past the graph attends some
-//! class of every cycle, so it fails the verdict without a class being
-//! checked.
+//! Two neighbours on the rows `s_u mod m_u` and `s_v mod m_v` ever host
+//! together iff `s_u ≡ s_v (mod gcd(m_u, m_v))` (Lemma 5.2), so
+//! [`CycleProfile::build`] decides the verdict with one
+//! [`Progression::meets`] per edge ([`ResidueSchedule::conflict`]), in
+//! `O(n + m)` whatever the cycle.  It is the verdict a walk of one cycle of
+//! residue classes reaches: two progressions that meet do so within their
+//! lcm, which divides the cycle.  A view row past the graph fails the
+//! verdict, as it does in the other engines.  The lane table comes from one
+//! `O(n)` grouping of the view rows, which is all of
+//! [`CycleProfile::rehydrate`].
 //!
 //! # Closed-form derivation: one formula per lane
 //!
@@ -55,18 +58,17 @@
 //! are **bitwise-identical** to [`super::analyze_schedule_reference`] over
 //! the same window (locked down by `tests/analysis_parity.rs`,
 //! `tests/window_parity.rs` and, across edge churn,
-//! `tests/dynamic_patch.rs`).  The cost is `O(C)` emissions for the build,
-//! then one derivation is independent of the cycle, the attendance and the
-//! window.
+//! `tests/dynamic_patch.rs`).  The build costs `O(n + m)`, and one
+//! derivation is independent of the cycle, the attendance and the window.
 //!
 //! The windowed entry points are **total**: zero-width, inverted and
 //! sub-cycle windows take the same formula (`derive_window(t, t)` is the
 //! empty analysis), so no request shape can panic a long-lived
-//! server.  The whole-cycle verdict caveat: the window's independence flag
-//! is the *cycle's* verdict, not the window restriction (see the method
-//! docs).  The totals paths skip the per-node assembly and float work and
-//! allocate nothing at all; the full paths allocate only their output
-//! (both proved by `tests/zero_alloc.rs`).
+//! server.  The whole-schedule verdict caveat: the window's independence
+//! flag is the *schedule's* verdict, not the window restriction (see the
+//! method docs).  The totals paths skip the per-node assembly and float
+//! work and allocate nothing at all; the full paths allocate only their
+//! output (both proved by `tests/zero_alloc.rs`).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -74,20 +76,19 @@ use std::ops::Range;
 use fhg_codes::Progression;
 use fhg_graph::{Graph, NodeId};
 
-use super::checker::{ClassBatch, HolidayChecker};
 use super::progression::window_lane;
 use super::sweep::{self, NodeAccum, TotalsFold};
 use super::{AnalysisTotals, ScheduleAnalysis};
 use crate::schedulers::residue::{ResidueSchedule, RowChange};
 
 /// A profile of one full residue cycle: the lane table of the schedule's
-/// progressions and the per-class verification verdict, sufficient to
-/// derive the analysis of any window in closed form.
+/// progressions and the independence verdict, sufficient to derive the
+/// analysis of any window in closed form.
 ///
 /// The profile is also **patchable**: after a dynamic edge event moves a
 /// handful of nodes to new residue rows, [`CycleProfile::patch`] moves
-/// exactly those nodes between lanes and re-verifies only the classes they
-/// join, instead of rebuilding the whole cycle walk (see the method docs).
+/// exactly those nodes between lanes and re-tests only the edges the event
+/// touched, instead of rebuilding the profile (see the method docs).
 #[derive(Clone)]
 pub struct CycleProfile {
     /// First holiday of the profiled cycle (the scheduler's
@@ -105,7 +106,7 @@ pub struct CycleProfile {
     /// attendance counts into happiness and into nothing else, like the
     /// other engines count it, and such a view always fails the verdict.
     beyond: Vec<Lane>,
-    /// Whether every residue class passed its independence check.
+    /// Whether no edge's endpoints ever host on the same holiday.
     all_independent: bool,
 }
 
@@ -137,9 +138,10 @@ impl Lane {
 /// (the serving tier's patch path) falls back to a full rebuild.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchRefused {
-    /// The cached verdict is already `false`.  The repair only re-verifies
-    /// classes the event touched, so it can never discover that the
-    /// offending class *healed* — only a full rebuild can clear the flag.
+    /// The cached verdict is already `false`.  The repair only re-tests the
+    /// edges the event touched, and the verdict is one bit that does not
+    /// say which edge failed, so the repair can never discover that the
+    /// offending edge *healed* — only a full rebuild can clear the flag.
     NotIndependent,
 }
 
@@ -161,75 +163,47 @@ impl std::error::Error for PatchRefused {}
 pub struct PatchStats {
     /// Nodes whose residue row changed and that moved between lanes.
     pub lanes_patched: usize,
-    /// Residue classes re-verified through the checker.
+    /// Always 0: a patch tests edges and verifies no residue class.  The
+    /// field stays until the repository benchmark, which reads it, stops
+    /// reading it.
     pub classes_verified: usize,
 }
 
-/// Reusable buffers for [`CycleProfile::patch`]: the verification batch
-/// and the touched-class list.  Allocate once next to the cached profile;
-/// after warm-up a patch performs zero heap allocations (proved by
-/// `tests/zero_alloc.rs`).
-pub struct PatchScratch {
-    batch: ClassBatch,
-    batch_capacity: usize,
-    classes: Vec<u64>,
-}
-
-impl Default for PatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PatchScratch {
-    /// Empty scratch; the first patch sizes it.
-    pub fn new() -> Self {
-        PatchScratch { batch: ClassBatch::new(0), batch_capacity: 0, classes: Vec::new() }
-    }
-}
-
 impl CycleProfile {
-    /// Largest cycle the profile verifies: the build walks one cycle of
-    /// classes, and a patch re-verifies up to a cycle of them per change.
-    /// A serving-tier budget: `ProfileService` refuses to register (or
-    /// patch a tenant into) a longer cycle with a typed error, and
-    /// [`CycleProfile::build`] and [`CycleProfile::patch`] panic beyond it.
-    /// One-shot analysis has no cycle budget.
+    /// Largest cycle the serving tier accepts: its background audit
+    /// re-derives a slot through the sequential reference sweep, which
+    /// walks one whole cycle of holidays.  `ProfileService` refuses to
+    /// register (or patch a tenant into) a longer cycle with a typed error.
+    /// The profile itself has no cycle budget: its build and patch test
+    /// edges, not holidays.
     pub const MAX_CYCLE: u64 = 1 << 22;
 
-    /// Profiles one full cycle of `view` starting at holiday `start`,
-    /// verifying each residue class exactly once through `checker`, in
-    /// batches of up to 64 ([`HolidayChecker::check_batch`]), on the
-    /// calling thread.  The walk stops after the first failed batch.
+    /// Profiles `view` starting at holiday `start`: one
+    /// [`Progression::meets`] per edge of `graph` decides the verdict
+    /// ([`ResidueSchedule::conflict`], `O(n + m)`), and the lane grouping of
+    /// [`CycleProfile::rehydrate`] does the rest.
     ///
     /// `node_count` is the conflict graph's node count: a view node at or
     /// beyond it marks the schedule non-independent (mirroring the other
     /// engines) and gets no lane id.
     ///
-    /// # Panics
-    /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
-    pub fn build<C: HolidayChecker + ?Sized>(
+    /// `graph` is anything that lends a [`Graph`]: the graph itself, or a
+    /// [`GraphChecker`](super::GraphChecker), which the repository
+    /// benchmark passes.
+    pub fn build<G: AsRef<Graph> + ?Sized>(
         view: &ResidueSchedule,
         start: u64,
         node_count: usize,
-        checker: &C,
+        graph: &G,
     ) -> Self {
-        let cycle = view.cycle();
-        assert!(
-            cycle <= Self::MAX_CYCLE,
-            "cycle {cycle} exceeds the profile budget ({})",
-            Self::MAX_CYCLE
-        );
-        // Every view node attends at least one class per cycle, so a node
-        // past the graph fails the verdict before any class is checked.
-        let independent = view.node_count() <= node_count
-            && verify(view, start..start + cycle, &mut ClassBatch::new(view.node_count()), checker);
+        let independent =
+            view.node_count() <= node_count && view.conflict(graph.as_ref()).is_none();
         Self::rehydrate(view, start, node_count, independent)
     }
 
     /// Reconstructs a profile from its deterministic inputs — view, start,
-    /// node count and the previously verified per-class verdict — without
-    /// running a checker or walking happy sets.
+    /// node count and the previously decided verdict — without testing an
+    /// edge.
     ///
     /// Everything a [`CycleProfile::build`] computes except the verdict is a
     /// pure function of the residue view: node `p` attends exactly the
@@ -237,8 +211,8 @@ impl CycleProfile {
     /// table is one `O(n)` grouping of the rows.  This is the serving tier's
     /// recovery path: a snapshot persists only the compact view plus the
     /// one verdict bit, and rehydration restores a profile that is
-    /// [`content_eq`](CycleProfile::content_eq) to the original — no cold
-    /// build, no checker traffic.
+    /// [`content_eq`](CycleProfile::content_eq) to the original without a
+    /// cold build.
     ///
     /// The caller vouches for `all_independent` (recovery trusts the
     /// checksummed snapshot and then re-audits a sample through
@@ -269,7 +243,8 @@ impl CycleProfile {
         self.lane_of.len()
     }
 
-    /// Whether every residue class passed its independence check.
+    /// Whether no edge's endpoints ever host on the same holiday: every
+    /// residue class of the cycle is an independent set.
     pub fn all_classes_independent(&self) -> bool {
         self.all_independent
     }
@@ -303,41 +278,37 @@ impl CycleProfile {
     }
 
     /// Repairs this profile in place after a dynamic edge event, instead of
-    /// rebuilding the whole cycle walk: `changes` are the residue rows the
-    /// event moved (endpoints the scheduler recolored — see
-    /// `DynamicColorBound::apply_event`), `view` is the schedule's
-    /// **already-updated** residue view and `inserted_edge` the edge the
-    /// event added, if any.  The event may change the cycle: a lane is an
-    /// offset from the start and a modulus, which no cycle enters.  The
-    /// repair has two parts, each touching only what the event touched:
+    /// rebuilding it: `changes` are the residue rows the event moved
+    /// (endpoints the scheduler recolored — see
+    /// `DynamicColorBound::apply_event`), `view` and `graph` are the
+    /// schedule's **already-updated** residue view and conflict graph, and
+    /// `inserted_edge` is the edge the event added, if any.  The event may
+    /// change the cycle: a lane is an offset from the start and a modulus,
+    /// which no cycle enters.  The repair has two parts, each touching only
+    /// what the event touched:
     ///
-    /// * **re-verification** — the residue classes of the view's cycle that
-    ///   can newly violate independence: the changed nodes' new
-    ///   progressions, plus (for an insert) the classes where both
-    ///   endpoints co-attend, found by CRT on their rows
-    ///   ([`Progression::meeting`]).  Those classes are refilled from
-    ///   `view` and batched through [`HolidayChecker::check_batch`]
-    ///   (64-wide, like the build).  The verdict stays exact: while it is
-    ///   true no edge between unchanged rows meets, every holiday a changed
-    ///   node hosts lies in one of its re-verified classes, an inserted
-    ///   edge between unchanged rows meets only on its CRT classes, and a
-    ///   deleted edge cannot create a conflict.  A failed check flips the
-    ///   profile's verdict to non-independent, exactly as a rebuild would
-    ///   conclude;
+    /// * **re-verification** — one [`Progression::meets`] on the post-event
+    ///   rows per edge the event can have made conflict: every edge at a
+    ///   changed node (its whole neighbour row, below and above it, skipping
+    ///   neighbours with no view row), plus the inserted edge.  The verdict
+    ///   stays exact: while it is true no edge between unchanged rows meets,
+    ///   every edge at a changed node is re-tested, an inserted edge between
+    ///   unchanged rows is tested, and a deleted edge cannot create a
+    ///   conflict.  A meeting edge flips the profile's verdict to
+    ///   non-independent, exactly as a rebuild would conclude;
     /// * **lanes** — each changed node moves to the lane of its new
     ///   progression, found by a linear search of the lane table: the lane
     ///   already holding it, else the first lane a patch emptied, else a
     ///   new lane at the end.  The table never shrinks, so steady-state
     ///   patches allocate nothing.
     ///
-    /// The phases run **prepare → validate → commit**: refusal checks and
-    /// class collection first, then the batched verification (which reads
-    /// only `view` and scratch), and only then the lane moves, with the
-    /// view's cycle and the pre-computed verdict applied last.  A crash
-    /// anywhere before the commit phase leaves the profile bitwise-untouched;
-    /// a crash *inside* the commit phase can leave it poisoned, which the
-    /// serving tier handles by quarantining the tenant (see
-    /// `ProfileService`).
+    /// The phases run **prepare → validate → commit**: the refusal check
+    /// first, then the edge tests (which read only `view` and `graph`), and
+    /// only then the lane moves, with the view's cycle and the pre-computed
+    /// verdict applied last.  A crash anywhere before the commit phase
+    /// leaves the profile bitwise-untouched; a crash *inside* the commit
+    /// phase can leave it poisoned, which the serving tier handles by
+    /// quarantining the tenant (see `ProfileService`).
     ///
     /// The patched profile is **bitwise-identical in content** (see
     /// [`CycleProfile::content_eq`]) to `CycleProfile::build` against the
@@ -346,77 +317,48 @@ impl CycleProfile {
     /// against the rebuild oracle.
     ///
     /// Refuses (and leaves the profile untouched) when the cached verdict
-    /// is already `false`; see [`PatchRefused`].  Cost: `O(cycle / m +
-    /// #lanes + Σ deg(checked))` per change of new modulus `m` —
-    /// independent of node count and total attendance.
+    /// is already `false`; see [`PatchRefused`].  Cost: `O(#lanes +
+    /// deg(p))` per change of node `p`, plus one test for an inserted edge —
+    /// independent of the cycle, the node count and the attendance.
     ///
     /// # Panics
-    /// Panics if the view's cycle exceeds [`CycleProfile::MAX_CYCLE`], if
-    /// `view` disagrees with the profile's node count, or if a change's
-    /// node is out of range — patches must come from the same scheduler the
-    /// profile was built from.
-    pub fn patch<C: HolidayChecker + ?Sized>(
+    /// Panics if `view` disagrees with the profile's node count, or if a
+    /// change's node or an inserted endpoint is out of range — patches must
+    /// come from the same scheduler the profile was built from.
+    pub fn patch(
         &mut self,
         view: &ResidueSchedule,
+        graph: &Graph,
         changes: &[RowChange],
         inserted_edge: Option<(NodeId, NodeId)>,
-        checker: &C,
-        scratch: &mut PatchScratch,
     ) -> Result<PatchStats, PatchRefused> {
         if !self.all_independent {
             return Err(PatchRefused::NotIndependent);
         }
         assert_eq!(view.node_count(), self.node_count(), "patch from a different schedule");
-        let cycle = view.cycle();
-        assert!(
-            cycle <= Self::MAX_CYCLE,
-            "cycle {cycle} exceeds the profile budget ({})",
-            Self::MAX_CYCLE
-        );
 
-        // Collect the residue classes of the view's cycle to re-verify (as
-        // offsets from the start): every changed node's *new* progression,
-        // plus the co-attendance classes of an inserted edge (CRT over the
-        // post-event rows — relevant when neither endpoint was recolored
-        // but the new edge now lies inside existing classes).
-        scratch.classes.clear();
-        for change in changes {
-            let m = change.new.modulus;
-            debug_assert!(cycle.is_multiple_of(m), "row modulus must divide the view's cycle");
-            push_progression(&mut scratch.classes, change.new.offset_from(self.start), m, cycle);
-        }
-        if let Some((u, v)) = inserted_edge {
-            if let Some((first, step)) = view.row(u).meeting(&view.row(v), self.start) {
-                // Both moduli divide the cycle, which is within budget, so
-                // the meeting fits in a u64.
-                push_progression(&mut scratch.classes, first as u64, step as u64, cycle);
-            }
-        }
-        scratch.classes.sort_unstable();
-        scratch.classes.dedup();
-
-        // Validate before commit: batched re-verification of the touched
-        // classes against the (already-updated) `view` — it reads nothing
-        // the commit below mutates, so the verdict is decided while the
-        // profile is still bitwise-untouched and a crash anywhere up to
-        // here leaves nothing to roll back.
-        if scratch.batch_capacity != view.node_count() {
-            scratch.batch = ClassBatch::new(view.node_count());
-            scratch.batch_capacity = view.node_count();
-        }
-        let start = self.start;
-        let classes = scratch.classes.iter().map(|&o| start + o);
-        let ok = verify(view, classes, &mut scratch.batch, checker);
+        // Validate before commit: the edge tests read only the post-event
+        // `view` and `graph`, so the verdict is decided while the profile
+        // is still bitwise-untouched and a crash anywhere up to here leaves
+        // nothing to roll back.  Rows ascend, so the neighbours with view
+        // rows come first.
+        let rows = view.node_count();
+        let clear = |p: NodeId| {
+            graph.neighbors(p).iter().take_while(|&&q| q < rows).all(|&q| !meets(view, p, q))
+        };
+        let ok = changes.iter().all(|change| clear(change.node))
+            && inserted_edge.is_none_or(|(u, v)| !meets(view, u, v));
         crate::fail_point!("profile.patch.validate");
 
+        let start = self.start;
         for change in changes {
             self.move_to_lane(change.node, change.new.offset_from(start), change.new.modulus);
         }
         crate::fail_point!("profile.patch.commit");
-        self.cycle = cycle;
+        self.cycle = view.cycle();
         self.all_independent = ok;
 
-        Ok(PatchStats { lanes_patched: changes.len(), classes_verified: scratch.classes.len() })
+        Ok(PatchStats { lanes_patched: changes.len(), classes_verified: 0 })
     }
 
     /// Moves node `p` onto the lane of the progression `(first, step)`: the
@@ -548,23 +490,14 @@ impl CycleProfile {
     }
 }
 
-/// Fills the classes `holidays` of `view` into `batch` and verifies them
-/// through `checker` up to 64 at a time, so a [`super::GraphChecker`] loads
-/// each adjacency row once per batch instead of once per class.  Stops
-/// after the first failed batch; `true` iff every class is independent.
-fn verify<C: HolidayChecker + ?Sized>(
-    view: &ResidueSchedule,
-    holidays: impl IntoIterator<Item = u64>,
-    batch: &mut ClassBatch,
-    checker: &C,
-) -> bool {
-    for t in holidays {
-        view.fill(t, batch.slot(t));
-        if batch.commit() && !batch.flush(checker) {
-            return false;
-        }
-    }
-    batch.flush(checker)
+/// Whether the rows of `u` and `v` ever host on the same holiday: the one
+/// edge test of [`CycleProfile::patch`].  An `err` at the `verify.edge`
+/// failpoint reports a conflict that is not there, silently poisoning a
+/// patched verdict — the corruption the serving tier's background audit
+/// exists to catch (the audit and the build never pass this site).
+fn meets(view: &ResidueSchedule, u: NodeId, v: NodeId) -> bool {
+    crate::fail_point!("verify.edge", return true);
+    view.row(u).meets(&view.row(v))
 }
 
 /// The lanes of the view rows `nodes` from holiday `start`: one lane per
@@ -597,16 +530,6 @@ fn group_lanes(view: &ResidueSchedule, start: u64, nodes: Range<usize>) -> (Vec<
 /// lanes as nodes plus one.
 fn lane_id(index: usize) -> u32 {
     u32::try_from(index).expect("lane count exceeds u32")
-}
-
-/// Appends the arithmetic progression `first, first + step, …` below
-/// `cycle` to `out` — the cycle offsets of one residue row.
-fn push_progression(out: &mut Vec<u64>, first: u64, step: u64, cycle: u64) {
-    let mut o = first;
-    while o < cycle {
-        out.push(o);
-        o += step;
-    }
 }
 
 #[cfg(test)]
@@ -890,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn rehydrate_is_content_equal_to_a_checker_build() {
+    fn rehydrate_is_content_equal_to_a_build() {
         use crate::schedulers::PeriodicDegreeBound;
         use crate::Scheduler;
         use fhg_graph::generators::erdos_renyi;
@@ -899,8 +822,7 @@ mod tests {
             let g = erdos_renyi(n, p, seed);
             let s = PeriodicDegreeBound::new(&g);
             let view = s.residue_schedule().expect("perfectly periodic");
-            let checker = super::super::GraphChecker::new(&g);
-            let built = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
+            let built = CycleProfile::build(view, s.first_holiday(), g.node_count(), &g);
             let rehydrated = CycleProfile::rehydrate(
                 view,
                 s.first_holiday(),
@@ -924,13 +846,12 @@ mod tests {
 
         // A view with more nodes than the graph: the extra node's attendance
         // counts into happiness through the second lane list but gets no
-        // lane id, and the verdict is pinned false — exactly what a checker
-        // build concludes.
+        // lane id, and the verdict is pinned false — exactly what a build
+        // concludes.
         let g = erdos_renyi(5, 0.4, 9);
         let view = ResidueSchedule::new(vec![0, 1, 0, 3, 2, 1], vec![2, 4, 4, 4, 4, 2]);
         for start in [0u64, 1, 5, 7] {
-            let checker = super::super::GraphChecker::new(&g);
-            let built = CycleProfile::build(&view, start, g.node_count(), &checker);
+            let built = CycleProfile::build(&view, start, g.node_count(), &g);
             assert!(!built.all_classes_independent(), "out-of-range node must taint");
             let rehydrated = CycleProfile::rehydrate(&view, start, g.node_count(), false);
             assert!(rehydrated.content_eq(&built), "start {start}");
@@ -948,8 +869,7 @@ mod tests {
         let g = erdos_renyi(24, 0.15, 3);
         let s = PeriodicDegreeBound::new(&g);
         let view = s.residue_schedule().expect("perfectly periodic");
-        let checker = super::super::GraphChecker::new(&g);
-        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
+        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &g);
         let cycle = profile.cycle();
         assert!(cycle > 1);
         // The fast path must pin the same edge cases as the full derive.
@@ -970,8 +890,7 @@ mod tests {
         let g = erdos_renyi(24, 0.15, 3);
         let s = PeriodicDegreeBound::new(&g);
         let view = s.residue_schedule().expect("perfectly periodic");
-        let checker = super::super::GraphChecker::new(&g);
-        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
+        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &g);
         let cycle = profile.cycle();
         assert!(cycle > 1);
 
@@ -1019,7 +938,6 @@ mod tests {
 
     #[test]
     fn totals_saturate_instead_of_overflowing_at_the_u64_boundary() {
-        use crate::analysis::GraphChecker;
         use fhg_graph::Graph;
 
         // Four nodes hosting every other holiday, two per lane: 4 happy
@@ -1029,8 +947,7 @@ mod tests {
         // field stays bounded by the horizon.
         let graph = Graph::new(4);
         let view = ResidueSchedule::new(vec![0, 1, 0, 1], vec![2, 2, 2, 2]);
-        let checker = GraphChecker::new(&graph);
-        let profile = CycleProfile::build(&view, 0, 4, &checker);
+        let profile = CycleProfile::build(&view, 0, 4, &graph);
         assert_eq!(profile.derive_window_totals(0, 2).total_happiness, 4);
 
         let horizon = u64::MAX;
@@ -1046,17 +963,14 @@ mod tests {
 
     #[test]
     fn patch_tracks_a_row_change_like_a_rebuild() {
-        use crate::analysis::GraphChecker;
         use fhg_graph::Graph;
 
         // A small schedule on the moduli {2, 3, 4, 6, 12} (cycle 12); the
         // edgeless graph keeps every verification green so the structural
         // repair is what's compared.
         let g = Graph::new(6);
-        let checker = GraphChecker::new(&g);
         let mut view = ResidueSchedule::new(vec![0, 1, 2, 3, 0, 5], vec![2, 3, 4, 6, 12, 12]);
-        let mut profile = CycleProfile::build(&view, 1, 6, &checker);
-        let mut scratch = PatchScratch::new();
+        let mut profile = CycleProfile::build(&view, 1, 6, &g);
 
         // A sequence of row moves, including same-length (4 -> 4 via slot
         // change), shrinking (2 -> 6) and growing (12 -> 3) rows.
@@ -1066,11 +980,9 @@ mod tests {
             let change =
                 RowChange { node: p, old: view.row(p), new: Progression { slot, modulus: m } };
             view.set_row(p, change.new);
-            let stats = profile
-                .patch(&view, &[change], None, &checker, &mut scratch)
-                .expect("the verdict holds");
-            assert_eq!(stats.lanes_patched, 1);
-            let rebuilt = CycleProfile::build(&view, 1, 6, &checker);
+            let stats = profile.patch(&view, &g, &[change], None).expect("the verdict holds");
+            assert_eq!(stats, PatchStats { lanes_patched: 1, classes_verified: 0 });
+            let rebuilt = CycleProfile::build(&view, 1, 6, &g);
             assert!(
                 profile.content_eq(&rebuilt),
                 "patched profile diverged from rebuild after moving node {p} to {slot} mod {m}"
@@ -1080,91 +992,78 @@ mod tests {
 
     #[test]
     fn patch_refuses_broken_verdicts() {
-        use crate::analysis::GraphChecker;
         use fhg_graph::generators::structured::path;
 
         // A profile whose verdict is already false: adjacent path nodes 0
         // and 1 share the row 0 mod 2, so every even class conflicts.
         let g = path(3);
-        let checker = GraphChecker::new(&g);
         let clashing = ResidueSchedule::new(vec![0, 0, 1], vec![2, 2, 4]);
-        let mut broken = CycleProfile::build(&clashing, 0, 3, &checker);
+        let mut broken = CycleProfile::build(&clashing, 0, 3, &g);
         assert!(!broken.all_classes_independent());
-        let refusal = broken.patch(&clashing, &[], None, &checker, &mut PatchScratch::new());
+        let refusal = broken.patch(&clashing, &g, &[], None);
         assert_eq!(refusal, Err(PatchRefused::NotIndependent));
         assert!(format!("{}", refusal.unwrap_err()).contains("rebuild"));
     }
 
     #[test]
     fn patch_follows_the_cycle_as_it_grows_and_shrinks() {
-        use crate::analysis::GraphChecker;
-
         // A triangle on 0 mod 2, 1 mod 4 and 3 mod 4, profiled from holiday
         // 3, so node 2 hosts at offsets 0 and 4 of a cycle of 8.  Moving
         // node 1 onto 1 mod 8 grows the cycle to 8 and stays independent.
-        // Moving it onto 7 mod 8 (offset 4) grows it too, and its only
-        // conflict, with node 2, lies at offset 4, the old cycle: a patch
-        // that verified below the old cycle would miss it.  From 1 mod 8
+        // Moving it onto 7 mod 8 (offset 4) grows it too, into a conflict
+        // with node 2, the changed node's upper neighbour.  From 1 mod 8
         // (cycle 8), moving node 1 back onto 1 mod 4 shrinks the cycle to 4
-        // and stays independent, and moving it onto 3 mod 4 shrinks it into
-        // a conflict with node 2.
+        // and stays independent, moving it onto 3 mod 4 shrinks it into a
+        // conflict with node 2, and moving it onto 2 mod 4 into a conflict
+        // with node 0 alone, the changed node's lower neighbour.
         let g = Graph::from_edges(3, [(0, 1), (0, 2), (1, 2)]).unwrap();
-        let checker = GraphChecker::new(&g);
         let row = |slot, modulus| Progression { slot, modulus };
         let cases = [
             (row(1, 4), row(1, 8), 8, true),
             (row(1, 4), row(7, 8), 8, false),
             (row(1, 8), row(1, 4), 4, true),
             (row(1, 8), row(3, 4), 4, false),
+            (row(1, 8), row(2, 4), 4, false),
         ];
         for (old, new, cycle, independent) in cases {
             let ctx = format!("{old:?} -> {new:?}");
             let mut view = ResidueSchedule::from_rows([row(0, 2), old, row(3, 4)]);
-            let mut profile = CycleProfile::build(&view, 3, 3, &checker);
+            let mut profile = CycleProfile::build(&view, 3, 3, &g);
             assert!(profile.all_classes_independent(), "{ctx}");
             let change = RowChange { node: 1, old, new };
             view.apply_row(&change);
-            let stats = profile
-                .patch(&view, &[change], None, &checker, &mut PatchScratch::new())
-                .expect("the verdict held");
-            assert_eq!(stats.classes_verified, 1, "{ctx}: one class of the new row");
+            let stats = profile.patch(&view, &g, &[change], None).expect("the verdict held");
+            assert_eq!(stats.lanes_patched, 1, "{ctx}");
             assert_eq!(profile.cycle(), cycle, "{ctx}");
             assert_eq!(profile.all_classes_independent(), independent, "{ctx}");
-            let rebuilt = CycleProfile::build(&view, 3, 3, &checker);
+            let rebuilt = CycleProfile::build(&view, 3, 3, &g);
             assert!(profile.content_eq(&rebuilt), "{ctx}: patched profile diverged from rebuild");
         }
     }
 
     #[test]
-    fn patch_detects_freshly_conflicting_classes_via_the_inserted_edge() {
-        use crate::analysis::GraphChecker;
+    fn patch_detects_a_freshly_conflicting_inserted_edge() {
         use fhg_graph::Graph;
 
         // Nodes 0 and 1 co-attend every 6th holiday (0 mod 2 ∩ 0 mod 3).
         let mut g = Graph::new(2);
         let view = ResidueSchedule::new(vec![0, 0], vec![2, 3]);
-        let checker = GraphChecker::new(&g);
-        let mut profile = CycleProfile::build(&view, 0, 2, &checker);
+        let mut profile = CycleProfile::build(&view, 0, 2, &g);
         assert!(profile.all_classes_independent(), "no edges yet");
-        let mut scratch = PatchScratch::new();
 
         // Insert the edge without any recoloring (no row changes): the
-        // repair must find the co-attendance classes by CRT and flip the
-        // verdict, exactly as a rebuild against the new graph would.
+        // repair must test the inserted edge and flip the verdict, exactly
+        // as a rebuild against the new graph would.
         g.add_edge(0, 1).unwrap();
-        let post_checker = GraphChecker::new(&g);
-        let stats = profile
-            .patch(&view, &[], Some((0, 1)), &post_checker, &mut scratch)
-            .expect("the verdict held");
-        assert_eq!(stats.classes_verified, 1, "one co-attendance class in a cycle of 6");
+        let stats = profile.patch(&view, &g, &[], Some((0, 1))).expect("the verdict held");
+        assert_eq!(stats.lanes_patched, 0);
         assert!(!profile.all_classes_independent());
-        let rebuilt = CycleProfile::build(&view, 0, 2, &post_checker);
+        let rebuilt = CycleProfile::build(&view, 0, 2, &g);
         assert!(profile.content_eq(&rebuilt));
     }
 
     #[test]
     fn patch_moves_nodes_between_lanes_and_reuses_emptied_ones() {
-        use crate::analysis::GraphChecker;
         use fhg_graph::Graph;
 
         // Node 0 bounces between a progression of step 12 that only it
@@ -1175,10 +1074,8 @@ mod tests {
         // outlasts every live lane's, so folding it would change the
         // longest unhappy stretch and the periodicity of short windows.
         let g = Graph::new(5);
-        let checker = GraphChecker::new(&g);
         let mut view = ResidueSchedule::new(vec![0, 1, 1, 2, 1], vec![12, 2, 2, 4, 3]);
-        let mut profile = CycleProfile::build(&view, 0, 5, &checker);
-        let mut scratch = PatchScratch::new();
+        let mut profile = CycleProfile::build(&view, 0, 5, &g);
         let table = profile.lanes.len();
         assert_eq!(table, 4, "nodes 1 and 2 share a lane");
         for round in 0..8u64 {
@@ -1186,8 +1083,8 @@ mod tests {
             let change =
                 RowChange { node: 0, old: view.row(0), new: Progression { slot, modulus: m } };
             view.set_row(0, change.new);
-            profile.patch(&view, &[change], None, &checker, &mut scratch).expect("verdict holds");
-            let rebuilt = CycleProfile::build(&view, 0, 5, &checker);
+            profile.patch(&view, &g, &[change], None).expect("verdict holds");
+            let rebuilt = CycleProfile::build(&view, 0, 5, &g);
             assert!(profile.content_eq(&rebuilt), "round {round}");
             let held: u64 = profile.lanes.iter().map(|lane| lane.nodes).sum();
             assert_eq!(held, 5, "round {round}: lane node counts must sum to the node count");

@@ -29,9 +29,8 @@
 //! [`CycleProfile`](crate::analysis::CycleProfile) consumes the repair
 //! through [`patch`](crate::analysis::CycleProfile::patch): only the
 //! recoloured nodes move between the lanes of its progression table, and
-//! only the residue classes they join (plus an inserted edge's
-//! co-attendance classes) are re-verified, instead of rebuilding the whole
-//! profile.  [`ProfileService::patch`](crate::serving::ProfileService::patch)
+//! only the edges at them (plus an inserted edge) are re-tested, instead
+//! of rebuilding the whole profile.  [`ProfileService::patch`](crate::serving::ProfileService::patch)
 //! wires this into the serving tier so a mutating tenant keeps a warm
 //! profile across churn.
 //!

@@ -8,7 +8,7 @@
 //! [`configure`] call (chaos tests); the spec format is
 //!
 //! ```text
-//! FHG_FAILPOINTS=patch.after_rows=panic,checker.batch=err@0.1
+//! FHG_FAILPOINTS=patch.after_rows=panic,verify.edge=err@0.1
 //! ```
 //!
 //! — a comma-separated list of `site=action[@probability]` rules, where

@@ -42,7 +42,7 @@ pub mod serving;
 pub use analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals, AnalysisEngine,
     AnalysisTotals, CycleProfile, GraphChecker, HolidayChecker, NodeAnalysis, PatchRefused,
-    PatchScratch, PatchStats, ScanChecker, ScheduleAnalysis,
+    PatchStats, ScheduleAnalysis,
 };
 pub use gathering::{orientation_from_happy_set, Gathering};
 pub use scheduler::Scheduler;
@@ -50,7 +50,7 @@ pub use serving::{
     audit_step_size, snapshot_dir, wal_sync, AuditStats, CacheStats, PatchError, PatchOutcome,
     ProfileService, QuarantineReason, Query, QueryError, RecoverError, RecoveryReport,
     RegisterError, SnapshotStats, WalSync, WalWriter, WindowAnalysis, WindowTotals, AUDIT_STEP,
-    PATCH_LIMIT, SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
+    SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
 };
 
 /// Reads the integer knob `name` from the environment through

@@ -20,10 +20,11 @@
 //! the one place a periodic scheduler keeps its rows: the one-shot analysis
 //! reads them directly (one formula per node, one
 //! [`meets`](Progression::meets) per edge), [`ResidueSchedule::conflict`]
-//! checks Lemma 5.2 for every holiday at once, and the serving tier's cycle
-//! profiles emit each residue class from it once.  The rows are stored as
-//! two arrays, slots and moduli, and [`ResidueSchedule::row`] assembles one
-//! on demand.
+//! checks Lemma 5.2 for every holiday at once (the serving tier's cycle
+//! profiles take their verdict from it), and [`ResidueSchedule::fill`]
+//! emits the happy set of one holiday for the sequential reference sweep.
+//! The rows are stored as two arrays, slots and moduli, and
+//! [`ResidueSchedule::row`] assembles one on demand.
 //!
 //! Memory is `Σ_m m · n/8` bytes over the distinct moduli, which is tiny for
 //! the degree distributions the experiments use but can reach `Θ(n·Δ)` on
@@ -39,7 +40,7 @@ use fhg_graph::{FixedBitSet, Graph, HappySet, NodeId};
 /// incremental profile patch
 /// ([`CycleProfile::patch`](crate::analysis::CycleProfile::patch)).  Carries
 /// both the old and the new row so downstream caches can retire the old
-/// attendance lane and re-verify exactly the classes the new one joins.
+/// attendance lane and re-test exactly the edges at the recoloured node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RowChange {
     /// The node whose hosting row changed.
@@ -120,8 +121,8 @@ impl ResidueTable {
 /// threads can evaluate disjoint stretches of the horizon concurrently.  The
 /// schedule repeats with period
 /// [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
-/// `t mod cycle()`, which is what makes per-residue verification caching
-/// sound.
+/// `t mod cycle()`, so one cycle of holidays shows every happy set the
+/// schedule ever emits.
 #[derive(Debug, Clone)]
 pub struct ResidueSchedule {
     slots: Vec<u64>,
@@ -328,9 +329,9 @@ impl ResidueSchedule {
     /// (saturating), precomputed at construction.  A hub-and-spoke degree
     /// distribution can pack `n · cycle / 2` attendances into one cycle even
     /// when the cycle itself is short.  No engine reads it: the progression
-    /// engine costs `O(n + m)` and a cycle profile `O(n)` besides its class
-    /// walk, whatever the attendance.  The repository benchmark reports it
-    /// as its `profile.events` counter.
+    /// engine and a cycle profile build both cost `O(n + m)`, whatever the
+    /// attendance.  The repository benchmark reports it as its
+    /// `profile.events` counter.
     pub fn attendance_per_cycle(&self) -> u64 {
         self.attendance
     }

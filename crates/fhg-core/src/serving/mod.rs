@@ -51,10 +51,11 @@
 //! A mutating tenant does not have to go cold: [`ProfileService::patch`]
 //! applies one dynamic edge event (the [`EventRepair`] its scheduler
 //! returned) straight to the cached profile — copy-on-write detach when
-//! the profile is shared, lane-level repair through
-//! [`CycleProfile::patch`](crate::analysis::CycleProfile::patch), and a
-//! guarded fall-back to a full rebuild when the repair would re-verify more
-//! residue classes than [`PATCH_LIMIT`].
+//! the profile is shared, and lane-level repair through
+//! [`CycleProfile::patch`](crate::analysis::CycleProfile::patch), which
+//! re-tests only the edges at the recoloured nodes and the inserted edge.
+//! A repair the profile refuses (its verdict is already broken) falls back
+//! to a full rebuild, an `O(n + m)` edge pass.
 //!
 //! The patch runs **prepare → validate → commit**.  Prepare mirrors the
 //! edge event onto the slot's private graph (a typed [`PatchError::Graph`]
@@ -73,12 +74,14 @@
 //!
 //! [`ProfileService::audit_step`] is an amortized scrubber: each call
 //! re-derives `k` warm slots (round-robin by key) through the sequential
-//! reference sweep [`analyze_schedule_reference`] with a fresh
-//! [`GraphChecker`] — a path that shares no state, scratch or checker with
-//! the serving fast paths — and quarantines any slot whose cached totals
-//! or independence verdict disagree.  This is the layer that catches
-//! *silent* corruption (e.g. an injected `checker.batch` fault that flips
-//! a patched verdict) which typed errors and panic quarantine cannot see.
+//! reference sweep [`analyze_schedule_reference`], which emits every
+//! holiday of one cycle and checks it with a fresh
+//! [`GraphChecker`](crate::analysis::GraphChecker) — a path that shares no
+//! state or code with the serving fast paths — and quarantines any slot
+//! whose cached totals or independence verdict disagree.  This is the
+//! layer that catches *silent* corruption (e.g. an injected `verify.edge`
+//! fault that flips a patched verdict) which typed errors and panic
+//! quarantine cannot see.
 //! [`AuditStats`] joins [`CacheStats`] in the observability surface.
 //!
 //! Every cache transition is counted ([`ProfileService::stats`],
@@ -90,7 +93,7 @@
 //! The tier's failure paths are driven deterministically by the
 //! [`failpoint`](crate::failpoint) sites `patch.after_rows`,
 //! `build.slot`, `query.batch`, `profile.patch.validate`,
-//! `profile.patch.commit`, `checker.batch`, `wal.append`,
+//! `profile.patch.commit`, `verify.edge`, `wal.append`,
 //! `snapshot.write` and `recover.replay` (see `FHG_FAILPOINTS`);
 //! `tests/chaos.rs` replays seeded event/query/fault interleavings
 //! against a fault-free oracle at several thread counts, and kills
@@ -110,8 +113,8 @@
 //! # Batch front and sharding
 //!
 //! [`ProfileService::build_pending`] builds every cold profile across the
-//! persistent worker pool, one worker per profile; each build walks its
-//! cycle on the worker that runs it.
+//! persistent worker pool, one worker per profile; each build runs its
+//! edge pass on the worker that runs it.
 //! [`ProfileService::query_batch`] / [`query_batch_full`](ProfileService::query_batch_full)
 //! answer a request slice in parallel the same way; the window fold keeps
 //! no scratch, so steady-state totals queries perform **zero heap
@@ -127,8 +130,7 @@ use fhg_graph::{EdgeEventKind, Graph, GraphError};
 use rayon::prelude::*;
 
 use crate::analysis::{
-    analyze_schedule_reference, AnalysisTotals, CycleProfile, GraphChecker, PatchScratch,
-    PatchStats, ScanChecker, ScheduleAnalysis,
+    analyze_schedule_reference, AnalysisTotals, CycleProfile, PatchStats, ScheduleAnalysis,
 };
 use crate::dynamic::EventRepair;
 use crate::scheduler::Scheduler;
@@ -140,11 +142,6 @@ pub use persist::{
     snapshot_dir, wal_sync, RecoverError, RecoveryReport, SnapshotStats, WalSync, WalWriter,
     SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
 };
-
-/// Ceiling on the analytic estimate of the residue classes a repair
-/// re-verifies, above which [`ProfileService::patch`] rebuilds instead of
-/// repairing in place.
-pub const PATCH_LIMIT: u64 = 65_536;
 
 /// Default number of warm slots one [`ProfileService::audit_step`] call
 /// re-derives.  Override at runtime with `FHG_AUDIT_STEP`; see
@@ -302,10 +299,9 @@ pub enum PatchOutcome {
     /// The cached profile was repaired in place; the stats say how much
     /// work that took.
     Patched(PatchStats),
-    /// The repair was refused (the verdict was already broken) or the
-    /// estimate of the classes it would re-verify exceeded [`PATCH_LIMIT`];
-    /// the profile was rebuilt from scratch instead — still warm, just not
-    /// incremental.
+    /// The repair was refused (the verdict was already broken, and only a
+    /// rebuild can clear it); the profile was rebuilt from scratch instead —
+    /// still warm, just not incremental.
     Rebuilt,
     /// The tenant's slot was cold: its graph and schedule content were
     /// updated, but there is no profile to repair until the next
@@ -471,8 +467,6 @@ pub struct ProfileService {
     slots: HashMap<u64, ProfileSlot>,
     /// Cache-activity counters, snapshot by [`ProfileService::stats`].
     counters: Counters,
-    /// Reusable patch buffers; after warm-up a patch allocates nothing.
-    patch_scratch: PatchScratch,
     /// Next candidate synthetic key for detached slots (collision-checked
     /// against live keys before use).
     next_private_key: u64,
@@ -616,12 +610,11 @@ impl ProfileService {
             .collect();
         let outcome = building.par_iter_mut().for_each_isolated(|(_, slot)| {
             crate::fail_point!("build.slot");
-            let checker = GraphChecker::new(&slot.graph);
             slot.state = SlotState::Warm(CycleProfile::build(
                 &slot.view,
                 slot.start,
                 slot.graph.node_count(),
-                &checker,
+                &slot.graph,
             ));
         });
         for poison in &outcome.panics {
@@ -672,12 +665,10 @@ impl ProfileService {
     /// 2. mirrors the edge event onto the slot's graph and the row changes
     ///    onto its residue view;
     /// 3. repairs the cached [`CycleProfile`] through
-    ///    [`CycleProfile::patch`] — verification runs against the live
-    ///    graph through a [`ScanChecker`], so no adjacency layout is
-    ///    rebuilt per event — **unless** the analytic estimate of the
-    ///    classes it would re-verify exceeds [`PATCH_LIMIT`] or the patch
-    ///    is refused (the verdict is already broken), in which case it
-    ///    degrades to a full rebuild, still in this call.
+    ///    [`CycleProfile::patch`], which tests the edges the event touched
+    ///    against the live graph — **unless** the patch is refused (the
+    ///    verdict is already broken), in which case it degrades to a full
+    ///    rebuild, still in this call.
     ///
     /// Cold slots absorb the content change and stay cold
     /// ([`PatchOutcome::Cold`]).  A mutated schedule that would outgrow the
@@ -696,7 +687,7 @@ impl ProfileService {
             return Err(PatchError::UnknownTenant(tenant));
         };
         let key = self.detach_for_write(tenant, key);
-        let Self { slots, counters, patch_scratch, .. } = self;
+        let Self { slots, counters, .. } = self;
         let slot = slots.get_mut(&key).expect("detach_for_write placed the slot");
 
         // Prepare: mirror the event onto the slot's private graph copy
@@ -716,7 +707,7 @@ impl ProfileService {
         // bug) must not unwind into the caller, and must not leave a
         // half-mutated profile serving — the slot is quarantined instead.
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            Self::patch_in_place(&mut *slot, counters, patch_scratch, tenant, repair)
+            Self::patch_in_place(&mut *slot, counters, tenant, repair)
         }));
         match attempt {
             Ok(result) => result,
@@ -733,7 +724,6 @@ impl ProfileService {
     fn patch_in_place(
         slot: &mut ProfileSlot,
         counters: &Counters,
-        patch_scratch: &mut PatchScratch,
         tenant: u64,
         repair: &EventRepair,
     ) -> Result<PatchOutcome, PatchError> {
@@ -754,9 +744,9 @@ impl ProfileService {
         }
 
         // Validate: the mutated schedule may have outgrown the closed form
-        // (a recolored node with a longer period stretches the cycle) —
-        // the budget registration enforces, re-checked before the patch or
-        // a rebuild could assert on it.  A violation rolls the event back:
+        // (a recolored node with a longer period stretches the cycle past
+        // the budget registration enforces, which the audit's one-cycle
+        // reference sweep needs).  A violation rolls the event back:
         // rows restored via the inverse changes, the edge edit inverted,
         // and the slot keeps serving pre-event answers.
         let cycle = slot.view.cycle();
@@ -775,36 +765,20 @@ impl ProfileService {
             }));
         }
 
-        // The analytic estimate of the classes the repair re-verifies: per
-        // row change, the classes its new progression joins, plus, for an
-        // insert, an upper bound on the CRT co-attendance classes.  Purely
-        // arithmetic — computed before deciding to patch, so a pathological
-        // event (a hub recoloring onto modulus 1) pays a rebuild instead of
-        // a patch that is no cheaper.
-        let mut touched: u64 = repair.row_changes().iter().map(|c| cycle / c.new.modulus).sum();
-        if event.kind == EdgeEventKind::Insert {
-            let (mu, mv) = (slot.view.modulus(event.u), slot.view.modulus(event.v));
-            touched += cycle / mu.max(mv);
-        }
-
-        if touched <= PATCH_LIMIT {
-            if let SlotState::Warm(profile) = &mut slot.state {
-                let scan = ScanChecker::new(&slot.graph);
-                let inserted = (event.kind == EdgeEventKind::Insert).then_some((event.u, event.v));
-                if let Ok(stats) =
-                    profile.patch(&slot.view, repair.row_changes(), inserted, &scan, patch_scratch)
-                {
-                    counters.patches.fetch_add(1, Relaxed);
-                    return Ok(PatchOutcome::Patched(stats));
-                }
+        if let SlotState::Warm(profile) = &mut slot.state {
+            let inserted = (event.kind == EdgeEventKind::Insert).then_some((event.u, event.v));
+            if let Ok(stats) =
+                profile.patch(&slot.view, &slot.graph, repair.row_changes(), inserted)
+            {
+                counters.patches.fetch_add(1, Relaxed);
+                return Ok(PatchOutcome::Patched(stats));
             }
         }
-        let checker = GraphChecker::new(&slot.graph);
         slot.state = SlotState::Warm(CycleProfile::build(
             &slot.view,
             slot.start,
             slot.graph.node_count(),
-            &checker,
+            &slot.graph,
         ));
         counters.rebuilds.fetch_add(1, Relaxed);
         Ok(PatchOutcome::Rebuilt)
@@ -852,12 +826,13 @@ impl ProfileService {
     /// re-derives up to `k` warm slots (round-robin by schedule key,
     /// resuming after the previous step's cursor) through the sequential
     /// reference sweep — [`analyze_schedule_reference`] over one full
-    /// cycle, with a fresh [`GraphChecker`], sharing no scratch, checker
-    /// or code path with the serving fast paths — and compares totals and
+    /// cycle, every holiday emitted and checked by a fresh
+    /// [`GraphChecker`](crate::analysis::GraphChecker), sharing no code
+    /// path with the serving fast paths — and compares totals and
     /// independence verdict against the cached profile's closed form.  A
     /// disagreement quarantines the slot
     /// ([`QuarantineReason::AuditMismatch`]): this is the plane that
-    /// catches *silent* corruption (an injected `checker.batch` fault, a
+    /// catches *silent* corruption (an injected `verify.edge` fault, a
     /// lane poisoned by a bug) that typed errors and panic quarantine
     /// cannot see.  Returns how many slots were audited; tune the per-call
     /// batch with [`audit_step_size`] (`FHG_AUDIT_STEP`).
@@ -1362,9 +1337,8 @@ mod tests {
             // Patched profile must equal a from-scratch build of the
             // mutated schedule, served through the query path.
             let view = sched.residue_schedule().unwrap();
-            let checker = GraphChecker::new(sched.graph());
             let oracle =
-                CycleProfile::build(view, sched.first_holiday(), sched.node_count(), &checker);
+                CycleProfile::build(view, sched.first_holiday(), sched.node_count(), sched.graph());
             let served = service.profile(1).unwrap();
             assert!(served.content_eq(&oracle), "event {events}: patched profile diverged");
         }
@@ -1445,7 +1419,7 @@ mod tests {
         assert!(outcome != PatchOutcome::Cold, "slot was warm");
         assert!(
             !service.profile(5).unwrap().all_classes_independent(),
-            "the inserted edge lands inside co-attendance class 0"
+            "the inserted edge joins two rows that meet on holiday 0"
         );
     }
 

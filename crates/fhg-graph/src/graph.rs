@@ -25,7 +25,6 @@ use std::ops::Range;
 
 use crate::bitset::FixedBitSet;
 use crate::error::GraphError;
-use crate::properties::MembershipTable;
 use crate::{kernels, NodeId};
 
 /// A full row that moves gets this many times its capacity.
@@ -402,21 +401,12 @@ impl Graph {
             hit == 0
         })
     }
+}
 
-    /// Batched independence over a [`MembershipTable`]: bit `i` of the
-    /// result is set iff class `i` is *not* independent.  Walks the batch
-    /// union once and gathers each member's upper-neighbour lanes through
-    /// [`kernels::intersects_many_indexed`], so every row is loaded once for
-    /// the whole batch instead of once per class, and each edge is probed
-    /// once, from its lower endpoint.
-    pub fn batch_violations(&self, table: &MembershipTable) -> u64 {
-        let mut violations = table.invalid();
-        let lanes = table.lanes();
-        kernels::for_each_set_bit(table.union(), |u| {
-            let hits = kernels::intersects_many_indexed(self.neighbors_above(u), lanes);
-            violations |= hits & table.lane(u);
-        });
-        violations
+impl AsRef<Graph> for Graph {
+    /// The graph itself, so APIs that take any `AsRef<Graph>` take a graph.
+    fn as_ref(&self) -> &Graph {
+        self
     }
 }
 

@@ -16,16 +16,10 @@
 //! * [`or_rows_count`] — the same fused pass, OR-ing *into* the existing
 //!   `dst` bits: the batches after the first when `HappySet::assign_many`
 //!   gathers more than eight rows.
-//! * [`intersects_many_indexed`] — the **lane gather** behind batched
-//!   independence verification: ORs the lanes of a bit-sliced membership
-//!   table selected by a neighbour list, so bit `i` of the returned word is
-//!   set iff the list meets class `i` — one row load serves up to 64
-//!   classes.
 //! * [`count`] — popcount of a word slice.
 //! * [`for_each_set_bit`] / [`all_set_bits`] — **set-bit extraction** via
-//!   `trailing_zeros` word scans, backing `HappySet::for_each`, the
-//!   membership-table reset and the member walks of the independence
-//!   checks.
+//!   `trailing_zeros` word scans, backing `HappySet::for_each` and the
+//!   member walk of `Graph::is_independent`.
 //!
 //! # Dispatch contract
 //!
@@ -43,7 +37,6 @@
 //! | kernel | portable | wide (AVX2 + POPCNT) |
 //! |---|---|---|
 //! | [`set_rows_count`], [`or_rows_count`] | ✓ | ✓ (same source) |
-//! | [`intersects_many_indexed`] | ✓ | gather-bound: portable |
 //! | [`count`], [`for_each_set_bit`], [`all_set_bits`] | ✓ | off the emission path: portable |
 //!
 //! [`KernelMode::active`] decides the mode **once per process** and caches
@@ -202,22 +195,6 @@ pub fn or_rows_count_in(mode: KernelMode, dst: &mut [u64], rows: &[&[u64]]) -> u
     }
 }
 
-/// The lane gather behind batched independence verification: ORs
-/// `table[v]` for every `v` in `indices` and returns the resulting word.
-/// `table` is a bit-sliced membership table — bit `i` of `table[v]` says
-/// node `v` belongs to class `i` of the batch — so for a neighbour list,
-/// bit `i` of the result is set iff the list meets class `i`: one row load
-/// answers the AND-any question for up to 64 classes at once.  The access
-/// pattern is a data-dependent gather, which no supported ISA beats scalar
-/// loads at, so — like [`count`] — this runs the (unrolled) portable loop
-/// under every mode.
-///
-/// # Panics
-/// Panics if some index is out of the table's bounds.
-pub fn intersects_many_indexed(indices: &[usize], table: &[u64]) -> u64 {
-    portable::intersects_many_indexed(indices, table)
-}
-
 /// Number of set bits in `words` (off the emission path, so it has no
 /// wide compilation).
 pub fn count(words: &[u64]) -> u64 {
@@ -226,7 +203,7 @@ pub fn count(words: &[u64]) -> u64 {
 
 /// Calls `f` with the index of every set bit of `words`, ascending — the
 /// set-bit extraction kernel (`trailing_zeros` word scan) behind
-/// `HappySet::for_each` and the membership-table reset.
+/// `HappySet::for_each`.
 #[inline]
 pub fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     for (wi, &word) in words.iter().enumerate() {
@@ -283,14 +260,6 @@ pub mod scalar {
     pub fn set_rows_count(dst: &mut [u64], rows: &[&[u64]]) -> u64 {
         dst.iter_mut().for_each(|w| *w = 0);
         or_rows_count(dst, rows)
-    }
-
-    /// One-by-one indexed gather.
-    ///
-    /// # Panics
-    /// Panics if some index is out of the table's bounds.
-    pub fn intersects_many_indexed(indices: &[usize], table: &[u64]) -> u64 {
-        indices.iter().fold(0u64, |acc, &i| acc | table[i])
     }
 }
 
@@ -398,25 +367,6 @@ mod portable {
     pub(super) fn popcount(words: &[u64]) -> u64 {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
-
-    pub(super) fn intersects_many_indexed(indices: &[usize], table: &[u64]) -> u64 {
-        // Four independent OR chains hide the gather latency.
-        let n = indices.len();
-        let mut i = 0usize;
-        let (mut a0, mut a1, mut a2, mut a3) = (0u64, 0u64, 0u64, 0u64);
-        while i + 4 <= n {
-            a0 |= table[indices[i]];
-            a1 |= table[indices[i + 1]];
-            a2 |= table[indices[i + 2]];
-            a3 |= table[indices[i + 3]];
-            i += 4;
-        }
-        while i < n {
-            a0 |= table[indices[i]];
-            i += 1;
-        }
-        a0 | a1 | a2 | a3
-    }
 }
 
 /// The portable emission loops compiled for AVX2 + POPCNT.  These are safe
@@ -518,24 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn intersects_many_indexed_agrees_with_scalar() {
-        for &bits in &CAPACITIES {
-            for seed in 0..3u64 {
-                let row = words_for(bits, seed * 13 + 1);
-                let table = column_for(row.len() * 64, seed * 13 + 2);
-                let mut indices = Vec::new();
-                for_each_set_bit(&row, |b| indices.push(b));
-                assert_eq!(
-                    intersects_many_indexed(&indices, &table),
-                    scalar::intersects_many_indexed(&indices, &table),
-                    "indexed: {bits} bits"
-                );
-            }
-        }
-        assert_eq!(intersects_many_indexed(&[], &[]), 0, "no indices, no intersections");
-    }
-
-    #[test]
     fn set_bit_extraction_matches_a_naive_scan() {
         for &bits in &CAPACITIES {
             let words = words_for(bits, 3);
@@ -565,20 +497,6 @@ mod tests {
         let mut dst = vec![0u64; 4];
         let row = vec![0u64; 3];
         or_rows_count(&mut dst, &[&row]);
-    }
-
-    /// A membership-table soup with extreme lanes: ordinary values, zeros
-    /// and `u64::MAX` mixed in.
-    fn column_for(len: usize, seed: u64) -> Vec<u64> {
-        let raw = words_for(len.max(1) * 64, seed);
-        (0..len)
-            .map(|i| match raw[i] % 5 {
-                0 => 0,
-                1 => u64::MAX,
-                2 => raw[i] >> 32,
-                _ => raw[i],
-            })
-            .collect()
     }
 
     proptest! {

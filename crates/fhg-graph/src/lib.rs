@@ -22,10 +22,10 @@
 //!   bipartiteness, degeneracy, triangles, independence checks).
 //! * [`happy_set`] — the reusable word-packed [`HappySet`] buffer the
 //!   scheduler engine fills once per holiday without allocating.
-//! * [`kernels`] — the fused word kernels (OR+popcount emission, the
-//!   batched-verification lane gather, set-bit extraction) every hot bit
-//!   loop runs on: one portable source, whose emission loops also run
-//!   compiled for AVX2 + POPCNT where the CPU has both.
+//! * [`kernels`] — the fused word kernels (OR+popcount emission, set-bit
+//!   extraction) every hot bit loop runs on: one portable source, whose
+//!   emission loops also run compiled for AVX2 + POPCNT where the CPU has
+//!   both.
 //! * [`dynamic`] — the dynamic-setting substrate of paper §6: edge events
 //!   and the random churn streams the §6 experiments replay.
 //!

@@ -7,12 +7,10 @@
 //! footnote) and independent-set verification (every gathering's happy set
 //! must be independent).
 //!
-//! [`is_independent_set`] is the slice reference.  The fast verifiers live
-//! on the packed [`Graph`] itself and probe each edge once, from its lower
-//! endpoint's upper slice: [`Graph::is_independent`] checks one set, and
-//! [`Graph::batch_violations`] checks up to [`BATCH_WIDTH`] sets at once
-//! through the bit-sliced [`MembershipTable`] defined here, loading each
-//! row once for the whole batch.
+//! [`is_independent_set`] is the slice reference.  The fast verifier lives
+//! on the packed [`Graph`] itself: [`Graph::is_independent`] checks one
+//! bit set and probes each edge once, from its lower endpoint's upper
+//! slice.
 
 use crate::bitset::FixedBitSet;
 use crate::{Graph, NodeId};
@@ -231,124 +229,6 @@ pub fn triangle_count(g: &Graph) -> usize {
     count
 }
 
-/// The number of classes a single [`MembershipTable`] fill can hold (one
-/// lane bit per class).
-pub const BATCH_WIDTH: usize = 64;
-
-/// Bit-sliced membership table: the transposed view of up to
-/// [`BATCH_WIDTH`] class bitmaps that batched verification runs on.
-///
-/// After [`MembershipTable::fill`], bit `i` of lane `v` says node `v`
-/// belongs to class `i`, [`MembershipTable::union`] holds the OR of all
-/// class bitmaps (the nodes the batch touches at all) and
-/// [`MembershipTable::invalid`] flags classes containing an out-of-range
-/// member.  [`Graph::batch_violations`] then walks the union once: each
-/// member's upper neighbours, gathered from the lane table with
-/// [`crate::kernels::intersects_many_indexed`], yield the violating classes
-/// of every edge the member is the lower endpoint of — the row is loaded
-/// once for the whole batch.
-///
-/// The buffers grow once to the graph's size and are re-used across fills
-/// (clearing walks the previous union instead of memsetting the table), so
-/// steady-state fills allocate nothing.
-#[derive(Debug, Default)]
-pub struct MembershipTable {
-    /// `lanes[v]` bit `i` ⇔ node `v` ∈ class `i`.
-    lanes: Vec<u64>,
-    /// OR of all class bitmaps, masked to the node range.
-    union: Vec<u64>,
-    /// Classes with a member `>= n` (always a violation).
-    invalid: u64,
-    /// Lanes in use for the current fill (`n`).
-    lanes_used: usize,
-    /// Union words in use for the current fill.
-    union_used: usize,
-}
-
-impl MembershipTable {
-    /// An empty table; buffers are sized lazily by [`MembershipTable::fill`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Transposes `classes` (at most [`BATCH_WIDTH`] of them) into the lane
-    /// table for a graph of `n` nodes.  Members `>= n` do not enter the
-    /// table; their class is flagged in [`MembershipTable::invalid`]
-    /// instead.  Steady-state fills allocate nothing once the buffers have
-    /// grown to `n`.
-    ///
-    /// # Panics
-    /// Panics if more than [`BATCH_WIDTH`] classes are passed.
-    pub fn fill<'a>(&mut self, n: usize, classes: impl IntoIterator<Item = &'a FixedBitSet>) {
-        // Clear the previous fill by re-walking its union — proportional to
-        // the previous batch's members, not the graph.
-        crate::kernels::for_each_set_bit(&self.union[..self.union_used], |v| self.lanes[v] = 0);
-        self.union[..self.union_used].iter_mut().for_each(|w| *w = 0);
-        self.invalid = 0;
-
-        let words = n.div_ceil(64);
-        self.lanes_used = n;
-        self.union_used = words;
-        if self.lanes.len() < self.lanes_used {
-            self.lanes.resize(self.lanes_used, 0);
-        }
-        if self.union.len() < words {
-            self.union.resize(words, 0);
-        }
-
-        let last_mask = if n.is_multiple_of(64) { u64::MAX } else { (1u64 << (n % 64)) - 1 };
-        for (i, set) in classes.into_iter().enumerate() {
-            assert!(i < BATCH_WIDTH, "membership table holds at most {BATCH_WIDTH} classes");
-            let bit = 1u64 << i;
-            let cw = set.as_words();
-            let in_range = cw.len().min(words);
-            // Members beyond the node range: whole words past the range,
-            // plus the tail bits of the last in-range word.
-            let mut oob = cw[in_range..].iter().fold(0u64, |acc, &w| acc | w);
-            if words > 0 && cw.len() >= words {
-                oob |= cw[words - 1] & !last_mask;
-            }
-            if oob != 0 {
-                self.invalid |= bit;
-            }
-            for (wi, &raw) in cw.iter().enumerate().take(in_range) {
-                let mut word = raw;
-                if wi == words - 1 {
-                    word &= last_mask;
-                }
-                self.union[wi] |= word;
-                let base = wi * 64;
-                while word != 0 {
-                    self.lanes[base + word.trailing_zeros() as usize] |= bit;
-                    word &= word - 1;
-                }
-            }
-        }
-    }
-
-    /// The lane table: `lanes()[v]` has bit `i` set iff node `v` belongs to
-    /// class `i`, one lane per node of the fill.
-    pub fn lanes(&self) -> &[u64] {
-        &self.lanes[..self.lanes_used]
-    }
-
-    /// One lane: the classes node `v` belongs to.
-    pub fn lane(&self, v: NodeId) -> u64 {
-        self.lanes[v]
-    }
-
-    /// The OR of all class bitmaps, masked to the node range — the nodes
-    /// batched verification must walk at all.
-    pub fn union(&self) -> &[u64] {
-        &self.union[..self.union_used]
-    }
-
-    /// Classes containing a member `>= n` (bit `i` ⇔ class `i` invalid).
-    pub fn invalid(&self) -> u64 {
-        self.invalid
-    }
-}
-
 /// Whether `set` is an independent set of `g` (no two members adjacent).
 pub fn is_independent_set(g: &Graph, set: &[NodeId]) -> bool {
     let mut members = FixedBitSet::new(g.node_count());
@@ -507,28 +387,6 @@ mod tests {
         assert!(!is_maximal_independent_set(&g, &[0, 1]));
     }
 
-    #[test]
-    fn membership_table_flags_out_of_range_members() {
-        // Classes live in a 70-node id space; the graph has 65 nodes, so
-        // member 68 is out of range (and sits in the last, partial word).
-        let g = cycle(65);
-        let mut ok = FixedBitSet::new(70);
-        ok.insert(0);
-        ok.insert(2);
-        let mut oob = FixedBitSet::new(70);
-        oob.insert(1);
-        oob.insert(68);
-        let mut table = MembershipTable::new();
-        table.fill(65, [&ok, &oob]);
-        assert_eq!(table.invalid(), 0b10);
-        assert_eq!(g.batch_violations(&table), 0b10, "oob class invalid, ok class clean");
-        // Refill reuses the buffers and fully clears the previous batch.
-        table.fill(65, [&ok]);
-        assert_eq!(table.invalid(), 0);
-        assert_eq!(g.batch_violations(&table), 0);
-        assert_eq!(table.lane(1), 0, "member of the dropped class cleared");
-    }
-
     /// A seeded run of edge toggles (add if absent, remove if present):
     /// rows grow, move to the arena tail and get compacted, and every
     /// split shifts with its row.
@@ -580,51 +438,6 @@ mod tests {
                         g.is_independent(&bits),
                         is_independent_set(&g, set),
                         "capacity {}, churned {}", capacity, churned
-                    );
-                }
-            }
-        }
-
-        /// `Graph::batch_violations` flags exactly the classes the slice
-        /// reference rejects, on the packed graph and again after edge
-        /// toggles.  Every third class is narrower than the graph; the
-        /// others are wider, so some hold a member `>= n`.
-        #[test]
-        fn batch_violations_agree_with_per_set_checks(
-            seed in 0u64..20,
-            raw in prop::collection::vec(
-                prop::collection::vec(0usize..400, 0..6),
-                1..BATCH_WIDTH + 1,
-            ),
-            toggles in prop::collection::vec((0usize..300, 0usize..300), 0..300),
-        ) {
-            // A 30-node graph fits one word; 300 nodes cross word boundaries.
-            for n in [30usize, 300] {
-                let mut g = erdos_renyi(n, 0.08, seed);
-                let classes: Vec<(Vec<usize>, FixedBitSet)> = raw
-                    .iter()
-                    .enumerate()
-                    .map(|(i, raw)| {
-                        let capacity = if i % 3 == 2 { n / 2 } else { n + 5 };
-                        let members: Vec<usize> = raw.iter().map(|&u| u % capacity).collect();
-                        let mut set = FixedBitSet::new(capacity);
-                        for &u in &members {
-                            set.insert(u);
-                        }
-                        (members, set)
-                    })
-                    .collect();
-                let mut table = MembershipTable::new();
-                table.fill(n, classes.iter().map(|(_, set)| set));
-                for churned in [false, true] {
-                    if churned {
-                        toggle(&mut g, &toggles);
-                    }
-                    let expected = classes.iter().enumerate().fold(0u64, |acc, (i, (members, _))| {
-                        if is_independent_set(&g, members) { acc } else { acc | (1 << i) }
-                    });
-                    prop_assert_eq!(
-                        g.batch_violations(&table), expected, "n {}, churned {}", n, churned
                     );
                 }
             }

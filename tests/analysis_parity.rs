@@ -14,26 +14,27 @@
 //! just after the first co-attendance, and views with more or fewer nodes
 //! than the graph.  Horizons the reference cannot sweep (2^40 and
 //! `u64::MAX`) are checked against `CycleProfile::derive`, the serving
-//! tier's independent derivation, which walks one cycle of residue classes.
+//! tier's independent derivation, which folds a table of distinct
+//! progressions.
 //!
 //! The profile itself is locked down here too: its build and every
-//! derivation plane agree bitwise with the reference.  The build walks its
-//! classes on the calling thread, 64 to a batch, so it runs inside 1/2/8
-//! worker pools (including pools wider than the cycle) and on cycles around
-//! batch multiples, none of which may change a bit.
+//! derivation plane agree bitwise with the reference.  The build runs its
+//! edge pass on the calling thread, so it runs inside 1/2/8 worker pools
+//! (including pools wider than the cycle) and on cycles around multiples of
+//! the worker count, none of which may change a bit.
 //!
 //! Float fields are compared through `to_bits`, so `NaN` mean gaps (fewer
 //! than two happy holidays) compare equal exactly when both paths produce
-//! them.  The reference and the profile build verify through the fused word
-//! kernels (`fhg_graph::kernels`), whose two compilations of one source the
-//! kernel proptests compare in-process; CI runs this suite under the
+//! them.  The reference emits through the fused word kernels
+//! (`fhg_graph::kernels`), whose two compilations of one source the kernel
+//! proptests compare in-process; CI runs this suite under the
 //! `FHG_THREADS=1/8` matrix.
 
 use proptest::prelude::*;
 
 use fhg::core::analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals, AnalysisEngine,
-    CycleProfile, GraphChecker, ScheduleAnalysis,
+    CycleProfile, ScheduleAnalysis,
 };
 use fhg::core::schedulers::residue::ResidueSchedule;
 use fhg::core::schedulers::standard_suite;
@@ -287,16 +288,15 @@ proptest! {
     ) {
         let graph = family.generate(30, 3.5, seed);
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let checker = GraphChecker::new(&graph);
         let suite_prod = standard_suite(&graph, seed ^ 0x3C3C);
         let suite_ref = standard_suite(&graph, seed ^ 0x3C3C);
         for (prod, mut reference) in suite_prod.into_iter().zip(suite_ref) {
             let Some(cycle) = prod.schedule_cycle() else { continue };
             let view = prod.residue_schedule().expect("cycle implies a residue view");
-            // Build inside the pinned pool: the class walk runs on the
+            // Build inside the pinned pool: the edge pass runs on the
             // calling thread, so the pool width must not show.
             let profile = pool.install(|| {
-                CycleProfile::build(view, prod.first_holiday(), graph.node_count(), &checker)
+                CycleProfile::build(view, prod.first_holiday(), graph.node_count(), &graph)
             });
             for horizon in [cycle, k * cycle - 1, k * cycle, k * cycle + 1] {
                 let expected = analyze_schedule_reference(&graph, reference.as_mut(), horizon);
@@ -342,7 +342,6 @@ fn analyze_schedule_totals_equals_the_reduced_analysis() {
 #[test]
 fn engines_and_profile_agree_bitwise() {
     let graph = Family::ErdosRenyi.generate(40, 4.0, 17);
-    let checker = GraphChecker::new(&graph);
     for threads in [1usize, 2, 8] {
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         for horizon in [1u64, 33, 64, 130, 257] {
@@ -351,7 +350,7 @@ fn engines_and_profile_agree_bitwise() {
             for (mut a, mut b) in suite_a.into_iter().zip(suite_b) {
                 let Some(view) = a.residue_schedule() else { continue };
                 let profile = pool.install(|| {
-                    CycleProfile::build(view, a.first_holiday(), graph.node_count(), &checker)
+                    CycleProfile::build(view, a.first_holiday(), graph.node_count(), &graph)
                 });
                 let derived = profile.derive_window(a.name(), &graph, 0, horizon);
                 let reference = analyze_schedule_reference(&graph, b.as_mut(), horizon);
@@ -378,12 +377,10 @@ fn engines_and_profile_agree_bitwise() {
 fn far_horizons_match_the_profile_derive() {
     for family in Family::ALL {
         let graph = family.generate(30, 4.0, 7);
-        let checker = GraphChecker::new(&graph);
         let mut saturated = 0;
         for mut s in standard_suite(&graph, 5) {
             let Some(view) = s.residue_schedule() else { continue };
-            let profile =
-                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
+            let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &graph);
             for horizon in [1u64 << 40, u64::MAX] {
                 let witness = profile.derive(s.name(), &graph, horizon).expect("horizon >= cycle");
                 let got = analyze_schedule(&graph, s.as_mut(), horizon);
@@ -462,8 +459,7 @@ fn assert_profile_build_matches(graph: &Graph, view: ResidueSchedule, threads: u
     let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
     let cycle = view.cycle();
     let horizon = 2 * cycle + 1;
-    let profile = pool
-        .install(|| CycleProfile::build(&view, 1, graph.node_count(), &GraphChecker::new(graph)));
+    let profile = pool.install(|| CycleProfile::build(&view, 1, graph.node_count(), graph));
     let mut sched = ViewScheduler { view, start: 1 };
     let expected = analyze_schedule_reference(graph, &mut sched, horizon);
     let ctx = format!("cycle {cycle}, {threads} threads");
@@ -472,9 +468,10 @@ fn assert_profile_build_matches(graph: &Graph, view: ResidueSchedule, threads: u
     assert_bitwise_identical(&analyze_schedule(graph, &mut sched, horizon), &expected, &ctx);
 }
 
-/// Cycles around multiples of the worker count and of the 64-class batch
-/// (`64·t ± 1`): the profile build flushes its classes 64 at a time, so an
-/// off-by-one in the batching shows up here, and the pool must not.
+/// Cycles around multiples of the worker count (`t ± 1`, `3·t ± 1`,
+/// `64·t ± 1`): the profile build and the reference sweep must agree on
+/// every one, inside a pool of `t` workers, whose width must not change a
+/// bit of the build.
 #[test]
 fn horizons_straddling_shard_boundaries() {
     let graph = Family::ErdosRenyi.generate(30, 3.5, 11);
@@ -486,7 +483,9 @@ fn horizons_straddling_shard_boundaries() {
     }
 }
 
-/// Pools wider than the cycle must not change the profile build.
+/// Pools wider than the cycle must not change the profile build: with
+/// cycles of 1, 2 and 5 on an 8-worker pool, the build still derives the
+/// reference analysis.
 #[test]
 fn more_threads_than_holidays() {
     let graph = Family::BarabasiAlbert.generate(25, 3.0, 3);

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use fhg::core::dynamic::DynamicColorBound;
 use fhg::core::failpoint;
 use fhg::core::{
-    CycleProfile, GraphChecker, PatchError, PatchOutcome, ProfileService, QuarantineReason, Query,
-    QueryError, Scheduler,
+    CycleProfile, PatchError, PatchOutcome, ProfileService, QuarantineReason, Query, QueryError,
+    Scheduler,
 };
 use fhg::graph::generators::Family;
 use fhg::graph::{EdgeEvent, EdgeEventKind, Graph, NodeId};
@@ -61,12 +61,11 @@ fn toggle(sched: &DynamicColorBound, u: NodeId, v: NodeId, holiday: u64) -> Edge
 }
 
 /// The fault-free oracle: a from-scratch closed-form build of the
-/// scheduler's *current* residue schedule, verified through the sequential
-/// [`GraphChecker`] path that no failpoint instruments.
+/// scheduler's *current* residue schedule, whose edge pass no failpoint
+/// instruments.
 fn oracle_of(sched: &DynamicColorBound) -> CycleProfile {
     let view = sched.residue_schedule().expect("DynamicColorBound is periodic");
-    let checker = GraphChecker::new(sched.graph());
-    CycleProfile::build(view, sched.first_holiday(), sched.node_count(), &checker)
+    CycleProfile::build(view, sched.first_holiday(), sched.node_count(), sched.graph())
 }
 
 /// A patch that panics past its commit point quarantines the tenant
@@ -137,7 +136,7 @@ fn build_panics_quarantine_exactly_the_dead_slots() {
     }
 }
 
-/// A checker fault during an in-place patch poisons *silently*: the patch
+/// An edge-test fault during an in-place patch poisons *silently*: the patch
 /// reports success and queries keep answering, but the cached independence
 /// verdict is wrong.  The background audit is the plane that catches it.
 #[test]
@@ -151,8 +150,8 @@ fn audit_catches_a_silently_poisoned_verdict() {
     let cycle = service.profile(1).unwrap().cycle();
 
     // Arm the fault only after the clean build, then drive events until
-    // one takes the in-place path (the only path through `ScanChecker`).
-    failpoint::configure("checker.batch=err");
+    // one takes the in-place path (the only path through `verify.edge`).
+    failpoint::configure("verify.edge=err");
     let mut poisoned = false;
     for (holiday, (u, v)) in
         [(0, 1), (0, 2), (1, 3), (2, 4), (0, 1), (3, 5)].into_iter().enumerate()
@@ -163,7 +162,7 @@ fn audit_catches_a_silently_poisoned_verdict() {
         if matches!(outcome, PatchOutcome::Patched(_)) && oracle.all_classes_independent() {
             assert!(
                 !service.profile(1).unwrap().all_classes_independent(),
-                "the injected checker fault must have flipped the cached verdict"
+                "the injected edge-test fault must have flipped the cached verdict"
             );
             poisoned = true;
             break;
@@ -226,7 +225,7 @@ fn query_worker_deaths_surface_as_typed_internal_errors() {
 #[test]
 fn chaos_interleavings_converge_to_the_fault_free_oracle() {
     const SPEC: &str = "patch.after_rows=panic@0.15,profile.patch.commit=panic@0.05,\
-                        checker.batch=err@0.1,build.slot=panic@0.3,query.batch=err@0.05";
+                        verify.edge=err@0.1,build.slot=panic@0.3,query.batch=err@0.05";
     const TENANTS: usize = 6;
     let _guard = faults("", 0);
 
@@ -305,7 +304,7 @@ fn chaos_interleavings_converge_to_the_fault_free_oracle() {
         }
 
         // Disarm, scrub (the audit catches silently-poisoned verdicts the
-        // injected checker faults left behind), repair, rebuild: every
+        // injected edge-test faults left behind), repair, rebuild: every
         // tenant must now equal the fault-free oracle.
         failpoint::clear();
         service.audit_step(usize::MAX);

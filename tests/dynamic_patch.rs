@@ -2,7 +2,8 @@
 //!
 //! `DynamicColorBound` answers each §6 edge event with at most two row
 //! changes, and `CycleProfile::patch` repairs a cached profile in place from
-//! them.  This suite drives random insert/delete sequences on Erdős–Rényi,
+//! them, re-testing the edges at the changed nodes and the inserted edge.
+//! The first property drives random insert/delete sequences on Erdős–Rényi,
 //! unit-disk and Barabási–Albert graphs and, after every repair, checks
 //! three things:
 //!
@@ -18,18 +19,25 @@
 //!
 //! Every repair must patch in place, in the profile and in the service,
 //! whether or not the event moved the cycle: a `DynamicColorBound` schedule
-//! stays independent, so the profile never refuses, and the suite's cycles
-//! stay far below the service's patch limit.
+//! stays independent, so the profile never refuses.
+//!
+//! A `DynamicColorBound` schedule never conflicts, so the second property
+//! stages the events that do: on random graphs under a fixed residue view,
+//! a node moves onto the row of a neighbour below it or above it, an edge
+//! is inserted between two rows that already meet, and other moves heal
+//! the conflicts again.  After every event the patched profile and the
+//! service's profile must be `content_eq` to a rebuild, the flipped
+//! verdict included.
 
 use proptest::prelude::*;
 
-use fhg::core::analysis::{
-    CycleProfile, GraphChecker, NodeAnalysis, PatchScratch, ScanChecker, ScheduleAnalysis,
-};
-use fhg::core::dynamic::DynamicColorBound;
+use fhg::codes::Progression;
+use fhg::core::analysis::{CycleProfile, NodeAnalysis, PatchRefused, ScheduleAnalysis};
+use fhg::core::dynamic::{DynamicColorBound, EventRepair};
+use fhg::core::schedulers::residue::{ResidueSchedule, RowChange};
 use fhg::core::serving::{PatchOutcome, ProfileService};
-use fhg::core::Scheduler;
-use fhg::graph::generators::Family;
+use fhg::core::{HappySet, Scheduler};
+use fhg::graph::generators::{erdos_renyi, Family};
 use fhg::graph::{EdgeEvent, EdgeEventKind, NodeId};
 use rayon::ThreadPoolBuilder;
 
@@ -49,8 +57,7 @@ fn toggle(sched: &DynamicColorBound, u: NodeId, v: NodeId, holiday: u64) -> Edge
 /// A cold build of the scheduler's current view and graph.
 fn rebuild(sched: &DynamicColorBound) -> CycleProfile {
     let view = sched.residue_schedule().expect("DynamicColorBound is periodic");
-    let checker = GraphChecker::new(sched.graph());
-    CycleProfile::build(view, sched.first_holiday(), sched.node_count(), &checker)
+    CycleProfile::build(view, sched.first_holiday(), sched.node_count(), sched.graph())
 }
 
 /// Whether two analyses are bitwise-identical, NaN-aware on float fields.
@@ -79,7 +86,6 @@ proptest! {
         let n = graph.node_count();
         let mut sched = DynamicColorBound::new(&graph);
         let mut profile = rebuild(&sched);
-        let mut scratch = PatchScratch::new();
         let mut service = ProfileService::new();
         service.register(0, sched.graph(), &sched).expect("the dynamic tenant registers");
         prop_assert_eq!(service.build_pending(), 1);
@@ -97,9 +103,8 @@ proptest! {
             let repair = sched.apply_event(event).expect("a toggle always applies");
             let view = sched.residue_schedule().expect("DynamicColorBound is periodic");
             let inserted = (event.kind == EdgeEventKind::Insert).then_some((u, v));
-            let scan = ScanChecker::new(sched.graph());
             let ctx = format!("{} seed {seed}, event {i} {event:?}", family.name());
-            let patched = profile.patch(view, repair.row_changes(), inserted, &scan, &mut scratch);
+            let patched = profile.patch(view, sched.graph(), repair.row_changes(), inserted);
             prop_assert!(patched.is_ok(), "{}: the profile refused: {:?}", ctx, patched);
             let served = service.patch(0, &repair);
             prop_assert!(
@@ -147,6 +152,171 @@ proptest! {
                 let want = oracle.derive_window(sched.name(), sched.graph(), t0, t1);
                 prop_assert!(same_bits(&got, &want), "{}: analysis of [{}, {})", ctx, t0, t1);
             }
+        }
+    }
+}
+
+/// A scheduler that is nothing but a residue view.
+struct Fixed(ResidueSchedule);
+
+impl Scheduler for Fixed {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+    fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
+        self.0.fill(t, out);
+    }
+    fn first_holiday(&self) -> u64 {
+        START
+    }
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+    fn is_periodic(&self) -> bool {
+        true
+    }
+    fn period(&self, p: NodeId) -> Option<u64> {
+        Some(self.0.modulus(p))
+    }
+    fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
+    fn residue_schedule(&self) -> Option<&ResidueSchedule> {
+        Some(&self.0)
+    }
+}
+
+/// First holiday of the staged views.
+const START: u64 = 5;
+
+/// A row that meets few others: modulus 32, 64 or 128, drawn from `r`.
+/// Node `p` starts on `p mod 64`, so the start view never conflicts.
+fn fresh_row(r: u64) -> Progression {
+    let modulus = 32 << (r % 3);
+    Progression { slot: (r / 3) % modulus, modulus }
+}
+
+/// Two distinct nodes drawn from `r`, neither of them in `avoid`: the edge
+/// a row-moving event toggles, kept off the edge it means to break.
+fn far_pair(n: usize, r: u64, avoid: &[NodeId]) -> (NodeId, NodeId) {
+    let mut free = (0..n).cycle().skip(r as usize % n).filter(|x| !avoid.contains(x));
+    let u = free.next().expect("at least four nodes");
+    let v = free.find(|&x| x != u).expect("at least four nodes");
+    (u, v)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Events that do conflict, against the rebuild after every event.  Each
+    /// event toggles one edge and moves up to two rows:
+    ///
+    /// * `0`: node `p` takes the row of a neighbour below it, a conflict a
+    ///   patch that tested only the edges above `p` would miss;
+    /// * `1`: node `p` takes the row of a neighbour above it;
+    /// * `2`, `3`: the upper endpoint of the first conflicting edge (or any
+    ///   node, when there is none) moves to a fresh row, healing it;
+    /// * `4`: node `v` takes the row of a non-neighbour `u`, where no
+    ///   neighbour of `v` meets it, and the pair is remembered;
+    /// * `5`: the remembered pair's edge is inserted with no row moved, a
+    ///   conflict only the inserted edge's own test sees;
+    /// * `6`, `7`: a bare toggle, or a fresh row for one node.
+    ///
+    /// A refused patch (the verdict was already broken) is replaced by the
+    /// rebuild, as the service does.
+    #[test]
+    fn conflicting_events_patch_like_a_rebuild(
+        seed in 0u64..1_000,
+        n in 4usize..24,
+        density in 0.1f64..0.4,
+        events in prop::collection::vec((0u64..8, 0u64..1 << 20, 0u64..1 << 20), 8..24),
+    ) {
+        let mut graph = erdos_renyi(n, density, seed);
+        let mut view = ResidueSchedule::new((0..n as u64).collect(), vec![64; n]);
+        let mut profile = CycleProfile::build(&view, START, n, &graph);
+        prop_assert!(profile.all_classes_independent());
+        let mut service = ProfileService::new();
+        service.register(0, &graph, &Fixed(view.clone())).expect("the view registers");
+        prop_assert_eq!(service.build_pending(), 1);
+        let mut aligned: Option<(NodeId, NodeId)> = None;
+
+        for (i, &(kind, a, r)) in events.iter().enumerate() {
+            let p = a as usize % n;
+            let mut moves: Vec<(NodeId, Progression)> = Vec::new();
+            let mut avoid = vec![p];
+            match kind {
+                0 | 1 => {
+                    let row = graph.neighbors(p);
+                    let side: Vec<NodeId> = if kind == 0 {
+                        row.iter().copied().filter(|&q| q < p).collect()
+                    } else {
+                        row.iter().copied().filter(|&q| q > p).collect()
+                    };
+                    if let Some(&q) = side.get(r as usize % side.len().max(1)) {
+                        moves.push((p, view.row(q)));
+                        avoid.push(q);
+                    }
+                }
+                2 | 3 => {
+                    let (x, y) = view.conflict(&graph).unwrap_or((p, p));
+                    moves.push((y, fresh_row(r)));
+                    avoid = vec![x, y];
+                }
+                4 => {
+                    let target = view.row(p);
+                    let partner = (0..n).map(|k| (k + r as usize) % n).find(|&v| {
+                        v != p
+                            && !graph.has_edge(p, v)
+                            && graph.neighbors(v).iter().all(|&w| !view.row(w).meets(&target))
+                    });
+                    if let Some(v) = partner {
+                        moves.push((v, target));
+                        aligned = Some((p, v));
+                        avoid.push(v);
+                    }
+                }
+                6 => {}
+                _ => moves.push((p, fresh_row(r))),
+            }
+            let (u, v) = match (kind, aligned) {
+                (5, Some((u, v))) if !graph.has_edge(u, v) => (u, v),
+                (5 | 6, _) => far_pair(n, r, &[]),
+                _ => far_pair(n, r, &avoid),
+            };
+            let kind_of = if graph.has_edge(u, v) { EdgeEventKind::Delete } else { EdgeEventKind::Insert };
+            let event = EdgeEvent { kind: kind_of, u, v, holiday: i as u64 };
+            match event.kind {
+                EdgeEventKind::Insert => graph.add_edge(u, v),
+                EdgeEventKind::Delete => graph.remove_edge(u, v),
+            }
+            .expect("the toggle applies");
+            let changes: Vec<RowChange> = moves
+                .iter()
+                .map(|&(node, new)| {
+                    let change = RowChange { node, old: view.row(node), new };
+                    view.apply_row(&change);
+                    change
+                })
+                .collect();
+
+            let ctx = format!("seed {seed}, n {n}, event {i}: kind {kind}, {event:?}, {changes:?}");
+            let oracle = CycleProfile::build(&view, START, n, &graph);
+            let held = profile.all_classes_independent();
+            let inserted = (event.kind == EdgeEventKind::Insert).then_some((u, v));
+            match profile.patch(&view, &graph, &changes, inserted) {
+                Ok(_) => prop_assert!(profile.content_eq(&oracle), "{}: patch vs rebuild", ctx),
+                Err(PatchRefused::NotIndependent) => {
+                    prop_assert!(!held, "{}: refused a patch to a valid profile", ctx);
+                    profile = oracle.clone();
+                }
+            }
+            let served = service.patch(0, &EventRepair::from_parts(event, &changes));
+            prop_assert!(
+                matches!(served, Ok(PatchOutcome::Patched(_) | PatchOutcome::Rebuilt)),
+                "{}: {:?}", ctx, served
+            );
+            let served = service.profile(0).expect("the tenant stays warm");
+            prop_assert!(served.content_eq(&oracle), "{}: service vs rebuild", ctx);
         }
     }
 }

@@ -1,144 +1,37 @@
 //! Verification lockdown: every holiday a schedule runs is covered by its
-//! independence verdict, exactly once per residue class where classes are
-//! walked, and a corrupted schedule is caught on every path.
+//! independence verdict, and a corrupted schedule is caught on every path.
 //!
-//! A counting [`HolidayChecker`] wraps the real graph checker and records
-//! every holiday it is asked to verify.  The serving tier's
-//! `CycleProfile::build` is the one cycle walk left: it must probe exactly
-//! the holidays `start..start + C` of a cycle `C` — one per residue class,
-//! none repeated — at every thread count, and deriving any horizon from the
-//! built profile must probe nothing more.  Both counting granularities are
-//! pinned: a checker that only overrides `check` sees every class through
-//! the batch default's per-class fallback, and a checker that overrides
-//! `check_batch` sees each class in exactly one batch.  The one-shot
-//! analysis emits no happy sets at all (one congruence test per edge), so
-//! its verdict is pinned by what it reports: a horizon that ends before the
-//! first conflicting holiday is independent, one that reaches it is not.
-//! Stateful schedulers are verified holiday by holiday, up to the last.
-
-use std::sync::Mutex;
+//! A residue view emits no happy sets to check: two neighbours on the rows
+//! `s_u mod m_u` and `s_v mod m_v` ever host together iff `s_u ≡ s_v (mod
+//! gcd(m_u, m_v))` (Lemma 5.2), so the one-shot analysis and the serving
+//! tier's `CycleProfile::build` both test one congruence per edge.  The
+//! build's verdict is pinned against `ResidueSchedule::conflict` and
+//! against the sequential reference sweep over one whole cycle, on random
+//! mixed-modulus views, conflicting ones and views wider than the graph
+//! included.  The one-shot analysis is pinned by what it reports: a horizon
+//! that ends before the first conflicting holiday is independent, one that
+//! reaches it is not.  Stateful schedulers are verified holiday by holiday,
+//! up to the last.
 
 use fhg::core::analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals, CycleProfile,
-    GraphChecker, HolidayChecker,
 };
 use fhg::core::schedulers::residue::ResidueSchedule;
-use fhg::core::schedulers::{PeriodicDegreeBound, PhasedGreedy};
+use fhg::core::schedulers::PhasedGreedy;
 use fhg::core::{HappySet, Scheduler};
 use fhg::graph::generators::erdos_renyi;
-use fhg::graph::{FixedBitSet, Graph, NodeId};
+use fhg::graph::{Graph, NodeId};
 use proptest::prelude::*;
-use rayon::ThreadPoolBuilder;
-
-/// Records every holiday it is asked to verify, then delegates to the real
-/// checker.
-struct CountingChecker {
-    inner: GraphChecker,
-    probed: Mutex<Vec<u64>>,
-}
-
-impl CountingChecker {
-    fn new(graph: &Graph) -> Self {
-        CountingChecker { inner: GraphChecker::new(graph), probed: Mutex::new(Vec::new()) }
-    }
-
-    fn probed_sorted(&self) -> Vec<u64> {
-        let mut probed = self.probed.lock().unwrap().clone();
-        probed.sort_unstable();
-        probed
-    }
-}
-
-impl HolidayChecker for CountingChecker {
-    fn check(&self, t: u64, happy: &FixedBitSet) -> bool {
-        self.probed.lock().unwrap().push(t);
-        self.inner.check(t, happy)
-    }
-}
-
-/// Records every class handed through the **batch** path (and asserts the
-/// batch width contract), then delegates to the real batched checker.  A
-/// class routed through per-class `check` would be counted too — the
-/// exactly-once assertions below therefore cover both granularities.
-struct BatchCountingChecker {
-    inner: GraphChecker,
-    probed: Mutex<Vec<u64>>,
-    batches: Mutex<Vec<usize>>,
-}
-
-impl BatchCountingChecker {
-    fn new(graph: &Graph) -> Self {
-        BatchCountingChecker {
-            inner: GraphChecker::new(graph),
-            probed: Mutex::new(Vec::new()),
-            batches: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn probed_sorted(&self) -> Vec<u64> {
-        let mut probed = self.probed.lock().unwrap().clone();
-        probed.sort_unstable();
-        probed
-    }
-}
-
-impl HolidayChecker for BatchCountingChecker {
-    fn check(&self, t: u64, happy: &FixedBitSet) -> bool {
-        self.probed.lock().unwrap().push(t);
-        self.inner.check(t, happy)
-    }
-
-    fn check_batch(&self, classes: &[(u64, &FixedBitSet)]) -> bool {
-        assert!(classes.len() <= 64, "engines must respect the batch width");
-        self.probed.lock().unwrap().extend(classes.iter().map(|&(t, _)| t));
-        self.batches.lock().unwrap().push(classes.len());
-        self.inner.check_batch(classes)
-    }
-}
-
-/// Builds the profile of `scheduler`'s view through `checker` on a pool of
-/// `threads` workers.
-fn build_with<C: HolidayChecker>(
-    graph: &Graph,
-    scheduler: &dyn Scheduler,
-    checker: &C,
-    threads: usize,
-) -> CycleProfile {
-    let view = scheduler.residue_schedule().expect("periodic");
-    let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-    pool.install(|| {
-        CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), checker)
-    })
-}
-
-#[test]
-fn each_residue_class_is_verified_exactly_once() {
-    let graph = erdos_renyi(80, 0.08, 7);
-    let scheduler = PeriodicDegreeBound::new(&graph);
-    let cycle = scheduler.residue_schedule().expect("periodic").cycle();
-    let start = scheduler.first_holiday();
-    assert!(cycle >= 2, "test graph must have a non-trivial cycle");
-
-    for threads in [1usize, 2, 8] {
-        let checker = CountingChecker::new(&graph);
-        let profile = build_with(&graph, &scheduler, &checker, threads);
-        assert!(profile.all_classes_independent());
-        assert_eq!(
-            checker.probed_sorted(),
-            (start..start + cycle).collect::<Vec<u64>>(),
-            "{threads} threads: exactly one probe per residue class, no repeats"
-        );
-    }
-}
 
 #[test]
 fn short_horizons_only_verify_what_they_run() {
-    // `Corrupted` first puts two neighbours together at offset 1, so a
+    // `ViewScheduler::corrupted` first puts two neighbours together at
+    // offset 1, so a
     // one-holiday horizon is independent and every longer one is not —
     // on the progression engine, on its totals path and in the reference.
     let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
     for (horizon, independent) in [(1u64, true), (2, false), (64, false)] {
-        let mut scheduler = Corrupted::new();
+        let mut scheduler = ViewScheduler::corrupted();
         let analysis = analyze_schedule(&graph, &mut scheduler, horizon);
         assert_eq!(analysis.all_happy_sets_independent, independent, "horizon {horizon}");
         let totals = analyze_schedule_totals(&graph, &mut scheduler, horizon);
@@ -206,21 +99,25 @@ fn stateful_schedulers_are_verified_on_every_holiday() {
     assert!(short.all_happy_sets_independent, "phased greedy alone is independent");
 }
 
-/// A deliberately broken "periodic" scheduler: two adjacent nodes share the
-/// same slot and modulus, so they host together on every fourth holiday.
-struct Corrupted {
+/// A scheduler that is nothing but a residue view, starting at `start`.
+struct ViewScheduler {
     schedule: ResidueSchedule,
+    start: u64,
 }
 
-impl Corrupted {
-    fn new() -> Self {
+impl ViewScheduler {
+    /// A deliberately broken "periodic" scheduler: two adjacent nodes share
+    /// the same slot and modulus, so they host together on every fourth
+    /// holiday.
+    fn corrupted() -> Self {
         // Nodes 0 and 1 (adjacent in the path graph below) both host at
         // t ≡ 1 (mod 4); nodes 2 and 3 host at distinct residues.
-        Corrupted { schedule: ResidueSchedule::new(vec![1, 1, 2, 3], vec![4, 4, 4, 4]) }
+        let schedule = ResidueSchedule::new(vec![1, 1, 2, 3], vec![4, 4, 4, 4]);
+        ViewScheduler { schedule, start: 0 }
     }
 }
 
-impl Scheduler for Corrupted {
+impl Scheduler for ViewScheduler {
     fn node_count(&self) -> usize {
         self.schedule.node_count()
     }
@@ -228,10 +125,10 @@ impl Scheduler for Corrupted {
         self.schedule.fill(t, out);
     }
     fn first_holiday(&self) -> u64 {
-        0
+        self.start
     }
     fn name(&self) -> &'static str {
-        "corrupted-periodic"
+        "residue-view"
     }
     fn is_periodic(&self) -> bool {
         true
@@ -250,7 +147,7 @@ impl Scheduler for Corrupted {
 #[test]
 fn corrupted_happy_sets_are_caught_by_the_congruence_test() {
     let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-    let mut scheduler = Corrupted::new();
+    let mut scheduler = ViewScheduler::corrupted();
     let analysis = analyze_schedule(&graph, &mut scheduler, 64);
     assert!(
         !analysis.all_happy_sets_independent,
@@ -258,125 +155,50 @@ fn corrupted_happy_sets_are_caught_by_the_congruence_test() {
     );
     assert!(!analyze_schedule_totals(&graph, &mut scheduler, 64).all_happy_sets_independent);
     // And the verdict agrees with the exhaustive reference.
-    let mut reference = Corrupted::new();
+    let mut reference = ViewScheduler::corrupted();
     let expected = analyze_schedule_reference(&graph, &mut reference, 64);
     assert!(!expected.all_happy_sets_independent);
 }
 
-#[test]
-fn cache_probe_count_is_independent_of_the_horizon() {
-    // Deriving any horizon from a built profile probes nothing: the count
-    // stays one per residue class however far the derivation reaches.
-    let graph = erdos_renyi(50, 0.12, 9);
-    let scheduler = PeriodicDegreeBound::new(&graph);
-    let cycle = scheduler.residue_schedule().unwrap().cycle();
-    for threads in [1usize, 2, 8] {
-        let checker = CountingChecker::new(&graph);
-        let profile = build_with(&graph, &scheduler, &checker, threads);
-        for horizon in [2 * cycle, 8 * cycle, 1 << 40] {
-            let analysis = profile.derive(scheduler.name(), &graph, horizon).unwrap();
-            assert!(analysis.all_happy_sets_independent);
-            assert!(profile.derive_window_totals(3, horizon).all_happy_sets_independent);
-        }
-        assert_eq!(
-            checker.probed_sorted().len() as u64,
-            cycle,
-            "{threads} threads: probe count must not scale with the horizon"
-        );
-    }
-}
-
-#[test]
-fn batched_verification_still_probes_each_class_exactly_once() {
-    // Same contract as `each_residue_class_is_verified_exactly_once`, but
-    // observed through an overridden `check_batch`: every residue class
-    // arrives in exactly one batch, none is re-probed per class, at every
-    // thread count.
-    let graph = erdos_renyi(80, 0.08, 7);
-    let scheduler = PeriodicDegreeBound::new(&graph);
-    let cycle = scheduler.residue_schedule().expect("periodic").cycle();
-    let start = scheduler.first_holiday();
-    assert!(cycle >= 2, "test graph must have a non-trivial cycle");
-
-    for threads in [1usize, 2, 8] {
-        let checker = BatchCountingChecker::new(&graph);
-        let profile = build_with(&graph, &scheduler, &checker, threads);
-        assert!(profile.all_classes_independent());
-        assert_eq!(
-            checker.probed_sorted(),
-            (start..start + cycle).collect::<Vec<u64>>(),
-            "{threads} threads: exactly one batched probe per residue class"
-        );
-        let batches = checker.batches.lock().unwrap().clone();
-        assert_eq!(
-            batches.iter().map(|&len| len as u64).sum::<u64>(),
-            cycle,
-            "{threads} threads: batch sizes partition the cycle"
-        );
-        assert!(
-            batches.iter().any(|&len| len > 1),
-            "{threads} threads: a {cycle}-class cycle must produce real batches"
-        );
-    }
-}
-
-#[test]
-fn corrupted_happy_sets_are_caught_through_the_batch_path() {
-    // The conflicting residue class (nodes 0 and 1 host together) must fail
-    // the profile build when verification flows through `check_batch`.
-    let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-    let scheduler = Corrupted::new();
-    let checker = BatchCountingChecker::new(&graph);
-    let profile = build_with(&graph, &scheduler, &checker, 1);
-    assert!(
-        !profile.all_classes_independent(),
-        "the batch path must catch the conflicting residue class"
-    );
-    assert!(!checker.probed_sorted().is_empty(), "the corrupted class was actually probed");
-}
+/// The moduli the random views draw from: powers of two, as in §4/§5, and
+/// the coprime 3 and 5, so the cycle (at most lcm = 240) is short enough
+/// for the reference sweep.
+const MODULI: [u64; 7] = [1, 2, 3, 4, 5, 8, 16];
 
 proptest! {
-    /// `GraphChecker::check_batch` equals the conjunction of per-set
-    /// `check` at any batch length, up to 140 classes (three membership
-    /// tables), including batches holding a dependent class.  Then the
-    /// independent classes alone, with one conflicting class appended: the
-    /// only conflict sits in the last chunk, which every chunk before it
-    /// must not hide.
-    #[test]
-    fn check_batch_matches_per_set_checks_at_any_batch_length(
-        seed in 0u64..40,
-        n in 40usize..200,
-        picks in proptest::collection::vec((0u64..1 << 16, 1usize..10), 1..141),
-    ) {
-        let graph = erdos_renyi(n, 0.04, seed);
-        let classes: Vec<(u64, FixedBitSet)> = picks
-            .iter()
-            .enumerate()
-            .map(|(i, &(mix, members))| {
-                let mut set = FixedBitSet::new(n);
-                for k in 0..members {
-                    set.insert(((mix as usize).wrapping_mul(k * 31 + i + 1)) % n);
-                }
-                (i as u64, set)
-            })
-            .collect();
-        let refs: Vec<(u64, &FixedBitSet)> = classes.iter().map(|(t, s)| (*t, s)).collect();
-        let checker = GraphChecker::new(&graph);
-        let expected = refs.iter().all(|&(t, s)| checker.check(t, s));
-        prop_assert_eq!(checker.check_batch(&refs), expected);
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-        let Some(edge) = graph.edges().next() else { return };
-        let mut conflict = FixedBitSet::new(n);
-        conflict.insert(edge.u);
-        conflict.insert(edge.v);
-        let mut clean: Vec<(u64, &FixedBitSet)> =
-            refs.iter().copied().filter(|&(t, s)| checker.check(t, s)).collect();
-        prop_assert!(checker.check_batch(&clean));
-        clean.push((clean.len() as u64, &conflict));
-        prop_assert!(
-            !checker.check_batch(&clean),
-            "the conflict closing a batch of {} classes went unseen",
-            clean.len()
+    /// The profile build's verdict is the edge pass: on random
+    /// mixed-modulus views of random graphs — most of them conflicting,
+    /// some narrower than the graph and some wider — it equals
+    /// `view.conflict(graph).is_none()` for views that fit the graph, is
+    /// `false` for views that do not, and equals the verdict of the
+    /// sequential reference sweep, which emits and checks every holiday of
+    /// one whole cycle.
+    #[test]
+    fn build_verdict_is_the_edge_pass_and_the_one_cycle_sweep(
+        seed in 0u64..1_000,
+        n in 1usize..24,
+        density in 0.0f64..0.3,
+        rows in prop::collection::vec((0usize..MODULI.len(), 0u64..1 << 20), 0..28),
+        start in 0u64..1_000,
+    ) {
+        let graph = erdos_renyi(n, density, seed);
+        let schedule = ResidueSchedule::new(
+            rows.iter().map(|&(m, slot)| slot % MODULI[m]).collect(),
+            rows.iter().map(|&(m, _)| MODULI[m]).collect(),
+        );
+        let fits = schedule.node_count() <= n;
+        let edge_pass = fits && schedule.conflict(&graph).is_none();
+        let profile = CycleProfile::build(&schedule, start, n, &graph);
+        let cycle = schedule.cycle();
+        let mut sweep = ViewScheduler { schedule, start };
+        let reference = analyze_schedule_reference(&graph, &mut sweep, cycle);
+        prop_assert_eq!(profile.all_classes_independent(), edge_pass, "rows {:?}", rows);
+        prop_assert_eq!(
+            profile.all_classes_independent(),
+            reference.all_happy_sets_independent,
+            "n {}, rows {:?}, cycle {}", n, rows, cycle
         );
     }
 }

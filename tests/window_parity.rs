@@ -25,9 +25,7 @@
 
 use proptest::prelude::*;
 
-use fhg::core::analysis::{
-    analyze_schedule_reference, CycleProfile, GraphChecker, ScheduleAnalysis,
-};
+use fhg::core::analysis::{analyze_schedule_reference, CycleProfile, ScheduleAnalysis};
 use fhg::core::schedulers::residue::ResidueSchedule;
 use fhg::core::schedulers::standard_suite;
 use fhg::core::serving::{ProfileService, Query};
@@ -161,15 +159,12 @@ proptest! {
     ) {
         let graph = family.generate(30, 3.5, seed);
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let checker = GraphChecker::new(&graph);
         let suite = standard_suite(&graph, seed ^ 0x7171);
         for prod in suite {
             let Some(cycle) = prod.schedule_cycle() else { continue };
             let view = prod.residue_schedule().expect("cycle implies a residue view");
             let start = prod.first_holiday();
-            let profile = pool.install(|| {
-                CycleProfile::build(view, start, graph.node_count(), &checker)
-            });
+            let profile = pool.install(|| CycleProfile::build(view, start, graph.node_count(), &graph));
             for (t0, t1) in window_shapes(cycle, k, jitter) {
                 let horizon = t1.saturating_sub(t0);
                 let mut shifted = WindowView { view, start: start + t0 };
@@ -316,8 +311,7 @@ fn wider_views_count_their_extra_rows_into_happiness_only() {
             let view = mixed_view(graph.node_count() + 2 + seed as usize, moduli, seed);
             assert_eq!(view.cycle(), cycle);
             let start = 5 + seed;
-            let checker = GraphChecker::new(&graph);
-            let profile = CycleProfile::build(&view, start, graph.node_count(), &checker);
+            let profile = CycleProfile::build(&view, start, graph.node_count(), &graph);
             assert!(!profile.all_classes_independent(), "rows past the graph fail the verdict");
             for (t0, t1) in window_shapes(cycle, 3, seed * 41) {
                 let horizon = t1.saturating_sub(t0);

@@ -5,8 +5,9 @@
 //! (`ResidueSchedule::fill` + `GraphChecker`, whose dispatch decision is
 //! cached in a `OnceLock`, never re-detected per call), for the serving
 //! tier's window derivations, and for the incremental repair plane, where
-//! steady-state edge events through `ProfileService::patch` reuse the
-//! service-owned scratch.  Edge toggles on a `Graph` itself allocate nothing
+//! a steady-state edge event through `ProfileService::patch` tests its
+//! edges in place and moves nodes between existing lanes.  Edge toggles on
+//! a `Graph` itself allocate nothing
 //! once a warm-up insert has given both rows room.  One-shot
 //! `analyze_schedule` on a periodic scheduler allocates only its output,
 //! whatever the horizon or pool width, and `analyze_schedule_totals`
@@ -21,10 +22,10 @@
 //! from other live threads — concretely, the libtest harness main thread
 //! lazily creates its mpsc receive context (two allocations) at a
 //! scheduling-dependent moment while it waits for this test, and a pool
-//! worker that sat out every warm-up run sizes its per-thread scratch (the
-//! batched checker's membership table) the first time it takes a job.
-//! Which worker takes a job is up to the scheduler, so under CPU contention
-//! such first uses can land in several consecutive attempts.  Every
+//! worker that sat out every warm-up run may initialise its per-thread
+//! state the first time it takes a job.  Which worker takes a job is up to
+//! the scheduler, so under CPU contention such first uses can land in
+//! several consecutive attempts.  Every
 //! measurement therefore retries up to [`ATTEMPTS`] times — more attempts
 //! than there are one-shot sources (the harness plus the pool's workers) —
 //! and asserts on the **minimum** delta.  Note the honest trade this makes: the guarantee narrows from
@@ -184,29 +185,6 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         );
     }
 
-    // Batched verification: after the thread-local membership table warms
-    // up, `check_batch` allocates nothing — the bit-sliced transpose fill
-    // re-walks the previous batch union instead of clearing storage, and
-    // the engines' flush borrow array lives on the stack.
-    {
-        let scheduler = PeriodicDegreeBound::new(&graph);
-        let view = scheduler.residue_schedule().expect("perfectly periodic");
-        let mut slots: Vec<HappySet> = (0..64).map(|_| HappySet::new(view.node_count())).collect();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            view.fill(i as u64, slot);
-        }
-        let classes: Vec<(u64, &fhg::graph::FixedBitSet)> =
-            slots.iter().enumerate().map(|(i, s)| (i as u64, s.as_bitset())).collect();
-        let checker = GraphChecker::new(&graph);
-        assert!(checker.check_batch(&classes), "warm-up batch must verify");
-        let delta = min_alloc_delta(|| {
-            for _ in 0..64 {
-                assert!(checker.check_batch(&classes));
-            }
-        });
-        assert_eq!(delta, 0, "batched verification allocated {delta} times after warm-up");
-    }
-
     let mut scheduler = PeriodicDegreeBound::new(&graph);
 
     // The production analysis of a periodic scheduler: the progression
@@ -269,11 +247,8 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
     {
         let scheduler = PeriodicDegreeBound::new(&graph);
         let view = scheduler.residue_schedule().expect("perfectly periodic");
-        let checker = GraphChecker::new(&graph);
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let profile = pool.install(|| {
-            CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker)
-        });
+        let profile =
+            CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &graph);
         let cycle = profile.cycle();
         let far = 1u64 << 20;
         let windows = [
@@ -347,13 +322,12 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         assert_eq!(delta, 0, "edge toggles allocated {delta} times after the warm-up insert");
     }
 
-    // The incremental repair plane (PR 8): steady-state edge churn through
+    // The incremental repair plane: steady-state edge churn through
     // `ProfileService::patch` must be allocation-free after warm-up — the
-    // patch scratch (class batch, verification list) is owned by the
-    // service and reused, a recoloured node moves into an existing or
-    // emptied lane of the profile's lane table, which never shrinks, and
-    // the `ScanChecker` verifies against the live graph without building a
-    // per-event adjacency layout.
+    // patch tests the edges at the recoloured nodes and the inserted edge
+    // straight off the slot's live graph, and a recoloured node moves into
+    // an existing or emptied lane of the profile's lane table, which never
+    // shrinks.
     {
         use fhg::core::dynamic::DynamicColorBound;
         use fhg::core::serving::{PatchOutcome, ProfileService};
@@ -383,8 +357,8 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             })
             .collect();
 
-        // Warm-up: the first patches detach the slot, size the class batch
-        // and let the lane table reach its high-water length.
+        // Warm-up: the first patches detach the slot and let the lane table
+        // and the graph's rows reach their high-water lengths.
         let mut next = 0usize;
         for _ in 0..16 {
             let outcome = service.patch(0, &repairs[next]).expect("tenant 0 is registered");
@@ -403,7 +377,7 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         assert_eq!(
             delta, 0,
             "incremental profile repair allocated {delta} times per 8-event window after \
-             warm-up (the patch plane must reuse the service-owned scratch)"
+             warm-up (the patch plane must edit the slot in place)"
         );
     }
 
