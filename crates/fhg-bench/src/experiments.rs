@@ -1594,11 +1594,11 @@ pub fn e16_windowed_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
 /// repairs only the touched lanes of the cached closed form and re-tests
 /// only the edges at the recoloured nodes.  The table compares the median
 /// per-event repair against the full `CycleProfile::build` each event
-/// would otherwise force — the edge pass over every edge plus the lane
-/// grouping, its rebuild baseline — reports the
-/// service cache counters, and hard-asserts the churned profile is
-/// content-identical (hence every derived analysis is bitwise-identical)
-/// to rebuild-from-scratch oracles on 1-, 2- and 8-thread pools.
+/// would otherwise force (its rebuild baseline: the edge pass over every
+/// edge plus the lane grouping), reports the service cache counters, and
+/// hard-asserts the churned profile is content-identical (hence every
+/// derived analysis is bitwise-identical) to rebuild-from-scratch oracles
+/// on 1-, 2- and 8-thread pools.
 /// Acceptance: median repair >= 25x cheaper than a full build (the
 /// `criterion` column).
 pub fn e17_incremental_repair_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {

@@ -64,11 +64,11 @@
 //! The windowed entry points are **total**: zero-width, inverted and
 //! sub-cycle windows take the same formula (`derive_window(t, t)` is the
 //! empty analysis), so no request shape can panic a long-lived
-//! server.  The whole-schedule verdict caveat: the window's independence
-//! flag is the *schedule's* verdict, not the window restriction (see the
-//! method docs).  The totals paths skip the per-node assembly and float
-//! work and allocate nothing at all; the full paths allocate only their
-//! output (both proved by `tests/zero_alloc.rs`).
+//! server.  The whole-cycle verdict caveat: the window's independence flag
+//! is the *cycle's* verdict, not the window restriction (see the method
+//! docs).  The totals paths skip the per-node assembly and float work and
+//! allocate nothing at all; the full paths allocate only their output
+//! (both proved by `tests/zero_alloc.rs`).
 
 use std::collections::HashMap;
 use std::ops::Range;

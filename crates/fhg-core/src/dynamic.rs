@@ -30,9 +30,10 @@
 //! through [`patch`](crate::analysis::CycleProfile::patch): only the
 //! recoloured nodes move between the lanes of its progression table, and
 //! only the edges at them (plus an inserted edge) are re-tested, instead
-//! of rebuilding the whole profile.  [`ProfileService::patch`](crate::serving::ProfileService::patch)
-//! wires this into the serving tier so a mutating tenant keeps a warm
-//! profile across churn.
+//! of rebuilding the whole profile.
+//! [`ProfileService::patch`](crate::serving::ProfileService::patch) wires
+//! this into the serving tier so a mutating tenant keeps a warm profile
+//! across churn.
 //!
 //! [`apply_event`]: DynamicColorBound::apply_event
 

@@ -77,8 +77,9 @@
 //! reference sweep [`analyze_schedule_reference`], which emits every
 //! holiday of one cycle and checks it with a fresh
 //! [`GraphChecker`](crate::analysis::GraphChecker) — a path that shares no
-//! state or code with the serving fast paths — and quarantines any slot
-//! whose cached totals or independence verdict disagree.  This is the
+//! state and no verification code with the serving fast paths — and
+//! quarantines any slot whose cached totals or independence verdict
+//! disagree.  This is the
 //! layer that catches *silent* corruption (e.g. an injected `verify.edge`
 //! fault that flips a patched verdict) which typed errors and panic
 //! quarantine cannot see.
@@ -827,10 +828,10 @@ impl ProfileService {
     /// resuming after the previous step's cursor) through the sequential
     /// reference sweep — [`analyze_schedule_reference`] over one full
     /// cycle, every holiday emitted and checked by a fresh
-    /// [`GraphChecker`](crate::analysis::GraphChecker), sharing no code
-    /// path with the serving fast paths — and compares totals and
-    /// independence verdict against the cached profile's closed form.  A
-    /// disagreement quarantines the slot
+    /// [`GraphChecker`](crate::analysis::GraphChecker), sharing no state and
+    /// no verification code with the serving fast paths — and compares
+    /// totals and independence verdict against the cached profile's closed
+    /// form.  A disagreement quarantines the slot
     /// ([`QuarantineReason::AuditMismatch`]): this is the plane that
     /// catches *silent* corruption (an injected `verify.edge` fault, a
     /// lane poisoned by a bug) that typed errors and panic quarantine

@@ -369,10 +369,10 @@ fn engines_and_profile_agree_bitwise() {
 /// saturates whenever the schedule hosts more than one parent per holiday
 /// on average) equals `CycleProfile::derive`.  Both apply the same
 /// per-node formula, the engine to the view's `(slot, modulus)` rows and
-/// the profile to each lane's `(first, count)` from its walk of one cycle
-/// of residue classes, so this pins the class walk's per-lane first
-/// offsets and counts against the view rows (and the profile's size
-/// prefix against the engine's saturating happiness total).
+/// the profile to each lane's `(first, step)` from its grouping of those
+/// rows, so this pins the lane grouping's first offsets and steps against
+/// the view rows (and the lane fold's saturating happiness total against
+/// the engine's).
 #[test]
 fn far_horizons_match_the_profile_derive() {
     for family in Family::ALL {

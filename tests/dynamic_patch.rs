@@ -190,7 +190,6 @@ impl Scheduler for Fixed {
 const START: u64 = 5;
 
 /// A row that meets few others: modulus 32, 64 or 128, drawn from `r`.
-/// Node `p` starts on `p mod 64`, so the start view never conflicts.
 fn fresh_row(r: u64) -> Progression {
     let modulus = 32 << (r % 3);
     Progression { slot: (r / 3) % modulus, modulus }
@@ -232,6 +231,8 @@ proptest! {
         events in prop::collection::vec((0u64..8, 0u64..1 << 20, 0u64..1 << 20), 8..24),
     ) {
         let mut graph = erdos_renyi(n, density, seed);
+        // Node `p` starts on `p mod 64`: distinct slots of one modulus, so
+        // no edge conflicts.
         let mut view = ResidueSchedule::new((0..n as u64).collect(), vec![64; n]);
         let mut profile = CycleProfile::build(&view, START, n, &graph);
         prop_assert!(profile.all_classes_independent());

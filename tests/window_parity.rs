@@ -20,8 +20,8 @@
 //!
 //! Like `tests/analysis_parity.rs`, float fields compare through
 //! `to_bits`, and CI runs this suite under the `FHG_THREADS` matrix, so a
-//! drift in the fleet build or the batched verification kernels shows up
-//! here as a window-parity failure.
+//! drift in the fleet build or the edge pass shows up here as a
+//! window-parity failure.
 
 use proptest::prelude::*;
 
