@@ -8,19 +8,26 @@
 //! build's verdict is pinned against `ResidueSchedule::conflict` and
 //! against the sequential reference sweep over one whole cycle, on random
 //! mixed-modulus views, conflicting ones and views wider than the graph
-//! included.  The one-shot analysis is pinned by what it reports: a horizon
-//! that ends before the first conflicting holiday is independent, one that
-//! reaches it is not.  Stateful schedulers are verified holiday by holiday,
-//! up to the last.
+//! included.  No residue class escapes the edge pass: a conflict planted in
+//! any one class of a cycle fails the build, and the reference sweep that
+//! the serving tier's audit runs emits and checks each class exactly once.
+//! Happy sets handed to a [`HolidayChecker`] as a batch are caught through
+//! its per-set `check_batch`, and a build handed a [`GraphChecker`] (the
+//! form the repository benchmark calls) catches the same corruption.  The
+//! one-shot analysis is pinned by what it reports: a horizon that ends
+//! before the first conflicting holiday is independent, one that reaches it
+//! is not.  Stateful schedulers are verified holiday by holiday, up to the
+//! last.
 
 use fhg::core::analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals, CycleProfile,
+    GraphChecker, HolidayChecker,
 };
 use fhg::core::schedulers::residue::ResidueSchedule;
-use fhg::core::schedulers::PhasedGreedy;
+use fhg::core::schedulers::{PeriodicDegreeBound, PhasedGreedy};
 use fhg::core::{HappySet, Scheduler};
 use fhg::graph::generators::erdos_renyi;
-use fhg::graph::{Graph, NodeId};
+use fhg::graph::{FixedBitSet, Graph, NodeId};
 use proptest::prelude::*;
 
 #[test]
@@ -144,6 +151,87 @@ impl Scheduler for ViewScheduler {
     }
 }
 
+/// Records every holiday a sweep asks it to emit, then emits the view's
+/// happy set.
+struct Recording {
+    inner: ViewScheduler,
+    emitted: Vec<u64>,
+}
+
+impl Scheduler for Recording {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
+        self.emitted.push(t);
+        self.inner.fill_happy_set(t, out);
+    }
+    fn first_holiday(&self) -> u64 {
+        self.inner.first_holiday()
+    }
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+    fn is_periodic(&self) -> bool {
+        false
+    }
+    fn period(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
+    fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
+}
+
+#[test]
+fn each_residue_class_is_verified_exactly_once() {
+    let graph = erdos_renyi(80, 0.08, 7);
+    let n = graph.node_count();
+    let scheduler = PeriodicDegreeBound::new(&graph);
+    let clean = scheduler.residue_schedule().expect("periodic").clone();
+    let cycle = clean.cycle();
+    let start = scheduler.first_holiday();
+    assert!(cycle >= 2, "test graph must have a non-trivial cycle");
+
+    // The one-cycle reference sweep emits, and so checks, each residue
+    // class once, and agrees with the build's edge pass.
+    let mut recording =
+        Recording { inner: ViewScheduler { schedule: clean.clone(), start }, emitted: Vec::new() };
+    let reference = analyze_schedule_reference(&graph, &mut recording, cycle);
+    assert_eq!(
+        recording.emitted,
+        (start..start + cycle).collect::<Vec<u64>>(),
+        "exactly one emission per residue class, no repeats"
+    );
+    assert!(reference.all_happy_sets_independent);
+    assert!(CycleProfile::build(&clean, start, n, &graph).all_classes_independent());
+
+    // Every class is covered by the edge pass: moving one edge's endpoints
+    // onto the row `r mod C` plants a conflict in class `r` and no other,
+    // and the build catches it whichever class `r` is.
+    let edge = graph.edges().next().expect("the test graph has edges");
+    let (mut slots, mut moduli): (Vec<u64>, Vec<u64>) =
+        (0..clean.node_count()).map(|p| (clean.slot(p), clean.modulus(p))).unzip();
+    moduli[edge.u] = cycle;
+    moduli[edge.v] = cycle;
+    for r in start..start + cycle {
+        slots[edge.u] = r % cycle;
+        slots[edge.v] = r % cycle;
+        let planted = ResidueSchedule::new(slots.clone(), moduli.clone());
+        assert_eq!(planted.cycle(), cycle);
+        let profile = CycleProfile::build(&planted, start, n, &graph);
+        assert!(!profile.all_classes_independent(), "the conflict in class {r} went unseen");
+        // The sweep meets the conflict first at holiday `r`, and not before.
+        let offset = r - start;
+        let mut before = ViewScheduler { schedule: planted.clone(), start };
+        let upto = analyze_schedule_reference(&graph, &mut before, offset);
+        assert!(upto.all_happy_sets_independent, "class {r}: no conflict before it");
+        let mut reaching = ViewScheduler { schedule: planted, start };
+        let through = analyze_schedule_reference(&graph, &mut reaching, offset + 1);
+        assert!(!through.all_happy_sets_independent, "class {r}: the sweep must catch it");
+    }
+}
+
 #[test]
 fn corrupted_happy_sets_are_caught_by_the_congruence_test() {
     let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
@@ -158,6 +246,39 @@ fn corrupted_happy_sets_are_caught_by_the_congruence_test() {
     let mut reference = ViewScheduler::corrupted();
     let expected = analyze_schedule_reference(&graph, &mut reference, 64);
     assert!(!expected.all_happy_sets_independent);
+}
+
+#[test]
+fn corrupted_happy_sets_are_caught_through_the_batch_path() {
+    // The corrupted view's residue classes of one cycle, handed to
+    // `check_batch` (the per-set default) as one batch: the conflicting
+    // class (nodes 0 and 1 host together at t ≡ 1 mod 4) must fail it, and
+    // the same batch without that class must pass.
+    let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+    let scheduler = ViewScheduler::corrupted();
+    let view = &scheduler.schedule;
+    let classes: Vec<(u64, FixedBitSet)> = (scheduler.start..scheduler.start + view.cycle())
+        .map(|t| {
+            let mut happy = HappySet::new(view.node_count());
+            view.fill(t, &mut happy);
+            (t, happy.as_bitset().clone())
+        })
+        .collect();
+    let batch: Vec<(u64, &FixedBitSet)> = classes.iter().map(|(t, set)| (*t, set)).collect();
+    let checker = GraphChecker::new(&graph);
+    assert!(
+        !checker.check_batch(&batch),
+        "the batch path must catch the conflicting residue class"
+    );
+    let expected = batch.iter().all(|&(t, set)| checker.check(t, set));
+    assert_eq!(checker.check_batch(&batch), expected, "the batch is its per-set checks");
+    let clean: Vec<(u64, &FixedBitSet)> =
+        batch.iter().copied().filter(|&(t, _)| t % 4 != 1).collect();
+    assert_eq!(clean.len(), batch.len() - 1, "one class of the cycle conflicts");
+    assert!(checker.check_batch(&clean), "the other classes are independent");
+    // A build handed the checker in place of the graph catches it too.
+    let profile = CycleProfile::build(view, scheduler.start, graph.node_count(), &checker);
+    assert!(!profile.all_classes_independent(), "a build handed a checker must catch the class");
 }
 
 /// The moduli the random views draw from: powers of two, as in §4/§5, and
