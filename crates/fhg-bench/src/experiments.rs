@@ -1388,7 +1388,9 @@ pub fn e15_verification_throughput_with(
 /// `cfg.serve_queries` windowed queries with LCG-drawn tenants and ragged
 /// `[t0, t1)` windows.  Reported per path: p50/p99 per-query latency and
 /// sustained queries/sec — the acceptance criterion is ≥10⁴ windowed
-/// totals-queries/sec on a single core over ≥1k warm tenants.
+/// totals-queries/sec on a single core over ≥1k warm tenants.  A plain
+/// `query_totals` loop with no per-query clock is the baseline the
+/// `query_batch` row is read against.
 pub fn e16_windowed_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
     use fhg_core::serving::{ProfileService, Query};
 
@@ -1529,6 +1531,32 @@ pub fn e16_windowed_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<
         horizon: full_queries.len() as u64,
         median_ms: p99,
         speedup: 1.0,
+    });
+
+    // --- The plain loop: the same mix through `query_totals` with no
+    // per-query clock, the baseline the batch front must beat. ---
+    let wall = Instant::now();
+    for q in &queries {
+        let totals = service.query_totals(q.tenant, q.window.0, q.window.1).unwrap();
+        checksum = checksum.wrapping_add(totals.total_happiness);
+    }
+    let loop_secs = wall.elapsed().as_secs_f64();
+    let loop_qps = queries.len() as f64 / loop_secs;
+    table.push(&[
+        "query_totals plain loop (no per-query clock)".into(),
+        "1".into(),
+        "-".into(),
+        "-".into(),
+        format!("{loop_qps:.0}"),
+        "- (informational)".into(),
+    ]);
+    entries.push(BenchEntry {
+        experiment: "e16",
+        engine: "windowed-totals-loop-qps".into(),
+        threads: 1,
+        horizon: queries.len() as u64,
+        median_ms: loop_secs * 1e3,
+        speedup: loop_qps,
     });
 
     // --- The batch front: the same mix through `query_batch`, sharded
@@ -1844,16 +1872,18 @@ pub fn e18_crash_only_serving_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Ve
         assert_eq!(served, queries.len(), "every batched query must be answerable");
         queries.len() as f64 / wall.elapsed().as_secs_f64()
     };
-    run_batch(&service, &queries); // warm caches before the A/B samples
-                                   // A shared host is bursty on scales of tens of milliseconds and up,
-                                   // so any estimator that compares whole passes — medians, best-of-N,
-                                   // even back-to-back pairs — flaps by several percent run to run,
-                                   // swamping a sub-percent effect.  Interleave at slab granularity
-                                   // instead: each 4096-query slab is served twice, disabled and armed,
-                                   // milliseconds apart (order alternating to cancel bias), and each
-                                   // side accumulates its own wall time across every pass.  Noise
-                                   // bursts land on both sides almost equally, so the aggregate
-                                   // throughput ratio isolates the failpoint machinery itself.
+    // Warm caches before the A/B samples.
+    run_batch(&service, &queries);
+
+    // A shared host is bursty on scales of tens of milliseconds and up,
+    // so any estimator that compares whole passes — medians, best-of-N,
+    // even back-to-back pairs — flaps by several percent run to run,
+    // swamping a sub-percent effect.  Interleave at slab granularity
+    // instead: each 4096-query slab is served twice, disabled and armed,
+    // milliseconds apart (order alternating to cancel bias), and each
+    // side accumulates its own wall time across every pass.  Noise
+    // bursts land on both sides almost equally, so the aggregate
+    // throughput ratio isolates the failpoint machinery itself.
     let mut side_ns = [0u64; 2]; // [disabled, armed]
     let mut side_served = [0u64; 2];
     for pass in 0..2 * cfg.reps.max(1) {
@@ -2444,9 +2474,13 @@ mod tests {
         assert!(md.contains("query_batch"), "{md}");
         assert!(md.contains("cache counters"), "{md}");
         assert!(md.contains("hits="), "{md}");
-        for engine in
-            ["profile-build", "windowed-totals-qps", "windowed-totals-p99", "windowed-batch-qps"]
-        {
+        for engine in [
+            "profile-build",
+            "windowed-totals-qps",
+            "windowed-totals-p99",
+            "windowed-totals-loop-qps",
+            "windowed-batch-qps",
+        ] {
             assert!(entries.iter().any(|e| e.engine == engine), "missing {engine} row");
         }
         let qps = entries.iter().find(|e| e.engine == "windowed-totals-qps").unwrap();

@@ -119,7 +119,9 @@
 //! [`ProfileService::query_batch`] / [`query_batch_full`](ProfileService::query_batch_full)
 //! answer a request slice in parallel the same way; the window fold keeps
 //! no scratch, so steady-state totals queries perform **zero heap
-//! allocations** per request (proved by `tests/zero_alloc.rs`).
+//! allocations** per request (proved by `tests/zero_alloc.rs`).  The
+//! workers write no shared state per request: a batch adds its hits and
+//! misses to the counters once, when it returns.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -246,8 +248,9 @@ impl std::error::Error for QueryError {}
 pub struct CacheStats {
     /// Queries answered from a warm profile.
     pub hits: u64,
-    /// Queries refused (unknown tenant or cold profile) and patches aimed
-    /// at unknown tenants.
+    /// Queries refused (unknown tenant, cold or quarantined profile) and
+    /// patches aimed at unknown tenants.  A batch request whose worker died
+    /// ([`QueryError::Internal`]) counts as neither a hit nor a miss.
     pub misses: u64,
     /// Edge events repaired in place by [`ProfileService::patch`].
     pub patches: u64,
@@ -278,8 +281,10 @@ pub struct AuditStats {
     pub quarantined: u64,
 }
 
-/// The service's internal counters — atomic because the batch query front
-/// counts from worker threads under a shared `&self`.
+/// The service's internal counters — atomic because single-query callers
+/// ([`ProfileService::query_totals`], [`ProfileService::query`]) may count
+/// from several threads at once under a shared `&self`.  The batch front
+/// does not count per request: each batch adds its totals once.
 #[derive(Default)]
 struct Counters {
     hits: AtomicU64,
@@ -964,7 +969,10 @@ impl ProfileService {
     /// `O(#lanes)`, one closed form per distinct progression of the
     /// tenant's schedule, whatever the window, and no heap allocation at
     /// all (the window fold keeps no scratch; proved by
-    /// `tests/zero_alloc.rs`).
+    /// `tests/zero_alloc.rs`).  Every call bumps one shared hit-or-miss
+    /// counter, so concurrent callers contend on that cache line: parallel
+    /// reads belong in [`query_batch`](ProfileService::query_batch), which
+    /// counts once per batch.
     pub fn query_totals(
         &self,
         tenant: u64,
@@ -982,8 +990,10 @@ impl ProfileService {
         Ok(profile.derive_window(&slot.name, &slot.graph, t0, t1))
     }
 
-    /// Counts a slot lookup as a cache hit or miss (atomically — the batch
-    /// front resolves slots from worker threads under a shared `&self`).
+    /// Counts one single-call slot lookup as a cache hit or miss, atomically
+    /// for concurrent single-query callers under a shared `&self`.  The
+    /// batch front does not come through here: it counts its answers
+    /// itself, once per batch.
     fn counted<T>(&self, resolved: Result<T, QueryError>) -> Result<T, QueryError> {
         match &resolved {
             Ok(_) => self.counters.hits.fetch_add(1, Relaxed),
@@ -999,42 +1009,59 @@ impl ProfileService {
     /// under `catch_unwind`, so a panic mid-derivation (injected via the
     /// `query.batch` failpoint, or a real bug) becomes that request's
     /// [`QueryError::Internal`] instead of unwinding into the caller.
+    /// The batch counts its hits and misses once, when it returns.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<WindowTotals, QueryError>> {
-        queries
-            .par_iter()
-            .map(|q| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    crate::fail_point!("query.batch", return Err(QueryError::Internal(q.tenant)));
-                    self.query_totals(q.tenant, q.window.0, q.window.1)
-                }))
-                .unwrap_or(Err(QueryError::Internal(q.tenant)))
-                .map(|totals| WindowTotals {
-                    tenant: q.tenant,
-                    window: q.window,
-                    totals,
-                })
-            })
-            .collect()
+        self.batch(queries, |_, profile, q| WindowTotals {
+            tenant: q.tenant,
+            window: q.window,
+            totals: profile.derive_window_totals(q.window.0, q.window.1),
+        })
     }
 
     /// The batch front, full-analysis flavor — same per-request panic
-    /// containment as [`query_batch`](ProfileService::query_batch).
+    /// containment and counting as [`query_batch`](ProfileService::query_batch).
     pub fn query_batch_full(&self, queries: &[Query]) -> Vec<Result<WindowAnalysis, QueryError>> {
-        queries
+        self.batch(queries, |slot, profile, q| WindowAnalysis {
+            tenant: q.tenant,
+            window: q.window,
+            analysis: profile.derive_window(&slot.name, &slot.graph, q.window.0, q.window.1),
+        })
+    }
+
+    /// The body of both batch fronts: each request passes the
+    /// `query.batch` failpoint and resolves its slot under its own
+    /// `catch_unwind`, across the pool, uncounted.  The answers are
+    /// counted afterwards on the calling thread and added to
+    /// [`CacheStats`] once, so pool workers never write a shared counter
+    /// line per request.  `Ok` is a hit, a refused request a miss, and a
+    /// request that died ([`QueryError::Internal`]) neither.
+    fn batch<T: Send>(
+        &self,
+        queries: &[Query],
+        answer: impl Fn(&ProfileSlot, &CycleProfile, &Query) -> T + Sync,
+    ) -> Vec<Result<T, QueryError>> {
+        let answers: Vec<Result<T, QueryError>> = queries
             .par_iter()
             .map(|q| {
                 catch_unwind(AssertUnwindSafe(|| {
                     crate::fail_point!("query.batch", return Err(QueryError::Internal(q.tenant)));
-                    self.query(q.tenant, q.window.0, q.window.1)
+                    let (slot, profile) = self.slot_of(q.tenant)?;
+                    Ok(answer(slot, profile, q))
                 }))
                 .unwrap_or(Err(QueryError::Internal(q.tenant)))
-                .map(|analysis| WindowAnalysis {
-                    tenant: q.tenant,
-                    window: q.window,
-                    analysis,
-                })
             })
-            .collect()
+            .collect();
+        let (mut hits, mut misses) = (0, 0);
+        for answer in &answers {
+            match answer {
+                Ok(_) => hits += 1,
+                Err(QueryError::Internal(_)) => {}
+                Err(_) => misses += 1,
+            }
+        }
+        self.counters.hits.fetch_add(hits, Relaxed);
+        self.counters.misses.fetch_add(misses, Relaxed);
+        answers
     }
 }
 
@@ -1454,6 +1481,59 @@ mod tests {
             assert_eq!(service.quarantine_reason(2), None, "{case}: the co-tenant stays warm");
             assert_eq!(service.warm_count(), 1, "{case}");
             assert_eq!(service.query_totals(2, 0, 16).unwrap(), before, "{case}");
+        }
+    }
+
+    #[test]
+    fn batch_fronts_count_like_single_calls() {
+        use crate::dynamic::EventRepair;
+        use crate::schedulers::residue::RowChange;
+        use fhg_codes::Progression;
+
+        let mut service = ProfileService::new();
+        let warm = erdos_renyi(24, 0.15, 3);
+        service.register(1, &warm, &PeriodicDegreeBound::new(&warm)).unwrap();
+        // Tenants 2 and 3 share one key; tenant 4 starts on it too.
+        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+        let view = ResidueSchedule::new(vec![0, 1, 1], vec![2, 2, 4]);
+        for tenant in [2, 3, 4] {
+            service.register(tenant, &g, &Fixed(view.clone())).unwrap();
+        }
+        assert_eq!(service.build_pending(), 2);
+        // A stale `old` row quarantines tenant 4 on its own detached slot.
+        let event = fhg_graph::EdgeEvent { kind: EdgeEventKind::Insert, u: 0, v: 2, holiday: 0 };
+        let stale = RowChange {
+            node: 0,
+            old: Progression { slot: 1, modulus: 8 },
+            new: Progression { slot: 1, modulus: 2 },
+        };
+        let err = service.patch(4, &EventRepair::from_parts(event, &[stale])).unwrap_err();
+        assert_eq!(err, PatchError::Quarantined(4));
+        // Registered after the build: cold.
+        let cold = erdos_renyi(20, 0.2, 9);
+        service.register(5, &cold, &PeriodicDegreeBound::new(&cold)).unwrap();
+
+        let queries: Vec<Query> = [1, 2, 3, 4, 5, 99]
+            .into_iter()
+            .flat_map(|tenant| [(0, 16), (3, 40), (7, 7)].map(|window| Query { tenant, window }))
+            .collect();
+        let counts = |s: CacheStats| [s.hits, s.misses];
+        let delta = |a: [u64; 2], b: [u64; 2]| [b[0] - a[0], b[1] - a[1]];
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let before = counts(service.stats());
+            let (totals, full) = pool
+                .install(|| (service.query_batch(&queries), service.query_batch_full(&queries)));
+            let batched = counts(service.stats());
+            for (q, (t, f)) in queries.iter().zip(totals.into_iter().zip(full)) {
+                let (t0, t1) = q.window;
+                assert_eq!(t.map(|w| w.totals), service.query_totals(q.tenant, t0, t1));
+                let served = service.query(q.tenant, t0, t1).map(|a| a.totals());
+                assert_eq!(f.map(|w| w.analysis.totals()), served);
+            }
+            let single = counts(service.stats());
+            assert_eq!(delta(before, batched), [18, 18], "{threads} threads: 3 of 6 tenants serve");
+            assert_eq!(delta(before, batched), delta(batched, single), "{threads} threads");
         }
     }
 

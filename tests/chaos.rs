@@ -204,11 +204,15 @@ fn query_worker_deaths_surface_as_typed_internal_errors() {
         failpoint::configure(spec);
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let before = service.stats();
             let results = pool.install(|| service.query_batch(&queries));
             assert_eq!(results.len(), queries.len());
             for r in results {
                 assert!(matches!(r, Err(QueryError::Internal(1))), "{spec}: {r:?}");
             }
+            // A request that died is neither a hit nor a miss.
+            let after = service.stats();
+            assert_eq!((after.hits, after.misses), (before.hits, before.misses), "{spec}");
         }
     }
 
