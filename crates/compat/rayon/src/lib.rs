@@ -7,7 +7,7 @@
 //!   giving `par_iter()` / `par_iter_mut()` on slices and `Vec`s, with the
 //!   `enumerate` / `map` / `for_each` / `sum` / `collect` combinators the
 //!   workspace calls on them;
-//! * [`join`] for two-way fork/join;
+//! * [`join`] for two-way fork/join, the first closure on the calling thread;
 //! * [`ParIterMut::for_each_isolated`] for crash-only batches: per-job
 //!   panics are caught and reported as a [`BatchOutcome`] instead of
 //!   re-thrown, so one poisoned job cannot take down its siblings or the
@@ -29,7 +29,9 @@
 //! their chunk's base index and reassembled in input order, so every
 //! combinator is deterministic: outputs are bit-for-bit identical across
 //! thread counts, only timing changes.  A panicking chunk is captured and
-//! re-thrown on the calling thread after the batch completes.
+//! re-thrown on the calling thread after the batch completes.  [`join`]
+//! publishes only its second closure, as a one-job batch, and runs the first
+//! on the calling thread meanwhile.
 //!
 //! Persistence matters for latency: the previous implementation spawned
 //! scoped threads per call (~50 µs), which dominated sub-millisecond
@@ -176,9 +178,12 @@ impl ThreadPool {
 }
 
 /// Runs both closures, potentially in parallel, and returns both results.
-/// With one ambient thread both run inline, `oper_a` first; otherwise the
-/// pair is published to the persistent pool as a two-job batch (the calling
-/// thread always executes at least one of them).
+///
+/// `oper_a` runs on the calling thread, as in rayon.  With one ambient
+/// thread `oper_b` runs inline after it.  Otherwise `oper_b` is offered to
+/// one pool worker while the caller runs `oper_a`, and the caller runs
+/// `oper_b` itself if no worker has taken it by then.  A panic in either
+/// closure reaches the caller once both have finished, `oper_a`'s first.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -191,24 +196,10 @@ where
         let rb = oper_b();
         return (ra, rb);
     }
-    enum Task<A, B> {
-        A(A),
-        B(B),
-    }
-    enum Out<RA, RB> {
-        A(RA),
-        B(RB),
-    }
-    let jobs = vec![(0usize, Task::A(oper_a)), (1, Task::B(oper_b))];
-    let mut results = pool::run_batch(jobs, 2, |_base, task: Task<A, B>| match task {
-        Task::A(f) => Out::A(f()),
-        Task::B(f) => Out::B(f()),
-    });
-    let out_b = results.pop();
-    let out_a = results.pop();
-    match (out_a, out_b) {
-        (Some((_, Out::A(ra))), Some((_, Out::B(rb)))) => (ra, rb),
-        _ => unreachable!("a join batch completes with exactly its two results"),
+    let (ra, mut results) = pool::run_beside(vec![(0usize, oper_b)], 1, |_, f: B| f(), oper_a);
+    match results.pop() {
+        Some((_, rb)) => (ra, rb),
+        None => unreachable!("a join batch completes with exactly its one job"),
     }
 }
 
@@ -671,6 +662,53 @@ mod tests {
             let (a, b) = with_threads(threads, || join(|| 6 * 7, || "ok"));
             assert_eq!(a, 42);
             assert_eq!(b, "ok");
+        }
+    }
+
+    #[test]
+    fn join_runs_its_first_closure_on_the_calling_thread() {
+        let caller = thread::current().id();
+        for _ in 0..5 {
+            // The second closure sleeps: were the caller to start on it, a
+            // worker would have time to take the first one.
+            let (a, ()) = with_threads(2, || {
+                join(
+                    || thread::current().id(),
+                    || thread::sleep(std::time::Duration::from_millis(20)),
+                )
+            });
+            assert_eq!(a, caller, "oper_a must run on the caller");
+        }
+    }
+
+    #[test]
+    fn join_panics_reach_the_caller() {
+        use std::sync::atomic::AtomicBool;
+        for threads in [1, 2] {
+            let b_ran = AtomicBool::new(false);
+            let a_panics = std::panic::catch_unwind(|| {
+                with_threads(threads, || {
+                    join(
+                        || panic!("oper_a failed"),
+                        || {
+                            thread::sleep(std::time::Duration::from_millis(5));
+                            b_ran.store(true, Ordering::SeqCst);
+                        },
+                    )
+                })
+            });
+            let payload = a_panics.expect_err("oper_a's panic must reach the caller");
+            assert_eq!(panic_message(&*payload), "oper_a failed", "threads = {threads}");
+            if threads > 1 {
+                assert!(b_ran.load(Ordering::SeqCst), "the panic waits until oper_b is done");
+            }
+            let b_panics = std::panic::catch_unwind(|| {
+                with_threads(threads, || join(|| 1, || -> u32 { panic!("oper_b failed") }))
+            });
+            let payload = b_panics.expect_err("oper_b's panic must reach the caller");
+            assert_eq!(panic_message(&*payload), "oper_b failed", "threads = {threads}");
+            // The pool survives both panics.
+            assert_eq!(with_threads(threads, || join(|| 2, || 3)), (2, 3));
         }
     }
 

@@ -6,7 +6,9 @@
 //! on the calling thread's stack, publishes up to `threads - 1` references to
 //! it, and then *participates*: the caller drains chunks alongside the
 //! workers, so the batch completes even if every worker is busy (or the pool
-//! has fewer workers than requested).  This replaces the previous
+//! has fewer workers than requested).  [`run_beside`] lets the caller run
+//! work of its own first (a `join`'s first closure) while the workers start
+//! on the batch, and drain what they left afterwards.  This replaces the previous
 //! `std::thread::scope` spawn-per-call model, whose ~50 µs of spawn/join
 //! overhead dominated sub-millisecond analyses.
 //!
@@ -159,6 +161,29 @@ where
     R: Send,
     F: Fn(usize, I) -> R + Sync,
 {
+    // One helper per extra thread, never more than the jobs the caller could
+    // leave over for them.
+    let helpers = (threads - 1).min(jobs.len().saturating_sub(1));
+    run_beside(jobs, helpers, work, || ()).1
+}
+
+/// Publishes `jobs` to up to `helpers` pool workers and runs `own` on the
+/// calling thread meanwhile.  The caller then drains the jobs no worker has
+/// taken, waits until the batch is quiet, and returns `own`'s result with
+/// the jobs' results sorted back into input order.  A panic in `own` is held
+/// until the batch is quiet, because the batch borrows this frame, and is
+/// then re-thrown ahead of any job's panic.
+pub(crate) fn run_beside<I, R, F, T>(
+    jobs: Vec<(usize, I)>,
+    helpers: usize,
+    work: F,
+    own: impl FnOnce() -> T,
+) -> (T, Vec<(usize, R)>)
+where
+    I: Send,
+    R: Send,
+    F: Fn(usize, I) -> R + Sync,
+{
     let job_count = jobs.len();
     let data = BatchData {
         jobs: Mutex::new(jobs),
@@ -172,11 +197,9 @@ where
         state: Mutex::new(BatchState { closed: false, active: 0 }),
         done: Condvar::new(),
     });
-    // One helper per extra thread, never more than the jobs the caller could
-    // leave over for them.
-    let helpers = (threads - 1).min(job_count.saturating_sub(1));
-    global().submit(&shared, helpers);
+    global().submit(&shared, helpers.min(job_count));
 
+    let own = catch_unwind(AssertUnwindSafe(own));
     drain(&data);
 
     {
@@ -188,12 +211,13 @@ where
     }
     // All workers de-registered and the queue is closed: the batch is quiet,
     // so the borrowed `data`/`work` are no longer referenced anywhere.
+    let own = own.unwrap_or_else(|payload| resume_unwind(payload));
     if let Some(payload) = data.panicked.lock().expect("panic slot poisoned").take() {
         resume_unwind(payload);
     }
     let mut results = std::mem::take(&mut *data.results.lock().expect("results poisoned"));
     results.sort_unstable_by_key(|&(base, _)| base);
-    results
+    (own, results)
 }
 
 /// Queue shared between submitters and parked workers.

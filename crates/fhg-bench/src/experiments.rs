@@ -747,11 +747,14 @@ const STATEFUL_HORIZON: u64 = 1024;
 /// repetitions; the structural columns (happy sets emitted, parity) are
 /// deterministic.
 ///
-/// E11b times the two stateful schedulers, which have no residue view and
-/// always take the sequential engine, on the same graph at
-/// [`STATEFUL_HORIZON`] holidays: `analyze_schedule` against emission
-/// alone (`fill_happy_set` into one reused buffer), each run on a fresh
-/// clone.  At smoke size the graph (2000 nodes, mean degree about 10) only
+/// E11b times the two stateful schedulers, which have no residue view, on
+/// the same graph at [`STATEFUL_HORIZON`] holidays, each run on a fresh
+/// clone: the one-thread reference sweep (`analyze_schedule_reference`,
+/// the baseline), `analyze_schedule`, whose pipelined engine emits on the
+/// calling thread while a worker of the ambient pool verifies and records
+/// (its rows report that pool's width), and emission alone
+/// (`fill_happy_set` into one reused buffer), the floor the pipeline can
+/// reach.  At smoke size the graph (2000 nodes, mean degree about 10) only
 /// approximates analyze-mix's stateful graphs, which have 2048 nodes and
 /// mean degree 4, 10 or 32 in four families.
 pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<BenchEntry>) {
@@ -803,13 +806,15 @@ pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<B
         });
     }
 
+    let pool_threads = rayon::current_num_threads();
     let mut stateful = Table::new(
         format!(
             "E11b — stateful schedulers on erdos_renyi({}, {}), {STATEFUL_HORIZON} holidays: \
-             analyze_schedule vs emission alone (medians of {}, single-threaded)",
+             one-thread reference vs analyze_schedule on a pool of {pool_threads} vs emission \
+             alone (medians of {})",
             cfg.nodes, cfg.edge_prob, cfg.reps
         ),
-        &["scheduler", "path", "median ms", "us per holiday", "speedup"],
+        &["scheduler", "path", "threads", "median ms", "us per holiday", "speedup"],
     );
     let phased = PhasedGreedy::new(&graph);
     let grab = FirstComeFirstGrab::new(&graph, cfg.seed);
@@ -817,31 +822,41 @@ pub fn e11_analysis_engine_with(cfg: &AnalysisBenchConfig) -> (Vec<Table>, Vec<B
         (phased.name(), stateful_timings(&graph, &phased, cfg.reps)),
         (grab.name(), stateful_timings(&graph, &grab, cfg.reps)),
     ];
-    for (name, (analyze_ms, emit_ms)) in timings {
-        for (path, ms) in [("analyze", analyze_ms), ("emit", emit_ms)] {
+    for (name, [reference_ms, analyze_ms, emit_ms]) in timings {
+        for (path, threads, ms) in [
+            ("reference", 1, reference_ms),
+            ("analyze", pool_threads, analyze_ms),
+            ("emit", 1, emit_ms),
+        ] {
             stateful.push(&[
                 name.to_string(),
                 path.to_string(),
+                threads.to_string(),
                 format!("{ms:.3}"),
                 format!("{:.2}", ms * 1e3 / STATEFUL_HORIZON as f64),
-                format!("{:.2}x", analyze_ms / ms),
+                format!("{:.2}x", reference_ms / ms),
             ]);
             entries.push(BenchEntry {
                 experiment: "e11",
                 engine: format!("{name}-{path}"),
-                threads: 1,
+                threads,
                 horizon: STATEFUL_HORIZON,
                 median_ms: ms,
-                speedup: analyze_ms / ms,
+                speedup: reference_ms / ms,
             });
         }
     }
     (vec![table, stateful], entries)
 }
 
-/// Median milliseconds of `analyze_schedule` and of emission alone over
-/// [`STATEFUL_HORIZON`] holidays, each run on a fresh clone of `template`.
-fn stateful_timings<S: Scheduler + Clone>(graph: &Graph, template: &S, reps: usize) -> (f64, f64) {
+/// Median milliseconds over [`STATEFUL_HORIZON`] holidays of the reference
+/// sweep, of `analyze_schedule` and of emission alone, each run on a fresh
+/// clone of `template`.
+fn stateful_timings<S: Scheduler + Clone>(graph: &Graph, template: &S, reps: usize) -> [f64; 3] {
+    let reference_ms = median_ms_fresh(reps, template, |s| {
+        let analysis = analyze_schedule_reference(graph, s, STATEFUL_HORIZON);
+        assert!(analysis.all_happy_sets_independent, "{}: a dependent happy set", s.name());
+    });
     let analyze_ms = median_ms_fresh(reps, template, |s| {
         let analysis = analyze_schedule(graph, s, STATEFUL_HORIZON);
         assert!(analysis.all_happy_sets_independent, "{}: a dependent happy set", s.name());
@@ -854,7 +869,7 @@ fn stateful_timings<S: Scheduler + Clone>(graph: &Graph, template: &S, reps: usi
             black_box(buf.len());
         }
     });
-    (analyze_ms, emit_ms)
+    [reference_ms, analyze_ms, emit_ms]
 }
 
 /// E12 — horizon scaling: the cost of an analysis must not depend on the
@@ -2494,18 +2509,21 @@ mod tests {
         let cfg = tiny_cfg();
         let (tables, entries) = run_experiment_collecting("e11", &cfg);
         assert_eq!(tables.len(), 2);
-        assert_eq!(entries.len(), 6, "reference and production rows, then 2 per stateful");
+        assert_eq!(entries.len(), 8, "reference and production rows, then 3 per stateful");
         assert!(entries.iter().any(|e| e.engine == "closed-form-progression"));
         assert!((entries[0].speedup - 1.0).abs() < 1e-9, "baseline speedup is 1");
         assert!(!tables[0].to_markdown().contains("| false |"));
-        for engine in [
-            "phased-greedy-analyze",
-            "phased-greedy-emit",
-            "first-come-first-grab-analyze",
-            "first-come-first-grab-emit",
+        for (engine, threads) in [
+            ("phased-greedy-reference", 1),
+            ("phased-greedy-analyze", rayon::current_num_threads()),
+            ("phased-greedy-emit", 1),
+            ("first-come-first-grab-reference", 1),
+            ("first-come-first-grab-analyze", rayon::current_num_threads()),
+            ("first-come-first-grab-emit", 1),
         ] {
             let entry = entries.iter().find(|e| e.engine == engine).expect(engine);
             assert_eq!(entry.horizon, STATEFUL_HORIZON, "{engine}");
+            assert_eq!(entry.threads, threads, "{engine}");
         }
 
         let (tables, entries) = run_experiment_collecting("e12", &cfg);

@@ -1,7 +1,7 @@
-//! Independence checking: the per-holiday verdict source of the sequential
-//! engine.
+//! Independence checking: the per-holiday verdict source of the reference
+//! sweep.
 //!
-//! The sequential sweep emits the happy set of every holiday and must
+//! The reference sweep emits the happy set of every holiday and must
 //! decide, for each one, whether it is an independent set of the conflict
 //! graph (Definition 2.1).  A residue view needs no set: the progression
 //! engine and the serving tier's cycle profiles test one congruence per
@@ -26,9 +26,11 @@
 //! can be audited: the verdict must not depend on it, but instrumentation
 //! wants to see it.
 //!
-//! A checker never crosses a thread: the sweep runs on the calling thread.
-//! So the trait asks for no `Sync`, and an instrumented checker may keep
-//! plain interior state.
+//! A checker never crosses a thread: the reference sweep runs on the
+//! calling thread, and the pipelined sweep of `analyze_schedule`, whose
+//! verification runs on a pool worker, calls [`Graph::is_independent`]
+//! directly and takes no checker.  So the trait asks for no `Sync`, and an
+//! instrumented checker may keep plain interior state.
 
 use fhg_graph::{FixedBitSet, Graph};
 

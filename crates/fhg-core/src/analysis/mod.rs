@@ -29,16 +29,27 @@
 //!   horizons shorter than the cycle).  Cost: `O(n + m)`, with no happy set
 //!   emitted, no checker built, and no cycle or attendance budget.
 //! * [`AnalysisEngine::Sequential`] (`sweep.rs`) — for stateful schedulers
-//!   (no residue view): a single sweep through
-//!   [`Scheduler::fill_happy_set`], every holiday verified by a
-//!   [`GraphChecker`].  It is also [`analyze_schedule_reference`], the
-//!   oracle the parity suites compare against.
+//!   (no residue view): every holiday emitted in order through
+//!   [`Scheduler::fill_happy_set`], verified and recorded, in a two-stage
+//!   pipeline of 64-holiday blocks.  The calling thread emits the next
+//!   block into reused buffers while one worker of the ambient pool
+//!   verifies the previous block with [`Graph::is_independent`] and records
+//!   it, one `rayon::join` per block.  Only the emitted sets and the
+//!   per-node tally cross threads; the scheduler stays with its emission.
+//!   Blocks are recorded in holiday order, so the result does not depend on
+//!   the pool width, and a one-thread pool runs the same blocks inline.
+//!
+//! [`analyze_schedule_reference`] is the oracle the parity suites compare
+//! both engines against: the same sweep on one thread, one holiday at a
+//! time, every holiday verified by a [`GraphChecker`].
 //!
 //! Both engines produce **bitwise-identical** [`ScheduleAnalysis`] values:
 //! the progression engine writes each node's merged accumulator in closed
-//! form and reduces it through the same per-node arithmetic as the sweep
-//! (locked down by `tests/analysis_parity.rs`, conflicting and mis-sized
-//! views included).  [`analyze_schedule_totals`] returns the whole-schedule
+//! form and reduces it through the same per-node arithmetic as the sweep,
+//! and the pipeline records the same holidays into the same tally as the
+//! reference (locked down by `tests/analysis_parity.rs`, conflicting and
+//! mis-sized views, planted dependent sets and 1/2/8-thread pools
+//! included).  [`analyze_schedule_totals`] returns the whole-schedule
 //! aggregates ([`AnalysisTotals`]) without per-node assembly or float
 //! finalisation on the progression engine, and always equals
 //! `analyze_schedule(..).totals()`.
@@ -64,7 +75,12 @@ use fhg_graph::{Graph, NodeId};
 use crate::scheduler::Scheduler;
 
 /// Per-node measurements over the analysed horizon.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares `mean_gap` by its bits, so the `NaN` of a node with
+/// fewer than two happy holidays equals itself and every analysis equals
+/// itself.  No engine produces `-0.0`, the one value the bits tell apart
+/// from a float that compares equal.
+#[derive(Debug, Clone)]
 pub struct NodeAnalysis {
     /// The node.
     pub node: NodeId,
@@ -82,6 +98,18 @@ pub struct NodeAnalysis {
     pub first_happy: Option<u64>,
     /// Mean gap between consecutive happy holidays (`NaN` if fewer than two).
     pub mean_gap: f64,
+}
+
+impl PartialEq for NodeAnalysis {
+    fn eq(&self, other: &Self) -> bool {
+        self.node == other.node
+            && self.degree == other.degree
+            && self.happy_count == other.happy_count
+            && self.max_unhappiness == other.max_unhappiness
+            && self.observed_period == other.observed_period
+            && self.first_happy == other.first_happy
+            && self.mean_gap.to_bits() == other.mean_gap.to_bits()
+    }
 }
 
 /// Whole-schedule measurements.
@@ -194,7 +222,8 @@ pub enum AnalysisEngine {
     /// The progression engine: one formula per node and one congruence per
     /// edge, for every scheduler with a residue view.
     ClosedForm,
-    /// Single fully-verified sequential sweep (stateful schedulers).
+    /// Every holiday emitted in order, verified and recorded (stateful
+    /// schedulers): the block pipeline, emission on the calling thread.
     Sequential,
 }
 
@@ -214,7 +243,9 @@ impl AnalysisEngine {
 
 /// Runs `scheduler` for `horizon` holidays (starting at its
 /// [`Scheduler::first_holiday`]) and measures every quantity above, on the
-/// engine [`AnalysisEngine::select`] names (see the module docs).
+/// engine [`AnalysisEngine::select`] names (see the module docs).  A
+/// stateful scheduler emits on the calling thread while a worker of the
+/// ambient pool verifies and records.
 pub fn analyze_schedule<S: Scheduler + ?Sized>(
     graph: &Graph,
     scheduler: &mut S,
@@ -224,14 +255,14 @@ pub fn analyze_schedule<S: Scheduler + ?Sized>(
         Some(view) => {
             progression::analyze(scheduler.name(), graph, view, scheduler.first_holiday(), horizon)
         }
-        None => analyze_schedule_reference(graph, scheduler, horizon),
+        None => pipelined(graph, scheduler, horizon),
     }
 }
 
 /// The totals-only entry point: whole-schedule aggregates of `horizon`
 /// holidays.  On the progression engine the per-node assembly and float
 /// finalisation are skipped entirely and nothing is allocated; stateful
-/// schedulers run the full sequential analysis and reduce it — so the
+/// schedulers run the full pipelined analysis and reduce it — so the
 /// result always equals `analyze_schedule(..).totals()` (pinned by the
 /// parity suite).
 pub fn analyze_schedule_totals<S: Scheduler + ?Sized>(
@@ -241,15 +272,33 @@ pub fn analyze_schedule_totals<S: Scheduler + ?Sized>(
 ) -> AnalysisTotals {
     match scheduler.residue_schedule() {
         Some(view) => progression::totals(graph, view, scheduler.first_holiday(), horizon),
-        None => analyze_schedule_reference(graph, scheduler, horizon).totals(),
+        None => pipelined(graph, scheduler, horizon).totals(),
     }
 }
 
+/// The Sequential engine of [`analyze_schedule`]: the two-stage block
+/// pipeline of `sweep.rs`.
+fn pipelined<S: Scheduler + ?Sized>(
+    graph: &Graph,
+    scheduler: &mut S,
+    horizon: u64,
+) -> ScheduleAnalysis {
+    let name = scheduler.name().to_string();
+    sweep::pipelined(
+        name,
+        graph,
+        scheduler.node_count(),
+        horizon,
+        scheduler.first_holiday(),
+        |t, out| scheduler.fill_happy_set(t, out),
+    )
+}
+
 /// The sequential reference analysis: single-threaded, no residue view, no
-/// closed form, every holiday's independence verified by a [`GraphChecker`],
-/// emission through [`Scheduler::fill_happy_set`].  It is the Sequential
-/// engine, and the oracle the property suites assert the progression engine
-/// and the serving tier's windows are bitwise-identical to.
+/// closed form, no pipeline, every holiday's independence verified by a
+/// [`GraphChecker`], emission through [`Scheduler::fill_happy_set`].  It is
+/// the oracle the property suites assert both engines and the serving
+/// tier's windows are bitwise-identical to.
 pub fn analyze_schedule_reference<S: Scheduler + ?Sized>(
     graph: &Graph,
     scheduler: &mut S,
@@ -345,6 +394,24 @@ mod tests {
         assert!((a.mean_happy_set_size - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(a.max_unhappiness(), 6);
         assert!(!a.all_periodic());
+    }
+
+    #[test]
+    fn analyses_with_never_happy_nodes_equal_themselves() {
+        // An empty window: every node's mean gap is NaN.
+        let g = erdos_renyi(20, 0.2, 9);
+        let s = PeriodicDegreeBound::new(&g);
+        let view = s.residue_schedule().unwrap();
+        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &g);
+        let a = profile.derive_window("x", &g, 7, 7);
+        assert!(a.per_node.iter().all(|n| n.mean_gap.is_nan()));
+        assert_eq!(a, profile.derive_window("x", &g, 7, 7));
+        assert_eq!(a, a.clone());
+
+        let mut number = a.per_node[0].clone();
+        number.mean_gap = 2.0;
+        assert_ne!(a.per_node[0], number, "NaN differs from a number");
+        assert_eq!(number, number.clone());
     }
 
     #[test]

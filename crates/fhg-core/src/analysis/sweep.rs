@@ -1,6 +1,7 @@
-//! The accumulator plane and the sequential engine: per-holiday
-//! accumulation, the exact segment merge, and the reductions to the public
-//! results.
+//! The accumulator plane and the sweeps: per-holiday accumulation, the
+//! exact segment merge, the reductions to the public results, and the two
+//! drivers that emit, verify and record every holiday of a stateful
+//! schedule.
 //!
 //! # One accumulator plane
 //!
@@ -32,10 +33,25 @@
 //! replayed head, replicated whole cycles and a replayed tail (pinned
 //! against recording every offset there).
 //!
-//! [`sequential`] is the Sequential engine — and so
-//! [`super::analyze_schedule_reference`]: every holiday emitted, verified
-//! on its own through [`HolidayChecker::check`] and recorded, with zero
-//! heap allocations per holiday.
+//! # Two drivers
+//!
+//! [`sequential`] is [`super::analyze_schedule_reference`], the oracle:
+//! every holiday emitted, verified on its own through
+//! [`HolidayChecker::check`] and recorded, on one thread, with zero heap
+//! allocations per holiday.
+//!
+//! [`pipelined`] is the Sequential engine of
+//! [`super::analyze_schedule`].  Only emission depends on a stateful
+//! scheduler's state, so it splits the same sweep into two stages over
+//! blocks of [`BLOCK`] holidays: the calling thread emits block `k + 1`
+//! while a pool worker verifies block `k` with [`Graph::is_independent`]
+//! and records it, one `rayon::join` per block.  What crosses threads is
+//! the emitted block, read-only, and the tally, which one stage owns at a
+//! time.  The scheduler never leaves the calling thread.  Blocks are
+//! recorded in holiday order into the same tally, so the result is
+//! bitwise-identical to [`sequential`]'s at every pool width.  It
+//! allocates a fixed set of buffers per analysis, plus the `join`'s
+//! batch at a pool wider than one thread, and nothing per holiday.
 
 use fhg_graph::{Graph, HappySet, NodeId};
 
@@ -179,7 +195,7 @@ fn apply_gap_candidate(g: &mut NodeAccum, gap: u64) {
     }
 }
 
-/// Per-node accumulators plus the scalar verdicts of the sequential sweep.
+/// Per-node accumulators plus the scalar verdicts of a sweep.
 struct Tally {
     accum: Vec<NodeAccum>,
     all_independent: bool,
@@ -187,6 +203,10 @@ struct Tally {
 }
 
 impl Tally {
+    fn new(nodes: usize) -> Self {
+        Tally { accum: vec![NodeAccum::empty(); nodes], all_independent: true, total_happiness: 0 }
+    }
+
     /// Counts the happy set emitted at `offset`.  Members at or beyond the
     /// graph's node count mark the schedule non-independent and get no
     /// accumulator.
@@ -202,14 +222,33 @@ impl Tally {
             }
         });
     }
+
+    /// Verifies and records one block of happy sets, emitted at offsets
+    /// `first..` in order.  Verification stops after the first failure.
+    fn absorb_block(&mut self, graph: &Graph, block: &[HappySet], first: u64) {
+        for (happy, offset) in block.iter().zip(first..) {
+            if self.all_independent && !graph.is_independent(happy.as_bitset()) {
+                self.all_independent = false;
+            }
+            self.absorb(happy, offset);
+        }
+    }
+
+    /// Merges each lane into the empty accumulator, which adds its leading
+    /// unhappy stretch, and finalizes the lanes.
+    fn finish(mut self, scheduler: String, horizon: u64, graph: &Graph) -> ScheduleAnalysis {
+        for lane in &mut self.accum {
+            let segment = std::mem::replace(lane, NodeAccum::empty());
+            merge_node(lane, &segment);
+        }
+        finalize(scheduler, horizon, graph, self.accum, self.all_independent, self.total_happiness)
+    }
 }
 
 /// The Sequential engine: emits holidays `start..start + horizon` through
 /// `fill` into one buffer of `capacity` nodes, verifies each on its own
 /// through [`HolidayChecker::check`] (until the first failure) and records
-/// it for every graph node, with zero heap allocations per holiday.  Each
-/// lane is then merged into the empty accumulator, which adds its leading
-/// unhappy stretch, and the lanes are finalized.
+/// it for every graph node, with zero heap allocations per holiday.
 pub(super) fn sequential<C: HolidayChecker + ?Sized>(
     scheduler: String,
     graph: &Graph,
@@ -219,11 +258,7 @@ pub(super) fn sequential<C: HolidayChecker + ?Sized>(
     checker: &C,
     mut fill: impl FnMut(u64, &mut HappySet),
 ) -> ScheduleAnalysis {
-    let mut tally = Tally {
-        accum: vec![NodeAccum::empty(); graph.node_count()],
-        all_independent: true,
-        total_happiness: 0,
-    };
+    let mut tally = Tally::new(graph.node_count());
     let mut happy = HappySet::new(capacity);
     for offset in 0..horizon {
         let t = start + offset;
@@ -233,11 +268,66 @@ pub(super) fn sequential<C: HolidayChecker + ?Sized>(
         }
         tally.absorb(&happy, offset);
     }
-    for lane in &mut tally.accum {
-        let segment = std::mem::replace(lane, NodeAccum::empty());
-        merge_node(lane, &segment);
+    tally.finish(scheduler, horizon, graph)
+}
+
+/// Holidays per block of the [`pipelined`] engine.  A `rayon::join` costs
+/// a few microseconds, and a block of a stateful scheduler on a 2048-node
+/// graph takes about a millisecond and a half to emit.
+const BLOCK: u64 = 64;
+
+/// The pipelined engine of stateful schedulers: the sweep of [`sequential`]
+/// in blocks of [`BLOCK`] holidays, over two stages.  The calling thread
+/// emits block `k + 1` through `fill` into one set of reused buffers while
+/// a pool worker verifies block `k`, in the other set, with
+/// [`Graph::is_independent`] (until the first failure) and records it into
+/// the tally: one `rayon::join` per block.
+///
+/// Only the emitted sets and the tally cross threads: the sets read-only,
+/// the tally owned by one stage at a time.  The scheduler's state stays
+/// with the emission on the calling thread.  Blocks are recorded in
+/// holiday order, so the tally, the verdict and the final merge are those
+/// of the one-thread sweep, and the result is bitwise-identical at every
+/// pool width.  A one-thread pool runs both stages of each block inline.
+pub(super) fn pipelined<F>(
+    scheduler: String,
+    graph: &Graph,
+    capacity: usize,
+    horizon: u64,
+    start: u64,
+    mut fill: F,
+) -> ScheduleAnalysis
+where
+    F: FnMut(u64, &mut HappySet) + Send,
+{
+    let mut tally = Tally::new(graph.node_count());
+    let width = horizon.min(BLOCK) as usize;
+    let mut fresh: Vec<HappySet> = (0..width).map(|_| HappySet::new(capacity)).collect();
+    let mut emitted = fresh.clone();
+    let mut emit = |block: &mut [HappySet], first: u64| {
+        for (happy, offset) in block.iter_mut().zip(first..) {
+            fill(start + offset, happy);
+        }
+    };
+    // The emitted block not recorded yet: its first offset and its length.
+    let mut pending: Option<(u64, usize)> = None;
+    for first in (0..horizon).step_by(BLOCK as usize) {
+        let len = (horizon - first).min(BLOCK) as usize;
+        let block = &mut fresh[..len];
+        match pending {
+            None => emit(block, first),
+            Some((done, done_len)) => {
+                let (tally, emitted) = (&mut tally, &emitted[..done_len]);
+                rayon::join(|| emit(block, first), || tally.absorb_block(graph, emitted, done));
+            }
+        }
+        std::mem::swap(&mut fresh, &mut emitted);
+        pending = Some((first, len));
     }
-    finalize(scheduler, horizon, graph, tally.accum, tally.all_independent, tally.total_happiness)
+    if let Some((done, done_len)) = pending {
+        tally.absorb_block(graph, &emitted[..done_len], done);
+    }
+    tally.finish(scheduler, horizon, graph)
 }
 
 fn mean_happy_set_size(total_happiness: u64, horizon: u64) -> f64 {

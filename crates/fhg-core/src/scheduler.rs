@@ -19,7 +19,13 @@ use crate::gathering::Gathering;
 use crate::schedulers::residue::ResidueSchedule;
 
 /// A (possibly stateful) holiday-gathering scheduler.
-pub trait Scheduler {
+///
+/// A scheduler is `Send` because [`crate::analysis::analyze_schedule`]
+/// hands its emission to `rayon::join` while a pool worker verifies and
+/// records the previous block of holidays.  The emission itself stays on
+/// the calling thread, and the scheduler is never shared, so it needs no
+/// `Sync`.
+pub trait Scheduler: Send {
     /// Number of parents in the conflict graph this scheduler was built for.
     ///
     /// [`fill_happy_set`](Scheduler::fill_happy_set) resets its output buffer

@@ -1528,8 +1528,7 @@ mod tests {
             for (q, (t, f)) in queries.iter().zip(totals.into_iter().zip(full)) {
                 let (t0, t1) = q.window;
                 assert_eq!(t.map(|w| w.totals), service.query_totals(q.tenant, t0, t1));
-                let served = service.query(q.tenant, t0, t1).map(|a| a.totals());
-                assert_eq!(f.map(|w| w.analysis.totals()), served);
+                assert_eq!(f.map(|w| w.analysis), service.query(q.tenant, t0, t1));
             }
             let single = counts(service.stats());
             assert_eq!(delta(before, batched), [18, 18], "{threads} threads: 3 of 6 tenants serve");

@@ -23,6 +23,13 @@
 //! (including pools wider than the cycle) and on cycles around multiples of
 //! the worker count, none of which may change a bit.
 //!
+//! Stateful schedulers run on the pipelined engine, which emits on the
+//! calling thread while a pool worker verifies and records the previous
+//! block of 64 holidays.  Its section pins it against the reference at
+//! 1/2/8 threads and at horizons around the block edges, with dependent sets
+//! and out-of-graph members planted on both sides of an edge and in the last
+//! partial block, and checks that a panic in emission reaches the caller.
+//!
 //! Float fields are compared through `to_bits`, so `NaN` mean gaps (fewer
 //! than two happy holidays) compare equal exactly when both paths produce
 //! them.  The reference emits through the fused word kernels
@@ -37,7 +44,7 @@ use fhg::core::analysis::{
     CycleProfile, ScheduleAnalysis,
 };
 use fhg::core::schedulers::residue::ResidueSchedule;
-use fhg::core::schedulers::standard_suite;
+use fhg::core::schedulers::{standard_suite, FirstComeFirstGrab, PhasedGreedy};
 use fhg::core::{HappySet, Scheduler};
 use fhg::graph::generators::Family;
 use fhg::graph::{Graph, NodeId};
@@ -491,5 +498,172 @@ fn more_threads_than_holidays() {
     let graph = Family::BarabasiAlbert.generate(25, 3.0, 3);
     for cycle in [1u64, 2, 5] {
         assert_profile_build_matches(&graph, view_with_cycle(&graph, cycle), 8);
+    }
+}
+
+/// A stateful scheduler with scripted faults.  It must be called on
+/// consecutive holidays from 1, and each holiday advances a random state:
+/// every node draws from it and hosts with probability 1/3 unless a lower
+/// neighbour already hosts, so each set is independent.  It can plant an
+/// edge's two endpoints at one offset from the first holiday, host node `n`
+/// (one beyond the graph) at another, and panic at a holiday.
+struct Stateful {
+    graph: Graph,
+    state: u64,
+    next: u64,
+    dependent_at: Option<u64>,
+    beyond_at: Option<u64>,
+    panic_at: Option<u64>,
+}
+
+impl Stateful {
+    fn new(graph: &Graph, seed: u64) -> Self {
+        Stateful {
+            graph: graph.clone(),
+            state: seed,
+            next: 1,
+            dependent_at: None,
+            beyond_at: None,
+            panic_at: None,
+        }
+    }
+}
+
+/// One SplitMix64 step.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+impl Scheduler for Stateful {
+    fn node_count(&self) -> usize {
+        self.graph.node_count() + 1
+    }
+    fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
+        assert_eq!(t, self.next, "a stateful scheduler runs on consecutive holidays");
+        if Some(t) == self.panic_at {
+            panic!("scripted panic at holiday {t}");
+        }
+        self.next += 1;
+        self.state = mix(self.state);
+        let n = self.graph.node_count();
+        out.reset(n + 1);
+        for p in 0..n {
+            let free = self.graph.neighbors(p).iter().all(|&q| q > p || !out.contains(q));
+            if free && mix(self.state ^ p as u64).is_multiple_of(3) {
+                out.insert(p);
+            }
+        }
+        let offset = t - 1;
+        if Some(offset) == self.dependent_at {
+            let edge = self.graph.edges().next().expect("the graph has an edge");
+            out.insert(edge.u);
+            out.insert(edge.v);
+        }
+        if Some(offset) == self.beyond_at {
+            out.insert(n);
+        }
+    }
+    fn name(&self) -> &'static str {
+        "scripted-stateful"
+    }
+    fn is_periodic(&self) -> bool {
+        false
+    }
+    fn period(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
+    fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
+        None
+    }
+}
+
+/// The pipelined engine at pinned 1-, 2- and 8-thread pools: phased greedy,
+/// first come first grab and the scripted stateful scheduler analyse
+/// bitwise-identically to the reference on a twin, at horizons on both sides
+/// of the 64-holiday block edges, and the totals entry point equals the
+/// reduced analysis.
+#[test]
+fn stateful_pipeline_matches_the_reference_at_every_pool_width() {
+    let graph = Family::ErdosRenyi.generate(60, 5.0, 31);
+    type Make = fn(&Graph) -> Box<dyn Scheduler>;
+    let makers: [Make; 3] = [
+        |g| Box::new(PhasedGreedy::new(g)),
+        |g| Box::new(FirstComeFirstGrab::new(g, 9)),
+        |g| Box::new(Stateful::new(g, 9)),
+    ];
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for horizon in [0u64, 1, 63, 64, 65, 128, 129, 1000] {
+            for make in makers {
+                let expected = analyze_schedule_reference(&graph, make(&graph).as_mut(), horizon);
+                let got = pool.install(|| analyze_schedule(&graph, make(&graph).as_mut(), horizon));
+                let ctx = format!("{} at horizon {horizon}, {threads} threads", expected.scheduler);
+                assert_bitwise_identical(&got, &expected, &ctx);
+                assert!(got.all_happy_sets_independent, "{ctx}");
+                let totals = pool
+                    .install(|| analyze_schedule_totals(&graph, make(&graph).as_mut(), horizon));
+                assert_eq!(totals, expected.totals(), "{ctx}: totals");
+            }
+        }
+    }
+}
+
+/// The first dependent set planted at offsets 62, 63 and 64 (around the
+/// first block edge) and at 130 and 149 (the last, partial block of a
+/// 150-holiday horizon), or one member beyond the graph, fails the pipelined
+/// analysis as it fails the reference, at every pool width; one holiday
+/// earlier the same schedule is independent, and with the plant as its last
+/// holiday it is not.
+#[test]
+fn stateful_pipeline_catches_faults_across_block_edges() {
+    let graph = Family::ErdosRenyi.generate(50, 4.0, 3);
+    let horizon = 150u64;
+    let plants = [
+        (Some(62), None),
+        (Some(63), None),
+        (Some(64), None),
+        (Some(130), None),
+        (Some(149), None),
+        (None, Some(63)),
+        (None, Some(64)),
+        (None, Some(149)),
+    ];
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for (dependent_at, beyond_at) in plants {
+            let make = || Stateful { dependent_at, beyond_at, ..Stateful::new(&graph, 17) };
+            let at = dependent_at.or(beyond_at).expect("one plant");
+            let ctx = format!("plant {dependent_at:?}/{beyond_at:?}, {threads} threads");
+            for h in [at, at + 1, horizon] {
+                let expected = analyze_schedule_reference(&graph, &mut make(), h);
+                assert_eq!(expected.all_happy_sets_independent, h <= at, "{ctx}, horizon {h}");
+                let got = pool.install(|| analyze_schedule(&graph, &mut make(), h));
+                assert_bitwise_identical(&got, &expected, &format!("{ctx}, horizon {h}"));
+            }
+        }
+    }
+}
+
+/// A scheduler that panics while emitting holiday 70 (the second block)
+/// panics out of the pipelined analysis at every pool width, and the next
+/// analysis on the same pool succeeds.
+#[test]
+fn stateful_pipeline_panics_reach_the_caller() {
+    let graph = Family::ErdosRenyi.generate(40, 4.0, 8);
+    let expected = analyze_schedule_reference(&graph, &mut Stateful::new(&graph, 2), 200);
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut s = Stateful { panic_at: Some(70), ..Stateful::new(&graph, 2) };
+            pool.install(|| analyze_schedule(&graph, &mut s, 200))
+        }));
+        let payload = failed.expect_err("the emission panic must reach the caller");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert_eq!(message, "scripted panic at holiday 70", "{threads} threads");
+        let got = pool.install(|| analyze_schedule(&graph, &mut Stateful::new(&graph, 2), 200));
+        assert_bitwise_identical(&got, &expected, &format!("after the panic, {threads} threads"));
     }
 }

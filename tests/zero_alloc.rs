@@ -11,8 +11,12 @@
 //! once a warm-up insert has given both rows room.  One-shot
 //! `analyze_schedule` on a periodic scheduler allocates only its output,
 //! whatever the horizon or pool width, and `analyze_schedule_totals`
-//! allocates nothing.  A LOCAL-model simulation allocates per run, never
-//! per round: `Simulator::run` allocates as often for 8 rounds as for 512.
+//! allocates nothing.  On a stateful scheduler it allocates a fixed set of
+//! buffers per analysis at one thread, whatever the horizon, and at wider
+//! pools at most a fixed number more per 64-holiday block (the block's
+//! `rayon::join`), never per holiday.  A LOCAL-model simulation allocates
+//! per run, never per round: `Simulator::run` allocates as often for 8
+//! rounds as for 512.
 //!
 //! A counting global allocator records every allocation; the test warms each
 //! scheduler's buffer (and any internal scratch) for a few holidays, then
@@ -46,7 +50,7 @@ use fhg::core::analysis::{
     analyze_schedule, analyze_schedule_totals, AnalysisEngine, CycleProfile, GraphChecker,
     HolidayChecker,
 };
-use fhg::core::schedulers::{standard_suite, PeriodicDegreeBound};
+use fhg::core::schedulers::{standard_suite, PeriodicDegreeBound, PhasedGreedy};
 use fhg::core::{HappySet, Scheduler};
 use fhg::distributed::{NodeContext, Protocol, RoundOutput, Simulator};
 use fhg::graph::{generators, NodeId};
@@ -235,6 +239,46 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         }
     });
     assert_eq!(delta, 0, "analyze_schedule_totals allocated {delta} times after warm-up");
+
+    // The pipelined analysis of a stateful scheduler: per analysis it
+    // allocates the tally, two blocks of 64 reused happy sets and its
+    // output, so at one thread the count does not depend on the horizon.
+    // A wider pool adds one `rayon::join` per 64-holiday block, which
+    // allocates its one-job batch, the batch's result list and the shared
+    // batch handle; nothing is allocated per holiday.  Each attempt runs a
+    // fresh clone made before the count starts, since a stateful scheduler
+    // cannot replay a holiday.
+    {
+        const JOIN_ALLOCS: u64 = 3;
+        let template = PhasedGreedy::new(&graph);
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| analyze_schedule(&graph, &mut template.clone(), 256));
+            let count = |horizon: u64| {
+                let mut clones = vec![template.clone(); ATTEMPTS];
+                min_alloc_delta(|| {
+                    let mut s = clones.pop().expect("one clone per attempt");
+                    let analysis = pool.install(|| analyze_schedule(&graph, &mut s, horizon));
+                    assert!(analysis.all_happy_sets_independent);
+                })
+            };
+            let (short, long) = (count(1024), count(8192));
+            let blocks = (8192 - 1024) / 64;
+            if threads == 1 {
+                assert_eq!(
+                    short, long,
+                    "one thread: the stateful analysis allocated {short} times over 1024 \
+                     holidays and {long} over 8192"
+                );
+            } else {
+                assert!(
+                    long >= short && long - short <= JOIN_ALLOCS * blocks,
+                    "{threads} threads: the stateful analysis allocated {short} times over 1024 \
+                     holidays and {long} over 8192, more than {JOIN_ALLOCS} per extra block"
+                );
+            }
+        }
+    }
 
     // The serving-tier derivation paths: repeated derivations from one
     // cached profile, with no scratch at all.  The window fold computes
