@@ -199,17 +199,20 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if `u` is out of bounds.
+    #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
         self.rows[u].len as usize
     }
 
     /// Sorted slice of neighbours of `u`.
+    #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
         &self.arena[self.rows[u].live()]
     }
 
     /// Sorted slice of the neighbours of `u` above `u`: every edge appears
     /// in exactly one of these slices, its lower endpoint's.
+    #[inline]
     pub fn neighbors_above(&self, u: NodeId) -> &[NodeId] {
         let row = self.rows[u];
         &self.arena[row.start as usize + row.split as usize..row.live().end]
