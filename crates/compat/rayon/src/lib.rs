@@ -180,10 +180,11 @@ impl ThreadPool {
 /// Runs both closures, potentially in parallel, and returns both results.
 ///
 /// `oper_a` runs on the calling thread, as in rayon.  With one ambient
-/// thread `oper_b` runs inline after it.  Otherwise `oper_b` is offered to
-/// one pool worker while the caller runs `oper_a`, and the caller runs
-/// `oper_b` itself if no worker has taken it by then.  A panic in either
-/// closure reaches the caller once both have finished, `oper_a`'s first.
+/// thread `oper_b` runs inline after it, unless `oper_a` panicked.
+/// Otherwise `oper_b` is offered to one pool worker while the caller runs
+/// `oper_a`, and the caller runs `oper_b` itself if no worker has taken it
+/// by then; a panic in either closure reaches the caller once both have
+/// finished, `oper_a`'s first.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -197,10 +198,8 @@ where
         return (ra, rb);
     }
     let (ra, mut results) = pool::run_beside(vec![(0usize, oper_b)], 1, |_, f: B| f(), oper_a);
-    match results.pop() {
-        Some((_, rb)) => (ra, rb),
-        None => unreachable!("a join batch completes with exactly its one job"),
-    }
+    let (_, rb) = results.pop().expect("a join batch completes with its one job");
+    (ra, rb)
 }
 
 /// Chunks each worker pulls on average; finer granularity lets a fast worker
@@ -668,17 +667,19 @@ mod tests {
     #[test]
     fn join_runs_its_first_closure_on_the_calling_thread() {
         let caller = thread::current().id();
-        for _ in 0..5 {
-            // The second closure sleeps: were the caller to start on it, a
-            // worker would have time to take the first one.
-            let (a, ()) = with_threads(2, || {
-                join(
-                    || thread::current().id(),
-                    || thread::sleep(std::time::Duration::from_millis(20)),
-                )
-            });
-            assert_eq!(a, caller, "oper_a must run on the caller");
-        }
+        // `oper_b` waits until `oper_a` has run: were the caller to start on
+        // `oper_b`, only a worker could run `oper_a`.
+        let (ran_a, a_done) = std::sync::mpsc::channel();
+        let (a, ()) = with_threads(2, || {
+            join(
+                move || {
+                    ran_a.send(()).expect("oper_b is listening");
+                    thread::current().id()
+                },
+                move || a_done.recv().expect("oper_a runs"),
+            )
+        });
+        assert_eq!(a, caller, "oper_a must run on the caller");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! workers, so the batch completes even if every worker is busy (or the pool
 //! has fewer workers than requested).  [`run_beside`] lets the caller run
 //! work of its own first (a `join`'s first closure) while the workers start
-//! on the batch, and drain what they left afterwards.  This replaces the previous
-//! `std::thread::scope` spawn-per-call model, whose ~50 µs of spawn/join
-//! overhead dominated sub-millisecond analyses.
+//! on the batch, and drain what they left afterwards.  This replaces the
+//! previous `std::thread::scope` spawn-per-call model, whose ~50 µs of
+//! spawn/join overhead dominated sub-millisecond analyses.
 //!
 //! # Soundness
 //!
@@ -49,7 +49,7 @@ use std::thread::{self, JoinHandle};
 const QUEUE_CAPACITY: usize = 64;
 
 /// The typed half of a batch, living on the calling thread's stack for the
-/// duration of [`run_batch`].
+/// duration of [`run_beside`].
 struct BatchData<I, R, F> {
     /// Remaining chunk jobs; drained LIFO (results are re-sorted by base).
     jobs: Mutex<Vec<(usize, I)>>,
@@ -84,7 +84,7 @@ pub(crate) struct BatchShared {
 // SAFETY: the raw pointers are only dereferenced under the registration
 // protocol in the module docs (worker registered, batch open, caller blocked
 // until active == 0), which makes every access to the pointed-to data happen
-// strictly before `run_batch` returns and the data is dropped.  All other
+// strictly before `run_beside` returns and the data is dropped.  All other
 // fields are ordinary sync primitives.
 unsafe impl Send for BatchShared {}
 unsafe impl Sync for BatchShared {}
@@ -122,7 +122,7 @@ fn drain<I, R, F: Fn(usize, I) -> R>(data: &BatchData<I, R, F>) {
         }
         let job = data.jobs.lock().expect("job queue poisoned").pop();
         let Some((base, input)) = job else { return };
-        // SAFETY: `work` points at the closure owned by the `run_batch`
+        // SAFETY: `work` points at the closure owned by the `run_beside`
         // frame, which cannot return while this thread is registered.
         let work = unsafe { &*data.work };
         match catch_unwind(AssertUnwindSafe(|| work(base, input))) {
@@ -141,10 +141,10 @@ fn drain<I, R, F: Fn(usize, I) -> R>(data: &BatchData<I, R, F>) {
 }
 
 /// The erased drain entry stored in [`BatchShared`]; monomorphised per
-/// `run_batch` call site.
+/// `run_beside` call site.
 ///
 /// # Safety
-/// `ptr` must be the erased `BatchData<I, R, F>` the matching [`run_batch`]
+/// `ptr` must be the erased `BatchData<I, R, F>` the matching [`run_beside`]
 /// frame owns, and the caller must be registered with the (open) batch.
 unsafe fn drain_erased<I, R, F: Fn(usize, I) -> R>(ptr: *const ()) {
     // SAFETY: per the function contract, `ptr` outlives this call.

@@ -245,7 +245,7 @@ impl Tally {
     }
 }
 
-/// The Sequential engine: emits holidays `start..start + horizon` through
+/// The reference sweep: emits holidays `start..start + horizon` through
 /// `fill` into one buffer of `capacity` nodes, verifies each on its own
 /// through [`HolidayChecker::check`] (until the first failure) and records
 /// it for every graph node, with zero heap allocations per holiday.
